@@ -36,6 +36,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use experiments::cli;
+use telemetry::json::Json;
 use telemetry::{Dashboard, DiffScreen, JsonlTail};
 
 fn usage() -> ! {
@@ -142,7 +143,8 @@ fn poll_into(tails: &mut [JsonlTail], dash: &mut Dashboard) {
             Err(_) => continue, // transient I/O: try again next tick
         };
         for line in lines {
-            if let Some(record) = telemetry::tail::parse_flat_object(&line) {
+            // Torn or foreign lines are skipped, not fatal.
+            if let Ok(record) = Json::parse(&line) {
                 dash.observe(&record);
             }
         }

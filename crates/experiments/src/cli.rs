@@ -11,9 +11,6 @@
 //!   machine's available parallelism).
 //! * `RLA_RESULTS_DIR` — where run manifests go (default `results/`;
 //!   handled by [`results_dir`]).
-//! * `RLA_BENCH_BASELINE` — record/compare mode for the bench harness.
-//! * `RLA_BENCH_GATE_PCT` — fail the engine bench if events/s regresses
-//!   more than this percentage below the committed baseline.
 //! * `RLA_TELEMETRY`, `RLA_TELEMETRY_SAMPLE_MS`, `RLA_TELEMETRY_FORMAT`,
 //!   `RLA_TELEMETRY_DIR`, `RLA_TELEMETRY_FLIGHT_DEPTH` — the
 //!   observability knobs, parsed into [`TelemetryOptions`] by
@@ -27,8 +24,7 @@
 //!   export: `RLA_PCAP=1` (or a snaplen in bytes) makes single-scenario
 //!   runs write a classic libpcap file per run into `RLA_PCAP_DIR`
 //!   (default: the results dir), parsed into [`PcapOptions`] by
-//!   [`pcap_options`]. Requires `RLA_SHARDS=1` — tracers are
-//!   single-threaded — and the combination is rejected at parse time.
+//!   [`pcap_options`].
 //!   `RLA_PCAP_SPOOL=1` (or a chunk size in records) bounds the
 //!   tracer's in-memory buffer by spilling sorted chunks to disk, so
 //!   paper-length (3000 s) exports can't exhaust memory; the merged
@@ -43,15 +39,11 @@
 //!   (default 0 — no cross traffic).
 //! * `RLA_EVENTS_FILE` — path to a JSON event schedule applied to each
 //!   run (see EXPERIMENTS.md for the format).
-//! * `RLA_SHARDS` — target execution-domain count *and* worker threads
-//!   for the partitioned engine within one scenario run (default 1 —
-//!   the cost-aware merge pass collapses the fine θ-partition into a
-//!   single domain and the run dispatches down the classic sequential
-//!   loop with zero exchange overhead). Digests are identical at every
-//!   value; this knob trades wall-clock only.
 //!
 //! Any other variable in the `RLA_` namespace is rejected with the list
-//! of valid knobs ([`enforce_known_env`]), so typos fail loudly.
+//! of valid knobs ([`enforce_known_env`]), so typos fail loudly; so does
+//! an unparsable *value* of a recognized knob, with the knob and the
+//! expected form named.
 //!
 //! Binaries that run sweeps scale the budget down with
 //! [`scaled_duration`]; trace-heavy single runs cap it with
@@ -73,15 +65,12 @@ pub use crate::manifest::results_dir;
 /// [`enforce_known_env`] rejects anything else in the `RLA_` namespace so
 /// a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 22] = [
+pub const KNOWN_ENV_VARS: [&str; 19] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
-    "RLA_SHARDS",
     "RLA_TCP_CC",
     "RLA_RESULTS_DIR",
-    "RLA_BENCH_BASELINE",
-    "RLA_BENCH_GATE_PCT",
     "RLA_CHURN_RATE",
     "RLA_BG_LOAD",
     "RLA_EVENTS_FILE",
@@ -131,10 +120,23 @@ pub fn run_duration() -> SimDuration {
 /// set, else `default`, floored at 60 s either way.
 pub fn duration_or(default: SimDuration) -> SimDuration {
     enforce_known_env();
-    let secs = std::env::var("RLA_DURATION_SECS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(default.as_secs_f64());
+    duration_or_from(|name| std::env::var(name).ok(), default)
+}
+
+/// [`duration_or`] over an arbitrary variable source (pure). A value that
+/// is not a finite number of seconds (`60s`, `inf`) is rejected with the
+/// knob named instead of quietly running the default length.
+fn duration_or_from(get: impl Fn(&str) -> Option<String>, default: SimDuration) -> SimDuration {
+    let secs = get("RLA_DURATION_SECS").map_or(default.as_secs_f64(), |v| {
+        let secs: f64 = v
+            .parse()
+            .unwrap_or_else(|_| panic!("RLA_DURATION_SECS={v:?}: expected simulated seconds"));
+        assert!(
+            secs.is_finite(),
+            "RLA_DURATION_SECS={v:?}: expected a finite number of simulated seconds"
+        );
+        secs
+    });
     SimDuration::from_secs_f64(secs.max(60.0))
 }
 
@@ -154,10 +156,16 @@ pub fn capped_duration(cap_secs: f64) -> SimDuration {
 /// Base RNG seed, honouring `RLA_SEED`.
 pub fn base_seed() -> u64 {
     enforce_known_env();
-    std::env::var("RLA_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    base_seed_from(|name| std::env::var(name).ok())
+}
+
+/// [`base_seed`] over an arbitrary variable source (pure). A non-integer
+/// seed is rejected with the knob named instead of quietly running seed 1.
+fn base_seed_from(get: impl Fn(&str) -> Option<String>) -> u64 {
+    get("RLA_SEED").map_or(1, |v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("RLA_SEED={v:?}: expected an unsigned integer seed"))
+    })
 }
 
 /// Whether sweep runners print per-job heartbeat lines to stderr
@@ -273,17 +281,6 @@ pub fn pcap_options_from(get: impl Fn(&str) -> Option<String>) -> PcapOptions {
             }
         }
     }
-    // Tracers are single-threaded observers wired into shard 0; reject
-    // the conflicting knob pair here, at parse time, instead of failing
-    // later inside tracer installation.
-    if opts.enabled {
-        let shards = shards_from(&get);
-        assert!(
-            shards == 1,
-            "RLA_PCAP with RLA_SHARDS={shards}: packet capture requires RLA_SHARDS=1 \
-             (tracers are single-threaded); drop one of the two knobs"
-        );
-    }
     opts
 }
 
@@ -291,21 +288,28 @@ pub fn pcap_options_from(get: impl Fn(&str) -> Option<String>) -> PcapOptions {
 /// otherwise the machine's available parallelism.
 pub fn job_count() -> usize {
     enforce_known_env();
-    std::env::var("RLA_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    job_count_from(|name| std::env::var(name).ok())
+}
+
+/// [`job_count`] over an arbitrary variable source (pure). A non-integer
+/// count is rejected with the knob named instead of quietly using every
+/// core.
+fn job_count_from(get: impl Fn(&str) -> Option<String>) -> usize {
+    match get("RLA_JOBS") {
+        Some(v) => v
+            .parse::<usize>()
+            .unwrap_or_else(|_| panic!("RLA_JOBS={v:?}: expected a worker count"))
+            .max(1),
+        None => thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
 }
 
 /// Parsed `RLA_TELEMETRY*` configuration. All knobs default to
 /// "telemetry off": the observability layer must cost nothing unless
-/// asked for (the golden digests and the engine bench both run with this
-/// struct at its defaults).
+/// asked for (the golden digests and the benchmark's end-to-end workloads
+/// both run with this struct at its defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
     /// Record per-flow timelines (`RLA_TELEMETRY=timeline`/`on`/`1`).
@@ -493,56 +497,6 @@ pub fn events_file_from(get: impl Fn(&str) -> Option<String>) -> Vec<crate::even
         .unwrap_or_else(|e| panic!("RLA_EVENTS_FILE={path:?}: {e}"))
 }
 
-/// The bench regression gate: `RLA_BENCH_GATE_PCT` as a percentage
-/// (e.g. `5` = fail if events/s drops more than 5% below the committed
-/// baseline). `None` when unset — the bench then only reports.
-pub fn bench_gate_pct() -> Option<f64> {
-    enforce_known_env();
-    bench_gate_pct_from(|name| std::env::var(name).ok())
-}
-
-/// [`bench_gate_pct`] over an arbitrary variable source (pure). A
-/// negative or non-finite gate would make the bench unfailable (any
-/// regression beats "-5% below baseline", and NaN comparisons are always
-/// false), so both are rejected with the knob named.
-pub fn bench_gate_pct_from(get: impl Fn(&str) -> Option<String>) -> Option<f64> {
-    get("RLA_BENCH_GATE_PCT").map(|v| {
-        let pct: f64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("RLA_BENCH_GATE_PCT={v:?}: expected a percentage"));
-        assert!(
-            pct.is_finite() && pct >= 0.0,
-            "RLA_BENCH_GATE_PCT={v:?}: expected a non-negative percentage"
-        );
-        pct
-    })
-}
-
-/// Target execution-domain count and worker threads for the partitioned
-/// engine within one scenario run: `RLA_SHARDS` (default 1 — the merge
-/// pass collapses the fine θ-partition to a single domain and the run
-/// takes the classic sequential loop). This knob never changes results:
-/// the identity layer — per-region RNG streams and digest lanes — is a
-/// pure function of the topology and the seed, and only the execution
-/// grouping follows the target.
-pub fn shards() -> usize {
-    enforce_known_env();
-    shards_from(|name| std::env::var(name).ok())
-}
-
-/// [`shards`] over an arbitrary variable source (pure). Zero is rejected
-/// — "no workers" cannot run anything — as is non-numeric input, each
-/// with the knob named.
-pub fn shards_from(get: impl Fn(&str) -> Option<String>) -> usize {
-    get("RLA_SHARDS").map_or(1, |v| {
-        let n: usize = v
-            .parse()
-            .unwrap_or_else(|_| panic!("RLA_SHARDS={v:?}: expected a worker count"));
-        assert!(n > 0, "RLA_SHARDS=0: at least one worker is required");
-        n
-    })
-}
-
 /// Parse a congestion-case argument (`"1"`, `"2"`, ... as in the paper's
 /// table headers); `None` for unrecognized input.
 pub fn parse_case(arg: &str) -> Option<CongestionCase> {
@@ -572,6 +526,11 @@ pub fn parse_gateway(arg: &str) -> Option<GatewayKind> {
 mod tests {
     use super::*;
 
+    /// A variable source holding exactly one knob.
+    fn only(knob: &'static str, value: &'static str) -> impl Fn(&str) -> Option<String> {
+        move |name| (name == knob).then(|| value.to_string())
+    }
+
     #[test]
     fn durations_have_floors() {
         // The suite itself may run under RLA_DURATION_SECS (CI pins 60 s),
@@ -579,7 +538,7 @@ mod tests {
         // instead of mutating the process environment.
         let env = std::env::var("RLA_DURATION_SECS")
             .ok()
-            .and_then(|v| v.parse::<f64>().ok());
+            .map(|v| v.parse::<f64>().expect("RLA_DURATION_SECS is numeric"));
         let base = env.unwrap_or(3000.0).max(60.0);
         assert_eq!(run_duration(), SimDuration::from_secs_f64(base));
         assert_eq!(
@@ -608,8 +567,49 @@ mod tests {
 
     #[test]
     fn seed_and_jobs_defaults() {
-        assert_eq!(base_seed(), 1);
-        assert!(job_count() >= 1);
+        assert_eq!(base_seed_from(|_| None), 1);
+        assert!(job_count_from(|_| None) >= 1);
+        assert_eq!(base_seed_from(only("RLA_SEED", "42")), 42);
+        assert_eq!(job_count_from(only("RLA_JOBS", "3")), 3);
+        assert_eq!(job_count_from(only("RLA_JOBS", "0")), 1, "floor of one");
+        assert_eq!(
+            duration_or_from(
+                only("RLA_DURATION_SECS", "90"),
+                SimDuration::from_secs(3000)
+            ),
+            SimDuration::from_secs(90)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "RLA_DURATION_SECS=\"60s\": expected simulated seconds")]
+    fn unparsable_duration_is_rejected_with_a_named_knob() {
+        // Regression: this used to run the 3000 s default without a word.
+        duration_or_from(
+            only("RLA_DURATION_SECS", "60s"),
+            SimDuration::from_secs(3000),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "RLA_DURATION_SECS=\"inf\"")]
+    fn non_finite_duration_is_rejected() {
+        duration_or_from(
+            only("RLA_DURATION_SECS", "inf"),
+            SimDuration::from_secs(3000),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "RLA_SEED=\"abc\": expected an unsigned integer seed")]
+    fn unparsable_seed_is_rejected_with_a_named_knob() {
+        base_seed_from(only("RLA_SEED", "abc"));
+    }
+
+    #[test]
+    #[should_panic(expected = "RLA_JOBS=\"two\": expected a worker count")]
+    fn unparsable_job_count_is_rejected_with_a_named_knob() {
+        job_count_from(only("RLA_JOBS", "two"));
     }
 
     #[test]
@@ -622,9 +622,6 @@ mod tests {
             assert_eq!(opts.sample_period, SimDuration::from_millis(500));
             assert_eq!(opts.format, TimelineFormat::Jsonl);
             assert_eq!(opts.flight_depth, DEFAULT_FLIGHT_DEPTH);
-        }
-        if std::env::var("RLA_BENCH_GATE_PCT").is_err() {
-            assert_eq!(bench_gate_pct(), None);
         }
     }
 
@@ -747,34 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_gate_parses_from_a_variable_source() {
-        assert_eq!(bench_gate_pct_from(|_| None), None);
-        assert_eq!(
-            bench_gate_pct_from(|name| (name == "RLA_BENCH_GATE_PCT").then(|| "5".to_string())),
-            Some(5.0)
-        );
-        assert_eq!(
-            bench_gate_pct_from(|name| (name == "RLA_BENCH_GATE_PCT").then(|| "0".to_string())),
-            Some(0.0),
-            "zero is a legal (maximally strict) gate"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "RLA_BENCH_GATE_PCT")]
-    fn negative_bench_gate_is_rejected_with_a_named_knob() {
-        // A negative gate would let every regression pass; see
-        // bench_gate_pct_from.
-        bench_gate_pct_from(|name| (name == "RLA_BENCH_GATE_PCT").then(|| "-5".to_string()));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative percentage")]
-    fn non_finite_bench_gate_is_rejected() {
-        bench_gate_pct_from(|name| (name == "RLA_BENCH_GATE_PCT").then(|| "inf".to_string()));
-    }
-
-    #[test]
     fn pcap_options_parse_from_a_variable_source() {
         let off = pcap_options_from(|_| None);
         assert!(!off.enabled);
@@ -830,26 +799,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RLA_PCAP with RLA_SHARDS=4")]
-    fn pcap_with_multiple_shards_is_rejected_at_parse_time() {
-        pcap_options_from(|name| match name {
-            "RLA_PCAP" => Some("1".to_string()),
-            "RLA_SHARDS" => Some("4".to_string()),
-            _ => None,
-        });
-    }
-
-    #[test]
-    fn pcap_with_one_shard_passes_the_parse_time_check() {
-        let opts = pcap_options_from(|name| match name {
-            "RLA_PCAP" => Some("1".to_string()),
-            "RLA_SHARDS" => Some("1".to_string()),
-            _ => None,
-        });
-        assert!(opts.enabled);
-    }
-
-    #[test]
     fn progress_file_parses_and_sink_defaults_to_none() {
         assert_eq!(progress_file_from(|_| None), None);
         assert_eq!(
@@ -861,27 +810,6 @@ mod tests {
         if std::env::var("RLA_PROGRESS_FILE").is_err() {
             assert!(progress_sink().is_none());
         }
-    }
-
-    #[test]
-    fn shards_default_to_one_and_parse() {
-        assert_eq!(shards_from(|_| None), 1);
-        assert_eq!(
-            shards_from(|name| (name == "RLA_SHARDS").then(|| "4".to_string())),
-            4
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "RLA_SHARDS=0")]
-    fn zero_shards_is_rejected_with_a_named_knob() {
-        shards_from(|name| (name == "RLA_SHARDS").then(|| "0".to_string()));
-    }
-
-    #[test]
-    #[should_panic(expected = "expected a worker count")]
-    fn non_numeric_shards_is_rejected() {
-        shards_from(|name| (name == "RLA_SHARDS").then(|| "many".to_string()));
     }
 
     #[test]
@@ -897,6 +825,11 @@ mod tests {
             unknown_rla_vars_from(names(&["RLA_DURATION", "RLA_SEED", "HOME"])),
             vec!["RLA_DURATION".to_string()]
         );
+        // Knobs retired with the tools that set them are rejected like any
+        // other typo, so a stale script fails loudly instead of running
+        // with the override ignored.
+        let retired = ["RLA_SHARDS", "RLA_BENCH_BASELINE", "RLA_BENCH_GATE_PCT"];
+        assert_eq!(unknown_rla_vars_from(names(&retired)), names(&retired));
         // The process environment itself must be clean — the getters call
         // enforce_known_env on every read.
         enforce_known_env();

@@ -83,18 +83,14 @@ pub struct TreeScenario {
     /// (`None` for the static paper scenarios).
     pub bg_load: Option<BackgroundLoad>,
     /// Target execution-domain count *and* worker threads for the
-    /// partitioned engine (the `RLA_SHARDS` knob; default 1 — the fine
-    /// θ-partition merges into one domain and the run dispatches down
-    /// the classic sequential loop with zero exchange overhead). The
-    /// identity layer — per-region RNG streams, uid tags and digest
-    /// lanes — is a pure function of the topology and seed, so this
-    /// setting never changes a digest — only wall-clock.
+    /// partitioned engine (default 1 — the fine θ-partition merges into
+    /// one domain and the run dispatches down the classic sequential
+    /// loop with zero exchange overhead; set with
+    /// [`with_shards`](Self::with_shards)). The identity layer —
+    /// per-region RNG streams, uid tags and digest lanes — is a pure
+    /// function of the topology and seed, so this setting never changes
+    /// a digest — only wall-clock.
     pub shards: usize,
-    /// Measured per-region event counts steering the cost-aware merge
-    /// (`None` — the default — falls back to the engine's
-    /// bandwidth·fan-out estimate). Execution grouping only; digests
-    /// are identical with or without costs.
-    pub domain_costs: Option<Vec<u64>>,
 }
 
 impl TreeScenario {
@@ -119,8 +115,7 @@ impl TreeScenario {
             tcp_cc: CcVariant::sack(),
             events: Vec::new(),
             bg_load: None,
-            shards: crate::cli::shards(),
-            domain_costs: None,
+            shards: 1,
         }
     }
 
@@ -159,24 +154,12 @@ impl TreeScenario {
         self
     }
 
-    /// Steer the cost-aware merge with measured per-region event counts
-    /// (e.g. a previous run's `Engine::region_event_counts`; see the
-    /// `domain_costs` field).
-    pub fn with_domain_costs(mut self, costs: Vec<u64>) -> Self {
-        self.domain_costs = Some(costs);
-        self
-    }
-
     /// Build, run and measure. When the `RLA_PCAP` knob is on, the run
     /// additionally writes `<case>_<gateway>_seed<seed>.pcap` into the
     /// capture directory — tracers observe and never feed back, so the
     /// result (and every digest) is identical with capture on or off.
     pub fn run(&self) -> ScenarioResult {
         let pcap = crate::cli::pcap_options();
-        assert!(
-            !pcap.enabled || self.shards == 1,
-            "RLA_PCAP requires RLA_SHARDS=1 (tracers are single-threaded)"
-        );
         let mut world = self.build();
         let tracer = if pcap.enabled {
             Some(world.install_pcap(&pcap, &self.pcap_stem()))
@@ -213,11 +196,11 @@ impl TreeScenario {
         // delays all clear the default threshold) fixes the identity layer
         // — per-region RNG streams, uid tags and digest lanes — and the
         // merge pass then coalesces those regions into `shards` execution
-        // domains, cutting the slowest links first subject to balanced
-        // event load. `shards` (the `RLA_SHARDS` knob) also picks how many
+        // domains, cutting the slowest links first subject to a balanced
+        // bandwidth·fan-out load estimate. `shards` also picks how many
         // worker threads walk the merged domains; identity never moves, so
         // every digest is already fixed here regardless of the target.
-        engine.partition_merged(None, self.shards, self.domain_costs.as_deref());
+        engine.partition_merged(None, self.shards, None);
         engine.set_workers(self.shards);
 
         // Multicast receiver nodes: every leaf, plus the G3 gateways for

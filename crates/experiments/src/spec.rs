@@ -37,7 +37,6 @@ pub struct ScenarioSpec {
     churn_rate: f64,
     bg_load: Option<BackgroundLoad>,
     shards: Option<usize>,
-    domain_costs: Option<Vec<u64>>,
 }
 
 impl ScenarioSpec {
@@ -56,7 +55,6 @@ impl ScenarioSpec {
             churn_rate: 0.0,
             bg_load: None,
             shards: None,
-            domain_costs: None,
         }
     }
 
@@ -146,21 +144,11 @@ impl ScenarioSpec {
     }
 
     /// Override the target execution-domain and worker count for the
-    /// partitioned engine (default: the `RLA_SHARDS` knob). Results are
-    /// identical at every value — see [`TreeScenario::with_shards`].
+    /// partitioned engine (default 1). Results are identical at every
+    /// value — see [`TreeScenario::with_shards`].
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one worker is required");
         self.shards = Some(shards);
-        self
-    }
-
-    /// Measured per-region event counts steering the cost-aware domain
-    /// merge (default: the engine's bandwidth·fan-out estimate). One
-    /// weight per region of the fine partition, e.g. a previous run's
-    /// `Engine::region_event_counts`. Only the execution grouping moves;
-    /// every digest is identical with or without costs.
-    pub fn with_domain_costs(mut self, costs: Vec<u64>) -> Self {
-        self.domain_costs = Some(costs);
         self
     }
 
@@ -205,9 +193,6 @@ impl ScenarioSpec {
         s.bg_load = self.bg_load.clone();
         if let Some(shards) = self.shards {
             s = s.with_shards(shards);
-        }
-        if let Some(costs) = &self.domain_costs {
-            s = s.with_domain_costs(costs.clone());
         }
         s
     }

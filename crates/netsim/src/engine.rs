@@ -253,8 +253,8 @@ pub struct World {
     /// inline on the calling thread).
     workers: usize,
     /// When armed, the inline epoch executor appends one row per epoch:
-    /// the number of events each domain processed in that epoch. Feeds the
-    /// parallel bench's critical-path speedup model.
+    /// the number of events each domain processed in that epoch — how
+    /// evenly the epochs split, read back through [`Engine::epoch_loads`].
     epoch_loads: Option<Vec<Vec<u64>>>,
 }
 
@@ -1104,9 +1104,8 @@ impl Engine {
 
     /// Arm (or disarm) per-epoch load recording: one row per epoch with
     /// each domain's processed-event count. Only the inline (workers = 1)
-    /// partitioned executor records; the parallel bench uses the profile
-    /// to model multi-worker critical paths on machines with fewer cores
-    /// than workers.
+    /// partitioned executor records; the profile shows how evenly the
+    /// epochs split across domains.
     pub fn record_epoch_loads(&mut self, on: bool) {
         self.world.epoch_loads = on.then(Vec::new);
     }
@@ -1120,23 +1119,6 @@ impl Engine {
     /// Number of regions (components of the fine θ-partition).
     pub fn region_count(&self) -> usize {
         self.world.region_count()
-    }
-
-    /// Per-region processed-event totals, in global region order. A
-    /// measured run's counts are the natural cost input for
-    /// [`Engine::partition_merged`] on a subsequent run of the same
-    /// topology — they refine the bandwidth·fan-out default.
-    pub fn region_event_counts(&self) -> Vec<u64> {
-        self.world
-            .shared
-            .region_loc
-            .iter()
-            .map(|&(s, slot)| {
-                self.world.shards[s as usize].regions[slot as usize]
-                    .digest
-                    .events()
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -2171,16 +2153,6 @@ mod tests {
         // canonical boundary key.
         assert_eq!(e.world().shards[0].outbox.capacity(), 0);
         assert_eq!(e.world().live_packets(), 0);
-    }
-
-    #[test]
-    fn region_event_counts_cover_every_region_and_sum_to_the_digest() {
-        let (mut e, _, _) = partitioned_chain(5, 1);
-        e.run_until(SimTime::from_millis(100));
-        let counts = e.region_event_counts();
-        assert_eq!(counts.len(), e.region_count());
-        assert_eq!(counts.iter().sum::<u64>(), e.trace_digest().events());
-        assert!(counts.iter().all(|&c| c > 0), "a silent region: {counts:?}");
     }
 
     #[test]

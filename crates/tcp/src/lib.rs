@@ -30,7 +30,6 @@
 pub mod config;
 pub mod receiver;
 pub mod reno;
-pub mod rto;
 pub mod scoreboard;
 pub mod sender;
 pub mod variants;
@@ -38,7 +37,6 @@ pub mod variants;
 pub use config::TcpConfig;
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use reno::RenoSender;
-pub use rto::RttEstimator;
 pub use scoreboard::Scoreboard;
 pub use sender::{SenderStats, TcpSender};
 pub use variants::{CcEntry, CcVariant, CC_REGISTRY};

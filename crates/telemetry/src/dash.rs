@@ -2,8 +2,8 @@
 //!
 //! Deliberately dependency-free (no ratatui/crossterm — the repo vendors
 //! nothing it can write in a few hundred lines): a [`Dashboard`] folds
-//! tailed [`FlatRecord`]s into per-series state, [`Dashboard::render`]
-//! produces one plain-text frame (what `--once` prints and what tests
+//! tailed JSONL records ([`Json`] objects) into per-series state,
+//! [`Dashboard::render`] produces one plain-text frame (what `--once` prints and what tests
 //! assert on), and [`DiffScreen`] turns successive frames into minimal
 //! ANSI escape output — clear once, then repaint only the lines that
 //! changed (double-buffered diff redraw), so a 4 Hz refresh over a slow
@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use crate::tail::{field, FlatRecord, JsonScalar};
+use crate::json::Json;
 
 /// Unicode eighth-blocks, the classic sparkline ramp.
 const SPARK: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -93,27 +93,24 @@ impl Dashboard {
         self.records
     }
 
-    /// Fold one parsed JSONL record in; unknown shapes are ignored.
-    pub fn observe(&mut self, record: &FlatRecord) {
-        if field(record, "series").is_some() {
+    /// Fold one parsed JSONL record in; unknown shapes (and values that
+    /// are not objects) are ignored.
+    pub fn observe(&mut self, record: &Json) {
+        if record.get("series").is_some() {
             self.observe_timeline(record);
             self.records += 1;
-        } else if field(record, "job").is_some() && field(record, "total").is_some() {
+        } else if record.get("job").is_some() && record.get("total").is_some() {
             self.observe_progress(record);
             self.records += 1;
         }
     }
 
-    fn observe_timeline(&mut self, record: &FlatRecord) {
-        let Some(name) = field(record, "series").and_then(JsonScalar::as_str) else {
+    fn observe_timeline(&mut self, record: &Json) {
+        let Some(name) = record.get("series").and_then(Json::as_str) else {
             return;
         };
-        let kind = field(record, "kind")
-            .and_then(JsonScalar::as_str)
-            .unwrap_or("?");
-        let t = field(record, "t")
-            .and_then(JsonScalar::as_f64)
-            .unwrap_or(0.0);
+        let kind = record.get("kind").and_then(Json::as_str).unwrap_or("?");
+        let t = record.get("t").and_then(Json::as_f64).unwrap_or(0.0);
         let is_channel = kind == "channel";
         let (rows, headline, fields): (_, _, &[&'static str]) = if is_channel {
             (&mut self.channels, "qlen", &["qlen", "red_avg"])
@@ -140,11 +137,11 @@ impl Dashboard {
         row.t = t;
         row.last.clear();
         for &f in fields {
-            if let Some(v) = field(record, f).and_then(JsonScalar::as_f64) {
+            if let Some(v) = record.get(f).and_then(Json::as_f64) {
                 row.last.push((f, v));
             }
         }
-        if let Some(v) = field(record, headline).and_then(JsonScalar::as_f64) {
+        if let Some(v) = record.get(headline).and_then(Json::as_f64) {
             if row.history.len() == HISTORY {
                 row.history.pop_front();
             }
@@ -152,8 +149,8 @@ impl Dashboard {
         }
     }
 
-    fn observe_progress(&mut self, record: &FlatRecord) {
-        let num = |k: &str| field(record, k).and_then(JsonScalar::as_f64);
+    fn observe_progress(&mut self, record: &Json) {
+        let num = |k: &str| record.get(k).and_then(Json::as_f64);
         let jobs = self.jobs.get_or_insert_with(JobsRow::default);
         if let Some(v) = num("job") {
             // Out-of-order appends from racing workers: keep the max.
@@ -162,7 +159,7 @@ impl Dashboard {
         if let Some(v) = num("total") {
             jobs.total = v;
         }
-        if let Some(l) = field(record, "label").and_then(JsonScalar::as_str) {
+        if let Some(l) = record.get("label").and_then(Json::as_str) {
             jobs.label = l.to_string();
         }
         if let Some(v) = num("ev_per_s") {
@@ -317,10 +314,9 @@ impl DiffScreen {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tail::parse_flat_object;
 
-    fn rec(line: &str) -> FlatRecord {
-        parse_flat_object(line).expect("test record parses")
+    fn rec(line: &str) -> Json {
+        Json::parse(line).expect("test record parses")
     }
 
     #[test]
@@ -386,6 +382,15 @@ mod tests {
             r#"{"job":20,"total":20,"label":"done","events":1,"wall_secs":1.0,"ev_per_s":1.0,"eta_secs":null}"#,
         ));
         assert!(!d.render().contains("eta"), "{}", d.render());
+    }
+
+    #[test]
+    fn foreign_shapes_are_ignored() {
+        let mut d = Dashboard::new();
+        for line in [r#"[1,2]"#, r#"{"unrelated":1}"#, r#"{"job":1}"#, "7"] {
+            d.observe(&rec(line));
+        }
+        assert_eq!(d.records(), 0);
     }
 
     #[test]

@@ -28,10 +28,13 @@
 //!   Ethernet/IPv4/TCP-or-UDP framing carrying the real sequence and
 //!   ack numbers, so a simulated run opens in Wireshark/tcpdump. A
 //!   hand-rolled [`PcapReader`] validates exports in tests.
+//! * [`json`] — the workspace's one JSON value, emitter and parser
+//!   ([`json::Json`]): run manifests, event schedules and the JSONL
+//!   streams above are all written and read back through it.
 //! * [`tail`] + [`dash`] — the pieces of the `rla_top` live dashboard:
-//!   an incremental JSONL file tailer with a dependency-free flat-JSON
-//!   parser, and a [`Dashboard`] model rendering sparkline frames
-//!   painted by a diffing ANSI [`DiffScreen`].
+//!   an incremental JSONL file tailer, and a [`Dashboard`] model folding
+//!   the parsed lines into sparkline frames painted by a diffing ANSI
+//!   [`DiffScreen`].
 //!
 //! Everything here is strictly *observer-side*: nothing in this crate
 //! feeds back into simulation behaviour, so enabling or disabling
@@ -42,6 +45,7 @@
 
 pub mod dash;
 pub mod flight;
+pub mod json;
 pub mod pcap;
 pub mod progress;
 pub mod registry;

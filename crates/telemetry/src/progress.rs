@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::timeline::json_escaped;
+use crate::json::escape_into;
 
 /// Structured identity of a sweep job, carried into the JSONL heartbeat
 /// sink alongside the display label.
@@ -161,17 +161,15 @@ impl SweepProgress {
         let mut out = String::new();
         let _ = write!(out, "{{\"job\":{done},\"total\":{}", self.total);
         if let Some(m) = meta {
-            let _ = write!(
-                out,
-                ",\"case\":\"{}\",\"seed\":{}",
-                json_escaped(m.case),
-                m.seed
-            );
+            out.push_str(",\"case\":");
+            escape_into(m.case, &mut out);
+            let _ = write!(out, ",\"seed\":{}", m.seed);
         }
+        out.push_str(",\"label\":");
+        escape_into(label, &mut out);
         let _ = write!(
             out,
-            ",\"label\":\"{}\",\"events\":{events},\"wall_secs\":{:.6},\"ev_per_s\":{:.1}",
-            json_escaped(label),
+            ",\"events\":{events},\"wall_secs\":{:.6},\"ev_per_s\":{:.1}",
             wall.as_secs_f64(),
             rate
         );

@@ -9,234 +9,13 @@
 //! since — a partial trailing line is buffered until its newline
 //! arrives, so a record is never seen torn.
 //!
-//! [`parse_flat_object`] is the parsing half: a dependency-free reader
-//! for one flat JSON object (string/number/bool/null values — exactly
-//! what both producers emit; nested values are skipped, not errors).
-//! The full hand-rolled JSON parser lives in `experiments::manifest`,
-//! but this crate sits below `experiments` in the dependency order, so
-//! the dashboard's narrow subset is implemented here.
+//! Parsing is not this module's job: each returned line goes through
+//! [`Json::parse`](crate::json::Json::parse), and a consumer skips the
+//! lines that fail — a foreign line in a watched file must not take the
+//! dashboard down.
 
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-
-/// A scalar value of a flat JSONL record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonScalar {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-}
-
-impl JsonScalar {
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonScalar::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonScalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// One parsed record: the object's key/value pairs in file order.
-pub type FlatRecord = Vec<(String, JsonScalar)>;
-
-/// Look up a key in a [`FlatRecord`].
-pub fn field<'a>(record: &'a FlatRecord, key: &str) -> Option<&'a JsonScalar> {
-    record.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parse one line holding a flat JSON object. Returns `None` for blank
-/// lines and anything that is not an object — a tailing consumer skips
-/// rather than dies, since a foreign line in a watched file must not
-/// take the dashboard down.
-pub fn parse_flat_object(line: &str) -> Option<FlatRecord> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    if !p.eat(b'{') {
-        return None;
-    }
-    let mut out = FlatRecord::new();
-    p.skip_ws();
-    if p.eat(b'}') {
-        return p.at_end().then_some(out);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
-        p.skip_ws();
-        if !p.eat(b':') {
-            return None;
-        }
-        p.skip_ws();
-        // A nested value parses but is skipped: the key is dropped.
-        if let Some(v) = p.value()? {
-            out.push((key, v));
-        }
-        p.skip_ws();
-        if p.eat(b',') {
-            continue;
-        }
-        if p.eat(b'}') {
-            break;
-        }
-        return None;
-    }
-    p.at_end().then_some(out)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&mut self) -> bool {
-        self.skip_ws();
-        self.pos == self.bytes.len()
-    }
-
-    fn literal(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A scalar value; `Some(None)` for a (skipped) nested array/object.
-    fn value(&mut self) -> Option<Option<JsonScalar>> {
-        match self.peek()? {
-            b'"' => self.string().map(|s| Some(JsonScalar::Str(s))),
-            b'{' => self.skip_nested(b'{', b'}').then_some(None),
-            b'[' => self.skip_nested(b'[', b']').then_some(None),
-            b't' => self.literal("true").then_some(Some(JsonScalar::Bool(true))),
-            b'f' => self
-                .literal("false")
-                .then_some(Some(JsonScalar::Bool(false))),
-            b'n' => self.literal("null").then_some(Some(JsonScalar::Null)),
-            _ => self.number().map(|v| Some(JsonScalar::Num(v))),
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        if !self.eat(b'"') {
-            return None;
-        }
-        let mut out = String::new();
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek()?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos..self.pos + 4)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8 passes through byte-wise; find the
-                    // char boundary via the original str slice.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<f64> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()?
-            .parse()
-            .ok()
-    }
-
-    /// Skip one balanced nested value (strings respected).
-    fn skip_nested(&mut self, open: u8, close: u8) -> bool {
-        let mut depth = 0usize;
-        loop {
-            let Some(b) = self.peek() else { return false };
-            if b == b'"' {
-                if self.string().is_none() {
-                    return false;
-                }
-                continue;
-            }
-            self.pos += 1;
-            if b == open {
-                depth += 1;
-            } else if b == close {
-                depth -= 1;
-                if depth == 0 {
-                    return true;
-                }
-            }
-        }
-    }
-}
 
 /// Follows one JSONL file by byte offset, like `tail -f`. See the
 /// module docs.
@@ -303,43 +82,6 @@ impl JsonlTail {
 mod tests {
     use super::*;
     use std::io::Write;
-
-    #[test]
-    fn parses_timeline_and_progress_lines() {
-        let r =
-            parse_flat_object(r#"{"t":12.5,"series":"rla.0","kind":"rla","cwnd":10.5,"rtt":0.25}"#)
-                .unwrap();
-        assert_eq!(field(&r, "t").unwrap().as_f64(), Some(12.5));
-        assert_eq!(field(&r, "series").unwrap().as_str(), Some("rla.0"));
-        assert_eq!(field(&r, "cwnd").unwrap().as_f64(), Some(10.5));
-
-        let p = parse_flat_object(
-            r#"{"job":3,"total":20,"case":"L21","seed":1,"ev_per_s":1950000.0,"eta_secs":null}"#,
-        )
-        .unwrap();
-        assert_eq!(field(&p, "job").unwrap().as_f64(), Some(3.0));
-        assert_eq!(field(&p, "eta_secs"), Some(&JsonScalar::Null));
-    }
-
-    #[test]
-    fn tolerates_escapes_nesting_and_garbage() {
-        let r = parse_flat_object(r#"{"label":"odd \"name\"\\x","flag":true}"#).unwrap();
-        assert_eq!(
-            field(&r, "label").unwrap().as_str(),
-            Some("odd \"name\"\\x")
-        );
-        assert_eq!(field(&r, "flag"), Some(&JsonScalar::Bool(true)));
-        // Nested values are skipped, the rest of the object survives.
-        let n = parse_flat_object(r#"{"a":{"x":[1,2,"}"]},"b":7}"#).unwrap();
-        assert_eq!(field(&n, "a"), None);
-        assert_eq!(field(&n, "b").unwrap().as_f64(), Some(7.0));
-        // Non-objects and torn lines return None instead of panicking.
-        assert_eq!(parse_flat_object(""), None);
-        assert_eq!(parse_flat_object("t_secs,series,kind"), None);
-        assert_eq!(parse_flat_object(r#"{"a":1"#), None);
-        assert_eq!(parse_flat_object("[1,2]"), None);
-        assert!(parse_flat_object("{}").unwrap().is_empty());
-    }
 
     fn temp_file(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("rla_tail_tests");

@@ -37,6 +37,8 @@ use netsim::id::ChannelId;
 use netsim::time::{SimDuration, SimTime};
 use netsim::trace::{TraceEvent, Tracer};
 
+use crate::json::escape_into;
+
 /// Export format for timeline files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineFormat {
@@ -405,43 +407,12 @@ fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
     std::borrow::Cow::Owned(quoted)
 }
 
-/// JSON string-escape the characters our series names could smuggle into
-/// a JSONL record (quote, backslash, control characters). Shared with the
-/// progress heartbeat sink, whose labels have the same provenance.
-pub(crate) fn json_escaped(s: &str) -> std::borrow::Cow<'_, str> {
-    use std::fmt::Write as _;
-    if !s
-        .chars()
-        .any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
-    {
-        return std::borrow::Cow::Borrowed(s);
-    }
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    std::borrow::Cow::Owned(out)
-}
-
 fn render_jsonl(out: &mut String, t: SimTime, name: &str, kind: &str, sample: &Sample) {
     use std::fmt::Write as _;
-    let _ = write!(
-        out,
-        "{{\"t\":{},\"series\":\"{}\",\"kind\":\"{}\"",
-        fmt_f64(t.as_secs_f64()),
-        json_escaped(name),
-        json_escaped(kind)
-    );
+    let _ = write!(out, "{{\"t\":{},\"series\":", fmt_f64(t.as_secs_f64()));
+    escape_into(name, out);
+    out.push_str(",\"kind\":");
+    escape_into(kind, out);
     match sample {
         Sample::Flow(f) => {
             let _ = write!(out, ",\"cwnd\":{}", fmt_f64(f.cwnd));

@@ -21,9 +21,9 @@
 //!   its policy;
 //! * [`CongestionEpoch`] — the `2·srtt` loss-coalescing window (rule 2)
 //!   and the hold-off timers of the rate-based baselines;
-//! * [`RttEstimator`] — Jacobson/Karn RTT estimation and the RTO (moved
-//!   here from `tcp_sack::rto`, which re-exports it), with the raw
-//!   [`RttEstimator::last_sample`] view the min-RTT filter feeds on;
+//! * [`RttEstimator`] — Jacobson/Karn RTT estimation and the RTO, with
+//!   the raw [`RttEstimator::last_sample`] view the min-RTT filter
+//!   feeds on;
 //! * [`RexmitTimer`] / [`PacingTimer`] — generation-tokened timer
 //!   management over the engine's timer facility, in disjoint token
 //!   spaces so one agent can run both;

@@ -1,9 +1,9 @@
 //! Round-trip time estimation and the retransmission timeout.
 //!
 //! Jacobson's estimator (`srtt`, `rttvar`) with exponential backoff, as in
-//! RFC 6298 and the NS2 agents the paper simulated against. Moved here
-//! from `tcp_sack::rto` (which re-exports it) so the RLA's per-receiver
-//! estimators and the baselines share one implementation.
+//! RFC 6298 and the NS2 agents the paper simulated against. One
+//! implementation shared by the TCP senders, the RLA's per-receiver
+//! estimators and the baselines.
 
 use netsim::time::SimDuration;
 

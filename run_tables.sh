@@ -1,10 +1,11 @@
 #!/bin/sh
 # Sequential regeneration of all paper tables at a reduced duration
-# (single-core machine). Results land in results/.
+# (single-core machine: one binary at a time, one sweep worker each).
+# Results land in results/.
 set -x
 export RLA_DURATION_SECS=${RLA_DURATION_SECS:-300}
-export RAYON_NUM_THREADS=1
-cd /root/repo
+export RLA_JOBS=1
+cd "$(dirname "$0")" || exit 1
 cargo run --release -p experiments --bin fig7  > results/fig7.txt  2>results/fig7.log
 cargo run --release -p experiments --bin fig8  > results/fig8.txt  2>results/fig8.log
 cargo run --release -p experiments --bin fig9  > results/fig9.txt  2>results/fig9.log

@@ -9,8 +9,12 @@
 //! The digests cover the *entire* packet-event stream (every enqueue,
 //! drop, transmission start, arrival and delivery with its timestamp), so
 //! any change to the engine, the queues, the transports or the RNG that
-//! shifts even one packet by one nanosecond fails these tests. Behavioural
-//! changes are fine — regenerate with
+//! shifts even one packet by one nanosecond fails these tests. Each
+//! scenario is run on one, two and four execution domains and its whole
+//! rendered manifest — digest, event count, headline metrics and registry
+//! — must equal the committed file byte for byte at every count: the
+//! domain count trades wall-clock only. Behavioural changes are fine —
+//! regenerate with
 //! `cargo test --test golden_digests -- --ignored regenerate` and commit
 //! the new manifests with an explanation.
 
@@ -49,18 +53,20 @@ fn scenario_for(name: &str) -> TreeScenario {
     }
 }
 
-/// Runs the pinned scenario with a flight recorder installed as the
-/// tracer: on a digest mismatch the last packet events of every channel
-/// go to stderr with the failure, turning "the hash changed" into
-/// something debuggable. The recorder cannot perturb the result — the
-/// digest is computed independently of the tracer slot. Tracers are
-/// single-threaded, so under `RLA_SHARDS` > 1 the run goes untraced —
-/// the digests are identical either way, only the failure diagnostics
-/// get thinner.
-fn run_scenario(name: &str) -> (ScenarioResult, Option<Rc<RefCell<FlightRecorder>>>) {
-    let scenario = scenario_for(name);
+/// Runs the pinned scenario on `shards` execution domains. On one domain
+/// a flight recorder is installed as the tracer: on a mismatch the last
+/// packet events of every channel go to stderr with the failure, turning
+/// "the hash changed" into something debuggable. The recorder cannot
+/// perturb the result — the digest is computed independently of the
+/// tracer slot. Tracers are single-threaded, so the multi-domain runs go
+/// untraced; only their failure diagnostics get thinner.
+fn run_scenario(
+    name: &str,
+    shards: usize,
+) -> (ScenarioResult, Option<Rc<RefCell<FlightRecorder>>>) {
+    let scenario = scenario_for(name).with_shards(shards);
     let mut world = scenario.build();
-    let recorder = (scenario.shards == 1).then(|| {
+    let recorder = (shards == 1).then(|| {
         let recorder = Rc::new(RefCell::new(FlightRecorder::new(
             telemetry::flight::DEFAULT_FLIGHT_DEPTH,
         )));
@@ -76,29 +82,21 @@ fn golden_path(name: &str) -> std::path::PathBuf {
         .join(format!("{name}.manifest.json"))
 }
 
-/// Pull a string or integer field out of the committed JSON without a
-/// parser: finds `"key": <value>` and returns the value, unquoted.
-fn extract(json: &str, key: &str) -> String {
-    let marker = format!("\"{key}\": ");
-    let at = json
-        .find(&marker)
-        .unwrap_or_else(|| panic!("no {key} in manifest"));
-    let rest = &json[at + marker.len()..];
-    let raw = rest.split([',', '\n']).next().expect("value after key");
-    raw.trim().trim_matches('"').to_string()
+/// The manifest a run of the pinned scenario commits.
+fn manifest_of(name: &str, r: &ScenarioResult) -> Json {
+    scenario_manifest(name, SimDuration::from_secs(60), std::slice::from_ref(r))
 }
 
-/// On digest drift, diff the fresh run's registry against the committed
+/// On drift, diff the fresh run's registry against the committed
 /// manifest so the failure names the metrics that moved ("retransmits
 /// doubled on chan.L3.4") instead of just "hash mismatch". Degrades to a
-/// one-line note when the committed manifest predates registry sections.
-fn registry_diff_report(name: &str, committed: &str, r: &ScenarioResult) -> String {
+/// one-line note when the committed manifest does not parse.
+fn registry_diff_report(name: &str, committed: &str, candidate: &Json) -> String {
     let baseline = match Json::parse(committed) {
         Ok(json) => json,
         Err(e) => return format!("(no registry diff: committed {name} manifest: {e})"),
     };
-    let candidate = scenario_manifest(name, SimDuration::from_secs(60), std::slice::from_ref(r));
-    match diff_manifests(&baseline, &candidate, &DiffOptions::default()) {
+    match diff_manifests(&baseline, candidate, &DiffOptions::default()) {
         Ok(d) if d.has_drift() => format!(
             "registry diff, committed golden -> this run:\n{}",
             render_table(&d)
@@ -114,26 +112,22 @@ fn check(name: &str) {
     let committed = std::fs::read_to_string(golden_path(name)).unwrap_or_else(|e| {
         panic!("missing committed golden manifest {name}: {e}; regenerate with `cargo test --test golden_digests -- --ignored regenerate`")
     });
-    let (r, recorder) = run_scenario(name);
-    // Dumps the ring to stderr iff one of the asserts below panics.
-    let _flight = recorder.map(|rec| FlightDumpGuard::new(name, rec));
-    let got_digest = format!("{:016x}", r.trace_digest);
-    let want_digest = extract(&committed, "trace_digest");
-    if got_digest != want_digest {
-        eprintln!("{}", registry_diff_report(name, &committed, &r));
-        panic!(
-            "{name}: trace digest drifted from the committed manifest \
-             (got {got_digest}, committed {want_digest}) — the registry diff \
-             above says which metrics moved; if the behaviour change is \
-             intended, regenerate the goldens"
-        );
+    for shards in [1, 2, 4] {
+        let (r, recorder) = run_scenario(name, shards);
+        // Dumps the ring to stderr iff the mismatch below panics.
+        let _flight = recorder.map(|rec| FlightDumpGuard::new(name, rec));
+        let candidate = manifest_of(name, &r);
+        if candidate.pretty() != committed {
+            eprintln!("{}", registry_diff_report(name, &committed, &candidate));
+            panic!(
+                "{name} on {shards} domain(s): the rendered manifest drifted from \
+                 the committed golden (this run's trace digest {:016x}, {} events) \
+                 — the registry diff above says which metrics moved; if the \
+                 behaviour change is intended, regenerate the goldens",
+                r.trace_digest, r.trace_events
+            );
+        }
     }
-    assert_eq!(
-        r.trace_events.to_string(),
-        extract(&committed, "trace_events"),
-        "{name}: event count drifted"
-    );
-    assert_eq!(r.seed.to_string(), extract(&committed, "seed"));
 }
 
 #[test]
@@ -166,8 +160,6 @@ fn case5_droptail_cubic_matches_committed_manifest() {
 #[test]
 #[ignore]
 fn regenerate() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden");
-    std::fs::create_dir_all(&dir).expect("create results/golden");
     for name in [
         "case5_droptail_60s",
         "case5_red_60s",
@@ -175,10 +167,9 @@ fn regenerate() {
         "case5_droptail_bgload_60s",
         "case5_droptail_cubic_60s",
     ] {
-        let (r, _) = run_scenario(name);
-        let json = scenario_manifest(name, SimDuration::from_secs(60), std::slice::from_ref(&r));
-        let path = dir.join(format!("{name}.manifest.json"));
-        std::fs::write(&path, json.pretty()).expect("write golden");
+        let (r, _) = run_scenario(name, 1);
+        let path = golden_path(name);
+        std::fs::write(&path, manifest_of(name, &r).pretty()).expect("write golden");
         eprintln!("wrote {}", path.display());
     }
 }

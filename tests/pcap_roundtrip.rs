@@ -68,7 +68,7 @@ fn case5_export_matches_the_golden_byte_digest() {
     // record header and every synthetic frame byte. Drift means the
     // engine's packet schedule or the pcap framing changed — if
     // intended, update the constant alongside the trace-digest goldens.
-    // (Re-pinned when the cost-aware merge pass collapsed RLA_SHARDS=1
+    // (Re-pinned when the cost-aware merge pass collapsed the default run
     // to a single execution domain: per-region event streams and trace
     // digests are unchanged, but same-instant records from different
     // regions now interleave in global time-key order instead of the

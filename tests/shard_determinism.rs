@@ -1,9 +1,9 @@
 //! Property tests for the domain-partitioned engine's determinism.
 //!
-//! The contract `RLA_SHARDS` stands on: the shard count is a pure
-//! wall-clock knob. The fine θ-partition — per-region RNG streams, uid
+//! The contract `with_shards(k)` stands on: the shard count trades
+//! wall-clock only. The fine θ-partition — per-region RNG streams, uid
 //! tags and digest lanes — is a function of (topology, seed, θ) alone;
-//! `RLA_SHARDS` only picks how the cost-aware merge pass groups those
+//! `with_shards` only picks how the cost-aware merge pass groups those
 //! regions into execution domains and how many workers walk them. A
 //! scenario's digest must therefore be bit-identical at every shard
 //! count — for static paper runs and for dynamic runs whose event
