@@ -8,8 +8,7 @@
 //! Runs are aligned by `(case, gateway, seed)`, registries by metric key;
 //! every metric whose relative change (absolute change, for zero-baseline
 //! counters) exceeds the threshold is reported, largest movement first.
-//! The threshold comes from `--threshold`, else `RLA_DIFF_THRESHOLD_PCT`,
-//! else 1%.
+//! The threshold comes from `--threshold`, else 1%.
 //!
 //! Exit codes are CI-friendly: 0 = registries match within threshold,
 //! 1 = drift (the report says what moved), 2 = usage or parse error.
@@ -85,11 +84,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
-    // Flag beats environment beats default, like the other knobs.
+    // The tool reads no `RLA_*` knob, but a stale one (a retired
+    // threshold variable, a typo) must fail loudly, not be ignored.
+    cli::enforce_known_env();
     let mut opts = DiffOptions::default();
-    if let Some(pct) = cli::diff_threshold_pct() {
-        opts.threshold_pct = pct;
-    }
     if let Some(pct) = args.threshold {
         opts.threshold_pct = pct;
     }

@@ -1,5 +1,4 @@
-//! The CC-pairing fairness sweep behind `cc_matrix` (and, reduced to two
-//! variants and two cases, `reno_cmp`).
+//! The CC-pairing fairness sweep behind `cc_matrix`.
 //!
 //! The paper's tables fix the background TCP flavor at SACK; with the
 //! controller pluggable (`tcp_sack::CcVariant`), the natural regression
@@ -118,9 +117,8 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Vec<MatrixCell> {
 }
 
 /// A [`scenario_entry`] with the run's controller recorded as a `tcp_cc`
-/// field right after `gateway` — the layout `reno_cmp` has always
-/// written, now shared with `cc_matrix`. `rla_diff` keys run alignment
-/// on this field.
+/// field right after `gateway`. `rla_diff` keys run alignment on this
+/// field.
 pub fn entry_with_cc(r: &ScenarioResult, cc: CcVariant) -> Json {
     let mut entry = scenario_entry(r);
     if let Json::Obj(ref mut fields) = entry {
@@ -218,8 +216,7 @@ mod tests {
         }
         // The manifest round-trips through the JSON parser.
         assert!(Json::parse(&manifest.pretty()).is_ok());
-        // And the entry layout matches what reno_cmp has always written:
-        // tcp_cc sits right after case and gateway.
+        // The entry layout: tcp_cc sits right after case and gateway.
         let entry = entry_with_cc(&cells[0].result, cells[0].cc);
         let Json::Obj(fields) = &entry else {
             panic!("entry must be an object")

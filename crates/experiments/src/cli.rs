@@ -16,7 +16,8 @@
 //!   observability knobs, parsed into [`TelemetryOptions`] by
 //!   [`telemetry_options`] (see `EXPERIMENTS.md` for the full story).
 //! * `RLA_PROGRESS` — per-job heartbeat lines on stderr during sweeps
-//!   (`1`/`on` to enable; default off so test output stays clean).
+//!   (`1`/`on`/`true` to enable, `0`/`off`/empty for off; default off so
+//!   test output stays clean).
 //! * `RLA_PROGRESS_FILE` — path of a JSONL heartbeat file: sweeps append
 //!   one JSON object per completed job (case, seed, events/s, ETA),
 //!   flushed per line so `rla_top` and `tail -f` follow it live.
@@ -29,8 +30,6 @@
 //!   tracer's in-memory buffer by spilling sorted chunks to disk, so
 //!   paper-length (3000 s) exports can't exhaust memory; the merged
 //!   output is byte-identical to the unspooled file.
-//! * `RLA_DIFF_THRESHOLD_PCT` — drift threshold for the `rla_diff`
-//!   manifest-comparison tool (percent; the `--threshold` flag wins).
 //! * `RLA_TCP_CC` — congestion controller for the background TCP flows
 //!   (default `sack`; any name in the `tcp_sack` registry).
 //! * `RLA_CHURN_RATE` — receiver leave/rejoin events per second for the
@@ -65,7 +64,7 @@ pub use crate::manifest::results_dir;
 /// [`enforce_known_env`] rejects anything else in the `RLA_` namespace so
 /// a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 19] = [
+pub const KNOWN_ENV_VARS: [&str; 18] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
@@ -74,7 +73,6 @@ pub const KNOWN_ENV_VARS: [&str; 19] = [
     "RLA_CHURN_RATE",
     "RLA_BG_LOAD",
     "RLA_EVENTS_FILE",
-    "RLA_DIFF_THRESHOLD_PCT",
     "RLA_PROGRESS",
     "RLA_PROGRESS_FILE",
     "RLA_PCAP",
@@ -169,14 +167,22 @@ fn base_seed_from(get: impl Fn(&str) -> Option<String>) -> u64 {
 }
 
 /// Whether sweep runners print per-job heartbeat lines to stderr
-/// (`RLA_PROGRESS=1`/`on`). Off by default: the heartbeat is for humans
-/// watching long sweeps, and CI logs should stay diffable.
+/// (`RLA_PROGRESS=1`/`on`/`true`). Off by default: the heartbeat is for
+/// humans watching long sweeps, and CI logs should stay diffable.
 pub fn progress_enabled() -> bool {
     enforce_known_env();
-    matches!(
-        std::env::var("RLA_PROGRESS").ok().as_deref(),
-        Some("1") | Some("on") | Some("true")
-    )
+    progress_enabled_from(|name| std::env::var(name).ok())
+}
+
+/// [`progress_enabled`] over an arbitrary variable source (pure). A value
+/// that is neither an on nor an off spelling is rejected with the knob
+/// named instead of quietly meaning "off".
+fn progress_enabled_from(get: impl Fn(&str) -> Option<String>) -> bool {
+    match get("RLA_PROGRESS").as_deref() {
+        Some("1" | "on" | "true") => true,
+        None | Some("0" | "off" | "") => false,
+        Some(v) => panic!("RLA_PROGRESS={v:?}: expected 1/on/true or 0/off"),
+    }
 }
 
 /// The JSONL heartbeat path from `RLA_PROGRESS_FILE`, if set (pure
@@ -388,28 +394,6 @@ pub fn telemetry_options_from(get: impl Fn(&str) -> Option<String>) -> Telemetry
         opts.flight_depth = depth.max(1);
     }
     opts
-}
-
-/// The `rla_diff` drift threshold from `RLA_DIFF_THRESHOLD_PCT`, percent.
-/// `None` when unset — the tool then uses its built-in default (or the
-/// `--threshold` flag, which beats the environment either way).
-pub fn diff_threshold_pct() -> Option<f64> {
-    enforce_known_env();
-    diff_threshold_pct_from(|name| std::env::var(name).ok())
-}
-
-/// [`diff_threshold_pct`] over an arbitrary variable source (pure).
-pub fn diff_threshold_pct_from(get: impl Fn(&str) -> Option<String>) -> Option<f64> {
-    get("RLA_DIFF_THRESHOLD_PCT").map(|v| {
-        let pct: f64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("RLA_DIFF_THRESHOLD_PCT={v:?}: expected a percentage"));
-        assert!(
-            pct.is_finite() && pct >= 0.0,
-            "RLA_DIFF_THRESHOLD_PCT={v:?}: expected a non-negative percentage"
-        );
-        pct
-    })
 }
 
 /// The TCP congestion controller for the background flows:
@@ -643,11 +627,6 @@ mod tests {
         assert!(opts.timeline);
         assert_eq!(opts.sample_period, SimDuration::from_millis(250));
         assert_eq!(opts.format, TimelineFormat::Csv);
-        assert_eq!(
-            diff_threshold_pct_from(env(&[("RLA_DIFF_THRESHOLD_PCT", "2.5")])),
-            Some(2.5)
-        );
-        assert_eq!(diff_threshold_pct_from(env(&[])), None);
     }
 
     #[test]
@@ -728,19 +707,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative percentage")]
-    fn negative_diff_threshold_is_rejected() {
-        diff_threshold_pct_from(|name| {
-            (name == "RLA_DIFF_THRESHOLD_PCT").then(|| "-3".to_string())
-        });
+    fn progress_accepts_the_on_and_off_spellings() {
+        let with = |v: &'static str| {
+            progress_enabled_from(move |name| (name == "RLA_PROGRESS").then(|| v.to_string()))
+        };
+        assert!(with("1") && with("on") && with("true"));
+        assert!(!with("0") && !with("off") && !with(""));
+        assert!(!progress_enabled_from(|_| None));
     }
 
     #[test]
-    #[should_panic(expected = "RLA_DIFF_THRESHOLD_PCT")]
-    fn non_finite_diff_threshold_is_rejected() {
-        diff_threshold_pct_from(|name| {
-            (name == "RLA_DIFF_THRESHOLD_PCT").then(|| "NaN".to_string())
-        });
+    #[should_panic(expected = "RLA_PROGRESS=\"yes\"")]
+    fn unrecognized_progress_value_is_rejected_with_a_named_knob() {
+        progress_enabled_from(|name| (name == "RLA_PROGRESS").then(|| "yes".to_string()));
     }
 
     #[test]
@@ -828,7 +807,12 @@ mod tests {
         // Knobs retired with the tools that set them are rejected like any
         // other typo, so a stale script fails loudly instead of running
         // with the override ignored.
-        let retired = ["RLA_SHARDS", "RLA_BENCH_BASELINE", "RLA_BENCH_GATE_PCT"];
+        let retired = [
+            "RLA_SHARDS",
+            "RLA_BENCH_BASELINE",
+            "RLA_BENCH_GATE_PCT",
+            "RLA_DIFF_THRESHOLD_PCT",
+        ];
         assert_eq!(unknown_rla_vars_from(names(&retired)), names(&retired));
         // The process environment itself must be clean — the getters call
         // enforce_known_env on every read.

@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 
 use crate::manifest::{Json, JsonParseError};
 
-/// Default drift threshold, percent, when neither the `--threshold` flag
-/// nor `RLA_DIFF_THRESHOLD_PCT` overrides it.
+/// Default drift threshold, percent, when the `--threshold` flag does not
+/// override it.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 1.0;
 
 /// Thresholds for deciding whether a metric's movement counts as drift.

@@ -20,7 +20,6 @@
 //! | `buffer_period` | §3.1           | drop-tail buffer oscillation trace |
 //! | `phase_effect`  | §3.1           | drop pattern with/without random overhead |
 //! | `baseline_cmp`  | §1             | LTRC/MBFC vs RLA fairness to TCP |
-//! | `reno_cmp`      | robustness     | RLA fairness vs the TCP flavor (SACK/Reno) |
 //! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
 //!
 //! Run lengths follow the paper (3000 s) unless `RLA_DURATION_SECS` says

@@ -21,10 +21,10 @@ use netsim::time::{SimDuration, SimTime};
 use baselines::{BackgroundConfig, BurstSource, PoissonFlowSource};
 use rla::{McastReceiver, PthreshPolicy, RlaConfig, RlaSender};
 
-use tcp_sack::{CcVariant, RenoSender, SenderStats, TcpConfig, TcpReceiver, TcpSender};
+use tcp_sack::{CcVariant, TcpConfig, TcpReceiver, TcpSender};
 use telemetry::pcap::PcapTracer;
 use telemetry::timeline::SeriesId;
-use telemetry::{ChannelSample, FlowProbe, FlowSample, RegistryExport, TimelineRecorder};
+use telemetry::{ChannelSample, FlowProbe, RegistryExport, TimelineRecorder};
 
 use crate::cli::{PcapOptions, TelemetryOptions};
 use crate::events::{BackgroundLoad, EventCommand, ScenarioEvent};
@@ -771,7 +771,7 @@ impl ScenarioWorld {
             .tcp_senders
             .iter()
             .enumerate()
-            .map(|(i, &a)| rec.add_flow(format!("tcp.{i}"), self.tcp_probe(a).0))
+            .map(|(i, &a)| rec.add_flow(format!("tcp.{i}"), self.tcp_sender(a).probe_kind()))
             .collect();
         let chan_series: Vec<(SeriesId, ChannelId)> = self
             .tree
@@ -808,7 +808,7 @@ impl ScenarioWorld {
             rec.record_flow(sid, now, s.flow_sample());
         }
         for (&sid, &a) in tcp_series.iter().zip(&self.tcp_senders) {
-            rec.record_flow(sid, now, self.tcp_probe(a).1);
+            rec.record_flow(sid, now, self.tcp_sender(a).flow_sample());
         }
         for &(sid, c) in chan_series {
             let ch = self.engine.world().channel(c);
@@ -823,58 +823,37 @@ impl ScenarioWorld {
         }
     }
 
-    /// The statistics block of a TCP sender of either variant.
-    fn tcp_sender_stats(&self, a: AgentId) -> &SenderStats {
-        if let Some(s) = self.engine.agent_as::<TcpSender>(a) {
-            &s.stats
-        } else {
-            let s: &RenoSender = self.engine.agent_as(a).expect("tcp sender");
-            &s.stats
-        }
-    }
-
-    /// The telemetry probe view of a TCP sender of either variant.
-    fn tcp_probe(&self, a: AgentId) -> (&'static str, FlowSample) {
-        if let Some(s) = self.engine.agent_as::<TcpSender>(a) {
-            (s.probe_kind(), s.flow_sample())
-        } else {
-            let s: &RenoSender = self.engine.agent_as(a).expect("tcp sender");
-            (s.probe_kind(), s.flow_sample())
-        }
+    /// A TCP sender of any variant (one agent type serves them all).
+    fn tcp_sender(&self, a: AgentId) -> &TcpSender {
+        self.engine.agent_as(a).expect("tcp sender")
     }
 
     /// Reset every agent's statistics window (end of warmup).
     pub fn reset_stats(&mut self) {
         let now = self.engine.now();
-        for &a in &self.tcp_senders.clone() {
-            if let Some(s) = self.engine.agent_as_mut::<TcpSender>(a) {
-                s.reset_stats(now);
-            } else {
-                self.engine
-                    .agent_as_mut::<RenoSender>(a)
-                    .expect("tcp sender")
-                    .reset_stats(now);
-            }
+        for &a in &self.tcp_senders {
+            self.engine
+                .agent_as_mut::<TcpSender>(a)
+                .expect("tcp sender")
+                .reset_stats(now);
         }
-        for &a in &self.tcp_receivers.clone() {
+        for &a in &self.tcp_receivers {
             self.engine
                 .agent_as_mut::<TcpReceiver>(a)
                 .expect("tcp receiver")
                 .reset_stats();
         }
-        for &a in &self.rla_senders.clone() {
+        for &a in &self.rla_senders {
             self.engine
                 .agent_as_mut::<RlaSender>(a)
                 .expect("rla sender")
                 .reset_stats(now);
         }
-        for rxs in self.rla_receivers.clone() {
-            for a in rxs {
-                self.engine
-                    .agent_as_mut::<McastReceiver>(a)
-                    .expect("rla receiver")
-                    .reset_stats();
-            }
+        for &a in self.rla_receivers.iter().flatten() {
+            self.engine
+                .agent_as_mut::<McastReceiver>(a)
+                .expect("rla receiver")
+                .reset_stats();
         }
     }
 
@@ -904,7 +883,7 @@ impl ScenarioWorld {
             .iter()
             .enumerate()
             .map(|(i, &a)| {
-                let stats = self.tcp_sender_stats(a);
+                let stats = &self.tcp_sender(a).stats;
                 TcpRow {
                     receiver_index: i,
                     throughput_pps: stats.throughput_pps(now),
@@ -944,7 +923,8 @@ impl ScenarioWorld {
             s.stats.export(&mut reg, &format!("rla.{i}"), now);
         }
         for (i, &a) in self.tcp_senders.iter().enumerate() {
-            self.tcp_sender_stats(a)
+            self.tcp_sender(a)
+                .stats
                 .export(&mut reg, &format!("tcp.{i}"), now);
         }
         for (label, c) in self.tree.congested_channels() {
@@ -956,44 +936,22 @@ impl ScenarioWorld {
             );
         }
 
-        // Network-wide totals over every channel, assembled the way the
-        // partitioned engine produces them: one partial snapshot per
-        // domain (covering the channels that domain owns), folded with
-        // `Snapshot::merge` under the byte-lexicographic contract.
-        // Counter addition is associative, so the merged block is
-        // byte-identical to a single flat pass at every shard count.
+        // Network-wide totals over every channel.
         let world = self.engine.world();
-        let dmap = world.domain_map();
-        let mut per_domain = vec![[0u64; 5]; world.domain_count()];
+        let mut net = [0u64; 5];
         for i in 0..world.channel_count() {
-            let ch = world.channel(ChannelId(i as u32));
-            let t = &mut per_domain[dmap.domain_of(ch.from) as usize];
-            t[0] += ch.stats.offered;
-            t[1] += ch.stats.accepted;
-            t[2] += ch.stats.transmitted;
-            t[3] += ch.stats.queue_drops();
-            t[4] += ch.stats.fault_drops;
+            let st = &world.channel(ChannelId(i as u32)).stats;
+            net[0] += st.offered;
+            net[1] += st.accepted;
+            net[2] += st.transmitted;
+            net[3] += st.queue_drops();
+            net[4] += st.fault_drops;
         }
-        let mut net = telemetry::Snapshot::default();
-        for totals in &per_domain {
-            let mut partial = telemetry::Registry::new();
-            partial.record_count("net.offered", totals[0]);
-            partial.record_count("net.accepted", totals[1]);
-            partial.record_count("net.transmitted", totals[2]);
-            partial.record_count("net.queue_drops", totals[3]);
-            partial.record_count("net.fault_drops", totals[4]);
-            net.merge(&partial.snapshot());
-        }
-        for entry in &net.entries {
-            match entry.value {
-                telemetry::registry::MetricValue::Counter(v) => {
-                    reg.record_count(entry.name.clone(), v)
-                }
-                telemetry::registry::MetricValue::Gauge(v) => {
-                    reg.record_gauge(entry.name.clone(), v)
-                }
-            }
-        }
+        reg.record_count("net.offered", net[0]);
+        reg.record_count("net.accepted", net[1]);
+        reg.record_count("net.transmitted", net[2]);
+        reg.record_count("net.queue_drops", net[3]);
+        reg.record_count("net.fault_drops", net[4]);
 
         let d = self.engine.trace_digest();
         reg.record_count("engine.enqueues", d.enqueues);

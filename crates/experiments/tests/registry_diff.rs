@@ -22,8 +22,6 @@ fn scratch_dir() -> PathBuf {
 fn rla_diff(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_rla_diff"))
         .args(args)
-        // The test must not inherit a threshold from the caller's shell.
-        .env_remove("RLA_DIFF_THRESHOLD_PCT")
         .output()
         .expect("run rla_diff")
 }

@@ -8,44 +8,31 @@
 //! one new [`CcEntry`] row — parsing, listing, error messages and sender
 //! construction all derive from the table.
 //!
-//! The factory builds a complete *sender* (an [`Agent`]), not just a
-//! policy: SACK-scoreboard policies ride [`TcpSender::with_cc`], while
-//! scoreboard-free Reno needs its own sender loop.
+//! Every variant runs the one sender agent ([`TcpSender`]); a row only
+//! names what differs — which loss detector the sender runs (SACK
+//! scoreboard or duplicate-ack counting) and which `transport` policy
+//! reacts to what it reports.
 
 use netsim::agent::Agent;
 use netsim::id::AgentId;
 
-use transport::{BbrV1Cc, CubicCc, SackCc};
+use transport::{BbrV1Cc, CongestionControl, CubicCc, RenoCc, SackCc};
 
 use crate::config::TcpConfig;
-use crate::reno::RenoSender;
+use crate::loss::LossDetector;
 use crate::sender::TcpSender;
 
-/// One row of the registry: a named congestion-controller factory.
+/// One row of the registry: a named (loss detector, policy) pair.
 pub struct CcEntry {
     /// The variant's short name, as written into manifests and accepted
     /// by `RLA_TCP_CC`.
     pub name: &'static str,
     /// One-line description for tables and error messages.
     pub summary: &'static str,
-    /// Build a sender streaming to the given receiver.
-    build: fn(AgentId, TcpConfig) -> Box<dyn Agent>,
-}
-
-fn build_sack(rx: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-    Box::new(TcpSender::with_cc(rx, cfg, Box::new(SackCc::new())))
-}
-
-fn build_reno(rx: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-    Box::new(RenoSender::new(rx, cfg))
-}
-
-fn build_cubic(rx: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-    Box::new(TcpSender::with_cc(rx, cfg, Box::new(CubicCc::new())))
-}
-
-fn build_bbr(rx: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-    Box::new(TcpSender::with_cc(rx, cfg, Box::new(BbrV1Cc::new())))
+    /// How the sender detects losses.
+    loss: fn() -> LossDetector,
+    /// The congestion-control policy, fresh per sender.
+    cc: fn(&TcpConfig) -> Box<dyn CongestionControl>,
 }
 
 /// Every registered congestion controller. Adding an algorithm is one
@@ -54,22 +41,26 @@ pub static CC_REGISTRY: &[CcEntry] = &[
     CcEntry {
         name: "sack",
         summary: "TCP SACK (paper's Sack1): scoreboard loss detection, one halving per loss window",
-        build: build_sack,
+        loss: LossDetector::scoreboard,
+        cc: |_| Box::new(SackCc::new()),
     },
     CcEntry {
         name: "reno",
         summary: "TCP Reno: dup-ack counting, NewReno recovery, go-back-N on timeout",
-        build: build_reno,
+        loss: LossDetector::dup_ack,
+        cc: |cfg| Box::new(RenoCc::new(cfg.dupack_threshold)),
     },
     CcEntry {
         name: "cubic",
         summary: "CUBIC (RFC 8312): cubic window growth, fast convergence, TCP-friendly region",
-        build: build_cubic,
+        loss: LossDetector::scoreboard,
+        cc: |_| Box::new(CubicCc::new()),
     },
     CcEntry {
         name: "bbr",
         summary: "BBRv1: delivery-rate model, startup/drain/probe-bw/probe-rtt, paced sending",
-        build: build_bbr,
+        loss: LossDetector::scoreboard,
+        cc: |_| Box::new(BbrV1Cc::new()),
     },
 ];
 
@@ -113,7 +104,8 @@ impl CcVariant {
 
     /// Build this variant's sender, streaming to `receiver`.
     pub fn build_sender(&self, receiver: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-        (self.0.build)(receiver, cfg)
+        let (loss, cc) = ((self.0.loss)(), (self.0.cc)(&cfg));
+        Box::new(TcpSender::with_parts(receiver, cfg, loss, cc))
     }
 }
 
@@ -175,10 +167,22 @@ mod tests {
 
     #[test]
     fn every_variant_builds_a_sender() {
-        // Smoke: the factories must construct without panicking (a bad
-        // TcpConfig would trip `validate`).
+        // The rows must construct without panicking (a bad TcpConfig
+        // would trip `validate`), all as the one sender agent, and only
+        // Reno runs the dup-ack detector.
+        use telemetry::FlowProbe;
         for v in CcVariant::all() {
-            let _agent = v.build_sender(AgentId(0), TcpConfig::default());
+            let agent = v.build_sender(AgentId(0), TcpConfig::default());
+            let sender = agent
+                .as_any()
+                .downcast_ref::<TcpSender>()
+                .unwrap_or_else(|| panic!("{v} must build a TcpSender"));
+            let expected = if v.name() == "reno" {
+                "reno"
+            } else {
+                "tcp-sack"
+            };
+            assert_eq!(sender.probe_kind(), expected, "{v}");
         }
     }
 }

@@ -96,38 +96,6 @@ impl Ring {
         }
         self.events.push_back(ev);
     }
-
-    /// Interleave another ring's events chronologically (this ring wins
-    /// ties, so merging in domain order preserves the canonical order),
-    /// keeping the newest `depth`.
-    fn merge(&mut self, other: &Ring, depth: usize) {
-        if other.events.is_empty() {
-            self.events.truncate(depth);
-            return;
-        }
-        let mut merged: VecDeque<FlightEvent> =
-            VecDeque::with_capacity(self.events.len() + other.events.len());
-        let mut mine = std::mem::take(&mut self.events).into_iter().peekable();
-        let mut theirs = other.events.iter().peekable();
-        loop {
-            match (mine.peek(), theirs.peek()) {
-                (None, None) => break,
-                (Some(_), None) => merged.push_back(mine.next().expect("peeked")),
-                (None, Some(_)) => merged.push_back(theirs.next().expect("peeked").clone()),
-                (Some(a), Some(b)) => {
-                    if a.time <= b.time {
-                        merged.push_back(mine.next().expect("peeked"));
-                    } else {
-                        merged.push_back(theirs.next().expect("peeked").clone());
-                    }
-                }
-            }
-        }
-        while merged.len() > depth {
-            merged.pop_front();
-        }
-        self.events = merged;
-    }
 }
 
 /// A [`Tracer`] retaining the last `depth` events per channel plus the
@@ -192,26 +160,6 @@ impl FlightRecorder {
             qlen: Some(qlen),
         };
         self.channel_ring(ch).push(depth, ev);
-    }
-
-    /// Fold another recorder's retained events into this one — the
-    /// flight-recorder half of the per-domain snapshot merge. Channel
-    /// rings are indexed by global channel id and a channel transmits in
-    /// exactly one domain, so those rings never collide; the shared
-    /// endpoint ring is interleaved chronologically (this recorder wins
-    /// ties — merge in domain order to keep the canonical order),
-    /// retaining the newest `depth` events. The seen-event total adds.
-    pub fn merge(&mut self, other: &FlightRecorder) {
-        self.seen += other.seen;
-        let depth = self.depth;
-        if other.channels.len() > self.channels.len() {
-            self.channels
-                .resize_with(other.channels.len(), Ring::default);
-        }
-        for (mine, theirs) in self.channels.iter_mut().zip(other.channels.iter()) {
-            mine.merge(theirs, depth);
-        }
-        self.endpoints.merge(&other.endpoints, depth);
     }
 
     /// Render every non-empty ring, channels first (in id order), then
@@ -435,80 +383,5 @@ mod tests {
     #[test]
     fn zero_depth_is_coerced() {
         assert_eq!(FlightRecorder::new(0).depth(), 1);
-    }
-
-    #[test]
-    fn merge_interleaves_endpoints_and_keeps_channel_rings_apart() {
-        // Domain 0 saw channel 0 and some endpoint events; domain 1 saw
-        // channel 2 and its own endpoint events.
-        let mut d0 = FlightRecorder::new(4);
-        let mut d1 = FlightRecorder::new(4);
-        for (rec, ch, t) in [(&mut d0, 0u32, 1u64), (&mut d1, 2, 2)] {
-            let p = pkt(t);
-            rec.trace(
-                SimTime::from_secs(t),
-                &TraceEvent::Enqueue {
-                    channel: ChannelId(ch),
-                    packet: &p,
-                    qlen: 1,
-                },
-            );
-        }
-        let p = pkt(10);
-        d1.trace(
-            SimTime::from_secs(1),
-            &TraceEvent::Arrive {
-                node: NodeId(9),
-                packet: &p,
-            },
-        );
-        let p = pkt(11);
-        d0.trace(
-            SimTime::from_secs(3),
-            &TraceEvent::Arrive {
-                node: NodeId(1),
-                packet: &p,
-            },
-        );
-        d0.merge(&d1);
-        assert_eq!(d0.events_seen(), 4);
-        let dump = d0.dump();
-        assert!(dump.contains("--- channel 0 (last 1) ---"), "{dump}");
-        assert!(dump.contains("--- channel 2 (last 1) ---"), "{dump}");
-        // Endpoint events interleave chronologically: d1's t=1 arrival
-        // precedes d0's t=3 arrival.
-        let uid10 = dump.find("uid=10").expect("d1 endpoint retained");
-        let uid11 = dump.find("uid=11").expect("d0 endpoint retained");
-        assert!(uid10 < uid11, "endpoint merge lost chronological order");
-    }
-
-    #[test]
-    fn merge_bounds_the_endpoint_ring_at_depth() {
-        let mut a = FlightRecorder::new(3);
-        let mut b = FlightRecorder::new(3);
-        for t in 0..3 {
-            let p = pkt(t);
-            a.trace(
-                SimTime::from_secs(2 * t),
-                &TraceEvent::Arrive {
-                    node: NodeId(0),
-                    packet: &p,
-                },
-            );
-            let p = pkt(100 + t);
-            b.trace(
-                SimTime::from_secs(2 * t + 1),
-                &TraceEvent::Arrive {
-                    node: NodeId(1),
-                    packet: &p,
-                },
-            );
-        }
-        a.merge(&b);
-        let dump = a.dump();
-        assert!(dump.contains("--- endpoints (last 3) ---"), "{dump}");
-        // Only the newest three of the six interleaved events survive.
-        assert!(!dump.contains("uid=0\n"), "{dump}");
-        assert!(dump.contains("uid=102"), "{dump}");
     }
 }

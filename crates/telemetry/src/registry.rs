@@ -189,54 +189,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Fold another snapshot into this one: counters sharing a name add,
-    /// names unique to either side are kept, and the result preserves the
-    /// byte-lexicographic ordering contract. This is how a partitioned
-    /// run assembles its manifest blocks — one partial snapshot per
-    /// domain, merged in domain order. Counter addition is associative
-    /// and commutative, so the merged block is byte-identical to a
-    /// single-pass export whatever the partition.
-    ///
-    /// # Panics
-    /// If a shared name is not a counter on both sides: gauges (averages,
-    /// utilizations) are not additive, so each must be exported by
-    /// exactly one owner.
-    pub fn merge(&mut self, other: &Snapshot) {
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let mut mine = std::mem::take(&mut self.entries).into_iter().peekable();
-        let mut theirs = other.entries.iter().peekable();
-        loop {
-            let take_mine = match (mine.peek(), theirs.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(a), Some(b)) => match a.name.cmp(&b.name) {
-                    std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Greater => false,
-                    std::cmp::Ordering::Equal => {
-                        let mut a = mine.next().expect("peeked");
-                        let b = theirs.next().expect("peeked");
-                        match (&mut a.value, b.value) {
-                            (MetricValue::Counter(x), MetricValue::Counter(y)) => *x += y,
-                            _ => panic!(
-                                "metric {:?}: only counters merge across partial snapshots",
-                                a.name
-                            ),
-                        }
-                        merged.push(a);
-                        continue;
-                    }
-                },
-            };
-            merged.push(if take_mine {
-                mine.next().expect("peeked")
-            } else {
-                theirs.next().expect("peeked").clone()
-            });
-        }
-        self.entries = merged;
-    }
 }
 
 /// The uniform export path into a [`Registry`]: a statistics block writes
@@ -340,54 +292,6 @@ mod tests {
         r.inc(id);
         assert_eq!(before.get("x"), Some(MetricValue::Counter(0)));
         assert_eq!(r.snapshot().get("x"), Some(MetricValue::Counter(1)));
-    }
-
-    #[test]
-    fn merge_sums_counters_and_keeps_the_order_contract() {
-        // Two per-domain partials with overlapping and disjoint names.
-        let mut a = Registry::new();
-        a.record_count("net.offered", 7);
-        a.record_count("net.transmitted", 5);
-        a.record_gauge("chan.L1.utilization", 0.5);
-        let mut b = Registry::new();
-        b.record_count("net.offered", 3);
-        b.record_count("net.accepted", 9);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.get("net.offered"), Some(MetricValue::Counter(10)));
-        assert_eq!(merged.get("net.accepted"), Some(MetricValue::Counter(9)));
-        assert_eq!(merged.get("net.transmitted"), Some(MetricValue::Counter(5)));
-        assert_eq!(
-            merged.get("chan.L1.utilization"),
-            Some(MetricValue::Gauge(0.5))
-        );
-        // Still sorted byte-lexicographically after the merge.
-        let names: Vec<&str> = merged.entries.iter().map(|e| e.name.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-
-        // Merging in the opposite grouping gives the identical snapshot —
-        // the associativity the partitioned manifest path relies on.
-        let mut other_way = b.snapshot();
-        other_way.merge(&a.snapshot());
-        assert_eq!(merged, other_way);
-
-        // Merging into an empty snapshot is a copy.
-        let mut empty = Snapshot::default();
-        empty.merge(&a.snapshot());
-        assert_eq!(empty, a.snapshot());
-    }
-
-    #[test]
-    #[should_panic(expected = "only counters merge")]
-    fn merging_colliding_gauges_is_rejected() {
-        let mut a = Registry::new();
-        a.record_gauge("chan.util", 0.5);
-        let mut b = Registry::new();
-        b.record_gauge("chan.util", 0.7);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
     }
 
     #[test]

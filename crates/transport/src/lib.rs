@@ -33,8 +33,9 @@
 //!   parameter defaults (initial window, ssthresh, RTO clamp, sizes).
 //!
 //! The declarative controller selector (`CcVariant`) moved to
-//! `tcp_sack::variants`: it is a registry of *sender* factories, and the
-//! senders live there — this crate only defines the policies.
+//! `tcp_sack::variants`: a row pairs a policy from this crate with one of
+//! the sender's loss detectors, and the sender lives there — this crate
+//! only defines the policies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,11 @@
-//! Golden-digest regression: five short scenarios pinned to committed
+//! Golden-digest regression: six short scenarios pinned to committed
 //! manifests under `results/golden/` — the two static paper runs, the
 //! two canonical *dynamic* runs (scheduled receiver churn with a link
 //! degrade, and Poisson background load) pinning the event-executor's
-//! digest determinism, and a CUBIC-background run pinning the v2
+//! digest determinism, a CUBIC-background run pinning the v2
 //! congestion-control surface (signals bookkeeping, registry-built
-//! senders, the cubic window math).
+//! senders, the cubic window math), and a Reno-background run pinning
+//! the dup-ack loss detector (Karn sampling, fast retransmit, go-back-N).
 //!
 //! The digests cover the *entire* packet-event stream (every enqueue,
 //! drop, transmission start, arrival and delivery with its timestamp), so
@@ -28,6 +29,24 @@ use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioResult,
 use netsim::time::SimDuration;
 use telemetry::{FlightDumpGuard, FlightRecorder};
 
+/// Every committed golden, in regeneration order.
+const GOLDENS: [&str; 6] = [
+    "case5_droptail_60s",
+    "case5_red_60s",
+    "case5_droptail_churn_60s",
+    "case5_droptail_bgload_60s",
+    "case5_droptail_cubic_60s",
+    "case5_droptail_reno_60s",
+];
+
+/// The static case-5 drop-tail run with `cc` as the background TCP.
+fn case5_droptail_with_cc(cc: &str) -> TreeScenario {
+    TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
+        .with_duration(SimDuration::from_secs(60))
+        .with_seed(1)
+        .with_tcp_cc(bounded_fairness::tcp::CcVariant::parse(cc).expect("a registered variant"))
+}
+
 /// The pinned scenario behind each committed golden manifest.
 fn scenario_for(name: &str) -> TreeScenario {
     match name {
@@ -41,14 +60,8 @@ fn scenario_for(name: &str) -> TreeScenario {
             .with_seed(1),
         "case5_droptail_churn_60s" => canonical_churn_spec().build(),
         "case5_droptail_bgload_60s" => canonical_bgload_spec().build(),
-        "case5_droptail_cubic_60s" => {
-            TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
-                .with_duration(SimDuration::from_secs(60))
-                .with_seed(1)
-                .with_tcp_cc(
-                    bounded_fairness::tcp::CcVariant::parse("cubic").expect("cubic is registered"),
-                )
-        }
+        "case5_droptail_cubic_60s" => case5_droptail_with_cc("cubic"),
+        "case5_droptail_reno_60s" => case5_droptail_with_cc("reno"),
         other => panic!("no pinned scenario named {other:?}"),
     }
 }
@@ -155,18 +168,17 @@ fn case5_droptail_cubic_matches_committed_manifest() {
     check("case5_droptail_cubic_60s");
 }
 
+#[test]
+fn case5_droptail_reno_matches_committed_manifest() {
+    check("case5_droptail_reno_60s");
+}
+
 /// Rewrites the committed goldens from the current code. Run explicitly
 /// (`--ignored regenerate`) after an intended behavioural change.
 #[test]
 #[ignore]
 fn regenerate() {
-    for name in [
-        "case5_droptail_60s",
-        "case5_red_60s",
-        "case5_droptail_churn_60s",
-        "case5_droptail_bgload_60s",
-        "case5_droptail_cubic_60s",
-    ] {
+    for name in GOLDENS {
         let (r, _) = run_scenario(name, 1);
         let path = golden_path(name);
         std::fs::write(&path, manifest_of(name, &r).pretty()).expect("write golden");
