@@ -49,7 +49,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::Agent;
 use crate::arena::{PacketArena, PacketHandle};
-use crate::event::{Calendar, EventKind};
+use crate::event::{Calendar, EventKind, MAX_EPOCHS};
 use crate::fault::FaultInjector;
 use crate::id::{AgentId, ChannelId, GroupId, NodeId};
 use crate::link::Channel;
@@ -1399,6 +1399,16 @@ impl Engine {
             .run_until(deadline);
             return;
         }
+        // Every epoch up to the deadline must fit the key's epoch bits:
+        // refuse the run here, not at the offending barrier hours into it.
+        let theta = self.world.shared.regions.lookahead().as_nanos();
+        assert!(
+            deadline.as_nanos().div_ceil(theta) < MAX_EPOCHS,
+            "run_until({:.3} s) is past the partitioned engine's limit of {:.3} simulated \
+             seconds: 2^28 θ-grid epochs at lookahead θ = {theta} ns",
+            deadline.as_secs_f64(),
+            ((MAX_EPOCHS - 1) * theta) as f64 / 1e9,
+        );
         if self.world.shards.len() == 1 || self.world.workers == 1 {
             self.run_epochs_inline(deadline);
         } else {
@@ -2228,6 +2238,25 @@ mod tests {
             e.trace_digest()
         };
         assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "limit of 0.268 simulated seconds")]
+    fn deadline_past_the_key_width_is_refused_on_entry() {
+        // θ = 1 ns: the 28-bit epoch field covers 2^28 ns ≈ 0.268 s.
+        let mut e = Engine::new(1);
+        let a = e.add_node("a");
+        let b = e.add_node("b");
+        e.add_link(
+            a,
+            b,
+            8_000_000,
+            SimDuration::from_nanos(1),
+            &QueueConfig::paper_droptail(),
+        );
+        assert_eq!(e.partition(None), 2);
+        e.run_until(SimTime::from_nanos(1_000)); // inside the limit: runs
+        e.run_until(SimTime::from_secs(1));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The event calendar: a hierarchical timer wheel with a FIFO-preserving
-//! overflow heap.
+//! The event calendar: a timer wheel — a ring of fine slots under three
+//! coarse levels — with a binary-heap overflow.
 //!
 //! The calendar dispatches events in strict `(time, key)` order. For
 //! locally scheduled events the key is `(epoch, 0, seq)` — `seq` is a
@@ -15,45 +15,47 @@
 //! insertion sequence, dispatch order is identical at every shard and
 //! worker count (see `DESIGN.md` §9).
 //!
-//! The previous implementation was a binary heap, paying `O(log n)`
-//! compares per operation with poor locality; the wheel does `O(1)` bucket
-//! pushes and amortizes ordering work into per-slot sorts of a few events
-//! each.
-//!
 //! # Layout
 //!
-//! Four levels of 64 slots each, with slot widths of 2^10, 2^16, 2^22 and
-//! 2^28 ns (~1 µs, ~65 µs, ~4.2 ms, ~268 ms); level *l* spans 64 slots =
-//! 2^(10+6·l+6) ns, so the whole wheel covers 2^34 ns ≈ 17 s ahead of the
-//! cursor. Events beyond that horizon (long timers, `SimTime::MAX`
-//! sentinels) wait in a binary-heap overflow ordered by the same
-//! `(time, seq)` key and migrate into the wheel when the cursor
-//! approaches.
+//! Widths follow the delays the paper's tree schedules, so that most
+//! events are filed once (share of schedules, fig-7 case 1):
 //!
-//! Levels are *absolutely* indexed: level *l* covers the window
-//! `[align(cur, span_l), align(cur, span_l) + span_l)` and an event at `t`
-//! lives in slot `(t >> shift_l) & 63` of the first level whose window
-//! contains `t`. Because the cursor `cur` is always a multiple of the
-//! level-0 slot width, each slot holds events of exactly one absolute
-//! window — there is no wrap-around ambiguity to resolve at drain time.
+//! | delay ahead of the instant being dispatched | share | filed in      |
+//! |---------------------------------------------|-------|---------------|
+//! | 3–16 µs, acks on the 100 Mb/s links          |  27 % | ring          |
+//! | 80 µs, 1000 bytes at 100 Mb/s                |  15 % | ring          |
+//! | 0.13–2 ms, service on the congested links    |  12 % | ring          |
+//! | 5 ms hop                                     |  30 % | ring          |
+//! | 100 ms hop, ≥ 200 ms timers                  |  16 % | level 1, ring |
+//!
+//! *The ring* (level 0) is 1024 slots of 2^13 ns — 8.2 µs, about one event
+//! each — indexed `(t >> 13) % 1024` and valid for the 8.4 ms ahead of the
+//! cursor `cur`: a sliding window, so a 5 ms hop never straddles its edge.
+//! *Levels 1–3* are 64 slots each of 2^23, 2^29 and 2^35 ns (8.4 ms,
+//! 537 ms, 34 s); an event past the ring goes to the lowest level whose
+//! aligned window of 64 slots holds both it and the cursor. Beyond the top
+//! window (2^41 ns ≈ 37 min; `SimTime::MAX` sentinels) events wait in a
+//! binary heap under the same `(time, key)` order. A slot is a chain of
+//! nodes in one slab, not a buffer of its own: cascading relinks nodes, and
+//! memory follows the peak pending count rather than the slot count.
 //!
 //! # Dispatch
 //!
-//! `cur` splits time: every pending event at `t < cur` sits pre-sorted in
-//! the `ready` queue; everything else is in the wheel or the overflow.
-//! Refilling `ready` repeatedly takes the earliest occupied slot across
-//! levels (occupancy is one bitmap word per level): a level-0 slot is
-//! sorted by `(time, key)` and drained into `ready`; a higher-level slot is
-//! cascaded down a level; the overflow migrates when its head precedes
-//! every occupied slot. Events scheduled below `cur` (an agent scheduling
-//! at `now` while its slot is being dispatched, or a boundary arrival
-//! landing inside an already-drained slot) are merge-inserted into `ready`
-//! at their `(time, key)` position, which keeps the global dispatch order
-//! identical to the binary heap's — the digest-equality tests pin exactly
-//! that.
+//! `cur` splits time: every pending event at `t < cur` sits sorted in the
+//! flat `ready` buffer, served by a head index; the rest are in a slot that
+//! starts at or after `cur`, or in the overflow. Refilling `ready` takes the
+//! occupied slot that starts first (one occupancy bit per slot, an upper
+//! level winning a tie): a ring slot is drained into `ready` and sorted if
+//! it held more than one event; an upper slot is cascaded — the cursor
+//! moves to its start, which puts its events within reach of the level
+//! below; the overflow migrates when its head precedes every occupied slot.
+//! Events scheduled below `cur` (an agent scheduling at `now`, a boundary
+//! arrival landing inside a drained slot) are merge-inserted into `ready`
+//! at their `(time, key)` position. The order is [`HeapCalendar`]'s
+//! throughout — the model test and the digest goldens pin exactly that.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::arena::PacketHandle;
 use crate::id::{AgentId, ChannelId, NodeId};
@@ -101,6 +103,8 @@ pub enum EventKind {
 /// pre-partitioning 32 bytes — the wheel's slot sorts and copies are on
 /// the engine's hottest path.
 const KEY_EPOCH_SHIFT: u32 = 36;
+/// Epochs the key's high bits can tell apart.
+pub(crate) const MAX_EPOCHS: u64 = 1 << (64 - KEY_EPOCH_SHIFT);
 /// Phase bit: 0 = locally scheduled, 1 = boundary arrival of that epoch.
 const KEY_PHASE_BIT: u64 = 1 << 35;
 /// Bits for the boundary key's per-epoch, per-region send order.
@@ -111,10 +115,7 @@ const KEY_SEQ_SHIFT: u32 = 21;
 /// Within one epoch this is pure insertion (FIFO) order; the counter may
 /// reset across epochs because the epoch bits already separate them.
 pub fn local_key(epoch: u64, seq: u64) -> u64 {
-    debug_assert!(
-        epoch < 1 << (64 - KEY_EPOCH_SHIFT),
-        "epoch overflows the key"
-    );
+    debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");
     assert!(
         seq < KEY_PHASE_BIT,
         "calendar key overflow: 2^35 events scheduled within one θ-grid epoch \
@@ -130,10 +131,7 @@ pub fn local_key(epoch: u64, seq: u64) -> u64 {
 /// independent of which shard inserts it, or when — so dispatch order is
 /// identical at every shard and worker count.
 pub fn boundary_key(epoch: u64, region: u32, seq: u64) -> u64 {
-    debug_assert!(
-        epoch < 1 << (64 - KEY_EPOCH_SHIFT),
-        "epoch overflows the key"
-    );
+    debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");
     assert!(
         (region as u64) < KEY_PHASE_BIT >> KEY_SEQ_SHIFT,
         "calendar key overflow: region id {region} needs more than 14 bits"
@@ -178,33 +176,56 @@ impl Ord for Event {
     }
 }
 
-/// Number of wheel levels.
+/// Wheel levels: the ring, then aligned windows of 64 slots each.
 const LEVELS: usize = 4;
-/// log2(slots per level).
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// log2(slot width in ns) per level.
-const SHIFT: [u32; LEVELS] = [10, 16, 22, 28];
+/// log2 of the ring's slot width in ns, and of its slot count.
+const SLOT_BITS: u32 = 13;
+const RING_BITS: u32 = 10;
+/// log2 of level `l >= 1`'s slot width in ns: level 1's slot is as wide as
+/// the whole ring, each further level's as wide as the window below it.
+const fn shift(l: usize) -> u32 {
+    SLOT_BITS + RING_BITS + 6 * (l as u32 - 1)
+}
+/// Slots in the ring, and the occupancy words they take.
+const RING: usize = 1 << RING_BITS;
+const RING_WORDS: usize = RING / 64;
+const _: () = assert!(RING_WORDS >= 1 && RING_WORDS <= 32);
+/// Occupancy words of the whole wheel: the ring's, then one per upper level.
+const WORDS: usize = RING_WORDS + LEVELS - 1;
+/// Width of a ring slot, in ns: pops are sorted one such slot at a time.
+pub const SLOT_NS: u64 = 1 << SLOT_BITS;
+/// Width of the top level's window, in ns: an event past the ring overflows
+/// unless it shares the cursor's aligned `HORIZON_NS` window.
+pub const HORIZON_NS: u64 = 1 << shift(LEVELS);
+/// End of a slot's chain, and of the free chain.
+const NIL: u32 = u32::MAX;
 
-/// Width in nanoseconds of the whole level-`l` window (64 slots).
-const fn span(l: usize) -> u64 {
-    1 << (SHIFT[l] + SLOT_BITS)
+/// A filed event and the next node of its slot's chain.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    event: Event,
+    next: u32,
 }
 
-/// The future event list: hierarchical timer wheel + overflow heap.
+/// The future event list: timer wheel + overflow heap.
 #[derive(Debug)]
 pub struct Calendar {
-    /// `LEVELS * SLOTS` buckets, indexed `(level << SLOT_BITS) | slot`.
-    slots: Vec<Vec<Event>>,
-    /// One occupancy bit per slot, per level.
-    occupied: [u64; LEVELS],
+    /// One node per filed event, reused through the `free` chain.
+    nodes: Vec<Node>,
+    free: u32,
+    /// Head of each slot's chain: the ring's slots, then 64 per upper level.
+    heads: [u32; WORDS * 64],
+    /// One occupancy bit per slot, same index.
+    occupied: [u64; WORDS],
+    /// Bit `w` is set iff `occupied[w] != 0`.
+    occupied_words: u64,
     /// Events beyond the wheel horizon, min-ordered by `(time, key)`.
     overflow: BinaryHeap<Event>,
-    /// Events already extracted and sorted, all at times `< cur`.
-    ready: VecDeque<Event>,
-    /// The drain cursor, in ns; always a multiple of the level-0 slot
-    /// width. Every pending event below it is in `ready`.
+    /// `ready[head..]`: the events already extracted, in `(time, key)` order.
+    ready: Vec<Event>,
+    head: usize,
+    /// The drain cursor, in ns: a multiple of `SLOT_NS`, never past the start
+    /// of an occupied slot. Every pending event below it is in `ready`.
     cur: u64,
     /// Schedule counter within the current epoch (low bits of local
     /// keys); resets when the epoch advances — the epoch bits already
@@ -215,19 +236,28 @@ pub struct Calendar {
     /// epoch executor advances it at each grid barrier.
     epoch: u64,
     len: usize,
+    /// Chain links so far: filings and cascade relinks.
+    #[cfg(test)]
+    links: u64,
 }
 
 impl Default for Calendar {
     fn default() -> Self {
         Calendar {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [NIL; WORDS * 64],
+            occupied: [0; WORDS],
+            occupied_words: 0,
             overflow: BinaryHeap::new(),
-            ready: VecDeque::new(),
+            ready: Vec::new(),
+            head: 0,
             cur: 0,
             next_seq: 0,
             epoch: 0,
             len: 0,
+            #[cfg(test)]
+            links: 0,
         }
     }
 }
@@ -242,12 +272,11 @@ impl Calendar {
     /// keys, resetting the per-epoch schedule counter when it actually
     /// advances (a `run_until` stopping mid-epoch re-enters the same
     /// epoch; its counter must continue, not restart). An unpartitioned
-    /// run never calls this and gets the classic pure `(time, seq)`
-    /// order.
+    /// run never calls this: its keys are the bare schedule counter.
     pub fn set_epoch(&mut self, epoch: u64) {
         debug_assert!(epoch >= self.epoch, "epoch ran backwards");
         assert!(
-            epoch < 1 << 28,
+            epoch < MAX_EPOCHS,
             "calendar key overflow: more than 2^28 θ-grid epochs \
              (simulated duration / lookahead is too large)"
         );
@@ -265,13 +294,9 @@ impl Calendar {
     /// Schedule `kind` to fire at `at`, tie-broken by insertion order
     /// within the current epoch.
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
+        let key = local_key(self.epoch, self.next_seq);
         self.next_seq += 1;
-        self.insert(Event {
-            at,
-            key: local_key(self.epoch, seq),
-            kind,
-        });
+        self.insert(Event { at, key, kind });
     }
 
     /// Schedule a cross-region boundary arrival, tie-broken by the
@@ -282,65 +307,104 @@ impl Calendar {
     /// insertion path, so direct insertion here lands the arrival exactly
     /// where a barrier-batched sort would have.
     pub fn schedule_boundary(&mut self, at: SimTime, region: u32, seq: u64, kind: EventKind) {
-        self.insert(Event {
-            at,
-            key: boundary_key(self.epoch, region, seq),
-            kind,
-        });
+        let key = boundary_key(self.epoch, region, seq);
+        self.insert(Event { at, key, kind });
     }
 
     fn insert(&mut self, e: Event) {
         self.len += 1;
         if e.at.as_nanos() < self.cur {
-            // The slot covering `at` has already been drained: merge into
-            // `ready` at the event's `(time, key)` position — exactly
-            // where the heap would have popped it. (A boundary arrival's
-            // key can precede same-instant events already drained, so the
-            // full key participates, not just the time.)
-            let pos = self
-                .ready
-                .partition_point(|x| (x.at, x.key) <= (e.at, e.key));
-            self.ready.insert(pos, e);
+            // The slot covering `at` is already drained: merge into `ready`
+            // where the heap would have popped it — by the full key, since
+            // a boundary arrival's can precede same-instant events in there.
+            let pos = self.ready[self.head..].partition_point(|x| (x.at, x.key) <= (e.at, e.key));
+            self.ready.insert(self.head + pos, e);
         } else {
-            self.place(e);
+            self.file(e);
         }
     }
 
-    /// File an event at `t >= cur` into the first level whose current
-    /// window contains it, or the overflow past the horizon.
-    fn place(&mut self, e: Event) {
-        let t = e.at.as_nanos();
-        debug_assert!(t >= self.cur, "place() below the cursor");
-        for (l, &shift) in SHIFT.iter().enumerate() {
-            let base = self.cur & !(span(l) - 1);
-            if t - base < span(l) {
-                let slot = ((t >> shift) & (SLOTS as u64 - 1)) as usize;
-                self.slots[(l << SLOT_BITS) | slot].push(e);
-                self.occupied[l] |= 1 << slot;
-                return;
-            }
+    /// The slot for an event at `t >= cur`, or `None` past the horizon:
+    /// the ring while `t` is within `RING` slots of the cursor, else the
+    /// upper level of the highest bit in which `t` and the cursor differ
+    /// (at or above `shift(1)`, because they are a ring apart).
+    fn slot_of(&self, t: u64) -> Option<usize> {
+        debug_assert!(t >= self.cur, "filing below the cursor");
+        if (t >> SLOT_BITS) - (self.cur >> SLOT_BITS) < RING as u64 {
+            return Some((t >> SLOT_BITS) as usize % RING);
         }
-        self.overflow.push(e);
+        let l = ((t ^ self.cur).ilog2() - shift(1)) as usize / 6 + 1;
+        (l < LEVELS).then(|| RING + 64 * (l - 1) + (t >> shift(l)) as usize % 64)
     }
 
-    /// The earliest occupied slot at or after the cursor: `(level, window
-    /// start in ns)`. Ties between levels go to the *higher* level so
-    /// cascades happen before drains of the same instant.
+    /// Put node `n` at the head of slot `idx`'s chain.
+    fn link(&mut self, idx: usize, n: u32) {
+        #[cfg(test)]
+        {
+            self.links += 1;
+        }
+        self.nodes[n as usize].next = self.heads[idx];
+        self.heads[idx] = n;
+        self.occupied[idx / 64] |= 1 << (idx % 64);
+        self.occupied_words |= 1 << (idx / 64);
+    }
+
+    /// File an event at `t >= cur` in its slot, or in the overflow.
+    fn file(&mut self, event: Event) {
+        let Some(idx) = self.slot_of(event.at.as_nanos()) else {
+            return self.overflow.push(event);
+        };
+        let mut n = self.free;
+        if n == NIL {
+            assert!(self.nodes.len() < NIL as usize, "2^32 pending events");
+            n = self.nodes.len() as u32;
+            self.nodes.push(Node { event, next: NIL });
+        } else {
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize].event = event;
+        }
+        self.link(idx, n);
+    }
+
+    /// Pop the overflow's head if it fires at or before `last`.
+    fn overflow_through(&mut self, last: u64) -> Option<Event> {
+        let due = self.overflow.peek()?.at.as_nanos() <= last;
+        due.then(|| self.overflow.pop()).flatten()
+    }
+
+    /// The slot to empty next, `(index, window start in ns)`: the occupied
+    /// slot that starts first, the higher level winning a tie so that a
+    /// cascade precedes the drain of the same instant. No occupied slot
+    /// starts before the cursor, so the ring is searched one lap from the
+    /// cursor's slot, and an upper level's first set bit is its earliest
+    /// slot, in the cursor's window of that level.
     fn earliest_slot(&self) -> Option<(usize, u64)> {
-        let mut best: Option<(usize, u64)> = None;
-        for (l, &shift) in SHIFT.iter().enumerate() {
-            let occ = self.occupied[l];
-            if occ == 0 {
-                continue;
-            }
-            let i_cur = (self.cur >> shift) & (SLOTS as u64 - 1);
-            let masked = occ & !((1u64 << i_cur) - 1);
-            debug_assert!(masked != 0, "occupied slot behind the cursor");
-            let slot = masked.trailing_zeros() as u64;
-            let base = self.cur & !(span(l) - 1);
-            let start = base | (slot << shift);
-            if best.is_none_or(|(_, s)| start <= s) {
-                best = Some((l, start));
+        let c = (self.cur >> SLOT_BITS) as usize % RING;
+        let here = self.occupied[c / 64] >> (c % 64);
+        let ring = if here != 0 {
+            Some(c + here.trailing_zeros() as usize)
+        } else {
+            // The ring's words in lap order after the cursor's; the last
+            // is the cursor's own again, where only bits below `c` remain.
+            let (m, k) = (self.occupied_words % (1 << RING_WORDS), c / 64 + 1);
+            let lap = (m >> k | m << (RING_WORDS - k)) % (1 << RING_WORDS);
+            (lap != 0).then(|| {
+                let w = (k + lap.trailing_zeros() as usize) % RING_WORDS;
+                w * 64 + self.occupied[w].trailing_zeros() as usize
+            })
+        };
+        let mut best = ring.map(|idx| {
+            let ahead = (idx.wrapping_sub(c) % RING) as u64;
+            (idx, ((self.cur >> SLOT_BITS) + ahead) << SLOT_BITS)
+        });
+        for l in 1..LEVELS {
+            let word = self.occupied[RING_WORDS + l - 1];
+            if word != 0 {
+                let slot = word.trailing_zeros() as u64;
+                let start = self.cur & !((1 << shift(l + 1)) - 1) | slot << shift(l);
+                if best.is_none_or(|(_, b)| start <= b) {
+                    best = Some((RING + 64 * (l - 1) + slot as usize, start));
+                }
             }
         }
         best
@@ -351,98 +415,90 @@ impl Calendar {
     /// nothing is pending at or before `deadline`.
     fn refill(&mut self, deadline: SimTime) -> bool {
         loop {
-            if let Some(front) = self.ready.front() {
+            if let Some(front) = self.ready.get(self.head) {
                 return front.at <= deadline;
             }
             let best = self.earliest_slot();
             // Migrate the overflow when its head precedes (or ties) every
-            // occupied slot: the head's events may belong in that slot.
+            // occupied slot — it may belong in that slot: jump the cursor to
+            // the head's ring slot (no wheel event lies below it) and file
+            // everything now within the top-level window.
             if let Some(head) = self.overflow.peek() {
                 let t = head.at.as_nanos();
                 if best.is_none_or(|(_, start)| t <= start) {
                     if head.at > deadline {
                         return false;
                     }
-                    // Jump the cursor to the head's level-0 slot (no wheel
-                    // event lies below it), then pull everything now within
-                    // the top-level window into the wheel.
-                    self.cur = self.cur.max(t & !((1 << SHIFT[0]) - 1));
-                    let top_base = self.cur & !(span(LEVELS - 1) - 1);
-                    while let Some(head) = self.overflow.peek() {
-                        if head.at.as_nanos() - top_base < span(LEVELS - 1) {
-                            let e = self.overflow.pop().expect("peeked event vanished");
-                            self.place(e);
-                        } else {
-                            break;
-                        }
+                    self.cur = self.cur.max(t & !(SLOT_NS - 1));
+                    while let Some(e) = self.overflow_through(self.cur | (HORIZON_NS - 1)) {
+                        self.file(e);
                     }
                     continue;
                 }
             }
-            let Some((l, start)) = best else {
-                return false; // calendar empty
+            let Some((idx, start)) = best.filter(|&(_, s)| SimTime::from_nanos(s) <= deadline)
+            else {
+                return false; // nothing pending, or not by the deadline: don't commit
             };
-            if SimTime::from_nanos(start) > deadline {
-                return false; // next event past the deadline; don't commit
+            debug_assert!(start >= self.cur & !(SLOT_NS - 1), "slot behind the cursor");
+            self.occupied[idx / 64] &= !(1 << (idx % 64));
+            if self.occupied[idx / 64] == 0 {
+                self.occupied_words &= !(1 << (idx / 64));
             }
-            let slot = ((start >> SHIFT[l]) & (SLOTS as u64 - 1)) as usize;
-            let idx = (l << SLOT_BITS) | slot;
-            let mut bucket = std::mem::take(&mut self.slots[idx]);
-            self.occupied[l] &= !(1 << slot);
-            if l == 0 {
-                // Drain: this slot's window is fully behind the new cursor
-                // (saturating only at the `SimTime::MAX` sentinel slot).
-                self.cur = start.saturating_add(1 << SHIFT[0]);
-                // Sweep overflow events that fall strictly *inside* this
-                // slot's window into the same drain. The migration check
-                // above only catches heads at or before the slot *start*
-                // (`t <= start`); a head inside the window would otherwise
-                // sit out the drain and end up stranded below the cursor.
-                while let Some(head) = self.overflow.peek() {
-                    if head.at.as_nanos() < self.cur {
-                        let e = self.overflow.pop().expect("peeked event vanished");
-                        bucket.push(e);
-                    } else {
+            let first = std::mem::replace(&mut self.heads[idx], NIL);
+            let mut n = first;
+            if idx < RING {
+                // Drain: the slot is wholly behind the new cursor (saturating
+                // only at `SimTime::MAX`); its chain goes onto the free one.
+                self.cur = start.saturating_add(SLOT_NS);
+                self.ready.clear();
+                self.head = 0;
+                loop {
+                    let node = &mut self.nodes[n as usize];
+                    self.ready.push(node.event);
+                    if node.next == NIL {
+                        node.next = std::mem::replace(&mut self.free, first);
                         break;
                     }
+                    n = node.next;
                 }
-                bucket.sort_unstable_by_key(|e| (e.at, e.key));
-                self.ready.extend(bucket.drain(..));
+                // Sweep overflow events strictly *inside* this slot's window
+                // into the same drain: the migration check only catches a
+                // head at or before the slot's *start*, and one left behind
+                // would be stranded below the cursor.
+                while let Some(e) = self.overflow_through(self.cur - 1) {
+                    self.ready.push(e);
+                }
+                if self.ready.len() > 1 {
+                    self.ready.sort_unstable_by_key(|e| (e.at, e.key));
+                }
             } else {
-                // Cascade one slot down a level. Each event lands at level
-                // < l because the slot's window is exactly one level-(l-1)
-                // window.
-                self.cur = self.cur.max(start);
-                for e in bucket.drain(..) {
-                    self.place(e);
+                // Cascade: with the cursor on the slot's start, each of its
+                // events is within the window of the level below.
+                self.cur = start;
+                while n != NIL {
+                    let Node { event, next } = self.nodes[n as usize];
+                    let to = self.slot_of(event.at.as_nanos());
+                    self.link(to.expect("cascade left the wheel"), n);
+                    n = next;
                 }
             }
-            // Hand the (now empty) buffer back so its capacity is reused.
-            self.slots[idx] = bucket;
         }
     }
 
     /// Remove and return the next event if it fires at or before
-    /// `deadline`, in (time, insertion) order.
+    /// `deadline`, in `(time, key)` order.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
-        if !self.refill(deadline) {
-            return None;
-        }
-        self.len -= 1;
-        self.ready.pop_front()
+        self.refill(deadline).then(|| {
+            self.len -= 1;
+            self.head += 1;
+            self.ready[self.head - 1]
+        })
     }
 
-    /// Remove and return the next event in (time, insertion) order.
+    /// Remove and return the next event in `(time, key)` order.
     pub fn pop(&mut self) -> Option<Event> {
         self.pop_before(SimTime::MAX)
-    }
-
-    /// The firing time of the next event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.refill(SimTime::MAX) {
-            return None;
-        }
-        self.ready.front().map(|e| e.at)
     }
 
     /// Number of pending events.
@@ -456,13 +512,15 @@ impl Calendar {
     }
 }
 
-/// The previous binary-heap calendar, kept as the *reference
-/// implementation*: property tests check that the wheel dispatches in
-/// exactly this order, and the engine bench compares both.
+/// The previous binary-heap calendar, kept as the *reference model*:
+/// the same `(time, key)` order by construction, with none of the wheel's
+/// geometry. Property tests drive both through the whole scheduling API
+/// and require identical pops; the benchmark prices the wheel against it.
 #[derive(Debug, Default)]
 pub struct HeapCalendar {
     heap: BinaryHeap<Event>,
     next_seq: u64,
+    epoch: u64,
 }
 
 impl HeapCalendar {
@@ -471,18 +529,28 @@ impl HeapCalendar {
         Self::default()
     }
 
-    /// Schedule `kind` to fire at `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Event {
-            at,
-            key: local_key(0, seq),
-            kind,
-        });
+    /// See [`Calendar::set_epoch`].
+    pub fn set_epoch(&mut self, epoch: u64) {
+        if epoch != self.epoch {
+            self.epoch = epoch;
+            self.next_seq = 0;
+        }
     }
 
-    /// Remove and return the next event in (time, insertion) order.
+    /// Schedule `kind` to fire at `at`.
+    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let key = local_key(self.epoch, self.next_seq);
+        self.next_seq += 1;
+        self.heap.push(Event { at, key, kind });
+    }
+
+    /// See [`Calendar::schedule_boundary`].
+    pub fn schedule_boundary(&mut self, at: SimTime, region: u32, seq: u64, kind: EventKind) {
+        let key = boundary_key(self.epoch, region, seq);
+        self.heap.push(Event { at, key, kind });
+    }
+
+    /// Remove and return the next event in `(time, key)` order.
     pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
@@ -490,16 +558,8 @@ impl HeapCalendar {
     /// Remove and return the next event if it fires at or before
     /// `deadline` (API parity with [`Calendar`]).
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<Event> {
-        if self.heap.peek().is_some_and(|e| e.at <= deadline) {
-            self.heap.pop()
-        } else {
-            None
-        }
-    }
-
-    /// The firing time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        let due = self.heap.peek()?.at <= deadline;
+        due.then(|| self.heap.pop()).flatten()
     }
 
     /// Number of pending events.
@@ -557,11 +617,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
+    fn len_tracks_schedule_and_pop() {
         let mut cal = Calendar::new();
         assert!(cal.is_empty());
         cal.schedule(SimTime::from_secs(5), timer(0, 0));
-        assert_eq!(cal.peek_time(), Some(SimTime::from_secs(5)));
         assert_eq!(cal.len(), 1);
         let e = cal.pop().unwrap();
         assert_eq!(e.at, SimTime::from_secs(5));
@@ -688,11 +747,11 @@ mod tests {
     #[test]
     fn overflow_head_inside_a_draining_slot_is_swept_into_it() {
         // Regression: an overflow event strictly *inside* the earliest
-        // level-0 slot's window (`slot_start < t < slot_start + 1024`)
+        // ring slot's window (`slot_start < t < slot_start + SLOT_NS`)
         // used to sit out that slot's drain — the migration check only
         // compares against the slot *start* — leaving it stranded below
-        // the cursor and tripping `place()` on the next migration.
-        let top = span(LEVELS - 1); // the wheel horizon
+        // the cursor and misfiled on the next migration.
+        let top = HORIZON_NS;
         let mut cal = Calendar::new();
         // Beyond the horizon from t=0: lives in the overflow heap.
         cal.schedule(SimTime::from_nanos(2 * top + 500), timer(0, 4));
@@ -708,6 +767,40 @@ mod tests {
         assert_eq!(token_of(&cal.pop().unwrap()), 3);
         assert_eq!(token_of(&cal.pop().unwrap()), 4); // swept, in order
         assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn tree_delay_mix_is_filed_about_once() {
+        // The benchmark's calendar rung — pop at `t`, schedule at `t + d`,
+        // 512 pending — on the tree's delays. What the geometry buys is a
+        // count, a pure function of this sequence: chain links per event.
+        // The run stays inside the first top-level window; only a timer
+        // straddling a window's edge (every 37 min) would overflow.
+        let mut cal = Calendar::new();
+        for i in 0..512 {
+            cal.schedule(SimTime::from_nanos(i * 195_313), timer(0, i));
+        }
+        let (events, linked) = (200_000, cal.links);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..events {
+            let now = cal.pop().unwrap().at.as_nanos();
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let delay = match x % 100 {
+                0..=24 => 357_143,    // 1000 bytes at 2800 pkt/s
+                25..=44 => 80_000,    // 1000 bytes at 100 Mb/s
+                45..=49 => 3_200,     // a 40-byte ack at 100 Mb/s
+                50..=79 => 5_000_000, // the 5 ms hop
+                80..=91 => 100_000_000,
+                92..=96 => 0,                                 // same-instant follow-up
+                _ => 200_000_000 + (x >> 8) % 29_800_000_000, // timers, 0.2–30 s
+            };
+            cal.schedule(SimTime::from_nanos(now + delay), timer(0, i));
+            assert!(cal.overflow.is_empty(), "a {delay} ns timer overflowed");
+        }
+        let per_event = (cal.links - linked) as f64 / events as f64;
+        assert!(per_event <= 1.6, "{per_event} chain links per event");
     }
 
     #[test]

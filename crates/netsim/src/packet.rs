@@ -48,12 +48,18 @@ impl Packet {
 
 /// Transmission time of `size_bytes` over `bandwidth_bps`, in nanoseconds.
 ///
-/// Uses 128-bit intermediates so that byte counts and multi-gigabit rates
-/// never overflow.
+/// Sizes whose bit-nanoseconds fit 64 bits (up to 2.3 GB) divide in 64
+/// bits — this runs once per transmission; the rest take the 128-bit path
+/// so that no byte count or rate overflows.
 pub fn tx_nanos(size_bytes: u32, bandwidth_bps: u64) -> u64 {
     assert!(bandwidth_bps > 0, "zero-bandwidth channel");
-    let bits = size_bytes as u128 * 8;
-    (bits * 1_000_000_000u128).div_ceil(bandwidth_bps as u128) as u64
+    const BIT_NS_PER_BYTE: u64 = 8 * 1_000_000_000;
+    match (size_bytes as u64).checked_mul(BIT_NS_PER_BYTE) {
+        Some(bit_ns) => bit_ns.div_ceil(bandwidth_bps),
+        None => {
+            (size_bytes as u128 * BIT_NS_PER_BYTE as u128).div_ceil(bandwidth_bps as u128) as u64
+        }
+    }
 }
 
 #[cfg(test)]

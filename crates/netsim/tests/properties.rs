@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use netsim::agent::{Agent, Sink};
 use netsim::arena::{PacketArena, PacketHandle};
 use netsim::engine::{Context, Engine};
-use netsim::event::{Calendar, EventKind, HeapCalendar};
+use netsim::event::{Calendar, EventKind, HeapCalendar, HORIZON_NS, SLOT_NS};
 use netsim::id::AgentId;
 use netsim::packet::{Dest, Packet};
 use netsim::queue::{DropTail, Enqueue, QueueConfig, QueueDiscipline, Red, RedConfig};
@@ -27,7 +27,8 @@ fn pkt(arena: &mut PacketArena, uid: u64) -> PacketHandle {
 }
 
 proptest! {
-    /// Pops come out sorted by time; equal times preserve insertion order.
+    /// Pops come out sorted by time; equal times pop in key order, which
+    /// within one epoch is insertion order.
     #[test]
     fn calendar_total_order(times in proptest::collection::vec(0u64..1000, 1..200)) {
         let mut cal = Calendar::new();
@@ -177,15 +178,27 @@ proptest! {
         prop_assert!(d.as_secs_f64() > 0.0);
     }
 
+    /// The 64-bit fast path of `tx_nanos` and its 128-bit fallback are the
+    /// same function: both equal the 128-bit formula on any size and rate.
+    #[test]
+    fn tx_nanos_paths_agree(size in any::<u32>(), bps in 1u64..u64::MAX) {
+        let wide = |bps: u64| (size as u128 * 8_000_000_000).div_ceil(bps as u128) as u64;
+        prop_assert_eq!(netsim::packet::tx_nanos(size, bps), wide(bps));
+        // Rates on and next to `8 * size`, where the quotient is exactly
+        // one second: exact division, and the round-up on both sides of it.
+        let near = 8 * (size as u64).max(1) + bps % 3 - 1;
+        prop_assert_eq!(netsim::packet::tx_nanos(size, near), wide(near));
+    }
+
     /// The timer wheel dispatches in exactly the reference heap's
-    /// `(time, seq)` order under interleaved schedule/pop traffic —
+    /// `(time, key)` order under interleaved schedule/pop traffic —
     /// including same-timestamp runs that straddle the wheel/overflow
-    /// boundary (`tie_time` near the ~17 s horizon, scheduled both before
-    /// and after the cursor has advanced past other events).
+    /// boundary (`tie_time` around the wheel's horizon, scheduled both
+    /// before and after the cursor has advanced past other events).
     #[test]
     fn wheel_matches_heap_under_interleaving(
-        times in proptest::collection::vec(0u64..(1u64 << 36), 1..200),
-        tie_time in (1u64 << 33)..(1u64 << 35),
+        times in proptest::collection::vec(0u64..4 * HORIZON_NS, 1..200),
+        tie_time in HORIZON_NS / 2..2 * HORIZON_NS,
         pop_every in 1usize..8,
     ) {
         let mut wheel = Calendar::new();
@@ -223,18 +236,18 @@ proptest! {
     }
 
     /// Chopping a run into arbitrary `run_until` deadlines — including
-    /// deadlines right at the wheel's top-level rollover (~17.18 s) — must
-    /// not change the trace digest: `pop_before`'s bounded refill cannot
-    /// leak scheduling-order differences.
+    /// deadlines right at the wheel's top-level rollover — must not change
+    /// the trace digest: `pop_before`'s bounded refill cannot leak
+    /// scheduling-order differences.
     #[test]
     fn digest_invariant_under_deadline_chunking(
         offsets in proptest::collection::vec(0u64..500_000_000, 1..20),
-        raw_deadlines in proptest::collection::vec(0u64..40_000_000_000u64, 0..6),
+        raw_deadlines in proptest::collection::vec(0u64..5 * HORIZON_NS / 2, 0..6),
     ) {
         let mut deadlines = raw_deadlines;
-        // Send times cluster around the level-3 rollover boundaries so the
-        // overflow migration path is exercised, not just the wheel.
-        const ROLLOVER: u64 = 1 << 34; // span of the whole wheel, in ns
+        // Send times cluster around the top-level rollover boundaries so
+        // the overflow migration path is exercised, not just the wheel.
+        const ROLLOVER: u64 = HORIZON_NS;
         let fire_at: Vec<u64> = offsets
             .iter()
             .enumerate()
@@ -244,13 +257,105 @@ proptest! {
                 _ => 2 * ROLLOVER - 250_000_000 + off, // straddling 2nd
             })
             .collect();
-        let end = 45_000_000_000u64;
+        let end = 2 * ROLLOVER + 11_000_000_000;
         deadlines.push(ROLLOVER); // always test the exact boundary
         deadlines.sort_unstable();
         let reference = run_timer_scenario(&fire_at, &[], end);
         let chunked = run_timer_scenario(&fire_at, &deadlines, end);
         prop_assert_eq!(reference, chunked, "deadline chunking changed the digest");
         prop_assert!(reference.1 > 0, "scenario produced no packet events");
+    }
+}
+
+/// A time on, next to, or within a ring slot of a power-of-two boundary — a
+/// ring slot's or the horizon's half the time, else any power up to 2^45 ns
+/// ≈ 9.8 h, which covers every level of any wheel geometry. The boundary
+/// is that far past `base`, or (`absolute`) the next multiple of the power
+/// above `base`; the time is never before `base`.
+fn boundary_time(base: u64, draw: u64, absolute: bool) -> u64 {
+    let pow = match draw % 4 {
+        0 => SLOT_NS,
+        1 => HORIZON_NS,
+        _ => 1 << ((draw >> 2) % 46),
+    };
+    let boundary = if absolute {
+        (base / pow + 1) * pow
+    } else {
+        base + pow
+    };
+    let offset = match (draw >> 8) % 6 {
+        near @ 0..=2 => SLOT_NS + near - 1,
+        _ => (draw >> 12) % (2 * SLOT_NS),
+    };
+    (boundary + offset).saturating_sub(SLOT_NS).max(base)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The model test: the wheel against [`HeapCalendar`] through the whole
+    /// scheduling API in arbitrary interleavings — schedules at `now` and
+    /// on either side of every boundary, boundary arrivals with arbitrary
+    /// (region, seq) landing just after `now` (below the cursor, out of key
+    /// order), epoch advances, pops, and bounded pops with deadlines on
+    /// slot, level and horizon boundaries. Every pop agrees on `(at, key)`
+    /// and the lengths agree after every step.
+    #[test]
+    fn wheel_matches_heap_model(
+        ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..400),
+    ) {
+        let mut wheel = Calendar::new();
+        let mut heap = HeapCalendar::new();
+        let (mut now, mut epoch) = (0u64, 0u64);
+        let kind = EventKind::Timer { agent: AgentId(0), token: 0 };
+        for &(op, draw) in &ops {
+            let popped = match op {
+                0..=3 => {
+                    let at = match op {
+                        0 => SimTime::from_nanos(now),
+                        1 => SimTime::from_nanos(now + draw % (4 * SLOT_NS)),
+                        2 if draw % 64 == 0 => SimTime::MAX,
+                        _ => SimTime::from_nanos(boundary_time(now, draw, op == 3)),
+                    };
+                    wheel.schedule(at, kind);
+                    heap.schedule(at, kind);
+                    (None, None)
+                }
+                4 | 5 => {
+                    let after = if op == 4 { draw % SLOT_NS } else { boundary_time(0, draw, false) };
+                    let at = SimTime::from_nanos(now + 1 + after);
+                    let (region, seq) = ((draw >> 40) as u32 % (1 << 14), (draw >> 16) % (1 << 21));
+                    wheel.schedule_boundary(at, region, seq, kind);
+                    heap.schedule_boundary(at, region, seq, kind);
+                    (None, None)
+                }
+                6 => {
+                    epoch += 1;
+                    wheel.set_epoch(epoch);
+                    heap.set_epoch(epoch);
+                    (None, None)
+                }
+                7 | 8 => {
+                    let deadline = SimTime::from_nanos(boundary_time(now, draw, op == 7));
+                    (wheel.pop_before(deadline), heap.pop_before(deadline))
+                }
+                _ => (wheel.pop(), heap.pop()),
+            };
+            match popped {
+                (Some(a), Some(b)) => {
+                    prop_assert_eq!((a.at, a.key), (b.at, b.key));
+                    // Stay clear of the sentinel: `now + delay` must not wrap.
+                    now = a.at.as_nanos().min(u64::MAX >> 1);
+                }
+                (None, None) => {}
+                (a, b) => prop_assert!(false, "wheel popped {a:?}, the heap {b:?}"),
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+        }
+        while let (a, Some(b)) = (wheel.pop(), heap.pop()) {
+            prop_assert_eq!(a.map(|a| (a.at, a.key)), Some((b.at, b.key)));
+        }
+        prop_assert!(wheel.is_empty(), "the wheel outlived the heap");
     }
 }
 
