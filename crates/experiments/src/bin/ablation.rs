@@ -13,28 +13,27 @@
 //! * **pthresh policy** — Equal vs the §5.3 RTT-scaled rule on the
 //!   unequal-RTT topology.
 
-use experiments::manifest::{scenario_entry, write_manifest};
+use experiments::manifest::scenario_entry;
 use experiments::prelude::*;
 use rla::{PthreshPolicy, RlaConfig};
 
-fn scenario(case: CongestionCase, cfg: RlaConfig, duration: SimDuration) -> TreeScenario {
-    ScenarioSpec::paper(case)
-        .with_rla_config(cfg)
-        .with_duration(duration)
-        .with_seed(cli::base_seed())
-        .build()
-}
-
 fn main() {
+    let cfg = RunConfig::from_env();
     // A fifth of the paper budget per variant keeps the 8-run sweep
     // inside one paper-run's budget.
-    let duration = cli::scaled_duration(5.0, 120.0);
+    let duration = cfg.scaled_duration(5.0, 120.0);
+    let scenario = |case: CongestionCase, rla: RlaConfig| {
+        cfg.spec(case)
+            .with_rla_config(rla)
+            .with_duration(duration)
+            .build()
+    };
     let base = CongestionCase::Case3AllLeaves;
 
     let rows: Vec<(String, TreeScenario)> = vec![
         (
             "baseline (eta=20, forced cut on, burst 4)".into(),
-            scenario(base, RlaConfig::default(), duration),
+            scenario(base, RlaConfig::default()),
         ),
         (
             "eta = 2 (narrow trouble margin)".into(),
@@ -44,7 +43,6 @@ fn main() {
                     eta: 2.0,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -55,7 +53,6 @@ fn main() {
                     eta: 200.0,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -66,7 +63,6 @@ fn main() {
                     forced_cut_enabled: false,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -77,7 +73,6 @@ fn main() {
                     max_burst: 1,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -88,7 +83,6 @@ fn main() {
                     max_burst: 64,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -99,7 +93,6 @@ fn main() {
                     pthresh_policy: PthreshPolicy::Equal,
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
         (
@@ -110,7 +103,6 @@ fn main() {
                     pthresh_policy: PthreshPolicy::paper_rtt_scaled(),
                     ..RlaConfig::default()
                 },
-                duration,
             ),
         ),
     ];
@@ -121,7 +113,7 @@ fn main() {
         duration.as_secs_f64()
     );
     let labels: Vec<String> = rows.iter().map(|(l, _)| l.clone()).collect();
-    let results = run_parallel(rows.into_iter().map(|(_, s)| s).collect());
+    let results = Pool::new(&cfg).run(rows.into_iter().map(|(_, s)| s).collect());
 
     let runs: Vec<Json> = labels
         .iter()
@@ -139,10 +131,7 @@ fn main() {
         ("duration_secs", duration.as_secs_f64().into()),
         ("runs", Json::Arr(runs)),
     ]);
-    match write_manifest("ablation", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write ablation.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "ablation", &manifest);
 
     println!("RLA design ablations (case-3 drop-tail unless noted)");
     println!(

@@ -22,9 +22,10 @@ enum Controller {
     Rla,
 }
 
-/// Run the contest; returns (multicast goodput at the slowest receiver,
-/// TCP throughput) in pkt/s plus the engine's trace digest.
-fn contest(controller: Controller, seed: u64) -> (f64, f64, u64) {
+/// Run the contest for `duration` simulated seconds; returns (multicast
+/// goodput at the slowest receiver, TCP throughput) in pkt/s plus the
+/// engine's trace digest.
+fn contest(controller: Controller, seed: u64, duration: f64) -> (f64, f64, u64) {
     let mut engine = Engine::new(seed);
     let queue = QueueConfig::paper_droptail();
     let src = engine.add_node("src");
@@ -134,7 +135,6 @@ fn contest(controller: Controller, seed: u64) -> (f64, f64, u64) {
     engine.set_send_overhead(mc_tx, overhead);
     engine.start_agent_at(tcp_tx, SimTime::ZERO);
     engine.start_agent_at(mc_tx, SimTime::from_millis(711));
-    let duration = cli::capped_duration(1000.0).as_secs_f64();
     engine.run_until(SimTime::from_secs_f64(duration));
 
     let mc = match rxs {
@@ -174,6 +174,8 @@ fn contest(controller: Controller, seed: u64) -> (f64, f64, u64) {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
+    let duration = cfg.capped_duration(1000.0).as_secs_f64();
     println!("§1 — rate-based baselines vs the RLA against TCP (fair share: 100/100 pkt/s)");
     println!(
         "{:<34} {:>10} {:>10} {:>10}",
@@ -192,7 +194,7 @@ fn main() {
     ];
     let mut run_entries = Vec::new();
     for (label, ctl) in rows {
-        let (mc, tcp, digest) = contest(ctl, cli::base_seed());
+        let (mc, tcp, digest) = contest(ctl, cfg.seed, duration);
         println!(
             "{:<34} {:>10.1} {:>10.1} {:>10.2}",
             label,
@@ -202,7 +204,7 @@ fn main() {
         );
         run_entries.push(Json::obj(vec![
             ("controller", label.as_str().into()),
-            ("seed", cli::base_seed().into()),
+            ("seed", cfg.seed.into()),
             ("mcast_pps", mc.into()),
             ("tcp_pps", tcp.into()),
             ("trace_digest", format!("{digest:016x}").into()),
@@ -212,10 +214,7 @@ fn main() {
         ("binary", "baseline_cmp".into()),
         ("runs", Json::Arr(run_entries)),
     ]);
-    match experiments::manifest::write_manifest("baseline_cmp", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write baseline_cmp.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "baseline_cmp", &manifest);
     println!(
         "\nexpected shape: each rate-based row is far from 1.0 on at least one\n\
          threshold (starved or TCP-crushing), while the RLA sits near parity\n\

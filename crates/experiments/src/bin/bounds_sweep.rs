@@ -71,7 +71,8 @@ fn point(n: usize, seed: u64, secs: u64) -> (f64, f64, f64, u64) {
 }
 
 fn main() {
-    let secs = cli::scaled_duration(5.0, 200.0).as_secs_f64() as u64;
+    let cfg = RunConfig::from_env();
+    let secs = cfg.scaled_duration(5.0, 200.0).as_secs_f64() as u64;
     println!("Essential-fairness ratio vs receiver count (unbalanced congestion)");
     println!("worst branch p = 2%, others p = 0.2% (troubled within η = 20)");
     println!(
@@ -88,7 +89,7 @@ fn main() {
         let mut digests = Vec::new();
         const SEEDS: u64 = 3;
         for s in 0..SEEDS {
-            let (a, b, w, d) = point(n, cli::base_seed() + s, secs);
+            let (a, b, w, d) = point(n, cfg.seed + s, secs);
             rla += a;
             tcp += b;
             cwnd += w;
@@ -109,7 +110,7 @@ fn main() {
         );
         run_entries.push(Json::obj(vec![
             ("receivers", n.into()),
-            ("base_seed", cli::base_seed().into()),
+            ("base_seed", cfg.seed.into()),
             ("rla_pps", rla.into()),
             ("wtcp_pps", tcp.into()),
             ("ratio", (rla / tcp).into()),
@@ -121,10 +122,7 @@ fn main() {
         ("duration_secs", (secs as f64).into()),
         ("runs", Json::Arr(run_entries)),
     ]);
-    match experiments::manifest::write_manifest("bounds_sweep", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write bounds_sweep.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "bounds_sweep", &manifest);
     println!(
         "\nexpected shape: the ratio grows with n (the paper's 'serves more\n\
          receivers' dividend) but stays far below the 2n guarantee — the\n\

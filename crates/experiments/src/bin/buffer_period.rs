@@ -21,7 +21,8 @@ use telemetry::{QueueSeriesTracer, TimelineRecorder};
 
 fn main() {
     // 100 pkt/s bottleneck, 50 ms one-way => RTT 0.1 s, BDP 10 < buffer 20.
-    let mut engine = Engine::new(cli::base_seed());
+    let cfg = RunConfig::from_env();
+    let mut engine = Engine::new(cfg.seed);
     let a = engine.add_node("src");
     let b = engine.add_node("dst");
     let (down, _) = engine.add_link(
@@ -48,7 +49,7 @@ fn main() {
         "chan.bottleneck",
     )));
     engine.set_tracer(tracer.clone());
-    let duration = cli::capped_duration(600.0).as_secs_f64();
+    let duration = cfg.capped_duration(600.0).as_secs_f64();
     engine.run_until(SimTime::from_secs_f64(duration));
 
     let trace = tracer.borrow();
@@ -117,7 +118,7 @@ fn main() {
     println!("drops recorded at the gateway: {}", trace.drops.len());
     let manifest = Json::obj(vec![
         ("binary", "buffer_period".into()),
-        ("seed", cli::base_seed().into()),
+        ("seed", cfg.seed.into()),
         ("duration_secs", duration.into()),
         (
             "trace_digest",
@@ -130,10 +131,7 @@ fn main() {
         ("buffer_full_mean_secs", mean(&full_periods).into()),
         ("gateway_drops", trace.drops.len().into()),
     ]);
-    match experiments::manifest::write_manifest("buffer_period", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write buffer_period.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "buffer_period", &manifest);
     println!("\npaper's observation: buffer period >> 2RTT; buffer-full period <~ 2RTT,");
     println!("which is why the RLA groups losses within 2·srtt into one congestion signal.");
 }

@@ -16,20 +16,21 @@
 use experiments::prelude::*;
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let quick = std::env::args().any(|a| a == "--quick");
     let duration = if quick {
         SimDuration::from_secs(20)
     } else {
-        cli::scaled_duration(10.0, 120.0)
+        cfg.scaled_duration(10.0, 120.0)
     };
-    let seed = cli::base_seed();
-    let cfg = MatrixConfig::full(duration, seed);
-    let cells = run_matrix(&cfg);
+    let seed = cfg.seed;
+    let grid = MatrixConfig::full(duration, seed);
+    let cells = run_matrix(&grid, &Pool::new(&cfg));
 
     println!(
         "CC fairness matrix ({} variants x {} cases, {} s cells, seed {seed})",
-        cfg.variants.len(),
-        cfg.cases.len(),
+        grid.variants.len(),
+        grid.cases.len(),
         duration.as_secs_f64()
     );
     println!(
@@ -50,11 +51,8 @@ fn main() {
         );
     }
 
-    let manifest = experiments::ccmatrix::matrix_manifest("cc_matrix", &cfg, &cells);
-    match experiments::manifest::write_manifest("cc_matrix", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write cc_matrix.manifest.json: {e}"),
-    }
+    let manifest = experiments::ccmatrix::matrix_manifest("cc_matrix", &grid, &cells);
+    emit_manifest(&cfg.results_dir, "cc_matrix", &manifest);
 
     println!(
         "\nexpected shape: every row's rla/wtcp ratio stays inside the paper's\n\

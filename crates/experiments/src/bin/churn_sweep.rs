@@ -32,58 +32,24 @@ const DEFAULT_BG_LOAD: f64 = 2.0;
 /// Mean background flow length, packets.
 const BG_MEAN_PACKETS: f64 = 20.0;
 
-/// One sweep combination: manifest stem plus its scenario constructor.
-type Combo = (&'static str, Box<dyn Fn(CongestionCase) -> TreeScenario>);
-
 fn main() {
-    let duration = cli::scaled_duration(4.0, 120.0);
-    let seed = cli::base_seed();
-    let churn = match cli::churn_rate() {
+    let cfg = RunConfig::from_env();
+    let duration = cfg.scaled_duration(4.0, 120.0);
+    let seed = cfg.seed;
+    let churn = match cfg.churn_rate {
         r if r > 0.0 => r,
         _ => DEFAULT_CHURN_RATE,
     };
-    let bg = match cli::bg_load() {
+    let bg = match cfg.bg_load {
         r if r > 0.0 => r,
         _ => DEFAULT_BG_LOAD,
     };
-    let extra_events = cli::events_file();
-
-    let spec = move |case: CongestionCase| {
-        ScenarioSpec::paper(case)
-            .with_duration(duration)
-            .with_seed(seed)
-    };
-    let combos: [Combo; 4] = [
-        ("churn_sweep_static", Box::new(move |c| spec(c).build())),
-        (
-            "churn_sweep_churn",
-            Box::new({
-                let extra = extra_events.clone();
-                move |c| {
-                    spec(c)
-                        .with_churn_rate(churn)
-                        .with_events(extra.clone())
-                        .build()
-                }
-            }),
-        ),
-        (
-            "churn_sweep_bg",
-            Box::new(move |c| spec(c).with_background_load(bg, BG_MEAN_PACKETS).build()),
-        ),
-        (
-            "churn_sweep",
-            Box::new({
-                let extra = extra_events.clone();
-                move |c| {
-                    spec(c)
-                        .with_churn_rate(churn)
-                        .with_background_load(bg, BG_MEAN_PACKETS)
-                        .with_events(extra.clone())
-                        .build()
-                }
-            }),
-        ),
+    // (manifest stem, churn on, background on)
+    let combos = [
+        ("churn_sweep_static", false, false),
+        ("churn_sweep_churn", true, false),
+        ("churn_sweep_bg", false, true),
+        ("churn_sweep", true, true),
     ];
 
     eprintln!(
@@ -99,12 +65,24 @@ fn main() {
         "{:<22} {:>6} {:>8} {:>8} {:>7} {:>7} {:>12}",
         "combo/case", "rla", "wtcp", "btcp", "events", "bgpkts", "reconv_ms"
     );
-    for (name, build) in &combos {
+    // One pool for the four batches: each appends to the same heartbeat
+    // file instead of truncating what the previous one wrote.
+    let pool = Pool::new(&cfg);
+    for (name, with_churn, with_bg) in combos {
         let scenarios: Vec<TreeScenario> = CongestionCase::FIGURE7_CASES
             .iter()
-            .map(|&case| build(case))
+            .map(|&case| {
+                let mut spec = cfg.spec(case).with_duration(duration);
+                if with_churn {
+                    spec = spec.with_churn_rate(churn).with_events(cfg.events.clone());
+                }
+                if with_bg {
+                    spec = spec.with_background_load(bg, BG_MEAN_PACKETS);
+                }
+                spec.build()
+            })
             .collect();
-        let results = run_parallel(scenarios);
+        let results = pool.run(scenarios);
         for r in &results {
             let gauge = |key: &str| match r.registry.get(key) {
                 Some(MetricValue::Gauge(v)) => v,
@@ -125,6 +103,6 @@ fn main() {
                 gauge("net.churn.reconverge_ms"),
             );
         }
-        emit_scenario_manifest(name, duration, &results);
+        emit_scenario_manifest(&cfg.results_dir, name, duration, &results);
     }
 }

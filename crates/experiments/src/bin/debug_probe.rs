@@ -10,12 +10,14 @@
 //! ```
 //!
 //! writes `results/debug_probe.timeline.jsonl` (period/format/dir from
-//! the `RLA_TELEMETRY*` knobs; see `EXPERIMENTS.md`).
+//! the `RLA_TELEMETRY_*` knobs; see `EXPERIMENTS.md`). The run is 120 s
+//! unless `RLA_DURATION_SECS` says otherwise.
 
 use experiments::prelude::*;
 use rla::RlaSender;
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let args: Vec<String> = std::env::args().collect();
     let case = args
         .get(1)
@@ -25,26 +27,25 @@ fn main() {
         .get(2)
         .and_then(|s| cli::parse_gateway(s))
         .unwrap_or(GatewayKind::DropTail);
-    let scenario = ScenarioSpec::paper(case)
+    let scenario = cfg
+        .spec(case)
         .with_gateway(gw)
-        .with_duration(SimDuration::from_secs(120))
-        .with_seed(cli::base_seed())
+        .with_duration(cfg.duration_or(SimDuration::from_secs(120)))
         .build();
     let mut world = scenario.build();
     let sender = world.rla_senders[0];
 
     // The probe exists to look at time series, so the recorder is always
-    // on here; RLA_TELEMETRY_SAMPLE_MS/FORMAT/DIR still apply. Samples
+    // on here, configured by RLA_TELEMETRY_SAMPLE_MS/FORMAT/DIR. Samples
     // stream to the file as they are recorded (flushed per line), so
     // `rla_top results/debug_probe.timeline.jsonl` — or plain `tail -f`
     // — follows the run live.
-    let mut opts = cli::telemetry_options();
-    opts.timeline = true;
-    let (r, rec) = world.run_with_telemetry_streamed(&scenario, &opts, "debug_probe");
-    let path = rec
-        .stream_path()
-        .expect("streaming was enabled")
-        .to_path_buf();
+    let (r, rec) = world.run_with_telemetry_streamed(&scenario, &cfg.telemetry, "debug_probe");
+    // The file `stream_to` opened: `<dir>/<stem>.timeline.<ext>`.
+    let path = cfg.telemetry.dir.join(format!(
+        "debug_probe.timeline.{}",
+        cfg.telemetry.format.extension()
+    ));
     println!(
         "timeline: {} ({} series, {} samples, period {:.3}s)",
         path.display(),
@@ -132,7 +133,12 @@ fn main() {
             );
         }
     }
-    experiments::emit_scenario_manifest("debug_probe", scenario.duration, std::slice::from_ref(&r));
+    emit_scenario_manifest(
+        &cfg.results_dir,
+        "debug_probe",
+        scenario.duration,
+        std::slice::from_ref(&r),
+    );
     // A scenario without competing TCP flows has no worst/best row.
     let tcp_pps = |t: Option<&experiments::metrics::TcpRow>| {
         t.map_or("n/a".to_string(), |t| format!("{:.1}", t.throughput_pps))

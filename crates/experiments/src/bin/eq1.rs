@@ -10,6 +10,7 @@ use analysis::{mahdavi_floyd_pps, pa_window, pa_window_approx, simulate_tcp_wind
 use experiments::prelude::*;
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -37,7 +38,12 @@ fn main() {
         );
     }
     print!("{out}");
-    emit_analysis_manifest("eq1", &out, vec![("monte_carlo_seed", 42u64.into())]);
+    emit_analysis_manifest(
+        &cfg.results_dir,
+        "eq1",
+        &out,
+        vec![("monte_carlo_seed", 42u64.into())],
+    );
     println!("\nThe Monte-Carlo time average tracks the closed form (ratio ≈ 1),");
     println!("and both scale as 1/√p — the relation every §4 bound builds on.");
 }

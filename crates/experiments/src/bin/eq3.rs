@@ -15,6 +15,7 @@ use analysis::{
 use experiments::prelude::*;
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -90,6 +91,11 @@ fn main() {
         let _ = writeln!(out, "  n = {:>2}: ratio {:.3}", n, common / indep);
     }
     print!("{out}");
-    emit_analysis_manifest("eq3", &out, vec![("monte_carlo_seed", 7u64.into())]);
+    emit_analysis_manifest(
+        &cfg.results_dir,
+        "eq3",
+        &out,
+        vec![("monte_carlo_seed", 7u64.into())],
+    );
     println!("\n(the same ordering shows up in figure 7: case 1 > case 2 > case 3)");
 }

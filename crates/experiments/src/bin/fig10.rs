@@ -11,25 +11,21 @@ use experiments::prelude::*;
 use experiments::tables::render_fig10_table;
 
 fn main() {
-    let duration = cli::run_duration();
+    let cfg = RunConfig::from_env();
+    let duration = cfg.run_duration();
     let scenarios: Vec<TreeScenario> = [
         CongestionCase::Fig10AllLevel2,
         CongestionCase::Fig10AllLevel3,
     ]
     .iter()
-    .map(|&case| {
-        ScenarioSpec::paper(case)
-            .with_duration(duration)
-            .with_seed(cli::base_seed())
-            .build()
-    })
+    .map(|&case| cfg.spec(case).with_duration(duration).build())
     .collect();
     eprintln!(
         "figure 10: generalized RLA, 36 receivers with different RTTs, {:.0} s per case...",
         duration.as_secs_f64()
     );
-    let results = run_parallel(scenarios);
-    emit_scenario_manifest("fig10", duration, &results);
+    let results = Pool::new(&cfg).run(scenarios);
+    emit_scenario_manifest(&cfg.results_dir, "fig10", duration, &results);
     println!("Figure 10 — results with different round-trip times (f(x) = x^2)");
     println!("{}", render_fig10_table(&results));
     println!("paper reference:");

@@ -12,6 +12,7 @@ use experiments::plots::render_drift_field;
 use experiments::prelude::*;
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let n = 3;
     let pipe = 10.0;
     let w_max = 16.0;
@@ -35,6 +36,7 @@ fn main() {
     }
     print!("{out}");
     emit_analysis_manifest(
+        &cfg.results_dir,
         "fig4",
         &out,
         vec![

@@ -44,10 +44,10 @@ fn particle_view() -> experiments::Json {
     ])
 }
 
-fn full_sim_view() -> experiments::Json {
+fn full_sim_view(cfg: &RunConfig) -> experiments::Json {
     // Flat star: S -- R_i over 27 independent paths, BDP = 60 packets:
     // 600 pkt/s (4.8 Mbps) with 50 ms one-way delay (RTT 0.1 s).
-    let mut engine = Engine::new(cli::base_seed());
+    let mut engine = Engine::new(cfg.seed);
     let queue = QueueConfig::paper_droptail();
     let star = experiments::build_star(
         &mut engine,
@@ -91,7 +91,7 @@ fn full_sim_view() -> experiments::Json {
     // warmup, then regenerate the density map from the recorded series —
     // the same dump an RLA_TELEMETRY run writes, so the figure can be
     // rebuilt from a .timeline.jsonl file without re-simulating.
-    let duration = cli::capped_duration(1200.0).as_secs_f64();
+    let duration = cfg.capped_duration(1200.0).as_secs_f64();
     let warmup = 50.0f64.min(duration / 4.0);
     engine.run_until(SimTime::from_secs_f64(warmup));
     let mut rec = TimelineRecorder::new(SimDuration::from_millis(200));
@@ -149,7 +149,7 @@ fn full_sim_view() -> experiments::Json {
     println!("paper reference: density centred at (20, 20)");
     experiments::Json::obj(vec![
         ("view", "full-sim".into()),
-        ("seed", cli::base_seed().into()),
+        ("seed", cfg.seed.into()),
         ("duration_secs", duration.into()),
         (
             "trace_digest",
@@ -162,15 +162,13 @@ fn full_sim_view() -> experiments::Json {
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     println!("Figure 5 — occurrence density of (cwnd1, cwnd2)\n");
     let particle = particle_view();
-    let full = full_sim_view();
+    let full = full_sim_view(&cfg);
     let manifest = experiments::Json::obj(vec![
         ("binary", "fig5".into()),
         ("views", experiments::Json::Arr(vec![particle, full])),
     ]);
-    match experiments::manifest::write_manifest("fig5", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write fig5.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "fig5", &manifest);
 }

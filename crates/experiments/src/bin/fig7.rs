@@ -10,23 +10,18 @@ use experiments::prelude::*;
 use experiments::tables::render_throughput_table;
 
 fn main() {
-    let duration = cli::run_duration();
+    let cfg = RunConfig::from_env();
+    let duration = cfg.run_duration();
     let scenarios: Vec<TreeScenario> = CongestionCase::FIGURE7_CASES
         .iter()
-        .map(|&case| {
-            ScenarioSpec::paper(case)
-                .with_duration(duration)
-                .with_seed(cli::base_seed())
-                .with_tcp_cc(cli::tcp_cc())
-                .build()
-        })
+        .map(|&case| cfg.spec(case).with_duration(duration).build())
         .collect();
     eprintln!(
         "figure 7: 5 drop-tail cases, {:.0} s each (RLA_DURATION_SECS to change)...",
         duration.as_secs_f64()
     );
-    let results = run_parallel(scenarios);
-    emit_scenario_manifest("fig7", duration, &results);
+    let results = Pool::new(&cfg).run(scenarios);
+    emit_scenario_manifest(&cfg.results_dir, "fig7", duration, &results);
     println!(
         "{}",
         render_throughput_table(

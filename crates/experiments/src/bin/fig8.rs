@@ -11,22 +11,18 @@ use experiments::prelude::*;
 use experiments::tables::render_signal_table;
 
 fn main() {
-    let duration = cli::run_duration();
+    let cfg = RunConfig::from_env();
+    let duration = cfg.run_duration();
     let scenarios: Vec<TreeScenario> = CongestionCase::FIGURE7_CASES
         .iter()
-        .map(|&case| {
-            ScenarioSpec::paper(case)
-                .with_duration(duration)
-                .with_seed(cli::base_seed())
-                .build()
-        })
+        .map(|&case| cfg.spec(case).with_duration(duration).build())
         .collect();
     eprintln!(
         "figure 8: per-branch signal statistics, {:.0} s per case...",
         duration.as_secs_f64()
     );
-    let results = run_parallel(scenarios);
-    emit_scenario_manifest("fig8", duration, &results);
+    let results = Pool::new(&cfg).run(scenarios);
+    emit_scenario_manifest(&cfg.results_dir, "fig8", duration, &results);
     println!("Figure 8 — congestion signals per branch (RLA) vs window cuts (TCP)");
     println!("{}", render_signal_table(&results));
     println!("paper reference (worst/best/average):");

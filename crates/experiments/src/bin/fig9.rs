@@ -9,15 +9,14 @@ use experiments::prelude::*;
 use experiments::tables::render_throughput_table;
 
 fn main() {
-    let duration = cli::run_duration();
+    let cfg = RunConfig::from_env();
+    let duration = cfg.run_duration();
     let scenarios: Vec<TreeScenario> = CongestionCase::FIGURE7_CASES
         .iter()
         .map(|&case| {
-            ScenarioSpec::paper(case)
+            cfg.spec(case)
                 .with_gateway(GatewayKind::Red)
                 .with_duration(duration)
-                .with_seed(cli::base_seed())
-                .with_tcp_cc(cli::tcp_cc())
                 .build()
         })
         .collect();
@@ -25,8 +24,8 @@ fn main() {
         "figure 9: 5 RED cases, {:.0} s each (RLA_DURATION_SECS to change)...",
         duration.as_secs_f64()
     );
-    let results = run_parallel(scenarios);
-    emit_scenario_manifest("fig9", duration, &results);
+    let results = Pool::new(&cfg).run(scenarios);
+    emit_scenario_manifest(&cfg.results_dir, "fig9", duration, &results);
     println!(
         "{}",
         render_throughput_table("Figure 9 — simulation results with RED gateways", &results)

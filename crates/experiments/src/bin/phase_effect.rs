@@ -11,9 +11,14 @@ use experiments::prelude::*;
 use netsim::prelude::*;
 use tcp_sack::{TcpConfig, TcpReceiver, TcpSender};
 
-/// Run the two-flow contest; returns (throughput1, throughput2) in pkt/s
-/// plus the trace digest.
-fn contest(queue: &QueueConfig, overhead: SimDuration, seed: u64) -> (f64, f64, u64) {
+/// Run the two-flow contest for `duration` simulated seconds; returns
+/// (throughput1, throughput2) in pkt/s plus the trace digest.
+fn contest(
+    queue: &QueueConfig,
+    overhead: SimDuration,
+    seed: u64,
+    duration: f64,
+) -> (f64, f64, u64) {
     let mut engine = Engine::new(seed);
     let s1 = engine.add_node("s1");
     let s2 = engine.add_node("s2");
@@ -44,7 +49,6 @@ fn contest(queue: &QueueConfig, overhead: SimDuration, seed: u64) -> (f64, f64, 
     }
     engine.start_agent_at(tx1, SimTime::ZERO);
     engine.start_agent_at(tx2, SimTime::from_millis(503));
-    let duration = cli::capped_duration(1000.0).as_secs_f64();
     engine.run_until(SimTime::from_secs_f64(duration));
     let d1 = engine
         .agent_as::<TcpReceiver>(rx1)
@@ -64,6 +68,8 @@ fn contest(queue: &QueueConfig, overhead: SimDuration, seed: u64) -> (f64, f64, 
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
+    let duration = cfg.capped_duration(1000.0).as_secs_f64();
     let service = SimDuration::from_nanos(netsim::packet::tx_nanos(1000, 800_000));
     println!("§3.1 — phase effect at a drop-tail gateway (two near-identical TCPs)");
     println!(
@@ -97,7 +103,7 @@ fn main() {
         let mut digests = Vec::new();
         const SEEDS: u64 = 5;
         for seed in 0..SEEDS {
-            let (t1, t2, d) = contest(&queue, overhead, cli::base_seed() + seed);
+            let (t1, t2, d) = contest(&queue, overhead, cfg.seed + seed, duration);
             worst_ratio = worst_ratio.max(t1.max(t2) / t1.min(t2).max(1e-9));
             t1_acc += t1;
             t2_acc += t2;
@@ -112,7 +118,7 @@ fn main() {
         );
         run_entries.push(Json::obj(vec![
             ("configuration", label.into()),
-            ("base_seed", cli::base_seed().into()),
+            ("base_seed", cfg.seed.into()),
             ("flow1_pps", (t1_acc / SEEDS as f64).into()),
             ("flow2_pps", (t2_acc / SEEDS as f64).into()),
             ("worst_ratio", worst_ratio.into()),
@@ -124,10 +130,7 @@ fn main() {
         ("binary", "phase_effect".into()),
         ("runs", Json::Arr(run_entries)),
     ]);
-    match experiments::manifest::write_manifest("phase_effect", &manifest) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
-        Err(e) => eprintln!("manifest: could not write phase_effect.manifest.json: {e}"),
-    }
+    emit_manifest(&cfg.results_dir, "phase_effect", &manifest);
     println!("\n(flow rates in pkt/s; max/min is the worst split over 5 seeds)");
     println!(
         "expected shape: the phase-locked row is markedly less fair than the\n\

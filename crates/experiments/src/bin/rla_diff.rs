@@ -17,7 +17,7 @@
 
 use std::process::ExitCode;
 
-use experiments::cli;
+use experiments::cli::RunConfig;
 use experiments::diff::{diff_manifests, parse_manifest, render_table, to_json, DiffOptions};
 
 const USAGE: &str = "usage: rla_diff <baseline.manifest.json> <candidate.manifest.json> \
@@ -83,10 +83,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 }
 
 fn run() -> Result<ExitCode, String> {
-    let args = parse_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
     // The tool reads no `RLA_*` knob, but a stale one (a retired
     // threshold variable, a typo) must fail loudly, not be ignored.
-    cli::enforce_known_env();
+    let _ = RunConfig::from_env();
+    let args = parse_args(&std::env::args().skip(1).collect::<Vec<_>>())?;
     let mut opts = DiffOptions::default();
     if let Some(pct) = args.threshold {
         opts.threshold_pct = pct;

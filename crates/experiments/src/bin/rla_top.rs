@@ -1,7 +1,7 @@
 //! `rla_top` — a live operator dashboard for running experiments.
 //!
-//! Tails `.timeline.jsonl` files (from `RLA_TELEMETRY=timeline` runs or
-//! the always-on `debug_probe` stream) and the `RLA_PROGRESS_FILE`
+//! Tails `.timeline.jsonl` files (the `debug_probe` stream, or any
+//! caller of `run_with_telemetry_streamed`) and the `RLA_PROGRESS_FILE`
 //! sweep-heartbeat file, folding every appended line into a
 //! [`telemetry::Dashboard`]: per-flow cwnd/ssthresh/srtt and
 //! per-channel qlen/red_avg with sparklines over the recent window,
@@ -35,7 +35,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use experiments::cli;
+use experiments::cli::RunConfig;
 use telemetry::json::Json;
 use telemetry::{Dashboard, DiffScreen, JsonlTail};
 
@@ -46,10 +46,9 @@ fn usage() -> ! {
 
 /// The default watch set: every timeline file in the telemetry
 /// directory plus the heartbeat file, when configured.
-fn default_paths() -> Vec<PathBuf> {
+fn default_paths(cfg: &RunConfig) -> Vec<PathBuf> {
     let mut paths = Vec::new();
-    let dir = cli::telemetry_options().dir;
-    if let Ok(entries) = std::fs::read_dir(&dir) {
+    if let Ok(entries) = std::fs::read_dir(&cfg.telemetry.dir) {
         for entry in entries.flatten() {
             let p = entry.path();
             if p.file_name()
@@ -61,13 +60,12 @@ fn default_paths() -> Vec<PathBuf> {
         }
     }
     paths.sort();
-    if let Some(hb) = cli::progress_file_from(|name| std::env::var(name).ok()) {
-        paths.push(hb);
-    }
+    paths.extend(cfg.progress_file.clone());
     paths
 }
 
 fn main() {
+    let cfg = RunConfig::from_env();
     let mut once = false;
     let mut interval = Duration::from_millis(250);
     let mut paths: Vec<PathBuf> = Vec::new();
@@ -88,7 +86,7 @@ fn main() {
         }
     }
     if paths.is_empty() {
-        paths = default_paths();
+        paths = default_paths(&cfg);
     }
 
     let mut tails: Vec<JsonlTail> = paths.iter().map(|p| JsonlTail::new(p.clone())).collect();

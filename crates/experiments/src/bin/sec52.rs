@@ -8,17 +8,24 @@
 use experiments::prelude::*;
 
 fn main() {
-    let duration = cli::run_duration();
-    let spec = ScenarioSpec::paper(CongestionCase::Case3AllLeaves)
+    let cfg = RunConfig::from_env();
+    let duration = cfg.run_duration();
+    let scenario = cfg
+        .spec(CongestionCase::Case3AllLeaves)
         .with_sessions(2)
         .with_duration(duration)
-        .with_seed(cli::base_seed());
+        .build();
     eprintln!(
         "section 5.2: two overlapping RLA sessions, case-3 topology, {:.0} s...",
         duration.as_secs_f64()
     );
-    let r = spec.run();
-    emit_scenario_manifest("sec52", duration, std::slice::from_ref(&r));
+    let r = scenario.run_with_pcap(&cfg.pcap);
+    emit_scenario_manifest(
+        &cfg.results_dir,
+        "sec52",
+        duration,
+        std::slice::from_ref(&r),
+    );
 
     println!("Section 5.2 — two overlapping multicast sessions (case-3 topology)");
     for (i, s) in r.rla.iter().enumerate() {

@@ -13,15 +13,15 @@ use experiments::prelude::*;
 fn main() {
     // Theorem sweeps run both gateway types; cap each run at a fifth of
     // the paper budget so the 10-run sweep stays tractable.
-    let duration = cli::scaled_duration(5.0, 120.0);
+    let cfg = RunConfig::from_env();
+    let duration = cfg.scaled_duration(5.0, 120.0);
     let mut scenarios = Vec::new();
     for &gw in &[GatewayKind::Red, GatewayKind::DropTail] {
         for &case in &CongestionCase::FIGURE7_CASES {
             scenarios.push(
-                ScenarioSpec::paper(case)
+                cfg.spec(case)
                     .with_gateway(gw)
                     .with_duration(duration)
-                    .with_seed(cli::base_seed())
                     .build(),
             );
         }
@@ -30,8 +30,8 @@ fn main() {
         "theorem check: 10 runs of {:.0} s each...",
         duration.as_secs_f64()
     );
-    let results = run_parallel(scenarios);
-    emit_scenario_manifest("theorem_check", duration, &results);
+    let results = Pool::new(&cfg).run(scenarios);
+    emit_scenario_manifest(&cfg.results_dir, "theorem_check", duration, &results);
 
     println!("Theorems I & II — measured ratio vs proved bounds (n = 27 troubled receivers)");
     println!(

@@ -16,7 +16,7 @@ use tcp_sack::CcVariant;
 
 use crate::manifest::{scenario_entry, Json};
 use crate::metrics::ScenarioResult;
-use crate::runner::run_parallel;
+use crate::runner::Pool;
 use crate::spec::ScenarioSpec;
 use crate::tree::CongestionCase;
 
@@ -92,9 +92,9 @@ impl MatrixCell {
     }
 }
 
-/// Run every (case × variant) cell of the grid in parallel. Cells come
+/// Run every (case × variant) cell of the grid on `pool`. Cells come
 /// back in grid order: cases outer, variants inner.
-pub fn run_matrix(cfg: &MatrixConfig) -> Vec<MatrixCell> {
+pub fn run_matrix(cfg: &MatrixConfig, pool: &Pool) -> Vec<MatrixCell> {
     let grid: Vec<(CongestionCase, CcVariant)> = cfg
         .cases
         .iter()
@@ -111,7 +111,7 @@ pub fn run_matrix(cfg: &MatrixConfig) -> Vec<MatrixCell> {
         })
         .collect();
     grid.into_iter()
-        .zip(run_parallel(scenarios))
+        .zip(pool.run(scenarios))
         .map(|((case, cc), result)| MatrixCell { case, cc, result })
         .collect()
 }
@@ -182,7 +182,8 @@ mod tests {
             duration: SimDuration::from_secs(60),
             seed: 1,
         };
-        let cells = run_matrix(&cfg);
+        let pool = Pool::new(&crate::cli::RunConfig::from_vars(|_| None));
+        let cells = run_matrix(&cfg, &pool);
         (cfg, cells)
     }
 

@@ -23,8 +23,9 @@
 //! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
 //!
 //! Run lengths follow the paper (3000 s) unless `RLA_DURATION_SECS` says
-//! otherwise; every binary reads its knobs through [`cli`] and describes
-//! its scenarios with [`ScenarioSpec`] (see [`prelude`]).
+//! otherwise; every binary parses its knobs once, up front, into a
+//! [`cli::RunConfig`] — the library itself never reads the environment —
+//! and describes its scenarios with [`ScenarioSpec`] (see [`prelude`]).
 //!
 //! Two further binaries are tooling rather than paper artifacts:
 //! `debug_probe` (timeline-recorded diagnostic run) and `rla_diff`
@@ -49,9 +50,9 @@ pub mod tree;
 
 pub use ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
 pub use events::{BackgroundLoad, EventCommand, ScenarioEvent};
-pub use manifest::{emit_analysis_manifest, emit_scenario_manifest, Json};
+pub use manifest::{emit_analysis_manifest, emit_manifest, emit_scenario_manifest, Json};
 pub use metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
-pub use runner::{run_parallel, run_parallel_with_jobs};
+pub use runner::{run_parallel_with_jobs, Pool};
 pub use scenario::{GatewayKind, ScenarioWorld, TreeScenario};
 pub use spec::ScenarioSpec;
 pub use star::{build_star, BranchSpec, Star};
@@ -62,25 +63,29 @@ pub use tree::{build_tree, CongestionCase, TertiaryTree};
 /// ```no_run
 /// use experiments::prelude::*;
 ///
-/// let rows: Vec<_> = [CongestionCase::Case1RootLink]
+/// let cfg = RunConfig::from_env();
+/// let duration = cfg.run_duration();
+/// let scenarios = [CongestionCase::Case1RootLink]
 ///     .iter()
 ///     .map(|&case| {
-///         ScenarioSpec::paper(case)
+///         cfg.spec(case)
 ///             .with_gateway(GatewayKind::Red)
-///             .with_duration(cli::run_duration())
-///             .with_seed(cli::base_seed())
-///             .run()
+///             .with_duration(duration)
+///             .build()
 ///     })
 ///     .collect();
-/// emit_scenario_manifest("example", cli::run_duration(), &rows);
+/// let rows = Pool::new(&cfg).run(scenarios);
+/// emit_scenario_manifest(&cfg.results_dir, "example", duration, &rows);
 /// ```
 pub mod prelude {
     pub use crate::ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
-    pub use crate::cli;
+    pub use crate::cli::{self, RunConfig};
     pub use crate::events::{BackgroundLoad, EventCommand, ScenarioEvent};
-    pub use crate::manifest::{emit_analysis_manifest, emit_scenario_manifest, Json};
+    pub use crate::manifest::{
+        emit_analysis_manifest, emit_manifest, emit_scenario_manifest, Json,
+    };
     pub use crate::metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
-    pub use crate::runner::{run_parallel, run_parallel_with_jobs};
+    pub use crate::runner::{run_parallel_with_jobs, Pool};
     pub use crate::scenario::{GatewayKind, ScenarioWorld, TreeScenario};
     pub use crate::spec::ScenarioSpec;
     pub use crate::tree::{CongestionCase, TertiaryTree};

@@ -11,11 +11,10 @@
 //! workspace's one JSON implementation), re-exported here under the
 //! paths manifest readers have always used.
 //!
-//! Output goes to `results/<name>.manifest.json`, or under
-//! `RLA_RESULTS_DIR` when set.
+//! Output goes to `<dir>/<name>.manifest.json`; the binaries pass their
+//! `RunConfig::results_dir` (`results/` unless `RLA_RESULTS_DIR` is set).
 
-use std::io;
-use std::path::PathBuf;
+use std::path::Path;
 
 use netsim::time::SimDuration;
 
@@ -23,23 +22,6 @@ pub use telemetry::json::{Json, JsonParseError};
 
 use crate::metrics::ScenarioResult;
 use crate::scenario::GatewayKind;
-
-/// Where manifests go: `RLA_RESULTS_DIR` if set, else `results/` in the
-/// current directory (the workspace root under `cargo run`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("RLA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Write `value` to `results/<name>.manifest.json` and return the path.
-pub fn write_manifest(name: &str, value: &Json) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.manifest.json"));
-    std::fs::write(&path, value.pretty())?;
-    Ok(path)
-}
 
 fn gateway_str(g: GatewayKind) -> &'static str {
     match g {
@@ -116,11 +98,14 @@ pub fn scenario_manifest(binary: &str, duration: SimDuration, runs: &[ScenarioRe
     ])
 }
 
-/// Build and write the standard scenario manifest; prints the path to
-/// stderr (tables go to stdout) and never fails the run over an
-/// unwritable results directory.
-pub fn emit_scenario_manifest(binary: &str, duration: SimDuration, runs: &[ScenarioResult]) {
-    emit(binary, &scenario_manifest(binary, duration, runs));
+/// Build and [`emit_manifest`] the standard scenario manifest.
+pub fn emit_scenario_manifest(
+    dir: &Path,
+    binary: &str,
+    duration: SimDuration,
+    runs: &[ScenarioResult],
+) {
+    emit_manifest(dir, binary, &scenario_manifest(binary, duration, runs));
 }
 
 /// Digest of an analysis-only artifact: the same fold the engine applies
@@ -151,14 +136,19 @@ pub fn analysis_manifest(binary: &str, output: &str, extra: Vec<(&str, Json)>) -
     Json::obj(fields)
 }
 
-/// Build and write an analysis-only manifest (see [`analysis_manifest`]).
-pub fn emit_analysis_manifest(binary: &str, output: &str, extra: Vec<(&str, Json)>) {
-    emit(binary, &analysis_manifest(binary, output, extra));
+/// Build and [`emit_manifest`] an analysis-only manifest (see
+/// [`analysis_manifest`]).
+pub fn emit_analysis_manifest(dir: &Path, binary: &str, output: &str, extra: Vec<(&str, Json)>) {
+    emit_manifest(dir, binary, &analysis_manifest(binary, output, extra));
 }
 
-fn emit(binary: &str, value: &Json) {
-    match write_manifest(binary, value) {
-        Ok(path) => eprintln!("manifest: {}", path.display()),
+/// Write `value` to `<dir>/<binary>.manifest.json` (creating `dir`);
+/// prints the path to stderr (tables go to stdout) and never fails the
+/// run over an unwritable results directory.
+pub fn emit_manifest(dir: &Path, binary: &str, value: &Json) {
+    let path = dir.join(format!("{binary}.manifest.json"));
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, value.pretty())) {
+        Ok(()) => eprintln!("manifest: {}", path.display()),
         Err(e) => eprintln!("manifest: could not write {binary}.manifest.json: {e}"),
     }
 }

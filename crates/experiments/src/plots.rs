@@ -88,16 +88,6 @@ pub fn render_density(stats: &ParticleStats, grid_max: usize, bins: usize) -> St
     out
 }
 
-/// Emit a queue-occupancy time series (the §3.1 buffer-period trace) as
-/// CSV: `time_secs,qlen`.
-pub fn queue_series_csv(samples: &[(SimTime, usize)]) -> String {
-    let mut out = String::from("time_secs,qlen\n");
-    for &(t, q) in samples {
-        out.push_str(&format!("{:.6},{}\n", t.as_secs_f64(), q));
-    }
-    out
-}
-
 /// Render a queue-occupancy time series as a small ASCII strip chart:
 /// one column per sample bucket, height proportional to the mean queue
 /// length in the bucket.
@@ -169,9 +159,6 @@ mod tests {
             (SimTime::from_secs(2), 10),
             (SimTime::from_secs(3), 20),
         ];
-        let csv = queue_series_csv(&samples);
-        assert!(csv.starts_with("time_secs,qlen"));
-        assert_eq!(csv.lines().count(), 4);
         let strip = render_queue_series(&samples, 10, 5, 20);
         assert!(strip.contains('#'));
     }

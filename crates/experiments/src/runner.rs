@@ -1,23 +1,23 @@
 //! Execution helpers for the experiment binaries.
 //!
-//! Environment knobs (`RLA_DURATION_SECS`, `RLA_SEED`, `RLA_JOBS`) are
-//! parsed in [`crate::cli`]; this module only runs the batches.
-//!
-//! Independent runs execute on a fixed-size worker pool (the engine
+//! Independent runs execute on a fixed-size worker [`Pool`] (the engine
 //! itself is single-threaded for determinism). Because every scenario is
 //! a pure function of its parameters and seed, the pool's scheduling
-//! cannot affect results: `run_parallel` returns bit-identical
+//! cannot affect results: [`Pool::run`] returns bit-identical
 //! [`ScenarioResult`]s — including trace digests — for any job count,
 //! in input order.
 //!
-//! With `RLA_PROGRESS=1` each completed job prints a heartbeat line to
-//! stderr (events processed, per-job event rate, ETA for the batch) via
-//! [`telemetry::SweepProgress`] — stdout stays reserved for the result
-//! tables. With `RLA_PROGRESS_FILE=<path>` each completion additionally
-//! appends a JSON heartbeat (case, seed, event rate, ETA) to that file,
-//! flushed per line, which is what `rla_top` follows during a sweep.
+//! What a pool reports comes from the caller's [`RunConfig`], never from
+//! the environment. With `progress` on, each completed job prints a
+//! heartbeat line to stderr (events processed, per-job event rate, ETA
+//! for the batch) via [`telemetry::SweepProgress`] — stdout stays reserved
+//! for the result tables. With a `progress_file`, each completion
+//! additionally appends a JSON heartbeat (case, seed, event rate, ETA) to
+//! that file, flushed per line, which is what `rla_top` follows during a
+//! sweep.
 
 use std::collections::VecDeque;
+use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::thread;
@@ -25,117 +25,168 @@ use std::time::Instant;
 
 use telemetry::{JobMeta, SweepProgress};
 
-use crate::cli::{job_count, progress_enabled, progress_sink};
+use crate::cli::{PcapOptions, RunConfig};
 use crate::metrics::ScenarioResult;
 use crate::scenario::TreeScenario;
 
-/// Run scenarios on a fixed-size worker pool (see [`job_count`]) and
-/// return the results in input order.
-///
-/// Panics propagate *after* every other scenario has finished, with the
-/// index and label of each failed scenario, so one bad configuration in
-/// a sweep doesn't discard the rest of the batch's work.
-pub fn run_parallel(scenarios: Vec<TreeScenario>) -> Vec<ScenarioResult> {
-    run_parallel_with_jobs(scenarios, job_count())
+/// The process's sweep runner: worker count, heartbeat and capture
+/// settings, fixed once and shared by every batch the binary runs.
+#[derive(Debug)]
+pub struct Pool {
+    jobs: usize,
+    progress: bool,
+    /// The open `progress_file`. Every batch writes through a clone of
+    /// this one handle (one shared file offset), so a binary that sweeps
+    /// more than once appends instead of truncating what `rla_top` is
+    /// following.
+    sink: Option<File>,
+    pcap: PcapOptions,
 }
 
-/// [`run_parallel`] with an explicit worker count — used by tests to
-/// prove results are independent of the pool size without touching the
-/// process environment.
-pub fn run_parallel_with_jobs(scenarios: Vec<TreeScenario>, jobs: usize) -> Vec<ScenarioResult> {
-    let n = scenarios.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let jobs = jobs.max(1).min(n);
-
-    // Labels survive for panic reporting even when the run is consumed.
-    let labels: Vec<String> = scenarios
-        .iter()
-        .map(|s| format!("{} {:?} seed {}", s.case.label(), s.gateway, s.seed))
-        .collect();
-    // Structured identity for the JSONL heartbeat sink.
-    let metas: Vec<(String, u64)> = scenarios
-        .iter()
-        .map(|s| (s.case.label().to_string(), s.seed))
-        .collect();
-
-    let queue: Mutex<VecDeque<(usize, TreeScenario)>> =
-        Mutex::new(scenarios.into_iter().enumerate().collect());
-    let slots: Vec<Mutex<Option<thread::Result<ScenarioResult>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let mut progress = SweepProgress::new(n, progress_enabled());
-    if let Some(sink) = progress_sink() {
-        progress = progress.with_sink(sink);
-    }
-
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("work queue poisoned").pop_front();
-                let Some((idx, scenario)) = next else { break };
-                // One panicking scenario must not tear down the pool:
-                // isolate it and keep draining the queue.
-                let started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| scenario.run()));
-                if let Ok(r) = &outcome {
-                    let (case, seed) = &metas[idx];
-                    progress.job_finished_with(
-                        &labels[idx],
-                        Some(JobMeta { case, seed: *seed }),
-                        r.trace_events,
-                        started.elapsed(),
-                    );
-                }
-                *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
-            });
-        }
-    });
-
-    let mut results = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for (idx, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("result slot poisoned") {
-            Some(Ok(result)) => results.push(result),
-            Some(Err(payload)) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("non-string panic payload");
-                failures.push(format!("scenario {idx} ({}): {msg}", labels[idx]));
+impl Pool {
+    /// The pool `cfg` describes. Creates (truncating) the heartbeat file,
+    /// parent directories included — build one pool per process. An
+    /// unwritable path fails loudly with the knob named: a sweep silently
+    /// dropping its heartbeat file would defeat the point of asking for
+    /// one.
+    pub fn new(cfg: &RunConfig) -> Self {
+        let sink = cfg.progress_file.as_ref().map(|path| {
+            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+                std::fs::create_dir_all(parent).unwrap_or_else(|e| {
+                    panic!("RLA_PROGRESS_FILE={path:?}: cannot create parent directory: {e}")
+                });
             }
-            None => failures.push(format!(
-                "scenario {idx} ({}): worker died before running it",
-                labels[idx]
-            )),
+            File::create(path).unwrap_or_else(|e| {
+                panic!("RLA_PROGRESS_FILE={path:?}: cannot create the heartbeat file: {e}")
+            })
+        });
+        Pool {
+            jobs: cfg.jobs,
+            progress: cfg.progress,
+            sink,
+            pcap: cfg.pcap.clone(),
         }
     }
-    assert!(
-        failures.is_empty(),
-        "{} of {n} scenarios panicked:\n  {}",
-        failures.len(),
-        failures.join("\n  ")
-    );
-    results
+
+    /// Run scenarios on the pool's workers and return the results in
+    /// input order.
+    ///
+    /// Panics propagate *after* every other scenario has finished, with
+    /// the index and label of each failed scenario, so one bad
+    /// configuration in a sweep doesn't discard the rest of the batch's
+    /// work.
+    pub fn run(&self, scenarios: Vec<TreeScenario>) -> Vec<ScenarioResult> {
+        let n = scenarios.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let jobs = self.jobs.max(1).min(n);
+
+        // Labels survive for panic reporting even when the run is consumed.
+        let labels: Vec<String> = scenarios
+            .iter()
+            .map(|s| format!("{} {:?} seed {}", s.case.label(), s.gateway, s.seed))
+            .collect();
+        // Structured identity for the JSONL heartbeat sink.
+        let metas: Vec<(String, u64)> = scenarios
+            .iter()
+            .map(|s| (s.case.label().to_string(), s.seed))
+            .collect();
+
+        let queue: Mutex<VecDeque<(usize, TreeScenario)>> =
+            Mutex::new(scenarios.into_iter().enumerate().collect());
+        let slots: Vec<Mutex<Option<thread::Result<ScenarioResult>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let mut progress = SweepProgress::new(n, self.progress);
+        if let Some(sink) = &self.sink {
+            let sink = sink
+                .try_clone()
+                .unwrap_or_else(|e| panic!("RLA_PROGRESS_FILE: cannot share the sink: {e}"));
+            progress = progress.with_sink(sink);
+        }
+
+        thread::scope(|scope| {
+            for _ in 0..jobs {
+                scope.spawn(|| loop {
+                    let next = queue.lock().expect("work queue poisoned").pop_front();
+                    let Some((idx, scenario)) = next else { break };
+                    // One panicking scenario must not tear down the pool:
+                    // isolate it and keep draining the queue.
+                    let started = Instant::now();
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| scenario.run_with_pcap(&self.pcap)));
+                    if let Ok(r) = &outcome {
+                        let (case, seed) = &metas[idx];
+                        progress.job_finished_with(
+                            &labels[idx],
+                            Some(JobMeta { case, seed: *seed }),
+                            r.trace_events,
+                            started.elapsed(),
+                        );
+                    }
+                    *slots[idx].lock().expect("result slot poisoned") = Some(outcome);
+                });
+            }
+        });
+
+        let mut results = Vec::with_capacity(n);
+        let mut failures = Vec::new();
+        for (idx, slot) in slots.into_iter().enumerate() {
+            match slot.into_inner().expect("result slot poisoned") {
+                Some(Ok(result)) => results.push(result),
+                Some(Err(payload)) => {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic payload");
+                    failures.push(format!("scenario {idx} ({}): {msg}", labels[idx]));
+                }
+                None => failures.push(format!(
+                    "scenario {idx} ({}): worker died before running it",
+                    labels[idx]
+                )),
+            }
+        }
+        assert!(
+            failures.is_empty(),
+            "{} of {n} scenarios panicked:\n  {}",
+            failures.len(),
+            failures.join("\n  ")
+        );
+        results
+    }
+}
+
+/// A quiet pool of `jobs` workers — no heartbeat, no capture. Used by
+/// tests to prove results are independent of the pool size, and by the
+/// benchmark, which times the pool itself.
+pub fn run_parallel_with_jobs(scenarios: Vec<TreeScenario>, jobs: usize) -> Vec<ScenarioResult> {
+    let quiet = Pool {
+        jobs,
+        progress: false,
+        sink: None,
+        pcap: PcapOptions::default(),
+    };
+    quiet.run(scenarios)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::GatewayKind;
+    use crate::spec::ScenarioSpec;
     use crate::tree::CongestionCase;
     use netsim::time::SimDuration;
 
-    fn make() -> TreeScenario {
-        TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
+    fn make() -> ScenarioSpec {
+        ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
             .with_duration(SimDuration::from_secs(60))
     }
 
     #[test]
     fn parallel_matches_sequential() {
         let seq = make().run();
-        let par = run_parallel(vec![make(), make()]);
+        let par = run_parallel_with_jobs(vec![make().build(), make().build()], 2);
         // Determinism: same scenario -> identical numbers, in any thread.
         assert_eq!(seq.rla[0].cong_signals, par[0].rla[0].cong_signals);
         assert_eq!(par[0].rla[0].cong_signals, par[1].rla[0].cong_signals);
@@ -150,7 +201,7 @@ mod tests {
     fn pool_preserves_input_order() {
         // Different seeds give different digests; order must survive a
         // pool smaller than the batch.
-        let batch: Vec<_> = (1..=5).map(|s| make().with_seed(s)).collect();
+        let batch: Vec<_> = (1..=5).map(|s| make().with_seed(s).build()).collect();
         let expected: Vec<u64> = batch.iter().map(|s| s.seed).collect();
         let results = run_parallel_with_jobs(batch, 2);
         let got: Vec<u64> = results.iter().map(|r| r.seed).collect();
@@ -160,10 +211,10 @@ mod tests {
     #[test]
     fn panicking_scenario_reports_and_spares_the_rest() {
         // warmup >= duration trips the scenario's own assertion.
-        let mut bad = make();
+        let mut bad = make().build();
         bad.warmup = bad.duration;
         let err = catch_unwind(AssertUnwindSafe(|| {
-            run_parallel_with_jobs(vec![make(), bad], 2)
+            run_parallel_with_jobs(vec![make().build(), bad], 2)
         }))
         .expect_err("the bad scenario must surface");
         let msg = err
@@ -171,5 +222,43 @@ mod tests {
             .expect("assert! panics with String");
         assert!(msg.contains("1 of 2 scenarios panicked"), "{msg}");
         assert!(msg.contains("scenario 1"), "{msg}");
+    }
+
+    #[test]
+    fn every_batch_appends_to_the_one_heartbeat_file() {
+        // Regression: the sink used to be re-created (truncated) by each
+        // batch, so a binary that sweeps twice kept only the last batch.
+        let dir = std::env::temp_dir().join(format!("rla_pool_sink_{}", std::process::id()));
+        let path = dir.join("nested").join("hb.jsonl");
+        let cfg = RunConfig {
+            jobs: 2,
+            progress_file: Some(path.clone()),
+            ..RunConfig::from_vars(|_| None)
+        };
+        let pool = Pool::new(&cfg);
+        let batch = |seeds: std::ops::RangeInclusive<u64>| -> Vec<TreeScenario> {
+            seeds
+                .map(|s| {
+                    ScenarioSpec::paper(CongestionCase::Case1RootLink)
+                        .with_duration(SimDuration::from_secs(3))
+                        .with_seed(s)
+                        .build()
+                })
+                .collect()
+        };
+        assert_eq!(pool.run(batch(1..=2)).len(), 2);
+        assert_eq!(pool.run(batch(3..=5)).len(), 3);
+        let text = std::fs::read_to_string(&path).expect("heartbeat file");
+        let seeds: Vec<u64> = text
+            .lines()
+            .map(|l| {
+                let hb = crate::manifest::Json::parse(l).expect("one JSON object per line");
+                hb.get("seed").and_then(|s| s.as_u64()).expect("seed")
+            })
+            .collect();
+        assert_eq!(seeds.len(), 2 + 3, "{text}");
+        assert!(seeds[..2].iter().all(|s| (1..=2).contains(s)), "{text}");
+        assert!(seeds[2..].iter().all(|s| (3..=5).contains(s)), "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,7 @@ use netsim::queue::QueueConfig;
 use netsim::time::{SimDuration, SimTime};
 
 use baselines::{BackgroundConfig, BurstSource, PoissonFlowSource};
-use rla::{McastReceiver, PthreshPolicy, RlaConfig, RlaSender};
+use rla::{McastReceiver, RlaConfig, RlaSender};
 
 use tcp_sack::{CcVariant, TcpConfig, TcpReceiver, TcpSender};
 use telemetry::pcap::PcapTracer;
@@ -51,7 +51,10 @@ impl GatewayKind {
     }
 }
 
-/// One experiment configuration.
+/// One experiment configuration, fully resolved: plain data that
+/// [`ScenarioSpec::build`](crate::spec::ScenarioSpec::build) produces from
+/// the paper defaults plus overrides, validating and ordering the event
+/// schedule on the way — construct through the spec, not by hand.
 #[derive(Debug, Clone)]
 pub struct TreeScenario {
     /// Which links are congested (and whether G3 nodes host receivers).
@@ -84,95 +87,36 @@ pub struct TreeScenario {
     pub bg_load: Option<BackgroundLoad>,
     /// Target execution-domain count *and* worker threads for the
     /// partitioned engine (default 1 — the fine θ-partition merges into
-    /// one domain and the run dispatches down the classic sequential
-    /// loop with zero exchange overhead; set with
-    /// [`with_shards`](Self::with_shards)). The identity layer —
-    /// per-region RNG streams, uid tags and digest lanes — is a pure
-    /// function of the topology and seed, so this setting never changes
-    /// a digest — only wall-clock.
+    /// one domain, which the engine's inline epoch executor
+    /// (`run_epochs_inline`) steps on the calling thread: no workers and
+    /// an empty exchange; set with `ScenarioSpec::with_shards`). The
+    /// identity layer — per-region RNG streams, uid tags and digest
+    /// lanes — is a pure function of the topology and seed, so this
+    /// setting never changes a digest — only wall-clock.
     pub shards: usize,
 }
 
 impl TreeScenario {
-    /// The paper's defaults for a figure-7 column: 3000 s runs, 100 s
-    /// warmup, one session, equal-RTT pthresh.
-    pub fn paper(case: CongestionCase, gateway: GatewayKind) -> Self {
-        TreeScenario {
-            case,
-            gateway,
-            rla_sessions: 1,
-            seed: 1,
-            duration: SimDuration::from_secs(3000),
-            warmup: SimDuration::from_secs(100),
-            rla_config: RlaConfig {
-                pthresh_policy: if case.has_g3_receivers() {
-                    PthreshPolicy::paper_rtt_scaled()
-                } else {
-                    PthreshPolicy::Equal
-                },
-                ..RlaConfig::default()
-            },
-            tcp_cc: CcVariant::sack(),
-            events: Vec::new(),
-            bg_load: None,
-            shards: 1,
-        }
-    }
-
-    /// Same scenario scaled to a shorter run (tests, benches). The warmup
-    /// shrinks proportionally but never below 20 s — unless that floor
-    /// would reach the end of the run, in which case a third of the
-    /// duration is discarded instead so very short runs stay valid.
-    pub fn with_duration(mut self, duration: SimDuration) -> Self {
-        let mut warmup = (duration.as_secs_f64() / 30.0).clamp(20.0, 100.0);
-        if warmup >= duration.as_secs_f64() {
-            warmup = duration.as_secs_f64() / 3.0;
-        }
-        self.warmup = SimDuration::from_secs_f64(warmup);
-        self.duration = duration;
-        self
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Override the TCP congestion-control variant.
-    pub fn with_tcp_cc(mut self, cc: CcVariant) -> Self {
-        self.tcp_cc = cc;
-        self
-    }
-
-    /// Override the target execution-domain and worker count for the
-    /// partitioned engine (results are identical at every value; see the
-    /// `shards` field).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one worker is required");
-        self.shards = shards;
-        self
-    }
-
-    /// Build, run and measure. When the `RLA_PCAP` knob is on, the run
-    /// additionally writes `<case>_<gateway>_seed<seed>.pcap` into the
-    /// capture directory — tracers observe and never feed back, so the
-    /// result (and every digest) is identical with capture on or off.
+    /// Build, run and measure.
     pub fn run(&self) -> ScenarioResult {
-        let pcap = crate::cli::pcap_options();
-        let mut world = self.build();
-        let tracer = if pcap.enabled {
-            Some(world.install_pcap(&pcap, &self.pcap_stem()))
-        } else {
-            None
-        };
-        let result = world.run(self);
-        if let Some(t) = tracer {
-            let mut t = t.borrow_mut();
-            let path = t.path().to_path_buf();
-            t.finish()
-                .unwrap_or_else(|e| panic!("RLA_PCAP: cannot write {}: {e}", path.display()));
+        self.build().run(self)
+    }
+
+    /// [`run`](Self::run), additionally writing
+    /// `<case>_<gateway>_seed<seed>.pcap` into the capture directory when
+    /// `pcap.enabled` — tracers observe and never feed back, so the
+    /// result (and every digest) is identical with capture on or off.
+    pub fn run_with_pcap(&self, pcap: &PcapOptions) -> ScenarioResult {
+        if !pcap.enabled {
+            return self.run();
         }
+        let mut world = self.build();
+        let tracer = world.install_pcap(pcap, &self.pcap_stem());
+        let result = world.run(self);
+        let mut t = tracer.borrow_mut();
+        let path = t.path().to_path_buf();
+        t.finish()
+            .unwrap_or_else(|e| panic!("RLA_PCAP: cannot write {}: {e}", path.display()));
         result
     }
 
@@ -733,9 +677,9 @@ impl ScenarioWorld {
     /// [`run_with_telemetry`] that additionally streams every sample to
     /// `<dir>/<stem>.timeline.<ext>` as it is recorded (flushed per
     /// line), so `tail -f` and `rla_top` follow the run live instead of
-    /// waiting for the end-of-run file write. The streamed file is
-    /// byte-identical to what [`TimelineRecorder::write_file`] would
-    /// produce afterwards — samples are recorded in render order.
+    /// waiting for the end of the run. The streamed file is
+    /// byte-identical to what [`TimelineRecorder::render`] returns
+    /// afterwards — samples are recorded in render order.
     ///
     /// [`run_with_telemetry`]: Self::run_with_telemetry
     pub fn run_with_telemetry_streamed(
@@ -1003,35 +947,10 @@ mod tests {
     use crate::spec::ScenarioSpec;
 
     fn quick(case: CongestionCase, gateway: GatewayKind) -> ScenarioResult {
-        TreeScenario::paper(case, gateway)
+        ScenarioSpec::paper(case)
+            .with_gateway(gateway)
             .with_duration(SimDuration::from_secs(120))
             .run()
-    }
-
-    #[test]
-    fn short_durations_keep_warmup_inside_the_run() {
-        // Regression: durations ≤ 20 s used to clamp warmup to 20 s and
-        // trip build()'s `warmup < duration` assertion.
-        for secs in [5u64, 10, 20, 21, 60, 120, 3000] {
-            let s = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::DropTail)
-                .with_duration(SimDuration::from_secs(secs));
-            assert!(
-                s.warmup < s.duration,
-                "duration {secs}s got warmup {:?}",
-                s.warmup
-            );
-        }
-        // The longstanding values are unchanged (golden digests depend on
-        // the 60 s case).
-        let s = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::DropTail)
-            .with_duration(SimDuration::from_secs(60));
-        assert_eq!(s.warmup, SimDuration::from_secs(20));
-        let s = s.with_duration(SimDuration::from_secs(3000));
-        assert_eq!(s.warmup, SimDuration::from_secs(100));
-        // And a short run actually builds and starts.
-        let _ = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::DropTail)
-            .with_duration(SimDuration::from_secs(15))
-            .build();
     }
 
     #[test]
@@ -1089,8 +1008,9 @@ mod tests {
         // even though `end` is not on a period boundary — a truncated
         // timeline would silently hide everything after the last full
         // tick.
-        let scenario = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::DropTail)
-            .with_duration(SimDuration::from_secs(150));
+        let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
+            .with_duration(SimDuration::from_secs(150))
+            .build();
         let opts = TelemetryOptions {
             timeline: true,
             sample_period: SimDuration::from_secs(60),
@@ -1157,12 +1077,10 @@ mod tests {
         // the 80 s telemetry boundary must neither drop that sample nor
         // double it — the event applies when the engine reaches 80 s, then
         // the loop takes its one sample.
-        let scenario = {
-            let mut s = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::DropTail)
-                .with_duration(SimDuration::from_secs(150));
-            s.events = vec![ScenarioEvent::leave(80.0, 0, 0)];
-            s
-        };
+        let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
+            .with_duration(SimDuration::from_secs(150))
+            .with_event(ScenarioEvent::leave(80.0, 0, 0))
+            .build();
         let opts = TelemetryOptions {
             timeline: true,
             sample_period: SimDuration::from_secs(60),
@@ -1229,10 +1147,10 @@ mod tests {
 
     #[test]
     fn two_sessions_split_evenly() {
-        let mut s = TreeScenario::paper(CongestionCase::Case3AllLeaves, GatewayKind::DropTail)
-            .with_duration(SimDuration::from_secs(150));
-        s.rla_sessions = 2;
-        let r = s.run();
+        let r = ScenarioSpec::paper(CongestionCase::Case3AllLeaves)
+            .with_sessions(2)
+            .with_duration(SimDuration::from_secs(150))
+            .run();
         assert_eq!(r.rla.len(), 2);
         let (a, b) = (r.rla[0].throughput_pps, r.rla[1].throughput_pps);
         let ratio = a.max(b) / a.min(b).max(1e-9);

@@ -1,17 +1,18 @@
 //! Declarative scenario construction: [`ScenarioSpec`].
 //!
-//! The experiment binaries used to hand-mutate [`TreeScenario`] fields
-//! (`s.rla_sessions = 2`, `s.rla_config = cfg`), which silently bypassed
-//! the invariants `TreeScenario::paper` establishes — most visibly the
-//! case-dependent pthresh policy. `ScenarioSpec` is an order-independent
-//! builder: overrides are recorded, and [`ScenarioSpec::build`] applies
-//! them in one fixed sequence on top of the paper defaults, so
-//! `.with_seed(7).with_duration(d)` and `.with_duration(d).with_seed(7)`
-//! produce byte-identical scenarios.
+//! Hand-mutating [`TreeScenario`] fields (`s.rla_sessions = 2`,
+//! `s.rla_config = cfg`, `s.events = ...`) silently bypasses the
+//! invariants a paper scenario needs — most visibly the case-dependent
+//! pthresh policy, the warmup that scales with the duration, and the
+//! validated, time-ordered event schedule. `ScenarioSpec` is the one
+//! builder, and an order-independent one: overrides are recorded, and
+//! [`ScenarioSpec::build`] applies them in one fixed sequence on top of
+//! the paper defaults, so `.with_seed(7).with_duration(d)` and
+//! `.with_duration(d).with_seed(7)` produce byte-identical scenarios.
 
 use netsim::time::SimDuration;
 
-use rla::RlaConfig;
+use rla::{PthreshPolicy, RlaConfig};
 use tcp_sack::CcVariant;
 
 use crate::events::{synth_churn, BackgroundLoad, EventCommand, ScenarioEvent};
@@ -29,14 +30,15 @@ pub struct ScenarioSpec {
     case: CongestionCase,
     gateway: GatewayKind,
     sessions: usize,
-    seed: Option<u64>,
-    duration: Option<SimDuration>,
+    seed: u64,
+    duration: SimDuration,
+    /// `None` keeps the case-dependent paper default.
     rla_config: Option<RlaConfig>,
-    tcp_cc: Option<CcVariant>,
+    tcp_cc: CcVariant,
     events: Vec<ScenarioEvent>,
     churn_rate: f64,
     bg_load: Option<BackgroundLoad>,
-    shards: Option<usize>,
+    shards: usize,
 }
 
 impl ScenarioSpec {
@@ -47,14 +49,14 @@ impl ScenarioSpec {
             case,
             gateway: GatewayKind::DropTail,
             sessions: 1,
-            seed: None,
-            duration: None,
+            seed: 1,
+            duration: SimDuration::from_secs(3000),
             rla_config: None,
-            tcp_cc: None,
+            tcp_cc: CcVariant::sack(),
             events: Vec::new(),
             churn_rate: 0.0,
             bg_load: None,
-            shards: None,
+            shards: 1,
         }
     }
 
@@ -73,14 +75,16 @@ impl ScenarioSpec {
 
     /// Override the RNG seed (default: the paper's seed 1).
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+        self.seed = seed;
         self
     }
 
-    /// Override the simulated run length; warmup rescales with it
-    /// (see [`TreeScenario::with_duration`]).
+    /// Override the simulated run length (tests, benches, sweeps). The
+    /// warmup shrinks proportionally but never below 20 s — unless that
+    /// floor would reach the end of the run, in which case a third of the
+    /// duration is discarded instead so very short runs stay valid.
     pub fn with_duration(mut self, duration: SimDuration) -> Self {
-        self.duration = Some(duration);
+        self.duration = duration;
         self
     }
 
@@ -97,7 +101,7 @@ impl ScenarioSpec {
     /// Which congestion controller the background TCP flows run
     /// (default: the paper's SACK).
     pub fn with_tcp_cc(mut self, cc: CcVariant) -> Self {
-        self.tcp_cc = Some(cc);
+        self.tcp_cc = cc;
         self
     }
 
@@ -145,10 +149,10 @@ impl ScenarioSpec {
 
     /// Override the target execution-domain and worker count for the
     /// partitioned engine (default 1). Results are identical at every
-    /// value — see [`TreeScenario::with_shards`].
+    /// value — see [`TreeScenario::shards`].
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one worker is required");
-        self.shards = Some(shards);
+        self.shards = shards;
         self
     }
 
@@ -162,39 +166,51 @@ impl ScenarioSpec {
         self.gateway
     }
 
-    /// Materialize the [`TreeScenario`]. Overrides are applied in a fixed
-    /// order, so the builder-call order never matters.
+    /// Materialize the [`TreeScenario`]: derive the warmup from the
+    /// duration, fill the case-dependent RLA default, and validate and
+    /// time-order the event schedule. Nothing here depends on the order
+    /// the `with_*` calls were made in.
     pub fn build(&self) -> TreeScenario {
-        let mut s = TreeScenario::paper(self.case, self.gateway);
-        if let Some(d) = self.duration {
-            s = s.with_duration(d);
+        // The paper discards the first 100 s of 3000; a shorter run keeps
+        // that proportion down to the 20 s floor.
+        let secs = self.duration.as_secs_f64();
+        let mut warmup = (secs / 30.0).clamp(20.0, 100.0);
+        if warmup >= secs {
+            warmup = secs / 3.0;
         }
-        if let Some(seed) = self.seed {
-            s = s.with_seed(seed);
-        }
-        s.rla_sessions = self.sessions;
-        if let Some(cfg) = &self.rla_config {
-            s.rla_config = cfg.clone();
-        }
-        if let Some(cc) = self.tcp_cc {
-            s = s.with_tcp_cc(cc);
-        }
+        let warmup = SimDuration::from_secs_f64(warmup);
+        let rla_config = self.rla_config.clone().unwrap_or_else(|| RlaConfig {
+            pthresh_policy: if self.case.has_g3_receivers() {
+                PthreshPolicy::paper_rtt_scaled()
+            } else {
+                PthreshPolicy::Equal
+            },
+            ..RlaConfig::default()
+        });
         let mut events = self.events.clone();
         if self.churn_rate > 0.0 {
-            events.extend(synth_churn(self.churn_rate, s.seed, s.warmup, s.duration));
+            let churn = synth_churn(self.churn_rate, self.seed, warmup, self.duration);
+            events.extend(churn);
         }
         for ev in &events {
-            validate_event(ev, s.duration, self.sessions);
+            validate_event(ev, self.duration, self.sessions);
         }
         // Stable sort: equal timestamps keep schedule order, pinning the
         // FIFO tie-break the executor relies on.
         events.sort_by_key(|ev| ev.at);
-        s.events = events;
-        s.bg_load = self.bg_load.clone();
-        if let Some(shards) = self.shards {
-            s = s.with_shards(shards);
+        TreeScenario {
+            case: self.case,
+            gateway: self.gateway,
+            rla_sessions: self.sessions,
+            seed: self.seed,
+            duration: self.duration,
+            warmup,
+            rla_config,
+            tcp_cc: self.tcp_cc,
+            events,
+            bg_load: self.bg_load.clone(),
+            shards: self.shards,
         }
-        s
     }
 
     /// Build, run and measure in one step.
@@ -273,7 +289,6 @@ fn validate_event(ev: &ScenarioEvent, duration: SimDuration, sessions: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rla::PthreshPolicy;
 
     #[test]
     fn builder_order_does_not_matter() {
@@ -295,19 +310,31 @@ mod tests {
     }
 
     #[test]
-    fn matches_hand_built_tree_scenario() {
-        let d = SimDuration::from_secs(60);
-        let via_spec = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
-            .with_duration(d)
-            .with_seed(1)
-            .build();
-        let by_hand = TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
-            .with_duration(d)
-            .with_seed(1);
-        assert_eq!(via_spec.seed, by_hand.seed);
-        assert_eq!(via_spec.duration, by_hand.duration);
-        assert_eq!(via_spec.warmup, by_hand.warmup);
-        assert_eq!(via_spec.rla_sessions, by_hand.rla_sessions);
+    fn short_durations_keep_warmup_inside_the_run() {
+        let at = |secs: u64| {
+            ScenarioSpec::paper(CongestionCase::Case1RootLink)
+                .with_duration(SimDuration::from_secs(secs))
+                .build()
+        };
+        // Regression: durations ≤ 20 s used to clamp warmup to 20 s and
+        // trip the world builder's `warmup < duration` assertion.
+        for secs in [5u64, 10, 20, 21, 60, 120, 3000] {
+            let s = at(secs);
+            assert!(
+                s.warmup < s.duration,
+                "duration {secs}s got warmup {:?}",
+                s.warmup
+            );
+        }
+        // The longstanding values are unchanged (golden digests depend on
+        // the 60 s case), and an unset duration is the paper's 3000/100.
+        assert_eq!(at(60).warmup, SimDuration::from_secs(20));
+        assert_eq!(at(3000).warmup, SimDuration::from_secs(100));
+        let paper = ScenarioSpec::paper(CongestionCase::Case1RootLink).build();
+        assert_eq!(paper.duration, SimDuration::from_secs(3000));
+        assert_eq!(paper.warmup, SimDuration::from_secs(100));
+        // And a short run actually builds and starts.
+        let _ = at(15).build();
     }
 
     #[test]

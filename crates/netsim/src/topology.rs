@@ -31,78 +31,6 @@ impl LinkSpec {
     }
 }
 
-/// The classic dumbbell: `n_left` hosts on one router, `n_right` hosts on
-/// another, a single shared bottleneck in the middle.
-#[derive(Debug)]
-pub struct Dumbbell {
-    /// Hosts attached to the left router.
-    pub left_hosts: Vec<NodeId>,
-    /// Hosts attached to the right router.
-    pub right_hosts: Vec<NodeId>,
-    /// The left router.
-    pub left_router: NodeId,
-    /// The right router.
-    pub right_router: NodeId,
-    /// The bottleneck channel left→right (the congested direction).
-    pub bottleneck: ChannelId,
-    /// The reverse bottleneck channel right→left (carries ACKs).
-    pub bottleneck_rev: ChannelId,
-}
-
-/// Build a dumbbell. Access links use `access`, the shared middle link uses
-/// `bottleneck`.
-pub fn dumbbell(
-    engine: &mut Engine,
-    n_left: usize,
-    n_right: usize,
-    access: &LinkSpec,
-    bottleneck: &LinkSpec,
-) -> Dumbbell {
-    let left_router = engine.add_node("rl");
-    let right_router = engine.add_node("rr");
-    let (bn, bn_rev) = engine.add_link(
-        left_router,
-        right_router,
-        bottleneck.bandwidth_bps,
-        bottleneck.delay,
-        &bottleneck.queue,
-    );
-    let left_hosts = (0..n_left)
-        .map(|i| {
-            let h = engine.add_node(format!("l{i}"));
-            engine.add_link(
-                h,
-                left_router,
-                access.bandwidth_bps,
-                access.delay,
-                &access.queue,
-            );
-            h
-        })
-        .collect();
-    let right_hosts = (0..n_right)
-        .map(|i| {
-            let h = engine.add_node(format!("r{i}"));
-            engine.add_link(
-                right_router,
-                h,
-                access.bandwidth_bps,
-                access.delay,
-                &access.queue,
-            );
-            h
-        })
-        .collect();
-    Dumbbell {
-        left_hosts,
-        right_hosts,
-        left_router,
-        right_router,
-        bottleneck: bn,
-        bottleneck_rev: bn_rev,
-    }
-}
-
 /// A complete k-ary tree of gateways with hosts at the leaves.
 #[derive(Debug)]
 pub struct KaryTree {
@@ -165,22 +93,6 @@ mod tests {
             SimDuration::from_millis(5),
             QueueConfig::paper_droptail(),
         )
-    }
-
-    #[test]
-    fn dumbbell_shape() {
-        let mut e = Engine::new(0);
-        let d = dumbbell(&mut e, 3, 3, &spec(), &spec());
-        assert_eq!(d.left_hosts.len(), 3);
-        assert_eq!(d.right_hosts.len(), 3);
-        // 2 routers + 6 hosts.
-        assert_eq!(e.world().node_count(), 8);
-        // 7 duplex links = 14 channels.
-        assert_eq!(e.world().channel_count(), 14);
-        e.compute_routes();
-        // Left host routes toward right host via left router.
-        let lh = d.left_hosts[0];
-        assert!(e.world().node(lh).route_to(d.right_hosts[0]).is_some());
     }
 
     #[test]

@@ -238,117 +238,6 @@ impl Tracer for TraceDigest {
     }
 }
 
-/// A tracer that counts events by kind — useful in tests and as a cheap
-/// activity summary.
-#[derive(Debug, Default, Clone)]
-pub struct CountingTracer {
-    /// Packets accepted into buffers.
-    pub enqueues: u64,
-    /// Packets discarded.
-    pub drops: u64,
-    /// Transmissions started.
-    pub tx_starts: u64,
-    /// Node arrivals.
-    pub arrivals: u64,
-    /// Agent deliveries.
-    pub deliveries: u64,
-}
-
-impl Tracer for CountingTracer {
-    fn trace(&mut self, _now: SimTime, event: &TraceEvent<'_>) {
-        match event {
-            TraceEvent::Enqueue { .. } => self.enqueues += 1,
-            TraceEvent::Drop { .. } => self.drops += 1,
-            TraceEvent::TxStart { .. } => self.tx_starts += 1,
-            TraceEvent::Arrive { .. } => self.arrivals += 1,
-            TraceEvent::Deliver { .. } => self.deliveries += 1,
-        }
-    }
-}
-
-/// A tracer that renders every event as one human-readable line — the
-/// simulator's analogue of a `tcpdump`/pcap text dump. Useful for
-/// debugging protocol behaviour on small scenarios; on paper-scale runs
-/// it produces millions of lines, so keep it to short intervals.
-#[derive(Debug, Default)]
-pub struct LogTracer {
-    /// The rendered lines, in simulation order.
-    pub lines: Vec<String>,
-    /// Maximum number of lines to retain (0 = unbounded). Oldest lines
-    /// are dropped first.
-    pub max_lines: usize,
-}
-
-impl LogTracer {
-    /// A tracer retaining at most `max_lines` lines (0 = unbounded).
-    pub fn new(max_lines: usize) -> Self {
-        LogTracer {
-            lines: Vec::new(),
-            max_lines,
-        }
-    }
-
-    /// The whole log as one string.
-    pub fn dump(&self) -> String {
-        self.lines.join("\n")
-    }
-
-    fn push(&mut self, line: String) {
-        if self.max_lines > 0 && self.lines.len() >= self.max_lines {
-            self.lines.remove(0);
-        }
-        self.lines.push(line);
-    }
-}
-
-impl Tracer for LogTracer {
-    fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
-        let line = match event {
-            TraceEvent::Enqueue {
-                channel,
-                packet,
-                qlen,
-            } => format!(
-                "{now} {channel} enqueue uid={} {} from {} (q={qlen})",
-                packet.uid,
-                packet.segment.kind_str(),
-                packet.src
-            ),
-            TraceEvent::Drop {
-                channel,
-                packet,
-                reason,
-                qlen,
-            } => format!(
-                "{now} {channel} DROP    uid={} {} from {} ({reason:?}, q={qlen})",
-                packet.uid,
-                packet.segment.kind_str(),
-                packet.src
-            ),
-            TraceEvent::TxStart {
-                channel,
-                packet,
-                qlen,
-            } => format!(
-                "{now} {channel} tx      uid={} {} (q={qlen})",
-                packet.uid,
-                packet.segment.kind_str()
-            ),
-            TraceEvent::Arrive { node, packet } => format!(
-                "{now} {node} arrive  uid={} {}",
-                packet.uid,
-                packet.segment.kind_str()
-            ),
-            TraceEvent::Deliver { agent, packet } => format!(
-                "{now} {agent} deliver uid={} {}",
-                packet.uid,
-                packet.segment.kind_str()
-            ),
-        };
-        self.push(line);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,57 +254,6 @@ mod tests {
             segment: Segment::Raw,
             sent_at: SimTime::ZERO,
         }
-    }
-
-    #[test]
-    fn counting_tracer_counts() {
-        let mut t = CountingTracer::default();
-        let p = pkt();
-        t.trace(
-            SimTime::ZERO,
-            &TraceEvent::Enqueue {
-                channel: ChannelId(0),
-                packet: &p,
-                qlen: 1,
-            },
-        );
-        t.trace(
-            SimTime::ZERO,
-            &TraceEvent::Drop {
-                channel: ChannelId(0),
-                packet: &p,
-                reason: DropReason::BufferOverflow,
-                qlen: 1,
-            },
-        );
-        t.trace(
-            SimTime::ZERO,
-            &TraceEvent::Deliver {
-                agent: AgentId(1),
-                packet: &p,
-            },
-        );
-        assert_eq!((t.enqueues, t.drops, t.deliveries), (1, 1, 1));
-    }
-
-    #[test]
-    fn log_tracer_renders_and_caps() {
-        let mut t = LogTracer::new(2);
-        let p = pkt();
-        for i in 0..3 {
-            t.trace(
-                SimTime::from_secs(i),
-                &TraceEvent::Arrive {
-                    node: NodeId(0),
-                    packet: &p,
-                },
-            );
-        }
-        assert_eq!(t.lines.len(), 2, "cap enforced");
-        assert!(t.dump().contains("arrive"));
-        assert!(t.dump().contains("raw"));
-        // Oldest line (t=0s) dropped.
-        assert!(!t.lines[0].starts_with("0.000000s"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! *sink* ([`with_sink`]) appends one JSON object per completed job —
 //! case, seed, events, event rate, ETA — flushed per line so a live
 //! consumer (`rla_top`, `tail -f`) sees each heartbeat as it happens.
-//! The `RLA_PROGRESS_FILE` knob in `experiments::cli` wires a file here.
+//! `experiments::runner::Pool` wires the `RLA_PROGRESS_FILE` file here.
 //!
 //! All state is atomics; the locks are around the single `eprintln!`
 //! (line-buffered anyway) and the sink write, so contention is

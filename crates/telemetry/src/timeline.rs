@@ -15,8 +15,8 @@
 //!
 //! Two export modes:
 //!
-//! * buffered — [`TimelineRecorder::write_file`] renders everything at
-//!   the end of the run;
+//! * buffered — [`TimelineRecorder::render`] renders everything held
+//!   at the end of the run;
 //! * streaming — [`TimelineRecorder::stream_to`] opens the file up
 //!   front and appends+flushes one line per recorded sample, so `tail
 //!   -f` and the `rla_top` dashboard see samples as the run produces
@@ -174,11 +174,6 @@ impl TimelineRecorder {
         Ok(path)
     }
 
-    /// Where the streaming export writes, if streaming is active.
-    pub fn stream_path(&self) -> Option<&Path> {
-        self.stream.as_ref().map(|s| s.path.as_path())
-    }
-
     /// Finish a streaming export: flush and close the file, surfacing
     /// any I/O error recording swallowed. `Ok(None)` when the recorder
     /// was not streaming. The in-memory series survive, so `render`
@@ -282,20 +277,6 @@ impl TimelineRecorder {
             }
         }
         out
-    }
-
-    /// Write `<stem>.timeline.<ext>` under `dir`, creating the directory;
-    /// returns the path written.
-    pub fn write_file(
-        &self,
-        dir: &Path,
-        stem: &str,
-        format: TimelineFormat,
-    ) -> io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.timeline.{}", format.extension()));
-        std::fs::write(&path, self.render(format))?;
-        Ok(path)
     }
 }
 
@@ -668,7 +649,6 @@ mod tests {
     #[test]
     fn finish_stream_without_streaming_is_a_noop() {
         let mut r = recorder_with_data();
-        assert!(r.stream_path().is_none());
         assert!(r.finish_stream().unwrap().is_none());
     }
 

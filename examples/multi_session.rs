@@ -5,7 +5,7 @@
 //! cargo run --release --example multi_session -- [sessions] [secs]
 //! ```
 
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, ScenarioSpec};
 use netsim::time::SimDuration;
 
 fn main() {
@@ -15,10 +15,10 @@ fn main() {
     assert!((1..=4).contains(&sessions), "1-4 sessions supported");
 
     println!("{sessions} overlapping RLA sessions on the case-3 tree, {secs:.0} s...");
-    let mut scenario = TreeScenario::paper(CongestionCase::Case3AllLeaves, GatewayKind::DropTail)
-        .with_duration(SimDuration::from_secs_f64(secs));
-    scenario.rla_sessions = sessions;
-    let result = scenario.run();
+    let result = ScenarioSpec::paper(CongestionCase::Case3AllLeaves)
+        .with_sessions(sessions)
+        .with_duration(SimDuration::from_secs_f64(secs))
+        .run();
 
     let total: f64 = result.rla.iter().map(|r| r.throughput_pps).sum();
     println!(

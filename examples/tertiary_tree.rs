@@ -7,7 +7,7 @@
 //! Runs the chosen figure-7/9 column and prints the table row plus the
 //! essential-fairness verdict.
 
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioSpec};
 use bounded_fairness::prelude::*;
 
 fn main() {
@@ -38,7 +38,8 @@ fn main() {
             GatewayKind::DropTail => "drop-tail",
         }
     );
-    let result = TreeScenario::paper(case, gateway)
+    let result = ScenarioSpec::paper(case)
+        .with_gateway(gateway)
         .with_duration(SimDuration::from_secs_f64(secs))
         .run();
 

@@ -10,7 +10,7 @@
 //! cargo run --release --example unequal_rtt -- [secs]
 //! ```
 
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, ScenarioSpec};
 use bounded_fairness::prelude::*;
 
 fn main() {
@@ -26,11 +26,13 @@ fn main() {
             PthreshPolicy::paper_rtt_scaled(),
         ),
     ] {
-        let mut scenario =
-            TreeScenario::paper(CongestionCase::Fig10AllLevel3, GatewayKind::DropTail)
-                .with_duration(SimDuration::from_secs_f64(secs));
-        scenario.rla_config.pthresh_policy = policy;
-        let result = scenario.run();
+        let result = ScenarioSpec::paper(CongestionCase::Fig10AllLevel3)
+            .with_rla_config(RlaConfig {
+                pthresh_policy: policy,
+                ..RlaConfig::default()
+            })
+            .with_duration(SimDuration::from_secs_f64(secs))
+            .run();
         let rla = &result.rla[0];
         println!("{name}:");
         println!(

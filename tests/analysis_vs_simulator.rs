@@ -94,13 +94,12 @@ fn particle_model_matches_full_two_session_split() {
     let rel = (particle.mean_w1 - particle.mean_w2).abs() / particle.mean_w1;
     assert!(rel < 0.03, "particle split {rel}");
 
-    let mut scenario = bounded_fairness::experiments::TreeScenario::paper(
+    let r = bounded_fairness::experiments::ScenarioSpec::paper(
         bounded_fairness::experiments::CongestionCase::Case3AllLeaves,
-        bounded_fairness::experiments::GatewayKind::DropTail,
     )
-    .with_duration(SimDuration::from_secs(150));
-    scenario.rla_sessions = 2;
-    let r = scenario.run();
+    .with_sessions(2)
+    .with_duration(SimDuration::from_secs(150))
+    .run();
     let (a, b) = (r.rla[0].throughput_pps, r.rla[1].throughput_pps);
     assert!(
         a.max(b) / a.min(b) < 1.8,

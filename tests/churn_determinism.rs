@@ -5,7 +5,7 @@
 //! 1. **Pool independence** — a churn scenario's trace digest is a pure
 //!    function of its spec: the worker-pool size used to run a sweep
 //!    (`RLA_JOBS`) must never leak into results, exactly as
-//!    `run_parallel`'s contract states for static runs.
+//!    the worker pool's contract states for static runs.
 //! 2. **FIFO tie-break** — events sharing a timestamp apply in schedule
 //!    order. The property is pinned with a schedule that is only *valid*
 //!    in FIFO order: a leave and a rejoin of the same leaf at the same

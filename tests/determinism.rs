@@ -1,12 +1,12 @@
 //! Reproducibility: the whole stack is bit-deterministic per seed.
 
 use bounded_fairness::experiments::{
-    run_parallel_with_jobs, CongestionCase, GatewayKind, TreeScenario,
+    run_parallel_with_jobs, CongestionCase, GatewayKind, ScenarioSpec,
 };
 use netsim::time::SimDuration;
 
 fn fingerprint(seed: u64) -> (u64, u64, u64, Vec<u64>, String) {
-    let r = TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
+    let r = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
         .with_duration(SimDuration::from_secs(80))
         .with_seed(seed)
         .run();
@@ -43,7 +43,7 @@ fn trace_digest_identical_sequential_vs_pooled() {
     // event stream — not just the same headline metrics — as running
     // each scenario inline, for any pool size.
     let make = |seed| {
-        TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
+        ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
             .with_duration(SimDuration::from_secs(60))
             .with_seed(seed)
     };
@@ -59,7 +59,7 @@ fn trace_digest_identical_sequential_vs_pooled() {
         "different seeds must give different digests"
     );
     for jobs in [1, 2, 4] {
-        let pooled = run_parallel_with_jobs((1..=3).map(make).collect(), jobs);
+        let pooled = run_parallel_with_jobs((1..=3).map(|s| make(s).build()).collect(), jobs);
         let got: Vec<(u64, u64)> = pooled
             .iter()
             .map(|r| (r.trace_digest, r.trace_events))
@@ -73,7 +73,8 @@ fn trace_digest_stable_under_red() {
     // RED draws from the engine RNG per enqueue; digests must still
     // reproduce exactly.
     let run = || {
-        TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::Red)
+        ScenarioSpec::paper(CongestionCase::Case1RootLink)
+            .with_gateway(GatewayKind::Red)
             .with_duration(SimDuration::from_secs(60))
             .run()
             .trace_digest
@@ -86,7 +87,8 @@ fn determinism_holds_under_red_randomness() {
     // RED consumes RNG draws on a different schedule; determinism must
     // still hold exactly.
     let run = || {
-        let r = TreeScenario::paper(CongestionCase::Case1RootLink, GatewayKind::Red)
+        let r = ScenarioSpec::paper(CongestionCase::Case1RootLink)
+            .with_gateway(GatewayKind::Red)
             .with_duration(SimDuration::from_secs(60))
             .run();
         (

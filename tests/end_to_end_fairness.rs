@@ -1,11 +1,12 @@
 //! Cross-crate integration: the RLA, TCP and the analysis bounds agree
 //! end-to-end on small versions of the paper's scenarios.
 
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioSpec};
 use bounded_fairness::prelude::*;
 
 fn quick(case: CongestionCase, gateway: GatewayKind, secs: u64) -> experiments::ScenarioResult {
-    TreeScenario::paper(case, gateway)
+    ScenarioSpec::paper(case)
+        .with_gateway(gateway)
         .with_duration(SimDuration::from_secs(secs))
         .run()
 }

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use bounded_fairness::experiments::diff::{diff_manifests, render_table, DiffOptions};
 use bounded_fairness::experiments::events::{canonical_bgload_spec, canonical_churn_spec};
 use bounded_fairness::experiments::manifest::{scenario_manifest, Json};
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioResult, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioResult, ScenarioSpec};
 use netsim::time::SimDuration;
 use telemetry::{FlightDumpGuard, FlightRecorder};
 
@@ -40,26 +40,25 @@ const GOLDENS: [&str; 6] = [
 ];
 
 /// The static case-5 drop-tail run with `cc` as the background TCP.
-fn case5_droptail_with_cc(cc: &str) -> TreeScenario {
-    TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
+fn case5_droptail_with_cc(cc: &str) -> ScenarioSpec {
+    ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
         .with_duration(SimDuration::from_secs(60))
         .with_seed(1)
         .with_tcp_cc(bounded_fairness::tcp::CcVariant::parse(cc).expect("a registered variant"))
 }
 
 /// The pinned scenario behind each committed golden manifest.
-fn scenario_for(name: &str) -> TreeScenario {
+fn scenario_for(name: &str) -> ScenarioSpec {
     match name {
-        "case5_droptail_60s" => {
-            TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::DropTail)
-                .with_duration(SimDuration::from_secs(60))
-                .with_seed(1)
-        }
-        "case5_red_60s" => TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::Red)
+        "case5_droptail_60s" => ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
             .with_duration(SimDuration::from_secs(60))
             .with_seed(1),
-        "case5_droptail_churn_60s" => canonical_churn_spec().build(),
-        "case5_droptail_bgload_60s" => canonical_bgload_spec().build(),
+        "case5_red_60s" => ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
+            .with_gateway(GatewayKind::Red)
+            .with_duration(SimDuration::from_secs(60))
+            .with_seed(1),
+        "case5_droptail_churn_60s" => canonical_churn_spec(),
+        "case5_droptail_bgload_60s" => canonical_bgload_spec(),
         "case5_droptail_cubic_60s" => case5_droptail_with_cc("cubic"),
         "case5_droptail_reno_60s" => case5_droptail_with_cc("reno"),
         other => panic!("no pinned scenario named {other:?}"),
@@ -77,7 +76,7 @@ fn run_scenario(
     name: &str,
     shards: usize,
 ) -> (ScenarioResult, Option<Rc<RefCell<FlightRecorder>>>) {
-    let scenario = scenario_for(name).with_shards(shards);
+    let scenario = scenario_for(name).with_shards(shards).build();
     let mut world = scenario.build();
     let recorder = (shards == 1).then(|| {
         let recorder = Rc::new(RefCell::new(FlightRecorder::new(

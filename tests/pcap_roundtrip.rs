@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 
 use bounded_fairness::experiments::cli::PcapOptions;
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, TreeScenario};
+use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioSpec};
 use netsim::id::{AgentId, GroupId};
 use netsim::packet::{Dest, Packet};
 use netsim::time::{SimDuration, SimTime};
@@ -37,10 +37,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// count.
 fn export_case5(dir: &std::path::Path) -> (Vec<u8>, u64) {
     std::fs::create_dir_all(dir).expect("create capture dir");
-    let scenario = TreeScenario::paper(CongestionCase::Case5OneLevel2, GatewayKind::Red)
+    let scenario = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
+        .with_gateway(GatewayKind::Red)
         .with_duration(SimDuration::from_secs(20))
         .with_seed(1)
-        .with_shards(1);
+        .with_shards(1)
+        .build();
     let mut world = scenario.build();
     let opts = PcapOptions {
         enabled: true,

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 /// Runs one scenario at the given worker count and returns the pair the
 /// golden manifests pin: (trace digest, event count).
 fn run_with_shards(spec: &ScenarioSpec, shards: usize) -> (u64, u64) {
-    let scenario: TreeScenario = spec.build().with_shards(shards);
+    let scenario: TreeScenario = spec.clone().with_shards(shards).build();
     let mut world = scenario.build();
     let r = world.run(&scenario);
     (r.trace_digest, r.trace_events)
