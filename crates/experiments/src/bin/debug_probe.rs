@@ -117,6 +117,20 @@ fn main() {
         }
         println!("total leaf-channel drops (tcp+rla) = {leaf_drops}");
     }
+    // What the calendar dispatched, and the completions it was spared.
+    {
+        let c = world.engine.event_counts();
+        println!(
+            "calendar: {} events (arrive={} tx_complete={} timer={} start={}), {} of {} completions settled without one",
+            c.dispatched(),
+            c.arrive,
+            c.tx_complete,
+            c.timer,
+            c.start,
+            c.settled,
+            c.settled + c.tx_complete,
+        );
+    }
     // Any channel that dropped packets.
     for i in 0..world.engine.world().channel_count() {
         let ch = netsim::id::ChannelId::from(i);

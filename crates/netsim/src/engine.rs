@@ -22,7 +22,8 @@
 //!   (a multiple of the [`DomainMap`] lookahead, see
 //!   [`crate::shard::grid_next`]), then the epoch's boundary packets are
 //!   exchanged in one batch, each scheduled directly under its canonical
-//!   *(send epoch, source region, send order)* calendar key. With
+//!   *(epoch of the transmission's end, source region, channel)* calendar
+//!   key. With
 //!   [`Engine::set_workers`] above 1 the domains run on scoped threads;
 //!   the digests are bit-identical at every worker count and under any
 //!   `run_until` stepping, because the partition, the per-domain RNG
@@ -39,6 +40,16 @@
 //! injection, at trace points, at domain crossings (where it moves between
 //! arenas by value) and at delivery. Each calendar is a hierarchical timer
 //! wheel ([`Calendar`]) driven through `pop_before(deadline)`.
+//!
+//! A cross-region link hop — every hop of the paper's trees — costs one
+//! calendar event, not two: the downstream arrival is filed when the
+//! transmission *starts* (its instant is known then), and the completion
+//! is filed only when a packet is waiting behind it; otherwise the channel
+//! just remembers when it falls idle ([`InService`]) and the bookkeeping
+//! is *settled* by the next offer, or on the way out of
+//! [`Engine::run_until`]. Intra-region hops keep both events, because
+//! their arrival's key is its dispatch position. [`Engine::event_counts`]
+//! says how many completions each run saved.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -49,10 +60,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::Agent;
 use crate::arena::{PacketArena, PacketHandle};
-use crate::event::{Calendar, EventKind, MAX_EPOCHS};
+use crate::event::{boundary_key, boundary_lane, Calendar, EventKind, MAX_EPOCHS};
 use crate::fault::FaultInjector;
 use crate::id::{AgentId, ChannelId, GroupId, NodeId};
-use crate::link::Channel;
+use crate::link::{Channel, InService};
 use crate::node::{Group, Node};
 use crate::packet::{Dest, Packet};
 use crate::queue::{Enqueue, QueueConfig};
@@ -84,14 +95,12 @@ struct AgentMeta {
 /// One conservative-lookahead *region*'s identity state. Regions are the
 /// components of the fine θ-partition — a pure function of the topology,
 /// the seed and θ, never of the shard count — and each owns the RNG
-/// stream, uid counter, digest lane and boundary-send counter for its
-/// nodes. Execution domains ([`DomainShard`]) group one or more regions
-/// (the cost-aware merge pass), so merging never moves a random draw, a
-/// uid or a digest record from one stream to another: digests stay
-/// bit-identical at every shard count.
+/// stream, uid counter and digest lane for its nodes. Execution domains
+/// ([`DomainShard`]) group one or more regions (the cost-aware merge
+/// pass), so merging never moves a random draw, a uid or a digest record
+/// from one stream to another: digests stay bit-identical at every shard
+/// count.
 struct RegionStream {
-    /// Global region id (index into the fine partition).
-    id: u32,
     rng: StdRng,
     next_uid: u64,
     /// High bits stamped onto this region's packet uids so uids stay
@@ -102,22 +111,15 @@ struct RegionStream {
     /// [`TraceDigest`]); merged across regions in region order by
     /// [`World::trace_digest`].
     digest: TraceDigest,
-    /// Send-order counter for this region's cross-region packets within
-    /// the current θ-grid epoch: the low component of the canonical
-    /// boundary key. Reset at each epoch barrier — same-instant ties
-    /// across epochs are already separated by the key's epoch bits.
-    boundary_seq: u64,
 }
 
 impl RegionStream {
-    fn new(id: u32, rng: StdRng, uid_tag: u64) -> Self {
+    fn new(rng: StdRng, uid_tag: u64) -> Self {
         RegionStream {
-            id,
             rng,
             next_uid: 0,
             uid_tag,
             digest: TraceDigest::new(),
-            boundary_seq: 0,
         }
     }
 
@@ -172,6 +174,10 @@ pub struct DomainShard {
     /// Local region slot per channel (parallel to `channels`): the region
     /// of the channel's `from` node.
     chan_region: Vec<u32>,
+    /// Static half of each channel's arrival keys (parallel to
+    /// `channels`): its [`boundary_lane`] if the channel leaves its region,
+    /// zero if it does not.
+    chan_lane: Vec<u64>,
     agent_meta: Vec<AgentMeta>,
     /// Identity streams of the regions executed here, ordered by global
     /// region id.
@@ -182,6 +188,14 @@ pub struct DomainShard {
     /// Packets that crossed out of this shard since the last epoch
     /// barrier, in send order.
     outbox: Vec<BoundaryMsg>,
+    /// Key of the event being dispatched: with `now`, the calendar
+    /// position an unfiled completion is compared against.
+    cur_key: u64,
+    counts: EventCounts,
+    /// The differential tests' model: file every completion when its
+    /// transmission starts.
+    #[cfg(test)]
+    eager: bool,
     /// Reusable buffers for multicast fan-out (avoids a pair of Vec
     /// allocations per group arrival).
     fwd_scratch: Vec<ChannelId>,
@@ -196,10 +210,15 @@ impl DomainShard {
             calendar: Calendar::new(),
             channels: Vec::new(),
             chan_region: Vec::new(),
+            chan_lane: Vec::new(),
             agent_meta: Vec::new(),
             regions: Vec::new(),
             arena: PacketArena::new(),
             outbox: Vec::new(),
+            cur_key: 0,
+            counts: EventCounts::default(),
+            #[cfg(test)]
+            eager: false,
             fwd_scratch: Vec::new(),
             member_scratch: Vec::new(),
         }
@@ -210,37 +229,64 @@ impl DomainShard {
         self.regions.iter().map(|r| r.digest.events()).sum()
     }
 
-    /// Enter a θ-grid epoch: stamp the calendar and restart each region's
-    /// per-epoch boundary send counter. Re-entering the same epoch (a
-    /// `run_until` that stopped mid-epoch) is a no-op so the counters
-    /// continue where they left off.
-    fn begin_epoch(&mut self, epoch: u64) {
-        if self.calendar.epoch() == epoch {
-            return;
-        }
-        self.calendar.set_epoch(epoch);
-        for r in &mut self.regions {
-            r.boundary_seq = 0;
-        }
-    }
-
     /// Deliver an incoming boundary packet: it enters this shard's arena
-    /// and goes straight into the calendar under its canonical
-    /// *(send epoch, source region, send order)* key — the key alone fixes
-    /// its same-instant dispatch position, so neither the insertion
-    /// sequence (nondeterministic under the threaded exchange) nor the
-    /// shard count can perturb the order.
+    /// and goes straight into the calendar under the key it was sent with
+    /// — the key alone fixes its same-instant dispatch position, so neither
+    /// the insertion sequence (nondeterministic under the threaded
+    /// exchange) nor the shard count can perturb the order.
     fn accept_boundary(&mut self, msg: BoundaryMsg) {
         let handle = self.arena.insert(msg.packet);
-        self.calendar.schedule_boundary(
+        self.calendar.schedule_keyed(
             msg.at,
-            msg.region,
-            msg.seq,
+            msg.key,
             EventKind::Arrive {
                 node: msg.node,
                 packet: handle,
             },
         );
+    }
+
+    /// Add a channel to this shard; `slot` is the local slot of its
+    /// upstream node's region.
+    ///
+    /// # Panics
+    /// If the channel leaves its region and the calendar key has no room
+    /// for it (see [`boundary_lane`]).
+    fn push_channel(&mut self, regions: &DomainMap, slot: u32, ch: Channel) {
+        let region = regions.domain_of(ch.from);
+        let lane = if regions.domain_of(ch.to) == region {
+            0
+        } else {
+            boundary_lane(region, ch.id).unwrap_or_else(|e| panic!("{e}"))
+        };
+        self.chan_region.push(slot);
+        self.chan_lane.push(lane);
+        self.channels.push(ch);
+    }
+}
+
+/// What the calendar dispatched, by [`EventKind`], and what it did not
+/// have to: transmission completions that found nothing waiting and were
+/// settled without an event. A diagnostic — it is deliberately not in the
+/// registry, whose snapshots the golden manifests compare byte for byte.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct EventCounts {
+    /// `TxComplete` events dispatched.
+    pub tx_complete: u64,
+    /// `Arrive` events dispatched.
+    pub arrive: u64,
+    /// `Timer` events dispatched.
+    pub timer: u64,
+    /// `Start` events dispatched.
+    pub start: u64,
+    /// Completions settled without a calendar event.
+    pub settled: u64,
+}
+
+impl EventCounts {
+    /// Events the calendar dispatched.
+    pub fn dispatched(&self) -> u64 {
+        self.tx_complete + self.arrive + self.timer + self.start
     }
 }
 
@@ -265,7 +311,7 @@ impl World {
         // seeded straight from the base seed, uid tag zero.
         shard0
             .regions
-            .push(RegionStream::new(0, StdRng::seed_from_u64(seed), 0));
+            .push(RegionStream::new(StdRng::seed_from_u64(seed), 0));
         World {
             shared: Shared {
                 nodes: Vec::new(),
@@ -529,6 +575,7 @@ impl<'a> DomainRun<'a> {
         while let Some(event) = self.shard.calendar.pop_before(deadline) {
             debug_assert!(event.at >= self.shard.now, "time ran backwards");
             self.shard.now = event.at;
+            self.shard.cur_key = event.key;
             self.dispatch(event.kind);
         }
         if deadline > self.shard.now {
@@ -538,9 +585,16 @@ impl<'a> DomainRun<'a> {
 
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::TxComplete { channel, packet } => self.complete_tx(channel, packet),
-            EventKind::Arrive { node, packet } => self.arrive(node, packet),
+            EventKind::TxComplete { channel } => {
+                self.shard.counts.tx_complete += 1;
+                self.complete_tx(channel)
+            }
+            EventKind::Arrive { node, packet } => {
+                self.shard.counts.arrive += 1;
+                self.arrive(node, packet)
+            }
             EventKind::Timer { agent, token } => {
+                self.shard.counts.timer += 1;
                 let local = self.agent_index(agent);
                 let mut ctx = Context {
                     shared: self.shared,
@@ -551,6 +605,7 @@ impl<'a> DomainRun<'a> {
                 self.agents[local].on_timer(token, &mut ctx);
             }
             EventKind::Start { agent } => {
+                self.shard.counts.start += 1;
                 let local = self.agent_index(agent);
                 let mut ctx = Context {
                     shared: self.shared,
@@ -611,13 +666,30 @@ impl<'a> DomainRun<'a> {
         }
 
         let ch = &mut shard.channels[li];
-        if !ch.busy {
+        // An unfiled completion has no event to run it: if the calendar
+        // would have popped it before the event being dispatched, it
+        // happens now.
+        if ch
+            .in_service
+            .is_some_and(|tx| !tx.filed && (tx.end, tx.key) < (now, shard.cur_key))
+        {
+            ch.settle();
+            shard.counts.settled += 1;
+        }
+        if ch.in_service.is_none() {
             debug_assert!(ch.queue.is_empty(), "idle transmitter with queued packets");
             ch.stats.accepted += 1;
             self.start_tx(channel, handle);
         } else {
             match ch.queue.enqueue(handle, now, &mut shard.regions[rslot].rng) {
                 Enqueue::Accepted => {
+                    // A packet is waiting now: the completion needs its
+                    // event.
+                    if let Some(tx) = ch.in_service.as_mut().filter(|tx| !tx.filed) {
+                        tx.filed = true;
+                        let kind = EventKind::TxComplete { channel };
+                        shard.calendar.schedule_keyed(tx.end, tx.key, kind);
+                    }
                     ch.stats.accepted += 1;
                     let qlen = ch.queue.len();
                     ch.stats.record_qlen(now, qlen);
@@ -652,7 +724,22 @@ impl<'a> DomainRun<'a> {
         }
     }
 
-    /// Begin transmitting the packet behind `handle` on `channel`.
+    /// Begin transmitting the packet behind `handle` on `channel`, and
+    /// reserve the completion's calendar key as scheduling it would.
+    ///
+    /// On an intra-region hop the completion is filed here and schedules
+    /// the arrival when it fires (the classic path: that arrival's key is
+    /// its dispatch position). On a cross-region hop the arrival is filed
+    /// here — this is the only place a packet can leave its region —
+    /// under a key that is a pure function of the message: the epoch in
+    /// which the transmission ends, the source region, the channel. It
+    /// goes straight into this shard's calendar (same execution domain; the
+    /// arena handle is kept, no copy) or to the outbox for the barrier
+    /// exchange (different shard); the key is a total order independent of
+    /// the insertion path, so both roads dispatch the arrival at exactly
+    /// the same position and the merge pass never changes an event
+    /// sequence. The completion is then filed only if a packet is already
+    /// waiting behind this one; `offer` files it later if one turns up.
     fn start_tx(&mut self, channel: ChannelId, handle: PacketHandle) {
         let li = self.chan_index(channel);
         let shard = &mut *self.shard;
@@ -663,9 +750,8 @@ impl<'a> DomainRun<'a> {
             (p.uid, p.size_bytes)
         };
         let ch = &mut shard.channels[li];
-        debug_assert!(!ch.busy, "transmitter already busy");
-        ch.busy = true;
-        let service = ch.service_time(size_bytes);
+        debug_assert!(ch.in_service.is_none(), "transmitter already busy");
+        let end = now + ch.service_time(size_bytes);
         ch.stats.record_tx_begin(now);
         let qlen = ch.queue.len();
         shard.regions[rslot]
@@ -678,80 +764,81 @@ impl<'a> DomainRun<'a> {
                 qlen,
             });
         }
-        self.shard.calendar.schedule(
-            now + service,
-            EventKind::TxComplete {
-                channel,
-                packet: handle,
-            },
-        );
-    }
-
-    /// The transmitter on `channel` finished serializing the packet. This
-    /// is the only place a packet can leave its region. An intra-region
-    /// hop schedules the arrival directly (the classic path). A
-    /// cross-region hop takes the canonical boundary path — keyed by its
-    /// send epoch, source region and send order — either scheduled
-    /// straight into this shard's calendar (same execution domain; the
-    /// arena handle is kept, no copy) or moved to the outbox for the
-    /// barrier exchange (different shard). The key is a total order
-    /// independent of the insertion path, so both roads dispatch the
-    /// arrival at exactly the same position and the merge pass never
-    /// changes an event sequence.
-    fn complete_tx(&mut self, channel: ChannelId, handle: PacketHandle) {
-        let li = self.chan_index(channel);
         let shard = &mut *self.shard;
-        let rslot = shard.chan_region[li] as usize;
-        let now = shard.now;
-        let size_bytes = shard.arena.get(handle).size_bytes;
         let ch = &mut shard.channels[li];
-        ch.stats.record_tx_end(now);
-        ch.stats.transmitted += 1;
-        ch.stats.bytes_transmitted += size_bytes as u64;
-        let to = ch.to;
-        let delay = ch.prop_delay;
-        let src_region = shard.regions[rslot].id;
-        if self.shared.regions.domain_of(to) == src_region {
-            shard.calendar.schedule(
-                now + delay,
-                EventKind::Arrive {
-                    node: to,
-                    packet: handle,
-                },
-            );
-        } else {
-            let seq = {
-                let r = &mut shard.regions[rslot];
-                let s = r.boundary_seq;
-                r.boundary_seq += 1;
-                s
+        let lane = shard.chan_lane[li];
+        let cross = lane != 0;
+        let key = shard.calendar.reserve_key();
+        #[cfg(test)]
+        let eager = shard.eager;
+        #[cfg(not(test))]
+        let eager = false;
+        let filed = !cross || qlen > 0 || eager;
+        if filed {
+            shard
+                .calendar
+                .schedule_keyed(end, key, EventKind::TxComplete { channel });
+        }
+        ch.in_service = Some(InService {
+            end,
+            key,
+            size_bytes,
+            filed,
+            arrival: (!cross).then_some(handle),
+        });
+        if cross {
+            // The epoch whose run dispatches the instant `end`: almost
+            // always the current one.
+            let theta = self.shared.regions.lookahead().as_nanos();
+            let epoch = shard.calendar.epoch();
+            let end_epoch = if end.as_nanos() <= epoch.saturating_mul(theta) {
+                epoch
+            } else {
+                // Past the last epoch `run_until` admits, the arrival is
+                // never dispatched; keep the key well-formed anyway.
+                (end.as_nanos().div_ceil(theta)).min(MAX_EPOCHS - 1)
             };
-            if self.shared.dmap.domain_of(to) == shard.domain {
-                shard.calendar.schedule_boundary(
-                    now + delay,
-                    src_region,
-                    seq,
-                    EventKind::Arrive {
-                        node: to,
-                        packet: handle,
-                    },
-                );
+            let (at, node) = (end + ch.prop_delay, ch.to);
+            let key = boundary_key(end_epoch, lane);
+            if self.shared.dmap.domain_of(node) == shard.domain {
+                let kind = EventKind::Arrive {
+                    node,
+                    packet: handle,
+                };
+                shard.calendar.schedule_keyed(at, key, kind);
             } else {
                 let packet = shard.arena.remove(handle);
                 shard.outbox.push(BoundaryMsg {
-                    at: now + delay,
-                    node: to,
+                    at,
+                    node,
                     packet,
-                    region: src_region,
-                    seq,
+                    key,
                 });
             }
         }
+    }
 
-        // Pull the next packet out of the buffer, if any.
+    /// The transmitter on `channel` finished serializing its packet: on an
+    /// intra-region hop the packet starts propagating; either way the next
+    /// one, if any, leaves the buffer.
+    fn complete_tx(&mut self, channel: ChannelId) {
+        let li = self.chan_index(channel);
+        let shard = &mut *self.shard;
+        let now = shard.now;
         let ch = &mut shard.channels[li];
-        ch.busy = false;
-        if let Some(next) = ch.queue.dequeue(now) {
+        let tx = ch.in_service.expect("a completion without a transmission");
+        debug_assert!(tx.filed && tx.end == now, "completion off its position");
+        let next = ch.finish_tx();
+        if let Some(packet) = tx.arrival {
+            shard.calendar.schedule(
+                now + ch.prop_delay,
+                EventKind::Arrive {
+                    node: ch.to,
+                    packet,
+                },
+            );
+        }
+        if let Some(next) = next {
             let qlen = ch.queue.len();
             ch.stats.record_qlen(now, qlen);
             self.start_tx(channel, next);
@@ -1036,7 +1123,6 @@ impl Engine {
             let shard = &mut shards[e as usize];
             region_loc[r] = (e, shard.regions.len() as u32);
             shard.regions.push(RegionStream::new(
-                r as u32,
                 StdRng::seed_from_u64(domain_seed(seed, r as u32)),
                 (r as u64) << 48,
             ));
@@ -1057,10 +1143,8 @@ impl Engine {
             let d = dmap.domain_of(ch.from);
             let shard = &mut shards[d as usize];
             *loc = (d, shard.channels.len() as u32);
-            shard
-                .chan_region
-                .push(region_loc[regions.domain_of(ch.from) as usize].1);
-            shard.channels.push(ch);
+            let slot = region_loc[regions.domain_of(ch.from) as usize].1;
+            shard.push_channel(&regions, slot, ch);
         }
         // Agents (and their metadata) move with their home node, in global
         // agent order.
@@ -1137,7 +1221,6 @@ impl Engine {
             let r = self.world.shared.regions.push_isolated_node();
             let seed = self.world.shared.seed;
             let stream = RegionStream::new(
-                r,
                 StdRng::seed_from_u64(domain_seed(seed, r)),
                 (r as u64) << 48,
             );
@@ -1205,17 +1288,11 @@ impl Engine {
             .shared
             .chan_loc
             .push((d, shard.channels.len() as u32));
-        shard
-            .chan_region
-            .push(self.world.shared.node_region_slot[from.index()]);
-        shard.channels.push(Channel::new(
-            id,
-            from,
-            to,
-            bandwidth_bps,
-            prop_delay,
-            queue_cfg,
-        ));
+        shard.push_channel(
+            &self.world.shared.regions,
+            self.world.shared.node_region_slot[from.index()],
+            Channel::new(id, from, to, bandwidth_bps, prop_delay, queue_cfg),
+        );
         self.world.shared.nodes[from.index()].out_channels.push(id);
         id
     }
@@ -1414,6 +1491,20 @@ impl Engine {
         } else {
             self.run_epochs_threaded(deadline);
         }
+        // Whoever reads the world between runs — registry snapshots, the
+        // timeline sampler, `utilization(now)` — sees every transmission
+        // that ended by `deadline` as ended.
+        for shard in &mut self.world.shards {
+            for ch in &mut shard.channels {
+                if ch
+                    .in_service
+                    .is_some_and(|tx| !tx.filed && tx.end <= deadline)
+                {
+                    ch.settle();
+                    shard.counts.settled += 1;
+                }
+            }
+        }
     }
 
     /// Run for `d` more simulated time.
@@ -1454,7 +1545,7 @@ impl Engine {
             let epoch = barrier.as_nanos() / lookahead.as_nanos();
             let mut loads = recording.then(|| Vec::with_capacity(self.world.shards.len()));
             for (shard, agents) in self.world.shards.iter_mut().zip(self.agents.iter_mut()) {
-                shard.begin_epoch(epoch);
+                shard.calendar.set_epoch(epoch);
                 let before = recording.then(|| shard.events());
                 DomainRun {
                     shared: &self.world.shared,
@@ -1473,11 +1564,9 @@ impl Engine {
             if target == barrier && self.world.shards.len() > 1 {
                 // Exchange at the grid barrier: hand each shard's outbox —
                 // the whole epoch's crossings in one batch — to the
-                // destination shards. Each message is scheduled under its
-                // canonical (send epoch, source region, send order) key
-                // (the calendars still carry this epoch's index), so no
-                // sort is needed anywhere: the keys are a total order
-                // independent of routing sequence.
+                // destination shards. Each message is scheduled under the
+                // key it carries, so no sort is needed anywhere: the keys
+                // are a total order independent of routing sequence.
                 let mut d = 0;
                 while d < self.world.shards.len() {
                     if !self.world.shards[d].outbox.is_empty() {
@@ -1559,7 +1648,7 @@ impl Engine {
                         // Phase A: run own domains to the target, then
                         // publish all their outboxes under one lock.
                         for (_, shard, agents) in bucket.iter_mut() {
-                            shard.begin_epoch(grid_epoch);
+                            shard.calendar.set_epoch(grid_epoch);
                             DomainRun {
                                 shared,
                                 shard,
@@ -1581,8 +1670,7 @@ impl Engine {
                         barrier.wait();
                         // Phase B: copy the messages addressed to own
                         // domains out of the shared batch, scheduling each
-                        // directly under its canonical key (the calendars
-                        // still carry this epoch's index). The batch's
+                        // directly under the key it carries. The batch's
                         // append order is racy across workers, but the key
                         // fixes every arrival's dispatch position, so the
                         // copy order is immaterial.
@@ -1628,13 +1716,27 @@ impl Engine {
     pub fn agent_count(&self) -> usize {
         self.world.shared.agent_loc.len()
     }
+
+    /// Calendar events dispatched so far, by kind, and transmission
+    /// completions settled without one.
+    pub fn event_counts(&self) -> EventCounts {
+        let mut total = EventCounts::default();
+        for c in self.world.shards.iter().map(|s| &s.counts) {
+            total.tx_complete += c.tx_complete;
+            total.arrive += c.arrive;
+            total.timer += c.timer;
+            total.start += c.start;
+            total.settled += c.settled;
+        }
+        total
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agent::Sink;
-    use crate::queue::QueueConfig;
+    use crate::queue::{QueueConfig, RedConfig};
 
     /// An agent that fires `count` fixed-size packets at a destination as
     /// fast as the engine lets it (all injected at start).
@@ -2274,6 +2376,479 @@ mod tests {
         );
         e.partition(None);
         e.partition(None);
+    }
+
+    // ------------------------------------------------------------------
+    // One event per hop: lazy completions against the eager model
+    // ------------------------------------------------------------------
+
+    /// An agent that fires `count` packets of `size` bytes at `dest` at
+    /// each scripted instant (ns; at once if the agent starts later).
+    struct Script {
+        dest: Dest,
+        bursts: Vec<(u64, u32, u32)>,
+    }
+
+    impl Agent for Script {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for (i, &(t, _, _)) in self.bursts.iter().enumerate() {
+                ctx.set_timer_at(SimTime::from_nanos(t).max(ctx.now()), i as u64);
+            }
+        }
+        fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            let (_, count, size) = self.bursts[token as usize];
+            for _ in 0..count {
+                ctx.send(self.dest, size, Segment::Raw);
+            }
+        }
+        fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// Records every link event as `"<ns> <kind> <channel> uid<uid> q<qlen>"`.
+    #[derive(Default)]
+    struct LinkLog(Vec<String>);
+
+    impl Tracer for LinkLog {
+        fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
+            let (kind, channel, packet, qlen) = match *event {
+                TraceEvent::Enqueue {
+                    channel,
+                    packet,
+                    qlen,
+                } => ("Enqueue", channel, packet, qlen),
+                TraceEvent::Drop {
+                    channel,
+                    packet,
+                    qlen,
+                    ..
+                } => ("Drop", channel, packet, qlen),
+                TraceEvent::TxStart {
+                    channel,
+                    packet,
+                    qlen,
+                } => ("TxStart", channel, packet, qlen),
+                _ => return,
+            };
+            let uid = packet.uid & 0xffff;
+            self.0.push(format!(
+                "{} {kind} {channel} uid{uid} q{qlen}",
+                now.as_nanos()
+            ));
+        }
+    }
+
+    /// The model: every completion is filed when its transmission starts.
+    /// Call after partitioning (late shards are born lazy).
+    fn set_eager(e: &mut Engine) {
+        for shard in &mut e.world.shards {
+            shard.eager = true;
+        }
+    }
+
+    /// A chain c -(10ms)- a -(10ms)- b at 8 Mb/s (1000 B = 1 ms), every
+    /// node its own region, `shards` execution domains; `src_c` and
+    /// `src_a` script traffic from c and from a to a sink on b. Returns
+    /// the engine, the a→b channel and the sink.
+    fn lazy_chain(
+        queue: &QueueConfig,
+        shards: usize,
+        eager: bool,
+        src_c: Vec<(u64, u32, u32)>,
+        src_a: Vec<(u64, u32, u32)>,
+    ) -> (Engine, ChannelId, AgentId) {
+        let mut e = Engine::new(5);
+        let c = e.add_node("c");
+        let a = e.add_node("a");
+        let b = e.add_node("b");
+        e.add_link(c, a, 8_000_000, SimDuration::from_millis(10), queue);
+        let (ab, _) = e.add_link(a, b, 8_000_000, SimDuration::from_millis(10), queue);
+        e.partition_merged(None, shards, None);
+        assert_eq!(e.region_count(), 3);
+        if eager {
+            set_eager(&mut e);
+        }
+        let sink = e.add_agent(b, Box::new(Sink::default()));
+        let dest = Dest::Agent(sink);
+        for (node, bursts) in [(c, src_c), (a, src_a)] {
+            let src = e.add_agent(node, Box::new(Script { dest, bursts }));
+            e.start_agent_at(src, SimTime::ZERO);
+        }
+        e.compute_routes();
+        (e, ab, sink)
+    }
+
+    /// Everything the two engines must agree on at a stop.
+    fn observable(e: &Engine) -> (TraceDigest, Vec<String>, usize) {
+        let w = e.world();
+        let channels = (0..w.channel_count())
+            .map(|i| {
+                let ch = w.channel(ChannelId::from(i));
+                format!("{:?} {:?}", ch.stats, ch.queue.red_avg())
+            })
+            .collect();
+        (e.trace_digest(), channels, w.live_packets())
+    }
+
+    #[test]
+    fn a_start_from_a_completion_with_packets_still_buffered_files_at_once() {
+        // Five packets at once: the first transmission goes lazy, the
+        // second offer files its completion, and each completion that
+        // dequeues with packets still behind must file the next one on
+        // the spot — going lazy there strands the buffer for good.
+        let (mut e, ab, sink) = lazy_chain(
+            &QueueConfig::paper_droptail(),
+            1,
+            false,
+            vec![],
+            vec![(0, 5, 1000)],
+        );
+        e.run_until(SimTime::from_secs(1));
+        assert_eq!(e.agent_as::<Sink>(sink).unwrap().received, 5);
+        assert_eq!(e.world().channel(ab).stats.transmitted, 5);
+        let c = e.event_counts();
+        // Only the last transmission ends with nothing waiting.
+        assert_eq!((c.tx_complete, c.settled), (4, 1));
+        // Timer, five injections, five arrivals at b.
+        assert_eq!((c.timer, c.arrive), (1, 10));
+    }
+
+    #[test]
+    fn an_arrival_at_the_very_end_of_service_lands_on_its_side_of_the_completion() {
+        let link_log = |src_c: Vec<(u64, u32, u32)>, src_a: Vec<(u64, u32, u32)>, eager: bool| {
+            let (mut e, ab, _) = lazy_chain(&QueueConfig::paper_droptail(), 1, eager, src_c, src_a);
+            let log = Rc::new(RefCell::new(LinkLog::default()));
+            e.set_tracer(log.clone());
+            e.run_until(SimTime::from_millis(50));
+            let tag = format!(" {ab} ");
+            let lines: Vec<String> = log
+                .borrow()
+                .0
+                .iter()
+                .filter(|l| l.contains(&tag))
+                .cloned()
+                .collect();
+            lines
+        };
+        // a→b serves a packet over [10.5 ms, 11.5 ms]; its completion's
+        // key is a local one of epoch 2. A packet sent from c at 0.5 ms
+        // reaches a at 11.5 ms under a boundary key of epoch 1 — *before*
+        // that completion: it must find the transmitter busy, queue, and
+        // be pulled out again in the same instant.
+        let before = link_log(vec![(500_000, 1, 1000)], vec![(10_500_000, 1, 1000)], false);
+        assert_eq!(
+            before,
+            [
+                "10500000 TxStart ch2 uid0 q0",
+                "11500000 Enqueue ch2 uid0 q1",
+                "11500000 TxStart ch2 uid0 q0",
+            ]
+        );
+        assert_eq!(
+            before,
+            link_log(vec![(500_000, 1, 1000)], vec![(10_500_000, 1, 1000)], true)
+        );
+        // A packet a's own agent injects at 11.5 ms is scheduled after the
+        // key was reserved — *after* the completion: the transmitter is
+        // idle by then and it goes straight out.
+        let bursts = vec![(10_500_000, 1, 1000), (11_500_000, 1, 1000)];
+        let after = link_log(vec![], bursts.clone(), false);
+        assert_eq!(
+            after,
+            [
+                "10500000 TxStart ch2 uid0 q0",
+                "11500000 TxStart ch2 uid1 q0",
+            ]
+        );
+        assert_eq!(after, link_log(vec![], bursts, true));
+    }
+
+    #[test]
+    fn a_red_drop_onto_an_empty_buffer_mid_service_still_arms_the_idle_clock() {
+        // A burst drives RED's average past max_th and leaves six packets
+        // queued; the straggler at 6.5 ms meets an empty buffer behind the
+        // last of them (in service until 7 ms) and is force-dropped, which
+        // disarms RED's idle clock. Nothing else happens until long after
+        // 7 ms, so that completion is settled late — and must still re-arm
+        // the clock *at 7 ms*, or the average the packets at 20 ms see has
+        // not aged.
+        let red = QueueConfig::Red(RedConfig {
+            limit: 20,
+            min_th: 2.9,
+            max_th: 3.0,
+            weight: 0.25,
+            max_p: 1.0,
+            mean_pkt_time: SimDuration::from_millis(1),
+        });
+        let run = |eager: bool| {
+            let bursts = vec![(0, 30, 1000), (6_500_000, 1, 1000), (20_000_000, 2, 1000)];
+            let (mut e, ab, _) = lazy_chain(&red, 1, eager, vec![], bursts);
+            let log = Rc::new(RefCell::new(LinkLog::default()));
+            e.set_tracer(log.clone());
+            e.run_until(SimTime::from_millis(19));
+            let quiet = e.world().channel(ab).queue.red_avg().unwrap();
+            e.run_until(SimTime::from_millis(30));
+            let aged = e.world().channel(ab).queue.red_avg().unwrap();
+            let log = log.borrow().0.clone();
+            (quiet, aged, log, observable(&e))
+        };
+        let (quiet, aged, log, lazy) = run(false);
+        assert!(
+            log.contains(&"6000000 TxStart ch2 uid6 q0".to_string())
+                && log.contains(&"6500000 Drop ch2 uid30 q0".to_string()),
+            "the scenario no longer drops onto an empty buffer mid-service: {log:#?}"
+        );
+        assert!(quiet > 3.0 && aged < 0.2, "avg {quiet} -> {aged}");
+        let (equiet, eaged, elog, eager) = run(true);
+        assert_eq!((quiet, aged), (equiet, eaged));
+        assert_eq!(log, elog);
+        assert_eq!(lazy, eager);
+    }
+
+    #[test]
+    fn a_deadline_on_the_end_of_service_reads_the_transmission_as_over() {
+        let (mut e, ab, _) = lazy_chain(
+            &QueueConfig::paper_droptail(),
+            1,
+            false,
+            vec![],
+            vec![(0, 1, 1000)],
+        );
+        e.run_until(SimTime::from_nanos(500_000));
+        let ch = e.world().channel(ab);
+        assert_eq!(ch.stats.transmitted, 0);
+        assert!(ch.in_service.is_some_and(|tx| !tx.filed));
+        assert_eq!(ch.stats.utilization(e.now()), 1.0);
+        // The completion has no event, and nothing offers again: only the
+        // way out of `run_until` can close it.
+        e.run_until(SimTime::from_millis(1));
+        let ch = e.world().channel(ab);
+        assert_eq!(
+            (ch.stats.transmitted, ch.stats.bytes_transmitted),
+            (1, 1000)
+        );
+        assert!(ch.in_service.is_none());
+        assert_eq!(ch.stats.utilization(e.now()), 1.0);
+        e.run_until(SimTime::from_millis(2));
+        assert_eq!(e.world().channel(ab).stats.utilization(e.now()), 0.5);
+        assert_eq!(e.event_counts().settled, 1);
+    }
+
+    #[test]
+    fn a_degrade_mid_service_leaves_the_transmission_its_end() {
+        let run = |eager: bool| {
+            let bursts = vec![(0, 1, 1000), (600_000, 1, 1000)];
+            let (mut e, ab, sink) =
+                lazy_chain(&QueueConfig::paper_droptail(), 1, eager, vec![], bursts);
+            e.run_until(SimTime::from_nanos(500_000));
+            e.world_mut().channel_mut(ab).degrade(0.0, Some(4_000_000));
+            let mut stops = vec![observable(&e)];
+            // First packet out at 1 ms as started; the second is served at
+            // the degraded rate: 1 + 2 ms, at b 10 ms later.
+            for (ms, transmitted, received) in [(1, 1, 0), (3, 2, 0), (12, 2, 1), (13, 2, 2)] {
+                e.run_until(SimTime::from_millis(ms));
+                assert_eq!(e.world().channel(ab).stats.transmitted, transmitted);
+                assert_eq!(e.agent_as::<Sink>(sink).unwrap().received, received);
+                stops.push(observable(&e));
+            }
+            stops
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_packet_bound_for_another_shard_waits_in_the_outbox_from_the_start() {
+        let (mut e, ab, sink) = lazy_chain(
+            &QueueConfig::paper_droptail(),
+            3,
+            false,
+            vec![],
+            vec![(0, 1, 1000)],
+        );
+        assert_eq!(e.domain_count(), 3);
+        // Mid-transmission, mid-epoch: the packet has already left a's
+        // arena for the outbox, and is still counted.
+        e.run_until(SimTime::from_nanos(500_000));
+        assert_eq!(e.world().shards[1].arena.len(), 0);
+        assert_eq!(e.world().shards[1].outbox.len(), 1);
+        assert_eq!(e.world().live_packets(), 1);
+        // The barrier hands it to b's shard, ahead of its arrival at 11 ms.
+        e.run_until(SimTime::from_millis(10));
+        assert_eq!(e.world().shards[1].outbox.len(), 0);
+        assert_eq!(e.world().shards[2].arena.len(), 1);
+        assert_eq!(e.world().live_packets(), 1);
+        assert_eq!(e.world().channel(ab).stats.transmitted, 1);
+        e.run_until(SimTime::from_millis(11));
+        assert_eq!(e.world().live_packets(), 0);
+        assert_eq!(e.agent_as::<Sink>(sink).unwrap().received, 1);
+    }
+
+    /// A chain of `n` nodes on 1 ms links, every node its own region.
+    fn wide_chain(n: usize) -> Engine {
+        let mut e = Engine::new(1);
+        let queue = QueueConfig::DropTail { limit: 1 };
+        let mut prev = e.add_node("n");
+        for _ in 1..n {
+            let next = e.add_node("n");
+            e.add_link(prev, next, 8_000_000, SimDuration::from_millis(1), &queue);
+            prev = next;
+        }
+        e
+    }
+
+    #[test]
+    #[should_panic(expected = "region 16384 does not fit the calendar key")]
+    fn a_partition_too_wide_for_the_key_is_refused_before_anything_runs() {
+        wide_chain(crate::event::MAX_REGIONS + 1).partition_merged(None, 1, None);
+    }
+
+    /// One randomly drawn world for the differential property: a random
+    /// tree (chains and stars included) with mixed link delays, rates,
+    /// drop-tail and RED buffers and fault injectors, partitioned at a
+    /// drawn θ so that some hops stay inside a region; unicast scripts and
+    /// one multicast group, bursts on a 250 µs grid so that arrivals,
+    /// completions and deadlines keep landing on the same instants.
+    fn random_world(draws: &[u64], shards: usize, eager: bool) -> Engine {
+        let mut next = {
+            let mut i = 0;
+            move |n: u64| {
+                i += 1;
+                draws[i % draws.len()].rotate_left(i as u32 % 64) % n
+            }
+        };
+        let mut e = Engine::new(draws[0]);
+        let n = 2 + next(7) as usize;
+        let nodes: Vec<NodeId> = (0..n).map(|i| e.add_node(format!("n{i}"))).collect();
+        let red = QueueConfig::Red(RedConfig {
+            limit: 5,
+            min_th: 0.5,
+            max_th: 1.5,
+            weight: 0.3,
+            max_p: 1.0,
+            mean_pkt_time: SimDuration::from_millis(1),
+        });
+        let mut channels = Vec::new();
+        for i in 1..n {
+            let parent = nodes[next(i as u64) as usize];
+            let delay = [0, 1, 5, 5, 10][next(5) as usize];
+            let rate = [1_000_000, 8_000_000, 100_000_000][next(3) as usize];
+            let queue = match next(6) {
+                k @ 0..=2 => QueueConfig::DropTail {
+                    limit: [1, 2, 5][k as usize],
+                },
+                _ => red.clone(),
+            };
+            let (down, up) = e.add_link(
+                parent,
+                nodes[i],
+                rate,
+                SimDuration::from_millis(delay),
+                &queue,
+            );
+            channels.extend([down, up]);
+        }
+        for &ch in &channels {
+            if next(5) == 0 {
+                e.set_fault(ch, FaultInjector::new(0.2));
+            }
+        }
+        let theta = [None, Some(SimDuration::from_millis(5))][next(2) as usize];
+        e.partition_merged(theta, shards, None);
+        if eager {
+            set_eager(&mut e);
+        }
+        let sinks: Vec<AgentId> = nodes
+            .iter()
+            .map(|&node| e.add_agent(node, Box::new(Sink::default())))
+            .collect();
+        let group = e.new_group();
+        for &sink in &sinks[1..] {
+            if next(2) == 0 {
+                e.join_group(group, sink);
+            }
+        }
+        let mut sources = Vec::new();
+        for k in 0..1 + next(4) {
+            let dest = if k == 0 {
+                Dest::Group(group)
+            } else {
+                Dest::Agent(sinks[next(n as u64) as usize])
+            };
+            let bursts = (0..1 + next(6))
+                .map(|_| {
+                    let size = [40, 1000][next(2) as usize];
+                    (next(80) * 250_000, 1 + next(6) as u32, size)
+                })
+                .collect();
+            let node = if k == 0 {
+                nodes[0]
+            } else {
+                nodes[next(n as u64) as usize]
+            };
+            let src = e.add_agent(node, Box::new(Script { dest, bursts }));
+            if next(3) == 0 {
+                e.set_send_overhead(src, SimDuration::from_micros(300));
+            }
+            sources.push(src);
+        }
+        e.compute_routes();
+        e.build_group_tree(group, nodes[0]);
+        for src in sources {
+            e.start_agent_at(src, SimTime::from_nanos(next(4) * 250_000));
+        }
+        e
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Filing a completion only when a packet is waiting is invisible:
+        /// against the model that files every one at start, the digest,
+        /// every channel's statistics and RED average and the live-packet
+        /// count agree at every stop of an arbitrarily stepped run — stops
+        /// on the burst grid (where transmissions end) and off it, a
+        /// degrade dropped in at one of them — at one and two shards.
+        #[test]
+        fn lazy_completions_match_the_eager_model(
+            draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..48),
+            stops in proptest::collection::vec((0u64..120, 0u64..4), 1..10),
+            degrade_at in 0usize..10,
+        ) {
+            let mut worlds = [
+                random_world(&draws, 1, true),
+                random_world(&draws, 1, false),
+                random_world(&draws, 2, true),
+                random_world(&draws, 2, false),
+            ];
+            let mut stops: Vec<u64> = stops
+                .iter()
+                .map(|&(grid, off)| grid * 250_000 + [0, 0, 80_000, 3_200][off as usize])
+                .collect();
+            stops.sort_unstable();
+            stops.push(200_000_000);
+            for (i, &stop) in stops.iter().enumerate() {
+                for e in &mut worlds {
+                    e.run_until(SimTime::from_nanos(stop));
+                    if i == degrade_at && e.world().channel_count() > 0 {
+                        let ch = ChannelId::from(draws[1] as usize % e.world().channel_count());
+                        e.world_mut().channel_mut(ch).degrade(0.1, Some(2_000_000));
+                    }
+                }
+                let model = observable(&worlds[0]);
+                proptest::prop_assert!(model.0.events() > 0 || i + 1 < stops.len());
+                for (k, e) in worlds.iter().enumerate().skip(1) {
+                    proptest::prop_assert_eq!(&model, &observable(e), "world {} at {} ns", k, stop);
+                }
+            }
+            let (lazy, eager) = (worlds[1].event_counts(), worlds[0].event_counts());
+            proptest::prop_assert_eq!(eager.settled, 0);
+            proptest::prop_assert_eq!(lazy.tx_complete + lazy.settled, eager.tx_complete);
+        }
     }
 
     #[test]

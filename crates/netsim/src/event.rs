@@ -1,19 +1,38 @@
 //! The event calendar: a timer wheel — a ring of fine slots under three
 //! coarse levels — with a binary-heap overflow.
 //!
-//! The calendar dispatches events in strict `(time, key)` order. For
-//! locally scheduled events the key is `(epoch, 0, seq)` — `seq` is a
-//! monotone schedule counter, so same-instant local events fire in
-//! insertion (FIFO) order, exactly the classic behaviour. Cross-region
-//! boundary arrivals are scheduled with an explicit key
-//! `(send epoch, 1, source region, send order)` instead: that places them,
-//! at their instant, after every event scheduled up to the send epoch's
-//! closing barrier and before everything scheduled later — precisely the
-//! position a barrier-batched *(arrival time, source region, send order)*
-//! flush would have given them, but without buffering or sorting anything
-//! at the barrier. Because the key is a total order independent of
-//! insertion sequence, dispatch order is identical at every shard and
-//! worker count (see `DESIGN.md` §9).
+//! The calendar dispatches events in strict `(time, key)` order; the key
+//! is one packed word, and which kind of event carries which key is the
+//! whole ordering contract:
+//!
+//! | event                                   | key                                                   |
+//! |-----------------------------------------|-------------------------------------------------------|
+//! | timer, start, agent injection           | `(epoch, 0, seq)` — [`Calendar::schedule`]            |
+//! | arrival after an intra-region hop       | `(epoch, 0, seq)`, scheduled when transmission ends   |
+//! | transmission completion                 | `(epoch, 0, seq)` reserved when transmission *starts* |
+//! | arrival after a cross-region link hop   | `(epoch of the transmission's end, 1, region, channel)` |
+//!
+//! `seq` is a monotone schedule counter, so same-instant local events fire
+//! in insertion (FIFO) order, exactly the classic behaviour. A
+//! transmission completion takes its `seq` from that counter when the
+//! transmission starts ([`Calendar::reserve_key`]) but is filed
+//! ([`Calendar::schedule_keyed`]) only once a packet is waiting behind it —
+//! possibly epochs later, possibly never; when it is filed it pops exactly
+//! where a `schedule` at the start would have put it, and every other local
+//! key of the run is the same either way.
+//!
+//! A cross-region arrival's key is a pure function of the message
+//! ([`boundary_key`]): it places the arrival, at its instant, after every
+//! event scheduled up to the closing barrier of the epoch in which the
+//! transmission ends and before everything scheduled later — precisely the
+//! position a barrier-batched *(arrival time, source region, channel)*
+//! flush of that epoch would have given it, although the arrival is filed
+//! when the transmission *starts*, with no buffering or sorting at any
+//! barrier. A channel serves one packet at a time and service takes at
+//! least a nanosecond, so two arrivals off one channel never share an
+//! instant and the channel id is as good as a send counter. Because the key
+//! is a total order independent of insertion sequence, dispatch order is
+//! identical at every shard and worker count (see `DESIGN.md` §9).
 //!
 //! # Layout
 //!
@@ -64,12 +83,12 @@ use crate::time::SimTime;
 /// What happens when an event fires.
 #[derive(Debug, Clone, Copy)]
 pub enum EventKind {
-    /// A channel finished serializing the packet it was transmitting.
+    /// A channel finished serializing the packet it was transmitting; what
+    /// was in service is recorded on the channel
+    /// ([`InService`](crate::link::InService)).
     TxComplete {
         /// The transmitting channel.
         channel: ChannelId,
-        /// The packet that just left the transmitter.
-        packet: PacketHandle,
     },
     /// A packet arrives at a node (after propagation, or injected locally
     /// by an agent on that node).
@@ -97,7 +116,7 @@ pub enum EventKind {
 /// Bit layout of the packed `u64` tie-break key. The epoch occupies the
 /// high 28 bits, the phase bit sits at 35, and the low 35 bits are
 /// phase-specific — a per-epoch schedule counter for locals, a
-/// *(region, send order)* pair for boundary arrivals. Cross-phase
+/// *(region, channel)* pair for boundary arrivals. Cross-phase
 /// comparisons resolve on the shared `(epoch, phase)` prefix, so the low
 /// layouts never meet. Keeping the key in one word keeps [`Event`] at its
 /// pre-partitioning 32 bytes — the wheel's slot sorts and copies are on
@@ -107,8 +126,12 @@ const KEY_EPOCH_SHIFT: u32 = 36;
 pub(crate) const MAX_EPOCHS: u64 = 1 << (64 - KEY_EPOCH_SHIFT);
 /// Phase bit: 0 = locally scheduled, 1 = boundary arrival of that epoch.
 const KEY_PHASE_BIT: u64 = 1 << 35;
-/// Bits for the boundary key's per-epoch, per-region send order.
-const KEY_SEQ_SHIFT: u32 = 21;
+/// Bits for the boundary key's channel id.
+const KEY_CHANNEL_BITS: u32 = 21;
+/// Regions a boundary key can tell apart.
+pub const MAX_REGIONS: usize = (KEY_PHASE_BIT >> KEY_CHANNEL_BITS) as usize;
+/// Channels a boundary key can tell apart.
+pub const MAX_CHANNELS: usize = 1 << KEY_CHANNEL_BITS;
 
 /// Same-instant tie-break key for a locally scheduled event: epoch, phase
 /// bit 0, then the calendar's schedule counter *within that epoch*.
@@ -124,23 +147,38 @@ pub fn local_key(epoch: u64, seq: u64) -> u64 {
     (epoch << KEY_EPOCH_SHIFT) | seq
 }
 
-/// Same-instant tie-break key for a cross-region boundary arrival: the
-/// *send* epoch, phase bit 1 (after every local event of that epoch,
-/// before everything later), then the canonical *(source region, send
-/// order within the epoch)* pair. A pure function of the message —
-/// independent of which shard inserts it, or when — so dispatch order is
-/// identical at every shard and worker count.
-pub fn boundary_key(epoch: u64, region: u32, seq: u64) -> u64 {
+/// The static low half of a cross-region channel's arrival keys: phase
+/// bit 1, the source region, the channel id. Computed once per channel
+/// when the topology is built, which is where a topology too wide for the
+/// key is refused.
+pub fn boundary_lane(region: u32, channel: ChannelId) -> Result<u64, String> {
+    if region as usize >= MAX_REGIONS {
+        return Err(format!(
+            "region {region} does not fit the calendar key: a partitioned topology \
+             holds at most {MAX_REGIONS} regions"
+        ));
+    }
+    if channel.index() >= MAX_CHANNELS {
+        return Err(format!(
+            "channel {} does not fit the calendar key: a partitioned topology \
+             holds at most {MAX_CHANNELS} channels",
+            channel.index()
+        ));
+    }
+    Ok(KEY_PHASE_BIT | ((region as u64) << KEY_CHANNEL_BITS) | channel.index() as u64)
+}
+
+/// Same-instant tie-break key for a cross-region arrival: the epoch in
+/// which its transmission ends, then the channel's [`boundary_lane`] —
+/// after every local event of that epoch, before everything later, and
+/// among that epoch's arrivals by *(source region, channel)*. A pure
+/// function of the message — independent of which shard inserts it, or
+/// when — so dispatch order is identical at every shard and worker count.
+#[inline]
+pub fn boundary_key(epoch: u64, lane: u64) -> u64 {
     debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");
-    assert!(
-        (region as u64) < KEY_PHASE_BIT >> KEY_SEQ_SHIFT,
-        "calendar key overflow: region id {region} needs more than 14 bits"
-    );
-    assert!(
-        seq < 1 << KEY_SEQ_SHIFT,
-        "calendar key overflow: 2^21 boundary sends from one region within one θ-grid epoch"
-    );
-    (epoch << KEY_EPOCH_SHIFT) | KEY_PHASE_BIT | ((region as u64) << KEY_SEQ_SHIFT) | seq
+    debug_assert!(lane & KEY_PHASE_BIT != 0 && lane < 2 * KEY_PHASE_BIT);
+    (epoch << KEY_EPOCH_SHIFT) | lane
 }
 
 /// A scheduled event.
@@ -294,20 +332,26 @@ impl Calendar {
     /// Schedule `kind` to fire at `at`, tie-broken by insertion order
     /// within the current epoch.
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let key = local_key(self.epoch, self.next_seq);
-        self.next_seq += 1;
+        let key = self.reserve_key();
         self.insert(Event { at, key, kind });
     }
 
-    /// Schedule a cross-region boundary arrival, tie-broken by the
-    /// canonical *(send epoch, source region, send order)* key — `region`
-    /// and `seq` identify the sender's stream; the send epoch is the
-    /// calendar's current epoch (the sender transmits and the exchange
-    /// delivers within the same grid step). The key is independent of the
-    /// insertion path, so direct insertion here lands the arrival exactly
-    /// where a barrier-batched sort would have.
-    pub fn schedule_boundary(&mut self, at: SimTime, region: u32, seq: u64, kind: EventKind) {
-        let key = boundary_key(self.epoch, region, seq);
+    /// Take the key [`schedule`](Self::schedule) would assign right now
+    /// without filing anything. An event later filed under it with
+    /// [`schedule_keyed`](Self::schedule_keyed) pops exactly where a
+    /// `schedule` at this point would have put it, and every key assigned
+    /// afterwards is the same whether or not that ever happens.
+    pub fn reserve_key(&mut self) -> u64 {
+        let key = local_key(self.epoch, self.next_seq);
+        self.next_seq += 1;
+        key
+    }
+
+    /// File `kind` at `at` under an explicit key: a reserved local key, or
+    /// a cross-region arrival's [`boundary_key`]. The key alone fixes the
+    /// same-instant dispatch position, whatever the insertion sequence;
+    /// `(at, key)` must not precede an event already popped.
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
         self.insert(Event { at, key, kind });
     }
 
@@ -539,14 +583,19 @@ impl HeapCalendar {
 
     /// Schedule `kind` to fire at `at`.
     pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let key = local_key(self.epoch, self.next_seq);
-        self.next_seq += 1;
+        let key = self.reserve_key();
         self.heap.push(Event { at, key, kind });
     }
 
-    /// See [`Calendar::schedule_boundary`].
-    pub fn schedule_boundary(&mut self, at: SimTime, region: u32, seq: u64, kind: EventKind) {
-        let key = boundary_key(self.epoch, region, seq);
+    /// See [`Calendar::reserve_key`].
+    pub fn reserve_key(&mut self) -> u64 {
+        let key = local_key(self.epoch, self.next_seq);
+        self.next_seq += 1;
+        key
+    }
+
+    /// See [`Calendar::schedule_keyed`].
+    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, kind: EventKind) {
         self.heap.push(Event { at, key, kind });
     }
 
@@ -682,27 +731,36 @@ mod tests {
         assert_eq!(seen.len(), 20);
     }
 
+    /// File a boundary arrival the way the engine does: under the key of
+    /// `(epoch, region, channel)`.
+    fn arrive(cal: &mut Calendar, at: SimTime, epoch: u64, region: u32, channel: u32, token: u64) {
+        let lane = boundary_lane(region, ChannelId(channel)).unwrap();
+        cal.schedule_keyed(at, boundary_key(epoch, lane), timer(0, token));
+    }
+
     #[test]
-    fn boundary_keys_order_by_epoch_phase_region_and_send_order() {
-        // Locals of epoch k < boundary arrivals sent in epoch k (ordered
-        // by (region, send order) regardless of insertion sequence) <
-        // locals of epoch k+1 — all at the same instant.
+    fn boundary_keys_order_by_epoch_phase_region_and_channel() {
+        // Locals of epoch k < boundary arrivals of epoch k (ordered by
+        // (region, channel) regardless of insertion sequence) < locals of
+        // epoch k+1 — all at the same instant.
         let t = SimTime::from_nanos(5_000);
         let mut cal = Calendar::new();
         cal.set_epoch(1);
-        cal.schedule(t, timer(0, 10)); // epoch-1 local
-        cal.schedule(t, timer(0, 11)); // epoch-1 local
-                                       // Exchange at epoch 1's barrier: arrivals inserted out of
-                                       // canonical order (higher region first).
-        cal.schedule_boundary(t, 7, 0, timer(0, 22));
-        cal.schedule_boundary(t, 3, 1, timer(0, 21));
-        cal.schedule_boundary(t, 3, 0, timer(0, 20));
+        cal.schedule(t, timer(0, 10));
+        // An arrival whose transmission ends an epoch later, filed first of
+        // all: the key carries the later epoch.
+        arrive(&mut cal, t, 2, 0, 0, 40);
+        cal.schedule(t, timer(0, 11));
+        // Epoch-1 arrivals inserted out of canonical order.
+        arrive(&mut cal, t, 1, 7, 0, 22);
+        arrive(&mut cal, t, 1, 3, 9, 21);
+        arrive(&mut cal, t, 1, 3, 4, 20);
         cal.set_epoch(2);
         cal.schedule(t, timer(0, 30)); // epoch-2 local
         let order: Vec<u64> = std::iter::from_fn(|| cal.pop())
             .map(|e| token_of(&e))
             .collect();
-        assert_eq!(order, vec![10, 11, 20, 21, 22, 30]);
+        assert_eq!(order, vec![10, 11, 20, 21, 22, 30, 40]);
     }
 
     #[test]
@@ -718,12 +776,46 @@ mod tests {
         // Both share a level-0 slot: popping the first drains the second
         // into `ready` and commits the cursor past 10_050.
         assert_eq!(token_of(&cal.pop().unwrap()), 1);
-        cal.schedule_boundary(SimTime::from_nanos(10_050), 5, 0, timer(0, 4));
-        cal.schedule_boundary(SimTime::from_nanos(10_050), 2, 0, timer(0, 3));
+        arrive(&mut cal, SimTime::from_nanos(10_050), 1, 5, 0, 4);
+        arrive(&mut cal, SimTime::from_nanos(10_050), 1, 2, 0, 3);
         let order: Vec<u64> = std::iter::from_fn(|| cal.pop())
             .map(|e| token_of(&e))
             .collect();
         assert_eq!(order, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn a_reserved_key_pops_where_schedule_would_have_put_it() {
+        // Reserve between two schedules at one instant, file after both —
+        // and after the cursor has passed the instant: the late filing
+        // still pops second.
+        let t = SimTime::from_nanos(10_050);
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::from_nanos(10_000), timer(0, 0));
+        cal.schedule(t, timer(0, 1));
+        let key = cal.reserve_key();
+        cal.schedule(t, timer(0, 3));
+        assert_eq!(token_of(&cal.pop().unwrap()), 0);
+        assert_eq!(token_of(&cal.pop().unwrap()), 1);
+        cal.schedule_keyed(t, key, timer(0, 2));
+        assert_eq!(cal.len(), 2);
+        assert_eq!(token_of(&cal.pop().unwrap()), 2);
+        assert_eq!(token_of(&cal.pop().unwrap()), 3);
+    }
+
+    #[test]
+    fn a_topology_too_wide_for_the_key_is_refused_with_the_limit() {
+        assert!(boundary_lane(MAX_REGIONS as u32 - 1, ChannelId(MAX_CHANNELS as u32 - 1)).is_ok());
+        let e = boundary_lane(MAX_REGIONS as u32, ChannelId(0)).unwrap_err();
+        assert!(
+            e.contains("region 16384") && e.contains("at most 16384 regions"),
+            "{e}"
+        );
+        let e = boundary_lane(0, ChannelId(MAX_CHANNELS as u32)).unwrap_err();
+        assert!(
+            e.contains("channel 2097152") && e.contains("at most 2097152 channels"),
+            "{e}"
+        );
     }
 
     #[test]

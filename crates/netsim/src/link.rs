@@ -3,12 +3,40 @@
 //! A full-duplex link between two nodes is modelled as two independent
 //! [`Channel`]s, each with its own transmitter and buffer, so that reverse
 //! ACK traffic is simulated through real queues rather than assumed free.
+//!
+//! A channel is FIFO only because service takes time: every transmission
+//! lasts at least a nanosecond, so no two packets leave one channel at the
+//! same instant.
 
+use crate::arena::PacketHandle;
 use crate::fault::FaultInjector;
 use crate::id::{ChannelId, NodeId};
 use crate::queue::{QueueConfig, QueueDiscipline};
 use crate::stats::ChannelStats;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
+
+/// The transmission in progress on a channel. Its completion has a
+/// calendar position — `(end, key)`, reserved when the transmission
+/// started — but not necessarily a calendar event: on a cross-region hop
+/// the event is filed only once a packet is waiting behind it, and a
+/// completion that never gets one is *settled* by the engine the next time
+/// anything looks at the channel.
+#[derive(Debug, Clone, Copy)]
+pub struct InService {
+    /// When serialization finishes.
+    pub end: SimTime,
+    /// The completion's reserved calendar key.
+    pub key: u64,
+    /// Size of the packet being serialized.
+    pub size_bytes: u32,
+    /// `true` once a `TxComplete` event sits in the calendar at
+    /// `(end, key)`.
+    pub filed: bool,
+    /// The packet whose downstream arrival the completion must still
+    /// schedule (an intra-region hop); `None` when the arrival was filed
+    /// when the transmission started (a cross-region hop).
+    pub arrival: Option<PacketHandle>,
+}
 
 /// A unidirectional transmission channel with a finite buffer.
 #[derive(Debug)]
@@ -26,8 +54,8 @@ pub struct Channel {
     pub prop_delay: SimDuration,
     /// The output buffer discipline (drop-tail or RED).
     pub queue: Box<dyn QueueDiscipline>,
-    /// `true` while the transmitter is serializing a packet.
-    pub busy: bool,
+    /// The packet being serialized, if any.
+    pub in_service: Option<InService>,
     /// Optional random packet discard.
     pub fault: Option<FaultInjector>,
     /// Collected statistics.
@@ -57,7 +85,7 @@ impl Channel {
             bandwidth_bps,
             prop_delay,
             queue: queue_cfg.build(),
-            busy: false,
+            in_service: None,
             fault: None,
             stats: ChannelStats::default(),
             base_bandwidth_bps: bandwidth_bps,
@@ -65,9 +93,33 @@ impl Channel {
         }
     }
 
-    /// Service time of one `size_bytes` packet on this channel.
+    /// Service time of one `size_bytes` packet on this channel: at least
+    /// a nanosecond, so an empty packet cannot leave in the same instant as
+    /// its predecessor.
     pub fn service_time(&self, size_bytes: u32) -> SimDuration {
-        SimDuration::from_nanos(crate::packet::tx_nanos(size_bytes, self.bandwidth_bps))
+        SimDuration::from_nanos(crate::packet::tx_nanos(size_bytes, self.bandwidth_bps).max(1))
+    }
+
+    /// The transmission in service ends, at its recorded `end`: close the
+    /// books on it and pull the next packet out of the buffer, if any.
+    pub(crate) fn finish_tx(&mut self) -> Option<PacketHandle> {
+        let tx = self.in_service.take().expect("no transmission in service");
+        self.stats.record_tx_end(tx.end);
+        self.stats.transmitted += 1;
+        self.stats.bytes_transmitted += tx.size_bytes as u64;
+        self.queue.dequeue(tx.end)
+    }
+
+    /// Run a completion that was never filed: exactly what its event would
+    /// have done on finding the buffer empty. The `dequeue` is not
+    /// optional — RED arms its idle clock in it, also when an early drop
+    /// onto the empty buffer disarmed it mid-service.
+    pub(crate) fn settle(&mut self) {
+        let next = self.finish_tx();
+        debug_assert!(
+            next.is_none(),
+            "an unfiled completion with a packet waiting"
+        );
     }
 
     /// Degrade the channel in place: inject `loss` (a probability in
@@ -122,6 +174,20 @@ mod tests {
         );
         // 1000 B = 8000 bits at 800 kbps -> 10 ms.
         assert_eq!(ch.service_time(1000), SimDuration::from_millis(10));
+    }
+
+    #[test]
+    fn service_always_takes_time() {
+        let ch = Channel::new(
+            ChannelId(0),
+            NodeId(0),
+            NodeId(1),
+            u64::MAX,
+            SimDuration::ZERO,
+            &QueueConfig::paper_droptail(),
+        );
+        assert_eq!(ch.service_time(0), SimDuration::from_nanos(1));
+        assert_eq!(ch.service_time(1), SimDuration::from_nanos(1));
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! too quickly to separate), and the *lookahead* `L` is the minimum delay
 //! over the links that remain cut. The epoch executor in
 //! [`engine`](crate::engine) advances every domain to the next multiple of
-//! `L` ([`grid_next`]) and then exchanges [`BoundaryMsg`]s — packets whose
-//! transmission finished in one domain but whose arrival node lives in
-//! another.
+//! `L` ([`grid_next`]) and then exchanges [`BoundaryMsg`]s — packets
+//! transmitted in one domain whose arrival node lives in another.
 //!
 //! # Determinism contract
 //!
@@ -23,8 +22,8 @@
 //! worker count: running the same partitioned world on 1, 2 or 4 workers
 //! executes the identical per-domain event streams and produces
 //! bit-identical trace digests. Boundary messages are exchanged only at
-//! absolute grid barriers `i·L` (never at caller-chosen deadlines), in the
-//! canonical order *(arrival time, source domain, send order)*, so the
+//! absolute grid barriers `i·L` (never at caller-chosen deadlines), each
+//! under a calendar key that is a pure function of the message, so the
 //! per-domain calendar sequence numbers — and therefore same-instant FIFO
 //! dispatch — are independent of both the worker count and how the caller
 //! steps `run_until`.
@@ -33,36 +32,25 @@ use crate::id::NodeId;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
-/// A packet crossing from one domain to another: queued in the sending
-/// domain's outbox at transmission completion, scheduled into the arrival
-/// node's domain at the next epoch barrier.
+/// A packet crossing from one domain to another: it leaves the sending
+/// domain's arena for the outbox when its transmission *starts* (the
+/// arrival instant is already known then) and is scheduled into the
+/// arrival node's domain at the next epoch barrier.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundaryMsg {
-    /// Arrival instant at the destination node (transmission completion
-    /// plus the cut link's propagation delay — by construction at least
-    /// one lookahead in the future).
+    /// Arrival instant at the destination node (end of transmission plus
+    /// the cut link's propagation delay — by construction past the barrier
+    /// that hands the message over).
     pub at: SimTime,
     /// The node the packet arrives at (in the destination domain).
     pub node: NodeId,
     /// The packet itself, by value: it left the sending domain's arena and
     /// enters the destination domain's arena on delivery.
     pub packet: Packet,
-    /// The (global) region the packet was sent from. Together with `seq`
-    /// this carries the canonical *(arrival time, source region, send
-    /// order)* exchange key, so a whole epoch's crossings can be handed
-    /// over as one batch and sorted once.
-    pub region: u32,
-    /// Send order within the source region's cross-region traffic.
-    pub seq: u64,
-}
-
-impl BoundaryMsg {
-    /// The canonical exchange-order key: *(arrival time, source region,
-    /// send order)*. A total order, so an unstable sort suffices.
-    #[inline]
-    pub fn key(&self) -> (SimTime, u32, u64) {
-        (self.at, self.region, self.seq)
-    }
+    /// The arrival's calendar key ([`crate::event::boundary_key`]): with
+    /// `at`, its dispatch position, whatever order the exchange delivers
+    /// messages in.
+    pub key: u64,
 }
 
 /// A partition of the topology's nodes into conservative-lookahead
@@ -604,43 +592,6 @@ mod tests {
         assert_eq!(
             grid_next(SimTime::from_millis(15), l),
             SimTime::from_millis(20)
-        );
-    }
-
-    #[test]
-    fn boundary_msg_key_is_the_canonical_total_order() {
-        use crate::packet::{Dest, Packet};
-        use crate::wire::Segment;
-        let msg = |at: SimTime, region: u32, seq: u64| BoundaryMsg {
-            at,
-            node: NodeId(0),
-            packet: Packet {
-                uid: 0,
-                src: crate::id::AgentId(0),
-                dest: Dest::Agent(crate::id::AgentId(0)),
-                size_bytes: 0,
-                segment: Segment::Raw,
-                sent_at: SimTime::ZERO,
-            },
-            region,
-            seq,
-        };
-        let mut v = [
-            msg(SimTime::from_millis(2), 0, 0),
-            msg(SimTime::from_millis(1), 1, 0),
-            msg(SimTime::from_millis(1), 0, 1),
-            msg(SimTime::from_millis(1), 0, 0),
-        ];
-        v.sort_unstable_by_key(|m| m.key());
-        let keys: Vec<_> = v.iter().map(|m| (m.at, m.region, m.seq)).collect();
-        assert_eq!(
-            keys,
-            vec![
-                (SimTime::from_millis(1), 0, 0),
-                (SimTime::from_millis(1), 0, 1),
-                (SimTime::from_millis(1), 1, 0),
-                (SimTime::from_millis(2), 0, 0),
-            ]
         );
     }
 

@@ -7,8 +7,10 @@ use rand::SeedableRng;
 use netsim::agent::{Agent, Sink};
 use netsim::arena::{PacketArena, PacketHandle};
 use netsim::engine::{Context, Engine};
-use netsim::event::{Calendar, EventKind, HeapCalendar, HORIZON_NS, SLOT_NS};
-use netsim::id::AgentId;
+use netsim::event::{
+    boundary_key, boundary_lane, Calendar, EventKind, HeapCalendar, HORIZON_NS, SLOT_NS,
+};
+use netsim::id::{AgentId, ChannelId};
 use netsim::packet::{Dest, Packet};
 use netsim::queue::{DropTail, Enqueue, QueueConfig, QueueDiscipline, Red, RedConfig};
 use netsim::stats::{Running, TimeWeighted};
@@ -296,17 +298,23 @@ proptest! {
     /// The model test: the wheel against [`HeapCalendar`] through the whole
     /// scheduling API in arbitrary interleavings — schedules at `now` and
     /// on either side of every boundary, boundary arrivals with arbitrary
-    /// (region, seq) landing just after `now` (below the cursor, out of key
-    /// order), epoch advances, pops, and bounded pops with deadlines on
-    /// slot, level and horizon boundaries. Every pop agrees on `(at, key)`
-    /// and the lengths agree after every step.
+    /// (epoch, region, channel) landing just after `now` (below the cursor,
+    /// out of key order), keys reserved now and filed later (below the
+    /// cursor, or at the very instant being popped), epoch advances, pops,
+    /// and bounded pops with deadlines on slot, level and horizon
+    /// boundaries. Every pop agrees on `(at, key)` and the lengths agree
+    /// after every step.
     #[test]
     fn wheel_matches_heap_model(
-        ops in proptest::collection::vec((0u8..12, any::<u64>()), 1..400),
+        ops in proptest::collection::vec((0u8..14, any::<u64>()), 1..400),
     ) {
         let mut wheel = Calendar::new();
         let mut heap = HeapCalendar::new();
         let (mut now, mut epoch) = (0u64, 0u64);
+        // The key of the last pop at `now`, and the reservations not yet
+        // filed: (instant, key).
+        let mut now_key = 0u64;
+        let mut reserved: Vec<(u64, u64)> = Vec::new();
         let kind = EventKind::Timer { agent: AgentId(0), token: 0 };
         for &(op, draw) in &ops {
             let popped = match op {
@@ -324,9 +332,11 @@ proptest! {
                 4 | 5 => {
                     let after = if op == 4 { draw % SLOT_NS } else { boundary_time(0, draw, false) };
                     let at = SimTime::from_nanos(now + 1 + after);
-                    let (region, seq) = ((draw >> 40) as u32 % (1 << 14), (draw >> 16) % (1 << 21));
-                    wheel.schedule_boundary(at, region, seq, kind);
-                    heap.schedule_boundary(at, region, seq, kind);
+                    let (region, channel) = ((draw >> 40) as u32 % (1 << 14), (draw >> 16) as u32 % (1 << 21));
+                    // The transmission may end in a later epoch than it starts in.
+                    let key = boundary_key(epoch + draw % 3, boundary_lane(region, ChannelId(channel)).unwrap());
+                    wheel.schedule_keyed(at, key, kind);
+                    heap.schedule_keyed(at, key, kind);
                     (None, None)
                 }
                 6 => {
@@ -339,6 +349,29 @@ proptest! {
                     let deadline = SimTime::from_nanos(boundary_time(now, draw, op == 7));
                     (wheel.pop_before(deadline), heap.pop_before(deadline))
                 }
+                // Reserve a completion's key for an instant at `now` (a
+                // one-in-four draw), within the slot, or across a boundary.
+                9 => {
+                    let at = match draw % 4 {
+                        0 => now,
+                        1 => now + (draw >> 2) % SLOT_NS,
+                        _ => boundary_time(now, draw >> 2, false),
+                    };
+                    let (a, b) = (wheel.reserve_key(), heap.reserve_key());
+                    prop_assert_eq!(a, b);
+                    reserved.push((at, a));
+                    (None, None)
+                }
+                // File one — if the calendar has not passed its position,
+                // the engine's own "already fired?" rule.
+                10 if !reserved.is_empty() => {
+                    let (at, key) = reserved.swap_remove(draw as usize % reserved.len());
+                    if (at, key) > (now, now_key) {
+                        wheel.schedule_keyed(SimTime::from_nanos(at), key, kind);
+                        heap.schedule_keyed(SimTime::from_nanos(at), key, kind);
+                    }
+                    (None, None)
+                }
                 _ => (wheel.pop(), heap.pop()),
             };
             match popped {
@@ -346,6 +379,7 @@ proptest! {
                     prop_assert_eq!((a.at, a.key), (b.at, b.key));
                     // Stay clear of the sentinel: `now + delay` must not wrap.
                     now = a.at.as_nanos().min(u64::MAX >> 1);
+                    now_key = a.key;
                 }
                 (None, None) => {}
                 (a, b) => prop_assert!(false, "wheel popped {a:?}, the heap {b:?}"),

@@ -145,3 +145,25 @@ proptest! {
         prop_assert!(t1.b <= t2.b, "RED upper bound is tighter");
     }
 }
+
+/// One calendar event per uncongested hop: in fig-7 case 1 only L1 is
+/// congested, so most transmissions end with nothing waiting behind them
+/// and their completion must cost no event. Every digest stays green if a
+/// refactor files them all again — this count does not.
+#[test]
+fn most_case1_completions_are_settled_without_an_event() {
+    use bounded_fairness::experiments::{CongestionCase, ScenarioSpec};
+    let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
+        .with_duration(SimDuration::from_secs(20))
+        .build();
+    let mut world = scenario.build();
+    world.run(&scenario);
+    let c = world.engine.event_counts();
+    let completions = c.settled + c.tx_complete;
+    assert!(completions > 100_000, "only {completions} transmissions");
+    assert!(
+        2 * c.settled >= completions,
+        "{} of {completions} completions settled without an event",
+        c.settled
+    );
+}
