@@ -19,13 +19,9 @@ fn main() {
         "section 5.2: two overlapping RLA sessions, case-3 topology, {:.0} s...",
         duration.as_secs_f64()
     );
-    let r = scenario.run_with_pcap(&cfg.pcap);
-    emit_scenario_manifest(
-        &cfg.results_dir,
-        "sec52",
-        duration,
-        std::slice::from_ref(&r),
-    );
+    let results = Pool::new(&cfg).run(vec![scenario]);
+    emit_scenario_manifest(&cfg.results_dir, "sec52", duration, &results);
+    let r = &results[0];
 
     println!("Section 5.2 — two overlapping multicast sessions (case-3 topology)");
     for (i, s) in r.rla.iter().enumerate() {

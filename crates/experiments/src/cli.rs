@@ -27,7 +27,7 @@ use std::thread;
 use netsim::time::SimDuration;
 use tcp_sack::CcVariant;
 use telemetry::flight::DEFAULT_FLIGHT_DEPTH;
-use telemetry::pcap::{DEFAULT_SNAPLEN, DEFAULT_SPOOL_RECORDS};
+use telemetry::pcap::DEFAULT_SNAPLEN;
 use telemetry::TimelineFormat;
 
 use crate::events::ScenarioEvent;
@@ -39,7 +39,7 @@ use crate::tree::CongestionCase;
 /// [`RunConfig::from_env`] rejects anything else in the `RLA_` namespace
 /// so a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 16] = [
+pub const KNOWN_ENV_VARS: [&str; 15] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
@@ -52,7 +52,6 @@ pub const KNOWN_ENV_VARS: [&str; 16] = [
     "RLA_PROGRESS_FILE",
     "RLA_PCAP",
     "RLA_PCAP_DIR",
-    "RLA_PCAP_SPOOL",
     "RLA_TELEMETRY_SAMPLE_MS",
     "RLA_TELEMETRY_FORMAT",
     "RLA_TELEMETRY_DIR",
@@ -63,7 +62,9 @@ pub const KNOWN_ENV_VARS: [&str; 16] = [
 const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
 
 /// The `RLA_PCAP*` knob group. The defaults mean "off": packet capture
-/// costs nothing unless asked for.
+/// costs nothing unless asked for. On, every run the
+/// [`Pool`](crate::runner::Pool) executes streams one capture file, whose
+/// memory cost is a write buffer whatever the run length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapOptions {
     /// Write a capture file per scenario run (`RLA_PCAP=1`/`on`, or a
@@ -76,11 +77,8 @@ pub struct PcapOptions {
     /// Directory capture files are written to (`RLA_PCAP_DIR`; a parsed
     /// config defaults it to the results dir, [`Default`] to `results/`).
     pub dir: PathBuf,
-    /// Spill-to-disk chunk size in records (`RLA_PCAP_SPOOL=1`/`on` for
-    /// the default chunk, or a record count; `None` — the default —
-    /// buffers the whole capture in memory). Bounds the tracer's memory
-    /// for paper-length (3000 s) exports; the merged file is
-    /// byte-identical to the unspooled one.
+    /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
+    /// in a struct literal; ROADMAP item 1(a) deletes it).
     pub spool_records: Option<usize>,
 }
 
@@ -97,8 +95,9 @@ impl Default for PcapOptions {
 
 /// The `RLA_TELEMETRY*` knob group: how a timeline-recording run samples
 /// and where it writes. Recording itself is the caller's decision
-/// (`ScenarioWorld::run_with_telemetry*`), never the environment's — the
-/// golden digests and the benchmark's end-to-end workloads run without it.
+/// (`ScenarioWorld::run_with_telemetry_streamed`), never the
+/// environment's — the golden digests and the benchmark's end-to-end
+/// workloads run without it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
     /// Caller-set only (no knob): marks a config whose owner records
@@ -241,20 +240,6 @@ impl RunConfig {
                 pcap.snaplen = parsed("RLA_PCAP", &v, "on|off|1|0 or a snaplen in bytes");
                 true
             });
-        }
-        if let Some(v) = get("RLA_PCAP_SPOOL") {
-            pcap.spool_records = match switch(&v) {
-                Some(on) => on.then_some(DEFAULT_SPOOL_RECORDS),
-                None => {
-                    let what = "on|off|1|0 or a chunk size in records";
-                    let records: usize = parsed("RLA_PCAP_SPOOL", &v, what);
-                    assert!(
-                        records > 0,
-                        "RLA_PCAP_SPOOL=0 disables spooling; a chunk needs at least one record"
-                    );
-                    Some(records)
-                }
-            };
         }
 
         let mut telemetry = TelemetryOptions {
@@ -440,7 +425,6 @@ mod tests {
             ("RLA_PROGRESS", "on"),
             ("RLA_PROGRESS_FILE", "/tmp/hb.jsonl"),
             ("RLA_PCAP", "256"),
-            ("RLA_PCAP_SPOOL", "4096"),
             ("RLA_TELEMETRY_SAMPLE_MS", "250"),
             ("RLA_TELEMETRY_FORMAT", "csv"),
             // Other namespaces are none of this module's business.
@@ -454,7 +438,6 @@ mod tests {
         assert_eq!(cfg.progress_file, Some(PathBuf::from("/tmp/hb.jsonl")));
         assert!(cfg.pcap.enabled, "a snaplen enables capture");
         assert_eq!(cfg.pcap.snaplen, 256);
-        assert_eq!(cfg.pcap.spool_records, Some(4096));
         assert_eq!(cfg.telemetry.sample_period, SimDuration::from_millis(250));
         assert_eq!(cfg.telemetry.format, TimelineFormat::Csv);
         // Captures and timelines follow the results dir unless redirected.
@@ -472,23 +455,13 @@ mod tests {
     #[test]
     fn switches_accept_the_on_and_off_spellings() {
         for on in ["1", "on", "true"] {
-            let cfg = config(&[
-                ("RLA_PROGRESS", on),
-                ("RLA_PCAP", on),
-                ("RLA_PCAP_SPOOL", on),
-            ]);
+            let cfg = config(&[("RLA_PROGRESS", on), ("RLA_PCAP", on)]);
             assert!(cfg.progress && cfg.pcap.enabled, "{on:?}");
             assert_eq!(cfg.pcap.snaplen, DEFAULT_SNAPLEN);
-            assert_eq!(cfg.pcap.spool_records, Some(DEFAULT_SPOOL_RECORDS));
         }
         for off in ["0", "off", ""] {
-            let cfg = config(&[
-                ("RLA_PROGRESS", off),
-                ("RLA_PCAP", off),
-                ("RLA_PCAP_SPOOL", off),
-            ]);
+            let cfg = config(&[("RLA_PROGRESS", off), ("RLA_PCAP", off)]);
             assert!(!cfg.progress && !cfg.pcap.enabled, "{off:?}");
-            assert_eq!(cfg.pcap.spool_records, None);
         }
         assert_eq!(config(&[("RLA_JOBS", "0")]).jobs, 1, "floor of one");
     }
@@ -577,10 +550,6 @@ mod tests {
             ("RLA_TELEMETRY_SAMPLE_MS", "fast", "expected milliseconds"),
             ("RLA_TELEMETRY_FORMAT", "xml", "expected jsonl|csv"),
             ("RLA_PCAP", "x", "RLA_PCAP=\"x\""),
-            ("RLA_PCAP_SPOOL", "lots", "RLA_PCAP_SPOOL=\"lots\""),
-            // `0` itself is the documented off spelling; any other zero
-            // is a chunk size, and an empty chunk cannot hold a record.
-            ("RLA_PCAP_SPOOL", "00", "at least one record"),
             ("RLA_TCP_CC", "vegas", "sack, reno, cubic, bbr"),
             ("RLA_CHURN_RATE", "-1", "RLA_CHURN_RATE"),
             ("RLA_BG_LOAD", "heavy", "RLA_BG_LOAD"),
@@ -600,6 +569,7 @@ mod tests {
             ("RLA_BENCH_BASELINE", "x.json", valid_list),
             ("RLA_BENCH_GATE_PCT", "3", valid_list),
             ("RLA_DIFF_THRESHOLD_PCT", "1", valid_list),
+            ("RLA_PCAP_SPOOL", "1", valid_list),
         ];
         for &(name, value, expected) in rows {
             let err = catch_unwind(AssertUnwindSafe(|| config(&[(name, value)])))

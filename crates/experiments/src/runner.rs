@@ -14,11 +14,16 @@
 //! for the result tables. With a `progress_file`, each completion
 //! additionally appends a JSON heartbeat (case, seed, event rate, ETA) to
 //! that file, flushed per line, which is what `rla_top` follows during a
-//! sweep.
+//! sweep. With `pcap.enabled`, every run streams a capture named by its
+//! position in the process's sweep order
+//! (`NNN_<case>_<gateway>_seed<N>.pcap`), so runs that differ only in
+//! what the name does not spell — the TCP flavour, an RLA setting, an
+//! event schedule — never share a file.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
@@ -41,6 +46,9 @@ pub struct Pool {
     /// following.
     sink: Option<File>,
     pcap: PcapOptions,
+    /// Scenarios taken by [`run`](Self::run) so far, over every batch:
+    /// the next batch's first capture position.
+    taken: AtomicUsize,
 }
 
 impl Pool {
@@ -65,6 +73,7 @@ impl Pool {
             progress: cfg.progress,
             sink,
             pcap: cfg.pcap.clone(),
+            taken: AtomicUsize::new(0),
         }
     }
 
@@ -81,6 +90,9 @@ impl Pool {
             return Vec::new();
         }
         let jobs = self.jobs.max(1).min(n);
+        // Batch offset + input index: a capture's name is the same at
+        // every job count.
+        let first = self.taken.fetch_add(n, Ordering::Relaxed);
 
         // Labels survive for panic reporting even when the run is consumed.
         let labels: Vec<String> = scenarios
@@ -114,7 +126,7 @@ impl Pool {
                     // isolate it and keep draining the queue.
                     let started = Instant::now();
                     let outcome =
-                        catch_unwind(AssertUnwindSafe(|| scenario.run_with_pcap(&self.pcap)));
+                        catch_unwind(AssertUnwindSafe(|| self.run_one(&scenario, first + idx)));
                     if let Ok(r) = &outcome {
                         let (case, seed) = &metas[idx];
                         progress.job_finished_with(
@@ -156,6 +168,29 @@ impl Pool {
         );
         results
     }
+
+    /// One job: the run, streamed to the pool's `position`-th capture file
+    /// when captures are on — tracers observe and never feed back, so the
+    /// result (and every digest) is identical with capture on or off. A
+    /// write error surfaces here, after the run, naming knob and file.
+    fn run_one(&self, scenario: &TreeScenario, position: usize) -> ScenarioResult {
+        if !self.pcap.enabled {
+            return scenario.run();
+        }
+        // `Debug` names are filesystem-safe, unlike the paper-style labels.
+        let stem = format!(
+            "{position:03}_{:?}_{:?}_seed{}",
+            scenario.case, scenario.gateway, scenario.seed
+        );
+        let mut world = scenario.build();
+        let tracer = world.install_pcap(&self.pcap, &stem);
+        let result = world.run(scenario);
+        let mut tracer = tracer.borrow_mut();
+        tracer
+            .finish()
+            .unwrap_or_else(|e| panic!("RLA_PCAP: cannot write {}: {e}", tracer.path().display()));
+        result
+    }
 }
 
 /// A quiet pool of `jobs` workers — no heartbeat, no capture. Used by
@@ -167,6 +202,7 @@ pub fn run_parallel_with_jobs(scenarios: Vec<TreeScenario>, jobs: usize) -> Vec<
         progress: false,
         sink: None,
         pcap: PcapOptions::default(),
+        taken: AtomicUsize::new(0),
     };
     quiet.run(scenarios)
 }
@@ -222,6 +258,47 @@ mod tests {
             .expect("assert! panics with String");
         assert!(msg.contains("1 of 2 scenarios panicked"), "{msg}");
         assert!(msg.contains("scenario 1"), "{msg}");
+    }
+
+    #[test]
+    fn runs_that_share_a_stem_get_a_capture_each() {
+        // Regression: captures were named `<case>_<gateway>_seed<N>`, so
+        // cc_matrix's four controllers per (case, seed) wrote one file —
+        // two workers at once. Position-prefixed names keep them apart.
+        let dir = std::env::temp_dir().join(format!("rla_pool_pcap_{}", std::process::id()));
+        let mut cfg = RunConfig::from_vars(|_| None);
+        cfg.jobs = 2;
+        cfg.pcap.enabled = true;
+        cfg.pcap.dir = dir.clone();
+        let flavour = |cc: &str| {
+            ScenarioSpec::paper(CongestionCase::Case1RootLink)
+                .with_duration(SimDuration::from_secs(3))
+                .with_tcp_cc(tcp_sack::CcVariant::parse(cc).expect("registered"))
+                .build()
+        };
+        let pool = Pool::new(&cfg);
+        let mut results = pool.run(vec![flavour("sack"), flavour("reno")]);
+        // A later batch (churn_sweep runs four) numbers on from the last.
+        results.extend(pool.run(vec![flavour("sack")]));
+        assert_eq!(std::fs::read_dir(&dir).expect("capture dir").count(), 3);
+        let records: Vec<u64> = (0..3)
+            .map(|i| {
+                let path = dir.join(format!("{i:03}_Case1RootLink_DropTail_seed1.pcap"));
+                let bytes = std::fs::read(path).expect("one capture per position");
+                let reader = telemetry::PcapReader::new(&bytes).expect("global header");
+                reader.records().expect("every record parses").len() as u64
+            })
+            .collect();
+        let tx_starts: Vec<u64> = results
+            .iter()
+            .map(|r| match r.registry.get("engine.tx_starts") {
+                Some(telemetry::MetricValue::Counter(v)) => v,
+                other => panic!("engine.tx_starts missing: {other:?}"),
+            })
+            .collect();
+        assert_eq!(records, tx_starts, "each capture holds its own run");
+        assert_ne!(records[0], records[1], "the two flavours really differ");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -102,30 +102,6 @@ impl TreeScenario {
         self.build().run(self)
     }
 
-    /// [`run`](Self::run), additionally writing
-    /// `<case>_<gateway>_seed<seed>.pcap` into the capture directory when
-    /// `pcap.enabled` — tracers observe and never feed back, so the
-    /// result (and every digest) is identical with capture on or off.
-    pub fn run_with_pcap(&self, pcap: &PcapOptions) -> ScenarioResult {
-        if !pcap.enabled {
-            return self.run();
-        }
-        let mut world = self.build();
-        let tracer = world.install_pcap(pcap, &self.pcap_stem());
-        let result = world.run(self);
-        let mut t = tracer.borrow_mut();
-        let path = t.path().to_path_buf();
-        t.finish()
-            .unwrap_or_else(|e| panic!("RLA_PCAP: cannot write {}: {e}", path.display()));
-        result
-    }
-
-    /// The capture-file stem for this configuration (filesystem-safe,
-    /// unlike the paper-style case labels).
-    pub fn pcap_stem(&self) -> String {
-        format!("{:?}_{:?}_seed{}", self.case, self.gateway, self.seed)
-    }
-
     /// Build the world without running it (used by tracing experiments).
     pub fn build(&self) -> ScenarioWorld {
         assert!(self.rla_sessions >= 1, "need at least one RLA session");
@@ -639,21 +615,19 @@ impl ScenarioWorld {
         }
     }
 
-    /// Install a pcap export tracer: every `TxStart` event becomes one
-    /// capture record in `<dir>/<stem>.pcap`. The returned handle is also
-    /// held by the engine; borrow it after the run to [`finish`] and read
-    /// the record count. Panics with the knob named if the capture file
-    /// cannot be created — an export silently going missing would defeat
-    /// the point of asking for one.
+    /// Install a pcap export tracer: every `TxStart` event is written,
+    /// as it happens, as one capture record of `<dir>/<stem>.pcap`. The
+    /// returned handle is also held by the engine; borrow it after the
+    /// run to [`finish`] — which reports a write error the run could not
+    /// — and read the record count. Panics with the knob named if the
+    /// capture file cannot be created — an export silently going missing
+    /// would defeat the point of asking for one.
     ///
     /// [`finish`]: PcapTracer::finish
     pub fn install_pcap(&mut self, opts: &PcapOptions, stem: &str) -> Rc<RefCell<PcapTracer>> {
         let path = opts.dir.join(format!("{stem}.pcap"));
-        let tracer = match opts.spool_records {
-            Some(chunk) => PcapTracer::create_spooled(&path, opts.snaplen, chunk),
-            None => PcapTracer::create(&path, opts.snaplen),
-        }
-        .unwrap_or_else(|e| panic!("RLA_PCAP: cannot create {}: {e}", path.display()));
+        let tracer = PcapTracer::create(&path, opts.snaplen)
+            .unwrap_or_else(|e| panic!("RLA_PCAP: cannot create {}: {e}", path.display()));
         let tracer = Rc::new(RefCell::new(tracer));
         self.engine.set_tracer(tracer.clone());
         tracer
@@ -665,23 +639,12 @@ impl ScenarioWorld {
     /// times as one uninterrupted call, so the trace digest of a sampled
     /// run is identical to an unsampled one — telemetry observes, never
     /// perturbs.
-    pub fn run_with_telemetry(
-        &mut self,
-        scenario: &TreeScenario,
-        opts: &TelemetryOptions,
-    ) -> (ScenarioResult, TimelineRecorder) {
-        let rec = TimelineRecorder::new(opts.sample_period);
-        self.run_with_recorder(scenario, rec)
-    }
-
-    /// [`run_with_telemetry`] that additionally streams every sample to
-    /// `<dir>/<stem>.timeline.<ext>` as it is recorded (flushed per
-    /// line), so `tail -f` and `rla_top` follow the run live instead of
-    /// waiting for the end of the run. The streamed file is
-    /// byte-identical to what [`TimelineRecorder::render`] returns
-    /// afterwards — samples are recorded in render order.
     ///
-    /// [`run_with_telemetry`]: Self::run_with_telemetry
+    /// Every sample is streamed to `<dir>/<stem>.timeline.<ext>` as it is
+    /// recorded (flushed per line), so `tail -f` and `rla_top` follow the
+    /// run live instead of waiting for the end of the run. The streamed
+    /// file is byte-identical to what [`TimelineRecorder::render`]
+    /// returns afterwards — samples are recorded in render order.
     pub fn run_with_telemetry_streamed(
         &mut self,
         scenario: &TreeScenario,
@@ -702,7 +665,7 @@ impl ScenarioWorld {
         (result, rec)
     }
 
-    /// Shared body of the telemetry runs: warmup, then sample + step.
+    /// The telemetry run proper: warmup, then sample + step.
     fn run_with_recorder(
         &mut self,
         scenario: &TreeScenario,
@@ -1011,13 +974,8 @@ mod tests {
         let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
             .with_duration(SimDuration::from_secs(150))
             .build();
-        let opts = TelemetryOptions {
-            timeline: true,
-            sample_period: SimDuration::from_secs(60),
-            ..TelemetryOptions::default()
-        };
-        let mut world = scenario.build();
-        let (_, rec) = world.run_with_telemetry(&scenario, &opts);
+        let rec = TimelineRecorder::new(SimDuration::from_secs(60));
+        let (_, rec) = scenario.build().run_with_recorder(&scenario, rec);
         assert!(!rec.series().is_empty());
         for s in rec.series() {
             let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
@@ -1081,13 +1039,8 @@ mod tests {
             .with_duration(SimDuration::from_secs(150))
             .with_event(ScenarioEvent::leave(80.0, 0, 0))
             .build();
-        let opts = TelemetryOptions {
-            timeline: true,
-            sample_period: SimDuration::from_secs(60),
-            ..TelemetryOptions::default()
-        };
-        let mut world = scenario.build();
-        let (r, rec) = world.run_with_telemetry(&scenario, &opts);
+        let rec = TimelineRecorder::new(SimDuration::from_secs(60));
+        let (r, rec) = scenario.build().run_with_recorder(&scenario, rec);
         for s in rec.series() {
             let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
             assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {}", s.name);

@@ -979,9 +979,11 @@ impl Engine {
     }
 
     /// Install a tracer. The caller keeps its own `Rc` handle to read the
-    /// trace back after the run. Tracers are inherently single-threaded:
-    /// a partitioned engine accepts one only while
-    /// [`Engine::set_workers`] is 1.
+    /// trace back after the run. The slot promises callbacks in
+    /// simulated-time order (see [`Tracer`]), which one execution domain
+    /// gives and several do not: [`Engine::run_until`] refuses a traced
+    /// engine with more than one, so trace an unpartitioned engine or one
+    /// merged to a single domain (`partition_merged(.., 1, ..)`).
     pub fn set_tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) {
         self.world.tracer = Some(tracer);
     }
@@ -1462,7 +1464,19 @@ impl Engine {
     /// inline, or on [`Engine::set_workers`] scoped threads — exchanging
     /// boundary packets at each absolute grid barrier. Every domain's
     /// clock equals `deadline` on return.
+    ///
+    /// # Panics
+    /// If a tracer is installed on more than one execution domain — the
+    /// domains run each epoch one after another (or on threads), so the
+    /// callbacks would not arrive in time order.
     pub fn run_until(&mut self, deadline: SimTime) {
+        assert!(
+            self.world.tracer.is_none() || self.domain_count() == 1,
+            "a tracer sees events in time order only on one execution domain, and this \
+             engine has {}: trace an unpartitioned engine or one merged to a single \
+             domain (partition_merged(.., 1, ..))",
+            self.domain_count()
+        );
         if !self.world.shared.regions.is_partitioned() {
             // One region: the classic single event loop, no barriers, no
             // exchange.
@@ -1516,9 +1530,9 @@ impl Engine {
     /// The inline epoch executor: advance every shard to the next θ-grid
     /// barrier (or the deadline), then hand each shard's outbox — the
     /// whole epoch's crossings in one batch — to the destination shards,
-    /// which schedule them directly under their canonical keys.
-    /// Single-threaded, so a tracer is allowed. This is also the
-    /// merged-to-one executor: with a single shard the exchange is empty
+    /// which schedule them directly under their canonical keys. This is
+    /// also the merged-to-one executor — the only partitioned run that
+    /// may carry a tracer: with a single shard the exchange is empty
     /// and the loop degenerates to stepping the grid epoch, so the
     /// sequential path pays no per-message cost at all beyond the keyed
     /// schedule it already did at send time.
@@ -1599,10 +1613,6 @@ impl Engine {
     /// racy, but the keys are a total order independent of insertion
     /// sequence, so digests are bit-identical to the inline executor's.
     fn run_epochs_threaded(&mut self, deadline: SimTime) {
-        assert!(
-            self.world.tracer.is_none(),
-            "tracers are single-threaded: set_workers(1) to trace a partitioned run"
-        );
         let d_count = self.world.shards.len();
         let workers = self.world.workers.min(d_count);
         let lookahead = self.world.shared.regions.lookahead();
@@ -2441,6 +2451,23 @@ mod tests {
                 now.as_nanos()
             ));
         }
+    }
+
+    #[test]
+    fn a_tracer_on_two_domains_is_refused_before_anything_is_dispatched() {
+        // Inline executor, two domains: each epoch runs domain 0 then
+        // domain 1, so callbacks would go back in time at every switch.
+        let (mut e, _, _) = partitioned_chain(7, 1);
+        assert_eq!(e.domain_count(), 2);
+        let log = Rc::new(RefCell::new(LinkLog::default()));
+        e.set_tracer(log.clone());
+        let run = std::panic::AssertUnwindSafe(|| e.run_until(SimTime::from_millis(50)));
+        let err = std::panic::catch_unwind(run).expect_err("a traced two-domain run");
+        let msg = err.downcast_ref::<String>().expect("formatted message");
+        assert!(msg.contains("this engine has 2"), "{msg}");
+        assert!(msg.contains("partition_merged(.., 1, ..)"), "{msg}");
+        assert!(log.borrow().0.is_empty(), "nothing was traced");
+        assert_eq!(e.trace_digest().events(), 0, "nothing was dispatched");
     }
 
     /// The model: every completion is filed when its transmission starts.

@@ -63,6 +63,14 @@ pub enum TraceEvent<'a> {
 }
 
 /// Observer of engine events.
+///
+/// The slot's contract is time order: `now` never decreases from one
+/// call to the next, and same-instant events arrive in the order the
+/// engine dispatched them. One calendar popped in `(time, key)` order
+/// gives that, several stepped epoch by epoch do not, so
+/// [`Engine::run_until`](crate::engine::Engine::run_until) refuses a
+/// tracer on more than one execution domain — a tracer may write each
+/// event through as it happens and never needs to buffer or sort.
 pub trait Tracer {
     /// Called for every traced event, in simulation order.
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>);

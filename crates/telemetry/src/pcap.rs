@@ -24,11 +24,20 @@
 //! only — it parses exactly what the writer emits (plus the classic
 //! microsecond magic) and is not a general pcap implementation.
 //!
+//! The capture is a stream: the tracer slot delivers callbacks in
+//! simulated-time order (the [`Tracer`] contract, enforced by
+//! `Engine::run_until`), so each record is framed and written when its
+//! event is dispatched. Memory is one [`WRITE_BUFFER_BYTES`] buffer
+//! whatever the run length, and a run that dies mid-way leaves a capture
+//! that ends — possibly mid-record — where the run did, which is why
+//! [`PcapReader`] reports truncation as an error with its byte offset
+//! instead of panicking.
+//!
 //! Like every tracer, the pcap path is observer-only: the engine's trace
 //! digest is computed independently, so enabling export can never change
 //! a golden digest.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use netsim::id::{AgentId, GroupId};
@@ -48,10 +57,12 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// plus the small RLA payload; the simulated bulk payload bytes are
 /// *not* materialized — they exist only in `orig_len`).
 pub const DEFAULT_SNAPLEN: u32 = 128;
-/// Default spill-to-disk chunk size for the spooled tracer mode, in
-/// records (~100 B of buffered `Packet` each, so the in-memory bound is
-/// a few MB regardless of run length).
+/// Inert: nothing in the workspace reads it (the frozen `benchmark/`
+/// names it in a struct literal; ROADMAP item 1(a) deletes it).
 pub const DEFAULT_SPOOL_RECORDS: usize = 65_536;
+/// Capacity of a capture file's write buffer — all the memory a capture
+/// holds, whatever the run length (~80 records per `write` call).
+pub const WRITE_BUFFER_BYTES: usize = 8 * 1024;
 /// Bytes of synthetic payload carried by the UDP framing (kind tag,
 /// flags, and the 64-bit sequence or cumulative-ack number).
 pub const RLA_PAYLOAD_LEN: usize = 12;
@@ -61,9 +72,11 @@ const IPV4_HEADER_LEN: usize = 20;
 const UDP_HEADER_LEN: usize = 8;
 const TCP_BASE_HEADER_LEN: usize = 20;
 
-/// Writes one classic libpcap file. Records are buffered; [`finish`]
-/// (or drop) flushes.
+/// Writes one classic libpcap file. Whether records are buffered is up
+/// to `W`; [`flush`] and [`finish`] report what a buffered `W`'s own drop
+/// would swallow.
 ///
+/// [`flush`]: PcapWriter::flush
 /// [`finish`]: PcapWriter::finish
 #[derive(Debug)]
 pub struct PcapWriter<W: Write> {
@@ -82,7 +95,7 @@ impl PcapWriter<BufWriter<std::fs::File>> {
             }
         }
         let file = std::fs::File::create(path)?;
-        PcapWriter::new(BufWriter::new(file), snaplen)
+        PcapWriter::new(BufWriter::with_capacity(WRITE_BUFFER_BYTES, file), snaplen)
     }
 }
 
@@ -118,30 +131,27 @@ impl<W: Write> PcapWriter<W> {
 
     /// Serialize one packet as a record stamped `now`.
     pub fn record(&mut self, now: SimTime, packet: &Packet) -> io::Result<()> {
-        let bytes = record_bytes(self.snaplen, now, packet);
-        self.write_record_bytes(&bytes)
-    }
-
-    /// Append one pre-built record (see [`record_bytes`]) verbatim. The
-    /// spooled tracer builds records when spilling chunks and streams
-    /// them back through here at merge time.
-    pub fn write_record_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.out.write_all(bytes)?;
+        self.out
+            .write_all(&record_bytes(self.snaplen, now, packet))?;
         self.records += 1;
         Ok(())
     }
 
+    /// Push everything recorded so far through to the underlying writer.
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.out.flush()
+    }
+
     /// Flush and return the underlying writer.
     pub fn finish(mut self) -> io::Result<W> {
-        self.out.flush()?;
+        self.flush()?;
         Ok(self.out)
     }
 }
 
 /// Build the on-disk bytes of one pcap record (16-byte record header +
-/// truncated frame) without writing it. [`PcapWriter::record`] and the
-/// tracer's spool chunks share this, so the spooled and unspooled paths
-/// are byte-identical by construction.
+/// truncated frame) without writing it — what [`PcapWriter::record`]
+/// appends.
 pub fn record_bytes(snaplen: u32, now: SimTime, packet: &Packet) -> Vec<u8> {
     let frame = build_frame(packet);
     let caplen = (frame.len() as u32).min(snaplen.max(64));
@@ -419,67 +429,33 @@ fn build_frame(packet: &Packet) -> Vec<u8> {
 
 /// A [`Tracer`] that writes one pcap record per [`TraceEvent::TxStart`] —
 /// the moment a packet starts serializing onto a link, so the record
-/// count equals the run digest's `tx_starts` counter.
+/// count equals the run digest's `tx_starts` counter — as the callback
+/// arrives: the slot's time order (module docs) makes the file
+/// chronological with nothing held back but [`WRITE_BUFFER_BYTES`].
 ///
-/// The partitioned engine runs each domain to the epoch barrier in turn,
-/// so trace callbacks arrive in (epoch, domain, time) order — *not*
-/// global time order. The tracer therefore buffers `(time, packet)`
-/// pairs ([`Packet`] is `Copy`) and stable-sorts them by timestamp in
-/// [`finish`], producing a chronological capture Wireshark and tcptrace
-/// can follow. Buffering also keeps the engine's event loop free of I/O:
-/// the file (created eagerly, so an unwritable path fails fast) is only
-/// written at `finish`, whose `Result` carries any I/O error.
-///
-/// Memory note: one buffered record is one `Packet` (~100 B). In the
-/// default mode a run holds its whole capture in memory, so `RLA_PCAP`
-/// alone is aimed at short runs. The spooled mode
-/// ([`create_spooled`]/`RLA_PCAP_SPOOL`) bounds the buffer at the chunk
-/// size by spilling sorted chunks to `<path>.spool.<i>` side files and
-/// k-way merging them at `finish`, so paper-length (3000 s) exports
-/// cannot exhaust memory. Every buffered record is tagged with a global
-/// arrival sequence number and both modes order by `(time, seq)`, so the
-/// merged file is byte-identical to the unspooled one.
+/// Tracing has no `Result` channel, so the first write error is latched:
+/// nothing more is written and [`finish`] returns it, after the run,
+/// where the caller can name the file. A tracer dropped without `finish`
+/// (a panicking scenario) still flushes what it had traced — the buffer's
+/// own drop does that — but cannot report an error.
 ///
 /// [`finish`]: PcapTracer::finish
-/// [`create_spooled`]: PcapTracer::create_spooled
 #[derive(Debug)]
 pub struct PcapTracer {
-    writer: Option<PcapWriter<BufWriter<std::fs::File>>>,
+    writer: PcapWriter<BufWriter<std::fs::File>>,
     path: PathBuf,
-    pending: Vec<(SimTime, u64, Packet)>,
-    /// Global arrival counter; total records traced so far.
-    next_seq: u64,
-    /// Spill-to-disk chunk size in records; `None` buffers everything.
-    spool_records: Option<usize>,
-    /// Paths of the spilled chunk files, in spill order.
-    chunks: Vec<PathBuf>,
+    /// The first write error; latched, see the type docs.
+    error: Option<io::Error>,
 }
 
 impl PcapTracer {
-    /// Create the capture file at `path`, buffering the whole capture in
-    /// memory until [`finish`](Self::finish).
+    /// Create (truncating) the capture file at `path` and write its
+    /// global header; an unwritable path fails here, before the run.
     pub fn create(path: &Path, snaplen: u32) -> io::Result<Self> {
-        Self::with_spool(path, snaplen, None)
-    }
-
-    /// Create the capture file at `path` in spooled mode: whenever
-    /// `chunk_records` records are buffered they are sorted and spilled
-    /// to a `<path>.spool.<i>` side file, and `finish` merges the chunks
-    /// (deleting them) into a capture byte-identical to the unspooled
-    /// mode's.
-    pub fn create_spooled(path: &Path, snaplen: u32, chunk_records: usize) -> io::Result<Self> {
-        assert!(chunk_records > 0, "a spool chunk needs at least one record");
-        Self::with_spool(path, snaplen, Some(chunk_records))
-    }
-
-    fn with_spool(path: &Path, snaplen: u32, spool_records: Option<usize>) -> io::Result<Self> {
         Ok(PcapTracer {
-            writer: Some(PcapWriter::create(path, snaplen)?),
+            writer: PcapWriter::create(path, snaplen)?,
             path: path.to_path_buf(),
-            pending: Vec::new(),
-            next_seq: 0,
-            spool_records,
-            chunks: Vec::new(),
+            error: None,
         })
     }
 
@@ -488,173 +464,32 @@ impl PcapTracer {
         &self.path
     }
 
-    /// Records traced so far (buffered in memory or spilled to chunks).
+    /// Records written so far.
     pub fn records(&self) -> u64 {
-        self.next_seq
+        self.writer.records()
     }
 
-    /// Sort the buffered chunk by `(time, seq)` and spill it to the next
-    /// side file as length-prefixed pre-built pcap records.
-    fn spill_chunk(&mut self) -> io::Result<()> {
-        let snaplen = match &self.writer {
-            Some(w) => w.snaplen(),
-            None => return Ok(()),
-        };
-        self.pending.sort_unstable_by_key(|(t, seq, _)| (*t, *seq));
-        let path = PathBuf::from(format!(
-            "{}.spool.{}",
-            self.path.display(),
-            self.chunks.len()
-        ));
-        let mut out = BufWriter::new(std::fs::File::create(&path)?);
-        for (t, seq, p) in self.pending.drain(..) {
-            let bytes = record_bytes(snaplen, t, &p);
-            out.write_all(&t.as_nanos().to_le_bytes())?;
-            out.write_all(&seq.to_le_bytes())?;
-            out.write_all(&(bytes.len() as u32).to_le_bytes())?;
-            out.write_all(&bytes)?;
-        }
-        out.flush()?;
-        self.chunks.push(path);
-        Ok(())
-    }
-
-    /// Write and flush the capture file in `(time, seq)` order — sorting
-    /// the in-memory buffer, or k-way merging the spilled chunks (which
-    /// are deleted afterwards) — and return the record count.
+    /// Flush the capture and return its record count, or the write error
+    /// that cut it short. Calling it again is harmless: it flushes
+    /// whatever was traced since and reports the same outcome.
     pub fn finish(&mut self) -> io::Result<u64> {
-        let n = self.next_seq;
-        let Some(mut w) = self.writer.take() else {
-            return Ok(n);
-        };
-        if self.chunks.is_empty() {
-            // `seq` is the push order, so this sort is the old stable
-            // sort-by-time: same-instant records keep their arrival
-            // (domain, send) order per the determinism contract.
-            self.pending.sort_unstable_by_key(|(t, seq, _)| (*t, *seq));
-            for (t, _, p) in self.pending.drain(..) {
-                w.record(t, &p)?;
-            }
-        } else {
-            // Put the writer back so spill_chunk sees the snaplen, then
-            // flush the tail records as a final chunk.
-            self.writer = Some(w);
-            if !self.pending.is_empty() {
-                self.spill_chunk()?;
-            }
-            w = self.writer.take().expect("writer restored above");
-            let mut cursors = Vec::with_capacity(self.chunks.len());
-            for path in &self.chunks {
-                let mut c = ChunkCursor {
-                    reader: BufReader::new(std::fs::File::open(path)?),
-                    head: None,
-                };
-                c.advance()?;
-                cursors.push(c);
-            }
-            // Chunks are internally sorted, so the global (time, seq)
-            // order falls out of repeatedly taking the smallest head.
-            // Chunk counts are small (records / chunk size), so a linear
-            // min scan beats a heap in both code and constant factor.
-            loop {
-                let next = cursors
-                    .iter_mut()
-                    .filter(|c| c.head.is_some())
-                    .min_by_key(|c| {
-                        let (t, seq, _) = c.head.as_ref().expect("filtered on Some");
-                        (*t, *seq)
-                    });
-                let Some(c) = next else { break };
-                let (_, _, bytes) = c.head.take().expect("selected head is Some");
-                w.write_record_bytes(&bytes)?;
-                c.advance()?;
-            }
-            for path in self.chunks.drain(..) {
-                std::fs::remove_file(path)?;
-            }
+        if self.error.is_none() {
+            self.error = self.writer.flush().err();
         }
-        w.finish()?;
-        Ok(n)
-    }
-}
-
-/// One spilled chunk being merged: a reader plus its current head record
-/// `(time nanos, seq, record bytes)`.
-struct ChunkCursor {
-    reader: BufReader<std::fs::File>,
-    head: Option<(u64, u64, Vec<u8>)>,
-}
-
-impl std::fmt::Debug for ChunkCursor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkCursor")
-            .field("head", &self.head.as_ref().map(|(t, s, _)| (*t, *s)))
-            .finish()
-    }
-}
-
-impl ChunkCursor {
-    /// Read the next `(time, seq, len, bytes)` entry; `head` becomes
-    /// `None` at a clean end of chunk.
-    fn advance(&mut self) -> io::Result<()> {
-        let mut hdr = [0u8; 20];
-        let mut filled = 0;
-        while filled < hdr.len() {
-            let n = self.reader.read(&mut hdr[filled..])?;
-            if n == 0 {
-                if filled == 0 {
-                    self.head = None;
-                    return Ok(());
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "truncated pcap spool chunk",
-                ));
-            }
-            filled += n;
+        match &self.error {
+            // `io::Error` is not `Clone`; the latch keeps the original.
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(self.records()),
         }
-        let t = u64::from_le_bytes(hdr[0..8].try_into().expect("8-byte slice"));
-        let seq = u64::from_le_bytes(hdr[8..16].try_into().expect("8-byte slice"));
-        let len = u32::from_le_bytes(hdr[16..20].try_into().expect("4-byte slice")) as usize;
-        let mut bytes = vec![0u8; len];
-        self.reader.read_exact(&mut bytes)?;
-        self.head = Some((t, seq, bytes));
-        Ok(())
     }
 }
 
 impl Tracer for PcapTracer {
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
         if let TraceEvent::TxStart { packet, .. } = event {
-            if self.writer.is_some() {
-                self.pending.push((now, self.next_seq, **packet));
-                self.next_seq += 1;
-                if let Some(chunk) = self.spool_records {
-                    if self.pending.len() >= chunk {
-                        // A full chunk: spill now so the buffer never
-                        // exceeds the configured bound. Tracing has no
-                        // Result channel and silently dropping records
-                        // would corrupt the capture, so an I/O failure
-                        // panics with the path named.
-                        self.spill_chunk().unwrap_or_else(|e| {
-                            panic!(
-                                "RLA_PCAP_SPOOL: cannot spill a chunk beside {}: {e}",
-                                self.path.display()
-                            )
-                        });
-                    }
-                }
+            if self.error.is_none() {
+                self.error = self.writer.record(now, packet).err();
             }
-        }
-    }
-}
-
-impl Drop for PcapTracer {
-    fn drop(&mut self) {
-        let _ = self.finish();
-        // Best-effort cleanup when finish itself failed mid-merge.
-        for path in self.chunks.drain(..) {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -933,6 +768,23 @@ mod tests {
         w.finish().unwrap()
     }
 
+    fn tx_start(t: &mut PcapTracer, nanos: u64, p: &Packet) {
+        t.trace(
+            SimTime::from_nanos(nanos),
+            &TraceEvent::TxStart {
+                channel: netsim::id::ChannelId(0),
+                packet: p,
+                qlen: 0,
+            },
+        );
+    }
+
+    fn unit_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join("rla_pcap_unit");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
     #[test]
     fn global_header_layout() {
         let bytes = write_all(&[], DEFAULT_SNAPLEN);
@@ -1058,9 +910,7 @@ mod tests {
     fn tracer_records_only_tx_starts() {
         use netsim::id::{ChannelId, NodeId};
         use netsim::queue::DropReason;
-        let dir = std::env::temp_dir().join("rla_pcap_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tracer.pcap");
+        let path = unit_path("tracer.pcap");
         let mut t = PcapTracer::create(&path, DEFAULT_SNAPLEN).unwrap();
         let p = tcp_data(0);
         t.trace(
@@ -1071,14 +921,7 @@ mod tests {
                 qlen: 1,
             },
         );
-        t.trace(
-            SimTime::from_secs(1),
-            &TraceEvent::TxStart {
-                channel: ChannelId(0),
-                packet: &p,
-                qlen: 0,
-            },
-        );
+        tx_start(&mut t, 1_000_000_000, &p);
         t.trace(
             SimTime::from_secs(2),
             &TraceEvent::Drop {
@@ -1102,69 +945,67 @@ mod tests {
     }
 
     #[test]
-    fn spooled_capture_matches_the_unspooled_bytes_and_round_trips() {
-        use netsim::id::ChannelId;
-        let dir = std::env::temp_dir().join("rla_pcap_spool_unit");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Out-of-order timestamps with same-instant ties, so the test
-        // exercises both the sort and the (time, seq) tie-break across
-        // chunk boundaries.
-        let stamps: Vec<u64> = (0..40)
-            .map(|i| [9u64, 2, 9, 5, 7, 2, 8, 1][i % 8] * 1_000_000 + (i as u64 / 8))
-            .collect();
-        let run = |tracer: &mut PcapTracer| {
-            for (i, nanos) in stamps.iter().enumerate() {
-                tracer.trace(
-                    SimTime::from_nanos(*nanos),
-                    &TraceEvent::TxStart {
-                        channel: ChannelId(0),
-                        packet: &tcp_data(i as u64),
-                        qlen: 0,
-                    },
-                );
-            }
-            tracer.finish().unwrap()
-        };
-
-        let plain_path = dir.join("plain.pcap");
-        let mut plain = PcapTracer::create(&plain_path, DEFAULT_SNAPLEN).unwrap();
-        assert_eq!(run(&mut plain), 40);
-
-        // A 7-record chunk size forces several spills plus a tail chunk.
-        let spooled_path = dir.join("spooled.pcap");
-        let mut spooled = PcapTracer::create_spooled(&spooled_path, DEFAULT_SNAPLEN, 7).unwrap();
-        assert_eq!(run(&mut spooled), 40);
-
-        let plain_bytes = std::fs::read(&plain_path).unwrap();
-        let spooled_bytes = std::fs::read(&spooled_path).unwrap();
-        assert_eq!(
-            plain_bytes, spooled_bytes,
-            "the merged spooled capture must be byte-identical"
-        );
-
-        // Roundtrip: every record parses, timestamps are nondecreasing,
-        // and same-instant runs keep arrival (seq) order.
-        let recs = PcapReader::new(&spooled_bytes).unwrap().records().unwrap();
-        assert_eq!(recs.len(), 40);
-        for w in recs.windows(2) {
-            assert!(w[0].ts_nanos <= w[1].ts_nanos, "chronological order");
-            if w[0].ts_nanos == w[1].ts_nanos {
-                let (a, b) = (w[0].net.as_ref().unwrap(), w[1].net.as_ref().unwrap());
-                assert!(a.seq < b.seq, "same-instant records keep arrival order");
-            }
+    fn records_land_in_callback_order_as_they_are_traced() {
+        let path = unit_path("stream.pcap");
+        let mut t = PcapTracer::create(&path, DEFAULT_SNAPLEN).unwrap();
+        // Three instants, the middle one shared by three transmissions:
+        // nothing reorders them, the file is the callback sequence.
+        let stamps = [1_000u64, 2_000, 2_000, 2_000, 3_000];
+        for (i, nanos) in stamps.iter().enumerate() {
+            tx_start(&mut t, *nanos, &tcp_data(10 - i as u64));
         }
-
-        // The side files are merged and deleted.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.contains(".spool."))
+        assert_eq!(t.records(), 5);
+        assert_eq!(t.finish().unwrap(), 5);
+        let bytes = std::fs::read(&path).unwrap();
+        let recs = PcapReader::new(&bytes).unwrap().records().unwrap();
+        let got: Vec<(u64, u32)> = recs
+            .iter()
+            .map(|r| (r.ts_nanos, r.net.as_ref().unwrap().seq))
             .collect();
-        assert!(
-            leftovers.is_empty(),
-            "spool chunks left behind: {leftovers:?}"
-        );
+        let want: Vec<(u64, u32)> = stamps.iter().copied().zip((6..=10).rev()).collect();
+        assert_eq!(got, want);
+        // A second finish changes nothing and says the same.
+        assert_eq!(t.finish().unwrap(), 5);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_tracer_dropped_without_finish_leaves_what_it_traced() {
+        // A scenario that panics mid-run never reaches `finish`; the
+        // capture must still hold every record traced before the unwind.
+        let path = unit_path("dropped.pcap");
+        let mut t = PcapTracer::create(&path, DEFAULT_SNAPLEN).unwrap();
+        for i in 0..300 {
+            tx_start(&mut t, i * 1_000, &tcp_data(i));
+        }
+        drop(t);
+        let bytes = std::fs::read(&path).unwrap();
+        let recs = PcapReader::new(&bytes).unwrap().records().unwrap();
+        assert_eq!(recs.len(), 300, "more than one buffer's worth survives");
+        assert_eq!(recs[299].net.as_ref().unwrap().seq, 299);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_write_error_is_latched_and_returned_by_finish() {
+        // /dev/full opens for writing and fails every write with ENOSPC.
+        let mut t = PcapTracer::create(Path::new("/dev/full"), DEFAULT_SNAPLEN).unwrap();
+        // Enough records to overflow the write buffer mid-run: `trace`
+        // must absorb the failure, not panic inside the event loop.
+        for i in 0..300 {
+            tx_start(&mut t, i * 1_000, &tcp_data(i));
+        }
+        let written = t.records();
+        assert!(written < 300, "writing stops at the first error");
+        let err = t.finish().expect_err("the latched error surfaces");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
+        assert!(t.finish().is_err(), "and stays latched");
+        tx_start(&mut t, 1_000_000, &tcp_data(300));
+        assert_eq!(t.records(), written, "nothing is written after it");
+        // A short capture fails at the flush instead.
+        let mut t = PcapTracer::create(Path::new("/dev/full"), DEFAULT_SNAPLEN).unwrap();
+        tx_start(&mut t, 0, &tcp_data(0));
+        assert!(t.finish().is_err());
     }
 
     #[test]

@@ -70,8 +70,9 @@ fn scenario_for(name: &str) -> ScenarioSpec {
 /// packet events of every channel go to stderr with the failure, turning
 /// "the hash changed" into something debuggable. The recorder cannot
 /// perturb the result — the digest is computed independently of the
-/// tracer slot. Tracers are single-threaded, so the multi-domain runs go
-/// untraced; only their failure diagnostics get thinner.
+/// tracer slot. The slot promises time order, which only one domain
+/// gives, so the multi-domain runs go untraced; only their failure
+/// diagnostics get thinner.
 fn run_scenario(
     name: &str,
     shards: usize,

@@ -5,6 +5,11 @@
 //! transmission scoreboard, and (c) never emit a record whose `caplen`
 //! exceeds the snap length, for arbitrary packets (property test).
 //!
+//! The capture is streamed, so a run that is killed leaves a *truncated*
+//! file; (d) pins the reader on that and on garbage: a cut capture yields
+//! its whole records and then one error naming the byte offset, and no
+//! input — arbitrary bytes, one flipped byte — can make it panic.
+//!
 //! The capture is an *observer*: the run's trace digest is computed
 //! independently of the tracer slot, so these tests double as proof that
 //! `RLA_PCAP` cannot perturb results.
@@ -46,9 +51,8 @@ fn export_case5(dir: &std::path::Path) -> (Vec<u8>, u64) {
     let mut world = scenario.build();
     let opts = PcapOptions {
         enabled: true,
-        snaplen: DEFAULT_SNAPLEN,
         dir: dir.to_path_buf(),
-        spool_records: None,
+        ..PcapOptions::default()
     };
     let tracer = world.install_pcap(&opts, "case5_red_20s");
     world.run(&scenario);
@@ -224,6 +228,34 @@ impl Strategy for ArbPacket {
     }
 }
 
+/// The capture of `packets` in timestamp order, and that order.
+fn capture_of(mut packets: Vec<(u64, Packet)>, snaplen: u32) -> (Vec<u8>, Vec<(u64, Packet)>) {
+    packets.sort_by_key(|(t, _)| *t);
+    let mut w = PcapWriter::new(Vec::new(), snaplen).unwrap();
+    for (nanos, p) in &packets {
+        w.record(SimTime::from_nanos(*nanos), p).unwrap();
+    }
+    (w.finish().unwrap(), packets)
+}
+
+/// Everything the reader makes of `bytes`: the records it yields, then
+/// how it stopped — `None` at a clean end of file, the error otherwise.
+fn read_all(bytes: &[u8]) -> (Vec<PcapRecord>, Option<String>) {
+    let mut records = Vec::new();
+    let mut reader = match PcapReader::new(bytes) {
+        Ok(reader) => reader,
+        Err(e) => return (records, Some(e)),
+    };
+    loop {
+        // Every `Some` consumes at least a record header, so this ends.
+        match reader.next_record() {
+            Ok(Some(r)) => records.push(r),
+            Ok(None) => return (records, None),
+            Err(e) => return (records, Some(e)),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -235,13 +267,7 @@ proptest! {
         packets in proptest::collection::vec((0u64..1u64 << 50, ArbPacket), 1..20),
         snaplen in 0u32..300,
     ) {
-        let mut sorted = packets;
-        sorted.sort_by_key(|(t, _)| *t);
-        let mut w = PcapWriter::new(Vec::new(), snaplen).unwrap();
-        for (nanos, p) in &sorted {
-            w.record(SimTime::from_nanos(*nanos), p).unwrap();
-        }
-        let bytes = w.finish().unwrap();
+        let (bytes, sorted) = capture_of(packets, snaplen);
         let reader = PcapReader::new(&bytes).unwrap();
         let effective = reader.header.snaplen;
         prop_assert!(effective >= 64, "writer floors the snaplen");
@@ -253,5 +279,79 @@ proptest! {
             prop_assert_eq!(r.ts_nanos, *nanos);
             prop_assert!(u64::from(r.orig_len) >= 14 + u64::from(p.size_bytes));
         }
+    }
+
+    /// A capture cut at any offset — what a killed run leaves behind —
+    /// reads as its whole records, then a clean end if the cut fell on a
+    /// record boundary, else one error naming the byte the torn record
+    /// starts at.
+    #[test]
+    fn a_cut_capture_yields_its_whole_records_then_one_error(
+        packets in proptest::collection::vec((0u64..1u64 << 50, ArbPacket), 1..20),
+        cut in (any::<bool>(), any::<usize>()),
+    ) {
+        let (bytes, _) = capture_of(packets, DEFAULT_SNAPLEN);
+        let (whole, end) = read_all(&bytes);
+        prop_assert_eq!(end, None);
+        // Record i occupies starts[i]..starts[i + 1].
+        let mut starts = vec![24usize];
+        for r in &whole {
+            starts.push(starts.last().unwrap() + 16 + r.caplen as usize);
+        }
+        prop_assert_eq!(*starts.last().unwrap(), bytes.len());
+
+        // Half the cuts fall on a record boundary, where a byte offset
+        // rarely would: a shorter capture, but a well-formed one.
+        let cut = match cut {
+            (true, n) => starts[n % starts.len()],
+            (false, n) => n % (bytes.len() + 1),
+        };
+        let (records, end) = read_all(&bytes[..cut]);
+        if cut < 24 {
+            prop_assert!(records.is_empty());
+            prop_assert!(end.is_some_and(|e| e.contains("global header")));
+        } else {
+            let kept = starts.iter().rposition(|&s| s <= cut).unwrap();
+            prop_assert_eq!(&records[..], &whole[..kept]);
+            match end {
+                None => prop_assert_eq!(starts[kept], cut, "clean end off a boundary"),
+                Some(e) => {
+                    prop_assert!(starts[kept] < cut, "error on a boundary: {}", e);
+                    let at = format!("at byte {}", starts[kept]);
+                    prop_assert!(e.contains(&at), "{} does not say {}", e, at);
+                }
+            }
+        }
+    }
+
+    /// One flipped byte anywhere in a valid capture yields records or an
+    /// error, never a panic.
+    #[test]
+    fn a_flipped_byte_never_panics_the_reader(
+        packets in proptest::collection::vec((0u64..1u64 << 50, ArbPacket), 1..20),
+        at in any::<usize>(),
+        mask in 1u32..256,
+    ) {
+        let (mut bytes, _) = capture_of(packets, DEFAULT_SNAPLEN);
+        let at = at % bytes.len();
+        bytes[at] ^= mask as u8;
+        read_all(&bytes);
+    }
+
+    /// Arbitrary bytes — bare, or behind a well-formed global header so
+    /// the record parser is reached — never panic the reader.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_reader(
+        header in (any::<bool>(), any::<u32>()),
+        noise in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let (with_header, snaplen) = header;
+        let mut bytes = Vec::new();
+        if with_header {
+            bytes = PcapWriter::new(bytes, snaplen).unwrap().finish().unwrap();
+        }
+        bytes.extend_from_slice(&noise);
+        let (records, _) = read_all(&bytes);
+        prop_assert!(records.len() <= bytes.len() / 16);
     }
 }
