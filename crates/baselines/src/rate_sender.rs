@@ -133,11 +133,6 @@ impl<C: RateController> RateSender<C> {
         &self.controller
     }
 
-    /// Average send rate over the statistics window.
-    pub fn avg_rate(&self, now: SimTime) -> f64 {
-        self.stats.rate_avg.average(now)
-    }
-
     /// Discard statistics and start a fresh window at `now`.
     pub fn reset_stats(&mut self, now: SimTime) {
         self.stats = RateSenderStats {

@@ -3,8 +3,8 @@
 //! Every binary starts with `let cfg = RunConfig::from_env();` — one pass
 //! over the process environment, parsed once into a [`RunConfig`] whose
 //! values are handed down (scenario specs, the worker
-//! [`Pool`](crate::runner::Pool), the manifest emitters). The sixteen
-//! `main`s stop re-implementing the knobs, and nothing below them reads
+//! [`Pool`](crate::runner::Pool), the manifest emitters). The `main`s
+//! stop re-implementing the knobs, and nothing below them reads
 //! `RLA_*` behind its caller's back (CI greps for it): a library call
 //! behaves the same whatever the environment holds.
 //!
@@ -589,8 +589,8 @@ mod tests {
 
     #[test]
     fn the_process_environment_parses() {
-        // The suite may run under knobs (CI pins RLA_DURATION_SECS=60);
-        // whatever is set must be something from_env accepts.
+        // The suite may run under knobs; whatever is set must be
+        // something from_env accepts.
         let cfg = RunConfig::from_env();
         assert!(cfg.run_duration() >= MIN_DURATION);
     }
@@ -604,7 +604,8 @@ mod tests {
 
     #[test]
     fn spec_carries_the_configured_seed_and_tcp_cc() {
-        // fig8's shape: the binary adds only its own duration rule.
+        // Every tree-scenario binary's shape: it adds only its own
+        // duration rule.
         let cfg = config(&[("RLA_TCP_CC", "reno"), ("RLA_SEED", "7")]);
         let s = cfg
             .spec(CongestionCase::Case1RootLink)

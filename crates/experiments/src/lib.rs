@@ -9,14 +9,11 @@
 //! |-----------------|----------------|---------|
 //! | `fig4`          | figure 4       | drift field of two competing RLA windows |
 //! | `fig5`          | figure 5       | stationary density of `(cwnd₁, cwnd₂)` |
-//! | `fig7`          | figure 7       | drop-tail table, 5 congestion cases |
-//! | `fig8`          | figure 8       | per-branch congestion-signal statistics |
-//! | `fig9`          | figure 9       | RED table, same 5 cases |
+//! | `tables`        | figures 7, 8, 9, Theorems I/II | one ten-run sweep ([`tables::paper_sweep`]), four views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside) |
 //! | `fig10`         | figure 10      | generalized RLA, unequal RTTs |
 //! | `sec52`         | §5.2           | two overlapping multicast sessions |
 //! | `eq1`           | equation (1)   | PA window vs Monte Carlo |
 //! | `eq3`           | equation (3)   | two-receiver fixed point + Lemma |
-//! | `theorem_check` | Theorems I/II  | measured ratios vs proved bounds |
 //! | `buffer_period` | §3.1           | drop-tail buffer oscillation trace |
 //! | `phase_effect`  | §3.1           | drop pattern with/without random overhead |
 //! | `baseline_cmp`  | §1             | LTRC/MBFC vs RLA fairness to TCP |

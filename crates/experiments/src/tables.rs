@@ -1,6 +1,31 @@
-//! Plain-text table rendering in the layout of the paper's figures.
+//! Plain-text table rendering in the layout of the paper's figures, and
+//! the one sweep the §5 tables are views of.
 
+use analysis::{FairnessBounds, FairnessCheck};
+
+use crate::cli::RunConfig;
 use crate::metrics::{BranchSignalStats, ScenarioResult};
+use crate::scenario::GatewayKind;
+use crate::spec::ScenarioSpec;
+use crate::tree::CongestionCase;
+
+/// The ten simulations behind figures 7, 8 and 9 and the Theorem I/II
+/// check: every figure-7 case through drop-tail gateways, then the same
+/// five through RED, in [`CongestionCase::FIGURE7_CASES`] order, each
+/// with the config's seed, TCP flavour and
+/// [`run_duration`](RunConfig::run_duration). Figures 7 and 8 read the
+/// first half of the results, figure 9 the second, the theorems all ten.
+pub fn paper_sweep(cfg: &RunConfig) -> Vec<ScenarioSpec> {
+    let duration = cfg.run_duration();
+    [GatewayKind::DropTail, GatewayKind::Red]
+        .into_iter()
+        .flat_map(|gateway| {
+            CongestionCase::FIGURE7_CASES
+                .into_iter()
+                .map(move |case| cfg.spec(case).with_gateway(gateway).with_duration(duration))
+        })
+        .collect()
+}
 
 /// Render a figure-7/9-style table from one result per case (columns) —
 /// the RLA block, then the worst-TCP block, then the best-TCP block.
@@ -157,6 +182,62 @@ pub fn render_signal_table(results: &[ScenarioResult]) -> String {
     out
 }
 
+/// Render the Theorem I/II table: each run's `λ_RLA / λ_TCP` (TCP taken
+/// on the soft-bottleneck branches) against Theorem I's `[1/3, √(3n)]`
+/// for RED and Theorem II's `[1/4, 2n]` for drop-tail, `n = 27`, plus the
+/// measured band the paper's §5 remark compares with (`a ≈ 1`, `b ≈ 3`).
+/// Returns the text and the `"<gateway> <case>"` cells whose ratio lies
+/// outside its (closed) interval — empty when the theorems hold.
+pub fn render_theorem_table(results: &[ScenarioResult]) -> (String, Vec<String>) {
+    /// Troubled receivers in every figure-7 case: all 27 leaves.
+    const N: usize = 27;
+    let mut out =
+        format!("Theorems I & II — measured ratio vs proved bounds (n = {N} troubled receivers)\n");
+    out.push_str(&format!(
+        "{:>10} {:<16} {:>10} {:>10} {:>8} {:>14} {:>6}\n",
+        "gateway", "case", "λ_RLA", "λ_TCP*", "ratio", "bounds [a,b]", "fair?"
+    ));
+    let mut outside = Vec::new();
+    let (mut lo, mut hi) = (f64::INFINITY, 0.0_f64);
+    for r in results {
+        let (gateway, bounds) = match r.gateway {
+            GatewayKind::Red => ("RED", FairnessBounds::theorem1_red(N)),
+            GatewayKind::DropTail => ("drop-tail", FairnessBounds::theorem2_droptail(N)),
+        };
+        let check = FairnessCheck::evaluate(
+            r.rla[0].throughput_pps,
+            r.bottleneck_tcp_throughput(),
+            bounds,
+        );
+        if !check.fair {
+            outside.push(format!("{gateway} {}", r.case_label));
+        }
+        lo = lo.min(check.ratio);
+        hi = hi.max(check.ratio);
+        out.push_str(&format!(
+            "{:>10} {:<16} {:>10.1} {:>10.1} {:>8.2} {:>14} {:>6}\n",
+            gateway,
+            r.case_label,
+            check.lambda_rla,
+            check.lambda_tcp,
+            check.ratio,
+            format!("[{:.2},{:.1}]", bounds.a, bounds.b),
+            if check.fair { "yes" } else { "NO" }
+        ));
+    }
+    out.push_str(&format!(
+        "\nall runs inside the theorem bounds: {}\n",
+        outside.is_empty()
+    ));
+    out.push_str(&format!(
+        "measured band across all runs: a = {lo:.2}, b = {hi:.2} \
+         (paper reports a ≈ 1, b ≈ 3 for its setups; the theorems only \
+         guarantee [0.25, 54])\n"
+    ));
+    out.push_str("(λ_TCP* = mean TCP throughput over soft-bottleneck branches)\n");
+    (out, outside)
+}
+
 /// Render the figure-10 table (generalized RLA, unequal RTTs).
 pub fn render_fig10_table(results: &[ScenarioResult]) -> String {
     let mut out = String::new();
@@ -212,7 +293,6 @@ pub fn render_fig10_table(results: &[ScenarioResult]) -> String {
 mod tests {
     use super::*;
     use crate::metrics::{RlaRow, TcpRow};
-    use crate::scenario::GatewayKind;
 
     fn fake_result() -> ScenarioResult {
         ScenarioResult {
@@ -295,5 +375,96 @@ mod tests {
         let t = render_signal_table(&[r]);
         assert!(t.contains("all links"));
         assert!(t.contains("n/a"));
+    }
+
+    /// One fabricated sweep cell: every TCP at 100 pkt/s, the RLA at
+    /// `ratio` times that.
+    fn cell(gateway: GatewayKind, case: CongestionCase, ratio: f64) -> ScenarioResult {
+        let mut r = fake_result();
+        r.gateway = gateway;
+        r.case_label = case.label().into();
+        r.rla[0].throughput_pps = 100.0 * ratio;
+        for t in &mut r.tcp {
+            t.throughput_pps = 100.0;
+        }
+        r
+    }
+
+    /// The sweep's (gateway, case) cells in the order the views assume.
+    fn sweep_order() -> Vec<(GatewayKind, CongestionCase)> {
+        [GatewayKind::DropTail, GatewayKind::Red]
+            .into_iter()
+            .flat_map(|gw| CongestionCase::FIGURE7_CASES.map(|case| (gw, case)))
+            .collect()
+    }
+
+    /// Ten cells in sweep order, every ratio 1.5 except the overrides.
+    fn fake_sweep(overrides: &[(GatewayKind, CongestionCase, f64)]) -> Vec<ScenarioResult> {
+        sweep_order()
+            .into_iter()
+            .map(|(gw, case)| {
+                let ratio = overrides
+                    .iter()
+                    .find(|o| (o.0, o.1) == (gw, case))
+                    .map_or(1.5, |o| o.2);
+                cell(gw, case, ratio)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn theorem_table_counts_a_ratio_on_a_bound_as_inside() {
+        // Drop-tail's [1/4, 2n] at n = 27, both ends hit exactly.
+        let (text, outside) = render_theorem_table(&fake_sweep(&[
+            (GatewayKind::DropTail, CongestionCase::Case1RootLink, 0.25),
+            (GatewayKind::DropTail, CongestionCase::Case5OneLevel2, 54.0),
+        ]));
+        assert!(outside.is_empty(), "{outside:?}");
+        assert!(text.contains("all runs inside the theorem bounds: true"));
+        assert_eq!(text.matches(" yes\n").count(), 10, "{text}");
+        assert!(text.contains("a = 0.25, b = 54.00"), "{text}");
+    }
+
+    #[test]
+    fn theorem_table_names_every_cell_outside_its_bounds() {
+        // 0.30 < 1/3 under RED and 55 > 2n under drop-tail are outside;
+        // 10 under drop-tail is inside, though above RED's √(3n) = 9 —
+        // each run is held to its own gateway's theorem.
+        let (text, outside) = render_theorem_table(&fake_sweep(&[
+            (GatewayKind::DropTail, CongestionCase::Case5OneLevel2, 55.0),
+            (GatewayKind::Red, CongestionCase::Case1RootLink, 0.30),
+            (GatewayKind::DropTail, CongestionCase::Case4FiveLeaves, 10.0),
+        ]));
+        assert_eq!(outside, ["drop-tail L21", "RED L1"]);
+        assert!(text.contains("all runs inside the theorem bounds: false"));
+        assert_eq!(text.matches(" yes\n").count(), 8, "{text}");
+        assert_eq!(text.matches(" NO\n").count(), 2, "{text}");
+    }
+
+    #[test]
+    fn paper_sweep_is_five_droptail_then_five_red_under_the_config() {
+        let cfg = RunConfig::from_vars(|knob| {
+            let v = match knob {
+                "RLA_SEED" => "7",
+                "RLA_DURATION_SECS" => "90",
+                "RLA_TCP_CC" => "reno",
+                _ => return None,
+            };
+            Some(v.to_string())
+        });
+        let sweep: Vec<_> = paper_sweep(&cfg).iter().map(ScenarioSpec::build).collect();
+        let cells: Vec<_> = sweep.iter().map(|s| (s.gateway, s.case)).collect();
+        assert_eq!(cells, sweep_order());
+        let labels: std::collections::BTreeSet<_> = sweep
+            .iter()
+            .map(|s| (s.case.label(), s.gateway == GatewayKind::Red))
+            .collect();
+        assert_eq!(labels.len(), 10, "manifest labels must not collide");
+        for s in &sweep {
+            assert_eq!(s.seed, 7);
+            assert_eq!(s.duration, cfg.run_duration());
+            assert_eq!(s.tcp_cc.name(), "reno");
+        }
+        assert_eq!(cfg.run_duration().as_secs_f64(), 90.0);
     }
 }

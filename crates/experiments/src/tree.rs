@@ -185,11 +185,6 @@ impl TertiaryTree {
     pub fn leaf_rtt() -> SimDuration {
         SimDuration::from_millis(2 * (5 + 5 + 5 + 100))
     }
-
-    /// Base RTT from the root to the G3 gateways (figure 10 receivers).
-    pub fn g3_rtt() -> SimDuration {
-        SimDuration::from_millis(2 * (5 + 5 + 5))
-    }
 }
 
 /// Build the tree for `case`, with every link buffer using `queue`.

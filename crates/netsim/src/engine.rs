@@ -424,11 +424,6 @@ impl World {
             .sum()
     }
 
-    /// The domain partition currently in effect.
-    pub fn domain_map(&self) -> &DomainMap {
-        &self.shared.dmap
-    }
-
     /// Number of domains (1 until [`Engine::partition`]).
     pub fn domain_count(&self) -> usize {
         self.shards.len()
@@ -529,12 +524,6 @@ impl<'w> Context<'w> {
                 token,
             },
         );
-    }
-
-    /// Number of members in a multicast group (the RLA sender sizes its
-    /// receiver set with this at startup).
-    pub fn group_size(&self, group: GroupId) -> usize {
-        self.shared.groups[group.index()].members.len()
     }
 
     /// The members of a multicast group.
@@ -1521,12 +1510,6 @@ impl Engine {
         }
     }
 
-    /// Run for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let deadline = self.world.now() + d;
-        self.run_until(deadline);
-    }
-
     /// The inline epoch executor: advance every shard to the next θ-grid
     /// barrier (or the deadline), then hand each shard's outbox — the
     /// whole epoch's crossings in one batch — to the destination shards,
@@ -1720,11 +1703,6 @@ impl Engine {
         self.agents[d as usize][li as usize]
             .as_any_mut()
             .downcast_mut::<T>()
-    }
-
-    /// Number of agents.
-    pub fn agent_count(&self) -> usize {
-        self.world.shared.agent_loc.len()
     }
 
     /// Calendar events dispatched so far, by kind, and transmission

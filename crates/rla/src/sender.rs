@@ -33,7 +33,7 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::wire::{McastAck, McastData, Segment};
 
 use tcp_sack::scoreboard::Scoreboard;
-use transport::{CongestionEpoch, FlowStats, RttEstimator, WindowState};
+use transport::{CongestionEpoch, RttEstimator, WindowState};
 
 use crate::config::{RlaConfig, SlowReceiverPolicy};
 use crate::trouble::TroubleTracker;
@@ -171,32 +171,6 @@ impl telemetry::RegistryExport for RlaStats {
         reg.record_gauge(format!("{prefix}.throughput_pps"), self.throughput_pps(now));
         reg.record_gauge(format!("{prefix}.cwnd_avg"), self.cwnd_avg.average(now));
         reg.record_gauge(format!("{prefix}.rtt_avg"), self.rtt.mean());
-    }
-}
-
-impl FlowStats for RlaStats {
-    fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    fn total_cuts(&self) -> u64 {
-        self.window_cuts()
-    }
-
-    fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    fn cwnd_avg(&self) -> &TimeWeighted {
-        &self.cwnd_avg
-    }
-
-    fn rtt(&self) -> &Running {
-        &self.rtt
-    }
-
-    fn since(&self) -> SimTime {
-        self.since
     }
 }
 

@@ -7,10 +7,9 @@
 //! binary hand-rolling its own collection over raw
 //! [`Tracer`](netsim::trace::Tracer) callbacks:
 //!
-//! * [`registry`] — a counter/gauge registry with typed handles
-//!   ([`CounterId`], [`GaugeId`]) and plain `&mut` updates (no interior
-//!   mutability, no atomics on the hot path). Snapshots
-//!   ([`Snapshot`]) are sorted, ready for a run manifest.
+//! * [`registry`] — a counter/gauge registry written through plain
+//!   `&mut` (no interior mutability, no atomics on the hot path).
+//!   Snapshots ([`Snapshot`]) are sorted, ready for a run manifest.
 //! * [`timeline`] — a per-flow time-series recorder
 //!   ([`TimelineRecorder`]): sampled cwnd/ssthresh/awnd, smoothed RTT,
 //!   queue length and RED average at a configurable period, exported as
@@ -56,7 +55,7 @@ pub use dash::{Dashboard, DiffScreen};
 pub use flight::{FlightDumpGuard, FlightEvent, FlightRecorder};
 pub use pcap::{PcapReader, PcapTracer, PcapWriter};
 pub use progress::{JobMeta, SweepProgress};
-pub use registry::{CounterId, GaugeId, MetricValue, Registry, RegistryExport, Snapshot};
+pub use registry::{MetricValue, Registry, RegistryExport, Snapshot};
 pub use tail::JsonlTail;
 pub use timeline::{
     ChannelSample, FlowProbe, FlowSample, QueueSeriesTracer, TimelineFormat, TimelineRecorder,

@@ -1,9 +1,9 @@
-//! Counter/gauge registry with typed handles.
+//! Counter/gauge registry.
 //!
-//! A [`Registry`] owns a flat vector of named metrics. Registration
-//! returns a typed handle ([`CounterId`] / [`GaugeId`]) — an index, not a
-//! reference — so updates are a bounds-checked array write through plain
-//! `&mut Registry`: no `RefCell`, no atomics, no locking. The registry is
+//! A [`Registry`] owns a flat vector of named metrics, written through
+//! plain `&mut Registry` — no `RefCell`, no atomics, no locking — one
+//! [`record_count`](Registry::record_count) or
+//! [`record_gauge`](Registry::record_gauge) per metric. The registry is
 //! meant to be owned by whoever drives the simulation (an experiment
 //! binary, a scenario runner) and snapshotted into the run manifest at
 //! the end ([`Registry::snapshot`]).
@@ -14,14 +14,6 @@
 //! ad-hoc plumbing.
 
 use netsim::time::SimTime;
-
-/// Handle to a registered counter (monotone `u64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a registered gauge (instantaneous `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// A metric's current value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,75 +42,27 @@ impl Registry {
         Self::default()
     }
 
-    fn register(&mut self, name: String, value: MetricValue) -> usize {
+    /// Panics on a duplicate name — two subsystems silently sharing a
+    /// metric is always a bug.
+    fn register(&mut self, name: String, value: MetricValue) {
         assert!(
             !self.metrics.iter().any(|m| m.name == name),
             "metric {name:?} registered twice"
         );
         self.metrics.push(Metric { name, value });
-        self.metrics.len() - 1
     }
 
-    /// Register a counter starting at zero. Panics on a duplicate name —
-    /// two subsystems silently sharing a counter is always a bug.
-    pub fn counter(&mut self, name: impl Into<String>) -> CounterId {
-        CounterId(self.register(name.into(), MetricValue::Counter(0)))
-    }
-
-    /// Register a gauge starting at zero.
-    pub fn gauge(&mut self, name: impl Into<String>) -> GaugeId {
-        GaugeId(self.register(name.into(), MetricValue::Gauge(0.0)))
-    }
-
-    /// Increment a counter by `by`.
-    pub fn add(&mut self, id: CounterId, by: u64) {
-        match &mut self.metrics[id.0].value {
-            MetricValue::Counter(v) => *v += by,
-            MetricValue::Gauge(_) => unreachable!("counter handle points at a gauge"),
-        }
-    }
-
-    /// Increment a counter by one.
-    pub fn inc(&mut self, id: CounterId) {
-        self.add(id, 1);
-    }
-
-    /// Set a gauge to `v`.
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        match &mut self.metrics[id.0].value {
-            MetricValue::Gauge(g) => *g = v,
-            MetricValue::Counter(_) => unreachable!("gauge handle points at a counter"),
-        }
-    }
-
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        match self.metrics[id.0].value {
-            MetricValue::Counter(v) => v,
-            MetricValue::Gauge(_) => unreachable!("counter handle points at a gauge"),
-        }
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        match self.metrics[id.0].value {
-            MetricValue::Gauge(v) => v,
-            MetricValue::Counter(_) => unreachable!("gauge handle points at a counter"),
-        }
-    }
-
-    /// Register-and-set in one step: a counter whose final value is
-    /// already known (the common case when exporting a finished run's
-    /// statistics block).
+    /// Record a counter — a monotone count whose value is known (the
+    /// common case when exporting a finished run's statistics block).
+    /// Panics if `name` is already registered.
     pub fn record_count(&mut self, name: impl Into<String>, value: u64) {
-        let id = self.counter(name);
-        self.add(id, value);
+        self.register(name.into(), MetricValue::Counter(value));
     }
 
-    /// Register-and-set in one step for gauges.
+    /// Record a gauge — an instantaneous measurement. Panics if `name`
+    /// is already registered.
     pub fn record_gauge(&mut self, name: impl Into<String>, value: f64) {
-        let id = self.gauge(name);
-        self.set(id, value);
+        self.register(name.into(), MetricValue::Gauge(value));
     }
 
     /// Number of registered metrics.
@@ -229,24 +173,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn typed_handles_update_and_read_back() {
-        let mut r = Registry::new();
-        let c = r.counter("a.count");
-        let g = r.gauge("a.level");
-        r.inc(c);
-        r.add(c, 4);
-        r.set(g, 2.5);
-        assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_value(g), 2.5);
-        assert_eq!(r.len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
     fn duplicate_names_are_rejected() {
         let mut r = Registry::new();
-        r.counter("x");
-        r.gauge("x");
+        r.record_count("x", 1);
+        r.record_gauge("x", 1.0);
     }
 
     #[test]
@@ -285,13 +216,13 @@ mod tests {
         let names: Vec<&str> = snap.entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["tcp.10.delivered", "tcp.2.delivered"]);
 
-        // Snapshots are point-in-time: later updates don't leak in.
+        // Snapshots are point-in-time: later records don't leak in.
         let mut r = Registry::new();
-        let id = r.counter("x");
+        r.record_count("x", 0);
         let before = r.snapshot();
-        r.inc(id);
-        assert_eq!(before.get("x"), Some(MetricValue::Counter(0)));
-        assert_eq!(r.snapshot().get("x"), Some(MetricValue::Counter(1)));
+        r.record_count("y", 1);
+        assert_eq!(before.len(), 1);
+        assert_eq!(r.snapshot().len(), 2);
     }
 
     #[test]

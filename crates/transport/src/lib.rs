@@ -27,8 +27,8 @@
 //! * [`RexmitTimer`] / [`PacingTimer`] — generation-tokened timer
 //!   management over the engine's timer facility, in disjoint token
 //!   spaces so one agent can run both;
-//! * [`SenderStats`] / [`FlowStats`] — the per-flow statistics hook
-//!   feeding [`netsim::stats`] accumulators, shared by every sender;
+//! * [`SenderStats`] — the per-flow statistics block feeding
+//!   [`netsim::stats`] accumulators, shared by every unicast sender;
 //! * [`defaults`] — the single source of truth for the paper's NS2
 //!   parameter defaults (initial window, ssthresh, RTO clamp, sizes).
 //!
@@ -57,6 +57,6 @@ pub use cubic::CubicCc;
 pub use epoch::CongestionEpoch;
 pub use minrtt::{BandwidthFilter, MinRttFilter};
 pub use rtt::RttEstimator;
-pub use stats::{FlowStats, SenderStats};
+pub use stats::SenderStats;
 pub use timer::{PacingTimer, RexmitTimer};
 pub use window::WindowState;

@@ -1,50 +1,13 @@
 //! Per-flow sender statistics shared by the window-based senders.
 //!
 //! [`SenderStats`] (moved here from `tcp_sack::sender`, which re-exports
-//! it) is the windowed counter block every unicast sender keeps; the
-//! [`FlowStats`] trait is the common read surface the experiment layer
-//! uses, implemented by [`SenderStats`] here and by the RLA's session
-//! statistics in its own crate. Both feed the [`netsim::stats`]
-//! accumulators ([`TimeWeighted`], [`Running`]).
+//! it) is the windowed counter block every unicast sender keeps, fed
+//! through the [`netsim::stats`] accumulators ([`TimeWeighted`],
+//! [`Running`]) and exported through [`RegistryExport`].
 
 use netsim::stats::{Running, TimeWeighted};
 use netsim::time::SimTime;
 use telemetry::{Registry, RegistryExport};
-
-/// The common read surface over a sender's per-flow statistics: the
-/// numbers every paper table reports, regardless of which congestion
-/// controller produced them.
-pub trait FlowStats {
-    /// Packets delivered since the last reset (the throughput numerator —
-    /// cumulative-ack progress for TCP, acked-by-all progress for the RLA).
-    fn delivered(&self) -> u64;
-
-    /// All congestion-window reductions (fast recovery plus timeouts for
-    /// TCP; randomized plus forced cuts for the RLA).
-    fn total_cuts(&self) -> u64;
-
-    /// Retransmission timeouts.
-    fn timeouts(&self) -> u64;
-
-    /// Time-weighted average congestion window.
-    fn cwnd_avg(&self) -> &TimeWeighted;
-
-    /// Per-flow round-trip-time samples.
-    fn rtt(&self) -> &Running;
-
-    /// When the statistics window began.
-    fn since(&self) -> SimTime;
-
-    /// Throughput in packets per second over `[since, now]`.
-    fn throughput_pps(&self, now: SimTime) -> f64 {
-        let span = now.saturating_since(self.since()).as_secs_f64();
-        if span == 0.0 {
-            0.0
-        } else {
-            self.delivered() as f64 / span
-        }
-    }
-}
 
 /// Sender-side statistics for the paper's tables.
 #[derive(Debug, Clone)]
@@ -113,32 +76,6 @@ impl RegistryExport for SenderStats {
     }
 }
 
-impl FlowStats for SenderStats {
-    fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    fn total_cuts(&self) -> u64 {
-        self.total_cuts()
-    }
-
-    fn timeouts(&self) -> u64 {
-        self.timeouts
-    }
-
-    fn cwnd_avg(&self) -> &TimeWeighted {
-        &self.cwnd_avg
-    }
-
-    fn rtt(&self) -> &Running {
-        &self.rtt
-    }
-
-    fn since(&self) -> SimTime {
-        self.since
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,22 +87,5 @@ mod tests {
         assert_eq!(s.throughput_pps(SimTime::from_secs(110)), 50.0);
         // Zero-width window reports zero, not a division error.
         assert_eq!(s.throughput_pps(SimTime::from_secs(100)), 0.0);
-    }
-
-    #[test]
-    fn flow_stats_view_matches_inherent_methods() {
-        let mut s = SenderStats::new(SimTime::from_secs(10), 2.0);
-        s.delivered = 30;
-        s.window_cuts = 3;
-        s.timeouts = 2;
-        let f: &dyn FlowStats = &s;
-        assert_eq!(f.delivered(), 30);
-        assert_eq!(f.total_cuts(), 5);
-        assert_eq!(f.timeouts(), 2);
-        assert_eq!(f.since(), SimTime::from_secs(10));
-        assert_eq!(
-            f.throughput_pps(SimTime::from_secs(20)),
-            s.throughput_pps(SimTime::from_secs(20))
-        );
     }
 }

@@ -61,8 +61,7 @@
 //! paper-vs-measured numbers:
 //!
 //! ```text
-//! cargo run --release -p experiments --bin fig7     # drop-tail table
-//! cargo run --release -p experiments --bin fig9     # RED table
+//! cargo run --release -p experiments --bin tables   # figs. 7-9 + Theorems I/II
 //! RLA_DURATION_SECS=300 cargo run --release -p experiments --bin fig10
 //! ```
 
