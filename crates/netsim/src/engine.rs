@@ -69,7 +69,7 @@ use crate::packet::{Dest, Packet};
 use crate::queue::{Enqueue, QueueConfig};
 use crate::shard::{domain_seed, grid_next, BoundaryMsg, DomainMap};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceDigest, TraceEvent, Tracer};
+use crate::trace::{TraceDigest, TraceEvent, TraceKinds, Tracer};
 use crate::wire::Segment;
 
 /// Per-agent engine-side metadata.
@@ -295,6 +295,9 @@ pub struct World {
     shared: Shared,
     shards: Vec<DomainShard>,
     tracer: Option<Rc<RefCell<dyn Tracer>>>,
+    /// What the installed tracer declared it listens to ([`Tracer::wants`],
+    /// read by `set_tracer`); empty while the slot is.
+    traced: TraceKinds,
     /// Worker threads for the partitioned executor (1 = run the epochs
     /// inline on the calling thread).
     workers: usize,
@@ -327,6 +330,7 @@ impl World {
             },
             shards: vec![shard0],
             tracer: None,
+            traced: TraceKinds::NONE,
             workers: 1,
             epoch_loads: None,
         }
@@ -540,6 +544,8 @@ struct DomainRun<'a> {
     shard: &'a mut DomainShard,
     agents: &'a mut [Box<dyn Agent>],
     tracer: Option<&'a Rc<RefCell<dyn Tracer>>>,
+    /// The kinds `tracer` is called for: each event site tests its bit.
+    traced: TraceKinds,
 }
 
 impl<'a> DomainRun<'a> {
@@ -641,7 +647,7 @@ impl<'a> DomainRun<'a> {
                     crate::queue::DropReason::Fault,
                     qlen,
                 );
-                if self.tracer.is_some() {
+                if self.traced.intersects(TraceKinds::DROP) {
                     self.trace(&TraceEvent::Drop {
                         channel,
                         packet: self.shard.arena.get(handle),
@@ -685,7 +691,7 @@ impl<'a> DomainRun<'a> {
                     shard.regions[rslot]
                         .digest
                         .record_enqueue(now, channel, uid, qlen);
-                    if self.tracer.is_some() {
+                    if self.traced.intersects(TraceKinds::ENQUEUE) {
                         self.trace(&TraceEvent::Enqueue {
                             channel,
                             packet: self.shard.arena.get(handle),
@@ -699,7 +705,7 @@ impl<'a> DomainRun<'a> {
                     shard.regions[rslot]
                         .digest
                         .record_drop(now, channel, uid, reason, qlen);
-                    if self.tracer.is_some() {
+                    if self.traced.intersects(TraceKinds::DROP) {
                         self.trace(&TraceEvent::Drop {
                             channel,
                             packet: self.shard.arena.get(handle),
@@ -746,7 +752,7 @@ impl<'a> DomainRun<'a> {
         shard.regions[rslot]
             .digest
             .record_tx_start(now, channel, uid, qlen);
-        if self.tracer.is_some() {
+        if self.traced.intersects(TraceKinds::TX_START) {
             self.trace(&TraceEvent::TxStart {
                 channel,
                 packet: self.shard.arena.get(handle),
@@ -843,7 +849,7 @@ impl<'a> DomainRun<'a> {
         self.shard.regions[rslot]
             .digest
             .record_arrive(self.shard.now, node, uid);
-        if self.tracer.is_some() {
+        if self.traced.intersects(TraceKinds::ARRIVE) {
             self.trace(&TraceEvent::Arrive {
                 node,
                 packet: self.shard.arena.get(handle),
@@ -919,7 +925,7 @@ impl<'a> DomainRun<'a> {
         self.shard.regions[rslot]
             .digest
             .record_deliver(self.shard.now, agent, uid);
-        if self.tracer.is_some() {
+        if self.traced.intersects(TraceKinds::DELIVER) {
             self.trace(&TraceEvent::Deliver {
                 agent,
                 packet: self.shard.arena.get(handle),
@@ -972,8 +978,11 @@ impl Engine {
     /// simulated-time order (see [`Tracer`]), which one execution domain
     /// gives and several do not: [`Engine::run_until`] refuses a traced
     /// engine with more than one, so trace an unpartitioned engine or one
-    /// merged to a single domain (`partition_merged(.., 1, ..)`).
+    /// merged to a single domain (`partition_merged(.., 1, ..)`). The
+    /// tracer's [`Tracer::wants`] is read here, once: it is called for
+    /// those event kinds and no others.
     pub fn set_tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) {
+        self.world.traced = tracer.borrow().wants();
         self.world.tracer = Some(tracer);
     }
 
@@ -1475,6 +1484,7 @@ impl Engine {
                 shard: &mut world.shards[0],
                 agents: &mut self.agents[0],
                 tracer: world.tracer.as_ref(),
+                traced: world.traced,
             }
             .run_until(deadline);
             return;
@@ -1549,6 +1559,7 @@ impl Engine {
                     shard,
                     agents,
                     tracer: self.world.tracer.as_ref(),
+                    traced: self.world.traced,
                 }
                 .run_until(target);
                 if let (Some(loads), Some(before)) = (loads.as_mut(), before) {
@@ -1647,6 +1658,7 @@ impl Engine {
                                 shard,
                                 agents,
                                 tracer: None,
+                                traced: TraceKinds::NONE,
                             }
                             .run_until(target);
                         }
@@ -2446,6 +2458,66 @@ mod tests {
         assert!(msg.contains("partition_merged(.., 1, ..)"), "{msg}");
         assert!(log.borrow().0.is_empty(), "nothing was traced");
         assert_eq!(e.trace_digest().events(), 0, "nothing was dispatched");
+    }
+
+    /// A digest of the callbacks it gets that listens to `wants` only.
+    struct Listening {
+        wants: TraceKinds,
+        seen: TraceDigest,
+    }
+
+    impl Tracer for Listening {
+        fn wants(&self) -> TraceKinds {
+            self.wants
+        }
+        fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
+            self.seen.trace(now, event);
+        }
+    }
+
+    #[test]
+    fn the_slot_calls_a_tracer_for_the_kinds_it_declared_at_install_and_no_others() {
+        // Forty packets at once into a 20-packet buffer: the run produces
+        // every kind, drops included.
+        let run = |install: &dyn Fn(&mut Engine)| {
+            let bursts = vec![(0, 40, 1000)];
+            let (mut e, _, _) =
+                lazy_chain(&QueueConfig::paper_droptail(), 1, false, vec![], bursts);
+            install(&mut e);
+            e.run_until(SimTime::from_secs(1));
+            e.trace_digest()
+        };
+        let counters =
+            |d: &TraceDigest| [d.enqueues, d.drops, d.tx_starts, d.arrivals, d.deliveries];
+        let bare = run(&|_| {});
+        let want = counters(&bare);
+        assert!(
+            want.iter().all(|&n| n > 0),
+            "a kind never occurred: {want:?}"
+        );
+
+        // TxStart only — and the declaration is read by `set_tracer`, once:
+        // a change of mind afterwards is not seen.
+        let narrow = Rc::new(RefCell::new(Listening {
+            wants: TraceKinds::TX_START,
+            seen: TraceDigest::new(),
+        }));
+        let traced = run(&|e| {
+            e.set_tracer(narrow.clone());
+            narrow.borrow_mut().wants = TraceKinds::ALL;
+        });
+        assert_eq!(
+            counters(&narrow.borrow().seen),
+            [0, 0, bare.tx_starts, 0, 0]
+        );
+        assert_eq!(traced, bare, "a narrow tracer moved the digest");
+
+        // The default declaration is every kind: a standalone digest in
+        // the slot counts what the engine's own counted.
+        let wide = Rc::new(RefCell::new(TraceDigest::new()));
+        let traced = run(&|e| e.set_tracer(wide.clone()));
+        assert_eq!(counters(&wide.borrow()), want);
+        assert_eq!(traced, bare, "a wide tracer moved the digest");
     }
 
     /// The model: every completion is filed when its transmission starts.

@@ -62,6 +62,40 @@ pub enum TraceEvent<'a> {
     },
 }
 
+/// A set of [`TraceEvent`] kinds: what a [`Tracer`] declares it listens
+/// to, one bit per variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceKinds(u8);
+
+impl TraceKinds {
+    /// No kind at all (an empty slot).
+    pub(crate) const NONE: TraceKinds = TraceKinds(0);
+    /// [`TraceEvent::Enqueue`].
+    pub const ENQUEUE: TraceKinds = TraceKinds(1 << 0);
+    /// [`TraceEvent::Drop`].
+    pub const DROP: TraceKinds = TraceKinds(1 << 1);
+    /// [`TraceEvent::TxStart`].
+    pub const TX_START: TraceKinds = TraceKinds(1 << 2);
+    /// [`TraceEvent::Arrive`].
+    pub const ARRIVE: TraceKinds = TraceKinds(1 << 3);
+    /// [`TraceEvent::Deliver`].
+    pub const DELIVER: TraceKinds = TraceKinds(1 << 4);
+    /// Every kind.
+    pub const ALL: TraceKinds = TraceKinds(0b1_1111);
+
+    /// `true` if the two sets share a kind.
+    pub(crate) const fn intersects(self, other: TraceKinds) -> bool {
+        self.0 & other.0 != 0
+    }
+}
+
+impl std::ops::BitOr for TraceKinds {
+    type Output = TraceKinds;
+    fn bitor(self, other: TraceKinds) -> TraceKinds {
+        TraceKinds(self.0 | other.0)
+    }
+}
+
 /// Observer of engine events.
 ///
 /// The slot's contract is time order: `now` never decreases from one
@@ -71,9 +105,24 @@ pub enum TraceEvent<'a> {
 /// [`Engine::run_until`](crate::engine::Engine::run_until) refuses a
 /// tracer on more than one execution domain — a tracer may write each
 /// event through as it happens and never needs to buffer or sort.
+///
+/// A tracer is called only for the kinds it declares in [`wants`]. The
+/// declaration is read once, when
+/// [`Engine::set_tracer`](crate::engine::Engine::set_tracer) installs the
+/// tracer, and kept beside it in the slot: each event site then tests one
+/// bit, so a listener to a single kind costs nothing at the other four.
+///
+/// [`wants`]: Tracer::wants
 pub trait Tracer {
-    /// Called for every traced event, in simulation order.
+    /// Called for every traced event of a declared kind, in simulation
+    /// order.
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>);
+
+    /// The event kinds this tracer listens to; every kind unless
+    /// overridden. Must not change once the tracer is installed.
+    fn wants(&self) -> TraceKinds {
+        TraceKinds::ALL
+    }
 }
 
 /// Order-sensitive 64-bit digest of the packet-event stream, plus

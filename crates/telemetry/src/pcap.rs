@@ -27,7 +27,9 @@
 //! The capture is a stream: the tracer slot delivers callbacks in
 //! simulated-time order (the [`Tracer`] contract, enforced by
 //! `Engine::run_until`), so each record is framed and written when its
-//! event is dispatched. Memory is one [`WRITE_BUFFER_BYTES`] buffer
+//! event is dispatched — framed once, by the module's one framer, in a
+//! [`FRAME_MAX`]` + 16`-byte stack buffer, with no allocation per record.
+//! Memory is one [`WRITE_BUFFER_BYTES`] buffer
 //! whatever the run length, and a run that dies mid-way leaves a capture
 //! that ends — possibly mid-record — where the run did, which is why
 //! [`PcapReader`] reports truncation as an error with its byte offset
@@ -43,8 +45,8 @@ use std::path::{Path, PathBuf};
 use netsim::id::{AgentId, GroupId};
 use netsim::packet::{Dest, Packet};
 use netsim::time::SimTime;
-use netsim::trace::{TraceEvent, Tracer};
-use netsim::wire::Segment;
+use netsim::trace::{TraceEvent, TraceKinds, Tracer};
+use netsim::wire::{Segment, MAX_SACK_BLOCKS};
 
 /// Nanosecond-resolution libpcap magic (the classic layout with `ts_usec`
 /// holding nanoseconds), written little-endian.
@@ -53,24 +55,44 @@ pub const MAGIC_NANOS: u32 = 0xa1b2_3c4d;
 pub const MAGIC_MICROS: u32 = 0xa1b2_c3d4;
 /// LINKTYPE_ETHERNET.
 pub const LINKTYPE_ETHERNET: u32 = 1;
-/// Default snapshot length: every synthetic frame we emit fits (headers
-/// plus the small RLA payload; the simulated bulk payload bytes are
-/// *not* materialized — they exist only in `orig_len`).
+/// Default snapshot length: every synthetic frame we emit fits
+/// ([`FRAME_MAX`], checked at compile time; the simulated bulk payload
+/// bytes are *not* materialized — they exist only in `orig_len`).
 pub const DEFAULT_SNAPLEN: u32 = 128;
 /// Inert: nothing in the workspace reads it (the frozen `benchmark/`
 /// names it in a struct literal; ROADMAP item 1(a) deletes it).
 pub const DEFAULT_SPOOL_RECORDS: usize = 65_536;
 /// Capacity of a capture file's write buffer — all the memory a capture
-/// holds, whatever the run length (~80 records per `write` call).
+/// holds, whatever the run length (≈ 107 records of the case-5 mix's
+/// 76.7 B per `write` call).
 pub const WRITE_BUFFER_BYTES: usize = 8 * 1024;
 /// Bytes of synthetic payload carried by the UDP framing (kind tag,
 /// flags, and the 64-bit sequence or cumulative-ack number).
 pub const RLA_PAYLOAD_LEN: usize = 12;
 
+const RECORD_HEADER_LEN: usize = 16;
 const ETH_HEADER_LEN: usize = 14;
 const IPV4_HEADER_LEN: usize = 20;
 const UDP_HEADER_LEN: usize = 8;
 const TCP_BASE_HEADER_LEN: usize = 20;
+/// The RFC 2018 SACK option at its longest: NOP NOP kind len, then eight
+/// bytes per block.
+const SACK_OPTION_MAX: usize = 4 + 8 * MAX_SACK_BLOCKS;
+/// Where the L4 header starts in a record: the offsets before it are fixed.
+const L4_OFFSET: usize = RECORD_HEADER_LEN + ETH_HEADER_LEN + IPV4_HEADER_LEN;
+
+/// The longest synthetic frame: Ethernet II + IPv4 + a TCP ack whose SACK
+/// option carries [`MAX_SACK_BLOCKS`] blocks (the UDP kinds are a fixed
+/// 54 bytes). The one variable-length part of a frame is that option, so
+/// this bounds every frame and sizes the framer's buffer.
+pub const FRAME_MAX: usize =
+    ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_BASE_HEADER_LEN + SACK_OPTION_MAX;
+const RECORD_MAX: usize = RECORD_HEADER_LEN + FRAME_MAX;
+
+// The TCP data offset is four bits of 32-bit words: a longer header would
+// wrap the nibble and every such record be a malformed segment, silently.
+const _: () = assert!(TCP_BASE_HEADER_LEN + SACK_OPTION_MAX <= 60);
+const _: () = assert!(FRAME_MAX <= DEFAULT_SNAPLEN as usize);
 
 /// Writes one classic libpcap file. Whether records are buffered is up
 /// to `W`; [`flush`] and [`finish`] report what a buffered `W`'s own drop
@@ -129,10 +151,13 @@ impl<W: Write> PcapWriter<W> {
         self.records
     }
 
-    /// Serialize one packet as a record stamped `now`.
+    /// Serialize one packet as a record stamped `now`: framed once, on the
+    /// stack, and handed to `W` in one `write_all` — no allocation per
+    /// record (`tests/pcap_alloc.rs` counts).
     pub fn record(&mut self, now: SimTime, packet: &Packet) -> io::Result<()> {
-        self.out
-            .write_all(&record_bytes(self.snaplen, now, packet))?;
+        let mut buf = [0u8; RECORD_MAX];
+        let len = frame_record(&mut buf, self.snaplen, now, packet);
+        self.out.write_all(&buf[..len])?;
         self.records += 1;
         Ok(())
     }
@@ -149,24 +174,13 @@ impl<W: Write> PcapWriter<W> {
     }
 }
 
-/// Build the on-disk bytes of one pcap record (16-byte record header +
-/// truncated frame) without writing it — what [`PcapWriter::record`]
-/// appends.
+/// The on-disk bytes of one pcap record (16-byte record header +
+/// truncated frame) without writing it — exactly what
+/// [`PcapWriter::record`] appends: both are the one framer.
 pub fn record_bytes(snaplen: u32, now: SimTime, packet: &Packet) -> Vec<u8> {
-    let frame = build_frame(packet);
-    let caplen = (frame.len() as u32).min(snaplen.max(64));
-    // On the wire the packet occupies its full simulated size; the
-    // frame we materialize holds only headers + the tiny synthetic
-    // payload, so orig_len ≥ caplen always.
-    let orig_len = (ETH_HEADER_LEN as u32 + packet.size_bytes).max(frame.len() as u32);
-    let nanos = now.as_nanos();
-    let mut b = Vec::with_capacity(16 + caplen as usize);
-    b.extend_from_slice(&((nanos / 1_000_000_000) as u32).to_le_bytes());
-    b.extend_from_slice(&((nanos % 1_000_000_000) as u32).to_le_bytes());
-    b.extend_from_slice(&caplen.to_le_bytes());
-    b.extend_from_slice(&orig_len.to_le_bytes());
-    b.extend_from_slice(&frame[..caplen as usize]);
-    b
+    let mut buf = [0u8; RECORD_MAX];
+    let len = frame_record(&mut buf, snaplen, now, packet);
+    buf[..len].to_vec()
 }
 
 /// Deterministic IPv4 address for a unicast endpoint: `10.0.h.l` from the
@@ -224,174 +238,155 @@ fn inet_checksum(seed: u32, data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// The L4 view of a segment: protocol, ports, header+payload bytes.
-struct L4 {
-    protocol: u8,
-    bytes: Vec<u8>,
+/// The unicast peer of a TCP or feedback segment (agent 0 stands in for
+/// the group destination those kinds never have).
+fn peer(dest: Dest) -> AgentId {
+    match dest {
+        Dest::Agent(a) => a,
+        Dest::Group(_) => AgentId(0),
+    }
 }
 
-/// Build the synthetic TCP header (with a SACK option when the ack
-/// carries blocks). Sequence/ack numbers are the simulator's *packet*
-/// units, truncated to u32 as on a real wire.
-fn tcp_l4(packet: &Packet) -> L4 {
+/// Destination port of a data segment that may be multicast.
+fn data_port(dest: Dest) -> u16 {
+    match dest {
+        Dest::Agent(a) => port_for(a, 20000),
+        Dest::Group(g) => group_port(g),
+    }
+}
+
+/// Sequential writes into a stretch of the record buffer.
+struct Put<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl Put<'_> {
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) {
+        self.buf[self.at..self.at + N].copy_from_slice(&bytes);
+        self.at += N;
+    }
+}
+
+/// Write the synthetic TCP header (with a SACK option when the ack
+/// carries blocks) at the start of `l4` and return its length.
+/// Sequence/ack numbers are the simulator's *packet* units, truncated to
+/// u32 as on a real wire.
+fn tcp_l4(l4: &mut [u8], packet: &Packet) -> usize {
     let (sport, dport, seq, ack, flags, sack) = match &packet.segment {
-        Segment::TcpData(d) => {
-            let dst = match packet.dest {
-                Dest::Agent(a) => a,
-                Dest::Group(_) => AgentId(0),
-            };
-            (
-                port_for(packet.src, 10000),
-                port_for(dst, 20000),
-                d.seq as u32,
-                0u32,
-                0x18u8, // PSH|ACK
-                None,
-            )
-        }
-        Segment::TcpAck(a) => {
-            let dst = match packet.dest {
-                Dest::Agent(x) => x,
-                Dest::Group(_) => AgentId(0),
-            };
-            (
-                port_for(packet.src, 20000),
-                port_for(dst, 10000),
-                0u32,
-                a.cum_ack as u32,
-                0x10u8, // ACK
-                Some(a.sack),
-            )
-        }
+        Segment::TcpData(d) => (
+            port_for(packet.src, 10000),
+            port_for(peer(packet.dest), 20000),
+            d.seq as u32,
+            0u32,
+            0x18u8, // PSH|ACK
+            &[][..],
+        ),
+        Segment::TcpAck(a) => (
+            port_for(packet.src, 20000),
+            port_for(peer(packet.dest), 10000),
+            0u32,
+            a.cum_ack as u32,
+            0x10u8, // ACK
+            a.sack.as_slice(),
+        ),
         _ => unreachable!("tcp_l4 is only called for TCP segments"),
     };
-
-    // RFC 2018 SACK option: NOP NOP [kind=5, len, (start,end) pairs].
-    let mut options: Vec<u8> = Vec::new();
-    if let Some(list) = sack {
-        let blocks = list.as_slice();
-        if !blocks.is_empty() {
-            options.push(1); // NOP
-            options.push(1); // NOP
-            options.push(5); // SACK
-            options.push(2 + 8 * blocks.len() as u8);
-            for b in blocks {
-                options.extend_from_slice(&(b.start as u32).to_be_bytes());
-                options.extend_from_slice(&(b.end as u32).to_be_bytes());
-            }
+    // RFC 2018 SACK option: NOP NOP [kind=5, len, (start,end) pairs] — a
+    // multiple of four bytes, as TCP options must be.
+    let option_len = if sack.is_empty() {
+        0
+    } else {
+        4 + 8 * sack.len()
+    };
+    let header_len = TCP_BASE_HEADER_LEN + option_len;
+    let mut w = Put { buf: l4, at: 0 };
+    w.put(sport.to_be_bytes());
+    w.put(dport.to_be_bytes());
+    w.put(seq.to_be_bytes());
+    w.put(ack.to_be_bytes());
+    w.put([((header_len / 4) as u8) << 4, flags]); // data offset
+    w.put(0xffffu16.to_be_bytes()); // window
+    w.put([0; 4]); // checksum (left zero, see `frame_record`), urgent pointer
+    if !sack.is_empty() {
+        w.put([1, 1, 5, 2 + 8 * sack.len() as u8]);
+        for b in sack {
+            w.put((b.start as u32).to_be_bytes());
+            w.put((b.end as u32).to_be_bytes());
         }
     }
-    debug_assert!(
-        options.len().is_multiple_of(4),
-        "TCP options must be 32-bit padded"
-    );
-
-    let header_len = TCP_BASE_HEADER_LEN + options.len();
-    let mut b = Vec::with_capacity(header_len);
-    b.extend_from_slice(&sport.to_be_bytes());
-    b.extend_from_slice(&dport.to_be_bytes());
-    b.extend_from_slice(&seq.to_be_bytes());
-    b.extend_from_slice(&ack.to_be_bytes());
-    b.push(((header_len / 4) as u8) << 4); // data offset
-    b.push(flags);
-    b.extend_from_slice(&0xffffu16.to_be_bytes()); // window
-    b.extend_from_slice(&[0, 0]); // checksum, patched below
-    b.extend_from_slice(&[0, 0]); // urgent pointer
-    b.extend_from_slice(&options);
-    L4 {
-        protocol: 6,
-        bytes: b,
-    }
+    debug_assert_eq!(w.at, header_len);
+    header_len
 }
 
 /// UDP framing for the multicast/rate/raw segments: an 8-byte UDP header
 /// plus the [`RLA_PAYLOAD_LEN`]-byte synthetic payload
-/// `[kind, flags, reserved u16, seq_or_ack u64]` (big-endian).
-fn udp_l4(packet: &Packet) -> L4 {
+/// `[kind, flags, reserved u16, seq_or_ack u64]` (big-endian), written at
+/// the start of `l4`; returns the length.
+fn udp_l4(l4: &mut [u8], packet: &Packet) -> usize {
+    let data_sport = port_for(packet.src, 10000);
+    let feedback_dport = port_for(peer(packet.dest), 10000);
     let (sport, dport, kind, flags, number) = match &packet.segment {
-        Segment::McastData(d) => {
-            let g = match packet.dest {
-                Dest::Group(g) => group_port(g),
-                Dest::Agent(a) => port_for(a, 20000),
-            };
-            (
-                port_for(packet.src, 10000),
-                g,
-                1u8,
-                u8::from(d.retransmit),
-                d.seq,
-            )
-        }
+        Segment::McastData(d) => (
+            data_sport,
+            data_port(packet.dest),
+            1u8,
+            u8::from(d.retransmit),
+            d.seq,
+        ),
         Segment::McastAck(a) => (
             port_for(a.receiver, 20000),
-            port_for(
-                match packet.dest {
-                    Dest::Agent(x) => x,
-                    Dest::Group(_) => AgentId(0),
-                },
-                10000,
-            ),
+            feedback_dport,
             2u8,
             u8::from(a.urgent_rexmit),
             a.cum_ack,
         ),
-        Segment::RateData(d) => {
-            let g = match packet.dest {
-                Dest::Group(g) => group_port(g),
-                Dest::Agent(a) => port_for(a, 20000),
-            };
-            (port_for(packet.src, 10000), g, 3u8, 0u8, d.seq)
-        }
+        Segment::RateData(d) => (data_sport, data_port(packet.dest), 3u8, 0u8, d.seq),
         Segment::RateFeedback(f) => (
             port_for(f.receiver, 20000),
-            port_for(
-                match packet.dest {
-                    Dest::Agent(x) => x,
-                    Dest::Group(_) => AgentId(0),
-                },
-                10000,
-            ),
+            feedback_dport,
             4u8,
             0u8,
             f.highest_seq,
         ),
-        Segment::Raw => (
-            port_for(packet.src, 10000),
-            match packet.dest {
-                Dest::Agent(a) => port_for(a, 20000),
-                Dest::Group(g) => group_port(g),
-            },
-            0u8,
-            0u8,
-            0u64,
-        ),
+        Segment::Raw => (data_sport, data_port(packet.dest), 0u8, 0u8, 0u64),
         Segment::TcpData(_) | Segment::TcpAck(_) => {
             unreachable!("TCP segments take the TCP framing")
         }
     };
-
     let len = UDP_HEADER_LEN + RLA_PAYLOAD_LEN;
-    let mut b = Vec::with_capacity(len);
-    b.extend_from_slice(&sport.to_be_bytes());
-    b.extend_from_slice(&dport.to_be_bytes());
-    b.extend_from_slice(&(len as u16).to_be_bytes());
-    b.extend_from_slice(&[0, 0]); // checksum 0 = unused (legal over IPv4)
-    b.push(kind);
-    b.push(flags);
-    b.extend_from_slice(&[0, 0]); // reserved
-    b.extend_from_slice(&number.to_be_bytes());
-    L4 {
-        protocol: 17,
-        bytes: b,
-    }
+    let mut w = Put { buf: l4, at: 0 };
+    w.put(sport.to_be_bytes());
+    w.put(dport.to_be_bytes());
+    w.put((len as u16).to_be_bytes());
+    w.put([0, 0]); // checksum 0 = unused (legal over IPv4)
+    w.put([kind, flags, 0, 0]); // .., reserved
+    w.put(number.to_be_bytes());
+    debug_assert_eq!(w.at, len);
+    len
 }
 
-/// Serialize the full synthetic Ethernet frame for one packet.
-fn build_frame(packet: &Packet) -> Vec<u8> {
-    let l4 = match packet.segment {
-        Segment::TcpData(_) | Segment::TcpAck(_) => tcp_l4(packet),
-        _ => udp_l4(packet),
+/// The one framer: write a whole record — the 16-byte record header and
+/// the synthetic Ethernet II / IPv4 / L4 frame — for `packet` stamped
+/// `now` into `buf`, each field at its final offset, and return the
+/// record's length once the frame is cut to `snaplen` (floored at 64).
+/// Everything ahead of the L4 header has a fixed offset, so the L4 goes in
+/// first and tells the headers before it its protocol and length.
+fn frame_record(buf: &mut [u8; RECORD_MAX], snaplen: u32, now: SimTime, packet: &Packet) -> usize {
+    let (head, l4) = buf.split_at_mut(L4_OFFSET);
+    // (TCP checksum left zero: the synthetic payload is truncated, so a
+    // pseudo-header checksum could not validate anyway.)
+    let (protocol, l4_len) = match packet.segment {
+        Segment::TcpData(_) | Segment::TcpAck(_) => (6, tcp_l4(l4, packet)),
+        _ => (17, udp_l4(l4, packet)),
     };
+    let frame_len = (ETH_HEADER_LEN + IPV4_HEADER_LEN + l4_len) as u32;
+    let caplen = frame_len.min(snaplen.max(64));
+    // On the wire the packet occupies its full simulated size; the
+    // frame we materialize holds only headers + the tiny synthetic
+    // payload, so orig_len ≥ caplen always.
+    let orig_len = (ETH_HEADER_LEN as u32 + packet.size_bytes).max(frame_len);
+    let nanos = now.as_nanos();
     let (dst_mac, dst_ip) = match packet.dest {
         Dest::Agent(a) => (agent_mac(a), agent_ip(a)),
         Dest::Group(g) => (group_mac(g), group_ip(g)),
@@ -399,32 +394,32 @@ fn build_frame(packet: &Packet) -> Vec<u8> {
     // Feedback segments also name their receiver internally, but the
     // packet's `src` field carries the same agent — one derivation rule.
     let src_ip = agent_ip(packet.src);
+    let total_len = (IPV4_HEADER_LEN + l4_len).max(packet.size_bytes as usize);
 
-    let total_len = (IPV4_HEADER_LEN + l4.bytes.len()).max(packet.size_bytes as usize);
-    let total_len = total_len.min(65535) as u16;
-    let mut frame = Vec::with_capacity(ETH_HEADER_LEN + IPV4_HEADER_LEN + l4.bytes.len());
+    let mut w = Put { buf: head, at: 0 };
+    // Record header.
+    w.put(((nanos / 1_000_000_000) as u32).to_le_bytes());
+    w.put(((nanos % 1_000_000_000) as u32).to_le_bytes());
+    w.put(caplen.to_le_bytes());
+    w.put(orig_len.to_le_bytes());
     // Ethernet II.
-    frame.extend_from_slice(&dst_mac);
-    frame.extend_from_slice(&agent_mac(packet.src));
-    frame.extend_from_slice(&0x0800u16.to_be_bytes());
+    w.put(dst_mac);
+    w.put(agent_mac(packet.src));
+    w.put(0x0800u16.to_be_bytes());
     // IPv4.
-    let ip_start = frame.len();
-    frame.push(0x45); // version 4, IHL 5
-    frame.push(0); // DSCP/ECN
-    frame.extend_from_slice(&total_len.to_be_bytes());
-    frame.extend_from_slice(&((packet.uid & 0xffff) as u16).to_be_bytes());
-    frame.extend_from_slice(&[0x40, 0]); // DF, no fragments
-    frame.push(64); // TTL
-    frame.push(l4.protocol);
-    frame.extend_from_slice(&[0, 0]); // checksum, patched below
-    frame.extend_from_slice(&src_ip);
-    frame.extend_from_slice(&dst_ip);
-    let csum = inet_checksum(0, &frame[ip_start..ip_start + IPV4_HEADER_LEN]);
-    frame[ip_start + 10..ip_start + 12].copy_from_slice(&csum.to_be_bytes());
-    // L4 (TCP checksum left zero: the synthetic payload is truncated, so
-    // a pseudo-header checksum could not validate anyway).
-    frame.extend_from_slice(&l4.bytes);
-    frame
+    w.put([0x45, 0]); // version 4, IHL 5; DSCP/ECN
+    w.put((total_len.min(65535) as u16).to_be_bytes());
+    w.put(((packet.uid & 0xffff) as u16).to_be_bytes());
+    w.put([0x40, 0]); // DF, no fragments
+    w.put([64, protocol]); // TTL
+    w.put([0, 0]); // checksum, patched below
+    w.put(src_ip);
+    w.put(dst_ip);
+    debug_assert_eq!(w.at, L4_OFFSET);
+    let ip = &mut head[RECORD_HEADER_LEN + ETH_HEADER_LEN..];
+    let csum = inet_checksum(0, ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
+    RECORD_HEADER_LEN + caplen as usize
 }
 
 /// A [`Tracer`] that writes one pcap record per [`TraceEvent::TxStart`] —
@@ -485,6 +480,10 @@ impl PcapTracer {
 }
 
 impl Tracer for PcapTracer {
+    fn wants(&self) -> TraceKinds {
+        TraceKinds::TX_START
+    }
+
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
         if let TraceEvent::TxStart { packet, .. } = event {
             if self.error.is_none() {
@@ -713,7 +712,10 @@ fn parse_frame(frame: &[u8]) -> Option<NetInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::wire::{McastAck, McastData, SackBlock, SackList, TcpAck, TcpData};
+    use netsim::wire::{
+        McastAck, McastData, RateData, RateFeedback, SackBlock, SackList, TcpAck, TcpData,
+        MAX_SACK_BLOCKS,
+    };
 
     fn tcp_data(seq: u64) -> Packet {
         Packet {
@@ -783,6 +785,458 @@ mod tests {
         let dir = std::env::temp_dir().join("rla_pcap_unit");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One row per byte-level behaviour of the framing: `(what, snaplen,
+    /// stamp in ns, packet, record)`. The hex is what `record_bytes`
+    /// returned *before* the framing was rewritten in place (PR 20) —
+    /// rendered by the parent commit's three-`Vec` framer, never edited
+    /// since — split at the record / Ethernet / IPv4 / L4 / TCP-option
+    /// boundaries.
+    fn pinned_records() -> Vec<(&'static str, u32, u64, Packet, &'static str)> {
+        fn pkt(uid: u64, src: u32, dest: Dest, size_bytes: u32, segment: Segment) -> Packet {
+            Packet {
+                uid,
+                src: AgentId(src),
+                dest,
+                size_bytes,
+                segment,
+                sent_at: SimTime::from_nanos(77),
+            }
+        }
+        let t = SimTime::from_nanos(99);
+        let agent = |i: u32| Dest::Agent(AgentId(i));
+        let group = |i: u32| Dest::Group(GroupId(i));
+        // Block edges above `u32::MAX` too: they truncate like seq/ack.
+        let sack = |n: usize| -> SackList {
+            (0..n as u64)
+                .map(|i| SackBlock {
+                    start: 0x1_0000_0010 + 0x100 * i,
+                    end: 0x1_0000_0020 + 0x100 * i,
+                })
+                .collect()
+        };
+        let tcp_data = |seq| {
+            Segment::TcpData(TcpData {
+                seq,
+                retransmit: true,
+                timestamp: t,
+            })
+        };
+        let tcp_ack = |cum_ack, blocks| {
+            Segment::TcpAck(TcpAck {
+                cum_ack,
+                sack: sack(blocks),
+                echo_timestamp: t,
+            })
+        };
+        let mc_data = |seq, retransmit| {
+            Segment::McastData(McastData {
+                seq,
+                retransmit,
+                timestamp: t,
+            })
+        };
+        let mc_ack = |receiver, blocks, urgent_rexmit| {
+            Segment::McastAck(McastAck {
+                receiver: AgentId(receiver),
+                cum_ack: 0x2_0000_0005,
+                sack: sack(blocks),
+                echo_timestamp: t,
+                urgent_rexmit,
+            })
+        };
+        let rate_data = |seq| Segment::RateData(RateData { seq, timestamp: t });
+        let rate_fb = |receiver| {
+            Segment::RateFeedback(RateFeedback {
+                receiver: AgentId(receiver),
+                highest_seq: 0x3_0000_0009,
+                lost: 4,
+                received: 96,
+                avg_loss_rate: 0.04,
+            })
+        };
+        let wide = 0x1_0000_0007; // a seq / cum_ack above u32::MAX
+        vec![
+            // TCP data: 54 B frame, under even the snaplen floor.
+            (
+                "tcp-data",
+                128,
+                1_500_000_007,
+                pkt(5, 3, agent(7), 1000, tcp_data(5)),
+                concat!(
+                    "010000000765cd1d36000000f6030000",
+                    "02524c41000702524c4100030800",
+                    "450003e800054000400623020a0000030a000007",
+                    "27134e2700000005000000005018ffff00000000"
+                ),
+            ),
+            (
+                "tcp-data @64",
+                64,
+                1_500_000_007,
+                pkt(5, 3, agent(7), 1000, tcp_data(5)),
+                concat!(
+                    "010000000765cd1d36000000f6030000",
+                    "02524c41000702524c4100030800",
+                    "450003e800054000400623020a0000030a000007",
+                    "27134e2700000005000000005018ffff00000000"
+                ),
+            ),
+            (
+                "tcp-data, group dest, wide seq",
+                128,
+                0,
+                pkt(6, 3, group(0x0203), 1000, tcp_data(wide)),
+                concat!(
+                    "000000000000000036000000f6030000",
+                    "01005e00020302524c4100030800",
+                    "450003e80006400040063c040a000003ef000203",
+                    "27134e2000000007000000005018ffff00000000"
+                ),
+            ),
+            // Ids >= 256 (both address bytes) and >= 10000 (port modulus);
+            // a uid above 0xffff truncates into the IP id.
+            (
+                "tcp-data, wide ids and uid",
+                128,
+                2_000_000_000,
+                pkt(0x1_2345_6789, 12345, agent(0x0abc), 576, tcp_data(9)),
+                concat!(
+                    "0200000000000000360000004e020000",
+                    "02524c410abc02524c4130390800",
+                    "45000240678940004006823a0a0030390a000abc",
+                    "303958dc00000009000000005018ffff00000000"
+                ),
+            ),
+            // size_bytes under the headers, and past the 16-bit total length.
+            (
+                "tcp-data, size 10",
+                128,
+                1,
+                pkt(7, 1, agent(2), 10, tcp_data(1)),
+                concat!(
+                    "00000000010000003600000036000000",
+                    "02524c41000202524c4100010800",
+                    "4500002800074000400626c70a0000010a000002",
+                    "27114e2200000001000000005018ffff00000000"
+                ),
+            ),
+            (
+                "tcp-data, size 70000",
+                128,
+                1,
+                pkt(8, 1, agent(2), 70_000, tcp_data(1)),
+                concat!(
+                    "0000000001000000360000007e110100",
+                    "02524c41000202524c4100010800",
+                    "4500ffff00084000400626ee0a0000010a000002",
+                    "27114e2200000001000000005018ffff00000000"
+                ),
+            ),
+            // TCP acks: the SACK option is the one variable-length part.
+            (
+                "tcp-ack, no sack",
+                128,
+                3,
+                pkt(9, 7, agent(3), 40, tcp_ack(wide, 0)),
+                concat!(
+                    "00000000030000003600000036000000",
+                    "02524c41000302524c4100070800",
+                    "4500002800094000400626be0a0000070a000003",
+                    "4e27271300000000000000075010ffff00000000"
+                ),
+            ),
+            (
+                "tcp-ack, 1 block",
+                128,
+                3,
+                pkt(10, 7, agent(3), 40, tcp_ack(wide, 1)),
+                concat!(
+                    "00000000030000004200000042000000",
+                    "02524c41000302524c4100070800",
+                    "45000034000a4000400626b10a0000070a000003",
+                    "4e27271300000000000000078010ffff00000000",
+                    "0101050a0000001000000020"
+                ),
+            ),
+            (
+                "tcp-ack, 1 block @64",
+                64,
+                3,
+                pkt(10, 7, agent(3), 40, tcp_ack(wide, 1)),
+                concat!(
+                    "00000000030000004000000042000000",
+                    "02524c41000302524c4100070800",
+                    "45000034000a4000400626b10a0000070a000003",
+                    "4e27271300000000000000078010ffff00000000",
+                    "0101050a000000100000"
+                ),
+            ),
+            (
+                "tcp-ack, 2 blocks",
+                128,
+                3,
+                pkt(11, 7, agent(3), 40, tcp_ack(6, 2)),
+                concat!(
+                    "00000000030000004a0000004a000000",
+                    "02524c41000302524c4100070800",
+                    "4500003c000b4000400626a80a0000070a000003",
+                    "4e2727130000000000000006a010ffff00000000",
+                    "0101051200000010000000200000011000000120"
+                ),
+            ),
+            (
+                "tcp-ack, max blocks",
+                128,
+                3,
+                pkt(12, 0x0107, agent(0x0203), 40, tcp_ack(6, MAX_SACK_BLOCKS)),
+                concat!(
+                    "00000000030000005200000052000000",
+                    "02524c41020302524c4101070800",
+                    "45000044000c40004006239f0a0001070a000203",
+                    "4f2729130000000000000006c010ffff00000000",
+                    "0101051a000000100000002000000110000001200000021000000220"
+                ),
+            ),
+            (
+                "tcp-ack, max blocks @64",
+                64,
+                3,
+                pkt(12, 0x0107, agent(0x0203), 40, tcp_ack(6, MAX_SACK_BLOCKS)),
+                concat!(
+                    "00000000030000004000000052000000",
+                    "02524c41020302524c4101070800",
+                    "45000044000c40004006239f0a0001070a000203",
+                    "4f2729130000000000000006c010ffff00000000",
+                    "0101051a000000100000"
+                ),
+            ),
+            // `record_bytes` floors the snaplen itself.
+            (
+                "tcp-ack, max blocks @0",
+                0,
+                3,
+                pkt(12, 0x0107, agent(0x0203), 40, tcp_ack(6, MAX_SACK_BLOCKS)),
+                concat!(
+                    "00000000030000004000000052000000",
+                    "02524c41020302524c4101070800",
+                    "45000044000c40004006239f0a0001070a000203",
+                    "4f2729130000000000000006c010ffff00000000",
+                    "0101051a000000100000"
+                ),
+            ),
+            (
+                "tcp-ack, group dest, size 10",
+                128,
+                3,
+                pkt(13, 7, group(1), 10, tcp_ack(6, MAX_SACK_BLOCKS)),
+                concat!(
+                    "00000000030000005200000052000000",
+                    "01005e00000102524c4100070800",
+                    "45000044000d40004006419f0a000007ef000001",
+                    "4e2727100000000000000006c010ffff00000000",
+                    "0101051a000000100000002000000110000001200000021000000220"
+                ),
+            ),
+            // The UDP kinds: 54 B frames.
+            (
+                "mc-data",
+                128,
+                4,
+                pkt(14, 1, group(0), 1000, mc_data(42, false)),
+                concat!(
+                    "000000000400000036000000f6030000",
+                    "01005e00000002524c4100010800",
+                    "450003e8000e400040113df60a000001ef000000",
+                    "27114e200014000001000000000000000000002a"
+                ),
+            ),
+            (
+                "mc-data @64",
+                64,
+                4,
+                pkt(14, 1, group(0), 1000, mc_data(42, false)),
+                concat!(
+                    "000000000400000036000000f6030000",
+                    "01005e00000002524c4100010800",
+                    "450003e8000e400040113df60a000001ef000000",
+                    "27114e200014000001000000000000000000002a"
+                ),
+            ),
+            (
+                "mc-data, unicast rexmit, wide",
+                128,
+                4,
+                pkt(0xf_ffff, 0x0101, agent(12345), 1000, mc_data(wide, true)),
+                concat!(
+                    "000000000400000036000000f6030000",
+                    "02524c41303902524c4101010800",
+                    "450003e8ffff40004011f1cb0a0001010a003039",
+                    "2811574900140000010100000000000100000007"
+                ),
+            ),
+            (
+                "mc-data, wide group",
+                128,
+                4,
+                pkt(15, 1, group(0x0203), 10, mc_data(1, false)),
+                concat!(
+                    "00000000040000003600000036000000",
+                    "01005e00020302524c4100010800",
+                    "45000028000f400040113fb20a000001ef000203",
+                    "2711502300140000010000000000000000000001"
+                ),
+            ),
+            // A McastAck's SACK list never reaches the wire.
+            (
+                "mc-ack, no sack",
+                128,
+                5,
+                pkt(16, 9, agent(1), 40, mc_ack(9, 0, false)),
+                concat!(
+                    "00000000050000003600000036000000",
+                    "02524c41000102524c4100090800",
+                    "4500002800104000401126ac0a0000090a000001",
+                    "4e29271100140000020000000000000200000005"
+                ),
+            ),
+            (
+                "mc-ack, max blocks",
+                128,
+                5,
+                pkt(16, 9, agent(1), 40, mc_ack(9, MAX_SACK_BLOCKS, false)),
+                concat!(
+                    "00000000050000003600000036000000",
+                    "02524c41000102524c4100090800",
+                    "4500002800104000401126ac0a0000090a000001",
+                    "4e29271100140000020000000000000200000005"
+                ),
+            ),
+            // The source port is the named receiver's, not `src`'s.
+            (
+                "mc-ack, urgent, group dest",
+                128,
+                5,
+                pkt(17, 9, group(2), 40, mc_ack(0x0309, 1, true)),
+                concat!(
+                    "00000000050000003600000036000000",
+                    "01005e00000202524c4100090800",
+                    "4500002800114000401141a90a000009ef000002",
+                    "5129271000140000020100000000000200000005"
+                ),
+            ),
+            (
+                "rate-data, group",
+                128,
+                6,
+                pkt(18, 2, group(1), 500, rate_data(wide)),
+                concat!(
+                    "00000000060000003600000002020000",
+                    "01005e00000102524c4100020800",
+                    "450001f40012400040113fe40a000002ef000001",
+                    "27124e2100140000030000000000000100000007"
+                ),
+            ),
+            (
+                "rate-data, unicast",
+                128,
+                6,
+                pkt(19, 2, agent(0x0405), 500, rate_data(3)),
+                concat!(
+                    "00000000060000003600000002020000",
+                    "02524c41040502524c4100020800",
+                    "450001f400134000401120e00a0000020a000405",
+                    "2712522500140000030000000000000000000003"
+                ),
+            ),
+            (
+                "rate-fb",
+                128,
+                7,
+                pkt(20, 5, agent(2), 64, rate_fb(5)),
+                concat!(
+                    "0000000007000000360000004e000000",
+                    "02524c41000202524c4100050800",
+                    "4500004000144000401126930a0000050a000002",
+                    "4e25271200140000040000000000000300000009"
+                ),
+            ),
+            (
+                "rate-fb, group dest @64",
+                64,
+                7,
+                pkt(21, 5, group(3), 64, rate_fb(0x0105)),
+                concat!(
+                    "0000000007000000360000004e000000",
+                    "01005e00000302524c4100050800",
+                    "4500004000154000401141900a000005ef000003",
+                    "4f25271000140000040000000000000300000009"
+                ),
+            ),
+            (
+                "raw",
+                128,
+                8,
+                pkt(22, 4, agent(6), 1500, Segment::Raw),
+                concat!(
+                    "000000000800000036000000ea050000",
+                    "02524c41000602524c4100040800",
+                    "450005dc00164000401120f20a0000040a000006",
+                    "27144e2600140000000000000000000000000000"
+                ),
+            ),
+            (
+                "raw, group, size 0",
+                128,
+                8,
+                pkt(23, 4, group(0x0100), 0, Segment::Raw),
+                concat!(
+                    "00000000080000003600000036000000",
+                    "01005e00010002524c4100040800",
+                    "4500002800174000401140aa0a000004ef000100",
+                    "27144f2000140000000000000000000000000000"
+                ),
+            ),
+            // The seconds field is 32 bits wide: a stamp past it wraps.
+            (
+                "raw, stamp u64::MAX @64",
+                64,
+                u64::MAX,
+                pkt(24, 4, agent(6), 1500, Segment::Raw),
+                concat!(
+                    "09fa824bffe54a2a36000000ea050000",
+                    "02524c41000602524c4100040800",
+                    "450005dc00184000401120f00a0000040a000006",
+                    "27144e2600140000000000000000000000000000"
+                ),
+            ),
+        ]
+    }
+
+    #[test]
+    fn every_segment_kind_frames_to_its_pinned_bytes() {
+        let rows = pinned_records();
+        for (what, snaplen, nanos, packet, want) in &rows {
+            let got = record_bytes(*snaplen, SimTime::from_nanos(*nanos), packet);
+            assert_eq!(hex(&got), *want, "{what}");
+        }
+        // Every kind is in the table, and so is a truncated record.
+        let kinds: std::collections::BTreeSet<_> =
+            rows.iter().map(|r| r.3.segment.kind_str()).collect();
+        assert_eq!(kinds.len(), 7, "{kinds:?}");
+        let want = |what: &str| rows.iter().find(|r| r.0 == what).unwrap().4;
+        assert_eq!(want("tcp-ack, max blocks").len(), 2 * (16 + 82));
+        assert_eq!(want("tcp-ack, max blocks @64").len(), 2 * (16 + 64));
+        assert_eq!(
+            want("mc-ack, no sack"),
+            want("mc-ack, max blocks"),
+            "a McastAck's bytes ignore its SACK list"
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::rc::Rc;
 
 use netsim::id::ChannelId;
 use netsim::time::{SimDuration, SimTime};
-use netsim::trace::{TraceEvent, Tracer};
+use netsim::trace::{TraceEvent, TraceKinds, Tracer};
 
 use crate::json::escape_into;
 
@@ -333,6 +333,10 @@ impl QueueSeriesTracer {
 }
 
 impl Tracer for QueueSeriesTracer {
+    fn wants(&self) -> TraceKinds {
+        TraceKinds::ENQUEUE | TraceKinds::DROP | TraceKinds::TX_START
+    }
+
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
         match event {
             TraceEvent::Enqueue { channel, qlen, .. }
@@ -710,5 +714,10 @@ mod tests {
         );
         assert_eq!(t.drops, vec![(SimTime::from_secs(4), 9)]);
         assert_eq!(rec.borrow().sample_count(), 2, "drops are not samples");
+        // The slot wakes it for the three kinds acted on above, no others.
+        assert_eq!(
+            t.wants(),
+            TraceKinds::ENQUEUE | TraceKinds::DROP | TraceKinds::TX_START
+        );
     }
 }

@@ -21,9 +21,12 @@ use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioSpec};
 use netsim::id::{AgentId, GroupId};
 use netsim::packet::{Dest, Packet};
 use netsim::time::{SimDuration, SimTime};
-use netsim::wire::{McastAck, McastData, SackList, Segment, TcpAck, TcpData};
+use netsim::wire::{
+    McastAck, McastData, RateData, RateFeedback, SackBlock, SackList, Segment, TcpAck, TcpData,
+    MAX_SACK_BLOCKS,
+};
 use proptest::prelude::*;
-use telemetry::pcap::{PcapRecord, DEFAULT_SNAPLEN};
+use telemetry::pcap::{record_bytes, PcapRecord, DEFAULT_SNAPLEN, FRAME_MAX};
 use telemetry::{PcapReader, PcapWriter};
 
 /// FNV-1a over the whole capture file — the same digest family the trace
@@ -162,9 +165,11 @@ fn is_tcp_data(r: &PcapRecord) -> bool {
     r.net.as_ref().is_some_and(|n| n.ip_total_len >= 500)
 }
 
-/// An arbitrary packet spanning every segment family the writer frames.
-/// (The vendored proptest has no `prop_map`, so this implements
-/// [`Strategy`] directly.)
+/// An arbitrary packet spanning every segment kind the writer frames,
+/// with ids on both sides of 256 (one address byte or two) and acks that
+/// carry 0..=[`MAX_SACK_BLOCKS`] SACK blocks — the option is the one
+/// variable-length part of a frame. (The vendored proptest has no
+/// `prop_map`, so this implements [`Strategy`] directly.)
 #[derive(Debug, Clone, Copy)]
 struct ArbPacket;
 
@@ -174,10 +179,19 @@ impl Strategy for ArbPacket {
     fn generate(&self, rng: &mut rand::rngs::StdRng) -> Packet {
         use rand::Rng;
         let seq = rng.gen_range(0u64..1 << 40);
-        let agent = rng.gen_range(0u32..8);
+        let agent = rng.gen_range(0u32..600);
         let size_bytes = rng.gen_range(40u32..2000);
-        let kind = rng.gen_range(0u32..6);
+        let kind = rng.gen_range(0u32..8);
         let retransmit = rng.gen::<bool>();
+        let sack: SackList = (0..rng.gen_range(0..=MAX_SACK_BLOCKS))
+            .map(|_| {
+                let start = rng.gen_range(0u64..1 << 40);
+                SackBlock {
+                    start,
+                    end: start + rng.gen_range(1u64..100),
+                }
+            })
+            .collect();
         let src = AgentId(agent);
         let peer = AgentId(agent + 1);
         let (dest, segment) = match kind {
@@ -194,7 +208,7 @@ impl Strategy for ArbPacket {
                 Dest::Agent(peer),
                 Segment::TcpAck(TcpAck {
                     cum_ack: seq,
-                    sack: SackList::new(),
+                    sack,
                     echo_timestamp: SimTime::ZERO,
                 }),
             ),
@@ -206,14 +220,35 @@ impl Strategy for ArbPacket {
                     timestamp: SimTime::ZERO,
                 }),
             ),
-            _ => (
+            4 => (
                 Dest::Agent(peer),
                 Segment::McastAck(McastAck {
                     receiver: src,
                     cum_ack: seq,
-                    sack: SackList::new(),
+                    sack,
                     echo_timestamp: SimTime::ZERO,
-                    urgent_rexmit: kind == 5,
+                    urgent_rexmit: retransmit,
+                }),
+            ),
+            5 | 6 => (
+                if kind == 5 {
+                    Dest::Group(GroupId(agent))
+                } else {
+                    Dest::Agent(peer)
+                },
+                Segment::RateData(RateData {
+                    seq,
+                    timestamp: SimTime::ZERO,
+                }),
+            ),
+            _ => (
+                Dest::Agent(peer),
+                Segment::RateFeedback(RateFeedback {
+                    receiver: src,
+                    highest_seq: seq,
+                    lost: 1,
+                    received: 9,
+                    avg_loss_rate: 0.1,
                 }),
             ),
         };
@@ -260,8 +295,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever the packet and snap length, `caplen` never exceeds the
-    /// (floored) snaplen or the original length, and the reader accepts
-    /// the writer's output with exact nanosecond timestamps.
+    /// (floored) snaplen or the original length, the reader accepts the
+    /// writer's output with exact nanosecond timestamps, what the writer
+    /// appended is `record_bytes` to the byte, and no frame outgrows
+    /// [`FRAME_MAX`] — the framer's fixed buffer.
     #[test]
     fn caplen_is_bounded_by_snaplen(
         packets in proptest::collection::vec((0u64..1u64 << 50, ArbPacket), 1..20),
@@ -273,12 +310,19 @@ proptest! {
         prop_assert!(effective >= 64, "writer floors the snaplen");
         let records = reader.records().map_err(TestCaseError::fail)?;
         prop_assert_eq!(records.len(), sorted.len());
+        let mut at = 24;
         for (r, (nanos, p)) in records.iter().zip(&sorted) {
             prop_assert!(r.caplen <= effective);
             prop_assert!(r.caplen <= r.orig_len);
             prop_assert_eq!(r.ts_nanos, *nanos);
             prop_assert!(u64::from(r.orig_len) >= 14 + u64::from(p.size_bytes));
+            let appended = &bytes[at..at + 16 + r.caplen as usize];
+            at += appended.len();
+            let stamp = SimTime::from_nanos(*nanos);
+            prop_assert_eq!(appended, &record_bytes(snaplen, stamp, p)[..]);
+            prop_assert!(record_bytes(u32::MAX, stamp, p).len() <= 16 + FRAME_MAX);
         }
+        prop_assert_eq!(at, bytes.len());
     }
 
     /// A capture cut at any offset — what a killed run leaves behind —
