@@ -78,7 +78,7 @@ pub struct PcapOptions {
     /// config defaults it to the results dir, [`Default`] to `results/`).
     pub dir: PathBuf,
     /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
-    /// in a struct literal; ROADMAP item 1(a) deletes it).
+    /// in a struct literal; ROADMAP item 4(b) deletes it).
     pub spool_records: Option<usize>,
 }
 

@@ -85,15 +85,6 @@ pub struct TreeScenario {
     /// Poisson short-flow background traffic sharing the tree's links
     /// (`None` for the static paper scenarios).
     pub bg_load: Option<BackgroundLoad>,
-    /// Target execution-domain count *and* worker threads for the
-    /// partitioned engine (default 1 — the fine θ-partition merges into
-    /// one domain, which the engine's inline epoch executor
-    /// (`run_epochs_inline`) steps on the calling thread: no workers and
-    /// an empty exchange; set with `ScenarioSpec::with_shards`). The
-    /// identity layer — per-region RNG streams, uid tags and digest
-    /// lanes — is a pure function of the topology and seed, so this
-    /// setting never changes a digest — only wall-clock.
-    pub shards: usize,
 }
 
 impl TreeScenario {
@@ -112,16 +103,12 @@ impl TreeScenario {
         let tree = build_tree(&mut engine, self.case, &queue);
 
         // Partition along the link delays before any agent or event
-        // exists. The fine θ-partition (the tree's 5 ms/100 ms propagation
-        // delays all clear the default threshold) fixes the identity layer
-        // — per-region RNG streams, uid tags and digest lanes — and the
-        // merge pass then coalesces those regions into `shards` execution
-        // domains, cutting the slowest links first subject to a balanced
-        // bandwidth·fan-out load estimate. `shards` also picks how many
-        // worker threads walk the merged domains; identity never moves, so
-        // every digest is already fixed here regardless of the target.
-        engine.partition_merged(None, self.shards, None);
-        engine.set_workers(self.shards);
+        // exists. The θ-partition (the tree's 5 ms/100 ms propagation
+        // delays all clear the default threshold, so every node is its own
+        // region) fixes the identity layer — per-region RNG streams, uid
+        // tags and digest lanes — and lets every cross-region hop file its
+        // arrival when transmission starts.
+        engine.partition(None);
 
         // Multicast receiver nodes: every leaf, plus the G3 gateways for
         // figure 10. TCP connections terminate at the *leaves only* — the

@@ -38,7 +38,6 @@ pub struct ScenarioSpec {
     events: Vec<ScenarioEvent>,
     churn_rate: f64,
     bg_load: Option<BackgroundLoad>,
-    shards: usize,
 }
 
 impl ScenarioSpec {
@@ -56,7 +55,6 @@ impl ScenarioSpec {
             events: Vec::new(),
             churn_rate: 0.0,
             bg_load: None,
-            shards: 1,
         }
     }
 
@@ -147,12 +145,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Override the target execution-domain and worker count for the
-    /// partitioned engine (default 1). Results are identical at every
-    /// value — see [`TreeScenario::shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
+    /// Inert: the engine runs one execution domain whatever `shards` is
+    /// (at least 1). Only `benchmark/` calls it; ROADMAP item 4(b)
+    /// deletes it.
+    pub fn with_shards(self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one worker is required");
-        self.shards = shards;
         self
     }
 
@@ -209,7 +206,6 @@ impl ScenarioSpec {
             tcp_cc: self.tcp_cc,
             events,
             bg_load: self.bg_load.clone(),
-            shards: self.shards,
         }
     }
 

@@ -14,10 +14,9 @@ use crate::packet::Packet;
 
 /// A transport endpoint.
 ///
-/// `Send` is part of the contract: the domain-partitioned executor moves
-/// each domain's agents to a worker thread for the duration of an epoch.
-/// Agents own their state outright (no `Rc`, no references into the
-/// world), so this costs implementations nothing.
+/// `Send` is part of the contract, so a built agent population can move
+/// to another thread. Agents own their state outright (no `Rc`, no
+/// references into the world), so this costs implementations nothing.
 pub trait Agent: Any + Send {
     /// Called once when the agent's start event fires. Open the window,
     /// arm timers, send the first packets.

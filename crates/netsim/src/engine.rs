@@ -1,45 +1,41 @@
 //! The simulation engine: world state, event dispatch, agent context.
 //!
 //! Ownership layout: the [`Engine`] owns a [`World`] and, in a *separate
-//! field*, the boxed [`Agent`]s. The world itself is split for the
-//! domain-partitioned executor: a read-only [`Shared`] half (nodes,
-//! groups, routes, the [`DomainMap`]) and one [`DomainShard`] per domain
-//! holding everything a domain mutates while it runs — its calendar, RNG,
-//! channels, packet arena and trace digest. Agent callbacks receive a
-//! [`Context`] borrowing only the shared state and the agent's own shard,
-//! so an agent can schedule sends and timers while the engine still holds
-//! `&mut` to the agent itself — no `RefCell`, no unsafe.
+//! field*, the boxed [`Agent`]s. The world itself is split in two: a
+//! read-only [`Shared`] half (nodes, groups, routes, the region
+//! [`DomainMap`]) and the [`DomainShard`] holding everything a run
+//! mutates — the calendar, the region streams, channels, packet arena
+//! and counters. Agent callbacks receive a [`Context`] borrowing the
+//! shared half and the shard, so an agent can schedule sends and timers
+//! while the engine still holds `&mut` to the agent itself — no
+//! `RefCell`, no unsafe.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! * **Classic sequential** — an unpartitioned engine has exactly one
-//!   domain and [`Engine::run_until`] is the familiar single event loop,
-//!   bit-identical to the engine before partitioning existed. Every unit
-//!   test and every caller that never calls [`Engine::partition`] lives
-//!   here.
-//! * **Partitioned** — after [`Engine::partition`] the event loop becomes
-//!   an epoch executor: every domain advances to the next absolute barrier
-//!   (a multiple of the [`DomainMap`] lookahead, see
-//!   [`crate::shard::grid_next`]), then the epoch's boundary packets are
-//!   exchanged in one batch, each scheduled directly under its canonical
-//!   *(epoch of the transmission's end, source region, channel)* calendar
-//!   key. With
-//!   [`Engine::set_workers`] above 1 the domains run on scoped threads;
-//!   the digests are bit-identical at every worker count and under any
-//!   `run_until` stepping, because the partition, the per-domain RNG
-//!   streams and the keyed exchange order depend only on the topology,
-//!   the seed and θ.
+//! There is one execution domain, run on the calling thread:
 //!
-//! Determinism: per-domain seeded RNGs, integer time, and FIFO
-//! tie-breaking in each calendar make runs bit-reproducible for a given
+//! * **Unpartitioned** — one region, and [`Engine::run_until`] is the
+//!   familiar single event loop. Every unit test and every caller that
+//!   never calls [`Engine::partition`] lives here.
+//! * **Partitioned** — after [`Engine::partition`] the topology is split
+//!   into *regions* along links at least θ slow (see [`DomainMap`]).
+//!   Each region owns an RNG stream, a packet-uid tag and a digest lane,
+//!   and the loop steps the calendar epoch by epoch on the absolute
+//!   θ-grid ([`crate::shard::grid_next`]) so that a cross-region arrival
+//!   can be filed at once under its canonical *(epoch of the
+//!   transmission's end, source region, channel)* key. Digests are
+//!   identical under any `run_until` stepping, because the regions, their
+//!   streams and the keys depend only on the topology, the seed and θ.
+//!
+//! Determinism: per-region seeded RNGs, integer time, and FIFO
+//! tie-breaking in the calendar make runs bit-reproducible for a given
 //! seed.
 //!
-//! Hot path: packets live in per-domain [`PacketArena`]s and move through
-//! the calendar, queues and multicast fan-out as copyable
-//! [`PacketHandle`]s; the packet struct itself is only touched at
-//! injection, at trace points, at domain crossings (where it moves between
-//! arenas by value) and at delivery. Each calendar is a hierarchical timer
-//! wheel ([`Calendar`]) driven through `pop_before(deadline)`.
+//! Hot path: packets live in a [`PacketArena`] and move through the
+//! calendar, queues and multicast fan-out as copyable [`PacketHandle`]s;
+//! the packet struct itself is only touched at injection, at trace points
+//! and at delivery. The calendar is a hierarchical timer wheel
+//! ([`Calendar`]) driven through `pop_before(deadline)`.
 //!
 //! A cross-region link hop — every hop of the paper's trees — costs one
 //! calendar event, not two: the downstream arrival is filed when the
@@ -53,7 +49,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Barrier, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,7 +62,7 @@ use crate::link::{Channel, InService};
 use crate::node::{Group, Node};
 use crate::packet::{Dest, Packet};
 use crate::queue::{Enqueue, QueueConfig};
-use crate::shard::{domain_seed, grid_next, BoundaryMsg, DomainMap};
+use crate::shard::{domain_seed, grid_next, DomainMap};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceDigest, TraceEvent, TraceKinds, Tracer};
 use crate::wire::Segment;
@@ -77,9 +72,8 @@ use crate::wire::Segment;
 struct AgentMeta {
     /// The node the agent is attached to.
     node: NodeId,
-    /// Local slot (within the owning shard's `regions`) of the agent's
-    /// region: the RNG stream, uid counter and digest lane its packets
-    /// charge against.
+    /// The agent's region: the RNG stream, uid counter and digest lane
+    /// its packets charge against.
     region: u32,
     /// Maximum of the uniform random per-packet processing delay added at
     /// send time (the paper's phase-effect eliminator, §3.1). Zero disables
@@ -93,13 +87,9 @@ struct AgentMeta {
 }
 
 /// One conservative-lookahead *region*'s identity state. Regions are the
-/// components of the fine θ-partition — a pure function of the topology,
-/// the seed and θ, never of the shard count — and each owns the RNG
-/// stream, uid counter and digest lane for its nodes. Execution domains
-/// ([`DomainShard`]) group one or more regions (the cost-aware merge
-/// pass), so merging never moves a random draw, a uid or a digest record
-/// from one stream to another: digests stay bit-identical at every shard
-/// count.
+/// components of the θ-partition — a pure function of the topology, the
+/// seed and θ — and each owns the RNG stream, uid counter and digest lane
+/// for its nodes.
 struct RegionStream {
     rng: StdRng,
     next_uid: u64,
@@ -123,6 +113,15 @@ impl RegionStream {
         }
     }
 
+    /// Region `r`'s stream in a partitioned world: an RNG derived from the
+    /// base seed and the uid tag `r << 48`.
+    fn derived(seed: u64, r: u32) -> Self {
+        RegionStream::new(
+            StdRng::seed_from_u64(domain_seed(seed, r)),
+            (r as u64) << 48,
+        )
+    }
+
     fn alloc_uid(&mut self) -> u64 {
         let uid = self.uid_tag | self.next_uid;
         self.next_uid += 1;
@@ -131,63 +130,38 @@ impl RegionStream {
 }
 
 /// The read-only half of the world: topology, routing, groups and the
-/// domain partition. During a run every domain reads this concurrently;
-/// it is only mutated between runs (topology growth, group churn).
+/// region partition. Agents read it during a run; it is only mutated
+/// between runs (topology growth, group churn).
 pub struct Shared {
     nodes: Vec<Node>,
     groups: Vec<Group>,
     /// The base RNG seed; per-region streams derive from it.
     seed: u64,
-    /// The fine θ-partition: the *regions* that own RNG/uid/digest
-    /// identity. A pure function of the topology, the seed and θ. Its
-    /// lookahead is the exchange grid at every shard count.
+    /// The θ-partition: the *regions* that own RNG/uid/digest identity.
+    /// A pure function of the topology, the seed and θ; its lookahead is
+    /// the epoch grid.
     regions: DomainMap,
-    /// The execution partition (regions coalesced by the cost-aware merge
-    /// pass): one [`DomainShard`] per execution domain. Equal to `regions`
-    /// for the classic fine partition.
-    dmap: DomainMap,
-    /// Global region id → (owning shard, slot within that shard's
-    /// `regions`).
-    region_loc: Vec<(u32, u32)>,
-    /// Global node id → local region slot within its owning shard.
-    node_region_slot: Vec<u32>,
-    /// Global channel id → (owning shard, index within that shard). A
-    /// channel belongs to the shard of its `from` node — the only shard
-    /// that ever transmits on it.
-    chan_loc: Vec<(u32, u32)>,
-    /// Global agent id → (home shard, index within that shard).
-    agent_loc: Vec<(u32, u32)>,
-    /// Global agent id → home node (read from any domain when routing
-    /// unicast traffic toward the agent).
-    agent_nodes: Vec<NodeId>,
 }
 
-/// Everything one execution domain mutates while it runs: its slice of
-/// simulated time, calendar, channels, packet arena, and the identity
-/// streams of the regions it executes.
+/// Everything a run mutates: simulated time, the calendar, channels,
+/// agent metadata, the packet arena and the region identity streams.
+/// Channels, agents and regions are indexed by their ids.
 pub struct DomainShard {
-    /// This shard's execution-domain index.
-    domain: u32,
     now: SimTime,
     calendar: Calendar,
     channels: Vec<Channel>,
-    /// Local region slot per channel (parallel to `channels`): the region
-    /// of the channel's `from` node.
+    /// Region of each channel's `from` node (parallel to `channels`).
     chan_region: Vec<u32>,
     /// Static half of each channel's arrival keys (parallel to
     /// `channels`): its [`boundary_lane`] if the channel leaves its region,
     /// zero if it does not.
     chan_lane: Vec<u64>,
     agent_meta: Vec<AgentMeta>,
-    /// Identity streams of the regions executed here, ordered by global
-    /// region id.
+    /// One identity stream per region, by region id.
     regions: Vec<RegionStream>,
     /// Every in-flight packet's single home; events and queues hold
     /// [`PacketHandle`]s into it.
     arena: PacketArena,
-    /// Packets that crossed out of this shard since the last epoch
-    /// barrier, in send order.
-    outbox: Vec<BoundaryMsg>,
     /// Key of the event being dispatched: with `now`, the calendar
     /// position an unfiled completion is compared against.
     cur_key: u64,
@@ -203,66 +177,27 @@ pub struct DomainShard {
 }
 
 impl DomainShard {
-    fn new(domain: u32) -> Self {
-        DomainShard {
-            domain,
-            now: SimTime::ZERO,
-            calendar: Calendar::new(),
-            channels: Vec::new(),
-            chan_region: Vec::new(),
-            chan_lane: Vec::new(),
-            agent_meta: Vec::new(),
-            regions: Vec::new(),
-            arena: PacketArena::new(),
-            outbox: Vec::new(),
-            cur_key: 0,
-            counts: EventCounts::default(),
-            #[cfg(test)]
-            eager: false,
-            fwd_scratch: Vec::new(),
-            member_scratch: Vec::new(),
-        }
-    }
-
-    /// Total events recorded across this shard's region digests.
+    /// Total events recorded across the region digests.
     fn events(&self) -> u64 {
         self.regions.iter().map(|r| r.digest.events()).sum()
     }
+}
 
-    /// Deliver an incoming boundary packet: it enters this shard's arena
-    /// and goes straight into the calendar under the key it was sent with
-    /// — the key alone fixes its same-instant dispatch position, so neither
-    /// the insertion sequence (nondeterministic under the threaded
-    /// exchange) nor the shard count can perturb the order.
-    fn accept_boundary(&mut self, msg: BoundaryMsg) {
-        let handle = self.arena.insert(msg.packet);
-        self.calendar.schedule_keyed(
-            msg.at,
-            msg.key,
-            EventKind::Arrive {
-                node: msg.node,
-                packet: handle,
-            },
-        );
-    }
-
-    /// Add a channel to this shard; `slot` is the local slot of its
-    /// upstream node's region.
-    ///
-    /// # Panics
-    /// If the channel leaves its region and the calendar key has no room
-    /// for it (see [`boundary_lane`]).
-    fn push_channel(&mut self, regions: &DomainMap, slot: u32, ch: Channel) {
-        let region = regions.domain_of(ch.from);
-        let lane = if regions.domain_of(ch.to) == region {
-            0
-        } else {
-            boundary_lane(region, ch.id).unwrap_or_else(|e| panic!("{e}"))
-        };
-        self.chan_region.push(slot);
-        self.chan_lane.push(lane);
-        self.channels.push(ch);
-    }
+/// The region of `ch`'s `from` node, and the static half of the channel's
+/// arrival keys: its [`boundary_lane`] if it leaves that region, zero if
+/// it does not.
+///
+/// # Panics
+/// If the channel leaves its region and the calendar key has no room for
+/// it (see [`boundary_lane`]).
+fn channel_lane(regions: &DomainMap, ch: &Channel) -> (u32, u64) {
+    let region = regions.domain_of(ch.from);
+    let lane = if regions.domain_of(ch.to) == region {
+        0
+    } else {
+        boundary_lane(region, ch.id).unwrap_or_else(|e| panic!("{e}"))
+    };
+    (region, lane)
 }
 
 /// What the calendar dispatched, by [`EventKind`], and what it did not
@@ -293,66 +228,63 @@ impl EventCounts {
 /// Everything in the simulated world except the agents' protocol state.
 pub struct World {
     shared: Shared,
-    shards: Vec<DomainShard>,
+    shard: DomainShard,
     tracer: Option<Rc<RefCell<dyn Tracer>>>,
     /// What the installed tracer declared it listens to ([`Tracer::wants`],
     /// read by `set_tracer`); empty while the slot is.
     traced: TraceKinds,
-    /// Worker threads for the partitioned executor (1 = run the epochs
-    /// inline on the calling thread).
-    workers: usize,
-    /// When armed, the inline epoch executor appends one row per epoch:
-    /// the number of events each domain processed in that epoch — how
-    /// evenly the epochs split, read back through [`Engine::epoch_loads`].
+    /// When armed, a partitioned run appends one row per epoch: the
+    /// events processed in that epoch, read back through
+    /// [`Engine::epoch_loads`].
     epoch_loads: Option<Vec<Vec<u64>>>,
 }
 
 impl World {
     fn new(seed: u64) -> Self {
-        let mut shard0 = DomainShard::new(0);
-        // The unpartitioned engine is one region with the classic stream:
-        // seeded straight from the base seed, uid tag zero.
-        shard0
-            .regions
-            .push(RegionStream::new(StdRng::seed_from_u64(seed), 0));
         World {
             shared: Shared {
                 nodes: Vec::new(),
                 groups: Vec::new(),
                 seed,
                 regions: DomainMap::single(),
-                dmap: DomainMap::single(),
-                region_loc: vec![(0, 0)],
-                node_region_slot: Vec::new(),
-                chan_loc: Vec::new(),
-                agent_loc: Vec::new(),
-                agent_nodes: Vec::new(),
             },
-            shards: vec![shard0],
+            shard: DomainShard {
+                now: SimTime::ZERO,
+                calendar: Calendar::new(),
+                channels: Vec::new(),
+                chan_region: Vec::new(),
+                chan_lane: Vec::new(),
+                agent_meta: Vec::new(),
+                // The unpartitioned engine is one region with the classic
+                // stream: seeded straight from the base seed, uid tag zero.
+                regions: vec![RegionStream::new(StdRng::seed_from_u64(seed), 0)],
+                arena: PacketArena::new(),
+                cur_key: 0,
+                counts: EventCounts::default(),
+                #[cfg(test)]
+                eager: false,
+                fwd_scratch: Vec::new(),
+                member_scratch: Vec::new(),
+            },
             tracer: None,
             traced: TraceKinds::NONE,
-            workers: 1,
             epoch_loads: None,
         }
     }
 
-    /// Current simulation time. Between `run_until` calls every domain
-    /// agrees on this; within a partitioned run domains advance epoch by
-    /// epoch.
+    /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.shards[0].now
+        self.shard.now
     }
 
-    /// Immutable channel access (routed to the owning domain's shard).
+    /// Immutable channel access.
     pub fn channel(&self, id: ChannelId) -> &Channel {
-        let (d, li) = self.shared.chan_loc[id.index()];
-        &self.shards[d as usize].channels[li as usize]
+        &self.shard.channels[id.index()]
     }
 
     /// Mutable channel access (configure faults, inspect queues).
     pub fn channel_mut(&mut self, id: ChannelId) -> &mut Channel {
-        let (d, li) = self.shared.chan_loc[id.index()];
-        &mut self.shards[d as usize].channels[li as usize]
+        &mut self.shard.channels[id.index()]
     }
 
     /// Immutable node access.
@@ -367,12 +299,12 @@ impl World {
 
     /// Number of channels.
     pub fn channel_count(&self) -> usize {
-        self.shared.chan_loc.len()
+        self.shard.channels.len()
     }
 
     /// The node an agent is attached to.
     pub fn agent_node(&self, agent: AgentId) -> NodeId {
-        self.shared.agent_nodes[agent.index()]
+        self.shard.agent_meta[agent.index()].node
     }
 
     /// The members of a group.
@@ -384,71 +316,44 @@ impl World {
     /// independent stream per region; out-of-band draws (topology
     /// construction, test scaffolding, scenario dynamics) use region 0's.
     pub fn rng(&mut self) -> &mut StdRng {
-        // Region 0 always lives in shard 0, slot 0: both numberings start
-        // at node 0.
-        &mut self.shards[0].regions[0].rng
+        &mut self.shard.regions[0].rng
     }
 
     /// The merged digest of every packet event processed so far: the
-    /// per-region digests folded in global region order. For a
-    /// single-region world this is exactly that region's digest. The fold
-    /// order — and every lane in it — depends only on the topology, the
-    /// seed and θ, so the result is bit-identical at every shard and
-    /// worker count.
+    /// per-region digests folded in region order. For a single-region
+    /// world this is exactly that region's digest. The fold order — and
+    /// every lane in it — depends only on the topology, the seed and θ.
     pub fn trace_digest(&self) -> TraceDigest {
-        if self.shared.region_loc.len() == 1 {
-            return self.shards[0].regions[0].digest.clone();
+        if let [only] = &self.shard.regions[..] {
+            return only.digest.clone();
         }
         let mut merged = TraceDigest::new();
-        for &(s, slot) in &self.shared.region_loc {
-            merged.absorb(&self.shards[s as usize].regions[slot as usize].digest);
+        for region in &self.shard.regions {
+            merged.absorb(&region.digest);
         }
         merged
     }
 
-    /// Number of regions (components of the fine θ-partition; 1 until
+    /// Number of regions (components of the θ-partition; 1 until
     /// [`Engine::partition`]).
     pub fn region_count(&self) -> usize {
-        self.shared.region_loc.len()
+        self.shard.regions.len()
     }
 
-    /// The domain-0 packet arena (diagnostics: live packet population,
-    /// peak capacity). Partitioned worlds keep one arena per domain; see
-    /// [`World::live_packets`] for the global population.
+    /// The packet arena (diagnostics: live packet population, peak
+    /// capacity).
     pub fn arena(&self) -> &PacketArena {
-        &self.shards[0].arena
-    }
-
-    /// Total in-flight packets across all domains (boundary packets in
-    /// transit between arenas included).
-    pub fn live_packets(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.arena.len() + s.outbox.len())
-            .sum()
-    }
-
-    /// Number of domains (1 until [`Engine::partition`]).
-    pub fn domain_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Worker threads the partitioned executor will use.
-    pub fn workers(&self) -> usize {
-        self.workers
+        &self.shard.arena
     }
 }
 
 /// The handle an agent uses to act on the world from inside a callback.
-/// It sees the shared topology and its own domain's shard — which is all
-/// an agent can causally touch within an epoch.
+/// It sees the shared topology and the mutable shard.
 pub struct Context<'w> {
     shared: &'w Shared,
     shard: &'w mut DomainShard,
     /// The agent being called.
     pub agent: AgentId,
-    /// The agent's index within its domain.
-    agent_local: usize,
 }
 
 impl<'w> Context<'w> {
@@ -460,7 +365,7 @@ impl<'w> Context<'w> {
     /// The simulation RNG (the *only* randomness source agents may use);
     /// this agent's region stream.
     pub fn rng(&mut self) -> &mut StdRng {
-        let r = self.shard.agent_meta[self.agent_local].region as usize;
+        let r = self.shard.agent_meta[self.agent.index()].region as usize;
         &mut self.shard.regions[r].rng
     }
 
@@ -468,7 +373,7 @@ impl<'w> Context<'w> {
     /// agent's configured random processing overhead (if any). Returns the
     /// packet uid.
     pub fn send(&mut self, dest: Dest, size_bytes: u32, segment: Segment) -> u64 {
-        let meta = &self.shard.agent_meta[self.agent_local];
+        let meta = &self.shard.agent_meta[self.agent.index()];
         let node = meta.node;
         let overhead = meta.send_overhead;
         let region = meta.region as usize;
@@ -484,9 +389,9 @@ impl<'w> Context<'w> {
         };
         // Order-preserving jitter: never inject before a previously sent
         // packet of the same agent.
-        let at =
-            (self.shard.now + delay).max(self.shard.agent_meta[self.agent_local].last_injection);
-        self.shard.agent_meta[self.agent_local].last_injection = at;
+        let meta = &mut self.shard.agent_meta[self.agent.index()];
+        let at = (self.shard.now + delay).max(meta.last_injection);
+        meta.last_injection = at;
         let packet = Packet {
             uid,
             src: self.agent,
@@ -536,9 +441,8 @@ impl<'w> Context<'w> {
     }
 }
 
-/// One domain's event loop: the shard being advanced, the shared
-/// topology, and the slice of agents homed in this domain. This is the
-/// unit of work the epoch executor hands to a worker thread.
+/// The event loop's borrows: the shard being advanced, the shared
+/// topology, the agents and the tracer slot.
 struct DomainRun<'a> {
     shared: &'a Shared,
     shard: &'a mut DomainShard,
@@ -549,14 +453,6 @@ struct DomainRun<'a> {
 }
 
 impl<'a> DomainRun<'a> {
-    /// Local index of a channel owned by this domain.
-    #[inline]
-    fn chan_index(&self, id: ChannelId) -> usize {
-        let (d, li) = self.shared.chan_loc[id.index()];
-        debug_assert_eq!(d, self.shard.domain, "channel event in the wrong domain");
-        li as usize
-    }
-
     fn trace(&self, event: &TraceEvent<'_>) {
         if let Some(tracer) = self.tracer {
             tracer.borrow_mut().trace(self.shard.now, event);
@@ -578,6 +474,31 @@ impl<'a> DomainRun<'a> {
         }
     }
 
+    /// Run a partitioned world to `deadline` epoch by epoch on the θ-grid:
+    /// each step stamps the calendar with the index of the barrier it
+    /// runs to, the high bits of every key assigned in it. The barriers
+    /// are absolute, so a `run_until` stopping mid-epoch resumes in the
+    /// same epoch and stepping never moves a key. With `loads`, one row
+    /// per epoch records the events it processed.
+    fn run_epochs(&mut self, deadline: SimTime, mut loads: Option<&mut Vec<Vec<u64>>>) {
+        let lookahead = self.shared.regions.lookahead();
+        debug_assert!(!lookahead.is_zero(), "partitioned world without lookahead");
+        let mut t = self.shard.now;
+        while t < deadline {
+            let barrier = grid_next(t, lookahead);
+            let target = barrier.min(deadline);
+            self.shard
+                .calendar
+                .set_epoch(barrier.as_nanos() / lookahead.as_nanos());
+            let before = loads.is_some().then(|| self.shard.events());
+            self.run_until(target);
+            if let (Some(loads), Some(before)) = (loads.as_deref_mut(), before) {
+                loads.push(vec![self.shard.events() - before]);
+            }
+            t = target;
+        }
+    }
+
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::TxComplete { channel } => {
@@ -590,44 +511,32 @@ impl<'a> DomainRun<'a> {
             }
             EventKind::Timer { agent, token } => {
                 self.shard.counts.timer += 1;
-                let local = self.agent_index(agent);
                 let mut ctx = Context {
                     shared: self.shared,
                     shard: &mut *self.shard,
                     agent,
-                    agent_local: local,
                 };
-                self.agents[local].on_timer(token, &mut ctx);
+                self.agents[agent.index()].on_timer(token, &mut ctx);
             }
             EventKind::Start { agent } => {
                 self.shard.counts.start += 1;
-                let local = self.agent_index(agent);
                 let mut ctx = Context {
                     shared: self.shared,
                     shard: &mut *self.shard,
                     agent,
-                    agent_local: local,
                 };
-                self.agents[local].on_start(&mut ctx);
+                self.agents[agent.index()].on_start(&mut ctx);
             }
         }
-    }
-
-    /// Local index of an agent homed in this domain.
-    #[inline]
-    fn agent_index(&self, agent: AgentId) -> usize {
-        let (d, li) = self.shared.agent_loc[agent.index()];
-        debug_assert_eq!(d, self.shard.domain, "agent event in the wrong domain");
-        li as usize
     }
 
     /// Inject the packet behind `handle` at `channel`: fault-check, then
     /// transmit immediately if the transmitter is idle, otherwise enqueue.
     /// On any drop the arena slot is freed here.
     fn offer(&mut self, channel: ChannelId, handle: PacketHandle) {
-        let li = self.chan_index(channel);
+        let li = channel.index();
         let shard = &mut *self.shard;
-        let rslot = shard.chan_region[li] as usize;
+        let region = shard.chan_region[li] as usize;
         let now = shard.now;
         let (uid, is_data) = {
             let p = shard.arena.get(handle);
@@ -637,10 +546,10 @@ impl<'a> DomainRun<'a> {
         ch.stats.offered += 1;
 
         if let Some(fault) = ch.fault.as_mut() {
-            if fault.should_drop(is_data, &mut shard.regions[rslot].rng) {
+            if fault.should_drop(is_data, &mut shard.regions[region].rng) {
                 ch.stats.record_drop(crate::queue::DropReason::Fault);
                 let qlen = ch.queue.len();
-                shard.regions[rslot].digest.record_drop(
+                shard.regions[region].digest.record_drop(
                     now,
                     channel,
                     uid,
@@ -676,7 +585,10 @@ impl<'a> DomainRun<'a> {
             ch.stats.accepted += 1;
             self.start_tx(channel, handle);
         } else {
-            match ch.queue.enqueue(handle, now, &mut shard.regions[rslot].rng) {
+            match ch
+                .queue
+                .enqueue(handle, now, &mut shard.regions[region].rng)
+            {
                 Enqueue::Accepted => {
                     // A packet is waiting now: the completion needs its
                     // event.
@@ -688,7 +600,7 @@ impl<'a> DomainRun<'a> {
                     ch.stats.accepted += 1;
                     let qlen = ch.queue.len();
                     ch.stats.record_qlen(now, qlen);
-                    shard.regions[rslot]
+                    shard.regions[region]
                         .digest
                         .record_enqueue(now, channel, uid, qlen);
                     if self.traced.intersects(TraceKinds::ENQUEUE) {
@@ -702,7 +614,7 @@ impl<'a> DomainRun<'a> {
                 Enqueue::Dropped(handle, reason) => {
                     ch.stats.record_drop(reason);
                     let qlen = ch.queue.len();
-                    shard.regions[rslot]
+                    shard.regions[region]
                         .digest
                         .record_drop(now, channel, uid, reason, qlen);
                     if self.traced.intersects(TraceKinds::DROP) {
@@ -727,18 +639,13 @@ impl<'a> DomainRun<'a> {
     /// its dispatch position). On a cross-region hop the arrival is filed
     /// here — this is the only place a packet can leave its region —
     /// under a key that is a pure function of the message: the epoch in
-    /// which the transmission ends, the source region, the channel. It
-    /// goes straight into this shard's calendar (same execution domain; the
-    /// arena handle is kept, no copy) or to the outbox for the barrier
-    /// exchange (different shard); the key is a total order independent of
-    /// the insertion path, so both roads dispatch the arrival at exactly
-    /// the same position and the merge pass never changes an event
-    /// sequence. The completion is then filed only if a packet is already
-    /// waiting behind this one; `offer` files it later if one turns up.
+    /// which the transmission ends, the source region, the channel. The
+    /// completion is then filed only if a packet is already waiting behind
+    /// this one; `offer` files it later if one turns up.
     fn start_tx(&mut self, channel: ChannelId, handle: PacketHandle) {
-        let li = self.chan_index(channel);
+        let li = channel.index();
         let shard = &mut *self.shard;
-        let rslot = shard.chan_region[li] as usize;
+        let region = shard.chan_region[li] as usize;
         let now = shard.now;
         let (uid, size_bytes) = {
             let p = shard.arena.get(handle);
@@ -749,7 +656,7 @@ impl<'a> DomainRun<'a> {
         let end = now + ch.service_time(size_bytes);
         ch.stats.record_tx_begin(now);
         let qlen = ch.queue.len();
-        shard.regions[rslot]
+        shard.regions[region]
             .digest
             .record_tx_start(now, channel, uid, qlen);
         if self.traced.intersects(TraceKinds::TX_START) {
@@ -793,23 +700,14 @@ impl<'a> DomainRun<'a> {
                 // never dispatched; keep the key well-formed anyway.
                 (end.as_nanos().div_ceil(theta)).min(MAX_EPOCHS - 1)
             };
-            let (at, node) = (end + ch.prop_delay, ch.to);
+            let kind = EventKind::Arrive {
+                node: ch.to,
+                packet: handle,
+            };
             let key = boundary_key(end_epoch, lane);
-            if self.shared.dmap.domain_of(node) == shard.domain {
-                let kind = EventKind::Arrive {
-                    node,
-                    packet: handle,
-                };
-                shard.calendar.schedule_keyed(at, key, kind);
-            } else {
-                let packet = shard.arena.remove(handle);
-                shard.outbox.push(BoundaryMsg {
-                    at,
-                    node,
-                    packet,
-                    key,
-                });
-            }
+            shard
+                .calendar
+                .schedule_keyed(end + ch.prop_delay, key, kind);
         }
     }
 
@@ -817,7 +715,7 @@ impl<'a> DomainRun<'a> {
     /// intra-region hop the packet starts propagating; either way the next
     /// one, if any, leaves the buffer.
     fn complete_tx(&mut self, channel: ChannelId) {
-        let li = self.chan_index(channel);
+        let li = channel.index();
         let shard = &mut *self.shard;
         let now = shard.now;
         let ch = &mut shard.channels[li];
@@ -845,8 +743,8 @@ impl<'a> DomainRun<'a> {
             let p = self.shard.arena.get(handle);
             (p.uid, p.dest)
         };
-        let rslot = self.shared.node_region_slot[node.index()] as usize;
-        self.shard.regions[rslot]
+        let region = self.shared.regions.domain_of(node) as usize;
+        self.shard.regions[region]
             .digest
             .record_arrive(self.shard.now, node, uid);
         if self.traced.intersects(TraceKinds::ARRIVE) {
@@ -857,7 +755,7 @@ impl<'a> DomainRun<'a> {
         }
         match dest {
             Dest::Agent(agent) => {
-                let target_node = self.shared.agent_nodes[agent.index()];
+                let target_node = self.shard.agent_meta[agent.index()].node;
                 if target_node == node {
                     self.deliver(agent, handle);
                 } else {
@@ -920,9 +818,8 @@ impl<'a> DomainRun<'a> {
 
     fn deliver(&mut self, agent: AgentId, handle: PacketHandle) {
         let uid = self.shard.arena.get(handle).uid;
-        let local = self.agent_index(agent);
-        let rslot = self.shard.agent_meta[local].region as usize;
-        self.shard.regions[rslot]
+        let region = self.shard.agent_meta[agent.index()].region as usize;
+        self.shard.regions[region]
             .digest
             .record_deliver(self.shard.now, agent, uid);
         if self.traced.intersects(TraceKinds::DELIVER) {
@@ -936,17 +833,16 @@ impl<'a> DomainRun<'a> {
             shared: self.shared,
             shard: &mut *self.shard,
             agent,
-            agent_local: local,
         };
-        self.agents[local].on_packet(packet, &mut ctx);
+        self.agents[agent.index()].on_packet(packet, &mut ctx);
     }
 }
 
-/// The simulator: a world plus the transport agents living in it. Agents
-/// are stored per domain, parallel to the world's shards.
+/// The simulator: a world plus the transport agents living in it, indexed
+/// by [`AgentId`].
 pub struct Engine {
     world: World,
-    agents: Vec<Vec<Box<dyn Agent>>>,
+    agents: Vec<Box<dyn Agent>>,
 }
 
 impl Engine {
@@ -954,7 +850,7 @@ impl Engine {
     pub fn new(seed: u64) -> Self {
         Engine {
             world: World::new(seed),
-            agents: vec![Vec::new()],
+            agents: Vec::new(),
         }
     }
 
@@ -974,11 +870,8 @@ impl Engine {
     }
 
     /// Install a tracer. The caller keeps its own `Rc` handle to read the
-    /// trace back after the run. The slot promises callbacks in
-    /// simulated-time order (see [`Tracer`]), which one execution domain
-    /// gives and several do not: [`Engine::run_until`] refuses a traced
-    /// engine with more than one, so trace an unpartitioned engine or one
-    /// merged to a single domain (`partition_merged(.., 1, ..)`). The
+    /// trace back after the run. Callbacks arrive in simulated-time order
+    /// (see [`Tracer`]), partitioned or not: there is one calendar. The
     /// tracer's [`Tracer::wants`] is read here, once: it is called for
     /// those event kinds and no others.
     pub fn set_tracer(&mut self, tracer: Rc<RefCell<dyn Tracer>>) {
@@ -992,215 +885,95 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Domain partitioning
+    // Region partitioning
     // ------------------------------------------------------------------
 
-    /// Partition the topology into conservative-lookahead domains along
+    /// Partition the topology into conservative-lookahead regions along
     /// links whose propagation delay is at least `theta` (default: the
     /// smallest positive link delay — the finest partition the delays
-    /// admit; see [`DomainMap::partition`]). Returns the domain count.
-    /// Every region becomes its own execution domain; see
-    /// [`Engine::partition_merged`] for the cost-aware coalesced form.
+    /// admit; see [`DomainMap::partition`]). Returns the region count.
     ///
-    /// Existing channels, agents and their metadata are redistributed to
-    /// their domains; per-region RNG streams are derived from the base
-    /// seed. The partition — and with it every digest the engine will
-    /// produce — is a pure function of the topology, the seed and θ,
-    /// never of the worker count.
+    /// Each region gets an RNG stream derived from the base seed and its
+    /// own uid tag; existing channels and agents are re-homed to their
+    /// regions. The partition — and with it every digest the engine will
+    /// produce — is a pure function of the topology, the seed and θ.
     ///
     /// # Panics
     /// If events are already scheduled or packets in flight (partition
-    /// the world before starting agents), or if the engine is already
-    /// partitioned.
+    /// the world before starting agents), if the engine is already
+    /// partitioned, or if a cross-region channel does not fit the
+    /// calendar key (see [`boundary_lane`]).
     pub fn partition(&mut self, theta: Option<SimDuration>) -> usize {
-        self.do_partition(theta, None, None)
-    }
-
-    /// Cost-aware merged partition: compute the fine θ-partition (the
-    /// *regions*, which keep their own RNG/uid/digest identity exactly as
-    /// under [`Engine::partition`]), then coalesce regions into at most
-    /// `target` execution domains along the fastest cut links, balancing
-    /// the per-domain load estimate `costs` (one weight per region;
-    /// defaults to each region's outbound `bandwidth · fan-out` when
-    /// `None`). Returns the execution-domain count.
-    ///
-    /// `target = 1` collapses the run to a single shard with zero
-    /// exchange overhead — intra-region hops take the classic direct
-    /// path, cross-region hops defer to a per-barrier batch flush in the
-    /// same arena. Digests are bit-identical at every `target`, because
-    /// the identity layer (regions) never depends on it.
-    pub fn partition_merged(
-        &mut self,
-        theta: Option<SimDuration>,
-        target: usize,
-        costs: Option<&[u64]>,
-    ) -> usize {
-        assert!(target >= 1, "at least one execution domain is required");
-        self.do_partition(theta, Some(target), costs)
-    }
-
-    fn do_partition(
-        &mut self,
-        theta: Option<SimDuration>,
-        target: Option<usize>,
-        costs: Option<&[u64]>,
-    ) -> usize {
+        let World { shared, shard, .. } = &mut self.world;
         assert!(
-            !self.world.shared.regions.is_partitioned(),
+            !shared.regions.is_partitioned(),
             "the engine is already partitioned"
         );
-        assert_eq!(
-            self.world.shards.len(),
-            1,
-            "the engine is already partitioned"
+        assert!(
+            shard.calendar.is_empty() && shard.arena.is_empty() && shard.now == SimTime::ZERO,
+            "partition the world before scheduling events or running"
         );
-        {
-            let s0 = &self.world.shards[0];
-            assert!(
-                s0.calendar.is_empty() && s0.arena.is_empty() && s0.now == SimTime::ZERO,
-                "partition the world before scheduling events or running"
-            );
-        }
-        let links: Vec<(NodeId, NodeId, SimDuration)> = self.world.shards[0]
+        let links: Vec<(NodeId, NodeId, SimDuration)> = shard
             .channels
             .iter()
             .map(|ch| (ch.from, ch.to, ch.prop_delay))
             .collect();
-        let node_count = self.world.shared.nodes.len();
-        let regions = DomainMap::partition(node_count, &links, theta);
+        let regions = DomainMap::partition(shared.nodes.len(), &links, theta);
         if !regions.is_partitioned() {
-            self.world.shared.regions = DomainMap::single();
-            self.world.shared.dmap = DomainMap::single();
             return 1;
         }
-        let r_count = regions.domains();
-
-        // The execution partition: regions coalesced toward the target
-        // shard count (or the identity when no target was given).
-        let dmap = match target {
-            None => regions.clone(),
-            Some(t) => {
-                let default_costs;
-                let costs = match costs {
-                    Some(c) => c,
-                    None => {
-                        // Bandwidth·fan-out estimate: each region's event
-                        // load scales with the aggregate outbound link
-                        // rate of its nodes (links driven at capacity).
-                        let mut w = vec![1u64; r_count];
-                        for ch in &self.world.shards[0].channels {
-                            let r = regions.domain_of(ch.from) as usize;
-                            w[r] = w[r].saturating_add(1 + ch.bandwidth_bps / 1_000_000);
-                        }
-                        default_costs = w;
-                        &default_costs
-                    }
-                };
-                regions.merged(&links, t, Some(costs))
-            }
-        };
-        let e_count = dmap.domains();
-
-        let seed = self.world.shared.seed;
-        let mut shards: Vec<DomainShard> = (0..e_count as u32).map(DomainShard::new).collect();
-        let mut agents: Vec<Vec<Box<dyn Agent>>> = (0..e_count).map(|_| Vec::new()).collect();
-
-        // Region identity streams: region r keeps the same derived seed
-        // and uid tag at every execution grouping. Slots within a shard
-        // are ordered by global region id.
-        let mut exec_of_region = vec![u32::MAX; r_count];
-        for n in 0..node_count {
-            let r = regions.domain_of(NodeId::from(n)) as usize;
-            let e = dmap.domain_of(NodeId::from(n));
-            if exec_of_region[r] == u32::MAX {
-                exec_of_region[r] = e;
-            } else {
-                debug_assert_eq!(exec_of_region[r], e, "region split across shards");
-            }
-        }
-        let mut region_loc = vec![(0u32, 0u32); r_count];
-        for (r, &e) in exec_of_region.iter().enumerate() {
-            let shard = &mut shards[e as usize];
-            region_loc[r] = (e, shard.regions.len() as u32);
-            shard.regions.push(RegionStream::new(
-                StdRng::seed_from_u64(domain_seed(seed, r as u32)),
-                (r as u64) << 48,
-            ));
-        }
-        let node_region_slot: Vec<u32> = (0..node_count)
-            .map(|n| region_loc[regions.domain_of(NodeId::from(n)) as usize].1)
+        shard.regions = (0..regions.domains() as u32)
+            .map(|r| RegionStream::derived(shared.seed, r))
             .collect();
-
-        let mut old = std::mem::take(&mut self.world.shards);
-        let old_shard = old.pop().expect("one shard before partition");
-        // Channels move to the shard of their upstream node, in global id
-        // order, so local indices are reproducible.
-        for (ch, loc) in old_shard
-            .channels
-            .into_iter()
-            .zip(self.world.shared.chan_loc.iter_mut())
-        {
-            let d = dmap.domain_of(ch.from);
-            let shard = &mut shards[d as usize];
-            *loc = (d, shard.channels.len() as u32);
-            let slot = region_loc[regions.domain_of(ch.from) as usize].1;
-            shard.push_channel(&regions, slot, ch);
+        for (i, ch) in shard.channels.iter().enumerate() {
+            (shard.chan_region[i], shard.chan_lane[i]) = channel_lane(&regions, ch);
         }
-        // Agents (and their metadata) move with their home node, in global
-        // agent order.
-        let old_agents = std::mem::take(&mut self.agents[0]);
-        for ((agent, mut meta), loc) in old_agents
-            .into_iter()
-            .zip(old_shard.agent_meta)
-            .zip(self.world.shared.agent_loc.iter_mut())
-        {
-            let d = dmap.domain_of(meta.node);
-            meta.region = region_loc[regions.domain_of(meta.node) as usize].1;
-            *loc = (d, agents[d as usize].len() as u32);
-            shards[d as usize].agent_meta.push(meta);
-            agents[d as usize].push(agent);
+        for meta in &mut shard.agent_meta {
+            meta.region = regions.domain_of(meta.node);
         }
-
-        self.world.shared.regions = regions;
-        self.world.shared.dmap = dmap;
-        self.world.shared.region_loc = region_loc;
-        self.world.shared.node_region_slot = node_region_slot;
-        self.world.shards = shards;
-        self.agents = agents;
-        e_count
+        shared.regions = regions;
+        shard.regions.len()
     }
 
-    /// Set the worker-thread count for the partitioned executor. With 1
-    /// (the default) the epochs run inline on the calling thread; above 1
-    /// the domains are distributed round-robin over scoped worker
-    /// threads. Has no effect on an unpartitioned engine — and none on
-    /// the results either way: digests are identical at every worker
-    /// count.
-    pub fn set_workers(&mut self, workers: usize) {
-        assert!(workers >= 1, "at least one worker is required");
-        self.world.workers = workers;
+    /// Inert: [`Engine::partition`] under the name that also coalesced
+    /// regions into `target` execution domains by `costs`. There is one
+    /// execution domain, so both are ignored and the result is always 1.
+    /// Only `benchmark/` calls it; ROADMAP item 4(b) deletes it.
+    pub fn partition_merged(
+        &mut self,
+        theta: Option<SimDuration>,
+        target: usize,
+        _costs: Option<&[u64]>,
+    ) -> usize {
+        assert!(target >= 1, "at least one execution domain is required");
+        self.partition(theta);
+        1
     }
 
-    /// Number of domains (1 until [`Engine::partition`]).
+    /// Inert: the engine runs on the calling thread whatever this says.
+    /// Only `benchmark/` calls it; ROADMAP item 4(b) deletes it.
+    pub fn set_workers(&mut self, _workers: usize) {}
+
+    /// Inert: always 1, the one execution domain. Only `benchmark/` calls
+    /// it; ROADMAP item 4(b) deletes it.
     pub fn domain_count(&self) -> usize {
-        self.world.domain_count()
+        1
     }
 
-    /// Arm (or disarm) per-epoch load recording: one row per epoch with
-    /// each domain's processed-event count. Only the inline (workers = 1)
-    /// partitioned executor records; the profile shows how evenly the
-    /// epochs split across domains.
+    /// Arm (or disarm) per-epoch load recording: one row per θ-grid epoch
+    /// of a partitioned run, one domain wide, holding the events the epoch
+    /// processed. Only `benchmark/` reads it; ROADMAP item 4(b) deletes it.
     pub fn record_epoch_loads(&mut self, on: bool) {
         self.world.epoch_loads = on.then(Vec::new);
     }
 
-    /// The recorded per-epoch, per-domain event counts (see
+    /// The recorded per-epoch event counts (see
     /// [`Engine::record_epoch_loads`]).
     pub fn epoch_loads(&self) -> Option<&[Vec<u64>]> {
         self.world.epoch_loads.as_deref()
     }
 
-    /// Number of regions (components of the fine θ-partition).
+    /// Number of regions (components of the θ-partition).
     pub fn region_count(&self) -> usize {
         self.world.region_count()
     }
@@ -1211,37 +984,14 @@ impl Engine {
 
     /// Add a node. After [`Engine::partition`] a new node forms its own
     /// fresh region (it has no links yet; links attached later are checked
-    /// against the lookahead) — and, when the execution partition is
-    /// split, its own fresh shard; under a merged single-shard partition
-    /// it joins shard 0.
+    /// against the lookahead).
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId::from(self.world.shared.nodes.len());
-        self.world.shared.nodes.push(Node::new(id, name));
-        if self.world.shared.regions.is_partitioned() {
-            let r = self.world.shared.regions.push_isolated_node();
-            let seed = self.world.shared.seed;
-            let stream = RegionStream::new(
-                StdRng::seed_from_u64(domain_seed(seed, r)),
-                (r as u64) << 48,
-            );
-            let d = if self.world.shared.dmap.is_partitioned() {
-                let d = self.world.shared.dmap.push_isolated_node();
-                let mut shard = DomainShard::new(d);
-                // Late domains start at the global clock, not at zero.
-                shard.now = self.world.shards[0].now;
-                self.world.shards.push(shard);
-                self.agents.push(Vec::new());
-                d
-            } else {
-                0
-            };
-            let shard = &mut self.world.shards[d as usize];
-            let slot = shard.regions.len() as u32;
-            shard.regions.push(stream);
-            self.world.shared.region_loc.push((d, slot));
-            self.world.shared.node_region_slot.push(slot);
-        } else {
-            self.world.shared.node_region_slot.push(0);
+        let World { shared, shard, .. } = &mut self.world;
+        let id = NodeId::from(shared.nodes.len());
+        shared.nodes.push(Node::new(id, name));
+        if shared.regions.is_partitioned() {
+            let r = shared.regions.push_isolated_node();
+            shard.regions.push(RegionStream::derived(shared.seed, r));
         }
         id
     }
@@ -1272,28 +1022,23 @@ impl Engine {
         queue_cfg: &QueueConfig,
     ) -> ChannelId {
         assert!(from != to, "self-loop channels are not allowed");
-        let regions = &self.world.shared.regions;
+        let World { shared, shard, .. } = &mut self.world;
+        let regions = &shared.regions;
         if regions.is_partitioned() && regions.domain_of(from) != regions.domain_of(to) {
-            // The exchange grid is the *fine* lookahead θ at every shard
-            // count, so every cross-region channel must clear it.
+            // The epoch grid is the lookahead θ, so every cross-region
+            // channel must clear it.
             assert!(
                 prop_delay >= regions.lookahead(),
-                "cross-domain channel faster than the lookahead breaks the epoch contract"
+                "cross-region channel faster than the lookahead breaks the epoch contract"
             );
         }
-        let d = self.world.shared.dmap.domain_of(from);
-        let id = ChannelId::from(self.world.shared.chan_loc.len());
-        let shard = &mut self.world.shards[d as usize];
-        self.world
-            .shared
-            .chan_loc
-            .push((d, shard.channels.len() as u32));
-        shard.push_channel(
-            &self.world.shared.regions,
-            self.world.shared.node_region_slot[from.index()],
-            Channel::new(id, from, to, bandwidth_bps, prop_delay, queue_cfg),
-        );
-        self.world.shared.nodes[from.index()].out_channels.push(id);
+        let id = ChannelId::from(shard.channels.len());
+        let ch = Channel::new(id, from, to, bandwidth_bps, prop_delay, queue_cfg);
+        let (region, lane) = channel_lane(regions, &ch);
+        shard.chan_region.push(region);
+        shard.chan_lane.push(lane);
+        shard.channels.push(ch);
+        shared.nodes[from.index()].out_channels.push(id);
         id
     }
 
@@ -1306,17 +1051,11 @@ impl Engine {
     /// [`Engine::start_agent_at`] schedules its start event.
     pub fn add_agent(&mut self, node: NodeId, agent: Box<dyn Agent>) -> AgentId {
         assert!(node.index() < self.world.shared.nodes.len(), "unknown node");
-        let d = self.world.shared.dmap.domain_of(node);
-        let id = AgentId::from(self.world.shared.agent_loc.len());
-        self.world
-            .shared
-            .agent_loc
-            .push((d, self.agents[d as usize].len() as u32));
-        self.world.shared.agent_nodes.push(node);
-        self.agents[d as usize].push(agent);
-        self.world.shards[d as usize].agent_meta.push(AgentMeta {
+        let id = AgentId::from(self.agents.len());
+        self.agents.push(agent);
+        self.world.shard.agent_meta.push(AgentMeta {
             node,
-            region: self.world.shared.node_region_slot[node.index()],
+            region: self.world.shared.regions.domain_of(node),
             send_overhead: SimDuration::ZERO,
             last_injection: SimTime::ZERO,
         });
@@ -1327,8 +1066,7 @@ impl Engine {
     /// (phase-effect elimination; see §3.1 of the paper). `max` should be
     /// the bottleneck service time of the agent's data packets.
     pub fn set_send_overhead(&mut self, agent: AgentId, max: SimDuration) {
-        let (d, li) = self.world.shared.agent_loc[agent.index()];
-        self.world.shards[d as usize].agent_meta[li as usize].send_overhead = max;
+        self.world.shard.agent_meta[agent.index()].send_overhead = max;
     }
 
     /// Create a multicast group.
@@ -1417,7 +1155,7 @@ impl Engine {
         let mut members_at: Vec<Vec<AgentId>> = vec![Vec::new(); n];
 
         for &member in &members {
-            let target = self.world.shared.agent_nodes[member.index()];
+            let target = self.world.agent_node(member);
             members_at[target.index()].push(member);
             let mut cur = root;
             let mut hops = 0;
@@ -1448,50 +1186,47 @@ impl Engine {
 
     /// Schedule `agent`'s `on_start` at time `at`.
     pub fn start_agent_at(&mut self, agent: AgentId, at: SimTime) {
-        let (d, _) = self.world.shared.agent_loc[agent.index()];
-        self.world.shards[d as usize]
+        self.world
+            .shard
             .calendar
             .schedule(at, EventKind::Start { agent });
     }
 
     /// Run until `deadline`; the clock ends at exactly `deadline`.
     ///
-    /// An unpartitioned engine runs the classic single event loop (and
-    /// additionally stops early if its calendar empties). A partitioned
-    /// engine advances all domains epoch by epoch to `deadline` —
-    /// inline, or on [`Engine::set_workers`] scoped threads — exchanging
-    /// boundary packets at each absolute grid barrier. Every domain's
-    /// clock equals `deadline` on return.
+    /// An unpartitioned engine runs the classic single event loop. A
+    /// partitioned engine runs the same loop epoch by epoch on the θ-grid,
+    /// then settles every transmission that ended by `deadline` without a
+    /// completion event, so whoever reads the world between runs —
+    /// registry snapshots, the timeline sampler, `utilization(now)` —
+    /// sees it as ended.
     ///
     /// # Panics
-    /// If a tracer is installed on more than one execution domain — the
-    /// domains run each epoch one after another (or on threads), so the
-    /// callbacks would not arrive in time order.
+    /// If a partitioned run's deadline lies past the last θ-grid epoch
+    /// the calendar key can tell apart.
     pub fn run_until(&mut self, deadline: SimTime) {
-        assert!(
-            self.world.tracer.is_none() || self.domain_count() == 1,
-            "a tracer sees events in time order only on one execution domain, and this \
-             engine has {}: trace an unpartitioned engine or one merged to a single \
-             domain (partition_merged(.., 1, ..))",
-            self.domain_count()
-        );
-        if !self.world.shared.regions.is_partitioned() {
-            // One region: the classic single event loop, no barriers, no
-            // exchange.
-            let world = &mut self.world;
-            DomainRun {
-                shared: &world.shared,
-                shard: &mut world.shards[0],
-                agents: &mut self.agents[0],
-                tracer: world.tracer.as_ref(),
-                traced: world.traced,
-            }
-            .run_until(deadline);
+        let World {
+            shared,
+            shard,
+            tracer,
+            traced,
+            epoch_loads,
+        } = &mut self.world;
+        let mut run = DomainRun {
+            shared,
+            shard,
+            agents: &mut self.agents,
+            tracer: tracer.as_ref(),
+            traced: *traced,
+        };
+        if !shared.regions.is_partitioned() {
+            // One region: no epochs, and every completion is filed.
+            run.run_until(deadline);
             return;
         }
         // Every epoch up to the deadline must fit the key's epoch bits:
         // refuse the run here, not at the offending barrier hours into it.
-        let theta = self.world.shared.regions.lookahead().as_nanos();
+        let theta = shared.regions.lookahead().as_nanos();
         assert!(
             deadline.as_nanos().div_ceil(theta) < MAX_EPOCHS,
             "run_until({:.3} s) is past the partitioned engine's limit of {:.3} simulated \
@@ -1499,202 +1234,16 @@ impl Engine {
             deadline.as_secs_f64(),
             ((MAX_EPOCHS - 1) * theta) as f64 / 1e9,
         );
-        if self.world.shards.len() == 1 || self.world.workers == 1 {
-            self.run_epochs_inline(deadline);
-        } else {
-            self.run_epochs_threaded(deadline);
-        }
-        // Whoever reads the world between runs — registry snapshots, the
-        // timeline sampler, `utilization(now)` — sees every transmission
-        // that ended by `deadline` as ended.
-        for shard in &mut self.world.shards {
-            for ch in &mut shard.channels {
-                if ch
-                    .in_service
-                    .is_some_and(|tx| !tx.filed && tx.end <= deadline)
-                {
-                    ch.settle();
-                    shard.counts.settled += 1;
-                }
+        run.run_epochs(deadline, epoch_loads.as_mut());
+        for ch in &mut shard.channels {
+            if ch
+                .in_service
+                .is_some_and(|tx| !tx.filed && tx.end <= deadline)
+            {
+                ch.settle();
+                shard.counts.settled += 1;
             }
         }
-    }
-
-    /// The inline epoch executor: advance every shard to the next θ-grid
-    /// barrier (or the deadline), then hand each shard's outbox — the
-    /// whole epoch's crossings in one batch — to the destination shards,
-    /// which schedule them directly under their canonical keys. This is
-    /// also the merged-to-one executor — the only partitioned run that
-    /// may carry a tracer: with a single shard the exchange is empty
-    /// and the loop degenerates to stepping the grid epoch, so the
-    /// sequential path pays no per-message cost at all beyond the keyed
-    /// schedule it already did at send time.
-    fn run_epochs_inline(&mut self, deadline: SimTime) {
-        // The exchange grid is the *fine* lookahead θ regardless of how
-        // regions were coalesced: a merged-L grid would let a receiver
-        // dispatch events between a message's send epoch and its arrival,
-        // perturbing same-instant FIFO order relative to the fine run.
-        let lookahead = self.world.shared.regions.lookahead();
-        debug_assert!(!lookahead.is_zero(), "partitioned world without lookahead");
-        let mut t = self.world.shards[0].now;
-        debug_assert!(
-            self.world.shards.iter().all(|s| s.now == t),
-            "domains out of step at epoch entry"
-        );
-        let recording = self.world.epoch_loads.is_some();
-        while t < deadline {
-            let barrier = grid_next(t, lookahead);
-            let target = barrier.min(deadline);
-            // The global grid index of the epoch being run: the high bits
-            // of every key assigned this step, identical at every shard
-            // and worker count (and across stepped `run_until` calls that
-            // stop mid-epoch).
-            let epoch = barrier.as_nanos() / lookahead.as_nanos();
-            let mut loads = recording.then(|| Vec::with_capacity(self.world.shards.len()));
-            for (shard, agents) in self.world.shards.iter_mut().zip(self.agents.iter_mut()) {
-                shard.calendar.set_epoch(epoch);
-                let before = recording.then(|| shard.events());
-                DomainRun {
-                    shared: &self.world.shared,
-                    shard,
-                    agents,
-                    tracer: self.world.tracer.as_ref(),
-                    traced: self.world.traced,
-                }
-                .run_until(target);
-                if let (Some(loads), Some(before)) = (loads.as_mut(), before) {
-                    loads.push(shard.events() - before);
-                }
-            }
-            if let (Some(all), Some(row)) = (self.world.epoch_loads.as_mut(), loads) {
-                all.push(row);
-            }
-            if target == barrier && self.world.shards.len() > 1 {
-                // Exchange at the grid barrier: hand each shard's outbox —
-                // the whole epoch's crossings in one batch — to the
-                // destination shards. Each message is scheduled under the
-                // key it carries, so no sort is needed anywhere: the keys
-                // are a total order independent of routing sequence.
-                let mut d = 0;
-                while d < self.world.shards.len() {
-                    if !self.world.shards[d].outbox.is_empty() {
-                        let outbox = std::mem::take(&mut self.world.shards[d].outbox);
-                        for m in &outbox {
-                            let dst = self.world.shared.dmap.domain_of(m.node) as usize;
-                            self.world.shards[dst].accept_boundary(*m);
-                        }
-                        // Hand the allocation back for the next epoch.
-                        let mut outbox = outbox;
-                        outbox.clear();
-                        self.world.shards[d].outbox = outbox;
-                    }
-                    d += 1;
-                }
-            }
-            t = target;
-        }
-    }
-
-    /// The threaded epoch executor: domains are distributed round-robin
-    /// over scoped worker threads; two barriers per epoch separate the
-    /// run phase from the exchange phase. The whole epoch's crossings are
-    /// batched through one shared inbox — each worker appends its
-    /// domains' outboxes under a single lock, then (after the barrier)
-    /// filter-copies the messages addressed to its own domains under one
-    /// more lock and schedules them directly under their canonical keys —
-    /// so the exchange cost is two lock acquisitions per worker per epoch
-    /// instead of a mutex slot per domain. The inbox's append order is
-    /// racy, but the keys are a total order independent of insertion
-    /// sequence, so digests are bit-identical to the inline executor's.
-    fn run_epochs_threaded(&mut self, deadline: SimTime) {
-        let d_count = self.world.shards.len();
-        let workers = self.world.workers.min(d_count);
-        let lookahead = self.world.shared.regions.lookahead();
-        debug_assert!(!lookahead.is_zero(), "partitioned world without lookahead");
-        let start = self.world.shards[0].now;
-        debug_assert!(
-            self.world.shards.iter().all(|s| s.now == start),
-            "domains out of step at epoch entry"
-        );
-        let shared = &self.world.shared;
-        // One shared inbox for the whole epoch's crossings, tagged with
-        // the epoch index: the first appender of a new epoch clears the
-        // previous batch (every reader consumed it before the prior
-        // epoch's closing barrier).
-        let inbox: Mutex<(u64, Vec<BoundaryMsg>)> = Mutex::new((0, Vec::new()));
-        let inbox = &inbox;
-        let barrier = Barrier::new(workers);
-        let barrier = &barrier;
-
-        type BucketEntry<'a> = (usize, &'a mut DomainShard, &'a mut Vec<Box<dyn Agent>>);
-        let mut buckets: Vec<Vec<BucketEntry>> = (0..workers).map(|_| Vec::new()).collect();
-        for (d, (shard, agents)) in self
-            .world
-            .shards
-            .iter_mut()
-            .zip(self.agents.iter_mut())
-            .enumerate()
-        {
-            buckets[d % workers].push((d, shard, agents));
-        }
-
-        std::thread::scope(|scope| {
-            for mut bucket in buckets {
-                scope.spawn(move || {
-                    let mut t = start;
-                    let mut epoch = 0u64;
-                    while t < deadline {
-                        let grid = grid_next(t, lookahead);
-                        let target = grid.min(deadline);
-                        let exchanging = target == grid;
-                        epoch += 1;
-                        let grid_epoch = grid.as_nanos() / lookahead.as_nanos();
-                        // Phase A: run own domains to the target, then
-                        // publish all their outboxes under one lock.
-                        for (_, shard, agents) in bucket.iter_mut() {
-                            shard.calendar.set_epoch(grid_epoch);
-                            DomainRun {
-                                shared,
-                                shard,
-                                agents,
-                                tracer: None,
-                                traced: TraceKinds::NONE,
-                            }
-                            .run_until(target);
-                        }
-                        if exchanging {
-                            let mut slot = inbox.lock().unwrap();
-                            if slot.0 != epoch {
-                                slot.0 = epoch;
-                                slot.1.clear();
-                            }
-                            for (_, shard, _) in bucket.iter_mut() {
-                                slot.1.append(&mut shard.outbox);
-                            }
-                        }
-                        barrier.wait();
-                        // Phase B: copy the messages addressed to own
-                        // domains out of the shared batch, scheduling each
-                        // directly under the key it carries. The batch's
-                        // append order is racy across workers, but the key
-                        // fixes every arrival's dispatch position, so the
-                        // copy order is immaterial.
-                        if exchanging {
-                            let slot = inbox.lock().unwrap();
-                            for (d, shard, _) in bucket.iter_mut() {
-                                for m in slot.1.iter() {
-                                    if shared.dmap.domain_of(m.node) as usize == *d {
-                                        shard.accept_boundary(*m);
-                                    }
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        t = target;
-                    }
-                });
-            }
-        });
     }
 
     // ------------------------------------------------------------------
@@ -1703,32 +1252,18 @@ impl Engine {
 
     /// Downcast an agent to its concrete type for post-run inspection.
     pub fn agent_as<T: 'static>(&self, id: AgentId) -> Option<&T> {
-        let (d, li) = self.world.shared.agent_loc[id.index()];
-        self.agents[d as usize][li as usize]
-            .as_any()
-            .downcast_ref::<T>()
+        self.agents[id.index()].as_any().downcast_ref::<T>()
     }
 
     /// Mutable downcast.
     pub fn agent_as_mut<T: 'static>(&mut self, id: AgentId) -> Option<&mut T> {
-        let (d, li) = self.world.shared.agent_loc[id.index()];
-        self.agents[d as usize][li as usize]
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.agents[id.index()].as_any_mut().downcast_mut::<T>()
     }
 
     /// Calendar events dispatched so far, by kind, and transmission
     /// completions settled without one.
     pub fn event_counts(&self) -> EventCounts {
-        let mut total = EventCounts::default();
-        for c in self.world.shards.iter().map(|s| &s.counts) {
-            total.tx_complete += c.tx_complete;
-            total.arrive += c.arrive;
-            total.timer += c.timer;
-            total.start += c.start;
-            total.settled += c.settled;
-        }
-        total
+        self.world.shard.counts
     }
 }
 
@@ -2050,13 +1585,13 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Domain-partitioned execution
+    // Region-partitioned execution
     // ------------------------------------------------------------------
 
     /// A chain a -(1ms)- m -(10ms)- b with traffic in both directions and
     /// a multicast group fanning out from a. Partitioning at θ=5ms cuts
-    /// the 10ms link: {a, m} and {b} become two domains with L = 10ms.
-    fn partitioned_chain(seed: u64, workers: usize) -> (Engine, AgentId, AgentId) {
+    /// the 10ms link: {a, m} and {b} become two regions with L = 10ms.
+    fn partitioned_chain(seed: u64) -> (Engine, AgentId, AgentId) {
         let mut e = Engine::new(seed);
         let a = e.add_node("a");
         let m = e.add_node("m");
@@ -2076,7 +1611,6 @@ mod tests {
             &QueueConfig::DropTail { limit: 8 },
         );
         assert_eq!(e.partition(Some(SimDuration::from_millis(5))), 2);
-        e.set_workers(workers);
         let sink_b = e.add_agent(b, Box::new(Sink::default()));
         let sink_a = e.add_agent(a, Box::new(Sink::default()));
         let fwd = e.add_agent(
@@ -2105,13 +1639,13 @@ mod tests {
 
     #[test]
     fn partitioned_packets_cross_domains_both_ways() {
-        let (mut e, sink_a, sink_b) = partitioned_chain(7, 1);
+        let (mut e, sink_a, sink_b) = partitioned_chain(7);
         e.run_until(SimTime::from_secs(2));
         let sb: &Sink = e.agent_as(sink_b).unwrap();
         let sa: &Sink = e.agent_as(sink_a).unwrap();
         // Both blasts overflow their drop-tail exits (limit 8, plus one in
         // service); what survives the first hop crosses the cut link and
-        // must be conserved end to end — no packet may vanish at a domain
+        // must be conserved end to end — no packet may vanish at a region
         // boundary.
         assert!(sb.received > 0, "forward traffic never crossed the cut");
         assert!(sa.received > 0, "reverse traffic never crossed the cut");
@@ -2122,30 +1656,25 @@ mod tests {
         assert_eq!(sb.received + drops(a_to_m), 40, "forward packets vanished");
         assert_eq!(sa.received + drops(b_to_m), 25, "reverse packets vanished");
         assert_eq!(e.now(), SimTime::from_secs(2));
-        assert_eq!(w.live_packets(), 0);
+        assert_eq!(w.arena().len(), 0);
     }
 
     #[test]
-    fn digest_is_identical_across_worker_counts_and_stepping() {
-        let full = |workers: usize| {
-            let (mut e, _, _) = partitioned_chain(11, workers);
-            e.run_until(SimTime::from_secs(2));
-            e.trace_digest()
-        };
-        let baseline = full(1);
+    fn digest_is_identical_under_stepping() {
+        let (mut e, _, _) = partitioned_chain(11);
+        e.run_until(SimTime::from_secs(2));
+        let baseline = e.trace_digest();
         assert!(baseline.events() > 0);
-        assert_eq!(baseline, full(2), "two workers drifted");
-        assert_eq!(baseline, full(4), "four workers drifted");
-        // Mid-epoch stepping must not move the exchange barriers: pause at
-        // an off-grid instant (L = 10ms; 7ms is mid-epoch) and resume.
-        let (mut e, _, _) = partitioned_chain(11, 2);
+        // Mid-epoch stepping must not move the epoch barriers: pause at an
+        // off-grid instant (L = 10ms; 7ms is mid-epoch) and resume.
+        let (mut e, _, _) = partitioned_chain(11);
         e.run_until(SimTime::from_millis(7));
         e.run_until(SimTime::from_millis(13));
         e.run_until(SimTime::from_secs(2));
         assert_eq!(baseline, e.trace_digest(), "stepping changed the digest");
         // Deadlines landing exactly on grid barriers are the epoch loop's
-        // edge case: the final epoch must run (and exchange) exactly once.
-        let (mut e, _, _) = partitioned_chain(11, 1);
+        // edge case: the final epoch must run exactly once.
+        let (mut e, _, _) = partitioned_chain(11);
         e.run_until(SimTime::from_millis(10));
         e.run_until(SimTime::from_millis(20));
         e.run_until(SimTime::from_secs(2));
@@ -2156,138 +1685,36 @@ mod tests {
         );
     }
 
-    /// The star topology from `partitioned_multicast_spans_domains`, with
-    /// bidirectional unicast echo traffic layered on top, partitioned by
-    /// the given closure. Returns the digest after 1 s.
-    fn star_digest(partition: impl FnOnce(&mut Engine) -> usize, workers: usize) -> TraceDigest {
-        let mut e = Engine::new(17);
-        let root = e.add_node("root");
-        let hub = e.add_node("hub");
-        let l0 = e.add_node("l0");
-        let l1 = e.add_node("l1");
-        for &(x, y) in &[(root, hub), (hub, l0), (hub, l1)] {
-            e.add_link(
-                x,
-                y,
-                8_000_000,
-                SimDuration::from_millis(10),
-                &QueueConfig::DropTail { limit: 6 },
-            );
-        }
-        let domains = partition(&mut e);
-        assert!(domains >= 1);
-        e.set_workers(workers);
-        let group = e.new_group();
-        let s0 = e.add_agent(l0, Box::new(Sink::default()));
-        let s1 = e.add_agent(l1, Box::new(Sink::default()));
-        e.join_group(group, s0);
-        e.join_group(group, s1);
-        let sink_root = e.add_agent(root, Box::new(Sink::default()));
-        let mcast = e.add_agent(
-            root,
-            Box::new(Blaster {
-                dest: Dest::Group(group),
-                count: 9,
-                size: 1000,
-            }),
-        );
-        let echo = e.add_agent(
-            l1,
-            Box::new(Blaster {
-                dest: Dest::Agent(sink_root),
-                count: 12,
-                size: 700,
-            }),
-        );
-        e.compute_routes();
-        e.build_group_tree(group, root);
-        e.set_send_overhead(mcast, SimDuration::from_millis(1));
-        e.set_send_overhead(echo, SimDuration::from_millis(1));
-        e.start_agent_at(mcast, SimTime::ZERO);
-        e.start_agent_at(echo, SimTime::from_millis(2));
-        e.run_until(SimTime::from_secs(1));
-        assert_eq!(e.world().live_packets(), 0, "packets leaked across arenas");
-        e.trace_digest()
-    }
-
     #[test]
-    fn merged_partition_preserves_the_fine_digest_at_every_target() {
-        // The fine partition (4 regions) is the identity baseline; the
-        // merge pass must reproduce its digest bit-for-bit at every
-        // execution-domain count, including the fully collapsed single
-        // shard, and on worker threads.
-        let fine = star_digest(|e| e.partition(None), 1);
-        assert!(fine.events() > 0);
-        for target in 1..=4 {
-            let merged = star_digest(|e| e.partition_merged(None, target, None), 1);
-            assert_eq!(fine, merged, "merge to {target} changed the digest");
-        }
-        let merged_threaded = star_digest(|e| e.partition_merged(None, 2, None), 2);
-        assert_eq!(fine, merged_threaded, "threaded merged run drifted");
-        // Measured per-region costs must not change results either — only
-        // the grouping may move.
-        let costs = vec![5, 40, 3, 3];
-        let refined = star_digest(|e| e.partition_merged(None, 2, Some(&costs)), 1);
-        assert_eq!(fine, refined, "cost-refined merge changed the digest");
-    }
-
-    #[test]
-    fn merged_to_one_keeps_exchange_counters_at_zero() {
-        let mut e = Engine::new(17);
-        let a = e.add_node("a");
-        let b = e.add_node("b");
-        e.add_link(
-            a,
-            b,
-            8_000_000,
-            SimDuration::from_millis(10),
-            &QueueConfig::paper_droptail(),
-        );
-        assert_eq!(e.partition_merged(None, 1, None), 1);
-        assert_eq!(e.domain_count(), 1);
-        assert_eq!(e.region_count(), 2, "regions stay fine under the merge");
-        let sink = e.add_agent(b, Box::new(Sink::default()));
-        let blaster = e.add_agent(
-            a,
-            Box::new(Blaster {
-                dest: Dest::Agent(sink),
-                count: 5,
-                size: 1000,
-            }),
-        );
-        e.compute_routes();
-        e.start_agent_at(blaster, SimTime::ZERO);
-        e.run_until(SimTime::from_secs(1));
-        let s: &Sink = e.agent_as(sink).unwrap();
-        assert_eq!(s.received, 5);
-        // A single execution domain never touches the outbox: every
-        // crossing stays in its arena and is scheduled directly under its
-        // canonical boundary key.
-        assert_eq!(e.world().shards[0].outbox.capacity(), 0);
-        assert_eq!(e.world().live_packets(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already partitioned")]
-    fn merged_partition_cannot_be_applied_twice() {
-        let mut e = Engine::new(1);
-        let a = e.add_node("a");
-        let b = e.add_node("b");
-        e.add_link(
-            a,
-            b,
-            8_000_000,
-            SimDuration::from_millis(10),
-            &QueueConfig::paper_droptail(),
-        );
-        e.partition_merged(None, 1, None);
-        e.partition(None);
+    fn the_shard_count_surface_is_inert() {
+        let run = |stubs: &dyn Fn(&mut Engine)| {
+            let (mut e, _, _) = partitioned_chain(11);
+            stubs(&mut e);
+            assert_eq!(e.domain_count(), 1);
+            assert_eq!(e.region_count(), 2);
+            e.run_until(SimTime::from_secs(2));
+            e.trace_digest()
+        };
+        let baseline = run(&|_| {});
+        assert_eq!(baseline, run(&|e| e.set_workers(4)), "set_workers moved it");
+        // `partition_merged` is `partition` whatever its target and costs.
+        let merged = |target: usize, costs: Option<&[u64]>| {
+            let mut e = Engine::new(1);
+            let a = e.add_node("a");
+            let b = e.add_node("b");
+            let q = QueueConfig::paper_droptail();
+            e.add_link(a, b, 8_000_000, SimDuration::from_millis(10), &q);
+            assert_eq!(e.partition_merged(None, target, costs), 1);
+            (e.domain_count(), e.region_count())
+        };
+        assert_eq!(merged(1, None), (1, 2));
+        assert_eq!(merged(2, Some(&[5, 40])), (1, 2));
     }
 
     #[test]
     fn partitioned_multicast_spans_domains() {
-        // root -(10ms)- hub, hub -(10ms)- l0/l1: four domains; the group
-        // tree replicates at hub across two boundary crossings.
+        // root -(10ms)- hub, hub -(10ms)- l0/l1: four regions; the group
+        // tree replicates at hub across two region crossings.
         let mut e = Engine::new(3);
         let root = e.add_node("root");
         let hub = e.add_node("hub");
@@ -2303,7 +1730,6 @@ mod tests {
             );
         }
         assert_eq!(e.partition(None), 4);
-        e.set_workers(2);
         let group = e.new_group();
         let s0 = e.add_agent(l0, Box::new(Sink::default()));
         let s1 = e.add_agent(l1, Box::new(Sink::default()));
@@ -2325,21 +1751,7 @@ mod tests {
             let s: &Sink = e.agent_as(id).unwrap();
             assert_eq!(s.received, 9);
         }
-        assert_eq!(e.world().live_packets(), 0, "packets leaked across arenas");
-    }
-
-    #[test]
-    fn unpartitioned_engine_is_untouched_by_worker_setting() {
-        // set_workers on an unpartitioned engine is inert: same digest as
-        // the default.
-        let run = |workers: usize| {
-            let (mut e, blaster, _, _) = two_node_world(&QueueConfig::paper_red());
-            e.set_workers(workers);
-            e.start_agent_at(blaster, SimTime::ZERO);
-            e.run_until(SimTime::from_secs(2));
-            e.trace_digest()
-        };
-        assert_eq!(run(1), run(4));
+        assert_eq!(e.world().arena().len(), 0, "packets leaked");
     }
 
     #[test]
@@ -2443,21 +1855,41 @@ mod tests {
         }
     }
 
+    /// A digest of the callbacks it gets that counts every step back in
+    /// time.
+    #[derive(Default)]
+    struct InOrder {
+        last: SimTime,
+        backwards: u64,
+        seen: TraceDigest,
+    }
+
+    impl Tracer for InOrder {
+        fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
+            self.backwards += u64::from(now < self.last);
+            self.last = now;
+            self.seen.trace(now, event);
+        }
+    }
+
     #[test]
-    fn a_tracer_on_two_domains_is_refused_before_anything_is_dispatched() {
-        // Inline executor, two domains: each epoch runs domain 0 then
-        // domain 1, so callbacks would go back in time at every switch.
-        let (mut e, _, _) = partitioned_chain(7, 1);
-        assert_eq!(e.domain_count(), 2);
-        let log = Rc::new(RefCell::new(LinkLog::default()));
+    fn a_tracer_on_a_partitioned_engine_sees_every_event_in_time_order() {
+        // Two regions with traffic crossing the cut both ways: one
+        // calendar, so the slot's time-order promise holds partitioned.
+        let (mut bare, _, _) = partitioned_chain(7);
+        bare.run_until(SimTime::from_secs(2));
+        let (mut e, _, _) = partitioned_chain(7);
+        let log = Rc::new(RefCell::new(InOrder::default()));
         e.set_tracer(log.clone());
-        let run = std::panic::AssertUnwindSafe(|| e.run_until(SimTime::from_millis(50)));
-        let err = std::panic::catch_unwind(run).expect_err("a traced two-domain run");
-        let msg = err.downcast_ref::<String>().expect("formatted message");
-        assert!(msg.contains("this engine has 2"), "{msg}");
-        assert!(msg.contains("partition_merged(.., 1, ..)"), "{msg}");
-        assert!(log.borrow().0.is_empty(), "nothing was traced");
-        assert_eq!(e.trace_digest().events(), 0, "nothing was dispatched");
+        e.run_until(SimTime::from_secs(2));
+        let log = log.borrow();
+        assert_eq!(log.backwards, 0, "a callback went back in time");
+        let d = e.trace_digest();
+        let counters =
+            |d: &TraceDigest| [d.enqueues, d.drops, d.tx_starts, d.arrivals, d.deliveries];
+        assert!(d.drops > 0 && d.deliveries > 0, "{:?}", counters(&d));
+        assert_eq!(counters(&log.seen), counters(&d));
+        assert_eq!(d, bare.trace_digest(), "the tracer moved the digest");
     }
 
     /// A digest of the callbacks it gets that listens to `wants` only.
@@ -2481,8 +1913,7 @@ mod tests {
         // every kind, drops included.
         let run = |install: &dyn Fn(&mut Engine)| {
             let bursts = vec![(0, 40, 1000)];
-            let (mut e, _, _) =
-                lazy_chain(&QueueConfig::paper_droptail(), 1, false, vec![], bursts);
+            let (mut e, _, _) = lazy_chain(&QueueConfig::paper_droptail(), false, vec![], bursts);
             install(&mut e);
             e.run_until(SimTime::from_secs(1));
             e.trace_digest()
@@ -2521,20 +1952,16 @@ mod tests {
     }
 
     /// The model: every completion is filed when its transmission starts.
-    /// Call after partitioning (late shards are born lazy).
     fn set_eager(e: &mut Engine) {
-        for shard in &mut e.world.shards {
-            shard.eager = true;
-        }
+        e.world.shard.eager = true;
     }
 
     /// A chain c -(10ms)- a -(10ms)- b at 8 Mb/s (1000 B = 1 ms), every
-    /// node its own region, `shards` execution domains; `src_c` and
-    /// `src_a` script traffic from c and from a to a sink on b. Returns
-    /// the engine, the a→b channel and the sink.
+    /// node its own region; `src_c` and `src_a` script traffic from c and
+    /// from a to a sink on b. Returns the engine, the a→b channel and the
+    /// sink.
     fn lazy_chain(
         queue: &QueueConfig,
-        shards: usize,
         eager: bool,
         src_c: Vec<(u64, u32, u32)>,
         src_a: Vec<(u64, u32, u32)>,
@@ -2545,8 +1972,7 @@ mod tests {
         let b = e.add_node("b");
         e.add_link(c, a, 8_000_000, SimDuration::from_millis(10), queue);
         let (ab, _) = e.add_link(a, b, 8_000_000, SimDuration::from_millis(10), queue);
-        e.partition_merged(None, shards, None);
-        assert_eq!(e.region_count(), 3);
+        assert_eq!(e.partition(None), 3);
         if eager {
             set_eager(&mut e);
         }
@@ -2569,7 +1995,7 @@ mod tests {
                 format!("{:?} {:?}", ch.stats, ch.queue.red_avg())
             })
             .collect();
-        (e.trace_digest(), channels, w.live_packets())
+        (e.trace_digest(), channels, w.arena().len())
     }
 
     #[test]
@@ -2580,7 +2006,6 @@ mod tests {
         // the spot — going lazy there strands the buffer for good.
         let (mut e, ab, sink) = lazy_chain(
             &QueueConfig::paper_droptail(),
-            1,
             false,
             vec![],
             vec![(0, 5, 1000)],
@@ -2598,7 +2023,7 @@ mod tests {
     #[test]
     fn an_arrival_at_the_very_end_of_service_lands_on_its_side_of_the_completion() {
         let link_log = |src_c: Vec<(u64, u32, u32)>, src_a: Vec<(u64, u32, u32)>, eager: bool| {
-            let (mut e, ab, _) = lazy_chain(&QueueConfig::paper_droptail(), 1, eager, src_c, src_a);
+            let (mut e, ab, _) = lazy_chain(&QueueConfig::paper_droptail(), eager, src_c, src_a);
             let log = Rc::new(RefCell::new(LinkLog::default()));
             e.set_tracer(log.clone());
             e.run_until(SimTime::from_millis(50));
@@ -2664,7 +2089,7 @@ mod tests {
         });
         let run = |eager: bool| {
             let bursts = vec![(0, 30, 1000), (6_500_000, 1, 1000), (20_000_000, 2, 1000)];
-            let (mut e, ab, _) = lazy_chain(&red, 1, eager, vec![], bursts);
+            let (mut e, ab, _) = lazy_chain(&red, eager, vec![], bursts);
             let log = Rc::new(RefCell::new(LinkLog::default()));
             e.set_tracer(log.clone());
             e.run_until(SimTime::from_millis(19));
@@ -2691,7 +2116,6 @@ mod tests {
     fn a_deadline_on_the_end_of_service_reads_the_transmission_as_over() {
         let (mut e, ab, _) = lazy_chain(
             &QueueConfig::paper_droptail(),
-            1,
             false,
             vec![],
             vec![(0, 1, 1000)],
@@ -2721,7 +2145,7 @@ mod tests {
         let run = |eager: bool| {
             let bursts = vec![(0, 1, 1000), (600_000, 1, 1000)];
             let (mut e, ab, sink) =
-                lazy_chain(&QueueConfig::paper_droptail(), 1, eager, vec![], bursts);
+                lazy_chain(&QueueConfig::paper_droptail(), eager, vec![], bursts);
             e.run_until(SimTime::from_nanos(500_000));
             e.world_mut().channel_mut(ab).degrade(0.0, Some(4_000_000));
             let mut stops = vec![observable(&e)];
@@ -2736,33 +2160,6 @@ mod tests {
             stops
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn a_packet_bound_for_another_shard_waits_in_the_outbox_from_the_start() {
-        let (mut e, ab, sink) = lazy_chain(
-            &QueueConfig::paper_droptail(),
-            3,
-            false,
-            vec![],
-            vec![(0, 1, 1000)],
-        );
-        assert_eq!(e.domain_count(), 3);
-        // Mid-transmission, mid-epoch: the packet has already left a's
-        // arena for the outbox, and is still counted.
-        e.run_until(SimTime::from_nanos(500_000));
-        assert_eq!(e.world().shards[1].arena.len(), 0);
-        assert_eq!(e.world().shards[1].outbox.len(), 1);
-        assert_eq!(e.world().live_packets(), 1);
-        // The barrier hands it to b's shard, ahead of its arrival at 11 ms.
-        e.run_until(SimTime::from_millis(10));
-        assert_eq!(e.world().shards[1].outbox.len(), 0);
-        assert_eq!(e.world().shards[2].arena.len(), 1);
-        assert_eq!(e.world().live_packets(), 1);
-        assert_eq!(e.world().channel(ab).stats.transmitted, 1);
-        e.run_until(SimTime::from_millis(11));
-        assert_eq!(e.world().live_packets(), 0);
-        assert_eq!(e.agent_as::<Sink>(sink).unwrap().received, 1);
     }
 
     /// A chain of `n` nodes on 1 ms links, every node its own region.
@@ -2781,7 +2178,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "region 16384 does not fit the calendar key")]
     fn a_partition_too_wide_for_the_key_is_refused_before_anything_runs() {
-        wide_chain(crate::event::MAX_REGIONS + 1).partition_merged(None, 1, None);
+        wide_chain(crate::event::MAX_REGIONS + 1).partition(None);
     }
 
     /// One randomly drawn world for the differential property: a random
@@ -2790,7 +2187,7 @@ mod tests {
     /// drawn θ so that some hops stay inside a region; unicast scripts and
     /// one multicast group, bursts on a 250 µs grid so that arrivals,
     /// completions and deadlines keep landing on the same instants.
-    fn random_world(draws: &[u64], shards: usize, eager: bool) -> Engine {
+    fn random_world(draws: &[u64], eager: bool) -> Engine {
         let mut next = {
             let mut i = 0;
             move |n: u64| {
@@ -2835,7 +2232,7 @@ mod tests {
             }
         }
         let theta = [None, Some(SimDuration::from_millis(5))][next(2) as usize];
-        e.partition_merged(theta, shards, None);
+        e.partition(theta);
         if eager {
             set_eager(&mut e);
         }
@@ -2889,19 +2286,14 @@ mod tests {
         /// every channel's statistics and RED average and the live-packet
         /// count agree at every stop of an arbitrarily stepped run — stops
         /// on the burst grid (where transmissions end) and off it, a
-        /// degrade dropped in at one of them — at one and two shards.
+        /// degrade dropped in at one of them.
         #[test]
         fn lazy_completions_match_the_eager_model(
             draws in proptest::collection::vec(proptest::prelude::any::<u64>(), 24..48),
             stops in proptest::collection::vec((0u64..120, 0u64..4), 1..10),
             degrade_at in 0usize..10,
         ) {
-            let mut worlds = [
-                random_world(&draws, 1, true),
-                random_world(&draws, 1, false),
-                random_world(&draws, 2, true),
-                random_world(&draws, 2, false),
-            ];
+            let mut worlds = [random_world(&draws, true), random_world(&draws, false)];
             let mut stops: Vec<u64> = stops
                 .iter()
                 .map(|&(grid, off)| grid * 250_000 + [0, 0, 80_000, 3_200][off as usize])
@@ -2918,9 +2310,7 @@ mod tests {
                 }
                 let model = observable(&worlds[0]);
                 proptest::prop_assert!(model.0.events() > 0 || i + 1 < stops.len());
-                for (k, e) in worlds.iter().enumerate().skip(1) {
-                    proptest::prop_assert_eq!(&model, &observable(e), "world {} at {} ns", k, stop);
-                }
+                proptest::prop_assert_eq!(model, observable(&worlds[1]), "at {} ns", stop);
             }
             let (lazy, eager) = (worlds[1].event_counts(), worlds[0].event_counts());
             proptest::prop_assert_eq!(eager.settled, 0);
@@ -2930,13 +2320,13 @@ mod tests {
 
     #[test]
     fn epoch_loads_cover_every_domain() {
-        let (mut e, _, _) = partitioned_chain(5, 1);
+        let (mut e, _, _) = partitioned_chain(5);
         e.record_epoch_loads(true);
         e.run_until(SimTime::from_millis(100));
         let loads = e.epoch_loads().expect("recording was armed");
-        // L = 10ms over a 100ms run: ten epochs, two domains each.
+        // L = 10ms over a 100ms run: ten epochs, one domain each.
         assert_eq!(loads.len(), 10);
-        assert!(loads.iter().all(|row| row.len() == 2));
+        assert!(loads.iter().all(|row| row.len() == 1));
         let total: u64 = loads.iter().flatten().sum();
         assert_eq!(total, e.trace_digest().events());
     }

@@ -31,8 +31,8 @@
 //! barrier. A channel serves one packet at a time and service takes at
 //! least a nanosecond, so two arrivals off one channel never share an
 //! instant and the channel id is as good as a send counter. Because the key
-//! is a total order independent of insertion sequence, dispatch order is
-//! identical at every shard and worker count (see `DESIGN.md` §9).
+//! is a total order independent of insertion sequence, dispatch order does
+//! not depend on when the arrival is filed (see `DESIGN.md` §9).
 //!
 //! # Layout
 //!
@@ -172,8 +172,7 @@ pub fn boundary_lane(region: u32, channel: ChannelId) -> Result<u64, String> {
 /// which its transmission ends, then the channel's [`boundary_lane`] —
 /// after every local event of that epoch, before everything later, and
 /// among that epoch's arrivals by *(source region, channel)*. A pure
-/// function of the message — independent of which shard inserts it, or
-/// when — so dispatch order is identical at every shard and worker count.
+/// function of the message — independent of when it is filed.
 #[inline]
 pub fn boundary_key(epoch: u64, lane: u64) -> u64 {
     debug_assert!(epoch < MAX_EPOCHS, "epoch overflows the key");

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::id::{AgentId, ChannelId, GroupId, NodeId};
     pub use crate::packet::{Dest, Packet};
     pub use crate::queue::{QueueConfig, RedConfig};
-    pub use crate::shard::{BoundaryMsg, DomainMap};
+    pub use crate::shard::DomainMap;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::TraceDigest;
     pub use crate::wire::{SackBlock, SackList, Segment};

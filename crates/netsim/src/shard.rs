@@ -1,74 +1,52 @@
-//! Domain partitioning for the parallel engine.
+//! The region partition behind the engine's keyed calendar.
 //!
-//! The tree topologies of the paper have a useful property for parallel
-//! discrete-event simulation: every link carries a propagation delay, so a
-//! packet crossing a link cannot affect the far side for at least that
-//! long. Partitioning the topology along links whose delay is at least a
-//! bound θ yields *domains* that can each run θ of simulated time without
-//! looking at any other domain — the classic conservative-lookahead
-//! argument, here realised as an epoch barrier instead of null messages.
+//! The tree topologies of the paper have a useful property: every link
+//! carries a propagation delay, so a packet crossing a link cannot affect
+//! the far side for at least that long. Partitioning the topology along
+//! links whose delay is at least a bound θ yields *regions*, and θ is a
+//! certified lookahead between them — the classic conservative-lookahead
+//! argument of parallel discrete-event simulation.
 //!
-//! [`DomainMap`] computes that partition: nodes connected by links with
-//! propagation delay *below* θ are merged into one domain (they interact
+//! The engine runs one execution domain and uses the partition for two
+//! other things. Each region owns an RNG stream, a packet-uid tag and a
+//! trace-digest lane (`domain_seed` derives the stream), which the
+//! golden digests pin. And a packet leaving its region can have its
+//! arrival filed when its transmission *starts*, under a calendar key
+//! fixed by the θ-grid epoch its transmission ends in
+//! ([`crate::event::boundary_key`], [`grid_next`]) — one calendar event
+//! per cross-region hop instead of two.
+//!
+//! [`DomainMap`] computes the partition: nodes connected by links with
+//! propagation delay *below* θ are merged into one region (they interact
 //! too quickly to separate), and the *lookahead* `L` is the minimum delay
-//! over the links that remain cut. The epoch executor in
-//! [`engine`](crate::engine) advances every domain to the next multiple of
-//! `L` ([`grid_next`]) and then exchanges [`BoundaryMsg`]s — packets
-//! transmitted in one domain whose arrival node lives in another.
+//! over the links that remain cut.
 //!
 //! # Determinism contract
 //!
-//! The partition is a pure function of the topology and θ, never of the
-//! worker count: running the same partitioned world on 1, 2 or 4 workers
-//! executes the identical per-domain event streams and produces
-//! bit-identical trace digests. Boundary messages are exchanged only at
-//! absolute grid barriers `i·L` (never at caller-chosen deadlines), each
-//! under a calendar key that is a pure function of the message, so the
-//! per-domain calendar sequence numbers — and therefore same-instant FIFO
-//! dispatch — are independent of both the worker count and how the caller
-//! steps `run_until`.
+//! The partition is a pure function of the topology and θ. Epoch barriers
+//! are absolute grid points `i·L`, never caller-chosen deadlines, so the
+//! keys — and therefore same-instant dispatch order — are independent of
+//! how the caller steps `run_until`.
 
 use crate::id::NodeId;
-use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
-/// A packet crossing from one domain to another: it leaves the sending
-/// domain's arena for the outbox when its transmission *starts* (the
-/// arrival instant is already known then) and is scheduled into the
-/// arrival node's domain at the next epoch barrier.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundaryMsg {
-    /// Arrival instant at the destination node (end of transmission plus
-    /// the cut link's propagation delay — by construction past the barrier
-    /// that hands the message over).
-    pub at: SimTime,
-    /// The node the packet arrives at (in the destination domain).
-    pub node: NodeId,
-    /// The packet itself, by value: it left the sending domain's arena and
-    /// enters the destination domain's arena on delivery.
-    pub packet: Packet,
-    /// The arrival's calendar key ([`crate::event::boundary_key`]): with
-    /// `at`, its dispatch position, whatever order the exchange delivers
-    /// messages in.
-    pub key: u64,
-}
-
 /// A partition of the topology's nodes into conservative-lookahead
-/// domains. See the [module docs](self) for the partition rule.
+/// regions. See the [module docs](self) for the partition rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainMap {
-    /// Per node: its domain index. Empty in the trivial single-domain map,
-    /// where every node is domain 0 regardless of index.
+    /// Per node: its region index. Empty in the trivial single-region map,
+    /// where every node is region 0 regardless of index.
     domain_of: Vec<u32>,
-    /// Number of domains (at least 1).
+    /// Number of regions (at least 1).
     domains: u32,
-    /// Minimum propagation delay over cut (inter-domain) links; zero in
-    /// the single-domain map, where it is never consulted.
+    /// Minimum propagation delay over cut (inter-region) links; zero in
+    /// the single-region map, where it is never consulted.
     lookahead: SimDuration,
 }
 
 impl DomainMap {
-    /// The trivial map: every node (present or future) in domain 0. This
+    /// The trivial map: every node (present or future) in region 0. This
     /// is the map an unpartitioned engine carries.
     pub fn single() -> Self {
         DomainMap {
@@ -82,10 +60,10 @@ impl DomainMap {
     /// `(from, to, prop_delay)`.
     ///
     /// Endpoints of any link with `prop_delay < theta` are merged into one
-    /// domain; the remaining (cut) links all carry at least `theta` of
+    /// region; the remaining (cut) links all carry at least `theta` of
     /// delay, and the lookahead is their minimum. `theta` defaults to the
     /// smallest positive link delay in the topology — the finest partition
-    /// the delays admit. Domains are numbered by first appearance in node
+    /// the delays admit. Regions are numbered by first appearance in node
     /// order, so the result is a pure function of the topology and θ.
     ///
     /// # Panics
@@ -129,7 +107,7 @@ impl DomainMap {
             }
         }
 
-        // Compress roots to dense domain ids in node order.
+        // Compress roots to dense region ids in node order.
         let mut domain_of = vec![u32::MAX; node_count];
         let mut domains = 0u32;
         for n in 0..node_count as u32 {
@@ -150,7 +128,7 @@ impl DomainMap {
             .filter(|&&(from, to, _)| domain_of[from.index()] != domain_of[to.index()])
             .map(|&(_, _, d)| d)
             .min()
-            .expect("multiple domains imply at least one cut link");
+            .expect("multiple regions imply at least one cut link");
         debug_assert!(lookahead >= theta, "cut link faster than the threshold");
 
         DomainMap {
@@ -160,152 +138,7 @@ impl DomainMap {
         }
     }
 
-    /// Coalesce this partition's domains into at most `target` groups,
-    /// merging along the fastest inter-domain links first so the surviving
-    /// cut links — and with them the merged lookahead — are as slow as the
-    /// topology allows. `costs` (one weight per domain, typically an
-    /// event-load estimate) keeps the groups balanced: a merge is skipped
-    /// while the combined weight would exceed 125% of the ideal
-    /// `total/target` share; if the cap alone cannot reach the target the
-    /// remaining merges are chosen balance-greedily — each round unions
-    /// the connected pair with the lightest combined weight (ties to the
-    /// faster link), so the forced merges spread load instead of piling
-    /// onto the heaviest group. Returns the merged map (nodes → groups);
-    /// with one group the result is [`DomainMap::single`].
-    ///
-    /// The merge is deterministic: candidate links are taken in ascending
-    /// `(delay, domain pair)` order, forced merges break ties on
-    /// `(weight, delay, domain pair)`, and groups are numbered by first
-    /// appearance in node order, so the result is a pure function of the
-    /// partition, the links, `target` and `costs` — never of worker
-    /// counts or timing.
-    pub fn merged(
-        &self,
-        links: &[(NodeId, NodeId, SimDuration)],
-        target: usize,
-        costs: Option<&[u64]>,
-    ) -> DomainMap {
-        assert!(target >= 1, "at least one group is required");
-        let r_count = self.domains();
-        if !self.is_partitioned() || target >= r_count {
-            return self.clone();
-        }
-        if let Some(c) = costs {
-            assert_eq!(c.len(), r_count, "need exactly one cost per domain");
-        }
-
-        // Candidate cut links between distinct domains, fastest first;
-        // deduplicated so a full-duplex link is one candidate.
-        let mut candidates: Vec<(SimDuration, u32, u32)> = links
-            .iter()
-            .filter_map(|&(from, to, d)| {
-                let a = self.domain_of(from);
-                let b = self.domain_of(to);
-                (a != b).then_some((d, a.min(b), a.max(b)))
-            })
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        let mut parent: Vec<u32> = (0..r_count as u32).collect();
-        let mut weight: Vec<u64> = match costs {
-            Some(c) => c.to_vec(),
-            None => vec![1; r_count],
-        };
-        let total: u64 = weight.iter().sum();
-        let ideal = total.div_ceil(target as u64).max(1);
-        let cap = ideal + ideal / 4;
-        let mut groups = r_count;
-        let union = |parent: &mut Vec<u32>, weight: &mut Vec<u64>, ra: u32, rb: u32| {
-            // Smaller root wins, keeping the numbering order-stable.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            parent[hi as usize] = lo;
-            weight[lo as usize] = weight[lo as usize].saturating_add(weight[hi as usize]);
-        };
-
-        // Pass 1: balanced merges along the fastest cuts.
-        for &(_, a, b) in &candidates {
-            if groups == target {
-                break;
-            }
-            let ra = find(&mut parent, a);
-            let rb = find(&mut parent, b);
-            if ra == rb {
-                continue;
-            }
-            if weight[ra as usize].saturating_add(weight[rb as usize]) > cap {
-                continue;
-            }
-            union(&mut parent, &mut weight, ra, rb);
-            groups -= 1;
-        }
-        // Pass 2: the balance cap may strand groups above the target.
-        // Pack the stranded groups into `target` bins, heaviest first,
-        // each into the currently lightest bin (LPT scheduling). An
-        // execution group does not need to be link-connected — the epoch
-        // grid is the *fine* lookahead θ at every shard count, so the
-        // surviving cut set never widens an epoch — and following links
-        // here would be actively harmful: in a star topology every
-        // stranded leaf connects only through the hub, so link-following
-        // forced merges pile all remaining load onto the one heavy
-        // component. This also folds link-disconnected components, which
-        // have no candidates at all.
-        if groups > target {
-            let mut units: Vec<(u64, u32)> = (0..r_count as u32)
-                .filter(|&r| find(&mut parent, r) == r)
-                .map(|r| (weight[r as usize], r))
-                .collect();
-            // Heaviest first; ties by the lower root for determinism.
-            units.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            let mut bins: Vec<(u64, Option<u32>)> = vec![(0, None); target];
-            for (w, r) in units {
-                let i = (0..target)
-                    .min_by_key(|&i| (bins[i].0, i))
-                    .expect("target >= 1");
-                match bins[i].1 {
-                    None => bins[i] = (w, Some(r)),
-                    Some(root) => {
-                        union(&mut parent, &mut weight, root, r);
-                        bins[i].0 += w;
-                        bins[i].1 = Some(root.min(r));
-                        groups -= 1;
-                    }
-                }
-            }
-            debug_assert!(groups <= target, "LPT packing missed the target");
-        }
-
-        // Dense group ids in node order, exactly like `partition`.
-        let node_count = self.domain_of.len();
-        let mut group_of_root = vec![u32::MAX; r_count];
-        let mut domain_of = vec![u32::MAX; node_count];
-        let mut domains = 0u32;
-        for (node, slot) in domain_of.iter_mut().enumerate() {
-            let root = find(&mut parent, self.domain_of[node]);
-            if group_of_root[root as usize] == u32::MAX {
-                group_of_root[root as usize] = domains;
-                domains += 1;
-            }
-            *slot = group_of_root[root as usize];
-        }
-        if domains <= 1 {
-            return DomainMap::single();
-        }
-
-        let lookahead = links
-            .iter()
-            .filter(|&&(from, to, _)| domain_of[from.index()] != domain_of[to.index()])
-            .map(|&(_, _, d)| d)
-            .min()
-            .expect("multiple groups imply at least one cut link");
-        DomainMap {
-            domain_of,
-            domains,
-            lookahead,
-        }
-    }
-
-    /// The domain a node belongs to.
+    /// The region a node belongs to.
     #[inline]
     pub fn domain_of(&self, node: NodeId) -> u32 {
         if self.domains == 1 {
@@ -315,7 +148,7 @@ impl DomainMap {
         }
     }
 
-    /// Number of domains.
+    /// Number of regions.
     pub fn domains(&self) -> usize {
         self.domains as usize
     }
@@ -326,14 +159,14 @@ impl DomainMap {
     }
 
     /// The conservative lookahead: the minimum propagation delay over
-    /// inter-domain links. Zero for the single-domain map.
+    /// inter-region links. Zero for the single-region map.
     pub fn lookahead(&self) -> SimDuration {
         self.lookahead
     }
 
     /// Register one more node in a partitioned map, as its own fresh
-    /// domain (it has no links yet; links added later are checked against
-    /// the lookahead). Returns the new domain index. Internal to the
+    /// region (it has no links yet; links added later are checked against
+    /// the lookahead). Returns the new region index. Internal to the
     /// engine's topology-growth path.
     pub(crate) fn push_isolated_node(&mut self) -> u32 {
         debug_assert!(self.is_partitioned());
@@ -344,7 +177,7 @@ impl DomainMap {
     }
 }
 
-/// Path-halving find for the union-find passes above.
+/// Path-halving find for the union-find pass above.
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         let up = parent[parent[x as usize] as usize];
@@ -355,10 +188,10 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
 }
 
 /// The next epoch barrier after `now`: the smallest multiple of
-/// `lookahead` strictly greater than `now`. Barriers are absolute
+/// `lookahead` strictly greater than `now`. Grid points are absolute
 /// (independent of where a `run_until` call happens to pause), which is
-/// what makes the exchange schedule — and therefore the digests —
-/// invariant under caller stepping.
+/// what makes the keys — and therefore the digests — invariant under
+/// caller stepping.
 #[inline]
 pub fn grid_next(now: SimTime, lookahead: SimDuration) -> SimTime {
     let l = lookahead.as_nanos();
@@ -366,11 +199,10 @@ pub fn grid_next(now: SimTime, lookahead: SimDuration) -> SimTime {
     SimTime::from_nanos((now.as_nanos() / l + 1).saturating_mul(l))
 }
 
-/// Deterministic per-domain RNG seed: a splitmix64-style mix of the base
-/// seed and the domain index. Domain streams must be decorrelated (the
+/// Deterministic per-region RNG seed: a splitmix64-style mix of the base
+/// seed and the region index. Region streams must be decorrelated (the
 /// phase-effect machinery draws per-packet jitter from them) yet a pure
-/// function of `(seed, domain)` so every worker count sees identical
-/// draws.
+/// function of `(seed, region)`.
 pub(crate) fn domain_seed(seed: u64, domain: u32) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(domain as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -463,93 +295,6 @@ mod tests {
             grid_next(SimTime::from_nanos(4_999_999), l),
             SimTime::from_millis(5)
         );
-    }
-
-    /// A chain 0 -5ms- 1 -5ms- 2 -100ms- 3 -5ms- 4 (full duplex), finely
-    /// partitioned into five single-node domains.
-    fn chain_links() -> Vec<(NodeId, NodeId, SimDuration)> {
-        let delays = [ms(5), ms(5), ms(100), ms(5)];
-        let mut links = Vec::new();
-        for (i, &d) in delays.iter().enumerate() {
-            let i = i as u32;
-            links.push((NodeId(i), NodeId(i + 1), d));
-            links.push((NodeId(i + 1), NodeId(i), d));
-        }
-        links
-    }
-
-    #[test]
-    fn merged_collapses_to_one_group_at_target_one() {
-        let links = chain_links();
-        let fine = DomainMap::partition(5, &links, None);
-        assert_eq!(fine.domains(), 5);
-        let m = fine.merged(&links, 1, None);
-        assert_eq!(m.domains(), 1);
-        assert!(!m.is_partitioned());
-    }
-
-    #[test]
-    fn merged_cuts_the_slowest_links() {
-        // Merging 5 domains to 2 must spend its merges on the 5 ms links
-        // and keep the 100 ms link as the cut, maximizing the merged
-        // lookahead: {0,1,2} | {3,4}.
-        let links = chain_links();
-        let fine = DomainMap::partition(5, &links, None);
-        let m = fine.merged(&links, 2, None);
-        assert_eq!(m.domains(), 2);
-        assert_eq!(m.lookahead(), ms(100));
-        assert_eq!(m.domain_of(NodeId(0)), m.domain_of(NodeId(2)));
-        assert_eq!(m.domain_of(NodeId(3)), m.domain_of(NodeId(4)));
-        assert_ne!(m.domain_of(NodeId(2)), m.domain_of(NodeId(3)));
-        // Groups are numbered by first appearance in node order.
-        assert_eq!(m.domain_of(NodeId(0)), 0);
-        assert_eq!(m.domain_of(NodeId(4)), 1);
-    }
-
-    #[test]
-    fn merged_respects_the_balance_cap() {
-        // Domain 0 carries almost all the load; with the cap active the
-        // cheap domains must coalesce among themselves instead of piling
-        // onto domain 0. Chain of four 5 ms links: merging to 2 with
-        // costs [97,1,1,1,1] must not attach everything to domain 0.
-        let delays = [ms(5), ms(5), ms(5), ms(5)];
-        let mut links = Vec::new();
-        for (i, &d) in delays.iter().enumerate() {
-            let i = i as u32;
-            links.push((NodeId(i), NodeId(i + 1), d));
-            links.push((NodeId(i + 1), NodeId(i), d));
-        }
-        let fine = DomainMap::partition(5, &links, None);
-        let m = fine.merged(&links, 2, Some(&[97, 1, 1, 1, 1]));
-        assert_eq!(m.domains(), 2);
-        // Ideal share is 51, cap 63: domain 0 (97) can absorb nothing, so
-        // it stays alone and 1..4 fuse.
-        assert_eq!(m.domain_of(NodeId(0)), 0);
-        for n in 1..5 {
-            assert_eq!(m.domain_of(NodeId(n)), 1);
-        }
-    }
-
-    #[test]
-    fn merged_is_identity_at_or_above_the_domain_count() {
-        let links = chain_links();
-        let fine = DomainMap::partition(5, &links, None);
-        assert_eq!(fine.merged(&links, 5, None), fine);
-        assert_eq!(fine.merged(&links, 8, None), fine);
-    }
-
-    #[test]
-    fn merged_folds_disconnected_components() {
-        // Two disjoint pairs (no inter-component link): merging to 1 must
-        // still succeed via the root-folding fallback.
-        let links = vec![
-            (NodeId(0), NodeId(1), ms(10)),
-            (NodeId(2), NodeId(3), ms(10)),
-        ];
-        let fine = DomainMap::partition(4, &links, None);
-        assert_eq!(fine.domains(), 4);
-        let m = fine.merged(&links, 1, None);
-        assert_eq!(m.domains(), 1);
     }
 
     #[test]

@@ -100,11 +100,9 @@ impl std::ops::BitOr for TraceKinds {
 ///
 /// The slot's contract is time order: `now` never decreases from one
 /// call to the next, and same-instant events arrive in the order the
-/// engine dispatched them. One calendar popped in `(time, key)` order
-/// gives that, several stepped epoch by epoch do not, so
-/// [`Engine::run_until`](crate::engine::Engine::run_until) refuses a
-/// tracer on more than one execution domain — a tracer may write each
-/// event through as it happens and never needs to buffer or sort.
+/// engine dispatched them. The engine's one calendar, popped in
+/// `(time, key)` order, gives that — so a tracer may write each event
+/// through as it happens and never needs to buffer or sort.
 ///
 /// A tracer is called only for the kinds it declares in [`wants`]. The
 /// declaration is read once, when
@@ -257,9 +255,9 @@ impl TraceDigest {
 
     /// Fold another digest into this one: counters add, and the other's
     /// hash is mixed into the running hash. Order-sensitive — the
-    /// domain-partitioned engine absorbs per-domain digests in domain
-    /// order, making the merged value a pure function of the ordered
-    /// per-domain streams (and so identical at every worker count).
+    /// partitioned engine absorbs per-region digests in region order,
+    /// making the merged value a pure function of the ordered per-region
+    /// streams.
     pub fn absorb(&mut self, other: &TraceDigest) {
         self.mix(other.hash);
         self.enqueues += other.enqueues;

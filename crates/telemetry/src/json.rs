@@ -8,6 +8,8 @@
 //! hand-edited JSON), so `rla_diff` loads manifests back and `rla_top`
 //! reads timeline and heartbeat lines through the same code. A torn or
 //! foreign line is an `Err`, never a panic: a tailing consumer skips it.
+//! Nesting is bounded by [`MAX_DEPTH`], so no input can overflow the
+//! recursive-descent parser's stack either.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -176,15 +178,23 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, and an unbounded line of `[`s would overflow
+/// the thread's stack — an abort, not a panic. Manifests nest fewer than
+/// ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 impl Json {
     /// Parse a JSON document. Integer tokens without sign, fraction or
     /// exponent that fit a `u64` become [`Json::Int`] (the counter type);
     /// every other number becomes [`Json::Num`], matching what the
-    /// emitter writes for gauges.
+    /// emitter writes for gauges. Nesting deeper than [`MAX_DEPTH`] is an
+    /// error at the bracket that exceeds it.
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -248,6 +258,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -292,8 +304,19 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -385,9 +408,10 @@ impl<'a> Parser<'a> {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let code =
-                                        0x10000 + ((hi - 0xd800) << 10) + (lo.wrapping_sub(0xdc00));
-                                    char::from_u32(code)
+                                    (0xdc00..0xe000)
+                                        .contains(&lo)
+                                        .then(|| 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00))
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -412,9 +436,14 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let digits = &self.bytes[self.pos..end];
+        // Not `from_str_radix`, which would take a leading `+`.
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let v = digits
+            .iter()
+            .fold(0, |v, &d| v << 4 | char::from(d).to_digit(16).unwrap_or(0));
         self.pos = end;
         Ok(v)
     }
@@ -619,5 +648,83 @@ mod tests {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
         assert_eq!(Json::parse("{}").unwrap(), Json::Obj(Vec::new()));
+    }
+
+    /// `depth` nested arrays, or objects `{"k":…}`, around `0`; closed or
+    /// left torn.
+    fn nested(depth: usize, objects: bool, closed: bool) -> String {
+        let (open, close) = if objects {
+            ("{\"k\":", "}")
+        } else {
+            ("[", "]")
+        };
+        let mut s = open.repeat(depth) + "0";
+        if closed {
+            s += &close.repeat(depth);
+        }
+        s
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_at_its_bracket() {
+        for objects in [false, true] {
+            let ok = Json::parse(&nested(MAX_DEPTH, objects, true)).expect("at the limit");
+            assert_eq!(ok.pretty().matches('0').count(), 1);
+            let open = if objects { 5 } else { 1 };
+            for (depth, closed) in [(MAX_DEPTH + 1, true), (100_000, false)] {
+                let err = Json::parse(&nested(depth, objects, closed)).unwrap_err();
+                assert_eq!(err.offset, MAX_DEPTH * open, "{err}");
+                assert!(err.message.contains("nesting deeper than 128"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_surrogate_escape_needs_its_partner() {
+        let pair = Json::parse(r#""\ud83d\ude00""#).expect("a pair");
+        assert_eq!(pair.as_str(), Some("😀"));
+        for bad in [
+            r#""\ud800\uffff""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800x""#,
+            r#""\udc00""#,
+            r#""\u+041""#,
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.message.contains("\\u escape"), "{bad}: {err}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_parser(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            tokens in proptest::collection::vec(0usize..20, 0..64),
+        ) {
+            let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            // Mostly JSON: the parser gets past its first byte.
+            const ALPHABET: [&str; 20] = [
+                "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u", "d83d", "dc00",
+                "0", "-1.5e3", "18446744073709551616", "null", "tru", " ", "\"k\":",
+                "é", "\u{1}",
+            ];
+            let text: String = tokens.iter().map(|&t| ALPHABET[t]).collect();
+            if let Ok(v) = Json::parse(&text) {
+                proptest::prop_assert_eq!(Json::parse(&v.pretty()), Ok(v));
+            }
+        }
+
+        #[test]
+        fn any_nesting_depth_parses_or_errs(
+            depth in 0usize..100_001,
+            objects in proptest::prelude::any::<bool>(),
+            closed in proptest::prelude::any::<bool>(),
+        ) {
+            let parsed = Json::parse(&nested(depth, objects, closed));
+            proptest::prop_assert_eq!(parsed.is_ok(), closed && depth <= MAX_DEPTH);
+        }
     }
 }

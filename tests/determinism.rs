@@ -1,5 +1,6 @@
 //! Reproducibility: the whole stack is bit-deterministic per seed.
 
+use bounded_fairness::experiments::manifest::scenario_manifest;
 use bounded_fairness::experiments::{
     run_parallel_with_jobs, CongestionCase, GatewayKind, ScenarioSpec,
 };
@@ -98,4 +99,23 @@ fn determinism_holds_under_red_randomness() {
         )
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn with_shards_is_inert_at_every_count() {
+    // The engine has one execution domain; `with_shards` survives only for
+    // the benchmark harness, whose shard rung asserts equal digests at 1
+    // and 2. The whole rendered manifest must not depend on it.
+    let render = |shards: usize| {
+        let duration = SimDuration::from_secs(8);
+        let r = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
+            .with_duration(duration)
+            .with_shards(shards)
+            .run();
+        assert!(r.trace_events > 0);
+        scenario_manifest("case5_8s", duration, &[r]).pretty()
+    };
+    let one = render(1);
+    assert_eq!(one, render(2), "with_shards(2) moved the manifest");
+    assert_eq!(one, render(4), "with_shards(4) moved the manifest");
 }

@@ -11,10 +11,9 @@
 //! drop, transmission start, arrival and delivery with its timestamp), so
 //! any change to the engine, the queues, the transports or the RNG that
 //! shifts even one packet by one nanosecond fails these tests. Each
-//! scenario is run on one, two and four execution domains and its whole
-//! rendered manifest — digest, event count, headline metrics and registry
-//! — must equal the committed file byte for byte at every count: the
-//! domain count trades wall-clock only. Behavioural changes are fine —
+//! scenario's whole rendered manifest — digest, event count, headline
+//! metrics and registry — must equal the committed file byte for byte.
+//! Behavioural changes are fine —
 //! regenerate with
 //! `cargo test --test golden_digests -- --ignored regenerate` and commit
 //! the new manifests with an explanation.
@@ -65,27 +64,18 @@ fn scenario_for(name: &str) -> ScenarioSpec {
     }
 }
 
-/// Runs the pinned scenario on `shards` execution domains. On one domain
-/// a flight recorder is installed as the tracer: on a mismatch the last
-/// packet events of every channel go to stderr with the failure, turning
-/// "the hash changed" into something debuggable. The recorder cannot
-/// perturb the result — the digest is computed independently of the
-/// tracer slot. The slot promises time order, which only one domain
-/// gives, so the multi-domain runs go untraced; only their failure
-/// diagnostics get thinner.
-fn run_scenario(
-    name: &str,
-    shards: usize,
-) -> (ScenarioResult, Option<Rc<RefCell<FlightRecorder>>>) {
-    let scenario = scenario_for(name).with_shards(shards).build();
+/// Runs the pinned scenario with a flight recorder installed as the
+/// tracer: on a mismatch the last packet events of every channel go to
+/// stderr with the failure, turning "the hash changed" into something
+/// debuggable. The recorder cannot perturb the result — the digest is
+/// computed independently of the tracer slot.
+fn run_scenario(name: &str) -> (ScenarioResult, Rc<RefCell<FlightRecorder>>) {
+    let scenario = scenario_for(name).build();
     let mut world = scenario.build();
-    let recorder = (shards == 1).then(|| {
-        let recorder = Rc::new(RefCell::new(FlightRecorder::new(
-            telemetry::flight::DEFAULT_FLIGHT_DEPTH,
-        )));
-        world.engine.set_tracer(recorder.clone());
-        recorder
-    });
+    let recorder = Rc::new(RefCell::new(FlightRecorder::new(
+        telemetry::flight::DEFAULT_FLIGHT_DEPTH,
+    )));
+    world.engine.set_tracer(recorder.clone());
     (world.run(&scenario), recorder)
 }
 
@@ -125,21 +115,19 @@ fn check(name: &str) {
     let committed = std::fs::read_to_string(golden_path(name)).unwrap_or_else(|e| {
         panic!("missing committed golden manifest {name}: {e}; regenerate with `cargo test --test golden_digests -- --ignored regenerate`")
     });
-    for shards in [1, 2, 4] {
-        let (r, recorder) = run_scenario(name, shards);
-        // Dumps the ring to stderr iff the mismatch below panics.
-        let _flight = recorder.map(|rec| FlightDumpGuard::new(name, rec));
-        let candidate = manifest_of(name, &r);
-        if candidate.pretty() != committed {
-            eprintln!("{}", registry_diff_report(name, &committed, &candidate));
-            panic!(
-                "{name} on {shards} domain(s): the rendered manifest drifted from \
-                 the committed golden (this run's trace digest {:016x}, {} events) \
-                 — the registry diff above says which metrics moved; if the \
-                 behaviour change is intended, regenerate the goldens",
-                r.trace_digest, r.trace_events
-            );
-        }
+    let (r, recorder) = run_scenario(name);
+    // Dumps the ring to stderr iff the mismatch below panics.
+    let _flight = FlightDumpGuard::new(name, recorder);
+    let candidate = manifest_of(name, &r);
+    if candidate.pretty() != committed {
+        eprintln!("{}", registry_diff_report(name, &committed, &candidate));
+        panic!(
+            "{name}: the rendered manifest drifted from the committed golden \
+             (this run's trace digest {:016x}, {} events) — the registry diff \
+             above says which metrics moved; if the behaviour change is \
+             intended, regenerate the goldens",
+            r.trace_digest, r.trace_events
+        );
     }
 }
 
@@ -179,7 +167,7 @@ fn case5_droptail_reno_matches_committed_manifest() {
 #[ignore]
 fn regenerate() {
     for name in GOLDENS {
-        let (r, _) = run_scenario(name, 1);
+        let (r, _) = run_scenario(name);
         let path = golden_path(name);
         std::fs::write(&path, manifest_of(name, &r).pretty()).expect("write golden");
         eprintln!("wrote {}", path.display());

@@ -49,7 +49,6 @@ fn export_case5(dir: &std::path::Path) -> (Vec<u8>, u64) {
         .with_gateway(GatewayKind::Red)
         .with_duration(SimDuration::from_secs(20))
         .with_seed(1)
-        .with_shards(1)
         .build();
     let mut world = scenario.build();
     let opts = PcapOptions {
