@@ -222,6 +222,21 @@ fn field_usize(obj: &Json, key: &str, i: usize) -> Result<usize, String> {
         .ok_or_else(|| format!("event {i}: missing integer field {key:?}"))
 }
 
+fn field_u32(obj: &Json, key: &str, i: usize) -> Result<u32, String> {
+    let v = field_usize(obj, key, i)?;
+    u32::try_from(v).map_err(|_| format!("event {i}: field {key:?} = {v} is above {}", u32::MAX))
+}
+
+/// An optional field that, when present, must be an unsigned integer.
+fn field_opt_u64(obj: &Json, key: &str, i: usize) -> Result<Option<u64>, String> {
+    obj.get(key)
+        .map(|v| {
+            v.as_u64()
+                .ok_or_else(|| format!("event {i}: field {key:?} must be an unsigned integer"))
+        })
+        .transpose()
+}
+
 fn field_str(obj: &Json, key: &str, i: usize) -> Result<String, String> {
     obj.get(key)
         .and_then(Json::as_str)
@@ -259,14 +274,14 @@ pub fn events_from_json(json: &Json) -> Result<Vec<ScenarioEvent>, String> {
             "link_degrade" => EventCommand::LinkDegrade {
                 link: field_str(item, "link", i)?,
                 loss: field_f64(item, "loss", i)?,
-                bandwidth_pps: item.get("bandwidth_pps").and_then(Json::as_u64),
+                bandwidth_pps: field_opt_u64(item, "bandwidth_pps", i)?,
             },
             "link_restore" => EventCommand::LinkRestore {
                 link: field_str(item, "link", i)?,
             },
             "background_burst" => EventCommand::StartBackgroundFlow {
                 leaf: field_usize(item, "leaf", i)?,
-                packets: field_usize(item, "packets", i)? as u32,
+                packets: field_u32(item, "packets", i)?,
             },
             other => {
                 return Err(format!(
@@ -415,6 +430,35 @@ mod tests {
         let unknown = Json::parse(r#"[{"t_secs": 5.0, "command": "reboot"}]"#).unwrap();
         let err = events_from_json(&unknown).unwrap_err();
         assert!(err.contains("unknown command"), "{err}");
+    }
+
+    #[test]
+    fn a_burst_longer_than_u32_is_refused_not_wrapped() {
+        let big = Json::parse(
+            r#"[{"t_secs": 5.0, "command": "background_burst", "leaf": 1, "packets": 4294967301}]"#,
+        )
+        .unwrap();
+        let err = events_from_json(&big).unwrap_err();
+        assert!(
+            err.contains("event 0") && err.contains("\"packets\" = 4294967301"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_bandwidth_that_is_not_an_unsigned_integer_is_refused_not_dropped() {
+        for bw in ["1.5", "-5", "\"fast\""] {
+            let text = format!(
+                r#"[{{"t_secs": 1.0, "command": "link_restore", "link": "L1"}},
+                    {{"t_secs": 5.0, "command": "link_degrade", "link": "L1", "loss": 0.0,
+                      "bandwidth_pps": {bw}}}]"#
+            );
+            let err = events_from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(
+                err.contains("event 1") && err.contains("\"bandwidth_pps\""),
+                "{bw}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! is one packed word, and which kind of event carries which key is the
 //! whole ordering contract:
 //!
-//! | event                                   | key                                                   |
-//! |-----------------------------------------|-------------------------------------------------------|
-//! | timer, start, agent injection           | `(epoch, 0, seq)` — [`Calendar::schedule`]            |
-//! | arrival after an intra-region hop       | `(epoch, 0, seq)`, scheduled when transmission ends   |
-//! | transmission completion                 | `(epoch, 0, seq)` reserved when transmission *starts* |
+//! | event                                   | key                                                     |
+//! |-----------------------------------------|---------------------------------------------------------|
+//! | timer, start, agent injection           | `(epoch, 0, seq)` — [`Calendar::schedule`]              |
+//! | transmission completion                 | `(epoch, 0, seq)` reserved when transmission *starts*   |
+//! | arrival after an intra-region hop       | `(epoch, 0, seq)` reserved at the same *start*, next    |
 //! | arrival after a cross-region link hop   | `(epoch of the transmission's end, 1, region, channel)` |
 //!
 //! `seq` is a monotone schedule counter, so same-instant local events fire
@@ -19,7 +19,8 @@
 //! ([`Calendar::schedule_keyed`]) only once a packet is waiting behind it —
 //! possibly epochs later, possibly never; when it is filed it pops exactly
 //! where a `schedule` at the start would have put it, and every other local
-//! key of the run is the same either way.
+//! key of the run is the same either way. Every hop's arrival is filed when
+//! its transmission starts, the instant it will fire being known then.
 //!
 //! A cross-region arrival's key is a pure function of the message
 //! ([`boundary_key`]): it places the arrival, at its instant, after every
@@ -270,7 +271,7 @@ pub struct Calendar {
     next_seq: u64,
     /// The θ-grid epoch currently being executed (high bits of every
     /// locally scheduled event's key). Zero for an unpartitioned run; the
-    /// epoch executor advances it at each grid barrier.
+    /// engine's run loop advances it at each grid barrier.
     epoch: u64,
     len: usize,
     /// Chain links so far: filings and cascade relinks.

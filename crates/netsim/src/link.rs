@@ -17,10 +17,11 @@ use crate::time::{SimDuration, SimTime};
 
 /// The transmission in progress on a channel. Its completion has a
 /// calendar position — `(end, key)`, reserved when the transmission
-/// started — but not necessarily a calendar event: on a cross-region hop
-/// the event is filed only once a packet is waiting behind it, and a
-/// completion that never gets one is *settled* by the engine the next time
-/// anything looks at the channel.
+/// started — but not necessarily a calendar event: the event is filed only
+/// once a packet is waiting behind it, and a completion that never gets
+/// one is *settled* by the engine the next time anything looks at the
+/// channel. The packet's downstream arrival was filed when the
+/// transmission started.
 #[derive(Debug, Clone, Copy)]
 pub struct InService {
     /// When serialization finishes.
@@ -32,10 +33,6 @@ pub struct InService {
     /// `true` once a `TxComplete` event sits in the calendar at
     /// `(end, key)`.
     pub filed: bool,
-    /// The packet whose downstream arrival the completion must still
-    /// schedule (an intra-region hop); `None` when the arrival was filed
-    /// when the transmission started (a cross-region hop).
-    pub arrival: Option<PacketHandle>,
 }
 
 /// A unidirectional transmission channel with a finite buffer.
