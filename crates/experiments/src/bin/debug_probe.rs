@@ -37,9 +37,9 @@ fn main() {
 
     // The probe exists to look at time series, so the recorder is always
     // on here, configured by RLA_TELEMETRY_SAMPLE_MS/FORMAT/DIR. Samples
-    // stream to the file as they are recorded (flushed per line), so
-    // `rla_top results/debug_probe.timeline.jsonl` — or plain `tail -f`
-    // — follows the run live.
+    // stream to the file as they are recorded (written per sampling
+    // instant), so `rla_top results/debug_probe.timeline.jsonl` — or
+    // plain `tail -f` — follows the run live.
     let (r, rec) = world.run_with_telemetry_streamed(&scenario, &cfg.telemetry, "debug_probe");
     // The file `stream_to` opened: `<dir>/<stem>.timeline.<ext>`.
     let path = cfg.telemetry.dir.join(format!(

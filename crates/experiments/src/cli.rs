@@ -64,7 +64,9 @@ const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
 /// The `RLA_PCAP*` knob group. The defaults mean "off": packet capture
 /// costs nothing unless asked for. On, every run the
 /// [`Pool`](crate::runner::Pool) executes streams one capture file, whose
-/// memory cost is a write buffer whatever the run length.
+/// memory cost is one write buffer
+/// ([`WRITE_BUFFER_BYTES`](telemetry::pcap::WRITE_BUFFER_BYTES)) whatever
+/// the run length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapOptions {
     /// Write a capture file per scenario run (`RLA_PCAP=1`/`on`, or a
@@ -110,7 +112,8 @@ pub struct TelemetryOptions {
     pub format: TimelineFormat,
     /// Directory timeline files are written to (`RLA_TELEMETRY_DIR`; a
     /// parsed config defaults it to the results dir, [`Default`] to
-    /// `results/`).
+    /// `results/`). A streamed timeline is written per sampling instant,
+    /// so a live reader is at most one `sample_period` behind the run.
     pub dir: PathBuf,
     /// Caller-set only (no knob): flight-recorder ring depth per channel
     /// for callers that install one (default 64).

@@ -627,11 +627,12 @@ impl ScenarioWorld {
     /// run is identical to an unsampled one — telemetry observes, never
     /// perturbs.
     ///
-    /// Every sample is streamed to `<dir>/<stem>.timeline.<ext>` as it is
-    /// recorded (flushed per line), so `tail -f` and `rla_top` follow the
-    /// run live instead of waiting for the end of the run. The streamed
-    /// file is byte-identical to what [`TimelineRecorder::render`]
-    /// returns afterwards — samples are recorded in render order.
+    /// Every sample is streamed to `<dir>/<stem>.timeline.<ext>` (written
+    /// per sampling instant, whole lines), so `tail -f` and `rla_top`
+    /// follow the run live, one sampling period behind, instead of waiting
+    /// for the end of the run. The streamed file is byte-identical to what
+    /// [`TimelineRecorder::render`] returns afterwards — samples are
+    /// recorded in render order.
     pub fn run_with_telemetry_streamed(
         &mut self,
         scenario: &TreeScenario,

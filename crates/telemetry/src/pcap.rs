@@ -29,9 +29,10 @@
 //! `Engine::run_until`), so each record is framed and written when its
 //! event is dispatched — framed once, by the module's one framer, in a
 //! [`FRAME_MAX`]` + 16`-byte stack buffer, with no allocation per record.
-//! Memory is one [`WRITE_BUFFER_BYTES`] buffer
-//! whatever the run length, and a run that dies mid-way leaves a capture
-//! that ends — possibly mid-record — where the run did, which is why
+//! Memory is one [`WRITE_BUFFER_BYTES`] buffer whatever the run length,
+//! handed to the file in one `write` call each time it fills, and a run
+//! that dies mid-way leaves a capture that ends — possibly mid-record —
+//! where the run did, which is why
 //! [`PcapReader`] reports truncation as an error with its byte offset
 //! instead of panicking.
 //!
@@ -63,9 +64,11 @@ pub const DEFAULT_SNAPLEN: u32 = 128;
 /// names it in a struct literal; ROADMAP item 4(b) deletes it).
 pub const DEFAULT_SPOOL_RECORDS: usize = 65_536;
 /// Capacity of a capture file's write buffer — all the memory a capture
-/// holds, whatever the run length (≈ 107 records of the case-5 mix's
-/// 76.7 B per `write` call).
-pub const WRITE_BUFFER_BYTES: usize = 8 * 1024;
+/// holds, whatever the run length. The file grows one full buffer per
+/// `write` call: ≈ 3 400 records of the case-5 mix's 76.7 B, so a 60 s
+/// case-5 capture (≈ 240 MB) costs ≈ 900 calls, not the ≈ 29 000 of an
+/// 8 KiB buffer (DESIGN.md §10 has the measurement).
+pub const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 /// Bytes of synthetic payload carried by the UDP framing (kind tag,
 /// flags, and the 64-bit sequence or cumulative-ack number).
 pub const RLA_PAYLOAD_LEN: usize = 12;
@@ -426,7 +429,9 @@ fn frame_record(buf: &mut [u8; RECORD_MAX], snaplen: u32, now: SimTime, packet: 
 /// the moment a packet starts serializing onto a link, so the record
 /// count equals the run digest's `tx_starts` counter — as the callback
 /// arrives: the slot's time order (module docs) makes the file
-/// chronological with nothing held back but [`WRITE_BUFFER_BYTES`].
+/// chronological with nothing held back but one [`WRITE_BUFFER_BYTES`]
+/// block, so the file grows a block at a time and its last partial block
+/// lands at [`finish`].
 ///
 /// Tracing has no `Result` channel, so the first write error is latched:
 /// nothing more is written and [`finish`] returns it, after the run,
@@ -1423,20 +1428,87 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
     }
 
+    /// The shortest record: a TCP data segment, 54 B of frame like every
+    /// UDP kind (`tcp_data` frames to it).
+    const SHORTEST_RECORD: usize =
+        RECORD_HEADER_LEN + ETH_HEADER_LEN + IPV4_HEADER_LEN + TCP_BASE_HEADER_LEN;
+
+    /// Enough `tcp_data` records to fill the write buffer twice, so a
+    /// test tracing them sees the buffer reach the file mid-run.
+    fn two_buffers_of_records() -> u64 {
+        let shortest = record_bytes(DEFAULT_SNAPLEN, SimTime::ZERO, &tcp_data(0)).len();
+        assert_eq!(shortest, SHORTEST_RECORD);
+        (2 * WRITE_BUFFER_BYTES).div_ceil(SHORTEST_RECORD) as u64
+    }
+
     #[test]
     fn a_tracer_dropped_without_finish_leaves_what_it_traced() {
         // A scenario that panics mid-run never reaches `finish`; the
         // capture must still hold every record traced before the unwind.
         let path = unit_path("dropped.pcap");
         let mut t = PcapTracer::create(&path, DEFAULT_SNAPLEN).unwrap();
-        for i in 0..300 {
+        let n = two_buffers_of_records();
+        for i in 0..n {
             tx_start(&mut t, i * 1_000, &tcp_data(i));
         }
         drop(t);
         let bytes = std::fs::read(&path).unwrap();
         let recs = PcapReader::new(&bytes).unwrap().records().unwrap();
-        assert_eq!(recs.len(), 300, "more than one buffer's worth survives");
-        assert_eq!(recs[299].net.as_ref().unwrap().seq, 299);
+        assert_eq!(
+            recs.len() as u64,
+            n,
+            "more than one buffer's worth survives"
+        );
+        assert_eq!(recs.last().unwrap().net.as_ref().unwrap().seq, n as u32 - 1);
+    }
+
+    #[test]
+    fn the_capture_reaches_its_file_a_buffer_at_a_time() {
+        // One `write` call per full buffer, not per record: nothing a
+        // digest can see, so the file's growth is what is pinned.
+        let path = unit_path("blocks.pcap");
+        let mut t = PcapTracer::create(&path, DEFAULT_SNAPLEN).unwrap();
+        let on_disk = || std::fs::metadata(&path).unwrap().len() as usize;
+        let widest: SackList = (0..MAX_SACK_BLOCKS as u64)
+            .map(|i| SackBlock {
+                start: 10 * i + 3,
+                end: 10 * i + 5,
+            })
+            .collect();
+        // The shortest record and the longest in turn, so buffers end at
+        // varied offsets.
+        let packets = [tcp_data(1), tcp_ack(2, widest)];
+        let trace = |t: &mut PcapTracer, i: usize| {
+            let p = &packets[i % 2];
+            tx_start(t, i as u64, p);
+            record_bytes(DEFAULT_SNAPLEN, SimTime::ZERO, p).len()
+        };
+        let mut traced = 24; // the global header
+        let mut i = 0;
+        while traced + RECORD_MAX <= WRITE_BUFFER_BYTES {
+            traced += trace(&mut t, i);
+            i += 1;
+        }
+        assert_eq!(on_disk(), 0, "less than a buffer's worth stays buffered");
+        let mut growths = Vec::new();
+        let mut last = 0;
+        for i in i..i + 3 * WRITE_BUFFER_BYTES / SHORTEST_RECORD {
+            traced += trace(&mut t, i);
+            let now = on_disk();
+            if now != last {
+                growths.push(now - last);
+                last = now;
+            }
+        }
+        assert!(growths.len() >= 3, "{growths:?}");
+        assert!(
+            growths
+                .iter()
+                .all(|&g| g >= WRITE_BUFFER_BYTES - RECORD_MAX),
+            "the file grew by less than a buffer: {growths:?}"
+        );
+        t.finish().unwrap();
+        assert_eq!(on_disk(), traced, "finish writes the rest");
     }
 
     #[cfg(target_os = "linux")]
@@ -1446,15 +1518,16 @@ mod tests {
         let mut t = PcapTracer::create(Path::new("/dev/full"), DEFAULT_SNAPLEN).unwrap();
         // Enough records to overflow the write buffer mid-run: `trace`
         // must absorb the failure, not panic inside the event loop.
-        for i in 0..300 {
+        let n = two_buffers_of_records();
+        for i in 0..n {
             tx_start(&mut t, i * 1_000, &tcp_data(i));
         }
         let written = t.records();
-        assert!(written < 300, "writing stops at the first error");
+        assert!(written < n, "writing stops at the first error");
         let err = t.finish().expect_err("the latched error surfaces");
         assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
         assert!(t.finish().is_err(), "and stays latched");
-        tx_start(&mut t, 1_000_000, &tcp_data(300));
+        tx_start(&mut t, 1_000_000, &tcp_data(n));
         assert_eq!(t.records(), written, "nothing is written after it");
         // A short capture fails at the flush instead.
         let mut t = PcapTracer::create(Path::new("/dev/full"), DEFAULT_SNAPLEN).unwrap();

@@ -119,4 +119,60 @@ mod tests {
         std::fs::write(&path, "{\"a\":9}\n").unwrap();
         assert_eq!(tail.poll().unwrap(), vec!["{\"a\":9}".to_string()]);
     }
+
+    #[test]
+    fn a_shrunk_file_drops_the_torn_line_it_cut() {
+        let path = temp_file("shrunk.jsonl");
+        // A whole line, then a torn one that ends inside a two-byte 'é'.
+        let old = "{\"a\":1}\n{\"é\":2}\n";
+        std::fs::write(&path, &old.as_bytes()[..11]).unwrap();
+        let mut tail = JsonlTail::new(&path);
+        assert_eq!(tail.poll().unwrap(), vec!["{\"a\":1}".to_string()]);
+        // Recreated shorter than the offset already read: the held-back
+        // bytes belonged to the old file and must not prefix the new one.
+        std::fs::write(&path, "{\"b\":2}\n").unwrap();
+        assert_eq!(tail.poll().unwrap(), vec!["{\"b\":2}".to_string()]);
+        assert!(tail.poll().unwrap().is_empty());
+    }
+
+    /// Characters of one to four UTF-8 bytes, JSON punctuation among
+    /// them, so a cut can land inside any of them.
+    const ALPHABET: [char; 8] = ['{', '"', ':', '7', 'é', 'λ', '€', '𝄞'];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Lines (empty ones included) appended in chunks that cut them at
+        /// arbitrary bytes come back from a poll after every chunk exactly
+        /// as written, in order, each once, and only when whole.
+        #[test]
+        fn tail_returns_whole_lines_at_any_write_granularity(
+            raw in proptest::collection::vec(proptest::collection::vec(0usize..8, 0..12), 0..24),
+            chunks in proptest::collection::vec(1usize..48, 1..16),
+        ) {
+            let lines: Vec<String> = raw
+                .iter()
+                .map(|l| l.iter().map(|&c| ALPHABET[c]).collect())
+                .collect();
+            let text: String = lines.iter().map(|l| format!("{l}\n")).collect();
+            let bytes = text.as_bytes();
+            let path = temp_file("chunks.jsonl");
+            let mut f = std::fs::File::create(&path).unwrap();
+            let mut tail = JsonlTail::new(&path);
+            let mut seen: Vec<String> = Vec::new();
+            let mut at = 0;
+            for &n in chunks.iter().cycle() {
+                if at == bytes.len() {
+                    break;
+                }
+                let end = (at + n).min(bytes.len());
+                f.write_all(&bytes[at..end]).unwrap();
+                at = end;
+                seen.extend(tail.poll().unwrap());
+                let whole = bytes[..at].iter().filter(|&&b| b == b'\n').count();
+                proptest::prop_assert_eq!(&seen[..], &lines[..whole], "after byte {}", at);
+            }
+            proptest::prop_assert_eq!(seen, lines);
+        }
+    }
 }

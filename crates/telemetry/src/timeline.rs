@@ -18,9 +18,11 @@
 //! * buffered — [`TimelineRecorder::render`] renders everything held
 //!   at the end of the run;
 //! * streaming — [`TimelineRecorder::stream_to`] opens the file up
-//!   front and appends+flushes one line per recorded sample, so `tail
-//!   -f` and the `rla_top` dashboard see samples as the run produces
-//!   them. Samples recorded in chronological order stream byte-identical
+//!   front and writes each sampling instant's lines in one `write` call
+//!   when the first sample of a later instant arrives (the last instant at
+//!   [`TimelineRecorder::finish_stream`]), so `tail -f` and the `rla_top`
+//!   dashboard see whole lines at most one sampling period behind the
+//!   run. Samples recorded in chronological order stream byte-identical
 //!   to the buffered render.
 //!
 //! [`QueueSeriesTracer`] bridges the engine's event stream into a
@@ -29,7 +31,7 @@
 //! the §3.1 buffer-period analysis segments.
 
 use std::cell::RefCell;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
@@ -118,7 +120,12 @@ pub struct SeriesId(usize);
 /// [`TimelineRecorder::stream_to`]).
 #[derive(Debug)]
 struct TimelineStream {
-    out: std::fs::File,
+    /// Holds the lines of `instant`, flushed when a later one begins.
+    out: BufWriter<std::fs::File>,
+    /// The time stamp of the samples `out` holds.
+    instant: SimTime,
+    /// One rendered line, reused for every sample.
+    line: String,
     format: TimelineFormat,
     path: PathBuf,
     /// First I/O error, sticky — recording must not panic mid-run on a
@@ -148,10 +155,11 @@ impl TimelineRecorder {
 
     /// Switch the recorder to streaming export: open
     /// `<dir>/<stem>.timeline.<ext>` now (creating `dir`), write the CSV
-    /// header if applicable, and from here on append+flush one line per
-    /// recorded sample — so a live `tail -f` (or `rla_top`) sees samples
-    /// as soon as they are recorded instead of at the end of the run.
-    /// Returns the path opened.
+    /// header if applicable, and from here on write each sampling
+    /// instant's lines once the next instant's first sample is recorded
+    /// — so a live `tail -f` (or `rla_top`) follows the run a sampling
+    /// period behind instead of waiting for its end. Returns the path
+    /// opened.
     pub fn stream_to(
         &mut self,
         dir: &Path,
@@ -166,7 +174,9 @@ impl TimelineRecorder {
             out.flush()?;
         }
         self.stream = Some(TimelineStream {
-            out,
+            out: BufWriter::new(out),
+            instant: SimTime::ZERO,
+            line: String::new(),
             format,
             path: path.clone(),
             error: None,
@@ -174,10 +184,11 @@ impl TimelineRecorder {
         Ok(path)
     }
 
-    /// Finish a streaming export: flush and close the file, surfacing
-    /// any I/O error recording swallowed. `Ok(None)` when the recorder
-    /// was not streaming. The in-memory series survive, so `render`
-    /// still works afterwards.
+    /// Finish a streaming export: write the last instant's lines and
+    /// close the file, surfacing any I/O error recording swallowed. A
+    /// recorder dropped without it still writes them, but cannot report
+    /// an error. `Ok(None)` when the recorder was not streaming. The
+    /// in-memory series survive, so `render` still works afterwards.
     pub fn finish_stream(&mut self) -> io::Result<Option<PathBuf>> {
         let Some(mut s) = self.stream.take() else {
             return Ok(None);
@@ -189,7 +200,8 @@ impl TimelineRecorder {
         Ok(Some(s.path))
     }
 
-    /// Append+flush one rendered sample line to the stream, if active.
+    /// Buffer one rendered sample line in the stream, if active, after
+    /// writing out the previous instant's lines if `t` begins a new one.
     fn stream_sample(&mut self, series_index: usize, t: SimTime, sample: &Sample) {
         let Some(stream) = self.stream.as_mut() else {
             return;
@@ -197,19 +209,22 @@ impl TimelineRecorder {
         if stream.error.is_some() {
             return;
         }
+        // The previous instant goes out in one `write` (one wider than the
+        // buffer's 8 KiB in several), and the buffer only ever holds whole
+        // lines, so a concurrent reader never sees a torn line tail.
+        let written = if t == stream.instant {
+            Ok(())
+        } else {
+            stream.instant = t;
+            stream.out.flush()
+        };
         let s = &self.series[series_index];
-        let mut line = String::new();
+        stream.line.clear();
         match stream.format {
-            TimelineFormat::Jsonl => render_jsonl(&mut line, t, &s.name, s.kind, sample),
-            TimelineFormat::Csv => render_csv(&mut line, t, &s.name, s.kind, sample),
+            TimelineFormat::Jsonl => render_jsonl(&mut stream.line, t, &s.name, s.kind, sample),
+            TimelineFormat::Csv => render_csv(&mut stream.line, t, &s.name, s.kind, sample),
         }
-        // One write + flush per line: line-buffered semantics, so a
-        // concurrent reader never sees a torn line tail.
-        if let Err(e) = stream
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.out.flush())
-        {
+        if let Err(e) = written.and_then(|()| stream.out.write_all(stream.line.as_bytes())) {
             stream.error = Some(e);
         }
     }
@@ -586,46 +601,61 @@ mod tests {
     }
 
     #[test]
-    fn streaming_is_readable_mid_run_line_by_line() {
+    fn streaming_is_readable_mid_run_an_instant_at_a_time() {
         let dir = temp_dir("midrun");
-        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
-        let f = r.add_flow("rla.0", "rla");
+        let period = SimDuration::from_millis(500);
+        let mut r = TimelineRecorder::new(period);
+        // An unstreamed twin renders what the file should hold.
+        let mut twin = TimelineRecorder::new(period);
+        let series = |rec: &mut TimelineRecorder| {
+            [
+                rec.add_flow("rla.0", "rla"),
+                rec.add_flow("tcp.0", "reno"),
+                rec.add_channel("chan.L1"),
+            ]
+        };
+        let ids = series(&mut r);
+        assert_eq!(series(&mut twin), ids);
+        // Sample `i` of instant `k`, the same for both recorders.
+        let record = |rec: &mut TimelineRecorder, k: u64, i: usize| {
+            let t = SimTime::ZERO + period * k;
+            if i == 2 {
+                let sample = ChannelSample {
+                    qlen: k as usize,
+                    red_avg: None,
+                };
+                rec.record_channel(ids[i], t, sample);
+            } else {
+                let sample = FlowSample {
+                    cwnd: k as f64 + i as f64 / 4.0,
+                    ..Default::default()
+                };
+                rec.record_flow(ids[i], t, sample);
+            }
+        };
         let path = r.stream_to(&dir, "live", TimelineFormat::Jsonl).unwrap();
+        let on_disk = || std::fs::read_to_string(&path).unwrap();
 
         // Nothing recorded yet: file exists and is empty.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        assert_eq!(on_disk(), "");
 
-        r.record_flow(
-            f,
-            SimTime::from_secs(1),
-            FlowSample {
-                cwnd: 4.0,
-                ..Default::default()
-            },
-        );
-        // The defining property: the sample is on disk *now*, while the
-        // recorder is still live and more samples are coming.
-        let mid = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(mid.lines().count(), 1, "{mid:?}");
-        assert!(mid.ends_with('\n'), "no torn line tail: {mid:?}");
-        assert!(mid.contains("\"cwnd\":4"), "{mid}");
-
-        r.record_flow(
-            f,
-            SimTime::from_secs(2),
-            FlowSample {
-                cwnd: 5.0,
-                ..Default::default()
-            },
-        );
+        // The defining property: after any sample of instant k, the file
+        // holds exactly the lines of the instants before k — whole lines,
+        // written once the next instant begins, never one by one.
+        for k in 0..4 {
+            let before_k = twin.render(TimelineFormat::Jsonl);
+            for i in 0..ids.len() {
+                record(&mut r, k, i);
+                record(&mut twin, k, i);
+                assert_eq!(on_disk(), before_k, "instant {k}, sample {i}");
+            }
+        }
         let finished = r.finish_stream().unwrap().expect("was streaming");
         assert_eq!(finished, path);
-        // Chronologically-recorded samples stream byte-identical to the
-        // buffered render.
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            r.render(TimelineFormat::Jsonl)
-        );
+        // `finish_stream` adds the last instant: chronologically-recorded
+        // samples stream byte-identical to the buffered render.
+        assert_eq!(on_disk(), r.render(TimelineFormat::Jsonl));
+        assert_eq!(on_disk().lines().count(), 4 * ids.len());
     }
 
     #[test]
