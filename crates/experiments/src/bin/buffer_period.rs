@@ -17,7 +17,7 @@ use std::rc::Rc;
 use experiments::prelude::*;
 use netsim::prelude::*;
 use tcp_sack::{TcpConfig, TcpReceiver, TcpSender};
-use telemetry::{QueueSeriesTracer, TimelineRecorder};
+use telemetry::QueueSeriesTracer;
 
 fn main() {
     // 100 pkt/s bottleneck, 50 ms one-way => RTT 0.1 s, BDP 10 < buffer 20.
@@ -37,23 +37,15 @@ fn main() {
     engine.compute_routes();
     engine.start_agent_at(tx, SimTime::ZERO);
 
-    // Every enqueue/transmit at the bottleneck lands in a timeline
-    // channel series (the same machinery the RLA_TELEMETRY runs use);
-    // the tracer's change series is what QueueLengthTracer used to hold.
-    let recorder = Rc::new(RefCell::new(TimelineRecorder::new(
-        SimDuration::from_millis(500),
-    )));
-    let tracer = Rc::new(RefCell::new(QueueSeriesTracer::new(
-        recorder,
-        down,
-        "chan.bottleneck",
-    )));
+    // The tracer keeps the bottleneck's queue length at every enqueue and
+    // transmission start, and every drop there.
+    let tracer = Rc::new(RefCell::new(QueueSeriesTracer::new(down)));
     engine.set_tracer(tracer.clone());
     let duration = cfg.capped_duration(600.0).as_secs_f64();
     engine.run_until(SimTime::from_secs_f64(duration));
 
     let trace = tracer.borrow();
-    let samples = trace.samples();
+    let samples = &trace.samples;
     let rtt = 0.1 + 20.0 / 100.0 * 0.5; // base RTT + typical queueing
     println!("§3.1 — buffer occupancy at a drop-tail bottleneck (cap 20, RTT ≈ {rtt:.2} s)");
     let window: Vec<(SimTime, usize)> = samples
@@ -76,7 +68,7 @@ fn main() {
     let mut period_start: Option<f64> = None;
     let mut full_start: Option<f64> = None;
     let mut reached_full = false;
-    for &(t, q) in &samples {
+    for &(t, q) in samples {
         let ts = t.as_secs_f64();
         if ts < 20.0 {
             continue; // skip slow-start transient

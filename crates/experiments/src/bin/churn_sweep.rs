@@ -29,8 +29,6 @@ use telemetry::MetricValue;
 const DEFAULT_CHURN_RATE: f64 = 0.2;
 /// The sweep's default background load when `RLA_BG_LOAD` is unset/0.
 const DEFAULT_BG_LOAD: f64 = 2.0;
-/// Mean background flow length, packets.
-const BG_MEAN_PACKETS: f64 = 20.0;
 
 fn main() {
     let cfg = RunConfig::from_env();
@@ -69,18 +67,21 @@ fn main() {
     // file instead of truncating what the previous one wrote.
     let pool = Pool::new(&cfg);
     for (name, with_churn, with_bg) in combos {
+        // Each combination is the configuration with its own dynamics; the
+        // events file rides with the churn.
+        let combo = RunConfig {
+            churn_rate: if with_churn { churn } else { 0.0 },
+            bg_load: if with_bg { bg } else { 0.0 },
+            events: if with_churn {
+                cfg.events.clone()
+            } else {
+                Vec::new()
+            },
+            ..cfg.clone()
+        };
         let scenarios: Vec<TreeScenario> = CongestionCase::FIGURE7_CASES
             .iter()
-            .map(|&case| {
-                let mut spec = cfg.spec(case).with_duration(duration);
-                if with_churn {
-                    spec = spec.with_churn_rate(churn).with_events(cfg.events.clone());
-                }
-                if with_bg {
-                    spec = spec.with_background_load(bg, BG_MEAN_PACKETS);
-                }
-                spec.build()
-            })
+            .map(|&case| combo.spec(case).with_duration(duration).build())
             .collect();
         let results = pool.run(scenarios);
         for r in &results {

@@ -17,8 +17,6 @@ use experiments::prelude::*;
 use netsim::prelude::*;
 use rla::{McastReceiver, RlaConfig, RlaSender};
 use tcp_sack::{TcpConfig, TcpReceiver, TcpSender};
-use telemetry::timeline::Sample;
-use telemetry::{FlowProbe, TimelineRecorder};
 
 fn particle_view() -> experiments::Json {
     // pipe 40 shared by the two sessions themselves -> fair point (20,20).
@@ -87,46 +85,23 @@ fn full_sim_view(cfg: &RunConfig) -> experiments::Json {
         t += SimDuration::from_millis(173);
     }
 
-    // Sample both senders into a telemetry timeline every 0.2 s after
-    // warmup, then regenerate the density map from the recorded series —
-    // the same dump an RLA_TELEMETRY run writes, so the figure can be
-    // rebuilt from a .timeline.jsonl file without re-simulating.
+    // Sample both session windows every 0.2 s after warmup into the
+    // density histogram.
     let duration = cfg.capped_duration(1200.0).as_secs_f64();
     let warmup = 50.0f64.min(duration / 4.0);
     engine.run_until(SimTime::from_secs_f64(warmup));
-    let mut rec = TimelineRecorder::new(SimDuration::from_millis(200));
-    let sids = [
-        rec.add_flow("rla.0".to_string(), "rla"),
-        rec.add_flow("rla.1".to_string(), "rla"),
-    ];
-    let mut now = warmup;
-    while now < duration {
-        now += 0.2;
-        engine.run_until(SimTime::from_secs_f64(now));
-        let t = SimTime::from_secs_f64(now);
-        for (sid, &a) in sids.iter().zip(&rla_senders) {
-            let s: &RlaSender = engine.agent_as(a).expect("sender");
-            rec.record_flow(*sid, t, s.flow_sample());
-        }
-    }
-
-    // Regeneration pass: fold the two cwnd series into the histogram.
-    let cwnd_series = |i: usize| -> Vec<f64> {
-        rec.series()[i]
-            .samples
-            .iter()
-            .map(|(_, s)| match s {
-                Sample::Flow(f) => f.cwnd,
-                Sample::Channel(_) => unreachable!("flow series"),
-            })
-            .collect()
-    };
-    let (w1s, w2s) = (cwnd_series(0), cwnd_series(1));
     let grid = 60usize;
     let mut histogram = vec![vec![0u64; grid + 1]; grid + 1];
     let mut sum = [0.0f64; 2];
     let mut samples = 0u64;
-    for (&w1, &w2) in w1s.iter().zip(&w2s) {
+    let mut now = warmup;
+    while now < duration {
+        now += 0.2;
+        engine.run_until(SimTime::from_secs_f64(now));
+        let [w1, w2] = [0, 1].map(|i| {
+            let s: &RlaSender = engine.agent_as(rla_senders[i]).expect("sender");
+            s.cwnd()
+        });
         sum[0] += w1;
         sum[1] += w2;
         samples += 1;

@@ -61,6 +61,9 @@ pub const KNOWN_ENV_VARS: [&str; 15] = [
 /// binary's own default says.
 const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
 
+/// Mean length, in packets, of the `RLA_BG_LOAD` background flows.
+pub const BG_MEAN_PACKETS: f64 = 20.0;
+
 /// The `RLA_PCAP*` knob group. The defaults mean "off": packet capture
 /// costs nothing unless asked for. On, every run the
 /// [`Pool`](crate::runner::Pool) executes streams one capture file, whose
@@ -96,10 +99,11 @@ impl Default for PcapOptions {
 }
 
 /// The `RLA_TELEMETRY*` knob group: how a timeline-recording run samples
-/// and where it writes. Recording itself is the caller's decision
-/// (`ScenarioWorld::run_with_telemetry_streamed`), never the
-/// environment's — the golden digests and the benchmark's end-to-end
-/// workloads run without it.
+/// and where it writes. Recording itself is the caller's decision — it
+/// attaches a timeline to the world (`ScenarioWorld::attach_timeline`, or
+/// `run_with_telemetry_streamed`, which attaches one built from these
+/// options), never the environment's. An attached timeline changes
+/// neither the run's trace digest nor its manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
     /// Caller-set only (no knob): marks a config whose owner records
@@ -151,11 +155,12 @@ pub struct RunConfig {
     /// `RLA_RESULTS_DIR` — where run manifests go (default `results/` in
     /// the current directory, the workspace root under `cargo run`).
     pub results_dir: PathBuf,
-    /// `RLA_CHURN_RATE` — receiver leave/rejoin events per second for the
-    /// dynamic-scenario binaries (default 0 — static membership).
+    /// `RLA_CHURN_RATE` — synthesized receiver leave/rejoin events per
+    /// second (default 0 — static membership).
     pub churn_rate: f64,
-    /// `RLA_BG_LOAD` — Poisson background short-flow arrivals per second
-    /// (default 0 — no cross traffic).
+    /// `RLA_BG_LOAD` — Poisson background short-flow arrivals per second,
+    /// [`BG_MEAN_PACKETS`] packets long on average (default 0 — no cross
+    /// traffic).
     pub bg_load: f64,
     /// `RLA_EVENTS_FILE` — the event schedule read from that path: a JSON
     /// array of event objects (or an object with an `"events"` array — a
@@ -309,15 +314,22 @@ impl RunConfig {
         SimDuration::from_secs_f64(self.run_duration().as_secs_f64().min(cap_secs))
     }
 
-    /// The paper scenario for `case` under this config's seed and
-    /// background TCP flavor. Every tree-scenario binary builds its specs
-    /// from here, so a knob the unknown-name check accepts is a knob the
-    /// run honours; duration stays with the binary, whose budget rule
-    /// differs.
+    /// The paper scenario for `case` under this config's seed, background
+    /// TCP flavor and dynamics (churn rate, background load, events file).
+    /// Every tree-scenario binary builds its specs from here, so a knob the
+    /// unknown-name check accepts is a knob the run honours; duration
+    /// stays with the binary, whose budget rule differs.
     pub fn spec(&self, case: CongestionCase) -> ScenarioSpec {
-        ScenarioSpec::paper(case)
+        let spec = ScenarioSpec::paper(case)
             .with_seed(self.seed)
             .with_tcp_cc(self.tcp_cc)
+            .with_churn_rate(self.churn_rate)
+            .with_events(self.events.clone());
+        if self.bg_load > 0.0 {
+            spec.with_background_load(self.bg_load, BG_MEAN_PACKETS)
+        } else {
+            spec
+        }
     }
 }
 
@@ -606,10 +618,25 @@ mod tests {
     }
 
     #[test]
-    fn spec_carries_the_configured_seed_and_tcp_cc() {
+    fn spec_carries_every_scenario_knob() {
         // Every tree-scenario binary's shape: it adds only its own
-        // duration rule.
-        let cfg = config(&[("RLA_TCP_CC", "reno"), ("RLA_SEED", "7")]);
+        // duration rule, so the spec must honour every knob that shapes a
+        // run, the three dynamics knobs included.
+        let events = vec![
+            ScenarioEvent::leave(25.0, 0, 2),
+            ScenarioEvent::degrade(30.0, "L2.1", 0.03, Some(800)),
+        ];
+        let dir = std::env::temp_dir().join("rla_cli_spec_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("events.json");
+        std::fs::write(&path, crate::events::events_json(&events).pretty()).unwrap();
+        let cfg = config(&[
+            ("RLA_TCP_CC", "reno"),
+            ("RLA_SEED", "7"),
+            ("RLA_CHURN_RATE", "0.5"),
+            ("RLA_BG_LOAD", "3"),
+            ("RLA_EVENTS_FILE", path.to_str().unwrap()),
+        ]);
         let s = cfg
             .spec(CongestionCase::Case1RootLink)
             .with_duration(cfg.run_duration())
@@ -617,20 +644,26 @@ mod tests {
         assert_eq!(s.tcp_cc.name(), "reno");
         assert_eq!(s.seed, 7);
         assert_eq!(s.duration, SimDuration::from_secs(3000));
+        let load = s.bg_load.map(|l| (l.flows_per_sec, l.mean_flow_packets));
+        assert_eq!(load, Some((3.0, BG_MEAN_PACKETS)));
+        // The events file round-trips through the JSON format and reaches
+        // the spec beside the synthesized churn.
+        assert_eq!(cfg.events, events);
+        assert!(events.iter().all(|ev| s.events.contains(ev)));
+        assert!(s.events.len() > events.len(), "churn is synthesized");
+        // With no knob set, the spec is the static paper scenario.
+        let plain = config(&[]).spec(CongestionCase::Case1RootLink).build();
+        assert!(plain.events.is_empty() && plain.bg_load.is_none());
     }
 
     #[test]
-    fn events_file_round_trips_through_the_json_format() {
-        use crate::events::events_json;
-        let events = vec![
-            ScenarioEvent::leave(25.0, 0, 2),
-            ScenarioEvent::degrade(30.0, "L2.1", 0.03, Some(800)),
-        ];
-        let dir = std::env::temp_dir().join("rla_cli_events_test");
+    #[should_panic(expected = "torn_events.json\": invalid JSON: unterminated string at byte 33")]
+    fn a_torn_events_file_fails_naming_the_path_and_the_byte_offset() {
+        let dir = std::env::temp_dir().join("rla_cli_torn_events_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.json");
-        std::fs::write(&path, events_json(&events).pretty()).unwrap();
-        let cfg = config(&[("RLA_EVENTS_FILE", path.to_str().unwrap())]);
-        assert_eq!(cfg.events, events);
+        let path = dir.join("torn_events.json");
+        // A schedule cut off mid-write.
+        std::fs::write(&path, r#"[{"t_secs": 25.0, "command": "rec"#).unwrap();
+        config(&[("RLA_EVENTS_FILE", path.to_str().unwrap())]);
     }
 }

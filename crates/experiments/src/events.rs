@@ -461,6 +461,65 @@ mod tests {
         }
     }
 
+    /// `"key": value` members an event object may carry: hostile ones (out
+    /// of range, wrong type, signed zero) among valid ones.
+    const MEMBERS: [&str; 16] = [
+        r#""t_secs": 1e308"#,
+        r#""t_secs": -0.0"#,
+        r#""t_secs": "25""#,
+        r#""t_secs": 5"#,
+        r#""command": "receiver_leave""#,
+        r#""command": "link_degrade""#,
+        r#""command": "background_burst""#,
+        r#""command": 7"#,
+        r#""packets": 18446744073709551615"#,
+        r#""packets": 15"#,
+        r#""leaf": 1.5"#,
+        r#""leaf": 3"#,
+        r#""session": 0"#,
+        r#""link": "L2.1""#,
+        r#""loss": 0.03"#,
+        r#""bandwidth_pps": -5"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_loader_never_panics_and_names_the_event_it_refuses(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            events in proptest::collection::vec(
+                proptest::collection::vec(0usize..MEMBERS.len(), 0..8),
+                0..6,
+            ),
+        ) {
+            if let Ok(json) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+                let _ = events_from_json(&json);
+            }
+            let objects: Vec<String> = events
+                .iter()
+                .map(|members| {
+                    let members: Vec<&str> = members.iter().map(|&m| MEMBERS[m]).collect();
+                    format!("{{{}}}", members.join(", "))
+                })
+                .collect();
+            let text = format!("[{}]", objects.join(", "));
+            match events_from_json(&Json::parse(&text).expect("well-formed JSON")) {
+                Ok(parsed) => proptest::prop_assert_eq!(parsed.len(), events.len()),
+                Err(e) => {
+                    let index = e
+                        .strip_prefix("event ")
+                        .and_then(|rest| rest.split(':').next())
+                        .and_then(|i| i.parse::<usize>().ok());
+                    proptest::prop_assert!(
+                        index.is_some_and(|i| i < events.len()),
+                        "{} -> {}", text, e
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn synth_churn_is_deterministic_and_windowed() {
         let w = SimDuration::from_secs(20);

@@ -73,8 +73,8 @@ pub struct ScenarioResult {
     /// TCP connections, in receiver order.
     pub tcp: Vec<TcpRow>,
     /// Snapshot of the run's metric registry: every per-flow counter
-    /// block plus network-wide channel aggregates, under one uniform
-    /// export path (`telemetry::RegistryExport`). Serialized into the
+    /// block plus network-wide channel aggregates, each written by its
+    /// block's `export`. Serialized into the
     /// run manifest's `registry` section.
     pub registry: telemetry::Snapshot,
 }

@@ -24,7 +24,7 @@ use rla::{McastReceiver, RlaConfig, RlaSender};
 use tcp_sack::{CcVariant, TcpConfig, TcpReceiver, TcpSender};
 use telemetry::pcap::PcapTracer;
 use telemetry::timeline::SeriesId;
-use telemetry::{ChannelSample, FlowProbe, RegistryExport, TimelineRecorder};
+use telemetry::{ChannelSample, TimelineRecorder};
 
 use crate::cli::{PcapOptions, TelemetryOptions};
 use crate::events::{BackgroundLoad, EventCommand, ScenarioEvent};
@@ -270,6 +270,7 @@ impl TreeScenario {
             rla_senders,
             rla_receivers,
             dynamics,
+            sampler: None,
         }
     }
 }
@@ -344,6 +345,17 @@ struct Dynamics {
     reconverge_ms: Vec<f64>,
 }
 
+/// The timeline slot: a caller-built recorder and the series it feeds.
+struct Sampler {
+    rec: TimelineRecorder,
+    /// One series per RLA sender, then per TCP sender.
+    flows: Vec<SeriesId>,
+    /// One series per congested channel.
+    channels: Vec<(SeriesId, ChannelId)>,
+    /// The next sampling instant; `None` outside the measurement window.
+    next: Option<SimTime>,
+}
+
 /// A built scenario: the engine plus the agent handles needed to reset and
 /// read statistics.
 pub struct ScenarioWorld {
@@ -361,59 +373,70 @@ pub struct ScenarioWorld {
     pub rla_receivers: Vec<Vec<AgentId>>,
     /// Event-executor state; `None` for static scenarios.
     dynamics: Option<Dynamics>,
+    /// The attached timeline, if any.
+    sampler: Option<Sampler>,
 }
 
 impl ScenarioWorld {
     /// Run warmup + measurement and collect the rows. Scheduled events
-    /// are applied on the way (see [`run_span`](ScenarioWorld::run_span)).
+    /// are applied, and an attached timeline sampled from the statistics
+    /// reset to the end, on the way (see [`run_span`](Self::run_span)).
     pub fn run(&mut self, scenario: &TreeScenario) -> ScenarioResult {
         self.run_span(SimTime::ZERO + scenario.warmup);
         self.reset_stats();
+        if let Some(s) = self.sampler.as_mut() {
+            s.next = Some(self.engine.now());
+        }
         self.run_span(SimTime::ZERO + scenario.duration);
         self.collect(scenario)
     }
 
-    /// Advance the engine to `end`, applying scheduled events on the way.
+    /// Advance the engine to `end`, applying scheduled events and taking
+    /// timeline samples on the way — the one loop that moves a scenario.
     ///
-    /// The engine is stepped with plain `run_until` calls — to each event
-    /// timestamp, and in short increments only while a reconvergence
-    /// watch is active — which processes exactly the same packet events
-    /// at the same simulated times as one uninterrupted call. A static
-    /// scenario (no pending events, no watch) therefore degenerates to a
-    /// single `run_until(end)`: trace digests are preserved, and dynamic
-    /// runs reproduce bit-identically across repetitions and worker-pool
-    /// sizes. Events sharing a timestamp apply in schedule order (FIFO),
-    /// mirroring the engine calendar's own tie-break.
+    /// The engine is stepped with plain `run_until` calls to the nearest
+    /// of: the next event timestamp, the next 250 ms reconvergence poll
+    /// (while a watch is active) and the next sampling instant (while a
+    /// timeline is armed). That processes exactly the same packet events
+    /// at the same simulated times as one uninterrupted call, and a
+    /// sampling instant is never a poll, so an observed run's digest and
+    /// manifest are the unobserved run's. A static, unobserved span is a
+    /// single `run_until(end)`. Events sharing a timestamp apply in
+    /// schedule order (FIFO), mirroring the engine calendar's own
+    /// tie-break, before a sample at their instant is taken.
     pub fn run_span(&mut self, end: SimTime) {
         let scan = SimDuration::from_millis(250);
+        // Polls are anchored at the last non-sampling stop.
+        let mut polled = self.engine.now();
         loop {
-            let next = self
+            let now = self.engine.now();
+            while let Some(due) = self
                 .dynamics
-                .as_ref()
-                .and_then(|d| d.pending.front())
-                .map(|p| p.at)
-                .filter(|&t| t <= end);
-            let target = next.unwrap_or(end);
-            while self.engine.now() < target {
-                let step = if self.dynamics.as_ref().is_some_and(|d| d.watch.is_some()) {
-                    std::cmp::min(self.engine.now() + scan, target)
-                } else {
-                    target
-                };
-                self.engine.run_until(step);
-                self.check_reconvergence();
+                .as_mut()
+                .and_then(|d| d.pending.pop_front_if(|p| p.at <= now))
+            {
+                self.apply_event(due);
             }
-            if next.is_none() {
+            self.sample_due(end);
+            if now >= end {
                 return;
             }
-            loop {
-                let due = match self.dynamics.as_mut() {
-                    Some(d) if d.pending.front().is_some_and(|p| p.at == target) => {
-                        d.pending.pop_front().expect("front checked")
-                    }
-                    _ => break,
-                };
-                self.apply_event(due);
+            let dynamics = self.dynamics.as_ref();
+            let mut stop = dynamics
+                .and_then(|d| d.pending.front())
+                .map_or(end, |p| p.at.min(end));
+            if dynamics.is_some_and(|d| d.watch.is_some()) {
+                stop = stop.min(polled + scan);
+            }
+            let target = self
+                .sampler
+                .as_ref()
+                .and_then(|s| s.next)
+                .map_or(stop, |t| t.min(stop));
+            self.engine.run_until(target);
+            if target == stop {
+                self.check_reconvergence();
+                polled = stop;
             }
         }
     }
@@ -620,19 +643,44 @@ impl ScenarioWorld {
         tracer
     }
 
-    /// Run warmup + measurement while sampling a per-flow timeline every
-    /// `opts.sample_period`. Stepping `run_until` in period-sized
-    /// increments processes exactly the same events at the same simulated
-    /// times as one uninterrupted call, so the trace digest of a sampled
-    /// run is identical to an unsampled one — telemetry observes, never
-    /// perturbs.
-    ///
-    /// Every sample is streamed to `<dir>/<stem>.timeline.<ext>` (written
-    /// per sampling instant, whole lines), so `tail -f` and `rla_top`
-    /// follow the run live, one sampling period behind, instead of waiting
-    /// for the end of the run. The streamed file is byte-identical to what
-    /// [`TimelineRecorder::render`] returns afterwards — samples are
-    /// recorded in render order.
+    /// Attach a timeline: [`run`](Self::run) samples every flow and every
+    /// congested channel into `rec` each `rec.period`, from the statistics
+    /// reset to the run's end, where the last sample is taken. `rec` may
+    /// already stream ([`TimelineRecorder::stream_to`]).
+    pub fn attach_timeline(&mut self, mut rec: TimelineRecorder) {
+        let mut flows = Vec::new();
+        for (i, &a) in self.rla_senders.iter().enumerate() {
+            let s: &RlaSender = self.engine.agent_as(a).expect("rla sender");
+            flows.push(rec.add_flow(format!("rla.{i}"), s.probe_kind()));
+        }
+        for (i, &a) in self.tcp_senders.iter().enumerate() {
+            flows.push(rec.add_flow(format!("tcp.{i}"), self.tcp_sender(a).probe_kind()));
+        }
+        let channels = self
+            .tree
+            .congested_channels()
+            .into_iter()
+            .map(|(label, c)| (rec.add_channel(format!("chan.{label}")), c))
+            .collect();
+        self.sampler = Some(Sampler {
+            rec,
+            flows,
+            channels,
+            next: None,
+        });
+    }
+
+    /// Detach the timeline, with every sample the run took.
+    pub fn take_timeline(&mut self) -> Option<TimelineRecorder> {
+        self.sampler.take().map(|s| s.rec)
+    }
+
+    /// [`run`](Self::run) with a timeline attached that samples every
+    /// `opts.sample_period` and streams to `<dir>/<stem>.timeline.<ext>`
+    /// (written per sampling instant, whole lines), so `tail -f` and
+    /// `rla_top` follow the run live, one sampling period behind. The
+    /// file is byte-identical to what [`TimelineRecorder::render`]
+    /// returns afterwards.
     pub fn run_with_telemetry_streamed(
         &mut self,
         scenario: &TreeScenario,
@@ -647,75 +695,42 @@ impl ScenarioWorld {
                     opts.dir.display()
                 )
             });
-        let (result, mut rec) = self.run_with_recorder(scenario, rec);
+        self.attach_timeline(rec);
+        let result = self.run(scenario);
+        let mut rec = self.take_timeline().expect("attached above");
         rec.finish_stream()
             .unwrap_or_else(|e| panic!("RLA_TELEMETRY_DIR: timeline stream failed: {e}"));
         (result, rec)
     }
 
-    /// The telemetry run proper: warmup, then sample + step.
-    fn run_with_recorder(
-        &mut self,
-        scenario: &TreeScenario,
-        mut rec: TimelineRecorder,
-    ) -> (ScenarioResult, TimelineRecorder) {
-        let rla_series: Vec<SeriesId> = (0..self.rla_senders.len())
-            .map(|i| rec.add_flow(format!("rla.{i}"), "rla"))
-            .collect();
-        let tcp_series: Vec<SeriesId> = self
-            .tcp_senders
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| rec.add_flow(format!("tcp.{i}"), self.tcp_sender(a).probe_kind()))
-            .collect();
-        let chan_series: Vec<(SeriesId, ChannelId)> = self
-            .tree
-            .congested_channels()
-            .into_iter()
-            .map(|(label, c)| (rec.add_channel(format!("chan.{label}")), c))
-            .collect();
-
-        self.run_span(SimTime::ZERO + scenario.warmup);
-        self.reset_stats();
-        let end = SimTime::ZERO + scenario.duration;
-        loop {
-            self.sample_into(&mut rec, &rla_series, &tcp_series, &chan_series);
-            let now = self.engine.now();
-            if now >= end {
-                break;
-            }
-            self.run_span(std::cmp::min(now + rec.period, end));
-        }
-        (self.collect(scenario), rec)
-    }
-
-    /// Push one sample per registered series at the current time.
-    fn sample_into(
-        &self,
-        rec: &mut TimelineRecorder,
-        rla_series: &[SeriesId],
-        tcp_series: &[SeriesId],
-        chan_series: &[(SeriesId, ChannelId)],
-    ) {
+    /// Take the armed timeline's sample if one is due now — one per
+    /// series — and schedule the next a period later, clamped to `end`.
+    fn sample_due(&mut self, end: SimTime) {
         let now = self.engine.now();
-        for (&sid, &a) in rla_series.iter().zip(&self.rla_senders) {
-            let s: &RlaSender = self.engine.agent_as(a).expect("rla sender");
-            rec.record_flow(sid, now, s.flow_sample());
+        let Some(s) = self.sampler.as_mut().filter(|s| s.next == Some(now)) else {
+            return;
+        };
+        let engine = &self.engine;
+        let rla = self.rla_senders.iter().map(|&a| {
+            let rla: &RlaSender = engine.agent_as(a).expect("rla sender");
+            rla.flow_sample()
+        });
+        let tcp = self.tcp_senders.iter().map(|&a| {
+            let tcp: &TcpSender = engine.agent_as(a).expect("tcp sender");
+            tcp.flow_sample()
+        });
+        for (&sid, sample) in s.flows.iter().zip(rla.chain(tcp)) {
+            s.rec.record_flow(sid, now, sample);
         }
-        for (&sid, &a) in tcp_series.iter().zip(&self.tcp_senders) {
-            rec.record_flow(sid, now, self.tcp_sender(a).flow_sample());
+        for &(sid, c) in &s.channels {
+            let ch = engine.world().channel(c);
+            let sample = ChannelSample {
+                qlen: ch.queue.len(),
+                red_avg: ch.queue.red_avg(),
+            };
+            s.rec.record_channel(sid, now, sample);
         }
-        for &(sid, c) in chan_series {
-            let ch = self.engine.world().channel(c);
-            rec.record_channel(
-                sid,
-                now,
-                ChannelSample {
-                    qlen: ch.queue.len(),
-                    red_avg: ch.queue.red_avg(),
-                },
-            );
-        }
+        s.next = (now < end).then(|| (now + s.rec.period).min(end));
     }
 
     /// A TCP sender of any variant (one agent type serves them all).
@@ -806,8 +821,8 @@ impl ScenarioWorld {
         }
     }
 
-    /// Every metric block of the run, exported through the one uniform
-    /// path (`telemetry::RegistryExport`) and snapshotted: per-flow
+    /// Every metric block of the run, exported through each block's
+    /// `export` into one `telemetry::Registry` and snapshotted: per-flow
     /// sender statistics, the congested channels' buffer statistics,
     /// network-wide channel totals, and the engine's event counters.
     pub fn registry_snapshot(&self) -> telemetry::Snapshot {
@@ -874,7 +889,9 @@ impl ScenarioWorld {
             reg.record_count("net.churn.bg_flows", flows);
             reg.record_count("net.churn.bg_packets", packets);
             // Mean time for the troubled-receiver count to return to its
-            // pre-event band, over the resolved watches.
+            // pre-event band, over the resolved watches: an upper bound at
+            // the 250 ms poll's resolution, so it cannot rank two runs that
+            // both reconverge within one poll.
             let mean_ms = if dy.reconverge_ms.is_empty() {
                 0.0
             } else {
@@ -952,18 +969,24 @@ mod tests {
         assert!((0.20..0.5).contains(&tcp_rtt), "TCP rtt {tcp_rtt}");
     }
 
+    /// Run `scenario` with a timeline sampled every 60 s attached.
+    fn sampled(scenario: &TreeScenario) -> (ScenarioResult, TimelineRecorder) {
+        let mut world = scenario.build();
+        world.attach_timeline(TimelineRecorder::new(SimDuration::from_secs(60)));
+        let r = world.run(scenario);
+        (r, world.take_timeline().expect("attached"))
+    }
+
     #[test]
     fn telemetry_emits_a_final_sample_at_the_end_of_partial_periods() {
-        // duration = 2.5 × sampling period: the `run_until(min(now +
-        // period, end))` stepping loop must emit one last sample at `end`
-        // even though `end` is not on a period boundary — a truncated
-        // timeline would silently hide everything after the last full
-        // tick.
+        // duration = 2.5 × sampling period: `run_span` must take one last
+        // sample at `end` even though `end` is not on a period boundary —
+        // a truncated timeline would silently hide everything after the
+        // last full tick.
         let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
             .with_duration(SimDuration::from_secs(150))
             .build();
-        let rec = TimelineRecorder::new(SimDuration::from_secs(60));
-        let (_, rec) = scenario.build().run_with_recorder(&scenario, rec);
+        let (_, rec) = sampled(&scenario);
         assert!(!rec.series().is_empty());
         for s in rec.series() {
             let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
@@ -1027,8 +1050,7 @@ mod tests {
             .with_duration(SimDuration::from_secs(150))
             .with_event(ScenarioEvent::leave(80.0, 0, 0))
             .build();
-        let rec = TimelineRecorder::new(SimDuration::from_secs(60));
-        let (r, rec) = scenario.build().run_with_recorder(&scenario, rec);
+        let (r, rec) = sampled(&scenario);
         for s in rec.series() {
             let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
             assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {}", s.name);

@@ -140,10 +140,10 @@ impl RlaStats {
             self.delivered as f64 / span
         }
     }
-}
 
-impl telemetry::RegistryExport for RlaStats {
-    fn export(&self, reg: &mut telemetry::Registry, prefix: &str, now: SimTime) {
+    /// Write every reportable number into `reg` under `prefix.<metric>`
+    /// (e.g. `rla.0.cong_signals`), closing the time averages at `now`.
+    pub fn export(&self, reg: &mut telemetry::Registry, prefix: &str, now: SimTime) {
         reg.record_count(format!("{prefix}.delivered"), self.delivered);
         reg.record_count(format!("{prefix}.data_sent"), self.data_sent);
         reg.record_count(
@@ -238,6 +238,22 @@ impl RlaSender {
     /// Moving average of the window size.
     pub fn awnd(&self) -> f64 {
         self.awnd
+    }
+
+    /// Timeline series-kind tag.
+    pub fn probe_kind(&self) -> &'static str {
+        "rla"
+    }
+
+    /// The session's current state, as a timeline sample.
+    pub fn flow_sample(&self) -> telemetry::FlowSample {
+        let srtt = self.srtt_max();
+        telemetry::FlowSample {
+            cwnd: self.cwnd(),
+            ssthresh: None,
+            awnd: Some(self.awnd()),
+            rtt: (srtt > 0.0).then_some(srtt),
+        }
     }
 
     /// Current troubled-receiver count.
@@ -804,22 +820,6 @@ impl RlaSender {
         }
         self.service_retransmissions(ctx);
         self.try_send(ctx);
-    }
-}
-
-impl telemetry::FlowProbe for RlaSender {
-    fn probe_kind(&self) -> &'static str {
-        "rla"
-    }
-
-    fn flow_sample(&self) -> telemetry::FlowSample {
-        let srtt = self.srtt_max();
-        telemetry::FlowSample {
-            cwnd: self.cwnd(),
-            ssthresh: None,
-            awnd: Some(self.awnd()),
-            rtt: (srtt > 0.0).then_some(srtt),
-        }
     }
 }
 

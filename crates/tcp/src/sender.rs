@@ -130,6 +130,22 @@ impl TcpSender {
         self.rtt.srtt()
     }
 
+    /// Timeline series-kind tag: `"tcp-sack"`, or `"reno"` for the
+    /// dup-ack detector.
+    pub fn probe_kind(&self) -> &'static str {
+        self.loss.probe_kind()
+    }
+
+    /// The flow's current state, as a timeline sample.
+    pub fn flow_sample(&self) -> telemetry::FlowSample {
+        telemetry::FlowSample {
+            cwnd: self.cwnd(),
+            ssthresh: Some(self.ssthresh()),
+            awnd: None,
+            rtt: self.srtt().map(|d| d.as_secs_f64()),
+        }
+    }
+
     /// Discard statistics collected so far and start a fresh window at
     /// `now` (end-of-warmup reset; the paper discards the first 100 s).
     pub fn reset_stats(&mut self, now: SimTime) {
@@ -260,21 +276,6 @@ impl TcpSender {
         self.stats.timeouts += 1;
         self.timer.arm(ctx, self.rtt.rto());
         self.try_send(ctx);
-    }
-}
-
-impl telemetry::FlowProbe for TcpSender {
-    fn probe_kind(&self) -> &'static str {
-        self.loss.probe_kind()
-    }
-
-    fn flow_sample(&self) -> telemetry::FlowSample {
-        telemetry::FlowSample {
-            cwnd: self.cwnd(),
-            ssthresh: Some(self.ssthresh()),
-            awnd: None,
-            rtt: self.srtt().map(|d| d.as_secs_f64()),
-        }
     }
 }
 

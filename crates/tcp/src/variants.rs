@@ -170,7 +170,6 @@ mod tests {
         // The rows must construct without panicking (a bad TcpConfig
         // would trip `validate`), all as the one sender agent, and only
         // Reno runs the dup-ack detector.
-        use telemetry::FlowProbe;
         for v in CcVariant::all() {
             let agent = v.build_sender(AgentId(0), TcpConfig::default());
             let sender = agent

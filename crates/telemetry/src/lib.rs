@@ -35,9 +35,16 @@
 //!   the parsed lines into sparkline frames painted by a diffing ANSI
 //!   [`DiffScreen`].
 //!
+//! Observers attach in two ways. Packet events reach the engine's one
+//! tracer slot (`Engine::set_tracer`: [`PcapTracer`], [`FlightRecorder`],
+//! [`QueueSeriesTracer`]); periodic state reaches a [`TimelineRecorder`]
+//! attached to the scenario world, whose one run loop samples it. There
+//! is no common observer trait: each sink would implement only half of
+//! one.
+//!
 //! Everything here is strictly *observer-side*: nothing in this crate
 //! feeds back into simulation behaviour, so enabling or disabling
-//! telemetry can never change a trace digest.
+//! telemetry can never change a trace digest or a run manifest.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,9 +62,8 @@ pub use dash::{Dashboard, DiffScreen};
 pub use flight::{FlightDumpGuard, FlightEvent, FlightRecorder};
 pub use pcap::{PcapReader, PcapTracer, PcapWriter};
 pub use progress::{JobMeta, SweepProgress};
-pub use registry::{MetricValue, Registry, RegistryExport, Snapshot};
+pub use registry::{MetricValue, Registry, Snapshot};
 pub use tail::JsonlTail;
 pub use timeline::{
-    ChannelSample, FlowProbe, FlowSample, QueueSeriesTracer, TimelineFormat, TimelineRecorder,
-    TimelineSeries,
+    ChannelSample, FlowSample, QueueSeriesTracer, TimelineFormat, TimelineRecorder, TimelineSeries,
 };

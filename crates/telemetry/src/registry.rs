@@ -8,10 +8,9 @@
 //! binary, a scenario runner) and snapshotted into the run manifest at
 //! the end ([`Registry::snapshot`]).
 //!
-//! The [`RegistryExport`] trait is the uniform export path: every
-//! statistics block that wants to appear in a manifest implements it and
-//! writes its numbers under a caller-chosen prefix, replacing per-binary
-//! ad-hoc plumbing.
+//! A statistics block that appears in a manifest writes its numbers under
+//! a caller-chosen prefix through an inherent `export(reg, prefix, now)`
+//! (`SenderStats`, `RlaStats`, and [`export_channel_stats`] here).
 
 use netsim::time::SimTime;
 
@@ -133,14 +132,6 @@ impl Snapshot {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-}
-
-/// The uniform export path into a [`Registry`]: a statistics block writes
-/// its counters and gauges under `prefix` (e.g. `tcp.3`), using `now` to
-/// close any time-weighted accumulators.
-pub trait RegistryExport {
-    /// Export every reportable number under `prefix.<metric>`.
-    fn export(&self, reg: &mut Registry, prefix: &str, now: SimTime);
 }
 
 /// Export a channel's [`ChannelStats`](netsim::stats::ChannelStats)

@@ -3,9 +3,9 @@
 //!
 //! A [`TimelineRecorder`] holds one series per flow (cwnd / ssthresh /
 //! awnd / smoothed RTT) and per watched channel (queue length / RED
-//! average). The *driver* — the scenario runner — steps the simulation in
-//! increments of the sampling period and pushes one sample per series per
-//! tick; the recorder itself never touches the engine, so it cannot
+//! average). A recorder attached to a `ScenarioWorld` is sampled by its
+//! `run_span`, which stops at each sampling instant and pushes one sample
+//! per series; the recorder never touches the engine, so it cannot
 //! perturb a trace digest.
 //!
 //! Export is line-oriented: JSONL (one self-describing object per
@@ -25,15 +25,13 @@
 //!   run. Samples recorded in chronological order stream byte-identical
 //!   to the buffered render.
 //!
-//! [`QueueSeriesTracer`] bridges the engine's event stream into a
-//! recorder: one channel sample per queue-length *change* (enqueue or
-//! transmission start) rather than per sampling tick — the exact series
-//! the §3.1 buffer-period analysis segments.
+//! [`QueueSeriesTracer`] is the event-driven counterpart on the engine's
+//! tracer slot: it keeps one channel's queue length at every *change*
+//! (enqueue or transmission start) rather than per sampling instant — the
+//! exact series the §3.1 buffer-period analysis segments.
 
-use std::cell::RefCell;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 use netsim::id::ChannelId;
 use netsim::time::{SimDuration, SimTime};
@@ -89,16 +87,6 @@ pub enum Sample {
     Flow(FlowSample),
     /// Channel-buffer state.
     Channel(ChannelSample),
-}
-
-/// The read surface a sampled transport sender exposes to the recorder.
-/// Implemented by the TCP SACK, Reno and RLA senders.
-pub trait FlowProbe {
-    /// Short series-kind tag (`"tcp-sack"`, `"reno"`, `"rla"`).
-    fn probe_kind(&self) -> &'static str;
-
-    /// The flow's current state.
-    fn flow_sample(&self) -> FlowSample;
 }
 
 /// One named time series.
@@ -298,52 +286,26 @@ impl TimelineRecorder {
 /// The CSV column header shared by buffered and streaming export.
 const CSV_HEADER: &str = "t_secs,series,kind,cwnd,ssthresh,awnd,rtt_secs,qlen,red_avg\n";
 
-/// Bridges the engine's [`Tracer`] event stream into a shared
-/// [`TimelineRecorder`]: records one channel sample per queue-length
-/// *change* at the watched channel (enqueue and transmission start, the
-/// two transitions that alter occupancy) and keeps the `(time, uid)` of
-/// every drop there. This is the event-driven replacement for the old
-/// `netsim::trace::QueueLengthTracer` — the same series, but landing in
-/// the standard timeline machinery so it exports/streams like any other
-/// series.
+/// A [`Tracer`] that keeps one watched channel's queue length at every
+/// *change* — enqueue and transmission start, the two transitions that
+/// alter occupancy — and the `(time, uid)` of every drop there.
 #[derive(Debug)]
 pub struct QueueSeriesTracer {
     channel: ChannelId,
-    series: SeriesId,
-    recorder: Rc<RefCell<TimelineRecorder>>,
+    /// `(time, qlen)` after every occupancy change at the watched channel.
+    pub samples: Vec<(SimTime, usize)>,
     /// `(time, uid)` of every drop at the watched channel.
     pub drops: Vec<(SimTime, u64)>,
 }
 
 impl QueueSeriesTracer {
-    /// Watch `channel`, registering a channel series named `name` in
-    /// `recorder`.
-    pub fn new(
-        recorder: Rc<RefCell<TimelineRecorder>>,
-        channel: ChannelId,
-        name: impl Into<String>,
-    ) -> Self {
-        let series = recorder.borrow_mut().add_channel(name);
+    /// Watch `channel`.
+    pub fn new(channel: ChannelId) -> Self {
         QueueSeriesTracer {
             channel,
-            series,
-            recorder,
+            samples: Vec::new(),
             drops: Vec::new(),
         }
-    }
-
-    /// The `(time, qlen)` change series recorded so far, extracted from
-    /// the shared recorder.
-    pub fn samples(&self) -> Vec<(SimTime, usize)> {
-        let rec = self.recorder.borrow();
-        rec.series()[self.series.0]
-            .samples
-            .iter()
-            .filter_map(|(t, s)| match s {
-                Sample::Channel(c) => Some((*t, c.qlen)),
-                Sample::Flow(_) => None,
-            })
-            .collect()
     }
 }
 
@@ -358,14 +320,7 @@ impl Tracer for QueueSeriesTracer {
             | TraceEvent::TxStart { channel, qlen, .. }
                 if *channel == self.channel =>
             {
-                self.recorder.borrow_mut().record_channel(
-                    self.series,
-                    now,
-                    ChannelSample {
-                        qlen: *qlen,
-                        red_avg: None,
-                    },
-                );
+                self.samples.push((now, *qlen));
             }
             TraceEvent::Drop {
                 channel, packet, ..
@@ -700,10 +655,7 @@ mod tests {
             segment: Segment::Raw,
             sent_at: SimTime::ZERO,
         };
-        let rec = Rc::new(RefCell::new(TimelineRecorder::new(
-            SimDuration::from_millis(500),
-        )));
-        let mut t = QueueSeriesTracer::new(Rc::clone(&rec), ChannelId(5), "chan.L1");
+        let mut t = QueueSeriesTracer::new(ChannelId(5));
         t.trace(
             SimTime::from_secs(1),
             &TraceEvent::Enqueue {
@@ -739,11 +691,11 @@ mod tests {
             },
         );
         assert_eq!(
-            t.samples(),
-            vec![(SimTime::from_secs(1), 3), (SimTime::from_secs(3), 2)]
+            t.samples,
+            vec![(SimTime::from_secs(1), 3), (SimTime::from_secs(3), 2)],
+            "drops are not samples"
         );
         assert_eq!(t.drops, vec![(SimTime::from_secs(4), 9)]);
-        assert_eq!(rec.borrow().sample_count(), 2, "drops are not samples");
         // The slot wakes it for the three kinds acted on above, no others.
         assert_eq!(
             t.wants(),

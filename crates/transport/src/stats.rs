@@ -3,11 +3,11 @@
 //! [`SenderStats`] (moved here from `tcp_sack::sender`, which re-exports
 //! it) is the windowed counter block every unicast sender keeps, fed
 //! through the [`netsim::stats`] accumulators ([`TimeWeighted`],
-//! [`Running`]) and exported through [`RegistryExport`].
+//! [`Running`]) and exported through [`SenderStats::export`].
 
 use netsim::stats::{Running, TimeWeighted};
 use netsim::time::SimTime;
-use telemetry::{Registry, RegistryExport};
+use telemetry::Registry;
 
 /// Sender-side statistics for the paper's tables.
 #[derive(Debug, Clone)]
@@ -61,10 +61,10 @@ impl SenderStats {
             self.delivered as f64 / span
         }
     }
-}
 
-impl RegistryExport for SenderStats {
-    fn export(&self, reg: &mut Registry, prefix: &str, now: SimTime) {
+    /// Write every reportable number into `reg` under `prefix.<metric>`
+    /// (e.g. `tcp.3.delivered`), closing the time averages at `now`.
+    pub fn export(&self, reg: &mut Registry, prefix: &str, now: SimTime) {
         reg.record_count(format!("{prefix}.delivered"), self.delivered);
         reg.record_count(format!("{prefix}.data_sent"), self.data_sent);
         reg.record_count(format!("{prefix}.retransmits"), self.retransmits);

@@ -1,5 +1,7 @@
 //! Reproducibility: the whole stack is bit-deterministic per seed.
 
+use bounded_fairness::experiments::cli::TelemetryOptions;
+use bounded_fairness::experiments::events::canonical_churn_spec;
 use bounded_fairness::experiments::manifest::scenario_manifest;
 use bounded_fairness::experiments::{
     run_parallel_with_jobs, CongestionCase, GatewayKind, ScenarioSpec,
@@ -118,4 +120,38 @@ fn with_shards_is_inert_at_every_count() {
     let one = render(1);
     assert_eq!(one, render(2), "with_shards(2) moved the manifest");
     assert_eq!(one, render(4), "with_shards(4) moved the manifest");
+}
+
+#[test]
+fn a_streamed_timeline_leaves_the_manifest_unchanged() {
+    // An observer must not change what it observes: sampling every 100 ms
+    // used to re-anchor the 250 ms reconvergence poll, so the churn runs
+    // below reported a different `net.churn.reconverge_ms` when streamed.
+    let dir = std::env::temp_dir().join("rla_observer_neutrality");
+    let opts = TelemetryOptions {
+        sample_period: SimDuration::from_millis(100),
+        dir: dir.clone(),
+        ..TelemetryOptions::default()
+    };
+    let red_churn = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
+        .with_gateway(GatewayKind::Red)
+        .with_churn_rate(0.2)
+        .with_seed(4)
+        .with_duration(SimDuration::from_secs(60));
+    for (stem, spec) in [("churn", canonical_churn_spec()), ("red_churn", red_churn)] {
+        let scenario = spec.build();
+        let manifest = |r| scenario_manifest(stem, scenario.duration, &[r]).pretty();
+        let plain = manifest(scenario.run());
+        let (observed, _) = scenario
+            .build()
+            .run_with_telemetry_streamed(&scenario, &opts, stem);
+        let observed = manifest(observed);
+        let moved: Vec<_> = plain
+            .lines()
+            .zip(observed.lines())
+            .filter(|(a, b)| a != b)
+            .collect();
+        assert!(plain == observed, "{stem}: observing moved {moved:#?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
