@@ -5,7 +5,9 @@
 //!          [--threshold PCT] [--abs VALUE] [--json]
 //! ```
 //!
-//! Runs are aligned by `(case, gateway, seed)`, registries by metric key;
+//! Runs are aligned by `(case, gateway, seed)` plus the legs that tell
+//! apart runs sharing them (TCP flavour, session count, repeat number),
+//! registries by metric key;
 //! every metric whose relative change (absolute change, for zero-baseline
 //! counters) exceeds the threshold is reported, largest movement first.
 //! The threshold comes from `--threshold`, else 1%.

@@ -3,7 +3,8 @@
 //! A drifted golden digest says *that* behaviour changed; the `registry`
 //! section of the run manifest says *what* changed. This module loads two
 //! manifests (see [`Json::parse`]), aligns their runs by
-//! `(case, gateway, seed)`, aligns each run's registry by metric key, and
+//! `(case, gateway, seed)` and the legs that tell apart runs sharing them
+//! ([`RunDiff::label`]), aligns each run's registry by metric key, and
 //! reports added/removed keys plus every metric whose relative change —
 //! or absolute change, for metrics with a zero baseline — exceeds a
 //! configurable threshold, sorted by magnitude.
@@ -151,7 +152,10 @@ impl MetricDelta {
 /// The diff of one aligned pair of runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunDiff {
-    /// `case <label> / <gateway> / seed <n>` — the alignment key.
+    /// `case <label> / <gateway> / seed <n>` — the alignment key — with a
+    /// `<cc>` leg before the seed when the run records its TCP flavour, an
+    /// `<n> sessions` leg when it has more than one RLA session, and a
+    /// `#<k>` suffix on the k-th run of a manifest to repeat a key.
     pub label: String,
     /// Keys only in the candidate's registry.
     pub added: Vec<String>,
@@ -213,19 +217,50 @@ fn manifest_runs(manifest: &Json) -> Result<&[Json], DiffError> {
 /// The alignment key of one run: case, gateway, seed — plus the TCP
 /// congestion controller when the run records one, so a `cc_matrix`
 /// manifest's runs (same case/gateway/seed under different controllers)
-/// stay distinct. Positional when the fields are missing.
+/// stay distinct, and the session count when the run has more than one,
+/// so `tables`' §5.2 run does not pair with figure 7's case 3.
+/// Positional when the fields are missing.
 fn run_label(run: &Json, index: usize) -> String {
     match (
         run.get("case").and_then(Json::as_str),
         run.get("gateway").and_then(Json::as_str),
         run.get("seed").and_then(Json::as_u64),
     ) {
-        (Some(case), Some(gw), Some(seed)) => match run.get("tcp_cc").and_then(Json::as_str) {
-            Some(cc) => format!("case {case} / {gw} / {cc} / seed {seed}"),
-            None => format!("case {case} / {gw} / seed {seed}"),
-        },
+        (Some(case), Some(gw), Some(seed)) => {
+            let mut legs = vec![format!("case {case}"), gw.to_string()];
+            legs.extend(run.get("tcp_cc").and_then(Json::as_str).map(String::from));
+            let sessions = run
+                .get("rla_throughput_pps")
+                .and_then(Json::as_arr)
+                .map_or(0, <[Json]>::len);
+            if sessions > 1 {
+                legs.push(format!("{sessions} sessions"));
+            }
+            legs.push(format!("seed {seed}"));
+            legs.join(" / ")
+        }
         _ => format!("run[{index}]"),
     }
+}
+
+/// Every run's [`run_label`], in manifest order. A label that repeats —
+/// figure 10's second case names the same links as figure 7's case 2 —
+/// gets its occurrence number (`#2`, `#3`, …), so a manifest's runs pair
+/// with themselves and two sweeps of one layout pair run by run.
+fn run_labels(runs: &[Json]) -> Vec<String> {
+    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
+    runs.iter()
+        .enumerate()
+        .map(|(i, run)| {
+            let label = run_label(run, i);
+            let n = seen.entry(label.clone()).or_default();
+            *n += 1;
+            match *n {
+                1 => label,
+                n => format!("{label} #{n}"),
+            }
+        })
+        .collect()
 }
 
 /// A run's registry as `key -> numeric value`. Missing registry section
@@ -297,7 +332,7 @@ pub fn diff_registries(
 }
 
 /// Compare two parsed manifests' registry sections. Runs are aligned by
-/// `(case, gateway, seed)`; a run present on only one side is reported
+/// label ([`RunDiff::label`]); a run present on only one side is reported
 /// (and counts as drift) rather than erroring, so comparing manifests
 /// from different sweeps degrades gracefully.
 pub fn diff_manifests(
@@ -308,17 +343,13 @@ pub fn diff_manifests(
     opts.validate()?;
     let base_runs = manifest_runs(baseline)?;
     let cand_runs = manifest_runs(candidate)?;
-    let cand_by_label: BTreeMap<String, &Json> = cand_runs
-        .iter()
-        .enumerate()
-        .map(|(i, run)| (run_label(run, i), run))
-        .collect();
+    let cand_labels = run_labels(cand_runs);
+    let cand_by_label: BTreeMap<&String, &Json> = cand_labels.iter().zip(cand_runs).collect();
 
     let mut runs = Vec::new();
     let mut baseline_only = Vec::new();
     let mut matched = Vec::new();
-    for (i, run) in base_runs.iter().enumerate() {
-        let label = run_label(run, i);
+    for (label, run) in run_labels(base_runs).into_iter().zip(base_runs) {
         match cand_by_label.get(&label) {
             Some(cand_run) => {
                 let b = run_registry(run, &label)?;
@@ -329,10 +360,8 @@ pub fn diff_manifests(
             None => baseline_only.push(label),
         }
     }
-    let candidate_only = cand_runs
-        .iter()
-        .enumerate()
-        .map(|(i, run)| run_label(run, i))
+    let candidate_only = cand_labels
+        .into_iter()
         .filter(|l| !matched.contains(l))
         .collect();
 
@@ -675,6 +704,47 @@ mod tests {
         let d = diff_manifests(&m(100, 200), &m(100, 300), &DiffOptions::default()).unwrap();
         assert!(!d.runs[0].has_drift());
         assert!(d.runs[1].has_drift());
+    }
+
+    #[test]
+    fn multi_session_and_repeated_runs_do_not_collide() {
+        // `tables` runs case 3 once with one session (figure 7) and once
+        // with two (§5.2), and figure 10's second case under figure 7
+        // case 2's link label.
+        let run = |case: &str, sessions: usize, v: u64| {
+            Json::obj(vec![
+                ("case", case.into()),
+                ("gateway", "drop-tail".into()),
+                ("seed", 1u64.into()),
+                (
+                    "rla_throughput_pps",
+                    Json::arr(vec![Json::Num(50.0); sessions]),
+                ),
+                ("registry", Json::obj(vec![("net.offered", v.into())])),
+            ])
+        };
+        let m = Json::obj(vec![(
+            "runs",
+            Json::arr(vec![
+                run("L3i, i=1..9", 1, 100),
+                run("L4i, i=1..27", 1, 200),
+                run("L3i, i=1..9", 1, 300),
+                run("L4i, i=1..27", 2, 400),
+            ]),
+        )]);
+        let d = diff_manifests(&m, &m, &DiffOptions::default()).unwrap();
+        assert!(!d.has_drift(), "{}", render_table(&d));
+        let labels: Vec<&str> = d.runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                // One-session labels are the ones every golden carries.
+                "case L3i, i=1..9 / drop-tail / seed 1",
+                "case L4i, i=1..27 / drop-tail / seed 1",
+                "case L3i, i=1..9 / drop-tail / seed 1 #2",
+                "case L4i, i=1..27 / drop-tail / 2 sessions / seed 1",
+            ]
+        );
     }
 
     #[test]

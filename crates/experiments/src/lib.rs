@@ -9,9 +9,7 @@
 //! |-----------------|----------------|---------|
 //! | `fig4`          | figure 4       | drift field of two competing RLA windows |
 //! | `fig5`          | figure 5       | stationary density of `(cwnd₁, cwnd₂)` |
-//! | `tables`        | figures 7, 8, 9, Theorems I/II | one ten-run sweep ([`tables::paper_sweep`]), four views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside) |
-//! | `fig10`         | figure 10      | generalized RLA, unequal RTTs |
-//! | `sec52`         | §5.2           | two overlapping multicast sessions |
+//! | `tables`        | figures 7, 8, 9, 10, §5.2, Theorems I/II | one thirteen-run sweep ([`tables::paper_sweep`]), six views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside), the unequal-RTT table, two overlapping sessions — each beside the paper's numbers ([`tables::PAPER`]) |
 //! | `eq1`           | equation (1)   | PA window vs Monte Carlo |
 //! | `eq3`           | equation (3)   | two-receiver fixed point + Lemma |
 //! | `buffer_period` | §3.1           | drop-tail buffer oscillation trace |

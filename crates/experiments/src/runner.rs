@@ -246,18 +246,44 @@ mod tests {
 
     #[test]
     fn panicking_scenario_reports_and_spares_the_rest() {
+        let dir = std::env::temp_dir().join(format!("rla_pool_panic_{}", std::process::id()));
+        let path = dir.join("hb.jsonl");
+        let cfg = RunConfig {
+            jobs: 2,
+            progress_file: Some(path.clone()),
+            ..RunConfig::from_vars(|_| None)
+        };
+        let run = |seed: u64| {
+            ScenarioSpec::paper(CongestionCase::Case1RootLink)
+                .with_duration(SimDuration::from_secs(3))
+                .with_seed(seed)
+                .build()
+        };
         // warmup >= duration trips the scenario's own assertion.
-        let mut bad = make().build();
+        let mut bad = run(2);
         bad.warmup = bad.duration;
         let err = catch_unwind(AssertUnwindSafe(|| {
-            run_parallel_with_jobs(vec![make().build(), bad], 2)
+            Pool::new(&cfg).run(vec![run(1), bad, run(3)])
         }))
         .expect_err("the bad scenario must surface");
         let msg = err
             .downcast_ref::<String>()
             .expect("assert! panics with String");
-        assert!(msg.contains("1 of 2 scenarios panicked"), "{msg}");
-        assert!(msg.contains("scenario 1"), "{msg}");
+        assert!(msg.contains("1 of 3 scenarios panicked"), "{msg}");
+        assert!(msg.contains("scenario 1 (L1 DropTail seed 2)"), "{msg}");
+        // The heartbeat file holds one whole JSON line per run that
+        // finished, and none for the one that did not.
+        let text = std::fs::read_to_string(&path).expect("heartbeat file");
+        let mut seeds: Vec<u64> = text
+            .lines()
+            .map(|l| {
+                let hb = crate::manifest::Json::parse(l).expect("one JSON object per line");
+                hb.get("seed").and_then(|s| s.as_u64()).expect("seed")
+            })
+            .collect();
+        seeds.sort_unstable();
+        assert_eq!(seeds, [1, 3], "{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

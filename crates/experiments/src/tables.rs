@@ -1,127 +1,190 @@
-//! Plain-text table rendering in the layout of the paper's figures, and
-//! the one sweep the §5 tables are views of.
+//! Plain-text table rendering in the layout of the paper's figures, the
+//! one sweep the §5 tables are views of, and the paper's own numbers
+//! ([`PAPER`]) the views are printed beside.
 
 use analysis::{FairnessBounds, FairnessCheck};
 
 use crate::cli::RunConfig;
-use crate::metrics::{BranchSignalStats, ScenarioResult};
+use crate::metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
 use crate::scenario::GatewayKind;
 use crate::spec::ScenarioSpec;
 use crate::tree::CongestionCase;
 
-/// The ten simulations behind figures 7, 8 and 9 and the Theorem I/II
-/// check: every figure-7 case through drop-tail gateways, then the same
-/// five through RED, in [`CongestionCase::FIGURE7_CASES`] order, each
-/// with the config's seed, TCP flavour and
-/// [`run_duration`](RunConfig::run_duration). Figures 7 and 8 read the
-/// first half of the results, figure 9 the second, the theorems all ten.
+/// The thirteen simulations behind §5, in the order the views read them:
+/// every figure-7 case through drop-tail gateways, then the same five
+/// through RED, in [`CongestionCase::FIGURE7_CASES`] order — figures 7–9
+/// and the Theorem I/II check; then figure 10's
+/// [`CongestionCase::FIGURE10_CASES`]; then §5.2's case 3 with two
+/// overlapping sessions. Each runs with the config's seed, TCP flavour
+/// and [`run_duration`](RunConfig::run_duration).
 pub fn paper_sweep(cfg: &RunConfig) -> Vec<ScenarioSpec> {
-    let duration = cfg.run_duration();
-    [GatewayKind::DropTail, GatewayKind::Red]
+    let figs_7_to_9 = [GatewayKind::DropTail, GatewayKind::Red]
         .into_iter()
         .flat_map(|gateway| {
             CongestionCase::FIGURE7_CASES
                 .into_iter()
-                .map(move |case| cfg.spec(case).with_gateway(gateway).with_duration(duration))
-        })
+                .map(move |case| cfg.spec(case).with_gateway(gateway))
+        });
+    let fig10 = CongestionCase::FIGURE10_CASES.map(|case| cfg.spec(case));
+    let sec52 = cfg.spec(CongestionCase::Case3AllLeaves).with_sessions(2);
+    figs_7_to_9
+        .chain(fig10)
+        .chain([sec52])
+        .map(|spec| spec.with_duration(cfg.run_duration()))
         .collect()
 }
+
+/// The paper's §5 numbers, figure by figure; [`PAPER`] is the one
+/// instance. Throughputs are pkt/s, windows packets.
+#[derive(Debug)]
+pub struct Paper {
+    /// Figure 7 (drop-tail): the RLA, worst-TCP and best-TCP throughput
+    /// rows, in [`CongestionCase::FIGURE7_CASES`] order.
+    pub fig7: [[f64; 5]; 3],
+    /// Figure 8, one row per branch group: the case (1–5), the group, the
+    /// RLA's congestion signals and the TCPs' window cuts per branch, each
+    /// as worst / best / average.
+    pub fig8: [(u8, &'static str, [u64; 3], [u64; 3]); 7],
+    /// Figure 9 (RED), laid out as figure 7.
+    pub fig9: [[f64; 5]; 3],
+    /// Figure 10, in [`CongestionCase::FIGURE10_CASES`] order: the
+    /// congested links, then RLA throughput, RLA window, WTCP and BTCP
+    /// throughput.
+    pub fig10: [(&'static str, [f64; 4]); 2],
+    /// §5.2: the two sessions' throughputs, then their windows.
+    pub sec52: [[f64; 2]; 2],
+}
+
+/// Every number the paper's §5 reports that `tables` measures: 30
+/// throughput cells for figures 7 and 9, 42 counts for figure 8, 8 cells
+/// for figure 10 and 4 for §5.2. The "paper reference" blocks render from
+/// here and nowhere else.
+pub const PAPER: Paper = Paper {
+    fig7: [
+        [144.1, 105.1, 94.6, 153.0, 224.6],
+        [81.8, 83.0, 79.2, 68.2, 74.5],
+        [89.6, 87.8, 80.3, 170.7, 570.7],
+    ],
+    fig8: [
+        (1, "all links", [861, 861, 861], [879, 818, 851]),
+        (2, "all links", [762, 713, 707], [722, 688, 709]),
+        (3, "all links", [650, 609, 630], [657, 646, 652]),
+        (4, "more congested", [952, 925, 938], [842, 819, 831]),
+        (4, "less congested", [384, 351, 367], [413, 405, 409]),
+        (5, "more congested", [1082, 1082, 1082], [899, 869, 886]),
+        (5, "less congested", [112, 112, 112], [302, 225, 271]),
+    ],
+    fig9: [
+        [118.0, 103.7, 88.3, 141.0, 209.2],
+        [84.9, 81.7, 74.1, 67.1, 73.1],
+        [86.8, 86.1, 74.0, 166.2, 576.4],
+    ],
+    fig10: [
+        ("L2i", [167.6, 39.1, 78.0, 83.2]),
+        ("L3i", [161.6, 36.5, 64.2, 67.7]),
+    ],
+    sec52: [[65.1, 65.9], [19.9, 20.1]],
+};
+
+/// Figure 7's or 9's "paper reference" block.
+pub fn render_throughput_reference(rows: &[[f64; 5]; 3]) -> String {
+    let mut out = String::from("paper reference (3000 s runs):\n");
+    for (flow, cells) in ["RLA", "WTCP", "BTCP"].iter().zip(rows) {
+        let cells: Vec<String> = cells.iter().map(|v| format!("{v:>5.1}")).collect();
+        out.push_str(&format!("  {flow:<4} thrput: {}\n", cells.join(" / ")));
+    }
+    out
+}
+
+/// Figure 8's "paper reference" block.
+pub fn render_signal_reference(rows: &[(u8, &str, [u64; 3], [u64; 3])]) -> String {
+    let triple = |c: &[u64; 3]| format!("{}/{}/{}", c[0], c[1], c[2]);
+    let mut out = String::from("paper reference (worst/best/average):\n");
+    for (case, branches, rla, tcp) in rows {
+        let group = format!("case {case} {branches}:");
+        out.push_str(&format!(
+            "  {group:<23}RLA {:<13} TCP {}\n",
+            triple(rla),
+            triple(tcp)
+        ));
+    }
+    out
+}
+
+/// Figure 10's "paper reference" block.
+pub fn render_fig10_reference(rows: &[(&str, [f64; 4])]) -> String {
+    let mut out = String::from("paper reference:\n");
+    for (i, (links, [rla, cwnd, wtcp, btcp])) in rows.iter().enumerate() {
+        let case = i + 1;
+        out.push_str(&format!(
+            "  case {case} ({links}): RLA {rla:.1} pkt/s cwnd {cwnd:.1} | WTCP {wtcp:.1} | BTCP {btcp:.1}\n"
+        ));
+    }
+    out
+}
+
+/// §5.2's "paper reference" line.
+pub fn render_sessions_reference([pps, cwnd]: &[[f64; 2]; 2]) -> String {
+    format!(
+        "paper reference: {:.1} / {:.1} pkt/s, windows {:.1} / {:.1}\n",
+        pps[0], pps[1], cwnd[0], cwnd[1]
+    )
+}
+
+/// How one row of [`render_throughput_table`] renders a flow's cell.
+type Cell<Row> = fn(&Row) -> String;
 
 /// Render a figure-7/9-style table from one result per case (columns) —
 /// the RLA block, then the worst-TCP block, then the best-TCP block.
 pub fn render_throughput_table(title: &str, results: &[ScenarioResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    let header: Vec<String> = results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| format!("case {}: {}", i + 1, r.case_label))
-        .collect();
-    out.push_str(&format!("{:<26}", "most congested links"));
-    for h in &header {
-        out.push_str(&format!("{h:>22}"));
+    let mut out = format!("{title}\n{:<26}", "most congested links");
+    for (i, r) in results.iter().enumerate() {
+        out.push_str(&format!(
+            "{:>22}",
+            format!("case {}: {}", i + 1, r.case_label)
+        ));
     }
     out.push('\n');
-
-    let mut row = |label: &str, values: Vec<String>| {
+    let mut row = |label: &str, cells: Vec<String>| {
         out.push_str(&format!("{label:<26}"));
-        for v in values {
-            out.push_str(&format!("{v:>22}"));
+        for c in cells {
+            out.push_str(&format!("{c:>22}"));
         }
         out.push('\n');
     };
-
-    row(
-        "RLA thrput (pkt/sec)",
-        results
-            .iter()
-            .map(|r| format!("{:.1}", r.rla[0].throughput_pps))
-            .collect(),
-    );
-    row(
-        "RLA cwnd",
-        results
-            .iter()
-            .map(|r| format!("{:.1}", r.rla[0].cwnd_avg))
-            .collect(),
-    );
-    row(
-        "RLA RTT (sec)",
-        results
-            .iter()
-            .map(|r| format!("{:.3}", r.rla[0].rtt_avg))
-            .collect(),
-    );
-    row(
-        "RLA # cong signals",
-        results
-            .iter()
-            .map(|r| format!("{}", r.rla[0].cong_signals))
-            .collect(),
-    );
-    row(
-        "RLA # wnd cut",
-        results
-            .iter()
-            .map(|r| format!("{}", r.rla[0].window_cuts))
-            .collect(),
-    );
-    row(
-        "RLA # forced cut",
-        results
-            .iter()
-            .map(|r| format!("{}", r.rla[0].forced_cuts))
-            .collect(),
-    );
-
-    // A scenario with zero competing TCP flows has no worst/best row;
-    // render `n/a` cells rather than refusing to print the RLA block.
-    for (label, pick) in [("WTCP", true), ("BTCP", false)] {
-        let rows: Vec<Option<&crate::metrics::TcpRow>> = results
-            .iter()
-            .map(|r| if pick { r.worst_tcp() } else { r.best_tcp() })
-            .collect();
-        let cells = |fmt: &dyn Fn(&crate::metrics::TcpRow) -> String| -> Vec<String> {
-            rows.iter()
-                .map(|t| t.map_or_else(|| "n/a".to_string(), fmt))
-                .collect()
-        };
-        row(
-            &format!("{label} thrput (pkt/sec)"),
-            cells(&|t| format!("{:.1}", t.throughput_pps)),
-        );
-        row(
-            &format!("{label} cwnd"),
-            cells(&|t| format!("{:.1}", t.cwnd_avg)),
-        );
-        row(
-            &format!("{label} RTT (sec)"),
-            cells(&|t| format!("{:.3}", t.rtt_avg)),
-        );
-        row(
-            &format!("{label} # wnd cut"),
-            cells(&|t| format!("{}", t.window_cuts)),
-        );
+    let rla_rows: [(&str, Cell<RlaRow>); 6] = [
+        ("RLA thrput (pkt/sec)", |a| {
+            format!("{:.1}", a.throughput_pps)
+        }),
+        ("RLA cwnd", |a| format!("{:.1}", a.cwnd_avg)),
+        ("RLA RTT (sec)", |a| format!("{:.3}", a.rtt_avg)),
+        ("RLA # cong signals", |a| a.cong_signals.to_string()),
+        ("RLA # wnd cut", |a| a.window_cuts.to_string()),
+        ("RLA # forced cut", |a| a.forced_cuts.to_string()),
+    ];
+    for (label, cell) in rla_rows {
+        row(label, results.iter().map(|r| cell(&r.rla[0])).collect());
+    }
+    // A TCP cut counts fast recoveries and timeouts alike; the last row
+    // says how many of them were timeouts.
+    let tcp_rows: [(&str, Cell<TcpRow>); 5] = [
+        ("thrput (pkt/sec)", |t| format!("{:.1}", t.throughput_pps)),
+        ("cwnd", |t| format!("{:.1}", t.cwnd_avg)),
+        ("RTT (sec)", |t| format!("{:.3}", t.rtt_avg)),
+        ("# wnd cut", |t| t.window_cuts.to_string()),
+        ("# of which RTO", |t| t.timeouts.to_string()),
+    ];
+    for (flow, worst) in [("WTCP", true), ("BTCP", false)] {
+        for (label, cell) in tcp_rows {
+            // A scenario with zero competing TCP flows has no worst/best
+            // row; render `n/a` cells rather than refusing to print.
+            let cells = results
+                .iter()
+                .map(|r| if worst { r.worst_tcp() } else { r.best_tcp() })
+                .map(|t| t.map_or_else(|| "n/a".to_string(), cell))
+                .collect();
+            row(&format!("{flow} {label}"), cells);
+        }
     }
     out
 }
@@ -129,8 +192,8 @@ pub fn render_throughput_table(title: &str, results: &[ScenarioResult]) -> Strin
 /// Render the figure-8 table: per-branch congestion-signal statistics for
 /// the RLA and the competing TCP flows, split into more/less congested
 /// groups when the case is unbalanced.
-pub fn render_signal_table(results: &[ScenarioResult]) -> String {
-    let mut out = String::new();
+pub fn render_signal_table(title: &str, results: &[ScenarioResult]) -> String {
+    let mut out = format!("{title}\n");
     out.push_str(&format!(
         "{:<10}{:<18}{:>8}{:>8}{:>10}  |{:>8}{:>8}{:>10}\n",
         "case", "branches", "RLA wrst", "best", "avg", "TCP wrst", "best", "avg"
@@ -157,28 +220,47 @@ pub fn render_signal_table(results: &[ScenarioResult]) -> String {
             // Empty branch groups (e.g. zero TCP flows) render as n/a
             // instead of refusing to summarize the rest of the table.
             let cells = |s: Option<BranchSignalStats>| match s {
-                Some(s) => (
+                Some(s) => [
                     s.worst.to_string(),
                     s.best.to_string(),
                     format!("{:.1}", s.average),
-                ),
-                None => ("n/a".to_string(), "n/a".to_string(), "n/a".to_string()),
+                ],
+                None => ["n/a"; 3].map(String::from),
             };
-            let (rw, rb, ra) = cells(BranchSignalStats::from_counts(&rla_counts));
-            let (tw, tb, ta) = cells(BranchSignalStats::from_counts(&tcp_counts));
+            let [rw, rb, ra] = cells(BranchSignalStats::from_counts(&rla_counts));
+            let [tw, tb, ta] = cells(BranchSignalStats::from_counts(&tcp_counts));
+            let case = i + 1;
             out.push_str(&format!(
-                "{:<10}{:<18}{:>8}{:>8}{:>10}  |{:>8}{:>8}{:>10}\n",
-                i + 1,
-                name,
-                rw,
-                rb,
-                ra,
-                tw,
-                tb,
-                ta
+                "{case:<10}{name:<18}{rw:>8}{rb:>8}{ra:>10}  |{tw:>8}{tb:>8}{ta:>10}\n"
             ));
         }
     }
+    out
+}
+
+/// Render the §5.2 view of a run with overlapping RLA sessions: each
+/// session's throughput, window and cuts, how the sessions split their
+/// total, and the worst and best competing TCP (`n/a` without one).
+pub fn render_sessions_table(title: &str, r: &ScenarioResult) -> String {
+    let mut out = format!("{title}\n");
+    for (i, s) in r.rla.iter().enumerate() {
+        let (n, pps, cwnd, cuts) = (i + 1, s.throughput_pps, s.cwnd_avg, s.window_cuts);
+        out.push_str(&format!(
+            "  session {n}: throughput {pps:>7.1} pkt/s   avg cwnd {cwnd:>6.1}   wnd cuts {cuts}\n"
+        ));
+    }
+    let total: f64 = r.rla.iter().map(|s| s.throughput_pps).sum();
+    let shares: Vec<String> = r
+        .rla
+        .iter()
+        .map(|s| format!("{:.1}%", 100.0 * s.throughput_pps / total))
+        .collect();
+    out.push_str(&format!("  split: {}\n", shares.join(" / ")));
+    let [worst, best] = [r.worst_tcp(), r.best_tcp()]
+        .map(|t| t.map_or_else(|| "n/a".to_string(), |t| format!("{:.1}", t.throughput_pps)));
+    out.push_str(&format!(
+        "  competing TCP: worst {worst}, best {best} pkt/s\n"
+    ));
     out
 }
 
@@ -238,61 +320,10 @@ pub fn render_theorem_table(results: &[ScenarioResult]) -> (String, Vec<String>)
     (out, outside)
 }
 
-/// Render the figure-10 table (generalized RLA, unequal RTTs).
-pub fn render_fig10_table(results: &[ScenarioResult]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<6}{:<16}{:>10}{:>8}{:>8}{:>10}{:>8}{:>8} |{:>10}{:>8}{:>8}{:>8} |{:>10}{:>8}{:>8}{:>8}\n",
-        "case", "links", "RLAthr", "cwnd", "RTT", "#cong", "#cut", "#forc", "WTCPthr", "cwnd",
-        "RTT", "#cut", "BTCPthr", "cwnd", "RTT", "#cut"
-    ));
-    // Like the figure-7 table, zero-TCP scenarios get n/a cells in the
-    // WTCP/BTCP blocks rather than a panic.
-    let tcp_cells = |t: Option<&crate::metrics::TcpRow>| match t {
-        Some(t) => (
-            format!("{:.1}", t.throughput_pps),
-            format!("{:.1}", t.cwnd_avg),
-            format!("{:.3}", t.rtt_avg),
-            t.window_cuts.to_string(),
-        ),
-        None => (
-            "n/a".to_string(),
-            "n/a".to_string(),
-            "n/a".to_string(),
-            "n/a".to_string(),
-        ),
-    };
-    for (i, r) in results.iter().enumerate() {
-        let a = &r.rla[0];
-        let (wt, wc, wr, ww) = tcp_cells(r.worst_tcp());
-        let (bt, bc, br, bw) = tcp_cells(r.best_tcp());
-        out.push_str(&format!(
-            "{:<6}{:<16}{:>10.1}{:>8.1}{:>8.3}{:>10}{:>8}{:>8} |{:>10}{:>8}{:>8}{:>8} |{:>10}{:>8}{:>8}{:>8}\n",
-            i + 1,
-            r.case_label,
-            a.throughput_pps,
-            a.cwnd_avg,
-            a.rtt_avg,
-            a.cong_signals,
-            a.window_cuts,
-            a.forced_cuts,
-            wt,
-            wc,
-            wr,
-            ww,
-            bt,
-            bc,
-            br,
-            bw
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{RlaRow, TcpRow};
+    use netsim::time::SimDuration;
 
     fn fake_result() -> ScenarioResult {
         ScenarioResult {
@@ -341,19 +372,45 @@ mod tests {
     }
 
     #[test]
+    fn rto_rows_read_timeouts_not_window_cuts() {
+        let mut r = fake_result();
+        for t in &mut r.tcp {
+            t.timeouts = 600 + t.receiver_index as u64;
+        }
+        let t = render_throughput_table("figure 7", &[r]);
+        let cell = |label: &str| {
+            let line = t.lines().find(|l| l.starts_with(label)).expect(label);
+            line[label.len()..].trim().to_string()
+        };
+        // WTCP is receiver 0 (80 pkt/s), BTCP receiver 26 (106 pkt/s).
+        assert_eq!(cell("WTCP # wnd cut"), "850");
+        assert_eq!(cell("WTCP # of which RTO"), "600");
+        assert_eq!(cell("BTCP # wnd cut"), "850");
+        assert_eq!(cell("BTCP # of which RTO"), "626");
+    }
+
+    #[test]
     fn signal_table_groups_branches() {
         let mut r = fake_result();
         r.congested_leaves = vec![0, 1, 2];
-        let t = render_signal_table(&[r]);
+        let t = render_signal_table("figure 8", &[r]);
+        assert!(t.starts_with("figure 8\n"));
         assert!(t.contains("more congested"));
         assert!(t.contains("less congested"));
     }
 
     #[test]
-    fn fig10_table_renders() {
-        let t = render_fig10_table(&[fake_result()]);
-        assert!(t.contains("144.1"));
-        assert!(t.contains("WTCP"));
+    fn sessions_table_splits_the_sessions_total() {
+        let mut r = fake_result();
+        r.rla.push(r.rla[0].clone());
+        r.rla[1].throughput_pps = 3.0 * r.rla[0].throughput_pps;
+        let t = render_sessions_table("section 5.2", &r);
+        assert!(t.contains("  session 2: throughput   432.3 pkt/s"), "{t}");
+        assert!(t.contains("  split: 25.0% / 75.0%\n"), "{t}");
+        assert!(
+            t.contains("  competing TCP: worst 80.0, best 106.0 pkt/s\n"),
+            "{t}"
+        );
     }
 
     #[test]
@@ -368,13 +425,34 @@ mod tests {
         assert!(t.contains("WTCP thrput"));
         assert!(t.contains("n/a"));
 
-        let t = render_fig10_table(&[r.clone()]);
+        let t = render_sessions_table("section 5.2", &r);
         assert!(t.contains("144.1"));
-        assert!(t.contains("n/a"));
+        assert!(
+            t.contains("competing TCP: worst n/a, best n/a pkt/s"),
+            "{t}"
+        );
 
-        let t = render_signal_table(&[r]);
+        let t = render_signal_table("figure 8", &[r]);
         assert!(t.contains("all links"));
         assert!(t.contains("n/a"));
+    }
+
+    #[test]
+    fn paper_reference_blocks_keep_their_published_layout() {
+        let fig7 = render_throughput_reference(&PAPER.fig7);
+        assert!(fig7.starts_with("paper reference (3000 s runs):\n"));
+        assert!(fig7.contains("\n  RLA  thrput: 144.1 / 105.1 /  94.6 / 153.0 / 224.6\n"));
+        let fig8 = render_signal_reference(&PAPER.fig8);
+        assert!(fig8.contains("\n  case 1 all links:      RLA 861/861/861   TCP 879/818/851\n"));
+        // The one RLA triple wider than its column pushes TCP right.
+        assert!(fig8.contains("\n  case 5 more congested: RLA 1082/1082/1082 TCP 899/869/886\n"));
+        assert_eq!(fig8.lines().count(), 1 + PAPER.fig8.len());
+        assert!(render_fig10_reference(&PAPER.fig10)
+            .ends_with("\n  case 2 (L3i): RLA 161.6 pkt/s cwnd 36.5 | WTCP 64.2 | BTCP 67.7\n"));
+        assert_eq!(
+            render_sessions_reference(&PAPER.sec52),
+            "paper reference: 65.1 / 65.9 pkt/s, windows 19.9 / 20.1\n"
+        );
     }
 
     /// One fabricated sweep cell: every TCP at 100 pkt/s, the RLA at
@@ -442,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_sweep_is_five_droptail_then_five_red_under_the_config() {
+    fn paper_sweep_is_figures_7_to_9_then_10_then_section_5_2_under_the_config() {
         let cfg = RunConfig::from_vars(|knob| {
             let v = match knob {
                 "RLA_SEED" => "7",
@@ -453,18 +531,49 @@ mod tests {
             Some(v.to_string())
         });
         let sweep: Vec<_> = paper_sweep(&cfg).iter().map(ScenarioSpec::build).collect();
-        let cells: Vec<_> = sweep.iter().map(|s| (s.gateway, s.case)).collect();
-        assert_eq!(cells, sweep_order());
-        let labels: std::collections::BTreeSet<_> = sweep
+        let runs: Vec<_> = sweep
             .iter()
-            .map(|s| (s.case.label(), s.gateway == GatewayKind::Red))
+            .map(|s| (s.gateway, s.case, s.rla_sessions))
             .collect();
-        assert_eq!(labels.len(), 10, "manifest labels must not collide");
+        let mut expected: Vec<_> = sweep_order()
+            .into_iter()
+            .map(|(gw, case)| (gw, case, 1))
+            .collect();
+        expected
+            .extend(CongestionCase::FIGURE10_CASES.map(|case| (GatewayKind::DropTail, case, 1)));
+        expected.push((GatewayKind::DropTail, CongestionCase::Case3AllLeaves, 2));
+        assert_eq!(runs, expected);
         for s in &sweep {
             assert_eq!(s.seed, 7);
             assert_eq!(s.duration, cfg.run_duration());
             assert_eq!(s.tcp_cc.name(), "reno");
         }
         assert_eq!(cfg.run_duration().as_secs_f64(), 90.0);
+    }
+
+    #[test]
+    fn the_sweep_manifest_self_diffs_clean() {
+        // Figure 10's second case shares figure 7 case 2's link label and
+        // §5.2 shares case 3's: give every run a registry of its own, so a
+        // label collision pairs two different registries and drifts.
+        let runs: Vec<ScenarioResult> = paper_sweep(&RunConfig::from_vars(|_| None))
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let s = spec.build();
+                let mut r = fake_result();
+                r.case_label = s.case.label().into();
+                r.gateway = s.gateway;
+                r.rla = vec![r.rla[0].clone(); s.rla_sessions];
+                let mut registry = telemetry::Registry::new();
+                registry.record_count("run", i as u64);
+                r.registry = registry.snapshot();
+                r
+            })
+            .collect();
+        let m = crate::manifest::scenario_manifest("tables", SimDuration::from_secs(60), &runs);
+        let d = crate::diff::diff_manifests(&m, &m, &Default::default()).expect("parses");
+        assert!(!d.has_drift(), "{}", crate::diff::render_table(&d));
+        assert_eq!(d.runs.len(), 13);
     }
 }

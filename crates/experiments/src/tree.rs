@@ -64,6 +64,12 @@ impl CongestionCase {
         CongestionCase::Case5OneLevel2,
     ];
 
+    /// The two unequal-RTT cases of figure 10 in table order.
+    pub const FIGURE10_CASES: [CongestionCase; 2] = [
+        CongestionCase::Fig10AllLevel2,
+        CongestionCase::Fig10AllLevel3,
+    ];
+
     /// The paper's label for the congested-link set.
     pub fn label(&self) -> &'static str {
         match self {

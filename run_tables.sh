@@ -6,8 +6,6 @@ set -x
 export RLA_DURATION_SECS=${RLA_DURATION_SECS:-300}
 cd "$(dirname "$0")" || exit 1
 cargo run --release -p experiments --bin tables > results/tables.txt
-cargo run --release -p experiments --bin fig10 > results/fig10.txt
-cargo run --release -p experiments --bin sec52 > results/sec52.txt
 cargo run --release -p experiments --bin fig5  > results/fig5.txt
 cargo run --release -p experiments --bin fig4  > results/fig4.txt
 cargo run --release -p experiments --bin eq1   > results/eq1.txt

@@ -61,8 +61,8 @@
 //! paper-vs-measured numbers:
 //!
 //! ```text
-//! cargo run --release -p experiments --bin tables   # figs. 7-9 + Theorems I/II
-//! RLA_DURATION_SECS=300 cargo run --release -p experiments --bin fig10
+//! cargo run --release -p experiments --bin tables   # figs. 7-10, §5.2 + Theorems I/II
+//! RLA_DURATION_SECS=300 RLA_SEED=1 cargo run --release -p experiments --bin tables  # results/tables.txt
 //! ```
 
 #![forbid(unsafe_code)]
