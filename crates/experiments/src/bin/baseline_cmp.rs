@@ -175,6 +175,7 @@ fn contest(controller: Controller, seed: u64, duration: f64) -> (f64, f64, u64) 
 
 fn main() {
     let cfg = RunConfig::from_env();
+    cfg.refuse_scenario_knobs("baseline_cmp");
     let duration = cfg.capped_duration(1000.0).as_secs_f64();
     println!("§1 — rate-based baselines vs the RLA against TCP (fair share: 100/100 pkt/s)");
     println!(

@@ -72,6 +72,7 @@ fn point(n: usize, seed: u64, secs: u64) -> (f64, f64, f64, u64) {
 
 fn main() {
     let cfg = RunConfig::from_env();
+    cfg.refuse_scenario_knobs("bounds_sweep");
     let secs = cfg.scaled_duration(5.0, 200.0).as_secs_f64() as u64;
     println!("Essential-fairness ratio vs receiver count (unbalanced congestion)");
     println!("worst branch p = 2%, others p = 0.2% (troubled within η = 20)");

@@ -22,6 +22,7 @@ use telemetry::QueueSeriesTracer;
 fn main() {
     // 100 pkt/s bottleneck, 50 ms one-way => RTT 0.1 s, BDP 10 < buffer 20.
     let cfg = RunConfig::from_env();
+    cfg.refuse_scenario_knobs("buffer_period");
     let mut engine = Engine::new(cfg.seed);
     let a = engine.add_node("src");
     let b = engine.add_node("dst");

@@ -9,7 +9,7 @@
 //! cargo run --release -p experiments --bin debug_probe -- 1 droptail
 //! ```
 //!
-//! writes `results/debug_probe.timeline.jsonl` (period/format/dir from
+//! writes `results/debug_probe.timeline.jsonl` (period and dir from
 //! the `RLA_TELEMETRY_*` knobs; see `EXPERIMENTS.md`). The run is 120 s
 //! unless `RLA_DURATION_SECS` says otherwise.
 
@@ -36,16 +36,13 @@ fn main() {
     let sender = world.rla_senders[0];
 
     // The probe exists to look at time series, so the recorder is always
-    // on here, configured by RLA_TELEMETRY_SAMPLE_MS/FORMAT/DIR. Samples
+    // on here, configured by RLA_TELEMETRY_SAMPLE_MS/DIR. Samples
     // stream to the file as they are recorded (written per sampling
     // instant), so `rla_top results/debug_probe.timeline.jsonl` — or
     // plain `tail -f` — follows the run live.
     let (r, rec) = world.run_with_telemetry_streamed(&scenario, &cfg.telemetry, "debug_probe");
-    // The file `stream_to` opened: `<dir>/<stem>.timeline.<ext>`.
-    let path = cfg.telemetry.dir.join(format!(
-        "debug_probe.timeline.{}",
-        cfg.telemetry.format.extension()
-    ));
+    // The file `stream_to` opened: `<dir>/<stem>.timeline.jsonl`.
+    let path = cfg.telemetry.dir.join("debug_probe.timeline.jsonl");
     println!(
         "timeline: {} ({} series, {} samples, period {:.3}s)",
         path.display(),

@@ -138,6 +138,7 @@ fn full_sim_view(cfg: &RunConfig) -> experiments::Json {
 
 fn main() {
     let cfg = RunConfig::from_env();
+    cfg.refuse_scenario_knobs("fig5");
     println!("Figure 5 — occurrence density of (cwnd1, cwnd2)\n");
     let particle = particle_view();
     let full = full_sim_view(&cfg);

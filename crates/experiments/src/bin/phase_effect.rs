@@ -69,6 +69,7 @@ fn contest(
 
 fn main() {
     let cfg = RunConfig::from_env();
+    cfg.refuse_scenario_knobs("phase_effect");
     let duration = cfg.capped_duration(1000.0).as_secs_f64();
     let service = SimDuration::from_nanos(netsim::packet::tx_nanos(1000, 800_000));
     println!("§3.1 — phase effect at a drop-tail gateway (two near-identical TCPs)");

@@ -39,7 +39,7 @@ use crate::tree::CongestionCase;
 /// [`RunConfig::from_env`] rejects anything else in the `RLA_` namespace
 /// so a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 15] = [
+pub const KNOWN_ENV_VARS: [&str; 14] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
@@ -53,7 +53,6 @@ pub const KNOWN_ENV_VARS: [&str; 15] = [
     "RLA_PCAP",
     "RLA_PCAP_DIR",
     "RLA_TELEMETRY_SAMPLE_MS",
-    "RLA_TELEMETRY_FORMAT",
     "RLA_TELEMETRY_DIR",
 ];
 
@@ -72,18 +71,19 @@ pub const BG_MEAN_PACKETS: f64 = 20.0;
 /// the run length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapOptions {
-    /// Write a capture file per scenario run (`RLA_PCAP=1`/`on`, or a
-    /// snaplen in bytes which also enables).
+    /// Write a capture file per scenario run (`RLA_PCAP`, a switch:
+    /// `1`/`on`/`true` or `0`/`off`).
     pub enabled: bool,
-    /// Capture-record snap length in bytes (`RLA_PCAP=<bytes>`;
-    /// default 128, floored at 64 by the writer so the synthetic
-    /// headers always survive truncation).
+    /// Capture-record snap length in bytes. No knob sets it: every
+    /// synthetic frame fits [`DEFAULT_SNAPLEN`] (`telemetry::pcap`'s
+    /// compile-time `FRAME_MAX` check), so a parsed config always holds
+    /// the default. The frozen `benchmark/` names it in a struct literal.
     pub snaplen: u32,
     /// Directory capture files are written to (`RLA_PCAP_DIR`; a parsed
     /// config defaults it to the results dir, [`Default`] to `results/`).
     pub dir: PathBuf,
     /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
-    /// in a struct literal; ROADMAP item 4(b) deletes it).
+    /// in a struct literal; ROADMAP item 7 deletes it).
     pub spool_records: Option<usize>,
 }
 
@@ -112,7 +112,9 @@ pub struct TelemetryOptions {
     /// Sampling period for the timeline recorder
     /// (`RLA_TELEMETRY_SAMPLE_MS`, default 500 ms; 0 is rejected).
     pub sample_period: SimDuration,
-    /// Timeline export format (`RLA_TELEMETRY_FORMAT=jsonl|csv`).
+    /// Inert: JSONL is the one timeline format, and no knob sets this
+    /// (the frozen `benchmark/` names it in a struct literal; ROADMAP
+    /// item 7 deletes it).
     pub format: TimelineFormat,
     /// Directory timeline files are written to (`RLA_TELEMETRY_DIR`; a
     /// parsed config defaults it to the results dir, [`Default`] to
@@ -245,8 +247,10 @@ impl RunConfig {
         };
         if let Some(v) = get("RLA_PCAP") {
             pcap.enabled = switch(&v).unwrap_or_else(|| {
-                pcap.snaplen = parsed("RLA_PCAP", &v, "on|off|1|0 or a snaplen in bytes");
-                true
+                panic!(
+                    "RLA_PCAP={v:?}: expected a switch, 1/on/true or 0/off \
+                     (a snap length is not accepted: every frame fits the default)"
+                )
             });
         }
 
@@ -264,13 +268,6 @@ impl RunConfig {
                 "RLA_TELEMETRY_SAMPLE_MS=0: the sampling period must be at least 1 ms"
             );
             telemetry.sample_period = SimDuration::from_millis(ms);
-        }
-        if let Some(v) = get("RLA_TELEMETRY_FORMAT") {
-            telemetry.format = match v.as_str() {
-                "jsonl" => TimelineFormat::Jsonl,
-                "csv" => TimelineFormat::Csv,
-                other => panic!("RLA_TELEMETRY_FORMAT={other:?}: expected jsonl|csv"),
-            };
         }
 
         RunConfig {
@@ -331,6 +328,28 @@ impl RunConfig {
             spec
         }
     }
+
+    /// The check a binary that builds its engine by hand, instead of from
+    /// [`spec`](Self::spec), makes first. Such a run cannot honour the
+    /// knobs that shape a tree scenario or capture its packets, so each of
+    /// them set to anything but its default stops `binary` with the knob
+    /// named, instead of being ignored.
+    pub fn refuse_scenario_knobs(&self, binary: &str) {
+        let set = [
+            ("RLA_TCP_CC", self.tcp_cc != CcVariant::sack()),
+            ("RLA_CHURN_RATE", self.churn_rate > 0.0),
+            ("RLA_BG_LOAD", self.bg_load > 0.0),
+            ("RLA_EVENTS_FILE", !self.events.is_empty()),
+            ("RLA_PCAP", self.pcap.enabled),
+        ];
+        for (knob, is_set) in set {
+            assert!(
+                !is_set,
+                "{knob} is set, but {binary} builds its engine by hand and \
+                 cannot honour it; unset it"
+            );
+        }
+    }
 }
 
 /// Parse `v` as a `T`, or fail naming the knob and the expected form
@@ -340,8 +359,8 @@ fn parsed<T: FromStr>(name: &str, v: &str, what: &str) -> T {
         .unwrap_or_else(|_| panic!("{name}={v:?}: expected {what}"))
 }
 
-/// The on/off spellings the switch-like knobs share; `None` for anything
-/// else (a number, for the knobs that take one, or a typo to reject).
+/// The on/off spellings the switch knobs share; `None` for anything else,
+/// which the caller rejects naming its knob.
 fn switch(v: &str) -> Option<bool> {
     match v {
         "1" | "on" | "true" => Some(true),
@@ -439,9 +458,8 @@ mod tests {
             ("RLA_BG_LOAD", "3"),
             ("RLA_PROGRESS", "on"),
             ("RLA_PROGRESS_FILE", "/tmp/hb.jsonl"),
-            ("RLA_PCAP", "256"),
+            ("RLA_PCAP", "on"),
             ("RLA_TELEMETRY_SAMPLE_MS", "250"),
-            ("RLA_TELEMETRY_FORMAT", "csv"),
             // Other namespaces are none of this module's business.
             ("PATH", "/bin"),
             ("CARGO_TARGET_DIR", "target"),
@@ -451,10 +469,9 @@ mod tests {
         assert_eq!((cfg.churn_rate, cfg.bg_load), (0.25, 3.0));
         assert!(cfg.progress);
         assert_eq!(cfg.progress_file, Some(PathBuf::from("/tmp/hb.jsonl")));
-        assert!(cfg.pcap.enabled, "a snaplen enables capture");
-        assert_eq!(cfg.pcap.snaplen, 256);
+        assert!(cfg.pcap.enabled);
+        assert_eq!(cfg.pcap.snaplen, DEFAULT_SNAPLEN);
         assert_eq!(cfg.telemetry.sample_period, SimDuration::from_millis(250));
-        assert_eq!(cfg.telemetry.format, TimelineFormat::Csv);
         // Captures and timelines follow the results dir unless redirected.
         assert_eq!(cfg.pcap.dir, PathBuf::from("/tmp/out"));
         assert_eq!(cfg.telemetry.dir, PathBuf::from("/tmp/out"));
@@ -563,8 +580,10 @@ mod tests {
             // `!period.is_zero()` assertion.
             ("RLA_TELEMETRY_SAMPLE_MS", "0", "at least 1 ms"),
             ("RLA_TELEMETRY_SAMPLE_MS", "fast", "expected milliseconds"),
-            ("RLA_TELEMETRY_FORMAT", "xml", "expected jsonl|csv"),
             ("RLA_PCAP", "x", "RLA_PCAP=\"x\""),
+            // A snap length used to be accepted; every frame fits the
+            // default, so it could only truncate SACK options.
+            ("RLA_PCAP", "256", "expected a switch, 1/on/true or 0/off"),
             ("RLA_TCP_CC", "vegas", "sack, reno, cubic, bbr"),
             ("RLA_CHURN_RATE", "-1", "RLA_CHURN_RATE"),
             ("RLA_BG_LOAD", "heavy", "RLA_BG_LOAD"),
@@ -585,20 +604,65 @@ mod tests {
             ("RLA_BENCH_GATE_PCT", "3", valid_list),
             ("RLA_DIFF_THRESHOLD_PCT", "1", valid_list),
             ("RLA_PCAP_SPOOL", "1", valid_list),
+            ("RLA_TELEMETRY_FORMAT", "jsonl", valid_list),
         ];
         for &(name, value, expected) in rows {
-            let err = catch_unwind(AssertUnwindSafe(|| config(&[(name, value)])))
-                .expect_err(&format!("{name}={value:?} must be rejected"));
-            // `assert!` with a literal message panics with a `&str`.
-            let msg = err
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| err.downcast_ref::<&str>().copied())
-                .expect("panics carry a message");
+            let msg = panic_message(|| {
+                config(&[(name, value)]);
+            });
             assert!(
                 msg.contains(expected) && msg.contains(name),
                 "{name}={value:?}: {msg}"
             );
+        }
+    }
+
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+        // `assert!` with a literal message panics with a `&str`.
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .expect("panics carry a message")
+    }
+
+    #[test]
+    fn hand_wired_binaries_refuse_the_knobs_they_cannot_honour() {
+        let dir = std::env::temp_dir().join("rla_cli_hand_wired_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let events = dir.join("events.json");
+        let schedule = vec![ScenarioEvent::leave(25.0, 0, 2)];
+        std::fs::write(&events, crate::events::events_json(&schedule).pretty()).unwrap();
+        let only = |knob: &'static str, value: &str| {
+            let value = value.to_string();
+            RunConfig::from_vars(move |name| (name == knob).then(|| value.clone()))
+        };
+        let refused = [
+            ("RLA_TCP_CC", "reno"),
+            ("RLA_CHURN_RATE", "0.5"),
+            ("RLA_BG_LOAD", "3"),
+            ("RLA_EVENTS_FILE", events.to_str().unwrap()),
+            ("RLA_PCAP", "1"),
+        ];
+        for (knob, value) in refused {
+            let cfg = only(knob, value);
+            let msg = panic_message(|| cfg.refuse_scenario_knobs("phase_effect"));
+            assert!(
+                msg.starts_with(&format!("{knob} is set, but phase_effect builds")),
+                "{knob}={value:?}: {msg}"
+            );
+        }
+        // Defaults, spelled out or not, and the knobs such a binary does
+        // honour pass.
+        for (knob, value) in [
+            ("RLA_TCP_CC", "sack"),
+            ("RLA_CHURN_RATE", "0"),
+            ("RLA_PCAP", "off"),
+            ("RLA_SEED", "7"),
+            ("RLA_DURATION_SECS", "90"),
+        ] {
+            only(knob, value).refuse_scenario_knobs("phase_effect");
         }
     }
 

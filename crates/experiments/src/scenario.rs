@@ -645,8 +645,9 @@ impl ScenarioWorld {
 
     /// Attach a timeline: [`run`](Self::run) samples every flow and every
     /// congested channel into `rec` each `rec.period`, from the statistics
-    /// reset to the run's end, where the last sample is taken. `rec` may
-    /// already stream ([`TimelineRecorder::stream_to`]).
+    /// reset to the run's end, where the last sample is taken. `rec` must
+    /// already stream ([`TimelineRecorder::stream_to`]): a recorder keeps
+    /// no samples, and the first one taken without a stream panics.
     pub fn attach_timeline(&mut self, mut rec: TimelineRecorder) {
         let mut flows = Vec::new();
         for (i, &a) in self.rla_senders.iter().enumerate() {
@@ -670,17 +671,17 @@ impl ScenarioWorld {
         });
     }
 
-    /// Detach the timeline, with every sample the run took.
+    /// Detach the timeline. Its samples are in its stream, not in it:
+    /// [`TimelineRecorder::finish_stream`] writes the last instant and
+    /// reports any I/O error the run swallowed.
     pub fn take_timeline(&mut self) -> Option<TimelineRecorder> {
         self.sampler.take().map(|s| s.rec)
     }
 
     /// [`run`](Self::run) with a timeline attached that samples every
-    /// `opts.sample_period` and streams to `<dir>/<stem>.timeline.<ext>`
+    /// `opts.sample_period` and streams to `<dir>/<stem>.timeline.jsonl`
     /// (written per sampling instant, whole lines), so `tail -f` and
-    /// `rla_top` follow the run live, one sampling period behind. The
-    /// file is byte-identical to what [`TimelineRecorder::render`]
-    /// returns afterwards.
+    /// `rla_top` follow the run live, one sampling period behind.
     pub fn run_with_telemetry_streamed(
         &mut self,
         scenario: &TreeScenario,
@@ -969,12 +970,37 @@ mod tests {
         assert!((0.20..0.5).contains(&tcp_rtt), "TCP rtt {tcp_rtt}");
     }
 
-    /// Run `scenario` with a timeline sampled every 60 s attached.
-    fn sampled(scenario: &TreeScenario) -> (ScenarioResult, TimelineRecorder) {
+    /// Run `scenario` with a timeline sampled every 60 s streaming into
+    /// `name`'s temp dir; returns the result and the sample times the file
+    /// holds per series, in registration order.
+    fn sampled(scenario: &TreeScenario, name: &str) -> (ScenarioResult, Vec<(String, Vec<f64>)>) {
+        let dir = std::env::temp_dir().join("rla_scenario_timelines");
+        let mut rec = TimelineRecorder::new(SimDuration::from_secs(60));
+        let path = rec
+            .stream_to(&dir, name, telemetry::TimelineFormat::Jsonl)
+            .expect("open the timeline");
         let mut world = scenario.build();
-        world.attach_timeline(TimelineRecorder::new(SimDuration::from_secs(60)));
+        world.attach_timeline(rec);
         let r = world.run(scenario);
-        (r, world.take_timeline().expect("attached"))
+        let mut rec = world.take_timeline().expect("attached");
+        rec.finish_stream().expect("write the timeline");
+        let mut times: Vec<(String, Vec<f64>)> = rec
+            .series()
+            .iter()
+            .map(|s| (s.name.clone(), Vec::new()))
+            .collect();
+        for line in std::fs::read_to_string(&path).expect("read back").lines() {
+            let json = crate::manifest::Json::parse(line).expect("a JSON line");
+            let series = json.get("series").and_then(|v| v.as_str()).expect("series");
+            let t = json.get("t").and_then(|v| v.as_f64()).expect("t");
+            let (_, ts) = times.iter_mut().find(|(n, _)| n == series).expect("known");
+            ts.push(t);
+        }
+        assert_eq!(
+            times.iter().map(|(_, ts)| ts.len()).sum::<usize>(),
+            rec.sample_count()
+        );
+        (r, times)
     }
 
     #[test]
@@ -986,13 +1012,12 @@ mod tests {
         let scenario = ScenarioSpec::paper(CongestionCase::Case1RootLink)
             .with_duration(SimDuration::from_secs(150))
             .build();
-        let (_, rec) = sampled(&scenario);
-        assert!(!rec.series().is_empty());
-        for s in rec.series() {
-            let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
+        let (_, series) = sampled(&scenario, "partial_periods");
+        assert!(!series.is_empty());
+        for (name, times) in series {
             // Warmup ends at 20 s; full ticks at 80 s and 140 s; the
             // final partial tick lands exactly on end-of-run.
-            assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {}", s.name);
+            assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {name}");
         }
     }
 
@@ -1050,10 +1075,9 @@ mod tests {
             .with_duration(SimDuration::from_secs(150))
             .with_event(ScenarioEvent::leave(80.0, 0, 0))
             .build();
-        let (r, rec) = sampled(&scenario);
-        for s in rec.series() {
-            let times: Vec<f64> = s.samples.iter().map(|(t, _)| t.as_secs_f64()).collect();
-            assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {}", s.name);
+        let (r, series) = sampled(&scenario, "event_on_boundary");
+        for (name, times) in series {
+            assert_eq!(times, vec![20.0, 80.0, 140.0, 150.0], "series {name}");
         }
         use telemetry::MetricValue;
         assert_eq!(

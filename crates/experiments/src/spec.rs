@@ -146,8 +146,8 @@ impl ScenarioSpec {
     }
 
     /// Inert: the engine runs one execution domain whatever `shards` is
-    /// (at least 1). Only `benchmark/` calls it; ROADMAP item 4(b)
-    /// deletes it.
+    /// (at least 1). Only `benchmark/` calls it; ROADMAP item 7 deletes
+    /// it.
     pub fn with_shards(self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one worker is required");
         self

@@ -1,8 +1,10 @@
 //! Reusable topology builders.
 //!
-//! Generic shapes used by tests and examples; the paper's specific
-//! four-level tertiary tree (figure 6) is assembled in the `experiments`
-//! crate from these primitives.
+//! Generic shapes for tests: random trees for the engine's invariant
+//! and ordering properties, small fixtures for unit tests. The paper's
+//! four-level tertiary tree (figure 6) does not use them:
+//! `experiments::tree::build_tree` adds its nodes and links directly,
+//! because its levels differ in arity, bandwidth and per-leaf congestion.
 
 use crate::engine::Engine;
 use crate::id::{ChannelId, NodeId};

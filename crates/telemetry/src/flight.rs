@@ -1,12 +1,14 @@
-//! Crash flight recorder: the last N trace events, kept per channel.
+//! Crash flight recorder: the last N channel events, kept per channel.
 //!
-//! A [`FlightRecorder`] is a [`Tracer`] that copies every event into a
-//! fixed-depth ring — one ring per channel (enqueue/drop/tx-start) plus
-//! one shared endpoint ring (arrive/deliver). Memory is bounded by
-//! `depth × channels`, so it can stay installed for arbitrarily long
-//! runs; when a run panics or a golden-digest gate trips, [`dump`]
-//! renders the retained tail so the divergence is debuggable instead of
-//! opaque.
+//! A [`FlightRecorder`] is a [`Tracer`] that listens to the channel events
+//! only — enqueue, drop and transmission start — and copies each into a
+//! fixed-depth ring of its channel. Arrivals and deliveries are two thirds
+//! of a run's events and it is never woken for them: an arrival is the
+//! upstream transmission start plus the link's delay, so the channel rings
+//! already imply it. Memory is bounded by `depth × channels`, so it can
+//! stay installed for arbitrarily long runs; when a run panics or a
+//! golden-digest gate trips, [`dump`] renders the retained tail so the
+//! divergence is debuggable instead of opaque.
 //!
 //! [`FlightDumpGuard`] automates the panic case: construct it after
 //! installing the recorder, and its `Drop` impl writes the dump to
@@ -19,16 +21,14 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use netsim::id::ChannelId;
-use netsim::packet::Packet;
 use netsim::queue::DropReason;
 use netsim::time::SimTime;
-use netsim::trace::{TraceEvent, Tracer};
+use netsim::trace::{TraceEvent, TraceKinds, Tracer};
 
 /// Default ring depth per channel.
 pub const DEFAULT_FLIGHT_DEPTH: usize = 64;
 
-/// What happened, for a retained event.
+/// What happened at the channel, for a retained event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// Packet accepted into a channel buffer.
@@ -37,13 +37,9 @@ pub enum FlightKind {
     Drop(DropReason),
     /// Channel began serializing a packet.
     TxStart,
-    /// Packet arrived at a node.
-    Arrive,
-    /// Packet handed to a transport endpoint.
-    Deliver,
 }
 
-/// One owned record in a flight ring — a compact copy of a
+/// One owned record in a channel's flight ring — a compact copy of a
 /// [`TraceEvent`], with the packet reduced to its identifying fields.
 #[derive(Debug, Clone)]
 pub struct FlightEvent {
@@ -55,11 +51,8 @@ pub struct FlightEvent {
     pub uid: u64,
     /// Segment kind tag (`data`, `ack`, `nack`, …).
     pub segment: &'static str,
-    /// Index of the id the event happened at (channel, node or agent,
-    /// depending on `kind`).
-    pub at: u32,
-    /// Buffer occupancy, for the channel-side kinds.
-    pub qlen: Option<usize>,
+    /// Buffer occupancy the event reported.
+    pub qlen: usize,
 }
 
 impl FlightEvent {
@@ -68,45 +61,22 @@ impl FlightEvent {
             FlightKind::Enqueue => "enqueue".to_string(),
             FlightKind::Drop(reason) => format!("DROP({reason:?})"),
             FlightKind::TxStart => "tx".to_string(),
-            FlightKind::Arrive => "arrive".to_string(),
-            FlightKind::Deliver => "deliver".to_string(),
         };
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{} {:<18} uid={} {}",
-            self.time, kind, self.uid, self.segment
+            "{} {:<18} uid={} {} q={}",
+            self.time, kind, self.uid, self.segment, self.qlen
         );
-        if let Some(q) = self.qlen {
-            let _ = write!(out, " q={q}");
-        }
-        out.push('\n');
     }
 }
 
-/// Fixed-depth ring of [`FlightEvent`]s.
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<FlightEvent>,
-}
-
-impl Ring {
-    fn push(&mut self, depth: usize, ev: FlightEvent) {
-        if self.events.len() == depth {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-}
-
-/// A [`Tracer`] retaining the last `depth` events per channel plus the
-/// last `depth` endpoint events. See the module docs.
+/// A [`Tracer`] retaining the last `depth` events of each channel. See
+/// the module docs.
 #[derive(Debug)]
 pub struct FlightRecorder {
     depth: usize,
-    /// Indexed by channel id; grown on demand.
-    channels: Vec<Ring>,
-    /// Arrive/Deliver events, all nodes and agents together.
-    endpoints: Ring,
+    /// One ring per channel, indexed by channel id; grown on demand.
+    channels: Vec<VecDeque<FlightEvent>>,
     /// Total events seen (not just retained).
     seen: u64,
 }
@@ -118,7 +88,6 @@ impl FlightRecorder {
         FlightRecorder {
             depth: depth.max(1),
             channels: Vec::new(),
-            endpoints: Ring::default(),
             seen: 0,
         }
     }
@@ -128,42 +97,14 @@ impl FlightRecorder {
         self.depth
     }
 
-    /// Total events observed over the recorder's lifetime (retained or
-    /// not).
+    /// Total channel events observed over the recorder's lifetime
+    /// (retained or not).
     pub fn events_seen(&self) -> u64 {
         self.seen
     }
 
-    fn channel_ring(&mut self, ch: ChannelId) -> &mut Ring {
-        let idx = ch.index();
-        if idx >= self.channels.len() {
-            self.channels.resize_with(idx + 1, Ring::default);
-        }
-        &mut self.channels[idx]
-    }
-
-    fn record_channel(
-        &mut self,
-        ch: ChannelId,
-        time: SimTime,
-        kind: FlightKind,
-        packet: &Packet,
-        qlen: usize,
-    ) {
-        let depth = self.depth;
-        let ev = FlightEvent {
-            time,
-            kind,
-            uid: packet.uid,
-            segment: packet.segment.kind_str(),
-            at: ch.index() as u32,
-            qlen: Some(qlen),
-        };
-        self.channel_ring(ch).push(depth, ev);
-    }
-
-    /// Render every non-empty ring, channels first (in id order), then
-    /// the endpoint ring — each chronologically oldest-to-newest.
+    /// Render every non-empty ring in channel-id order, each
+    /// chronologically oldest-to-newest.
     pub fn dump(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -172,21 +113,11 @@ impl FlightRecorder {
             self.seen, self.depth
         );
         for (idx, ring) in self.channels.iter().enumerate() {
-            if ring.events.is_empty() {
+            if ring.is_empty() {
                 continue;
             }
-            let _ = writeln!(out, "--- channel {idx} (last {}) ---", ring.events.len());
-            for ev in &ring.events {
-                ev.render(&mut out);
-            }
-        }
-        if !self.endpoints.events.is_empty() {
-            let _ = writeln!(
-                out,
-                "--- endpoints (last {}) ---",
-                self.endpoints.events.len()
-            );
-            for ev in &self.endpoints.events {
+            let _ = writeln!(out, "--- channel {idx} (last {}) ---", ring.len());
+            for ev in ring {
                 ev.render(&mut out);
             }
         }
@@ -195,54 +126,46 @@ impl FlightRecorder {
 }
 
 impl Tracer for FlightRecorder {
+    fn wants(&self) -> TraceKinds {
+        TraceKinds::ENQUEUE | TraceKinds::DROP | TraceKinds::TX_START
+    }
+
     fn trace(&mut self, now: SimTime, event: &TraceEvent<'_>) {
-        self.seen += 1;
-        match event {
+        let (channel, kind, packet, qlen) = match *event {
             TraceEvent::Enqueue {
                 channel,
                 packet,
                 qlen,
-            } => self.record_channel(*channel, now, FlightKind::Enqueue, packet, *qlen),
+            } => (channel, FlightKind::Enqueue, packet, qlen),
             TraceEvent::Drop {
                 channel,
                 packet,
                 reason,
                 qlen,
-            } => self.record_channel(*channel, now, FlightKind::Drop(*reason), packet, *qlen),
+            } => (channel, FlightKind::Drop(reason), packet, qlen),
             TraceEvent::TxStart {
                 channel,
                 packet,
                 qlen,
-            } => self.record_channel(*channel, now, FlightKind::TxStart, packet, *qlen),
-            TraceEvent::Arrive { node, packet } => {
-                let depth = self.depth;
-                self.endpoints.push(
-                    depth,
-                    FlightEvent {
-                        time: now,
-                        kind: FlightKind::Arrive,
-                        uid: packet.uid,
-                        segment: packet.segment.kind_str(),
-                        at: node.index() as u32,
-                        qlen: None,
-                    },
-                );
-            }
-            TraceEvent::Deliver { agent, packet } => {
-                let depth = self.depth;
-                self.endpoints.push(
-                    depth,
-                    FlightEvent {
-                        time: now,
-                        kind: FlightKind::Deliver,
-                        uid: packet.uid,
-                        segment: packet.segment.kind_str(),
-                        at: agent.index() as u32,
-                        qlen: None,
-                    },
-                );
-            }
+            } => (channel, FlightKind::TxStart, packet, qlen),
+            TraceEvent::Arrive { .. } | TraceEvent::Deliver { .. } => return,
+        };
+        self.seen += 1;
+        let idx = channel.index();
+        if idx >= self.channels.len() {
+            self.channels.resize_with(idx + 1, VecDeque::new);
         }
+        let ring = &mut self.channels[idx];
+        if ring.len() == self.depth {
+            ring.pop_front();
+        }
+        ring.push_back(FlightEvent {
+            time: now,
+            kind,
+            uid: packet.uid,
+            segment: packet.segment.kind_str(),
+            qlen,
+        });
     }
 }
 
@@ -288,8 +211,8 @@ impl Drop for FlightDumpGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::id::{AgentId, NodeId};
-    use netsim::packet::Dest;
+    use netsim::id::{AgentId, ChannelId, NodeId};
+    use netsim::packet::{Dest, Packet};
     use netsim::wire::Segment;
 
     fn pkt(uid: u64) -> Packet {
@@ -339,8 +262,14 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_events_share_one_ring() {
+    fn it_listens_to_the_channel_events_only() {
         let mut rec = FlightRecorder::new(2);
+        assert_eq!(
+            rec.wants(),
+            TraceKinds::ENQUEUE | TraceKinds::DROP | TraceKinds::TX_START
+        );
+        // Arrivals and deliveries, were they delivered anyway, leave no
+        // trace: the rings are the channels'.
         let p = pkt(5);
         rec.trace(
             SimTime::from_secs(1),
@@ -356,10 +285,8 @@ mod tests {
                 packet: &p,
             },
         );
-        let dump = rec.dump();
-        assert!(dump.contains("--- endpoints (last 2) ---"), "{dump}");
-        assert!(dump.contains("arrive"), "{dump}");
-        assert!(dump.contains("deliver"), "{dump}");
+        assert_eq!(rec.events_seen(), 0);
+        assert_eq!(rec.dump().lines().count(), 1, "header only");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   Snapshots ([`Snapshot`]) are sorted, ready for a run manifest.
 //! * [`timeline`] — a per-flow time-series recorder
 //!   ([`TimelineRecorder`]): sampled cwnd/ssthresh/awnd, smoothed RTT,
-//!   queue length and RED average at a configurable period, exported as
-//!   JSONL or CSV.
+//!   queue length and RED average at a configurable period, streamed to a
+//!   JSONL file as it is sampled (the recorder keeps no copy).
 //! * [`flight`] — a crash [`FlightRecorder`]: a fixed-depth ring of the
-//!   last N trace events per channel, dumped when a run panics or a
+//!   last N channel events (enqueue, drop, transmission start) per
+//!   channel, dumped when a run panics or a
 //!   golden-digest gate trips, so a divergence is debuggable instead of
 //!   opaque.
 //! * [`progress`] — a thread-safe sweep heartbeat ([`SweepProgress`])

@@ -61,7 +61,7 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// bytes are *not* materialized — they exist only in `orig_len`).
 pub const DEFAULT_SNAPLEN: u32 = 128;
 /// Inert: nothing in the workspace reads it (the frozen `benchmark/`
-/// names it in a struct literal; ROADMAP item 4(b) deletes it).
+/// names it in a struct literal; ROADMAP item 7 deletes it).
 pub const DEFAULT_SPOOL_RECORDS: usize = 65_536;
 /// Capacity of a capture file's write buffer — all the memory a capture
 /// holds, whatever the run length. The file grows one full buffer per

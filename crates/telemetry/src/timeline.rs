@@ -1,35 +1,29 @@
 //! Per-flow timeline recording: sampled time series of transport and
 //! queue state.
 //!
-//! A [`TimelineRecorder`] holds one series per flow (cwnd / ssthresh /
+//! A [`TimelineRecorder`] names one series per flow (cwnd / ssthresh /
 //! awnd / smoothed RTT) and per watched channel (queue length / RED
 //! average). A recorder attached to a `ScenarioWorld` is sampled by its
-//! `run_span`, which stops at each sampling instant and pushes one sample
+//! `run_span`, which stops at each sampling instant and records one sample
 //! per series; the recorder never touches the engine, so it cannot
 //! perturb a trace digest.
 //!
-//! Export is line-oriented: JSONL (one self-describing object per
-//! sample) or CSV (one wide row per sample, empty cells for fields a
-//! series does not have). Both formats share the column set, so a plot
-//! script can consume either.
-//!
-//! Two export modes:
-//!
-//! * buffered — [`TimelineRecorder::render`] renders everything held
-//!   at the end of the run;
-//! * streaming — [`TimelineRecorder::stream_to`] opens the file up
-//!   front and writes each sampling instant's lines in one `write` call
-//!   when the first sample of a later instant arrives (the last instant at
-//!   [`TimelineRecorder::finish_stream`]), so `tail -f` and the `rla_top`
-//!   dashboard see whole lines at most one sampling period behind the
-//!   run. Samples recorded in chronological order stream byte-identical
-//!   to the buffered render.
+//! A timeline is a JSONL stream and nothing more: one self-describing
+//! object per sample, written to the file [`TimelineRecorder::stream_to`]
+//! opened. The recorder keeps no copy of what it wrote — only the series'
+//! names and kinds and a sample count — so recording into a recorder with
+//! no open stream panics rather than drop the sample. Each sampling
+//! instant's lines go out in one `write` call when the first sample of a
+//! later instant arrives (the last instant at
+//! [`TimelineRecorder::finish_stream`]), so `tail -f` and the `rla_top`
+//! dashboard see whole lines at most one sampling period behind the run.
 //!
 //! [`QueueSeriesTracer`] is the event-driven counterpart on the engine's
 //! tracer slot: it keeps one channel's queue length at every *change*
 //! (enqueue or transmission start) rather than per sampling instant — the
 //! exact series the §3.1 buffer-period analysis segments.
 
+use std::fmt::Write as _;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
@@ -39,23 +33,13 @@ use netsim::trace::{TraceEvent, TraceKinds, Tracer};
 
 use crate::json::escape_into;
 
-/// Export format for timeline files.
+/// The timeline file format: JSONL is the only one. Inert — the frozen
+/// `benchmark/` names it in `stream_to` calls and a `TelemetryOptions`
+/// literal; ROADMAP item 7 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineFormat {
     /// One JSON object per line (`.jsonl`).
     Jsonl,
-    /// Comma-separated values with a header row (`.csv`).
-    Csv,
-}
-
-impl TimelineFormat {
-    /// The file extension for this format.
-    pub fn extension(&self) -> &'static str {
-        match self {
-            TimelineFormat::Jsonl => "jsonl",
-            TimelineFormat::Csv => "csv",
-        }
-    }
 }
 
 /// One sample of a transport flow's state.
@@ -80,32 +64,20 @@ pub struct ChannelSample {
     pub red_avg: Option<f64>,
 }
 
-/// A sampled value: either a flow or a channel observation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Sample {
-    /// Transport-flow state.
-    Flow(FlowSample),
-    /// Channel-buffer state.
-    Channel(ChannelSample),
-}
-
-/// One named time series.
+/// One named time series. Its samples live only in the stream.
 #[derive(Debug, Clone)]
 pub struct TimelineSeries {
     /// Series name (`rla.0`, `tcp.3`, `chan.L1`).
     pub name: String,
     /// Kind tag (`rla`, `tcp-sack`, `reno`, `channel`).
     pub kind: &'static str,
-    /// `(time, sample)` pairs in sampling order.
-    pub samples: Vec<(SimTime, Sample)>,
 }
 
 /// Handle to a series inside a [`TimelineRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId(usize);
 
-/// Live-export state of a streaming recorder (see
-/// [`TimelineRecorder::stream_to`]).
+/// The open timeline file (see [`TimelineRecorder::stream_to`]).
 #[derive(Debug)]
 struct TimelineStream {
     /// Holds the lines of `instant`, flushed when a later one begins.
@@ -114,69 +86,63 @@ struct TimelineStream {
     instant: SimTime,
     /// One rendered line, reused for every sample.
     line: String,
-    format: TimelineFormat,
     path: PathBuf,
     /// First I/O error, sticky — recording must not panic mid-run on a
     /// full disk; the error surfaces from `finish_stream`.
     error: Option<io::Error>,
 }
 
-/// Collects sampled series; see the module docs for the driving contract.
+/// Streams sampled series; see the module docs for the driving contract.
 #[derive(Debug)]
 pub struct TimelineRecorder {
     /// Sampling period (simulated time between ticks).
     pub period: SimDuration,
     series: Vec<TimelineSeries>,
+    samples: usize,
     stream: Option<TimelineStream>,
 }
 
 impl TimelineRecorder {
-    /// A recorder sampling every `period` of simulated time.
+    /// A recorder sampling every `period` of simulated time. It records
+    /// nothing until [`stream_to`](Self::stream_to) opens its file.
     pub fn new(period: SimDuration) -> Self {
         assert!(!period.is_zero(), "sampling period must be positive");
         TimelineRecorder {
             period,
             series: Vec::new(),
+            samples: 0,
             stream: None,
         }
     }
 
-    /// Switch the recorder to streaming export: open
-    /// `<dir>/<stem>.timeline.<ext>` now (creating `dir`), write the CSV
-    /// header if applicable, and from here on write each sampling
-    /// instant's lines once the next instant's first sample is recorded
-    /// — so a live `tail -f` (or `rla_top`) follows the run a sampling
-    /// period behind instead of waiting for its end. Returns the path
-    /// opened.
+    /// Open `<dir>/<stem>.timeline.jsonl` now (creating `dir`); from here
+    /// on each sampling instant's lines are written once the next
+    /// instant's first sample is recorded — so a live `tail -f` (or
+    /// `rla_top`) follows the run a sampling period behind instead of
+    /// waiting for its end. `_format` is inert: JSONL is the one format.
+    /// Returns the path opened.
     pub fn stream_to(
         &mut self,
         dir: &Path,
         stem: &str,
-        format: TimelineFormat,
+        _format: TimelineFormat,
     ) -> io::Result<PathBuf> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.timeline.{}", format.extension()));
-        let mut out = std::fs::File::create(&path)?;
-        if format == TimelineFormat::Csv {
-            out.write_all(CSV_HEADER.as_bytes())?;
-            out.flush()?;
-        }
+        let path = dir.join(format!("{stem}.timeline.jsonl"));
         self.stream = Some(TimelineStream {
-            out: BufWriter::new(out),
+            out: BufWriter::new(std::fs::File::create(&path)?),
             instant: SimTime::ZERO,
             line: String::new(),
-            format,
             path: path.clone(),
             error: None,
         });
         Ok(path)
     }
 
-    /// Finish a streaming export: write the last instant's lines and
-    /// close the file, surfacing any I/O error recording swallowed. A
-    /// recorder dropped without it still writes them, but cannot report
-    /// an error. `Ok(None)` when the recorder was not streaming. The
-    /// in-memory series survive, so `render` still works afterwards.
+    /// Finish the stream: write the last instant's lines and close the
+    /// file, surfacing any I/O error recording swallowed. A recorder
+    /// dropped without it still writes them, but cannot report an error.
+    /// `Ok(None)` when no stream was open. Recording afterwards panics.
     pub fn finish_stream(&mut self) -> io::Result<Option<PathBuf>> {
         let Some(mut s) = self.stream.take() else {
             return Ok(None);
@@ -188,12 +154,58 @@ impl TimelineRecorder {
         Ok(Some(s.path))
     }
 
-    /// Buffer one rendered sample line in the stream, if active, after
+    /// Register a flow series.
+    pub fn add_flow(&mut self, name: impl Into<String>, kind: &'static str) -> SeriesId {
+        self.series.push(TimelineSeries {
+            name: name.into(),
+            kind,
+        });
+        SeriesId(self.series.len() - 1)
+    }
+
+    /// Register a channel series.
+    pub fn add_channel(&mut self, name: impl Into<String>) -> SeriesId {
+        self.add_flow(name, "channel")
+    }
+
+    /// Record one flow sample.
+    pub fn record_flow(&mut self, id: SeriesId, now: SimTime, sample: FlowSample) {
+        self.record(id, now, |out| {
+            push_field(out, "cwnd", sample.cwnd);
+            for (key, v) in [
+                ("ssthresh", sample.ssthresh),
+                ("awnd", sample.awnd),
+                ("rtt", sample.rtt),
+            ] {
+                if let Some(v) = v {
+                    push_field(out, key, v);
+                }
+            }
+        });
+    }
+
+    /// Record one channel sample.
+    pub fn record_channel(&mut self, id: SeriesId, now: SimTime, sample: ChannelSample) {
+        self.record(id, now, |out| {
+            let _ = write!(out, ",\"qlen\":{}", sample.qlen);
+            if let Some(v) = sample.red_avg {
+                push_field(out, "red_avg", v);
+            }
+        });
+    }
+
+    /// Write one sample's line — the common head, then `fields` — after
     /// writing out the previous instant's lines if `t` begins a new one.
-    fn stream_sample(&mut self, series_index: usize, t: SimTime, sample: &Sample) {
+    fn record(&mut self, id: SeriesId, t: SimTime, fields: impl FnOnce(&mut String)) {
+        let s = &self.series[id.0];
         let Some(stream) = self.stream.as_mut() else {
-            return;
+            panic!(
+                "timeline series {:?} sampled at {t} with no stream open: a recorder keeps \
+                 no samples, so it must stream (`stream_to`) before it records",
+                s.name
+            );
         };
+        self.samples += 1;
         if stream.error.is_some() {
             return;
         }
@@ -206,44 +218,19 @@ impl TimelineRecorder {
             stream.instant = t;
             stream.out.flush()
         };
-        let s = &self.series[series_index];
-        stream.line.clear();
-        match stream.format {
-            TimelineFormat::Jsonl => render_jsonl(&mut stream.line, t, &s.name, s.kind, sample),
-            TimelineFormat::Csv => render_csv(&mut stream.line, t, &s.name, s.kind, sample),
-        }
-        if let Err(e) = written.and_then(|()| stream.out.write_all(stream.line.as_bytes())) {
+        let line = &mut stream.line;
+        line.clear();
+        line.push_str("{\"t\":");
+        push_f64(line, t.as_secs_f64());
+        line.push_str(",\"series\":");
+        escape_into(&s.name, line);
+        line.push_str(",\"kind\":");
+        escape_into(s.kind, line);
+        fields(line);
+        line.push_str("}\n");
+        if let Err(e) = written.and_then(|()| stream.out.write_all(line.as_bytes())) {
             stream.error = Some(e);
         }
-    }
-
-    /// Register a flow series.
-    pub fn add_flow(&mut self, name: impl Into<String>, kind: &'static str) -> SeriesId {
-        self.series.push(TimelineSeries {
-            name: name.into(),
-            kind,
-            samples: Vec::new(),
-        });
-        SeriesId(self.series.len() - 1)
-    }
-
-    /// Register a channel series.
-    pub fn add_channel(&mut self, name: impl Into<String>) -> SeriesId {
-        self.add_flow(name, "channel")
-    }
-
-    /// Record one flow sample.
-    pub fn record_flow(&mut self, id: SeriesId, now: SimTime, sample: FlowSample) {
-        let sample = Sample::Flow(sample);
-        self.series[id.0].samples.push((now, sample));
-        self.stream_sample(id.0, now, &sample);
-    }
-
-    /// Record one channel sample.
-    pub fn record_channel(&mut self, id: SeriesId, now: SimTime, sample: ChannelSample) {
-        let sample = Sample::Channel(sample);
-        self.series[id.0].samples.push((now, sample));
-        self.stream_sample(id.0, now, &sample);
     }
 
     /// The registered series.
@@ -251,40 +238,11 @@ impl TimelineRecorder {
         &self.series
     }
 
-    /// Total samples across all series.
+    /// Total samples recorded across all series.
     pub fn sample_count(&self) -> usize {
-        self.series.iter().map(|s| s.samples.len()).sum()
-    }
-
-    /// Render every series into one string in `format`, interleaved by
-    /// time (series order breaks ties), so the file reads chronologically.
-    pub fn render(&self, format: TimelineFormat) -> String {
-        let mut rows: Vec<(SimTime, usize, usize)> = Vec::with_capacity(self.sample_count());
-        for (si, s) in self.series.iter().enumerate() {
-            for (pi, (t, _)) in s.samples.iter().enumerate() {
-                rows.push((*t, si, pi));
-            }
-        }
-        rows.sort_by_key(|&(t, si, pi)| (t, si, pi));
-
-        let mut out = String::new();
-        if format == TimelineFormat::Csv {
-            out.push_str(CSV_HEADER);
-        }
-        for (t, si, pi) in rows {
-            let s = &self.series[si];
-            let (_, sample) = &s.samples[pi];
-            match format {
-                TimelineFormat::Jsonl => render_jsonl(&mut out, t, &s.name, s.kind, sample),
-                TimelineFormat::Csv => render_csv(&mut out, t, &s.name, s.kind, sample),
-            }
-        }
-        out
+        self.samples
     }
 }
-
-/// The CSV column header shared by buffered and streaming export.
-const CSV_HEADER: &str = "t_secs,series,kind,cwnd,ssthresh,awnd,rtt_secs,qlen,red_avg\n";
 
 /// A [`Tracer`] that keeps one watched channel's queue length at every
 /// *change* — enqueue and transmission start, the two transitions that
@@ -332,102 +290,45 @@ impl Tracer for QueueSeriesTracer {
     }
 }
 
-/// Render a finite float the shortest way that parses back exactly;
-/// non-finite values become `null` (JSONL) — callers handle CSV.
-fn fmt_f64(v: f64) -> String {
+/// Append a finite float the shortest way that parses back exactly;
+/// non-finite values become `null`.
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-/// RFC-4180 CSV field: wrapped in double quotes with inner quotes doubled
-/// when the value contains a comma, quote or line break; verbatim
-/// otherwise. Series names come from topology labels, so they are not
-/// guaranteed comma-free.
-fn csv_field(s: &str) -> std::borrow::Cow<'_, str> {
-    if !s.contains([',', '"', '\n', '\r']) {
-        return std::borrow::Cow::Borrowed(s);
-    }
-    let mut quoted = String::with_capacity(s.len() + 2);
-    quoted.push('"');
-    for c in s.chars() {
-        if c == '"' {
-            quoted.push('"');
-        }
-        quoted.push(c);
-    }
-    quoted.push('"');
-    std::borrow::Cow::Owned(quoted)
-}
-
-fn render_jsonl(out: &mut String, t: SimTime, name: &str, kind: &str, sample: &Sample) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{{\"t\":{},\"series\":", fmt_f64(t.as_secs_f64()));
-    escape_into(name, out);
-    out.push_str(",\"kind\":");
-    escape_into(kind, out);
-    match sample {
-        Sample::Flow(f) => {
-            let _ = write!(out, ",\"cwnd\":{}", fmt_f64(f.cwnd));
-            if let Some(v) = f.ssthresh {
-                let _ = write!(out, ",\"ssthresh\":{}", fmt_f64(v));
-            }
-            if let Some(v) = f.awnd {
-                let _ = write!(out, ",\"awnd\":{}", fmt_f64(v));
-            }
-            if let Some(v) = f.rtt {
-                let _ = write!(out, ",\"rtt\":{}", fmt_f64(v));
-            }
-        }
-        Sample::Channel(c) => {
-            let _ = write!(out, ",\"qlen\":{}", c.qlen);
-            if let Some(v) = c.red_avg {
-                let _ = write!(out, ",\"red_avg\":{}", fmt_f64(v));
-            }
-        }
-    }
-    out.push_str("}\n");
-}
-
-fn render_csv(out: &mut String, t: SimTime, name: &str, kind: &str, sample: &Sample) {
-    use std::fmt::Write as _;
-    let opt = |v: Option<f64>| v.map(fmt_f64).unwrap_or_default();
-    match sample {
-        Sample::Flow(f) => {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},,",
-                fmt_f64(t.as_secs_f64()),
-                csv_field(name),
-                csv_field(kind),
-                fmt_f64(f.cwnd),
-                opt(f.ssthresh),
-                opt(f.awnd),
-                opt(f.rtt),
-            );
-        }
-        Sample::Channel(c) => {
-            let _ = writeln!(
-                out,
-                "{},{},{},,,,,{},{}",
-                fmt_f64(t.as_secs_f64()),
-                csv_field(name),
-                csv_field(kind),
-                c.qlen,
-                opt(c.red_avg),
-            );
-        }
-    }
+/// Append `,"key":v`.
+fn push_field(out: &mut String, key: &str, v: f64) {
+    let _ = write!(out, ",\"{key}\":");
+    push_f64(out, v);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn recorder_with_data() -> TimelineRecorder {
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("rla_timeline_tests").join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// What a recorder streaming into `name`'s temp dir writes while
+    /// `record` drives it.
+    fn streamed(name: &str, record: impl FnOnce(&mut TimelineRecorder)) -> String {
         let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
+        let path = r
+            .stream_to(&temp_dir(name), "t", TimelineFormat::Jsonl)
+            .unwrap();
+        record(&mut r);
+        r.finish_stream().unwrap();
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    fn record_three(r: &mut TimelineRecorder) {
         let f = r.add_flow("rla.0", "rla");
         let c = r.add_channel("chan.L1");
         r.record_flow(
@@ -458,85 +359,39 @@ mod tests {
                 rtt: None,
             },
         );
-        r
     }
 
     #[test]
-    fn jsonl_renders_one_object_per_sample_in_time_order() {
-        let r = recorder_with_data();
-        let out = r.render(TimelineFormat::Jsonl);
+    fn jsonl_streams_one_object_per_sample_in_time_order() {
+        let out = streamed("render", record_three);
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\"series\":\"rla.0\""), "{}", lines[0]);
-        assert!(lines[0].contains("\"cwnd\":10.5"), "{}", lines[0]);
-        assert!(lines[0].contains("\"awnd\":9"), "{}", lines[0]);
-        assert!(!lines[0].contains("ssthresh"), "absent fields omitted");
-        assert!(lines[1].contains("\"qlen\":7"), "{}", lines[1]);
-        assert!(lines[1].contains("\"red_avg\":3.25"), "{}", lines[1]);
-        assert!(lines[2].contains("\"ssthresh\":16"), "{}", lines[2]);
-    }
-
-    #[test]
-    fn csv_has_header_and_stable_column_count() {
-        let r = recorder_with_data();
-        let out = r.render(TimelineFormat::Csv);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 3 rows");
-        let cols = lines[0].split(',').count();
-        for line in &lines {
-            assert_eq!(line.split(',').count(), cols, "ragged row: {line}");
-        }
-        assert!(lines[2].ends_with("7,3.25"), "{}", lines[2]);
+        assert_eq!(
+            lines,
+            [
+                r#"{"t":1,"series":"rla.0","kind":"rla","cwnd":10.5,"awnd":9,"rtt":0.25}"#,
+                r#"{"t":1,"series":"chan.L1","kind":"channel","qlen":7,"red_avg":3.25}"#,
+                r#"{"t":2,"series":"rla.0","kind":"rla","cwnd":11.5,"ssthresh":16}"#,
+            ],
+            "absent fields are omitted"
+        );
     }
 
     #[test]
     fn sample_count_sums_series() {
-        assert_eq!(recorder_with_data().sample_count(), 3);
-    }
-
-    #[test]
-    fn csv_quotes_series_names_per_rfc_4180() {
-        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
-        let c = r.add_channel("chan.\"left\",L1");
-        r.record_channel(
-            c,
-            SimTime::from_secs(1),
-            ChannelSample {
-                qlen: 4,
-                red_avg: None,
-            },
-        );
-        let out = r.render(TimelineFormat::Csv);
-        let row = out.lines().nth(1).expect("data row");
-        // The name is quoted with inner quotes doubled, so the embedded
-        // comma does not split the row.
-        assert!(
-            row.contains(r#""chan.""left"",L1""#),
-            "unquoted series name: {row}"
-        );
-        // Outside quoted fields the row still has the 9-column shape.
-        let unquoted_commas = {
-            let mut depth_in_quotes = false;
-            row.chars()
-                .filter(|&ch| {
-                    if ch == '"' {
-                        depth_in_quotes = !depth_in_quotes;
-                    }
-                    ch == ',' && !depth_in_quotes
-                })
-                .count()
-        };
-        assert_eq!(unquoted_commas, 8, "{row}");
-        // Plain names stay unquoted.
-        assert_eq!(csv_field("chan.L1"), "chan.L1");
+        let mut count = 0;
+        streamed("count", |r| {
+            record_three(r);
+            count = r.sample_count();
+        });
+        assert_eq!(count, 3);
     }
 
     #[test]
     fn jsonl_escapes_series_names() {
-        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
-        let c = r.add_channel("chan.\"x\"\\y");
-        r.record_channel(c, SimTime::from_secs(1), ChannelSample::default());
-        let out = r.render(TimelineFormat::Jsonl);
+        let out = streamed("escape", |r| {
+            let c = r.add_channel("chan.\"x\"\\y");
+            r.record_channel(c, SimTime::from_secs(1), ChannelSample::default());
+        });
         assert!(
             out.contains(r#""series":"chan.\"x\"\\y""#),
             "unescaped name: {out}"
@@ -549,30 +404,26 @@ mod tests {
         TimelineRecorder::new(SimDuration::ZERO);
     }
 
-    fn temp_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("rla_timeline_tests").join(name);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    #[test]
+    #[should_panic(expected = "sampled at 1.000000s with no stream open")]
+    fn a_sample_without_a_stream_panics_instead_of_vanishing() {
+        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
+        let c = r.add_channel("chan.L1");
+        r.record_channel(c, SimTime::from_secs(1), ChannelSample::default());
     }
 
     #[test]
     fn streaming_is_readable_mid_run_an_instant_at_a_time() {
-        let dir = temp_dir("midrun");
         let period = SimDuration::from_millis(500);
-        let mut r = TimelineRecorder::new(period);
-        // An unstreamed twin renders what the file should hold.
-        let mut twin = TimelineRecorder::new(period);
-        let series = |rec: &mut TimelineRecorder| {
+        let ids = |rec: &mut TimelineRecorder| {
             [
                 rec.add_flow("rla.0", "rla"),
                 rec.add_flow("tcp.0", "reno"),
                 rec.add_channel("chan.L1"),
             ]
         };
-        let ids = series(&mut r);
-        assert_eq!(series(&mut twin), ids);
-        // Sample `i` of instant `k`, the same for both recorders.
-        let record = |rec: &mut TimelineRecorder, k: u64, i: usize| {
+        // Sample `i` of instant `k`.
+        let record = |rec: &mut TimelineRecorder, ids: &[SeriesId; 3], k: u64, i: usize| {
             let t = SimTime::ZERO + period * k;
             if i == 2 {
                 let sample = ChannelSample {
@@ -588,8 +439,25 @@ mod tests {
                 rec.record_flow(ids[i], t, sample);
             }
         };
-        let path = r.stream_to(&dir, "live", TimelineFormat::Jsonl).unwrap();
+        // The whole file, for the prefixes the live one must show.
+        let whole = streamed("midrun_whole", |r| {
+            let ids = ids(r);
+            for k in 0..4 {
+                for i in 0..ids.len() {
+                    record(r, &ids, k, i);
+                }
+            }
+        });
+        let whole: Vec<&str> = whole.lines().collect();
+        assert_eq!(whole.len(), 4 * 3);
+
+        let mut r = TimelineRecorder::new(period);
+        let ids = ids(&mut r);
+        let path = r
+            .stream_to(&temp_dir("midrun"), "live", TimelineFormat::Jsonl)
+            .unwrap();
         let on_disk = || std::fs::read_to_string(&path).unwrap();
+        let lines_before = |k: usize| whole[..k * ids.len()].iter().map(|l| format!("{l}\n"));
 
         // Nothing recorded yet: file exists and is empty.
         assert_eq!(on_disk(), "");
@@ -598,46 +466,21 @@ mod tests {
         // holds exactly the lines of the instants before k — whole lines,
         // written once the next instant begins, never one by one.
         for k in 0..4 {
-            let before_k = twin.render(TimelineFormat::Jsonl);
             for i in 0..ids.len() {
-                record(&mut r, k, i);
-                record(&mut twin, k, i);
-                assert_eq!(on_disk(), before_k, "instant {k}, sample {i}");
+                record(&mut r, &ids, k, i);
+                let want: String = lines_before(k as usize).collect();
+                assert_eq!(on_disk(), want, "instant {k}, sample {i}");
             }
         }
         let finished = r.finish_stream().unwrap().expect("was streaming");
         assert_eq!(finished, path);
-        // `finish_stream` adds the last instant: chronologically-recorded
-        // samples stream byte-identical to the buffered render.
-        assert_eq!(on_disk(), r.render(TimelineFormat::Jsonl));
-        assert_eq!(on_disk().lines().count(), 4 * ids.len());
-    }
-
-    #[test]
-    fn streaming_csv_writes_header_up_front() {
-        let dir = temp_dir("csvhdr");
-        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
-        let c = r.add_channel("chan.L1");
-        let path = r.stream_to(&dir, "live", TimelineFormat::Csv).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), CSV_HEADER);
-        r.record_channel(
-            c,
-            SimTime::from_secs(1),
-            ChannelSample {
-                qlen: 3,
-                red_avg: None,
-            },
-        );
-        r.finish_stream().unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            r.render(TimelineFormat::Csv)
-        );
+        // `finish_stream` adds the last instant.
+        assert_eq!(on_disk(), lines_before(4).collect::<String>());
     }
 
     #[test]
     fn finish_stream_without_streaming_is_a_noop() {
-        let mut r = recorder_with_data();
+        let mut r = TimelineRecorder::new(SimDuration::from_millis(500));
         assert!(r.finish_stream().unwrap().is_none());
     }
 
