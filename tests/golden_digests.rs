@@ -1,5 +1,6 @@
-//! Golden-digest regression: six short scenarios pinned to committed
-//! manifests under `results/golden/` — the two static paper runs, the
+//! Golden-digest regression: every congestion placement pinned by its
+//! trace digest ([`PLACEMENTS`]), and six short scenarios pinned to
+//! committed manifests under `results/golden/` — the two static paper runs, the
 //! two canonical *dynamic* runs (scheduled receiver churn with a link
 //! degrade, and Poisson background load) pinning the event-executor's
 //! digest determinism, a CUBIC-background run pinning the v2
@@ -159,6 +160,56 @@ fn case5_droptail_cubic_matches_committed_manifest() {
 #[test]
 fn case5_droptail_reno_matches_committed_manifest() {
     check("case5_droptail_reno_60s");
+}
+
+/// Every congestion placement's 20 s drop-tail seed-1 run, in figure 7
+/// then figure 10 order: `(Debug name, trace digest, trace events, case
+/// label)`. The goldens above are all case 5; these rows pin the link
+/// speeds, receiver set and send overhead each placement derives.
+#[rustfmt::skip]
+const PLACEMENTS: [(&str, u64, u64, &str); 7] = [
+    ("Case1RootLink", 0x46cf70a2a351277c, 1371844, "L1"),
+    ("Case2AllLevel3", 0x722300ff7403b1d1, 1337826, "L3i, i=1..9"),
+    ("Case3AllLeaves", 0x47152a837daaf267, 1582466, "L4i, i=1..27"),
+    ("Case4FiveLeaves", 0x4b3b989cbffab88d, 2446767, "L4i, i=1..5"),
+    ("Case5OneLevel2", 0xf12a113b7982d2fa, 2558568, "L21"),
+    ("Fig10AllLevel2", 0x98834ade3f2633b3, 1512891, "L2i, i=1..3"),
+    ("Fig10AllLevel3", 0xef2701369ea6f7be, 1304139, "L3i, i=1..9"),
+];
+
+#[test]
+fn every_placement_keeps_its_digest() {
+    let cases = CongestionCase::FIGURE7_CASES
+        .into_iter()
+        .chain(CongestionCase::FIGURE10_CASES);
+    let got: Vec<(String, u64, u64, String)> = cases
+        .map(|case| {
+            let r = ScenarioSpec::paper(case)
+                .with_duration(SimDuration::from_secs(20))
+                .with_seed(1)
+                .run();
+            (
+                format!("{case:?}"),
+                r.trace_digest,
+                r.trace_events,
+                r.case_label,
+            )
+        })
+        .collect();
+    let want: Vec<(String, u64, u64, String)> = PLACEMENTS
+        .iter()
+        .map(|&(name, digest, events, label)| (name.into(), digest, events, label.into()))
+        .collect();
+    let rows: String = got
+        .iter()
+        .map(|(name, digest, events, label)| {
+            format!("    ({name:?}, 0x{digest:016x}, {events}, {label:?}),\n")
+        })
+        .collect();
+    assert_eq!(
+        got, want,
+        "a placement's run drifted; if intended, the table reads:\n{rows}"
+    );
 }
 
 /// Rewrites the committed goldens from the current code. Run explicitly
