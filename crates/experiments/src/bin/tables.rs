@@ -25,7 +25,9 @@
 //!   which should split their share equally (§4.4).
 //!
 //! Beside each view, the paper's own numbers
-//! ([`experiments::tables::PAPER`]).
+//! ([`experiments::tables::PAPER`]); last, a score of every figure-7/8/9
+//! cell's relative error against them
+//! ([`experiments::tables::render_score`]).
 //!
 //! Exits with status 1 — after printing everything and writing
 //! `tables.manifest.json` — if any ratio is outside its theorem's bounds.
@@ -36,8 +38,8 @@ use std::process::ExitCode;
 
 use experiments::prelude::*;
 use experiments::tables::{
-    paper_sweep, render_fig10_reference, render_sessions_reference, render_sessions_table,
-    render_signal_reference, render_signal_table, render_theorem_table,
+    paper_sweep, render_fig10_reference, render_score, render_sessions_reference,
+    render_sessions_table, render_signal_reference, render_signal_table, render_theorem_table,
     render_throughput_reference, render_throughput_table, PAPER,
 };
 
@@ -79,6 +81,8 @@ fn main() -> ExitCode {
     let title = "Section 5.2 — two overlapping multicast sessions (case-3 topology)";
     print!("\n{}", render_sessions_table(title, &sec52[0]));
     print!("{}", render_sessions_reference(&PAPER.sec52));
+
+    print!("\n{}", render_score(droptail, red));
 
     if outside.is_empty() {
         ExitCode::SUCCESS

@@ -100,10 +100,8 @@ impl Pool {
             .map(|s| format!("{} {:?} seed {}", s.case.label(), s.gateway, s.seed))
             .collect();
         // Structured identity for the JSONL heartbeat sink.
-        let metas: Vec<(String, u64)> = scenarios
-            .iter()
-            .map(|s| (s.case.label().to_string(), s.seed))
-            .collect();
+        let metas: Vec<(String, u64)> =
+            scenarios.iter().map(|s| (s.case.label(), s.seed)).collect();
 
         let queue: Mutex<VecDeque<(usize, TreeScenario)>> =
             Mutex::new(scenarios.into_iter().enumerate().collect());

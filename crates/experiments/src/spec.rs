@@ -18,7 +18,7 @@ use tcp_sack::CcVariant;
 use crate::events::{synth_churn, BackgroundLoad, EventCommand, ScenarioEvent};
 use crate::metrics::ScenarioResult;
 use crate::scenario::{GatewayKind, TreeScenario};
-use crate::tree::CongestionCase;
+use crate::tree::{parse_link_label, CongestionCase, LEAVES};
 
 /// A declarative description of one tree-scenario run.
 ///
@@ -177,7 +177,7 @@ impl ScenarioSpec {
         }
         let warmup = SimDuration::from_secs_f64(warmup);
         let rla_config = self.rla_config.clone().unwrap_or_else(|| RlaConfig {
-            pthresh_policy: if self.case.has_g3_receivers() {
+            pthresh_policy: if self.case.g3_receivers {
                 PthreshPolicy::paper_rtt_scaled()
             } else {
                 PthreshPolicy::Equal
@@ -229,8 +229,15 @@ fn validate_event(ev: &ScenarioEvent, duration: SimDuration, sessions: usize) {
     );
     let check_leaf = |leaf: usize| {
         assert!(
-            leaf < 27,
-            "scenario event at {t}s names leaf {leaf}: the tertiary tree has leaves 0..27"
+            leaf < LEAVES,
+            "scenario event at {t}s names leaf {leaf}: the tertiary tree has leaves 0..{LEAVES}"
+        );
+    };
+    let check_link = |link: &str| {
+        assert!(
+            parse_link_label(link).is_some(),
+            "scenario event at {t}s names unknown link {link:?}: the tertiary tree's links \
+             are L1, L2.1..L2.3, L3.1..L3.9 and L4.1..L4.27"
         );
     };
     let check_session = |session: usize| {
@@ -251,10 +258,7 @@ fn validate_event(ev: &ScenarioEvent, duration: SimDuration, sessions: usize) {
             loss,
             bandwidth_pps,
         } => {
-            assert!(
-                !link.is_empty(),
-                "scenario event at {t}s: LinkDegrade needs a link label (e.g. \"L2.1\")"
-            );
+            check_link(link);
             assert!(
                 (0.0..=1.0).contains(loss),
                 "scenario event at {t}s: injected loss rate {loss} outside 0.0..=1.0"
@@ -266,12 +270,7 @@ fn validate_event(ev: &ScenarioEvent, duration: SimDuration, sessions: usize) {
                 );
             }
         }
-        EventCommand::LinkRestore { link } => {
-            assert!(
-                !link.is_empty(),
-                "scenario event at {t}s: LinkRestore needs a link label (e.g. \"L2.1\")"
-            );
-        }
+        EventCommand::LinkRestore { link } => check_link(link),
         EventCommand::StartBackgroundFlow { leaf, packets } => {
             check_leaf(*leaf);
             assert!(
@@ -406,6 +405,37 @@ mod tests {
             .with_duration(SimDuration::from_secs(60))
             .with_event(ScenarioEvent::degrade(30.0, "L2.1", 1.5, None))
             .build();
+    }
+
+    #[test]
+    fn link_events_resolve_their_label_at_build_time() {
+        let spec = ScenarioSpec::paper(CongestionCase::Case5OneLevel2)
+            .with_duration(SimDuration::from_secs(60));
+        let build = |link: &str| {
+            let spec = spec
+                .clone()
+                .with_event(ScenarioEvent::degrade(30.0, link, 0.1, None));
+            std::panic::catch_unwind(move || spec.build()).map_err(|e| {
+                e.downcast_ref::<String>()
+                    .cloned()
+                    .expect("a formatted message")
+            })
+        };
+        let mut valid = vec!["L1".to_string()];
+        for (level, links) in [(2, 3), (3, 9), (4, 27)] {
+            valid.extend((1..=links).map(|i| format!("L{level}.{i}")));
+        }
+        assert_eq!(valid.len(), 40);
+        for link in &valid {
+            assert!(build(link).is_ok(), "{link} was refused");
+        }
+        for link in ["L1.1", "L2.0", "L2.4", "L4.28", "L5.1", "L2.x"] {
+            let err = build(link).expect_err(link);
+            assert!(
+                err.contains(&format!("at 30s names unknown link {link:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

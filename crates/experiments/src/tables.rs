@@ -189,6 +189,44 @@ pub fn render_throughput_table(title: &str, results: &[ScenarioResult]) -> Strin
     out
 }
 
+/// One figure-8 row: a branch group, the RLA's congestion signals and the
+/// TCPs' window cuts over its receivers (`None` when it has none).
+type SignalGroup = (
+    &'static str,
+    Option<BranchSignalStats>,
+    Option<BranchSignalStats>,
+);
+
+/// Figure 8's rows for one run: "all links", or "more congested" then
+/// "less congested" when the case is unbalanced.
+fn signal_groups(r: &ScenarioResult) -> Vec<SignalGroup> {
+    let all: Vec<usize> = (0..r.tcp.len()).collect();
+    let groups = if r.congested_leaves.is_empty() {
+        vec![("all links", all)]
+    } else {
+        let less = all
+            .into_iter()
+            .filter(|i| !r.congested_leaves.contains(i))
+            .collect();
+        vec![
+            ("more congested", r.congested_leaves.clone()),
+            ("less congested", less),
+        ]
+    };
+    groups
+        .into_iter()
+        .map(|(name, idxs)| {
+            let rla: Vec<u64> = idxs
+                .iter()
+                .map(|&j| r.rla[0].cong_signals_per_receiver[j])
+                .collect();
+            let tcp: Vec<u64> = idxs.iter().map(|&j| r.tcp[j].window_cuts).collect();
+            let stats = BranchSignalStats::from_counts;
+            (name, stats(&rla), stats(&tcp))
+        })
+        .collect()
+}
+
 /// Render the figure-8 table: per-branch congestion-signal statistics for
 /// the RLA and the competing TCP flows, split into more/less congested
 /// groups when the case is unbalanced.
@@ -198,37 +236,20 @@ pub fn render_signal_table(title: &str, results: &[ScenarioResult]) -> String {
         "{:<10}{:<18}{:>8}{:>8}{:>10}  |{:>8}{:>8}{:>10}\n",
         "case", "branches", "RLA wrst", "best", "avg", "TCP wrst", "best", "avg"
     ));
+    // Empty branch groups render as n/a instead of refusing to summarize
+    // the rest of the table.
+    let cells = |s: Option<BranchSignalStats>| match s {
+        Some(s) => [
+            s.worst.to_string(),
+            s.best.to_string(),
+            format!("{:.1}", s.average),
+        ],
+        None => ["n/a"; 3].map(String::from),
+    };
     for (i, r) in results.iter().enumerate() {
-        let rla = &r.rla[0];
-        let groups: Vec<(&str, Vec<usize>)> = if r.congested_leaves.is_empty() {
-            vec![("all links", (0..r.tcp.len()).collect())]
-        } else {
-            let less: Vec<usize> = (0..r.tcp.len())
-                .filter(|i| !r.congested_leaves.contains(i))
-                .collect();
-            vec![
-                ("more congested", r.congested_leaves.clone()),
-                ("less congested", less),
-            ]
-        };
-        for (name, idxs) in groups {
-            let rla_counts: Vec<u64> = idxs
-                .iter()
-                .map(|&j| rla.cong_signals_per_receiver[j])
-                .collect();
-            let tcp_counts: Vec<u64> = idxs.iter().map(|&j| r.tcp[j].window_cuts).collect();
-            // Empty branch groups (e.g. zero TCP flows) render as n/a
-            // instead of refusing to summarize the rest of the table.
-            let cells = |s: Option<BranchSignalStats>| match s {
-                Some(s) => [
-                    s.worst.to_string(),
-                    s.best.to_string(),
-                    format!("{:.1}", s.average),
-                ],
-                None => ["n/a"; 3].map(String::from),
-            };
-            let [rw, rb, ra] = cells(BranchSignalStats::from_counts(&rla_counts));
-            let [tw, tb, ta] = cells(BranchSignalStats::from_counts(&tcp_counts));
+        for (name, rla, tcp) in signal_groups(r) {
+            let [rw, rb, ra] = cells(rla);
+            let [tw, tb, ta] = cells(tcp);
             let case = i + 1;
             out.push_str(&format!(
                 "{case:<10}{name:<18}{rw:>8}{rb:>8}{ra:>10}  |{tw:>8}{tb:>8}{ta:>10}\n"
@@ -318,6 +339,130 @@ pub fn render_theorem_table(results: &[ScenarioResult]) -> (String, Vec<String>)
     ));
     out.push_str("(λ_TCP* = mean TCP throughput over soft-bottleneck branches)\n");
     (out, outside)
+}
+
+/// How the score reads one flow's throughput off a run.
+type Flow = fn(&ScenarioResult) -> Option<f64>;
+
+/// The paper's runs measure 2900 s: 3000 s less the 100 s warmup.
+const PAPER_MEASURED_SECS: f64 = 2900.0;
+
+/// `v` as a signed percentage, `n/a` when there is no value.
+fn pct(v: Option<f64>) -> String {
+    v.map_or_else(|| "n/a".to_string(), |v| format!("{:+.1}%", 100.0 * v))
+}
+
+/// Median of `v` (the mean of the middle two for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let m = v.len() / 2;
+    if v.len().is_multiple_of(2) {
+        (v[m - 1] + v[m]) / 2.0
+    } else {
+        v[m]
+    }
+}
+
+/// Render the score block: the signed relative error `(ours − paper) /
+/// paper` of each of figures 7 and 9's 30 throughput cells and figure 8's
+/// 42 counts (ours scaled to the paper's 2900 measured seconds), their
+/// median |error|, how many throughput cells are within 10 % and 20 %,
+/// and RLA/WTCP beside the paper's. `droptail` and `red` are the five
+/// figure-7 cases through each gateway; every paper number is [`PAPER`]'s.
+pub fn render_score(droptail: &[ScenarioResult], red: &[ScenarioResult]) -> String {
+    let mut out =
+        String::from("Score — each paper cell's relative error, (ours − paper) / paper\n");
+    let header = |out: &mut String, title: &str| {
+        out.push_str(&format!("{title:<26}"));
+        for case in 1..=droptail.len() {
+            out.push_str(&format!("{:>13}", format!("case {case}")));
+        }
+        out.push('\n');
+    };
+    header(&mut out, "throughput (figs. 7, 9)");
+    let flows: [(&str, Flow); 3] = [
+        ("RLA", |r| Some(r.rla[0].throughput_pps)),
+        ("WTCP", |r| r.worst_tcp().map(|t| t.throughput_pps)),
+        ("BTCP", |r| r.best_tcp().map(|t| t.throughput_pps)),
+    ];
+    let gateways = [
+        ("drop-tail", droptail, &PAPER.fig7),
+        ("RED", red, &PAPER.fig9),
+    ];
+    let mut thrput = Vec::new();
+    for (gateway, runs, paper) in gateways {
+        for ((flow, ours), paper) in flows.iter().zip(paper) {
+            out.push_str(&format!("{:<26}", format!("{gateway} {flow}")));
+            for (r, p) in runs.iter().zip(paper) {
+                let err = ours(r).map(|v| (v - p) / p);
+                thrput.extend(err);
+                out.push_str(&format!("{:>13}", pct(err)));
+            }
+            out.push('\n');
+        }
+    }
+
+    out.push_str(&format!(
+        "{:<26}{:>10}{:>8}{:>8}  |{:>10}{:>8}{:>8}\n",
+        "fig. 8 counts per 2900 s", "RLA wrst", "best", "avg", "TCP wrst", "best", "avg"
+    ));
+    let mut counts = Vec::new();
+    for (case, group, rla, tcp) in &PAPER.fig8 {
+        let r = &droptail[usize::from(*case) - 1];
+        let scale = PAPER_MEASURED_SECS / r.measured_secs;
+        let (rla_ours, tcp_ours) = signal_groups(r)
+            .into_iter()
+            .find(|g| g.0 == *group)
+            .map_or((None, None), |g| (g.1, g.2));
+        let mut cells = Vec::new();
+        for (stats, paper) in [(rla_ours, rla), (tcp_ours, tcp)] {
+            let ours = stats.map(|s| [s.worst as f64, s.best as f64, s.average]);
+            for (k, &p) in paper.iter().enumerate() {
+                let err = ours.map(|o| (o[k] * scale - p as f64) / p as f64);
+                counts.extend(err);
+                cells.push(pct(err));
+            }
+        }
+        out.push_str(&format!(
+            "{:<26}{:>10}{:>8}{:>8}  |{:>10}{:>8}{:>8}\n",
+            format!("case {case} {group}"),
+            cells[0],
+            cells[1],
+            cells[2],
+            cells[3],
+            cells[4],
+            cells[5]
+        ));
+    }
+
+    header(&mut out, "RLA/WTCP, ours / paper");
+    for (gateway, runs, paper) in gateways {
+        out.push_str(&format!("{gateway:<26}"));
+        for (i, r) in runs.iter().enumerate() {
+            let ours = r.worst_tcp().map_or_else(
+                || "n/a".to_string(),
+                |t| format!("{:.2}", r.rla[0].throughput_pps / t.throughput_pps),
+            );
+            let cell = format!("{ours} / {:.2}", paper[0][i] / paper[1][i]);
+            out.push_str(&format!("{cell:>13}"));
+        }
+        out.push('\n');
+    }
+
+    let within = |bound: f64| thrput.iter().filter(|e| e.abs() <= bound).count();
+    let n = thrput.len();
+    out.push_str(&format!(
+        "median |error|: {:.1}% over the {n} throughput cells, {:.1}% over the {} fig. 8 counts\n",
+        100.0 * median(thrput.iter().map(|e| e.abs()).collect()),
+        100.0 * median(counts.iter().map(|e| e.abs()).collect()),
+        counts.len()
+    ));
+    out.push_str(&format!(
+        "throughput cells within 10%: {} of {n}; within 20%: {} of {n}\n",
+        within(0.10),
+        within(0.20)
+    ));
+    out
 }
 
 #[cfg(test)]
@@ -460,7 +605,8 @@ mod tests {
     fn cell(gateway: GatewayKind, case: CongestionCase, ratio: f64) -> ScenarioResult {
         let mut r = fake_result();
         r.gateway = gateway;
-        r.case_label = case.label().into();
+        r.case_label = case.label();
+        r.congested_leaves = case.congested_leaves();
         r.rla[0].throughput_pps = 100.0 * ratio;
         for t in &mut r.tcp {
             t.throughput_pps = 100.0;
@@ -520,6 +666,44 @@ mod tests {
     }
 
     #[test]
+    fn score_reads_each_cells_error_against_the_paper() {
+        // Every RLA at 150 pkt/s, every TCP at 100, every receiver with
+        // 861 signals and 850 cuts over the paper's own 2900 s.
+        let sweep = fake_sweep(&[]);
+        let (droptail, red) = sweep.split_at(5);
+        let score = render_score(droptail, red);
+        let cells = |row: &str| -> Vec<String> {
+            let line = score
+                .lines()
+                .find(|l| l.get(..26).map(str::trim_end) == Some(row))
+                .expect(row);
+            line[26..]
+                .split_whitespace()
+                .filter(|c| *c != "|")
+                .map(String::from)
+                .collect()
+        };
+        // 150 against figure 7's 144.1; 100 against figure 9's 576.4.
+        assert_eq!(cells("drop-tail RLA")[0], "+4.1%");
+        assert_eq!(cells("RED BTCP")[4], "-82.7%");
+        // 850 cuts against case 1's 879; 861 signals against case 5's 112.
+        assert_eq!(cells("case 1 all links")[3], "-3.3%");
+        assert_eq!(cells("case 5 less congested")[0], "+668.8%");
+        assert_eq!(cells("drop-tail")[0..2], ["1.50", "/"]);
+        assert!(
+            score.contains(
+                "median |error|: 30.8% over the 30 throughput cells, \
+                 20.6% over the 42 fig. 8 counts\n"
+            ),
+            "{score}"
+        );
+        assert!(
+            score.ends_with("throughput cells within 10%: 3 of 30; within 20%: 8 of 30\n"),
+            "{score}"
+        );
+    }
+
+    #[test]
     fn paper_sweep_is_figures_7_to_9_then_10_then_section_5_2_under_the_config() {
         let cfg = RunConfig::from_vars(|knob| {
             let v = match knob {
@@ -562,7 +746,7 @@ mod tests {
             .map(|(i, spec)| {
                 let s = spec.build();
                 let mut r = fake_result();
-                r.case_label = s.case.label().into();
+                r.case_label = s.case.label();
                 r.gateway = s.gateway;
                 r.rla = vec![r.rla[0].clone(); s.rla_sessions];
                 let mut registry = telemetry::Registry::new();

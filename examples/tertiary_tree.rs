@@ -7,22 +7,17 @@
 //! Runs the chosen figure-7/9 column and prints the table row plus the
 //! essential-fairness verdict.
 
-use bounded_fairness::experiments::{CongestionCase, GatewayKind, ScenarioSpec};
+use bounded_fairness::experiments::cli::parse_case;
+use bounded_fairness::experiments::{GatewayKind, ScenarioSpec};
 use bounded_fairness::prelude::*;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let case = match args.get(1).map(String::as_str) {
-        Some("1") | None => CongestionCase::Case1RootLink,
-        Some("2") => CongestionCase::Case2AllLevel3,
-        Some("3") => CongestionCase::Case3AllLeaves,
-        Some("4") => CongestionCase::Case4FiveLeaves,
-        Some("5") => CongestionCase::Case5OneLevel2,
-        Some(other) => {
-            eprintln!("unknown case {other:?}; use 1-5");
-            std::process::exit(2);
-        }
-    };
+    let arg = args.get(1).map_or("1", String::as_str);
+    let case = parse_case(arg).unwrap_or_else(|| {
+        eprintln!("unknown case {arg:?}; use 1-5");
+        std::process::exit(2);
+    });
     let gateway = match args.get(2).map(String::as_str) {
         Some("red") => GatewayKind::Red,
         _ => GatewayKind::DropTail,
