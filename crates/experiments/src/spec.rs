@@ -429,7 +429,9 @@ mod tests {
         for link in &valid {
             assert!(build(link).is_ok(), "{link} was refused");
         }
-        for link in ["L1.1", "L2.0", "L2.4", "L4.28", "L5.1", "L2.x"] {
+        for link in [
+            "L1.1", "L2.0", "L2.4", "L4.28", "L5.1", "L2.x", "L2", "L2.01", "",
+        ] {
             let err = build(link).expect_err(link);
             assert!(
                 err.contains(&format!("at 30s names unknown link {link:?}")),

@@ -29,10 +29,10 @@ pub const FAST_BPS: u64 = 100_000_000;
 pub const TARGET_SHARE_PPS: u64 = 100;
 
 /// Links on each level of the tree, L1 to L4.
-pub const LINKS_PER_LEVEL: [usize; 4] = [1, 3, 9, 27];
+pub(crate) const LINKS_PER_LEVEL: [usize; 4] = [1, 3, 9, 27];
 
 /// Leaf receivers R1–R27, one under each level-4 link.
-pub const LEAVES: usize = LINKS_PER_LEVEL[3];
+pub(crate) const LEAVES: usize = LINKS_PER_LEVEL[3];
 
 /// One congestion placement on the tree: a run of congested links on one
 /// level, and whether the G3 gateways also host multicast receivers.
@@ -42,16 +42,16 @@ pub const LEAVES: usize = LINKS_PER_LEVEL[3];
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct CongestionCase {
     /// The row's name; `Debug` prints it (capture stems, messages).
-    pub name: &'static str,
+    name: &'static str,
     /// The congested level, 1 (the root link) to 4 (the leaf links).
-    pub level: usize,
+    level: usize,
     /// The first congested link at `level`, 0-based.
-    pub first: usize,
+    first: usize,
     /// How many consecutive links from `first` are congested.
-    pub count: usize,
+    count: usize,
     /// Whether the G3 gateways host multicast receivers too: figure 10's
     /// 36 receivers with unequal RTTs (TCP stays leaf-only).
-    pub g3_receivers: bool,
+    pub(crate) g3_receivers: bool,
 }
 
 // The rows keep the names of the enum variants they replaced: the
@@ -143,7 +143,7 @@ impl fmt::Debug for CongestionCase {
 /// Parse a paper-style link label (`L1`, `L2.1`, `L3.4`, `L4.12`; 1-based
 /// indices) into `(level, 0-based index)`: `None` unless it is exactly
 /// [`link_label`]'s spelling of one of the tree's 40 links.
-pub fn parse_link_label(label: &str) -> Option<(usize, usize)> {
+pub(crate) fn parse_link_label(label: &str) -> Option<(usize, usize)> {
     (1..)
         .zip(LINKS_PER_LEVEL)
         .flat_map(|(level, links)| (0..links).map(move |i| (level, i)))
@@ -151,7 +151,7 @@ pub fn parse_link_label(label: &str) -> Option<(usize, usize)> {
 }
 
 /// The label of link `i` (0-based) on `level`: `L1`, `L2.1`, … `L4.27`.
-pub fn link_label(level: usize, i: usize) -> String {
+pub(crate) fn link_label(level: usize, i: usize) -> String {
     if level == 1 {
         "L1".to_string()
     } else {
@@ -195,9 +195,9 @@ impl TertiaryTree {
         }
     }
 
-    /// The congested downstream channels of this case with their
-    /// [`link_label`]s — the buffers worth watching in a queue-occupancy
-    /// timeline.
+    /// The congested downstream channels of this case, labelled like the
+    /// paper's links (`L1`, `L2.1`, `L4.12`) — the buffers worth watching
+    /// in a queue-occupancy timeline.
     pub fn congested_channels(&self) -> Vec<(String, ChannelId)> {
         let level = self.case.level;
         let down = self.level_down(level);
@@ -207,9 +207,10 @@ impl TertiaryTree {
             .collect()
     }
 
-    /// Resolve a link label ([`parse_link_label`]) to its downstream
+    /// Resolve a link label (`L1`, `L2.1` … `L4.27`) to its downstream
     /// channel — the addressing scheme scheduled `LinkDegrade`/
-    /// `LinkRestore` events use. Any link, congested or not, resolves.
+    /// `LinkRestore` events use. Any link, congested or not, resolves;
+    /// `None` means the label names no link of the tree.
     pub fn channel_by_label(&self, label: &str) -> Option<ChannelId> {
         let (level, i) = parse_link_label(label)?;
         Some(self.level_down(level)[i])
@@ -351,11 +352,6 @@ mod tests {
         assert_eq!(resolved.len(), 40);
         assert_eq!(resolved[1], t.l2_down[0]);
         assert_eq!(resolved[39], t.l4_down[26]);
-        for bad in [
-            "L1.1", "L2.0", "L2.4", "L4.28", "L5.1", "L2.x", "L0", "L2", "L2.01", "",
-        ] {
-            assert_eq!(parse_link_label(bad), None, "{bad}");
-        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! and ordering properties, small fixtures for unit tests. The paper's
 //! four-level tertiary tree (figure 6) does not use them:
 //! `experiments::tree::build_tree` adds its nodes and links directly,
-//! because its levels differ in arity, bandwidth and per-leaf congestion.
+//! level by level, and takes each link's speed from a
+//! `experiments::tree::CongestionCase` row — the placement of the
+//! congested links.
 
 use crate::engine::Engine;
 use crate::id::{ChannelId, NodeId};
