@@ -352,11 +352,14 @@ fn pct(v: Option<f64>) -> String {
     v.map_or_else(|| "n/a".to_string(), |v| format!("{:+.1}%", 100.0 * v))
 }
 
-/// Median of `v` (the mean of the middle two for an even count).
+/// Median of `v` (the mean of the middle two for an even count; NaN for
+/// none, e.g. figure 8 without TCP flows).
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
     let m = v.len() / 2;
-    if v.len().is_multiple_of(2) {
+    if v.is_empty() {
+        f64::NAN
+    } else if v.len().is_multiple_of(2) {
         (v[m - 1] + v[m]) / 2.0
     } else {
         v[m]
@@ -577,9 +580,14 @@ mod tests {
             "{t}"
         );
 
-        let t = render_signal_table("figure 8", &[r]);
+        let t = render_signal_table("figure 8", &[r.clone()]);
         assert!(t.contains("all links"));
         assert!(t.contains("n/a"));
+
+        let five = vec![r; 5];
+        let t = render_score(&five, &five);
+        assert!(t.contains("n/a"));
+        assert!(t.contains("NaN% over the 0 fig. 8 counts"), "{t}");
     }
 
     #[test]
