@@ -23,7 +23,7 @@ pub mod particle;
 pub mod proposition;
 
 pub use fairness::{jain_index, soft_bottleneck, worst_pair_ratio, FairnessBounds, FairnessCheck};
-pub use pa_window::{mahdavi_floyd_pps, pa_window, pa_window_approx, simulate_tcp_window};
+pub use pa_window::{mahdavi_floyd_pps, pa_window, simulate_tcp_window};
 pub use particle::{cut_distribution, drift_field, drift_x, simulate_particle, ParticleStats};
 pub use proposition::{
     eq3_two_receivers, proposition_bounds, rla_window_common, rla_window_independent,

@@ -10,8 +10,8 @@
 //!
 //! which approximates (and is proportional to) the time-average window,
 //! following Ott, Kemperman & Mathis. This module provides the closed form
-//! and a Monte-Carlo simulation of the same process so experiment E8 can
-//! verify the approximation holds in this codebase.
+//! and a Monte-Carlo simulation of the same process; a test here bounds
+//! their ratio (experiment E8).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,12 +23,6 @@ pub fn pa_window(p: f64) -> f64 {
         "congestion probability must be in (0,1)"
     );
     (2.0 * (1.0 - p)).sqrt() / p.sqrt()
-}
-
-/// The small-`p` approximation `sqrt(2)/sqrt(p)`.
-pub fn pa_window_approx(p: f64) -> f64 {
-    assert!(p > 0.0, "congestion probability must be positive");
-    (2.0f64).sqrt() / p.sqrt()
 }
 
 /// The Mahdavi–Floyd throughput rule the paper compares against:
@@ -98,9 +92,6 @@ mod tests {
     fn closed_form_at_known_points() {
         // p = 0.02: W* = sqrt(2*0.98/0.02) = sqrt(98) ~ 9.899.
         assert!((pa_window(0.02) - 98.0f64.sqrt()).abs() < 1e-12);
-        // Approximation converges at small p.
-        let rel = (pa_window(0.0001) - pa_window_approx(0.0001)).abs() / pa_window(0.0001);
-        assert!(rel < 1e-4);
     }
 
     #[test]
@@ -111,14 +102,15 @@ mod tests {
 
     #[test]
     fn monte_carlo_matches_closed_form_within_tolerance() {
-        // The PA window is "proportional to" the time average; Ott et al.
-        // show the ratio is close to 1 for small p. Accept 25%.
-        for &p in &[0.005, 0.01, 0.02] {
+        // The PA window is "proportional to" the time average (Ott et
+        // al.): over the whole p range the Monte-Carlo mean sits 3-13 %
+        // above eq. (1), never below it.
+        for &p in &[0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05] {
             let sim = simulate_tcp_window(p, 2_000_000, 100_000, 42);
             let predicted = pa_window(p);
             let ratio = sim.mean / predicted;
             assert!(
-                (0.75..1.25).contains(&ratio),
+                (1.00..1.15).contains(&ratio),
                 "p={p}: simulated {}, predicted {predicted}, ratio {ratio}",
                 sim.mean
             );

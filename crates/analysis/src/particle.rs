@@ -198,11 +198,17 @@ mod tests {
 
     #[test]
     fn drift_positive_below_pipe_negative_far_above() {
-        let n = 3;
+        // Every cell of figure 4 (n = 3, pipe = 10, w in 1..=16): both
+        // windows grow exactly below the pipe, and at or above it both
+        // shrink once each is at least 2.
         let pipe = 10.0;
-        assert_eq!(drift_x(3.0, 3.0, n, pipe), 2.0);
-        // Far above the pipe with a big window, drift must be negative.
-        assert!(drift_x(20.0, 20.0, n, pipe) < 0.0);
+        for v in drift_field(3, pipe, 16.0, 1.0) {
+            let below = v.w1 + v.w2 < pipe;
+            assert_eq!(v.dx > 0.0 && v.dy > 0.0, below, "{v:?}");
+            if !below && v.w1 >= 2.0 && v.w2 >= 2.0 {
+                assert!(v.dx < 0.0 && v.dy < 0.0, "{v:?}");
+            }
+        }
     }
 
     #[test]

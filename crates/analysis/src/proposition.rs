@@ -131,13 +131,16 @@ mod tests {
 
     #[test]
     fn single_receiver_reduces_to_eq1() {
-        for &p in &[0.001, 0.01, 0.04] {
-            let rla = rla_window_independent(&[p]);
+        // At n = 1 the Proposition's bounds meet: W is eq. (1) under
+        // either loss model.
+        for &p in &[0.001, 0.01, 0.02, 0.04] {
             let tcp = pa_window(p);
-            assert!(
-                (rla - tcp).abs() / tcp < 1e-12,
-                "n=1 must equal eq. (1): {rla} vs {tcp}"
-            );
+            for rla in [rla_window_independent(&[p]), rla_window_common(p, 1)] {
+                assert!(
+                    (rla - tcp).abs() / tcp < 1e-12,
+                    "n=1 must equal eq. (1): {rla} vs {tcp}"
+                );
+            }
         }
     }
 
@@ -159,6 +162,9 @@ mod tests {
         // (eq1(p_max), sqrt(n)*eq1(p_max)).
         let cases: Vec<Vec<f64>> = vec![
             vec![0.02, 0.02],
+            vec![0.02; 3],
+            vec![0.02; 9],
+            vec![0.02; 27],
             vec![0.04, 0.002],
             vec![0.03, 0.01, 0.001],
             vec![0.02; 10],
@@ -180,7 +186,15 @@ mod tests {
 
     #[test]
     fn proposition_bounds_hold_for_common_losses() {
-        for &(p, n) in &[(0.01, 2), (0.02, 5), (0.04, 27)] {
+        for &(p, n) in &[
+            (0.01, 2),
+            (0.02, 2),
+            (0.02, 3),
+            (0.02, 5),
+            (0.02, 9),
+            (0.02, 27),
+            (0.04, 27),
+        ] {
             let w = rla_window_common(p, n);
             let b = proposition_bounds(p, n);
             assert!(
@@ -205,6 +219,13 @@ mod tests {
                 "p={p}, n={n}: common {common} must exceed independent {independent}"
             );
         }
+        // And the gain grows with n at a fixed p (1.070, 1.116, 1.125).
+        let gain = |n: usize| rla_window_common(0.02, n) / rla_window_independent(&vec![0.02; n]);
+        let gains = [gain(2), gain(9), gain(27)];
+        assert!(
+            gains[0] > 1.0 && gains[0] < gains[1] && gains[1] < gains[2],
+            "common/independent at p=0.02, n=2,9,27: {gains:?}"
+        );
     }
 
     #[test]
@@ -222,14 +243,24 @@ mod tests {
 
     #[test]
     fn monte_carlo_agrees_with_fixed_point() {
-        let p = [0.02, 0.01];
-        let analytic = rla_window_independent(&p);
-        let sim = simulate_rla_window(&p, false, 2_000_000, 100_000, 3);
-        let ratio = sim / analytic;
-        assert!(
-            (0.7..1.3).contains(&ratio),
-            "simulated {sim} vs analytic {analytic}"
-        );
+        // Two independent receivers, down to the η = 20 edge p2 = p1/20:
+        // the Monte-Carlo mean sits 0-15 % above eq. (3), as eq. (1)'s
+        // does above its own fixed point.
+        for (p1, p2) in [
+            (0.01, 0.01),
+            (0.02, 0.02),
+            (0.02, 0.01),
+            (0.04, 0.002),
+            (0.05, 0.0025),
+        ] {
+            let analytic = eq3_two_receivers(p1, p2);
+            let sim = simulate_rla_window(&[p1, p2], false, 2_000_000, 100_000, 3);
+            let ratio = sim / analytic;
+            assert!(
+                (1.00..1.15).contains(&ratio),
+                "({p1},{p2}): simulated {sim} vs eq. (3) {analytic} (ratio {ratio})"
+            );
+        }
     }
 
     #[test]

@@ -749,7 +749,7 @@ mod tests {
 
     #[test]
     fn schema_errors_name_the_problem() {
-        let no_runs = Json::obj(vec![("binary", "eq1".into())]);
+        let no_runs = Json::obj(vec![("binary", "example".into())]);
         let good = manifest(vec![]);
         assert!(matches!(
             diff_manifests(&no_runs, &good, &DiffOptions::default()),

@@ -2,29 +2,29 @@
 //!
 //! Scenario builders, metric collection and renderers for every table and
 //! figure in *Achieving Bounded Fairness for Multicast and TCP Traffic in
-//! the Internet* (§5), plus the analytic figures of §4. Each artifact has
-//! a binary (see `src/bin/`):
+//! the Internet* (§5) and figure 5 of §4. The rest of §4 (equations 1 and
+//! 3, the Proposition, the Lemma, figure 4's drift field and the growth of
+//! the fairness ratio with n) is asserted by tests in the `analysis` crate
+//! and `tests/analysis_vs_simulator.rs`. Every binary in `src/bin/`:
 //!
 //! | binary          | paper artifact | content |
 //! |-----------------|----------------|---------|
-//! | `fig4`          | figure 4       | drift field of two competing RLA windows |
-//! | `fig5`          | figure 5       | stationary density of `(cwnd₁, cwnd₂)` |
 //! | `tables`        | figures 7, 8, 9, 10, §5.2, Theorems I/II | one thirteen-run sweep ([`tables::paper_sweep`]), six views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside), the unequal-RTT table, two overlapping sessions — each beside the paper's numbers ([`tables::PAPER`]) |
-//! | `eq1`           | equation (1)   | PA window vs Monte Carlo |
-//! | `eq3`           | equation (3)   | two-receiver fixed point + Lemma |
+//! | `fig5`          | figure 5       | stationary density of `(cwnd₁, cwnd₂)` |
 //! | `buffer_period` | §3.1           | drop-tail buffer oscillation trace |
 //! | `phase_effect`  | §3.1           | drop pattern with/without random overhead |
 //! | `baseline_cmp`  | §1             | LTRC/MBFC vs RLA fairness to TCP |
+//! | `ablation`      | DESIGN.md §6   | case 3 drop-tail with one RLA design choice changed per row |
 //! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
+//! | `churn_sweep`   | robustness     | receiver churn × background load over the five figure-7 cases |
+//! | `debug_probe`   | tooling        | one case with the timeline recorder on, RLA sender internals |
+//! | `rla_diff`      | tooling        | registry comparison between two run manifests (see [`diff`]) |
+//! | `rla_top`       | tooling        | live dashboard over timeline and progress files |
 //!
 //! Run lengths follow the paper (3000 s) unless `RLA_DURATION_SECS` says
 //! otherwise; every binary parses its knobs once, up front, into a
 //! [`cli::RunConfig`] — the library itself never reads the environment —
 //! and describes its scenarios with [`ScenarioSpec`] (see [`prelude`]).
-//!
-//! Two further binaries are tooling rather than paper artifacts:
-//! `debug_probe` (timeline-recorded diagnostic run) and `rla_diff`
-//! (registry comparison between two run manifests, see [`diff`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,7 @@ pub mod tree;
 
 pub use ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
 pub use events::{BackgroundLoad, EventCommand, ScenarioEvent};
-pub use manifest::{emit_analysis_manifest, emit_manifest, emit_scenario_manifest, Json};
+pub use manifest::{emit_manifest, emit_scenario_manifest, Json};
 pub use metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
 pub use runner::{run_parallel_with_jobs, Pool};
 pub use scenario::{GatewayKind, ScenarioWorld, TreeScenario};
@@ -76,9 +76,7 @@ pub mod prelude {
     pub use crate::ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
     pub use crate::cli::{self, RunConfig};
     pub use crate::events::{BackgroundLoad, EventCommand, ScenarioEvent};
-    pub use crate::manifest::{
-        emit_analysis_manifest, emit_manifest, emit_scenario_manifest, Json,
-    };
+    pub use crate::manifest::{emit_manifest, emit_scenario_manifest, Json};
     pub use crate::metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
     pub use crate::runner::{run_parallel_with_jobs, Pool};
     pub use crate::scenario::{GatewayKind, ScenarioWorld, TreeScenario};

@@ -108,40 +108,6 @@ pub fn emit_scenario_manifest(
     emit_manifest(dir, binary, &scenario_manifest(binary, duration, runs));
 }
 
-/// Digest of an analysis-only artifact: the same fold the engine applies
-/// to trace events, applied to the rendered output bytes. Gives the
-/// analytic binaries (eq1, fig4, ...) a regression digest without a
-/// packet trace.
-pub fn text_digest(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 29;
-    }
-    h
-}
-
-/// Manifest for an analysis-only binary (no simulation): digests the
-/// rendered output and records the parameters given as `extra` fields.
-pub fn analysis_manifest(binary: &str, output: &str, extra: Vec<(&str, Json)>) -> Json {
-    let mut fields: Vec<(&str, Json)> = vec![
-        ("binary", binary.into()),
-        (
-            "output_digest",
-            format!("{:016x}", text_digest(output)).into(),
-        ),
-        ("output_bytes", output.len().into()),
-    ];
-    fields.extend(extra);
-    Json::obj(fields)
-}
-
-/// Build and [`emit_manifest`] an analysis-only manifest (see
-/// [`analysis_manifest`]).
-pub fn emit_analysis_manifest(dir: &Path, binary: &str, output: &str, extra: Vec<(&str, Json)>) {
-    emit_manifest(dir, binary, &analysis_manifest(binary, output, extra));
-}
-
 /// Write `value` to `<dir>/<binary>.manifest.json` (creating `dir`);
 /// prints the path to stderr (tables go to stdout) and never fails the
 /// run over an unwritable results directory.
@@ -157,13 +123,6 @@ pub fn emit_manifest(dir: &Path, binary: &str, value: &Json) {
 mod tests {
     use super::*;
     use crate::metrics::TcpRow;
-
-    #[test]
-    fn text_digest_is_stable_and_sensitive() {
-        assert_eq!(text_digest("abc"), text_digest("abc"));
-        assert_ne!(text_digest("abc"), text_digest("abd"));
-        assert_ne!(text_digest("ab"), text_digest("abc"));
-    }
 
     #[test]
     fn scenario_entry_includes_digest_and_metrics() {

@@ -1,52 +1,7 @@
-//! ASCII rendering of the paper's figures (4, 5 and the §3.1 time
-//! series) plus CSV emission for external plotting.
+//! ASCII rendering of the paper's figure 5 and the §3.1 time series.
 
-use analysis::particle::{DriftVector, ParticleStats};
+use analysis::particle::ParticleStats;
 use netsim::time::SimTime;
-
-/// Render the drift field of figure 4 as a grid of arrows. Each cell shows
-/// the dominant drift direction of `(W₁, W₂)` at that point.
-pub fn render_drift_field(field: &[DriftVector], w_max: f64, step: f64) -> String {
-    let cells = (w_max / step).round() as usize;
-    let mut grid = vec![vec![' '; cells]; cells];
-    for v in field {
-        let x = ((v.w1 / step).round() as usize).saturating_sub(1);
-        let y = ((v.w2 / step).round() as usize).saturating_sub(1);
-        if x >= cells || y >= cells {
-            continue;
-        }
-        grid[y][x] = arrow(v.dx, v.dy);
-    }
-    let mut out = String::new();
-    out.push_str("w2\n");
-    for (row_idx, row) in grid.iter().enumerate().rev() {
-        out.push_str(&format!("{:>5.0} |", (row_idx + 1) as f64 * step));
-        for &c in row {
-            out.push(' ');
-            out.push(c);
-        }
-        out.push('\n');
-    }
-    out.push_str("      +");
-    out.push_str(&"--".repeat(cells));
-    out.push_str("  w1\n");
-    out
-}
-
-fn arrow(dx: f64, dy: f64) -> char {
-    let eps = 1e-9;
-    match (dx > eps, dx < -eps, dy > eps, dy < -eps) {
-        (true, _, true, _) => '7',  // up-right (NE)
-        (_, true, _, true) => 'L',  // down-left (SW)
-        (true, _, _, true) => '\\', // right-down
-        (_, true, true, _) => '/',  // left-up
-        (true, _, _, _) => '>',
-        (_, true, _, _) => '<',
-        (_, _, true, _) => '^',
-        (_, _, _, true) => 'v',
-        _ => 'o',
-    }
-}
 
 /// Render the occupancy histogram of figure 5 as an ASCII density map
 /// (darker characters = more probability mass), downsampled into
@@ -134,16 +89,7 @@ pub fn render_queue_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analysis::particle::{drift_field, simulate_particle};
-
-    #[test]
-    fn drift_field_renders_every_cell() {
-        let field = drift_field(3, 10.0, 20.0, 2.0);
-        let s = render_drift_field(&field, 20.0, 2.0);
-        assert!(s.contains("w1"));
-        // Below the pipe the drift is up-right.
-        assert!(s.contains('7'));
-    }
+    use analysis::particle::simulate_particle;
 
     #[test]
     fn density_marks_the_fair_point_darkest() {

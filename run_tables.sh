@@ -7,12 +7,8 @@ export RLA_DURATION_SECS=${RLA_DURATION_SECS:-300}
 cd "$(dirname "$0")" || exit 1
 cargo run --release -p experiments --bin tables > results/tables.txt
 cargo run --release -p experiments --bin fig5  > results/fig5.txt
-cargo run --release -p experiments --bin fig4  > results/fig4.txt
-cargo run --release -p experiments --bin eq1   > results/eq1.txt
-cargo run --release -p experiments --bin eq3   > results/eq3.txt
 cargo run --release -p experiments --bin buffer_period > results/buffer_period.txt
 cargo run --release -p experiments --bin phase_effect  > results/phase_effect.txt
 cargo run --release -p experiments --bin baseline_cmp  > results/baseline_cmp.txt
-cargo run --release -p experiments --bin bounds_sweep  > results/bounds_sweep.txt
 cargo run --release -p experiments --bin ablation      > results/ablation.txt
 echo ALL_TABLES_DONE

@@ -1,41 +1,82 @@
 //! The §4 analysis against the packet-level simulator: the closed-form
-//! window fixed points are checked on a *physical* model — Bernoulli loss
-//! injected on real links — rather than the abstract window process.
+//! window fixed points and the §4.3 growth of the fairness ratio with n are
+//! checked on a *physical* model — Bernoulli loss injected on real links —
+//! rather than the abstract window process.
 
+use bounded_fairness::experiments::{build_star, BranchSpec};
 use bounded_fairness::prelude::*;
-use bounded_fairness::rla::McastReceiver;
 
-/// An RLA session over `n` independent star branches, each dropping data
-/// with probability `p` (figure 2(a) realized with fault injectors).
-/// Returns the time-average congestion window.
-fn rla_window_on_bernoulli_star(n: usize, p: f64, secs: u64, seed: u64) -> f64 {
+/// What one run on a Bernoulli star measured over its last four fifths.
+struct StarRun {
+    /// Time-average RLA congestion window.
+    cwnd: f64,
+    /// RLA throughput over the competing TCP's, when there is one.
+    rla_over_tcp: Option<f64>,
+}
+
+/// An RLA session over a star whose branch `i` drops data with
+/// probability `losses[i]` (figure 2(a) realized with fault injectors; the
+/// queues never fill). With `tcp`, one SACK TCP shares the first branch,
+/// starting 501 ms ahead of the RLA.
+fn bernoulli_star(losses: &[f64], tcp: bool, secs: u64, seed: u64) -> StarRun {
     let mut engine = Engine::new(seed);
-    let queue = QueueConfig::DropTail { limit: 1000 }; // no queue losses
-    let root = engine.add_node("S");
+    let queue = QueueConfig::DropTail { limit: 1000 };
+    let branches: Vec<BranchSpec> = losses
+        .iter()
+        .map(|&p| BranchSpec::new(80_000_000, SimDuration::from_millis(30)).with_loss(p))
+        .collect();
+    let star = build_star(&mut engine, &branches, &queue);
+    let tcp_tx = tcp.then(|| {
+        let rx = engine.add_agent(star.leaves[0], Box::new(TcpReceiver::new(40)));
+        engine.set_send_overhead(rx, SimDuration::from_millis(1));
+        engine.add_agent(
+            star.root,
+            Box::new(TcpSender::new(rx, TcpConfig::default())),
+        )
+    });
     let group = engine.new_group();
-    for i in 0..n {
-        let leaf = engine.add_node(format!("R{i}"));
-        let (down, _) =
-            engine.add_link(root, leaf, 80_000_000, SimDuration::from_millis(30), &queue);
-        engine.set_fault(down, FaultInjector::new(p).data_only());
+    for &leaf in &star.leaves {
         let rx = engine.add_agent(leaf, Box::new(McastReceiver::new(40)));
         engine.set_send_overhead(rx, SimDuration::from_millis(1));
         engine.join_group(group, rx);
     }
-    let tx = engine.add_agent(root, Box::new(RlaSender::new(group, RlaConfig::default())));
+    let rla_tx = engine.add_agent(
+        star.root,
+        Box::new(RlaSender::new(group, RlaConfig::default())),
+    );
     engine.compute_routes();
-    engine.build_group_tree(group, root);
-    engine.start_agent_at(tx, SimTime::ZERO);
+    engine.build_group_tree(group, star.root);
+    let mut rla_start = SimTime::ZERO;
+    if let Some(tx) = tcp_tx {
+        engine.start_agent_at(tx, SimTime::ZERO);
+        rla_start = SimTime::from_millis(501);
+    }
+    engine.start_agent_at(rla_tx, rla_start);
     // Warm up, then measure.
     engine.run_until(SimTime::from_secs(secs / 5));
     let warm = engine.now();
-    engine
-        .agent_as_mut::<RlaSender>(tx)
-        .expect("sender")
-        .reset_stats(warm);
+    let rla = engine.agent_as_mut::<RlaSender>(rla_tx).expect("rla");
+    rla.reset_stats(warm);
+    if let Some(tx) = tcp_tx {
+        let tcp = engine.agent_as_mut::<TcpSender>(tx).expect("tcp");
+        tcp.reset_stats(warm);
+    }
     engine.run_until(SimTime::from_secs(secs));
-    let s = engine.agent_as::<RlaSender>(tx).expect("sender");
-    s.stats.cwnd_avg.average(engine.now())
+    let now = engine.now();
+    let rla = &engine.agent_as::<RlaSender>(rla_tx).expect("rla").stats;
+    StarRun {
+        cwnd: rla.cwnd_avg.average(now),
+        rla_over_tcp: tcp_tx.map(|tx| {
+            let tcp = engine.agent_as::<TcpSender>(tx).expect("tcp");
+            rla.throughput_pps(now) / tcp.stats.throughput_pps(now)
+        }),
+    }
+}
+
+/// [`bernoulli_star`] with `n` branches all at `p` and no TCP: the
+/// time-average RLA window.
+fn rla_window_on_bernoulli_star(n: usize, p: f64, secs: u64, seed: u64) -> f64 {
+    bernoulli_star(&vec![p; n], false, secs, seed).cwnd
 }
 
 #[test]
@@ -104,5 +145,48 @@ fn particle_model_matches_full_two_session_split() {
     assert!(
         a.max(b) / a.min(b) < 1.8,
         "full-sim sessions {a:.1} vs {b:.1}"
+    );
+}
+
+#[test]
+fn fairness_ratio_grows_with_n_inside_theorem2() {
+    // §4.3's unbalanced congestion: the worst branch at 2 %, the other
+    // n - 1 at 0.2 % (inside the η = 20 margin, so still troubled), one
+    // SACK TCP on the worst branch. The RLA/TCP ratio grows with n — the
+    // RLA serves more receivers — but every run stays inside Theorem II.
+    let ns = [2, 4, 9, 16, 27];
+    // One thread per run, so the 15 runs spread over every core.
+    let ratios: Vec<f64> = std::thread::scope(|scope| {
+        let runs: Vec<_> = ns
+            .iter()
+            .flat_map(|&n| (1..=3).map(move |seed| (n, seed)))
+            .map(|(n, seed)| {
+                scope.spawn(move || {
+                    let mut losses = vec![0.002; n];
+                    losses[0] = 0.02;
+                    let run = bernoulli_star(&losses, true, 120, seed);
+                    run.rla_over_tcp.expect("a TCP shares the worst branch")
+                })
+            })
+            .collect();
+        runs.into_iter().map(|h| h.join().expect("run")).collect()
+    });
+    let sweep: Vec<(usize, &[f64])> = ns.into_iter().zip(ratios.chunks(3)).collect();
+    for (n, ratios) in &sweep {
+        let b = FairnessBounds::theorem2_droptail(*n);
+        assert!(
+            ratios.iter().all(|&r| b.a <= r && r <= b.b),
+            "n={n} outside Theorem II [{}, {}]; (n, per-seed ratios): {sweep:?}",
+            b.a,
+            b.b
+        );
+    }
+    let means: Vec<f64> = sweep
+        .iter()
+        .map(|(_, r)| r.iter().sum::<f64>() / r.len() as f64)
+        .collect();
+    assert!(
+        means.windows(2).all(|w| w[0] <= w[1]),
+        "seed-mean ratios {means:.2?} decrease with n; (n, per-seed ratios): {sweep:?}"
     );
 }
