@@ -101,21 +101,6 @@ pub struct ParticleStats {
 }
 
 impl ParticleStats {
-    /// The grid cell with the highest occupancy.
-    pub fn mode(&self) -> (usize, usize) {
-        let mut best = (0, 0);
-        let mut best_count = 0;
-        for (x, row) in self.histogram.iter().enumerate() {
-            for (y, &c) in row.iter().enumerate() {
-                if c > best_count {
-                    best_count = c;
-                    best = (x, y);
-                }
-            }
-        }
-        best
-    }
-
     /// Fraction of time spent within `radius` (Chebyshev) of `(cx, cy)`.
     pub fn mass_near(&self, cx: f64, cy: f64, radius: f64) -> f64 {
         let mut near = 0u64;

@@ -16,8 +16,7 @@
 //! the knob and the expected form named.
 //!
 //! Binaries that run sweeps scale the budget down with
-//! [`RunConfig::scaled_duration`]; trace-heavy single runs cap it with
-//! [`RunConfig::capped_duration`].
+//! [`RunConfig::scaled_duration`].
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -305,12 +304,6 @@ impl RunConfig {
         SimDuration::from_secs_f64((self.run_duration().as_secs_f64() / divisor).max(floor_secs))
     }
 
-    /// [`run_duration`](Self::run_duration) capped at `cap_secs` — for
-    /// trace-collecting runs whose memory grows with simulated time.
-    pub fn capped_duration(&self, cap_secs: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.run_duration().as_secs_f64().min(cap_secs))
-    }
-
     /// The paper scenario for `case` under this config's seed, background
     /// TCP flavor and dynamics (churn rate, background load, events file).
     /// Every tree-scenario binary builds its specs from here, so a knob the
@@ -326,28 +319,6 @@ impl RunConfig {
             spec.with_background_load(self.bg_load, BG_MEAN_PACKETS)
         } else {
             spec
-        }
-    }
-
-    /// The check a binary that builds its engine by hand, instead of from
-    /// [`spec`](Self::spec), makes first. Such a run cannot honour the
-    /// knobs that shape a tree scenario or capture its packets, so each of
-    /// them set to anything but its default stops `binary` with the knob
-    /// named, instead of being ignored.
-    pub fn refuse_scenario_knobs(&self, binary: &str) {
-        let set = [
-            ("RLA_TCP_CC", self.tcp_cc != CcVariant::sack()),
-            ("RLA_CHURN_RATE", self.churn_rate > 0.0),
-            ("RLA_BG_LOAD", self.bg_load > 0.0),
-            ("RLA_EVENTS_FILE", !self.events.is_empty()),
-            ("RLA_PCAP", self.pcap.enabled),
-        ];
-        for (knob, is_set) in set {
-            assert!(
-                !is_set,
-                "{knob} is set, but {binary} builds its engine by hand and \
-                 cannot honour it; unset it"
-            );
         }
     }
 }
@@ -515,7 +486,6 @@ mod tests {
             unset.scaled_duration(5.0, 120.0),
             SimDuration::from_secs(600)
         );
-        assert_eq!(unset.capped_duration(600.0), SimDuration::from_secs(600));
         let short = config(&[("RLA_DURATION_SECS", "10")]);
         assert_eq!(short.run_duration(), SimDuration::from_secs(60));
         assert_eq!(
@@ -527,7 +497,6 @@ mod tests {
             short.scaled_duration(5.0, 120.0),
             SimDuration::from_secs(120)
         );
-        assert_eq!(short.capped_duration(600.0), SimDuration::from_secs(60));
     }
 
     #[test]
@@ -625,45 +594,6 @@ mod tests {
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .expect("panics carry a message")
-    }
-
-    #[test]
-    fn hand_wired_binaries_refuse_the_knobs_they_cannot_honour() {
-        let dir = std::env::temp_dir().join("rla_cli_hand_wired_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let events = dir.join("events.json");
-        let schedule = vec![ScenarioEvent::leave(25.0, 0, 2)];
-        std::fs::write(&events, crate::events::events_json(&schedule).pretty()).unwrap();
-        let only = |knob: &'static str, value: &str| {
-            let value = value.to_string();
-            RunConfig::from_vars(move |name| (name == knob).then(|| value.clone()))
-        };
-        let refused = [
-            ("RLA_TCP_CC", "reno"),
-            ("RLA_CHURN_RATE", "0.5"),
-            ("RLA_BG_LOAD", "3"),
-            ("RLA_EVENTS_FILE", events.to_str().unwrap()),
-            ("RLA_PCAP", "1"),
-        ];
-        for (knob, value) in refused {
-            let cfg = only(knob, value);
-            let msg = panic_message(|| cfg.refuse_scenario_knobs("phase_effect"));
-            assert!(
-                msg.starts_with(&format!("{knob} is set, but phase_effect builds")),
-                "{knob}={value:?}: {msg}"
-            );
-        }
-        // Defaults, spelled out or not, and the knobs such a binary does
-        // honour pass.
-        for (knob, value) in [
-            ("RLA_TCP_CC", "sack"),
-            ("RLA_CHURN_RATE", "0"),
-            ("RLA_PCAP", "off"),
-            ("RLA_SEED", "7"),
-            ("RLA_DURATION_SECS", "90"),
-        ] {
-            only(knob, value).refuse_scenario_knobs("phase_effect");
-        }
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! # experiments — regenerating the paper's evaluation
 //!
 //! Scenario builders, metric collection and renderers for every table and
-//! figure in *Achieving Bounded Fairness for Multicast and TCP Traffic in
-//! the Internet* (§5) and figure 5 of §4. The rest of §4 (equations 1 and
-//! 3, the Proposition, the Lemma, figure 4's drift field and the growth of
-//! the fairness ratio with n) is asserted by tests in the `analysis` crate
-//! and `tests/analysis_vs_simulator.rs`. Every binary in `src/bin/`:
+//! figure in §5 of *Achieving Bounded Fairness for Multicast and TCP
+//! Traffic in the Internet*. The claims before it are asserted by tests:
+//! §4 (equations 1 and 3, the Proposition, the Lemma, figures 4 and 5 and
+//! the growth of the fairness ratio with n) in the `analysis` crate and
+//! `tests/analysis_vs_simulator.rs`, and §1's rate-based baselines and
+//! §3.1's buffer period and phase effect in
+//! `tests/droptail_and_rate_control.rs`. Every binary in `src/bin/`:
 //!
 //! | binary          | paper artifact | content |
 //! |-----------------|----------------|---------|
 //! | `tables`        | figures 7, 8, 9, 10, §5.2, Theorems I/II | one thirteen-run sweep ([`tables::paper_sweep`]), six views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside), the unequal-RTT table, two overlapping sessions — each beside the paper's numbers ([`tables::PAPER`]) |
-//! | `fig5`          | figure 5       | stationary density of `(cwnd₁, cwnd₂)` |
-//! | `buffer_period` | §3.1           | drop-tail buffer oscillation trace |
-//! | `phase_effect`  | §3.1           | drop pattern with/without random overhead |
-//! | `baseline_cmp`  | §1             | LTRC/MBFC vs RLA fairness to TCP |
 //! | `ablation`      | DESIGN.md §6   | case 3 drop-tail with one RLA design choice changed per row |
 //! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
 //! | `churn_sweep`   | robustness     | receiver churn × background load over the five figure-7 cases |
@@ -35,7 +33,6 @@ pub mod diff;
 pub mod events;
 pub mod manifest;
 pub mod metrics;
-pub mod plots;
 pub mod runner;
 pub mod scenario;
 pub mod spec;

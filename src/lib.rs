@@ -17,7 +17,7 @@
 //! | [`rla`] | `rla` | the paper's contribution: random listening, troubled-receiver counting, forced cuts, repair policy |
 //! | [`baselines`] | `baselines` | LTRC and MBFC rate controllers |
 //! | [`analysis`] | `analysis` | PA windows, Proposition/Theorem bounds, the two-session particle model |
-//! | [`experiments`] | `experiments` | scenario builders + binaries regenerating every paper table and figure |
+//! | [`experiments`] | `experiments` | scenario builders + binaries regenerating every §5 table |
 //!
 //! ## Quickstart
 //!
@@ -56,9 +56,9 @@
 //!
 //! ## Reproducing the paper
 //!
-//! Every table and figure has a regenerator binary in the `experiments`
-//! crate — see `DESIGN.md` for the index and `EXPERIMENTS.md` for
-//! paper-vs-measured numbers:
+//! Every §5 table has a regenerator binary in the `experiments` crate, and
+//! every earlier claim a test — see `DESIGN.md` for the index and
+//! `EXPERIMENTS.md` for paper-vs-measured numbers:
 //!
 //! ```text
 //! cargo run --release -p experiments --bin tables   # figs. 7-10, §5.2 + Theorems I/II

@@ -1,9 +1,12 @@
 //! The §4 analysis against the packet-level simulator: the closed-form
 //! window fixed points and the §4.3 growth of the fairness ratio with n are
 //! checked on a *physical* model — Bernoulli loss injected on real links —
-//! rather than the abstract window process.
+//! rather than the abstract window process, and figure 5's two sessions
+//! settle at the fair point in the particle model and on the simulated
+//! star alike.
 
 use bounded_fairness::experiments::{build_star, BranchSpec};
+use bounded_fairness::netsim::packet::tx_nanos;
 use bounded_fairness::prelude::*;
 
 /// What one run on a Bernoulli star measured over its last four fifths.
@@ -189,4 +192,100 @@ fn fairness_ratio_grows_with_n_inside_theorem2() {
         means.windows(2).all(|w| w[0] <= w[1]),
         "seed-mean ratios {means:.2?} decrease with n; (n, per-seed ratios): {sweep:?}"
     );
+}
+
+/// Figure 5's footnote-11 setup: a flat 27-path star whose every path has
+/// a delay-bandwidth product of 60 packets, shared by two RLA sessions and
+/// one SACK TCP per path, so each session's fair window is 20. Returns the
+/// two sessions' mean windows, sampled every 0.2 s after a warmup of a
+/// quarter of the run (at most 50 s), and the trace digest.
+fn figure5_star(seed: u64, secs: f64) -> ([f64; 2], u64) {
+    let mut engine = Engine::new(seed);
+    let queue = QueueConfig::paper_droptail();
+    let star = build_star(&mut engine, &vec![BranchSpec::fig5(); 27], &queue);
+    let sessions: Vec<(GroupId, AgentId)> = (0..2)
+        .map(|_| {
+            let group = engine.new_group();
+            for &leaf in &star.leaves {
+                let rx = engine.add_agent(leaf, Box::new(McastReceiver::new(40)));
+                engine.join_group(group, rx);
+                engine.set_send_overhead(rx, SimDuration::from_millis(2));
+            }
+            let tx = RlaSender::new(group, RlaConfig::default());
+            (group, engine.add_agent(star.root, Box::new(tx)))
+        })
+        .collect();
+    let tcp: Vec<AgentId> = star
+        .leaves
+        .iter()
+        .map(|&leaf| {
+            let rx = engine.add_agent(leaf, Box::new(TcpReceiver::new(40)));
+            engine.set_send_overhead(rx, SimDuration::from_millis(2));
+            let tx = TcpSender::new(rx, TcpConfig::default());
+            engine.add_agent(star.root, Box::new(tx))
+        })
+        .collect();
+    engine.compute_routes();
+    for &(group, _) in &sessions {
+        engine.build_group_tree(group, star.root);
+    }
+    // Random overhead of up to one service time (1000 B at 600 pkt/s)
+    // against drop-tail phase effects; starts staggered by 173 ms.
+    let overhead = SimDuration::from_nanos(tx_nanos(1000, 4_800_000));
+    let senders = tcp.iter().chain(sessions.iter().map(|(_, tx)| tx));
+    for (i, &tx) in senders.enumerate() {
+        engine.set_send_overhead(tx, overhead);
+        engine.start_agent_at(tx, SimTime::ZERO + SimDuration::from_millis(173) * i as u64);
+    }
+    let mut now = 50.0f64.min(secs / 4.0);
+    engine.run_until(SimTime::from_secs_f64(now));
+    let (mut sum, mut samples) = ([0.0; 2], 0);
+    while now < secs {
+        now += 0.2;
+        engine.run_until(SimTime::from_secs_f64(now));
+        for (sum, (_, tx)) in sum.iter_mut().zip(&sessions) {
+            *sum += engine.agent_as::<RlaSender>(*tx).expect("rla").cwnd();
+        }
+        samples += 1;
+    }
+    let windows = sum.map(|s| s / samples as f64);
+    (windows, engine.trace_digest().value())
+}
+
+#[test]
+fn particle_model_keeps_figure5s_mass_at_the_fair_point() {
+    // n = 27 troubled receivers and a pipe of 40 shared by the two
+    // sessions: fair point (20, 20). The means sit below it (the chain
+    // halves a window per cut), but the two are equal and a large share
+    // of the time is spent within ±8 of the fair point.
+    for seed in 5..=7 {
+        let stats = analysis::simulate_particle(27, 40.0, 2_000_000, seed, 60);
+        let near = stats.mass_near(20.0, 20.0, 8.0);
+        let (w1, w2) = (stats.mean_w1, stats.mean_w2);
+        assert!(
+            near >= 0.4 && (w1 - w2).abs() < 1.0,
+            "seed {seed}: {near:.3} of the mass within ±8 of (20, 20), mean windows {w1:.2} / {w2:.2}"
+        );
+    }
+}
+
+#[test]
+fn figure5_sessions_settle_at_the_fair_window() {
+    // Each session's mean window lies within 4 packets of the fair 20 at
+    // seeds 1..=3 over 120 s (the paper reads 19.9 / 20.1).
+    let runs = std::thread::scope(|scope| {
+        let runs = [1, 2, 3].map(|seed| scope.spawn(move || figure5_star(seed, 120.0).0));
+        runs.map(|h| h.join().unwrap())
+    });
+    assert!(
+        runs.iter().flatten().all(|w| (16.0..=24.0).contains(w)),
+        "mean windows per seed: {runs:.2?}"
+    );
+}
+
+#[test]
+fn figure5_star_keeps_its_digest() {
+    // The 60 s seed-1 digest of the retired `fig5` binary's manifest.
+    let (_, got) = figure5_star(1, 60.0);
+    assert_eq!(got, 0x0bc7_aa53_7639_3bf6, "drifted: 0x{got:016x}");
 }
