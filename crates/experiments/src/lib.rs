@@ -7,12 +7,13 @@
 //! the growth of the fairness ratio with n) in the `analysis` crate and
 //! `tests/analysis_vs_simulator.rs`, and §1's rate-based baselines and
 //! §3.1's buffer period and phase effect in
-//! `tests/droptail_and_rate_control.rs`. Every binary in `src/bin/`:
+//! `tests/droptail_and_rate_control.rs`, and §5.3's RTT-scaled pthresh
+//! against the Equal one in `tests/end_to_end_fairness.rs`. Every binary
+//! in `src/bin/`:
 //!
 //! | binary          | paper artifact | content |
 //! |-----------------|----------------|---------|
 //! | `tables`        | figures 7, 8, 9, 10, §5.2, Theorems I/II | one thirteen-run sweep ([`tables::paper_sweep`]), six views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside), the unequal-RTT table, two overlapping sessions — each beside the paper's numbers ([`tables::PAPER`]) |
-//! | `ablation`      | DESIGN.md §6   | case 3 drop-tail with one RLA design choice changed per row |
 //! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
 //! | `churn_sweep`   | robustness     | receiver churn × background load over the five figure-7 cases |
 //! | `debug_probe`   | tooling        | one case with the timeline recorder on, RLA sender internals |

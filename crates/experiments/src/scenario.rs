@@ -70,8 +70,8 @@ pub struct TreeScenario {
     /// Statistics discarded before this time (the paper uses 100 s).
     pub warmup: SimDuration,
     /// Full RLA configuration for the sender(s). Figure 10 uses the
-    /// RTT-scaled pthresh generalization; the ablation experiment sweeps
-    /// η, the forced-cut rule and the burst limit.
+    /// RTT-scaled pthresh generalization; the other cases use the Equal
+    /// policy.
     pub rla_config: RlaConfig,
     /// Which congestion controller the background TCP flows run. The
     /// paper's tables use SACK; the Reno variant measures how sensitive

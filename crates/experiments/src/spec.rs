@@ -86,11 +86,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Replace the RLA sender configuration wholesale (ablations).
+    /// Replace the RLA sender configuration wholesale.
     ///
     /// Omitting this keeps the paper's case-dependent default — notably
     /// the RTT-scaled pthresh policy for the figure-10 cases — so only
-    /// set it when the experiment really sweeps the RLA parameters.
+    /// set it when the experiment really changes the RLA parameters.
     pub fn with_rla_config(mut self, config: RlaConfig) -> Self {
         self.rla_config = Some(config);
         self

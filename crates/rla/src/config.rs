@@ -66,51 +66,32 @@ pub enum SlowReceiverPolicy {
 /// Parameters of an RLA multicast session.
 ///
 /// Defaults follow the paper: η = 20, all retransmissions multicast
-/// (`rexmit_threshold = 0`), 1000-byte packets.
+/// (`rexmit_threshold = 0`), 1000-byte packets. The window bounds and the
+/// dup-threshold are not settings: the sender reads them from
+/// [`transport::defaults`].
 #[derive(Debug, Clone)]
 pub struct RlaConfig {
     /// Data packet size on the wire, bytes.
     pub packet_size: u32,
     /// Receiver acknowledgment size, bytes.
     pub ack_size: u32,
-    /// Initial congestion window, packets.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub initial_ssthresh: f64,
-    /// Maximum congestion window / receiver buffer, packets (rule 5's
-    /// upper bound: never run past `min_last_ack + max_cwnd`).
-    pub max_cwnd: f64,
-    /// SACK dup-threshold for loss declaration (3, as in TCP).
-    pub dupack_threshold: u64,
     /// The η constant of rule 6: a receiver is troubled while its average
     /// congestion-signal interval is below `η * min_congestion_interval`.
     pub eta: f64,
     /// EWMA gain for the per-receiver congestion-interval average.
     pub interval_gain: f64,
-    /// EWMA gain for `awnd`, the moving average of the window size used by
-    /// the forced-cut rule.
-    pub awnd_gain: f64,
     /// If more than this many receivers request a retransmission it is
     /// multicast, otherwise unicast to each requester (footnote 8). The
     /// paper's simulations use 0: everything multicast.
     pub rexmit_threshold: usize,
     /// Window-cut probability policy.
     pub pthresh_policy: PthreshPolicy,
-    /// Enable the forced-cut rule (rule 3's damping of the randomness).
-    /// On by default; the ablation experiment turns it off.
-    pub forced_cut_enabled: bool,
     /// Policy for a receiver that persistently gates the session (§4.3).
     pub slow_receiver_policy: SlowReceiverPolicy,
-    /// Maximum new packets released per ack event (burst limiter — the
-    /// paper's fast-recovery guard against a "suddenly widely-open
-    /// window").
-    pub max_burst: u32,
     /// Lower bound on per-receiver retransmission timeouts.
     pub min_rto: SimDuration,
     /// Upper bound on per-receiver retransmission timeouts.
     pub max_rto: SimDuration,
-    /// Period of the sender's timeout-scan timer.
-    pub scan_interval: SimDuration,
 }
 
 impl Default for RlaConfig {
@@ -118,21 +99,13 @@ impl Default for RlaConfig {
         RlaConfig {
             packet_size: defaults::PACKET_SIZE,
             ack_size: defaults::ACK_SIZE,
-            initial_cwnd: defaults::INITIAL_CWND,
-            initial_ssthresh: defaults::INITIAL_SSTHRESH,
-            max_cwnd: defaults::MAX_CWND,
-            dupack_threshold: defaults::DUPACK_THRESHOLD,
             eta: 20.0,
             interval_gain: 0.125,
-            awnd_gain: 0.02,
             rexmit_threshold: 0,
             pthresh_policy: PthreshPolicy::Equal,
-            forced_cut_enabled: true,
             slow_receiver_policy: SlowReceiverPolicy::Keep,
-            max_burst: 4,
             min_rto: defaults::MIN_RTO,
             max_rto: defaults::MAX_RTO,
-            scan_interval: SimDuration::from_millis(100),
         }
     }
 }
@@ -141,20 +114,10 @@ impl RlaConfig {
     /// Validate invariants; called by the sender constructor.
     pub fn validate(&self) {
         assert!(self.packet_size > 0, "packet size must be positive");
-        assert!(self.initial_cwnd >= 1.0, "initial cwnd below one packet");
         assert!(self.eta >= 1.0, "eta must be at least 1");
         assert!(
             self.interval_gain > 0.0 && self.interval_gain <= 1.0,
             "interval gain must be in (0, 1]"
-        );
-        assert!(
-            self.awnd_gain > 0.0 && self.awnd_gain <= 1.0,
-            "awnd gain must be in (0, 1]"
-        );
-        assert!(self.max_burst >= 1, "burst limit must allow some sending");
-        assert!(
-            !self.scan_interval.is_zero(),
-            "scan interval must be positive"
         );
     }
 }
@@ -167,7 +130,6 @@ mod tests {
     fn defaults_are_valid() {
         let cfg = RlaConfig::default();
         cfg.validate();
-        assert!(cfg.forced_cut_enabled);
         assert_eq!(cfg.slow_receiver_policy, SlowReceiverPolicy::Keep);
     }
 

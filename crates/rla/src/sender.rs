@@ -33,13 +33,24 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::wire::{McastAck, McastData, Segment};
 
 use tcp_sack::scoreboard::Scoreboard;
-use transport::{CongestionEpoch, RttEstimator, WindowState};
+use transport::{defaults, CongestionEpoch, RttEstimator, WindowState};
 
 use crate::config::{RlaConfig, SlowReceiverPolicy};
 use crate::trouble::TroubleTracker;
 
 /// Timer token of the periodic timeout scan.
 const SCAN_TOKEN: u64 = 1;
+
+/// Period of the timeout scan.
+const SCAN_INTERVAL: SimDuration = SimDuration::from_millis(100);
+
+/// Most new packets released per ack event: the paper's fast-recovery
+/// guard against a "suddenly widely-open window".
+const MAX_BURST: u32 = 4;
+
+/// EWMA gain of `awnd`, the moving average of the window that sets the
+/// forced-cut horizon.
+const AWND_GAIN: f64 = 0.02;
 
 /// Per-receiver sender-side state.
 #[derive(Debug)]
@@ -210,7 +221,11 @@ impl RlaSender {
     /// the group and the tree must be built before the sender starts).
     pub fn new(group: GroupId, cfg: RlaConfig) -> Self {
         cfg.validate();
-        let win = WindowState::new(cfg.initial_cwnd, cfg.initial_ssthresh, cfg.max_cwnd);
+        let win = WindowState::new(
+            defaults::INITIAL_CWND,
+            defaults::INITIAL_SSTHRESH,
+            defaults::MAX_CWND,
+        );
         let cwnd = win.cwnd();
         RlaSender {
             trouble: TroubleTracker::new(0, cfg.eta, cfg.interval_gain),
@@ -321,7 +336,7 @@ impl RlaSender {
             "receiver {id} is already tracked by this sender"
         );
         let mut scoreboard = Scoreboard::new();
-        let _ = scoreboard.on_ack(self.high_seq, &[], self.cfg.dupack_threshold);
+        let _ = scoreboard.on_ack(self.high_seq, &[], defaults::DUPACK_THRESHOLD);
         let idx = self.receivers.len();
         self.receivers.push(ReceiverState {
             id,
@@ -360,7 +375,7 @@ impl RlaSender {
     /// Fold a just-applied window change into `awnd` (the forced-cut
     /// horizon tracks *every* adjustment) and the time-weighted average.
     fn after_window_change(&mut self, now: SimTime, cwnd: f64) {
-        self.awnd += self.cfg.awnd_gain * (cwnd - self.awnd);
+        self.awnd += AWND_GAIN * (cwnd - self.awnd);
         self.stats.cwnd_avg.set(now, cwnd);
     }
 
@@ -437,7 +452,7 @@ impl RlaSender {
             }
         };
         let forced_horizon = session_srtt.mul_f64(2.0 * self.awnd.max(1.0));
-        if self.cfg.forced_cut_enabled && self.cut_epoch.elapsed_exceeds(now, forced_horizon) {
+        if self.cut_epoch.elapsed_exceeds(now, forced_horizon) {
             self.cut_window(now);
             self.stats.forced_cuts += 1;
             return;
@@ -472,7 +487,7 @@ impl RlaSender {
 
     /// Rule 5's send gate plus the burst limiter: release new packets while
     /// the pipe has room under `cwnd` and the slowest receiver's buffer
-    /// (`min_last_ack + max_cwnd`) allows. Using pipe accounting rather
+    /// (`min_last_ack + MAX_CWND`) allows. Using pipe accounting rather
     /// than freezing on `max_reach_all` keeps the ack clock running while
     /// a hole is being repaired, exactly as TCP SACK's fast recovery does —
     /// otherwise every loss anywhere in the group would idle the session
@@ -481,8 +496,8 @@ impl RlaSender {
         let mut burst = 0;
         let mut pipe = self.pipe();
         let allowed = self.win.allowed();
-        while burst < self.cfg.max_burst {
-            let buffer_top = self.min_last_ack() + self.cfg.max_cwnd as u64;
+        while burst < MAX_BURST {
+            let buffer_top = self.min_last_ack() + defaults::MAX_CWND as u64;
             if pipe >= allowed || self.high_seq >= buffer_top {
                 break;
             }
@@ -639,7 +654,7 @@ impl RlaSender {
         let newly_lost = self.receivers[idx].scoreboard.on_ack(
             ack.cum_ack,
             &ack.sack,
-            self.cfg.dupack_threshold,
+            defaults::DUPACK_THRESHOLD,
         );
 
         if newly_lost > 0 {
@@ -847,7 +862,7 @@ impl Agent for RlaSender {
         self.stats = RlaStats::new(now, self.win.cwnd(), members.len());
         self.cut_epoch.mark(now);
         self.try_send(ctx);
-        ctx.set_timer(self.cfg.scan_interval, SCAN_TOKEN);
+        ctx.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
@@ -860,7 +875,7 @@ impl Agent for RlaSender {
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         debug_assert_eq!(token, SCAN_TOKEN);
         self.scan_timeouts(ctx);
-        ctx.set_timer(self.cfg.scan_interval, SCAN_TOKEN);
+        ctx.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -107,3 +107,83 @@ fn window_cuts_track_signals_over_n() {
         "signals per cut {per_cut} should be near n = 27"
     );
 }
+
+#[test]
+fn rtt_scaled_pthresh_beats_equal_on_unequal_rtts() {
+    // §5.3's generalized rule, pthresh = (rtt_i / rtt_max)² / n, is the
+    // paper default on figure 10's topology, where nine 30 ms receivers
+    // listen beside the 27 leaves. Against the Equal rule it must cut on
+    // fewer of the signals and win the multicast a larger share against
+    // the worst TCP, at every seed.
+    let paper = |seed| {
+        ScenarioSpec::paper(CongestionCase::Fig10AllLevel3)
+            .with_duration(SimDuration::from_secs(120))
+            .with_seed(seed)
+    };
+    let equal = RlaConfig {
+        pthresh_policy: PthreshPolicy::Equal,
+        ..RlaConfig::default()
+    };
+    let scenarios = (1..=5)
+        .flat_map(|seed| {
+            let equal = paper(seed).with_rla_config(equal.clone());
+            [paper(seed).build(), equal.build()]
+        })
+        .collect();
+    let results = experiments::run_parallel_with_jobs(scenarios, 2);
+    // (seed, RLA/WTCP, cuts per signal) per run, RTT-scaled before Equal.
+    let mut table = String::new();
+    let rows: Vec<(u64, f64, f64)> = (1..=5)
+        .flat_map(|seed| [seed, seed])
+        .zip(&results)
+        .zip(["rtt-scaled", "equal"].into_iter().cycle())
+        .map(|((seed, r), policy)| {
+            let (rla, wtcp) = (&r.rla[0], r.worst_tcp().expect("tcp").throughput_pps);
+            table += &format!(
+                "seed {seed} {policy:<10} RLA {:5.1}  WTCP {wtcp:5.1}  cuts/signals {}/{}\n",
+                rla.throughput_pps, rla.window_cuts, rla.cong_signals
+            );
+            let cuts_per_signal = rla.window_cuts as f64 / rla.cong_signals.max(1) as f64;
+            (seed, rla.throughput_pps / wtcp, cuts_per_signal)
+        })
+        .collect();
+    for pair in rows.chunks(2) {
+        let [(seed, scaled_ratio, scaled_cuts), (_, equal_ratio, equal_cuts)] = pair else {
+            unreachable!("two runs per seed")
+        };
+        assert!(
+            scaled_ratio > equal_ratio,
+            "seed {seed}: RTT-scaled RLA/WTCP {scaled_ratio:.2} is not above Equal's {equal_ratio:.2}\n{table}"
+        );
+        assert!(
+            scaled_cuts < equal_cuts,
+            "seed {seed}: RTT-scaled cuts per signal are not below Equal's\n{table}"
+        );
+    }
+}
+
+#[test]
+fn case3_forces_window_cuts_before_the_warmup_ends() {
+    // Rule 3's forced cut fires when no cut has happened for 2·awnd
+    // session round trips. Early on `awnd` still sits near the initial
+    // window of 1, so on case 3's drop-tail tree the first signals force
+    // one or two cuts between 6 s and 11 s, at seeds 1-5. The tables'
+    // `forced` row counts after the warmup reset and reads 0.
+    for seed in 1..=5 {
+        let scenario = ScenarioSpec::paper(CongestionCase::Case3AllLeaves)
+            .with_duration(SimDuration::from_secs(120))
+            .with_seed(seed)
+            .build();
+        let mut world = scenario.build();
+        world.run_span(SimTime::from_secs(20));
+        let sender: &RlaSender = world
+            .engine
+            .agent_as(world.rla_senders[0])
+            .expect("rla sender");
+        assert!(
+            sender.stats.forced_cuts >= 1,
+            "seed {seed}: no forced cut in the first 20 s ({} randomized)",
+            sender.stats.randomized_cuts
+        );
+    }
+}

@@ -17,7 +17,9 @@
 //! Behavioural changes are fine —
 //! regenerate with
 //! `cargo test --test golden_digests -- --ignored regenerate` and commit
-//! the new manifests with an explanation.
+//! the new manifests with an explanation. EXPERIMENTS.md's quoted
+//! `tables` output is held to the committed `results/tables.txt`: every
+//! quoted block must appear there verbatim.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -160,6 +162,28 @@ fn case5_droptail_cubic_matches_committed_manifest() {
 #[test]
 fn case5_droptail_reno_matches_committed_manifest() {
     check("case5_droptail_reno_60s");
+}
+
+/// EXPERIMENTS.md quotes `tables` output; it must not paste it. Every
+/// ```` ```text ```` block there has to appear verbatim in the committed
+/// `results/tables.txt`, which CI regenerates and diffs.
+#[test]
+fn experiments_md_quotes_the_committed_tables() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).expect(name);
+    let (doc, tables) = (read("EXPERIMENTS.md"), read("results/tables.txt"));
+    let blocks: Vec<&str> = doc
+        .split("```text\n")
+        .skip(1)
+        .map(|rest| rest.split("```").next().expect("split yields one piece"))
+        .collect();
+    assert!(!blocks.is_empty(), "EXPERIMENTS.md quotes no text block");
+    for block in blocks {
+        assert!(
+            tables.contains(block),
+            "EXPERIMENTS.md quotes a block that results/tables.txt lacks:\n{block}"
+        );
+    }
 }
 
 /// Every congestion placement's 20 s drop-tail seed-1 run, in figure 7
