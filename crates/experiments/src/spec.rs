@@ -178,7 +178,7 @@ impl ScenarioSpec {
         let warmup = SimDuration::from_secs_f64(warmup);
         let rla_config = self.rla_config.clone().unwrap_or_else(|| RlaConfig {
             pthresh_policy: if self.case.g3_receivers {
-                PthreshPolicy::paper_rtt_scaled()
+                PthreshPolicy::RttScaled
             } else {
                 PthreshPolicy::Equal
             },

@@ -3,6 +3,10 @@
 use netsim::time::SimDuration;
 use transport::defaults;
 
+/// The exponent `k` of the RTT-scaled rule's `f(x) = x^k`. The paper uses
+/// 2 because TCP throughput scales as `RTT^-k` with `1 <= k < 2`.
+const RTT_EXPONENT: f64 = 2.0;
+
 /// How the window-cut probability threshold `pthresh` is derived for a
 /// congestion signal from receiver `i` (paper §3.3 rule 3 and §5.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -10,21 +14,11 @@ pub enum PthreshPolicy {
     /// The restricted-topology rule: `pthresh = 1 / num_trouble_rcvr`.
     Equal,
     /// The generalized rule for unequal round-trip times (§5.3):
-    /// `pthresh = (srtt_i / srtt_max)^exponent / num_trouble_rcvr`.
-    /// The paper uses `exponent = 2` because TCP throughput scales as
-    /// `RTT^-k` with `1 <= k < 2`.
-    RttScaled {
-        /// The exponent `k` of `f(x) = x^k`.
-        exponent: f64,
-    },
+    /// `pthresh = (srtt_i / srtt_max)^2 / num_trouble_rcvr`.
+    RttScaled,
 }
 
 impl PthreshPolicy {
-    /// The paper's generalized policy, `f(x) = x^2`.
-    pub fn paper_rtt_scaled() -> Self {
-        PthreshPolicy::RttScaled { exponent: 2.0 }
-    }
-
     /// Compute `pthresh` for a signal from a receiver with smoothed RTT
     /// `srtt`, given the largest per-receiver RTT `srtt_max` and the
     /// current troubled-receiver count `n` (>= 1).
@@ -32,12 +26,12 @@ impl PthreshPolicy {
         let n = n.max(1) as f64;
         match *self {
             PthreshPolicy::Equal => 1.0 / n,
-            PthreshPolicy::RttScaled { exponent } => {
+            PthreshPolicy::RttScaled => {
                 if srtt_max <= 0.0 {
                     return 1.0 / n;
                 }
                 let x = (srtt / srtt_max).clamp(0.0, 1.0);
-                x.powf(exponent) / n
+                x.powf(RTT_EXPONENT) / n
             }
         }
     }
@@ -142,7 +136,7 @@ mod tests {
 
     #[test]
     fn rtt_scaled_policy_squashes_near_receivers() {
-        let p = PthreshPolicy::paper_rtt_scaled();
+        let p = PthreshPolicy::RttScaled;
         // Equal RTTs degenerate to the Equal policy.
         assert!((p.pthresh(0.2, 0.2, 5) - 0.2).abs() < 1e-12);
         // Half the max RTT -> a quarter of the cut probability.

@@ -23,9 +23,14 @@
 //! ## Crate contents
 //!
 //! * [`RlaSender`] / [`McastReceiver`] — the protocol agents (§3.3's six
-//!   rules, including forced cuts, the troubled-receiver count with
-//!   `η = 20`, and the multicast/unicast retransmission policy).
-//! * [`TroubleTracker`] — rule 6's dynamic `num_trouble_rcvr`.
+//!   rules: the window, its bounds and the multicast/unicast
+//!   retransmission policy, with rules 2–3 delegated to the listener).
+//! * [`Listener`] — random listening as a pure state machine: rule 2's
+//!   congestion periods, rule 3's forced and randomized cuts, and the
+//!   troubled-receiver count, returning one [`Decision`] per loss event.
+//!   It reads no clock and owns no generator, so it runs without a network.
+//! * [`TroubleTracker`] — rule 6's dynamic `num_trouble_rcvr` with
+//!   `η = 20`.
 //! * [`PthreshPolicy`] — the restricted-topology rule `1/n` and the
 //!   generalized `(rtt_i/rtt_max)²/n` for unequal round-trip times (§5.3).
 
@@ -33,13 +38,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod rate_rla;
+pub mod listener;
 pub mod receiver;
 pub mod sender;
 pub mod trouble;
 
 pub use config::{PthreshPolicy, RlaConfig, SlowReceiverPolicy};
-pub use rate_rla::{RateRla, RateRlaConfig};
+pub use listener::{Decision, Listener};
 pub use receiver::{McastReceiver, McastReceiverStats};
 pub use sender::{RlaSender, RlaStats};
 pub use trouble::{CongestionHistory, TroubleTracker};

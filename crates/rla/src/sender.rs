@@ -1,19 +1,21 @@
 //! The Random Listening Algorithm sender (paper §3.3).
 //!
 //! One multicast sender, N SACK receivers. The sender keeps a scoreboard
-//! per receiver, groups each receiver's losses into congestion signals
-//! (one per `2·srtt_i`), and on each signal from a *troubled* receiver
-//! halves its window **with probability `pthresh`** (the random listening
-//! step), forcing a cut if none has happened for `2·awnd·srtt_i`. The
-//! window grows by `1/cwnd` each time a packet has been acknowledged by
-//! *all* receivers.
+//! per receiver and hands each receiver's loss events to a
+//! [`Listener`], which groups them into congestion signals (one per
+//! `2·srtt_i`) and, on each signal from a *troubled* receiver, decides to
+//! halve the window **with probability `pthresh`** (the random listening
+//! step), forcing a cut if none has happened for `2·awnd` round trips.
+//! The window grows by `1/cwnd` each time a packet has been acknowledged
+//! by *all* receivers.
 //!
 //! Skeleton, following the paper's numbered rules:
 //!
 //! 1. loss detection — SACK scoreboard, dup-threshold 3 ([`tcp_sack::Scoreboard`]);
 //! 2. congestion detection — losses within `2·srtt_i` of `cperiod_start_i`
-//!    are one signal;
-//! 3. window adjustment on congestion — forced-cut / randomized-cut;
+//!    are one signal ([`Listener`]);
+//! 3. window adjustment on congestion — forced-cut / randomized-cut
+//!    ([`Listener`]);
 //! 4. window growth — `cwnd += 1/cwnd` per packet acked by all;
 //! 5. window bounds — base moves with `max_reach_all`, top never beyond
 //!    `min_last_ack +` receiver buffer;
@@ -21,8 +23,6 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-
-use rand::Rng;
 
 use netsim::agent::Agent;
 use netsim::engine::Context;
@@ -33,10 +33,10 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::wire::{McastAck, McastData, Segment};
 
 use tcp_sack::scoreboard::Scoreboard;
-use transport::{defaults, CongestionEpoch, RttEstimator, WindowState};
+use transport::{defaults, RttEstimator, WindowState};
 
 use crate::config::{RlaConfig, SlowReceiverPolicy};
-use crate::trouble::TroubleTracker;
+use crate::listener::{Decision, Listener};
 
 /// Timer token of the periodic timeout scan.
 const SCAN_TOKEN: u64 = 1;
@@ -58,8 +58,6 @@ struct ReceiverState {
     id: AgentId,
     scoreboard: Scoreboard,
     rtt: RttEstimator,
-    /// The current congestion period (rule 2's `2·srtt_i` loss coalescer).
-    cperiod: CongestionEpoch,
     /// Last time any ack arrived from this receiver (timeout detection).
     last_ack_at: SimTime,
     /// Ejected by the slow-receiver policy (§4.3): still receives the
@@ -191,7 +189,7 @@ pub struct RlaSender {
     group: GroupId,
     receivers: Vec<ReceiverState>,
     index_of: HashMap<AgentId, usize>,
-    trouble: TroubleTracker,
+    listener: Listener,
 
     win: WindowState,
     /// Moving average of the window size (forced-cut horizon).
@@ -201,8 +199,6 @@ pub struct RlaSender {
     /// All packets `seq < reach_all` are held by every receiver
     /// (`max_reach_all` in the paper).
     reach_all: u64,
-    /// Tracks when the window was last halved (the forced-cut horizon).
-    cut_epoch: CongestionEpoch,
     /// Sequences declared lost by at least one receiver, awaiting the
     /// everyone-has-spoken retransmission decision (footnote 8).
     pending_rexmit: BTreeSet<u64>,
@@ -228,7 +224,7 @@ impl RlaSender {
         );
         let cwnd = win.cwnd();
         RlaSender {
-            trouble: TroubleTracker::new(0, cfg.eta, cfg.interval_gain),
+            listener: Listener::new(0, SimTime::ZERO, &cfg),
             group,
             receivers: Vec::new(),
             index_of: HashMap::new(),
@@ -236,7 +232,6 @@ impl RlaSender {
             awnd: cwnd,
             high_seq: 0,
             reach_all: 0,
-            cut_epoch: CongestionEpoch::new(),
             pending_rexmit: BTreeSet::new(),
             sent_log: BTreeMap::new(),
             laggard: None,
@@ -273,7 +268,7 @@ impl RlaSender {
 
     /// Current troubled-receiver count.
     pub fn num_trouble_rcvr(&self, now: SimTime) -> usize {
-        self.trouble.troubled_count(now)
+        self.listener.troubled_count(now)
     }
 
     /// The highest packet acknowledged by all receivers.
@@ -342,12 +337,11 @@ impl RlaSender {
             id,
             scoreboard,
             rtt: RttEstimator::new(self.cfg.min_rto, self.cfg.max_rto),
-            cperiod: CongestionEpoch::new(),
             last_ack_at: now,
             ejected: false,
         });
         self.index_of.insert(id, idx);
-        self.trouble.add_receiver();
+        self.listener.add_receiver();
         self.stats.cong_signals_per_receiver.push(0);
     }
 
@@ -385,12 +379,6 @@ impl RlaSender {
         self.after_window_change(now, cwnd);
     }
 
-    fn cut_window(&mut self, now: SimTime) {
-        let cwnd = self.win.cut();
-        self.after_window_change(now, cwnd);
-        self.cut_epoch.mark(now);
-    }
-
     /// The largest smoothed RTT among receivers, in seconds — the
     /// session's effective RTT (drives the RTT-scaled pthresh policy and
     /// the telemetry timeline). Zero until the first RTT sample.
@@ -403,70 +391,29 @@ impl RlaSender {
             .fold(0.0, f64::max)
     }
 
-    /// Rule 2: fold a loss event from receiver `idx` into its congestion
-    /// period — losses within `2 * srtt_i` of `cperiod_start_i` are the
-    /// same signal; a loss beyond that opens a new period and emits one
-    /// congestion signal.
-    fn note_congestion(&mut self, idx: usize, ctx: &mut Context<'_>) {
+    /// Rules 2–3: hand a loss event from receiver `idx` to the listener
+    /// and apply its decision to the window and the statistics.
+    fn on_loss(&mut self, idx: usize, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let srtt = self.receivers[idx]
             .rtt
             .srtt()
             .unwrap_or(SimDuration::from_millis(100));
-        let period = srtt.mul_f64(2.0);
-        if self.receivers[idx].cperiod.note_loss(now, period) {
-            self.on_congestion_signal(idx, ctx);
+        let (srtt_max, awnd) = (self.srtt_max(), self.awnd);
+        let decision = self
+            .listener
+            .on_loss(idx, now, srtt, srtt_max, awnd, ctx.rng());
+        match decision {
+            Decision::SamePeriod => return,
+            Decision::Rare => self.stats.skipped_rare += 1,
+            Decision::Forced => self.stats.forced_cuts += 1,
+            Decision::Randomized { cut, .. } => self.stats.randomized_cuts += u64::from(cut),
         }
-    }
-
-    /// Rule 3: react to one congestion signal from receiver `idx`.
-    fn on_congestion_signal(&mut self, idx: usize, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        self.trouble.record_signal(idx, now);
         self.stats.cong_signals += 1;
         self.stats.cong_signals_per_receiver[idx] += 1;
-
-        if !self.trouble.is_troubled(idx, now) {
-            // A rare loss from an otherwise healthy receiver: skip.
-            self.stats.skipped_rare += 1;
-            return;
-        }
-
-        let srtt = self.receivers[idx]
-            .rtt
-            .srtt()
-            .unwrap_or(SimDuration::from_millis(100));
-        // The forced-cut horizon is paced by the *session* round-trip
-        // time (the slowest receiver): window growth is clocked by
-        // acked-by-all progress, so "2·awnd round trips" means the long
-        // RTT. Using the signalling receiver's own srtt would let a
-        // nearby receiver (30 ms against the session's 230 ms in figure
-        // 10) force a cut every fraction of a real window period and
-        // collapse the window.
-        let session_srtt = {
-            let max = self.srtt_max();
-            if max > 0.0 {
-                SimDuration::from_secs_f64(max)
-            } else {
-                srtt
-            }
-        };
-        let forced_horizon = session_srtt.mul_f64(2.0 * self.awnd.max(1.0));
-        if self.cut_epoch.elapsed_exceeds(now, forced_horizon) {
-            self.cut_window(now);
-            self.stats.forced_cuts += 1;
-            return;
-        }
-
-        let n = self.trouble.troubled_count(now).max(1);
-        let pthresh = self
-            .cfg
-            .pthresh_policy
-            .pthresh(srtt.as_secs_f64(), self.srtt_max(), n);
-        let pi: f64 = ctx.rng().gen();
-        if pi <= pthresh {
-            self.cut_window(now);
-            self.stats.randomized_cuts += 1;
+        if decision.cuts() {
+            let cwnd = self.win.cut();
+            self.after_window_change(now, cwnd);
         }
     }
 
@@ -661,7 +608,7 @@ impl RlaSender {
             for seq in self.receivers[idx].scoreboard.lost_unretransmitted() {
                 self.pending_rexmit.insert(seq);
             }
-            self.note_congestion(idx, ctx);
+            self.on_loss(idx, ctx);
         }
 
         // NewReno-style partial-ack continuation: when the send window has
@@ -684,7 +631,7 @@ impl RlaSender {
                     if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
                         self.stats.early_retransmits += 1;
                         self.pending_rexmit.insert(seq);
-                        self.note_congestion(idx, ctx);
+                        self.on_loss(idx, ctx);
                     }
                 }
             }
@@ -756,7 +703,7 @@ impl RlaSender {
     /// return).
     fn detach(&mut self, idx: usize) {
         self.receivers[idx].ejected = true;
-        self.trouble.deactivate(idx);
+        self.listener.deactivate(idx);
         // Repairs owed only to the detached receiver are cancelled; shared
         // ones stay pending for the remaining requesters.
         let pending: Vec<u64> = self.pending_rexmit.iter().copied().collect();
@@ -809,7 +756,7 @@ impl RlaSender {
                     if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
                         self.stats.early_retransmits += 1;
                         self.pending_rexmit.insert(seq);
-                        self.note_congestion(idx, ctx);
+                        self.on_loss(idx, ctx);
                         continue;
                     }
                 }
@@ -831,7 +778,7 @@ impl RlaSender {
             if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
                 self.pending_rexmit.insert(seq);
             }
-            self.note_congestion(idx, ctx);
+            self.on_loss(idx, ctx);
         }
         self.service_retransmissions(ctx);
         self.try_send(ctx);
@@ -852,15 +799,13 @@ impl Agent for RlaSender {
                 id,
                 scoreboard: Scoreboard::new(),
                 rtt: RttEstimator::new(self.cfg.min_rto, self.cfg.max_rto),
-                cperiod: CongestionEpoch::new(),
                 last_ack_at: now,
                 ejected: false,
             })
             .collect();
         self.index_of = members.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-        self.trouble = TroubleTracker::new(members.len(), self.cfg.eta, self.cfg.interval_gain);
+        self.listener = Listener::new(members.len(), now, &self.cfg);
         self.stats = RlaStats::new(now, self.win.cwnd(), members.len());
-        self.cut_epoch.mark(now);
         self.try_send(ctx);
         ctx.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
     }
@@ -962,22 +907,6 @@ mod tests {
             "throughput {rate} pkt/s should sit near the 100 pkt/s bottleneck"
         );
         assert!(s.stats.window_cuts() > 0, "congestion must cause cuts");
-    }
-
-    #[test]
-    fn cuts_are_roughly_one_per_n_signals() {
-        let (mut e, sender, receivers) = session(11, 2, 800_000, RlaConfig::default());
-        let n = receivers.len() as f64; // 9 receivers
-        e.run_until(SimTime::from_secs(300));
-        let s: &RlaSender = e.agent_as(sender).unwrap();
-        let signals = s.stats.cong_signals as f64;
-        let cuts = s.stats.window_cuts() as f64;
-        assert!(signals > 100.0, "need enough signals ({signals})");
-        let ratio = signals / cuts.max(1.0);
-        assert!(
-            ratio > n / 3.0 && ratio < n * 3.0,
-            "signals per cut {ratio} should be near n = {n}"
-        );
     }
 
     #[test]

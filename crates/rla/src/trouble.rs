@@ -137,16 +137,6 @@ impl TroubleTracker {
         self.histories.push(CongestionHistory::default());
         self.histories.len() - 1
     }
-
-    /// Number of tracked receivers.
-    pub fn len(&self) -> usize {
-        self.histories.len()
-    }
-
-    /// `true` when no receivers are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.histories.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ fn main() {
         ("Equal (pthresh = 1/n)", PthreshPolicy::Equal),
         (
             "RTT-scaled (pthresh = (rtt/rtt_max)^2 / n)",
-            PthreshPolicy::paper_rtt_scaled(),
+            PthreshPolicy::RttScaled,
         ),
     ] {
         let result = ScenarioSpec::paper(CongestionCase::Fig10AllLevel3)

@@ -14,7 +14,6 @@ use baselines::{
 };
 use bounded_fairness::netsim::packet::tx_nanos;
 use bounded_fairness::prelude::*;
-use rla::{RateRla, RateRlaConfig};
 use telemetry::QueueSeriesTracer;
 
 /// `run` over `items`, one thread each, results in input order.
@@ -192,8 +191,6 @@ enum Controller {
     Ltrc(f64),
     /// MBFC at this loss threshold.
     Mbfc(f64),
-    /// The §6 rate-based random listener.
-    RateRla,
     /// The window-based RLA.
     Rla,
 }
@@ -221,7 +218,6 @@ impl Controller {
                     ..MbfcConfig::default()
                 }),
             ),
-            Controller::RateRla => rate(group, RateRla::new(RateRlaConfig::default())),
             Controller::Rla => Box::new(RlaSender::new(group, RlaConfig::default())),
         }
     }
@@ -340,7 +336,6 @@ fn every_hand_built_world_keeps_its_digest() {
         (Controller::Ltrc(0.05), 0xcd8f_330e_60e1_27b3),
         (Controller::Mbfc(0.005), 0xe8e6_04e4_e2b8_3d9b),
         (Controller::Mbfc(0.05), 0xca2d_7eb3_4837_d334),
-        (Controller::RateRla, 0xe0ed_3fae_d7af_1373),
         (Controller::Rla, 0x2fb8_5134_bcd2_fe07),
     ];
     for (controller, want) in rate {
