@@ -110,36 +110,6 @@ pub fn jain_index(throughputs: &[f64]) -> f64 {
     sum * sum / (throughputs.len() as f64 * sum_sq)
 }
 
-/// Worst pairwise throughput ratio `max(x) / min(x)` — the paper's
-/// fairness-table shape reduced to one number. 1 means perfectly even;
-/// `+∞` when some flow is starved to zero (or negative).
-pub fn worst_pair_ratio(throughputs: &[f64]) -> f64 {
-    assert!(!throughputs.is_empty(), "need at least one throughput");
-    let max = throughputs.iter().cloned().fold(f64::MIN, f64::max);
-    let min = throughputs.iter().cloned().fold(f64::MAX, f64::min);
-    if min <= 0.0 {
-        return f64::INFINITY;
-    }
-    max / min
-}
-
-/// The soft bottleneck of a multicast session (§2.2): the branch with the
-/// smallest per-connection share `μ_i / (m_i + 1)`, where `μ_i` is the
-/// branch's available bandwidth (pkt/s) and `m_i` its competing TCP count.
-/// Returns `(index, share)`.
-pub fn soft_bottleneck(branches: &[(f64, usize)]) -> (usize, f64) {
-    assert!(!branches.is_empty(), "a session has at least one branch");
-    branches
-        .iter()
-        .enumerate()
-        .map(|(i, &(mu, m))| {
-            assert!(mu > 0.0, "branch bandwidth must be positive");
-            (i, mu / (m + 1) as f64)
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("share is finite"))
-        .expect("nonempty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,22 +170,6 @@ mod tests {
         // Mild skew lands strictly between.
         let j = jain_index(&[100.0, 80.0, 120.0]);
         assert!(j > 0.9 && j < 1.0, "jain {j}");
-    }
-
-    #[test]
-    fn worst_pair_ratio_reports_spread() {
-        assert_eq!(worst_pair_ratio(&[100.0]), 1.0);
-        assert!((worst_pair_ratio(&[50.0, 100.0, 75.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(worst_pair_ratio(&[0.0, 100.0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn soft_bottleneck_minimizes_share() {
-        // Branches: (bandwidth pkt/s, competing TCPs).
-        let branches = [(1000.0, 1), (300.0, 2), (500.0, 9)];
-        let (idx, share) = soft_bottleneck(&branches);
-        assert_eq!(idx, 2); // 500/10 = 50 < 300/3 = 100 < 1000/2 = 500
-        assert!((share - 50.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`particle`] — §4.4's Markov particle model of two competing RLA
 //!   sessions: the drift field of figure 4 and the stationary density of
 //!   figure 5.
-//! * [`fairness`] — essential/absolute fairness definitions, the
-//!   soft-bottleneck selector, and Theorem I/II bound checks.
+//! * [`fairness`] — essential/absolute fairness definitions, Jain's
+//!   index, and Theorem I/II bound checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +22,7 @@ pub mod pa_window;
 pub mod particle;
 pub mod proposition;
 
-pub use fairness::{jain_index, soft_bottleneck, worst_pair_ratio, FairnessBounds, FairnessCheck};
+pub use fairness::{jain_index, FairnessBounds, FairnessCheck};
 pub use pa_window::{mahdavi_floyd_pps, pa_window, simulate_tcp_window};
 pub use particle::{cut_distribution, drift_field, drift_x, simulate_particle, ParticleStats};
 pub use proposition::{

@@ -14,9 +14,6 @@
 //! `RLA_` namespace is rejected with the list of valid knobs, so typos
 //! fail loudly; so does an unparsable *value* of a recognized knob, with
 //! the knob and the expected form named.
-//!
-//! Binaries that run sweeps scale the budget down with
-//! [`RunConfig::scaled_duration`].
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,14 +35,12 @@ use crate::tree::CongestionCase;
 /// [`RunConfig::from_env`] rejects anything else in the `RLA_` namespace
 /// so a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 14] = [
+pub const KNOWN_ENV_VARS: [&str; 12] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
     "RLA_TCP_CC",
     "RLA_RESULTS_DIR",
-    "RLA_CHURN_RATE",
-    "RLA_BG_LOAD",
     "RLA_EVENTS_FILE",
     "RLA_PROGRESS",
     "RLA_PROGRESS_FILE",
@@ -58,9 +53,6 @@ pub const KNOWN_ENV_VARS: [&str; 14] = [
 /// No run is shorter than this, whatever `RLA_DURATION_SECS` or a
 /// binary's own default says.
 const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
-
-/// Mean length, in packets, of the `RLA_BG_LOAD` background flows.
-pub const BG_MEAN_PACKETS: f64 = 20.0;
 
 /// The `RLA_PCAP*` knob group. The defaults mean "off": packet capture
 /// costs nothing unless asked for. On, every run the
@@ -156,13 +148,6 @@ pub struct RunConfig {
     /// `RLA_RESULTS_DIR` — where run manifests go (default `results/` in
     /// the current directory, the workspace root under `cargo run`).
     pub results_dir: PathBuf,
-    /// `RLA_CHURN_RATE` — synthesized receiver leave/rejoin events per
-    /// second (default 0 — static membership).
-    pub churn_rate: f64,
-    /// `RLA_BG_LOAD` — Poisson background short-flow arrivals per second,
-    /// [`BG_MEAN_PACKETS`] packets long on average (default 0 — no cross
-    /// traffic).
-    pub bg_load: f64,
     /// `RLA_EVENTS_FILE` — the event schedule read from that path: a JSON
     /// array of event objects (or an object with an `"events"` array — a
     /// manifest's `events` section replays directly). Empty when unset.
@@ -275,8 +260,6 @@ impl RunConfig {
             jobs,
             tcp_cc,
             results_dir,
-            churn_rate: rate(&get, "RLA_CHURN_RATE", "leave/rejoin events per second"),
-            bg_load: rate(&get, "RLA_BG_LOAD", "flow arrivals per second"),
             events: get("RLA_EVENTS_FILE").map_or_else(Vec::new, |path| read_events(&path)),
             progress,
             progress_file: get("RLA_PROGRESS_FILE").map(PathBuf::from),
@@ -297,29 +280,16 @@ impl RunConfig {
         self.duration_or(SimDuration::from_secs(3000))
     }
 
-    /// [`run_duration`](Self::run_duration) divided by `divisor` with a
-    /// floor — the budget rule the multi-gateway sweeps use so a 10-run
-    /// batch stays inside one paper-run's budget.
-    pub fn scaled_duration(&self, divisor: f64, floor_secs: f64) -> SimDuration {
-        SimDuration::from_secs_f64((self.run_duration().as_secs_f64() / divisor).max(floor_secs))
-    }
-
     /// The paper scenario for `case` under this config's seed, background
-    /// TCP flavor and dynamics (churn rate, background load, events file).
-    /// Every tree-scenario binary builds its specs from here, so a knob the
-    /// unknown-name check accepts is a knob the run honours; duration
-    /// stays with the binary, whose budget rule differs.
+    /// TCP flavor and events file. Every tree-scenario binary builds its
+    /// specs from here, so a knob the unknown-name check accepts is a knob
+    /// the run honours; duration stays with the binary, whose budget rule
+    /// differs.
     pub fn spec(&self, case: CongestionCase) -> ScenarioSpec {
-        let spec = ScenarioSpec::paper(case)
+        ScenarioSpec::paper(case)
             .with_seed(self.seed)
             .with_tcp_cc(self.tcp_cc)
-            .with_churn_rate(self.churn_rate)
-            .with_events(self.events.clone());
-        if self.bg_load > 0.0 {
-            spec.with_background_load(self.bg_load, BG_MEAN_PACKETS)
-        } else {
-            spec
-        }
+            .with_events(self.events.clone())
     }
 }
 
@@ -338,18 +308,6 @@ fn switch(v: &str) -> Option<bool> {
         "0" | "off" | "" => Some(false),
         _ => None,
     }
-}
-
-/// Shared parser for the non-negative-rate knobs (default 0).
-fn rate(get: &impl Fn(&str) -> Option<String>, name: &str, what: &str) -> f64 {
-    get(name).map_or(0.0, |v| {
-        let rate: f64 = parsed(name, &v, what);
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "{name}={v:?}: the rate must be non-negative and finite"
-        );
-        rate
-    })
 }
 
 /// Load an `RLA_EVENTS_FILE` schedule. Malformed files fail loudly with
@@ -408,7 +366,6 @@ mod tests {
         assert!(cfg.jobs >= 1);
         assert_eq!(cfg.tcp_cc, CcVariant::sack());
         assert_eq!(cfg.results_dir, PathBuf::from("results"));
-        assert_eq!((cfg.churn_rate, cfg.bg_load), (0.0, 0.0));
         assert!(cfg.events.is_empty());
         assert!(!cfg.progress);
         assert_eq!(cfg.progress_file, None);
@@ -425,8 +382,6 @@ mod tests {
             ("RLA_SEED", "42"),
             ("RLA_JOBS", "3"),
             ("RLA_RESULTS_DIR", "/tmp/out"),
-            ("RLA_CHURN_RATE", "0.25"),
-            ("RLA_BG_LOAD", "3"),
             ("RLA_PROGRESS", "on"),
             ("RLA_PROGRESS_FILE", "/tmp/hb.jsonl"),
             ("RLA_PCAP", "on"),
@@ -437,7 +392,6 @@ mod tests {
         ]);
         assert_eq!(cfg.duration, Some(SimDuration::from_secs(90)));
         assert_eq!((cfg.seed, cfg.jobs), (42, 3));
-        assert_eq!((cfg.churn_rate, cfg.bg_load), (0.25, 3.0));
         assert!(cfg.progress);
         assert_eq!(cfg.progress_file, Some(PathBuf::from("/tmp/hb.jsonl")));
         assert!(cfg.pcap.enabled);
@@ -482,20 +436,12 @@ mod tests {
             unset.duration_or(SimDuration::from_secs(120)),
             SimDuration::from_secs(120)
         );
-        assert_eq!(
-            unset.scaled_duration(5.0, 120.0),
-            SimDuration::from_secs(600)
-        );
         let short = config(&[("RLA_DURATION_SECS", "10")]);
         assert_eq!(short.run_duration(), SimDuration::from_secs(60));
         assert_eq!(
             short.duration_or(SimDuration::from_secs(120)),
             SimDuration::from_secs(60),
             "the knob overrides a binary's own default"
-        );
-        assert_eq!(
-            short.scaled_duration(5.0, 120.0),
-            SimDuration::from_secs(120)
         );
     }
 
@@ -554,8 +500,6 @@ mod tests {
             // default, so it could only truncate SACK options.
             ("RLA_PCAP", "256", "expected a switch, 1/on/true or 0/off"),
             ("RLA_TCP_CC", "vegas", "sack, reno, cubic, bbr"),
-            ("RLA_CHURN_RATE", "-1", "RLA_CHURN_RATE"),
-            ("RLA_BG_LOAD", "heavy", "RLA_BG_LOAD"),
             (
                 "RLA_EVENTS_FILE",
                 "/nonexistent/events.json",
@@ -615,7 +559,7 @@ mod tests {
     fn spec_carries_every_scenario_knob() {
         // Every tree-scenario binary's shape: it adds only its own
         // duration rule, so the spec must honour every knob that shapes a
-        // run, the three dynamics knobs included.
+        // run, the events file included.
         let events = vec![
             ScenarioEvent::leave(25.0, 0, 2),
             ScenarioEvent::degrade(30.0, "L2.1", 0.03, Some(800)),
@@ -627,8 +571,6 @@ mod tests {
         let cfg = config(&[
             ("RLA_TCP_CC", "reno"),
             ("RLA_SEED", "7"),
-            ("RLA_CHURN_RATE", "0.5"),
-            ("RLA_BG_LOAD", "3"),
             ("RLA_EVENTS_FILE", path.to_str().unwrap()),
         ]);
         let s = cfg
@@ -638,13 +580,10 @@ mod tests {
         assert_eq!(s.tcp_cc.name(), "reno");
         assert_eq!(s.seed, 7);
         assert_eq!(s.duration, SimDuration::from_secs(3000));
-        let load = s.bg_load.map(|l| (l.flows_per_sec, l.mean_flow_packets));
-        assert_eq!(load, Some((3.0, BG_MEAN_PACKETS)));
         // The events file round-trips through the JSON format and reaches
-        // the spec beside the synthesized churn.
+        // the spec.
         assert_eq!(cfg.events, events);
-        assert!(events.iter().all(|ev| s.events.contains(ev)));
-        assert!(s.events.len() > events.len(), "churn is synthesized");
+        assert_eq!(s.events, events);
         // With no knob set, the spec is the static paper scenario.
         let plain = config(&[]).spec(CongestionCase::Case1RootLink).build();
         assert!(plain.events.is_empty() && plain.bg_load.is_none());

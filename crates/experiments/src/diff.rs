@@ -214,12 +214,9 @@ fn manifest_runs(manifest: &Json) -> Result<&[Json], DiffError> {
         .ok_or_else(|| DiffError::Schema("no \"runs\" array (analysis-only manifest?)".into()))
 }
 
-/// The alignment key of one run: case, gateway, seed — plus the TCP
-/// congestion controller when the run records one, so a `cc_matrix`
-/// manifest's runs (same case/gateway/seed under different controllers)
-/// stay distinct, and the session count when the run has more than one,
-/// so `tables`' §5.2 run does not pair with figure 7's case 3.
-/// Positional when the fields are missing.
+/// The alignment key of one run: case, gateway, seed — plus the session
+/// count when the run has more than one, so `tables`' §5.2 run does not
+/// pair with figure 7's case 3. Positional when the fields are missing.
 fn run_label(run: &Json, index: usize) -> String {
     match (
         run.get("case").and_then(Json::as_str),
@@ -228,7 +225,6 @@ fn run_label(run: &Json, index: usize) -> String {
     ) {
         (Some(case), Some(gw), Some(seed)) => {
             let mut legs = vec![format!("case {case}"), gw.to_string()];
-            legs.extend(run.get("tcp_cc").and_then(Json::as_str).map(String::from));
             let sessions = run
                 .get("rla_throughput_pps")
                 .and_then(Json::as_arr)
@@ -673,37 +669,6 @@ mod tests {
         assert_eq!(d.runs.len(), 0);
         assert_eq!(d.baseline_only_runs, vec!["case L1 / red / seed 1"]);
         assert_eq!(d.candidate_only_runs, vec!["case L1 / drop-tail / seed 1"]);
-    }
-
-    #[test]
-    fn runs_with_distinct_tcp_cc_do_not_collide() {
-        // cc_matrix manifests carry several runs with the same
-        // case/gateway/seed under different controllers; the label must
-        // keep them apart or diffing silently compares sack to cubic.
-        let with_cc = |cc: &str, v: u64| {
-            Json::obj(vec![
-                ("case", "L1".into()),
-                ("gateway", "red".into()),
-                ("tcp_cc", cc.into()),
-                ("seed", 1u64.into()),
-                ("registry", Json::obj(vec![("net.offered", v.into())])),
-            ])
-        };
-        let m = |a: u64, b: u64| {
-            Json::obj(vec![(
-                "runs",
-                Json::arr(vec![with_cc("sack", a), with_cc("cubic", b)]),
-            )])
-        };
-        let d = diff_manifests(&m(100, 200), &m(100, 200), &DiffOptions::default()).unwrap();
-        assert!(!d.has_drift());
-        assert_eq!(d.runs.len(), 2);
-        assert_eq!(d.runs[0].label, "case L1 / red / sack / seed 1");
-        assert_eq!(d.runs[1].label, "case L1 / red / cubic / seed 1");
-        // Only the cubic run moved; the sack run stays clean.
-        let d = diff_manifests(&m(100, 200), &m(100, 300), &DiffOptions::default()).unwrap();
-        assert!(!d.runs[0].has_drift());
-        assert!(d.runs[1].has_drift());
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! FIFO tie-break.
 //!
 //! Schedules come from three places: explicit `with_event(s)` calls, the
-//! seed-driven churn synthesizer ([`synth_churn`], knob `RLA_CHURN_RATE`),
-//! and a JSON events file (knob `RLA_EVENTS_FILE`, format in
+//! seed-driven churn synthesizer ([`synth_churn`], through
+//! `ScenarioSpec::with_churn_rate`), and a JSON events file (knob `RLA_EVENTS_FILE`, format in
 //! EXPERIMENTS.md, parsed by [`events_from_json`]).
 
 use netsim::time::SimDuration;
@@ -141,8 +141,8 @@ impl ScenarioEvent {
     }
 }
 
-/// Aggregate Poisson background load sharing the scenario's links (knob
-/// `RLA_BG_LOAD`); materialized as a
+/// Aggregate Poisson background load sharing the scenario's links
+/// (`ScenarioSpec::with_background_load`); materialized as a
 /// [`PoissonFlowSource`](baselines::PoissonFlowSource) at the tree root
 /// spraying short flows at every leaf.
 #[derive(Debug, Clone, PartialEq)]

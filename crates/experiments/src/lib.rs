@@ -8,14 +8,14 @@
 //! `tests/analysis_vs_simulator.rs`, and §1's rate-based baselines and
 //! §3.1's buffer period and phase effect in
 //! `tests/droptail_and_rate_control.rs`, and §5.3's RTT-scaled pthresh
-//! against the Equal one in `tests/end_to_end_fairness.rs`. Every binary
-//! in `src/bin/`:
+//! against the Equal one in `tests/end_to_end_fairness.rs`. So are the
+//! extensions the paper never ran, the TCP flavours beside SACK and
+//! receiver churn with background load, in
+//! `tests/extensions_earn_their_place.rs`. Every binary in `src/bin/`:
 //!
 //! | binary          | paper artifact | content |
 //! |-----------------|----------------|---------|
 //! | `tables`        | figures 7, 8, 9, 10, §5.2, Theorems I/II | one thirteen-run sweep ([`tables::paper_sweep`]), six views: drop-tail table, per-branch signal statistics, RED table, measured ratios vs proved bounds (exit status 1 if one is outside), the unequal-RTT table, two overlapping sessions — each beside the paper's numbers ([`tables::PAPER`]) |
-//! | `cc_matrix`     | robustness     | every CC variant × the five §5 cases, fairness grid |
-//! | `churn_sweep`   | robustness     | receiver churn × background load over the five figure-7 cases |
 //! | `debug_probe`   | tooling        | one case with the timeline recorder on, RLA sender internals |
 //! | `rla_diff`      | tooling        | registry comparison between two run manifests (see [`diff`]) |
 //! | `rla_top`       | tooling        | live dashboard over timeline and progress files |
@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ccmatrix;
 pub mod cli;
 pub mod diff;
 pub mod events;
@@ -41,9 +40,8 @@ pub mod star;
 pub mod tables;
 pub mod tree;
 
-pub use ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
 pub use events::{BackgroundLoad, EventCommand, ScenarioEvent};
-pub use manifest::{emit_manifest, emit_scenario_manifest, Json};
+pub use manifest::{emit_scenario_manifest, Json};
 pub use metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
 pub use runner::{run_parallel_with_jobs, Pool};
 pub use scenario::{GatewayKind, ScenarioWorld, TreeScenario};
@@ -71,10 +69,9 @@ pub use tree::{build_tree, CongestionCase, TertiaryTree};
 /// emit_scenario_manifest(&cfg.results_dir, "example", duration, &rows);
 /// ```
 pub mod prelude {
-    pub use crate::ccmatrix::{run_matrix, MatrixCell, MatrixConfig};
     pub use crate::cli::{self, RunConfig};
     pub use crate::events::{BackgroundLoad, EventCommand, ScenarioEvent};
-    pub use crate::manifest::{emit_manifest, emit_scenario_manifest, Json};
+    pub use crate::manifest::{emit_scenario_manifest, Json};
     pub use crate::metrics::{BranchSignalStats, RlaRow, ScenarioResult, TcpRow};
     pub use crate::runner::{run_parallel_with_jobs, Pool};
     pub use crate::scenario::{GatewayKind, ScenarioWorld, TreeScenario};

@@ -98,21 +98,17 @@ pub fn scenario_manifest(binary: &str, duration: SimDuration, runs: &[ScenarioRe
     ])
 }
 
-/// Build and [`emit_manifest`] the standard scenario manifest.
+/// Write the standard scenario manifest to `<dir>/<binary>.manifest.json`
+/// (creating `dir`); prints the path to stderr (tables go to stdout) and
+/// never fails the run over an unwritable results directory.
 pub fn emit_scenario_manifest(
     dir: &Path,
     binary: &str,
     duration: SimDuration,
     runs: &[ScenarioResult],
 ) {
-    emit_manifest(dir, binary, &scenario_manifest(binary, duration, runs));
-}
-
-/// Write `value` to `<dir>/<binary>.manifest.json` (creating `dir`);
-/// prints the path to stderr (tables go to stdout) and never fails the
-/// run over an unwritable results directory.
-pub fn emit_manifest(dir: &Path, binary: &str, value: &Json) {
     let path = dir.join(format!("{binary}.manifest.json"));
+    let value = scenario_manifest(binary, duration, runs);
     match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, value.pretty())) {
         Ok(()) => eprintln!("manifest: {}", path.display()),
         Err(e) => eprintln!("manifest: could not write {binary}.manifest.json: {e}"),

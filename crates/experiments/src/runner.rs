@@ -287,8 +287,9 @@ mod tests {
     #[test]
     fn runs_that_share_a_stem_get_a_capture_each() {
         // Regression: captures were named `<case>_<gateway>_seed<N>`, so
-        // cc_matrix's four controllers per (case, seed) wrote one file —
-        // two workers at once. Position-prefixed names keep them apart.
+        // runs sharing (case, seed) under different TCP flavours wrote one
+        // file — two workers at once. Position-prefixed names keep them
+        // apart.
         let dir = std::env::temp_dir().join(format!("rla_pool_pcap_{}", std::process::id()));
         let mut cfg = RunConfig::from_vars(|_| None);
         cfg.jobs = 2;
@@ -302,7 +303,7 @@ mod tests {
         };
         let pool = Pool::new(&cfg);
         let mut results = pool.run(vec![flavour("sack"), flavour("reno")]);
-        // A later batch (churn_sweep runs four) numbers on from the last.
+        // A later batch from the same pool numbers on from the last.
         results.extend(pool.run(vec![flavour("sack")]));
         assert_eq!(std::fs::read_dir(&dir).expect("capture dir").count(), 3);
         let records: Vec<u64> = (0..3)

@@ -257,8 +257,6 @@ impl TreeScenario {
                 bg_source,
                 counters: ChurnCounters::default(),
                 degraded: Vec::new(),
-                watch: None,
-                reconverge_ms: Vec::new(),
             }
         });
 
@@ -316,15 +314,6 @@ struct PendingEvent {
     burst: Option<AgentId>,
 }
 
-/// A reconvergence watch: after a churn event, the troubled-receiver
-/// count is polled until it returns to its pre-event band.
-#[derive(Debug, Clone, Copy)]
-struct Watch {
-    since: SimTime,
-    session: usize,
-    baseline: usize,
-}
-
 /// Executor state for dynamic scenarios; `None` on static runs.
 #[derive(Debug)]
 struct Dynamics {
@@ -339,10 +328,6 @@ struct Dynamics {
     counters: ChurnCounters,
     /// Every link ever degraded, with its channel (for `loss_injected`).
     degraded: Vec<(String, ChannelId)>,
-    /// The active reconvergence watch, if any.
-    watch: Option<Watch>,
-    /// Resolved reconvergence times, milliseconds.
-    reconverge_ms: Vec<f64>,
 }
 
 /// The timeline slot: a caller-built recorder and the series it feeds.
@@ -395,19 +380,15 @@ impl ScenarioWorld {
     /// timeline samples on the way — the one loop that moves a scenario.
     ///
     /// The engine is stepped with plain `run_until` calls to the nearest
-    /// of: the next event timestamp, the next 250 ms reconvergence poll
-    /// (while a watch is active) and the next sampling instant (while a
+    /// of the next event timestamp and the next sampling instant (while a
     /// timeline is armed). That processes exactly the same packet events
-    /// at the same simulated times as one uninterrupted call, and a
-    /// sampling instant is never a poll, so an observed run's digest and
-    /// manifest are the unobserved run's. A static, unobserved span is a
-    /// single `run_until(end)`. Events sharing a timestamp apply in
-    /// schedule order (FIFO), mirroring the engine calendar's own
-    /// tie-break, before a sample at their instant is taken.
+    /// at the same simulated times as one uninterrupted call, so an
+    /// observed run's digest and manifest are the unobserved run's. A
+    /// static, unobserved span is a single `run_until(end)`. Events
+    /// sharing a timestamp apply in schedule order (FIFO), mirroring the
+    /// engine calendar's own tie-break, before a sample at their instant
+    /// is taken.
     pub fn run_span(&mut self, end: SimTime) {
-        let scan = SimDuration::from_millis(250);
-        // Polls are anchored at the last non-sampling stop.
-        let mut polled = self.engine.now();
         loop {
             let now = self.engine.now();
             while let Some(due) = self
@@ -421,37 +402,23 @@ impl ScenarioWorld {
             if now >= end {
                 return;
             }
-            let dynamics = self.dynamics.as_ref();
-            let mut stop = dynamics
+            let stop = self
+                .dynamics
+                .as_ref()
                 .and_then(|d| d.pending.front())
                 .map_or(end, |p| p.at.min(end));
-            if dynamics.is_some_and(|d| d.watch.is_some()) {
-                stop = stop.min(polled + scan);
-            }
             let target = self
                 .sampler
                 .as_ref()
                 .and_then(|s| s.next)
                 .map_or(stop, |t| t.min(stop));
             self.engine.run_until(target);
-            if target == stop {
-                self.check_reconvergence();
-                polled = stop;
-            }
         }
     }
 
-    /// Apply one scheduled command at the current simulated time, then
-    /// (re)arm the reconvergence watch against the pre-event troubled
-    /// count.
+    /// Apply one scheduled command at the current simulated time.
     fn apply_event(&mut self, ev: PendingEvent) {
         let now = self.engine.now();
-        let session = match &ev.command {
-            EventCommand::ReceiverJoin { session, .. }
-            | EventCommand::ReceiverLeave { session, .. } => *session,
-            _ => 0,
-        };
-        let baseline = self.troubled_count(session, now);
         match &ev.command {
             EventCommand::ReceiverJoin { session, leaf } => {
                 self.apply_join(*session, *leaf, now);
@@ -490,17 +457,8 @@ impl ScenarioWorld {
                 self.engine.start_agent_at(burst, now);
                 let d = self.dynamics.as_mut().expect("dynamic scenario");
                 d.counters.bg_bursts += 1;
-                // A burst is cross traffic, not a membership change: it
-                // does not arm the reconvergence watch.
-                return;
             }
         }
-        let d = self.dynamics.as_mut().expect("dynamic scenario");
-        d.watch = Some(Watch {
-            since: now,
-            session,
-            baseline,
-        });
     }
 
     /// A joining receiver enters at the sender's *current* sequence: its
@@ -592,33 +550,6 @@ impl ScenarioWorld {
         self.tree
             .channel_by_label(link)
             .expect("link labels are validated when the scenario is built")
-    }
-
-    /// Troubled-receiver count of `session` right now (0 before start).
-    fn troubled_count(&self, session: usize, now: SimTime) -> usize {
-        let s: &RlaSender = self
-            .engine
-            .agent_as(self.rla_senders[session])
-            .expect("rla sender");
-        s.num_trouble_rcvr(now)
-    }
-
-    /// Resolve the active reconvergence watch if the troubled count has
-    /// returned to (or below) its pre-event baseline.
-    fn check_reconvergence(&mut self) {
-        let Some(d) = self.dynamics.as_ref() else {
-            return;
-        };
-        let Some(w) = d.watch else {
-            return;
-        };
-        let now = self.engine.now();
-        if self.troubled_count(w.session, now) <= w.baseline {
-            let ms = now.saturating_since(w.since).as_secs_f64() * 1e3;
-            let d = self.dynamics.as_mut().expect("dynamic scenario");
-            d.reconverge_ms.push(ms);
-            d.watch = None;
-        }
     }
 
     /// Install a pcap export tracer: every `TxStart` event is written,
@@ -885,16 +816,6 @@ impl ScenarioWorld {
                 .unwrap_or((0, 0));
             reg.record_count("net.churn.bg_flows", flows);
             reg.record_count("net.churn.bg_packets", packets);
-            // Mean time for the troubled-receiver count to return to its
-            // pre-event band, over the resolved watches: an upper bound at
-            // the 250 ms poll's resolution, so it cannot rank two runs that
-            // both reconverge within one poll.
-            let mean_ms = if dy.reconverge_ms.is_empty() {
-                0.0
-            } else {
-                dy.reconverge_ms.iter().sum::<f64>() / dy.reconverge_ms.len() as f64
-            };
-            reg.record_gauge("net.churn.reconverge_ms", mean_ms);
             for (label, c) in &dy.degraded {
                 reg.record_count(
                     format!("chan.{label}.loss_injected"),
@@ -1032,10 +953,6 @@ mod tests {
         assert_eq!(count("net.churn.bg_bursts"), 0);
         // The degraded congested link carried traffic while lossy.
         assert!(count("chan.L2.1.loss_injected") > 0, "injected loss");
-        match r.registry.get("net.churn.reconverge_ms") {
-            Some(MetricValue::Gauge(v)) => assert!(v >= 0.0, "reconverge {v}"),
-            other => panic!("reconverge_ms missing: {other:?}"),
-        }
         // The manifest entry records the schedule.
         assert_eq!(r.events.len(), 4);
         let entry = crate::manifest::scenario_entry(&r).pretty();

@@ -124,9 +124,9 @@ fn with_shards_is_inert_at_every_count() {
 
 #[test]
 fn a_streamed_timeline_leaves_the_manifest_unchanged() {
-    // An observer must not change what it observes: sampling every 100 ms
-    // used to re-anchor the 250 ms reconvergence poll, so the churn runs
-    // below reported a different `net.churn.reconverge_ms` when streamed.
+    // An observer must not change what it observes: a streamed timeline
+    // stops the engine at every 100 ms sampling instant, and the churn
+    // runs below must still render the unobserved run's manifest.
     let dir = std::env::temp_dir().join("rla_observer_neutrality");
     let opts = TelemetryOptions {
         sample_period: SimDuration::from_millis(100),
