@@ -1,5 +1,6 @@
 //! Golden-digest regression: every congestion placement pinned by its
-//! trace digest ([`PLACEMENTS`]), and six short scenarios pinned to
+//! trace digest ([`PLACEMENTS`]), the BBRv1 background run by its
+//! ([`CC_PINS`]), and six short scenarios pinned to
 //! committed manifests under `results/golden/` — the two static paper runs, the
 //! two canonical *dynamic* runs (scheduled receiver churn with a link
 //! degrade, and Poisson background load) pinning the event-executor's
@@ -234,6 +235,30 @@ fn every_placement_keeps_its_digest() {
         got, want,
         "a placement's run drifted; if intended, the table reads:\n{rows}"
     );
+}
+
+/// Background flavours pinned by digest alone, beside the committed
+/// manifests: the static case-5 drop-tail 60 s seed-1 run with each as
+/// the TCP, as `(flavour, trace digest, trace events)`. BBRv1 is the
+/// only reader of the loss detector's `RateSample`, so its row pins the
+/// rate path.
+#[rustfmt::skip]
+const CC_PINS: [(&str, u64, u64); 1] = [
+    ("bbr", 0xc5a05a288b93b591, 16497122),
+];
+
+#[test]
+fn every_pinned_flavour_keeps_its_digest() {
+    for &(cc, digest, events) in &CC_PINS {
+        let r = case5_droptail_with_cc(cc).run();
+        assert_eq!(
+            (r.trace_digest, r.trace_events),
+            (digest, events),
+            "the {cc} run drifted (0x{:016x}, {} events)",
+            r.trace_digest,
+            r.trace_events
+        );
+    }
 }
 
 /// Rewrites the committed goldens from the current code. Run explicitly
