@@ -34,8 +34,8 @@
 //! calendar, queues and multicast fan-out as copyable
 //! [`PacketHandle`](crate::arena::PacketHandle)s; the packet struct itself
 //! is only touched at injection, at trace points and at delivery. The
-//! calendar is a hierarchical timer wheel ([`Calendar`]) driven through
-//! `pop_before(deadline)`.
+//! calendar is a sliding ring of slots with an overflow heap
+//! ([`Calendar`]), driven through `pop_before(deadline)`.
 //!
 //! A link hop costs one calendar event, not two: the downstream arrival is
 //! filed when the transmission *starts* (its instant is known then) —

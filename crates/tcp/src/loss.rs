@@ -15,7 +15,7 @@
 //!   resent prefix into fast cumulative jumps. It talks to the ordinary
 //!   [`crate::TcpReceiver`] and ignores the SACK blocks in its acks.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 
 use netsim::time::SimTime;
 use netsim::wire::TcpAck;
@@ -55,9 +55,10 @@ pub(crate) enum LossDetector {
     /// SACK scoreboard plus delivery-rate bookkeeping.
     Scoreboard {
         board: Scoreboard,
-        /// In-flight sequences' send records (pruned at the cumulative
-        /// ack; retransmissions overwrite their entry).
-        meta: BTreeMap<u64, SendMeta>,
+        /// Send records from the cumulative ack up: slot `i` holds
+        /// sequence `board.cum_ack() + i`, popped off the front as the
+        /// cumulative ack passes it; retransmissions overwrite their slot.
+        meta: VecDeque<Option<SendMeta>>,
     },
     /// Duplicate-ack counting (done by the policy) with Karn's rule.
     DupAck {
@@ -76,7 +77,7 @@ impl LossDetector {
     pub(crate) fn scoreboard() -> Self {
         LossDetector::Scoreboard {
             board: Scoreboard::new(),
-            meta: BTreeMap::new(),
+            meta: VecDeque::new(),
         }
     }
 
@@ -138,13 +139,16 @@ impl LossDetector {
                 board.on_send(seq, now);
                 // A retransmission overwrites its entry, so the eventual
                 // sample measures the copy that was acked.
-                meta.insert(
-                    seq,
-                    SendMeta {
+                if let Some(i) = seq.checked_sub(board.cum_ack()) {
+                    let i = i as usize;
+                    if i >= meta.len() {
+                        meta.resize(i + 1, None);
+                    }
+                    meta[i] = Some(SendMeta {
                         sent_at: now,
                         delivered_at_send: delivered,
-                    },
-                );
+                    });
+                }
                 retransmit
             }
             LossDetector::DupAck {
@@ -176,13 +180,19 @@ impl LossDetector {
                 // cumulative ack.
                 let mut rate = None;
                 if advanced > 0 {
-                    rate = meta.get(&(cum - 1)).map(|m| RateSample {
-                        newly_acked_bytes: advanced * cfg.packet_size as u64,
-                        sent_at: m.sent_at,
-                        delivered_at_send: m.delivered_at_send,
-                        app_limited: false,
-                    });
-                    *meta = meta.split_off(&cum);
+                    rate = meta
+                        .get(advanced as usize - 1)
+                        .copied()
+                        .flatten()
+                        .map(|m| RateSample {
+                            newly_acked_bytes: advanced * cfg.packet_size as u64,
+                            sent_at: m.sent_at,
+                            delivered_at_send: m.delivered_at_send,
+                            app_limited: false,
+                        });
+                    for _ in 0..advanced.min(meta.len() as u64) {
+                        meta.pop_front();
+                    }
                 }
                 AckReport {
                     advanced,
