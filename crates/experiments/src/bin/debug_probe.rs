@@ -75,7 +75,7 @@ fn main() {
         );
         println!("unknown_acks={}", s.stats.unknown_acks);
         for (id, cum, last) in s.receiver_states() {
-            println!("  sender view {id}: cum={cum} last_ack_at={last}");
+            println!("  sender view {id}: cum={cum} last_heard={last}");
         }
     }
     // Receiver-side view.

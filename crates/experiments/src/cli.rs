@@ -202,9 +202,13 @@ impl RunConfig {
     pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> Self {
         let duration = get("RLA_DURATION_SECS").map(|v| {
             let secs: f64 = parsed("RLA_DURATION_SECS", &v, "simulated seconds");
+            // At 2^64 ns and above `from_secs_f64` saturates to a run that
+            // never ends.
+            let most = SimDuration::MAX.as_secs_f64();
             assert!(
-                secs.is_finite(),
-                "RLA_DURATION_SECS={v:?}: expected a finite number of simulated seconds"
+                secs.is_finite() && secs < most,
+                "RLA_DURATION_SECS={v:?}: expected a finite number of simulated seconds \
+                 below {most:.4e}"
             );
             SimDuration::from_secs_f64(secs.max(MIN_DURATION.as_secs_f64()))
         });
@@ -480,6 +484,9 @@ mod tests {
                 "RLA_DURATION_SECS=\"60s\": expected simulated seconds",
             ),
             ("RLA_DURATION_SECS", "inf", "RLA_DURATION_SECS=\"inf\""),
+            // Regression: 2^64 ns and above saturated to a run that never
+            // ended.
+            ("RLA_DURATION_SECS", "1e11", "below 1.8447e10"),
             (
                 "RLA_SEED",
                 "abc",

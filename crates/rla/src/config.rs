@@ -60,9 +60,9 @@ pub enum SlowReceiverPolicy {
 /// Parameters of an RLA multicast session.
 ///
 /// Defaults follow the paper: η = 20, all retransmissions multicast
-/// (`rexmit_threshold = 0`), 1000-byte packets. The window bounds and the
-/// dup-threshold are not settings: the sender reads them from
-/// [`transport::defaults`].
+/// (`rexmit_threshold = 0`), 1000-byte packets. The window bounds, the
+/// dup-threshold and the RTO clamp are not settings: the sender and its
+/// loss recovery read them from [`transport::defaults`].
 #[derive(Debug, Clone)]
 pub struct RlaConfig {
     /// Data packet size on the wire, bytes.
@@ -82,10 +82,6 @@ pub struct RlaConfig {
     pub pthresh_policy: PthreshPolicy,
     /// Policy for a receiver that persistently gates the session (§4.3).
     pub slow_receiver_policy: SlowReceiverPolicy,
-    /// Lower bound on per-receiver retransmission timeouts.
-    pub min_rto: SimDuration,
-    /// Upper bound on per-receiver retransmission timeouts.
-    pub max_rto: SimDuration,
 }
 
 impl Default for RlaConfig {
@@ -98,8 +94,6 @@ impl Default for RlaConfig {
             rexmit_threshold: 0,
             pthresh_policy: PthreshPolicy::Equal,
             slow_receiver_policy: SlowReceiverPolicy::Keep,
-            min_rto: defaults::MIN_RTO,
-            max_rto: defaults::MAX_RTO,
         }
     }
 }

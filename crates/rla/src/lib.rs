@@ -25,6 +25,10 @@
 //! * [`RlaSender`] / [`McastReceiver`] — the protocol agents (§3.3's six
 //!   rules: the window, its bounds and the multicast/unicast
 //!   retransmission policy, with rules 2–3 delegated to the listener).
+//!   Loss by time is not the sender's decision either: each receiver slot
+//!   runs a `transport::Recovery` under `transport::recovery::RLA`'s row
+//!   (the scanned head-only timeout and the early repairs of DESIGN.md §6
+//!   deviations 4 and 5), the same machine TCP runs under its own row.
 //! * [`Listener`] — random listening as a pure state machine: rule 2's
 //!   congestion periods, rule 3's forced and randomized cuts, and the
 //!   troubled-receiver count, returning one [`Decision`] per loss event.

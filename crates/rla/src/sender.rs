@@ -20,6 +20,11 @@
 //! 5. window bounds — base moves with `max_reach_all`, top never beyond
 //!    `min_last_ack +` receiver buffer;
 //! 6. troubled-receiver count — [`crate::trouble::TroubleTracker`].
+//!
+//! Loss by time — the RTO, deviation 5's early and lost-retransmission
+//! repairs and the partial-ack continuation — is one
+//! [`transport::Recovery`] per receiver under [`recovery::RLA`]'s row;
+//! the sender applies its verdicts in one place (`RlaSender::recover`).
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,7 +38,8 @@ use netsim::time::{SimDuration, SimTime};
 use netsim::wire::{McastAck, McastData, Segment};
 
 use tcp_sack::scoreboard::Scoreboard;
-use transport::{defaults, RttEstimator, WindowState};
+use transport::recovery::{self, Mark, Recovery, Verdict};
+use transport::{defaults, WindowState};
 
 use crate::config::{RlaConfig, SlowReceiverPolicy};
 use crate::listener::{Decision, Listener};
@@ -57,9 +63,9 @@ const AWND_GAIN: f64 = 0.02;
 struct ReceiverState {
     id: AgentId,
     scoreboard: Scoreboard,
-    rtt: RttEstimator,
-    /// Last time any ack arrived from this receiver (timeout detection).
-    last_ack_at: SimTime,
+    /// Loss by time: the RTT estimator, the silence clock and the age
+    /// rules.
+    recovery: Recovery,
     /// Ejected by the slow-receiver policy (§4.3): still receives the
     /// multicast data but no longer gates the window or feeds signals.
     ejected: bool,
@@ -100,7 +106,8 @@ pub struct RlaStats {
     pub skipped_rare: u64,
     /// Acks whose receiver id was not in the group (indicates miswiring).
     pub unknown_acks: u64,
-    /// Early retransmissions (window-edge holes repaired without RTO).
+    /// Early repairs, made without an RTO: window-edge holes, lost
+    /// retransmissions and the partial-ack continuation's heads.
     pub early_retransmits: u64,
     /// Receivers ejected by the slow-receiver policy (§4.3).
     pub ejected_receivers: Vec<AgentId>,
@@ -288,11 +295,11 @@ impl RlaSender {
     }
 
     /// Sender-side per-receiver view: (receiver id, cumulative ack, time
-    /// of the last ack heard). Diagnostic.
+    /// of the last ack heard or the last timeout). Diagnostic.
     pub fn receiver_states(&self) -> Vec<(AgentId, u64, SimTime)> {
         self.receivers
             .iter()
-            .map(|r| (r.id, r.scoreboard.cum_ack(), r.last_ack_at))
+            .map(|r| (r.id, r.scoreboard.cum_ack(), r.recovery.last_heard()))
             .collect()
     }
 
@@ -350,8 +357,7 @@ impl RlaSender {
         self.receivers.push(ReceiverState {
             id,
             scoreboard,
-            rtt: RttEstimator::new(self.cfg.min_rto, self.cfg.max_rto),
-            last_ack_at: now,
+            recovery: Recovery::new(&recovery::RLA, now),
             ejected: false,
         });
         self.track(id, idx);
@@ -400,7 +406,7 @@ impl RlaSender {
         self.receivers
             .iter()
             .filter(|r| !r.ejected)
-            .filter_map(|r| r.rtt.srtt())
+            .filter_map(|r| r.recovery.srtt())
             .map(|d| d.as_secs_f64())
             .fold(0.0, f64::max)
     }
@@ -409,10 +415,7 @@ impl RlaSender {
     /// and apply its decision to the window and the statistics.
     fn on_loss(&mut self, idx: usize, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let srtt = self.receivers[idx]
-            .rtt
-            .srtt()
-            .unwrap_or(SimDuration::from_millis(100));
+        let srtt = self.receivers[idx].recovery.rule_srtt();
         let (srtt_max, awnd) = (self.srtt_max(), self.awnd);
         let decision = self
             .listener
@@ -608,8 +611,8 @@ impl RlaSender {
             if r.ejected {
                 return; // no longer part of the control loop
             }
-            r.last_ack_at = now;
-            r.rtt.sample(now.saturating_since(ack.echo_timestamp));
+            r.recovery
+                .on_ack(now, now.saturating_since(ack.echo_timestamp), false);
         }
 
         let prior_cum = self.receivers[idx].scoreboard.cum_ack();
@@ -626,31 +629,15 @@ impl RlaSender {
             self.on_loss(idx, ctx);
         }
 
-        // NewReno-style partial-ack continuation: when the send window has
-        // stalled and this ack advances the receiver's cumulative ack but
-        // the next head hole has already aged past its RTO, the hole
-        // cannot still be in flight — it is part of a multi-packet loss
-        // burst (e.g. a branch outage that has since healed). Repair it
-        // now, ack-clocked, instead of waiting out a fresh per-packet RTO;
-        // the receiver's silence timer keeps resetting on these very
-        // repair acks, so the timeout scan alone recovers such bursts at
-        // only one packet per RTO. The stalled-window guard keeps this
-        // path out of ordinary recovery, where dup-SACK evidence repairs
-        // holes long before they age anywhere near the RTO.
+        // The partial-ack continuation (the recovery row's ack-side rule)
+        // reads the window after this ack's loss report was applied.
         let window_exhausted = self.pipe() >= self.win.allowed();
-        if window_exhausted && self.receivers[idx].scoreboard.cum_ack() > prior_cum {
-            if let Some((_, sent_at, _, retransmitted)) = self.receivers[idx].scoreboard.head_hole()
-            {
-                let rto = self.receivers[idx].rtt.rto();
-                if !retransmitted && now.saturating_since(sent_at) > rto {
-                    if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
-                        self.stats.early_retransmits += 1;
-                        self.pending_rexmit.insert(seq);
-                        self.on_loss(idx, ctx);
-                    }
-                }
-            }
-        }
+        let r = &mut self.receivers[idx];
+        let advanced = r.scoreboard.cum_ack() - prior_cum;
+        let verdict = r
+            .recovery
+            .after_ack(now, advanced, window_exhausted, || r.scoreboard.head_hole());
+        self.recover(idx, verdict, ctx);
 
         self.advance_reach_all(ctx);
         self.service_retransmissions(ctx);
@@ -736,64 +723,44 @@ impl RlaSender {
         }
     }
 
-    /// The periodic timeout scan: a receiver that has been silent for a
-    /// full RTO while its oldest outstanding packet has also aged past the
-    /// RTO has lost that packet. Only the head of its window is marked —
-    /// one retransmission per timeout event, the same pacing TCP applies,
-    /// so a burst of timeouts cannot turn into a retransmission storm.
+    /// Apply receiver `idx`'s recovery verdict: mark what it names lost
+    /// (an early repair marks the head it judged), count it, queue the
+    /// repair and tell the listener, even when a timeout marked nothing.
+    fn recover(&mut self, idx: usize, verdict: Verdict, ctx: &mut Context<'_>) {
+        let board = &mut self.receivers[idx].scoreboard;
+        match verdict {
+            Verdict::Hold | Verdict::Arm(_) => return,
+            Verdict::RepairHead => self.stats.early_retransmits += 1,
+            Verdict::Timeout(..) => self.stats.timeouts += 1,
+        }
+        if let Verdict::Timeout(Mark::All, _) = verdict {
+            board.mark_all_lost();
+            self.pending_rexmit.extend(board.lost_unretransmitted());
+        } else {
+            self.pending_rexmit.extend(board.mark_head_lost());
+        }
+        self.on_loss(idx, ctx);
+    }
+
+    /// The periodic scan: each receiver's recovery machine judges its
+    /// head hole and its silence. The window's state is read once, before
+    /// any receiver's repair can cut it.
     fn scan_timeouts(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         self.apply_slow_receiver_policy(now);
         let window_exhausted = self.pipe() >= self.win.allowed();
         for idx in 0..self.receivers.len() {
-            if self.receivers[idx].ejected {
+            let r = &mut self.receivers[idx];
+            if r.ejected {
                 continue;
             }
-            if let Some((_, sent_at, evidence, retransmitted)) =
-                self.receivers[idx].scoreboard.head_hole()
-            {
-                let srtt = self.receivers[idx]
-                    .rtt
-                    .srtt()
-                    .unwrap_or(SimDuration::from_millis(100));
-                let age = now.saturating_since(sent_at);
-                // Lost retransmission: a repair should be acknowledged
-                // within about one RTT; once it has aged well past that,
-                // it was dropped too, and SACK can never re-declare it (the
-                // `retransmitted` flag suppresses duplicate declarations).
-                // Repair again without waiting out a backed-off RTO.
-                let lost_rexmit = retransmitted && age > srtt.mul_f64(1.5);
-                // Early retransmit: the send window has stalled, so no
-                // further dup-SACK evidence will arrive; a head hole with a
-                // SACKed packet above it that has aged a full srtt is lost.
-                let early = window_exhausted && !retransmitted && evidence && age > srtt;
-                if lost_rexmit || early {
-                    if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
-                        self.stats.early_retransmits += 1;
-                        self.pending_rexmit.insert(seq);
-                        self.on_loss(idx, ctx);
-                        continue;
-                    }
-                }
-            }
-
-            let Some(oldest) = self.receivers[idx].scoreboard.oldest_sent_at() else {
-                continue;
-            };
-            let rto = self.receivers[idx].rtt.rto();
-            let silent = now.saturating_since(self.receivers[idx].last_ack_at);
-            let head_age = now.saturating_since(oldest);
-            if silent <= rto || head_age <= rto {
-                continue;
-            }
-            // Timeout for this receiver.
-            self.stats.timeouts += 1;
-            self.receivers[idx].rtt.on_timeout();
-            self.receivers[idx].last_ack_at = now;
-            if let Some(seq) = self.receivers[idx].scoreboard.mark_head_lost() {
-                self.pending_rexmit.insert(seq);
-            }
-            self.on_loss(idx, ctx);
+            let verdict = r.recovery.on_scan(
+                now,
+                r.scoreboard.head_hole(),
+                r.scoreboard.oldest_sent_at(),
+                window_exhausted,
+            );
+            self.recover(idx, verdict, ctx);
         }
         self.service_retransmissions(ctx);
         self.try_send(ctx);
@@ -813,8 +780,7 @@ impl Agent for RlaSender {
             .map(|&id| ReceiverState {
                 id,
                 scoreboard: Scoreboard::new(),
-                rtt: RttEstimator::new(self.cfg.min_rto, self.cfg.max_rto),
-                last_ack_at: now,
+                recovery: Recovery::new(&recovery::RLA, now),
                 ejected: false,
             })
             .collect();

@@ -1,31 +1,19 @@
 //! TCP agent configuration.
 
-use netsim::time::SimDuration;
 use transport::defaults;
 
-/// Parameters of a TCP SACK connection.
+/// Parameters of a TCP connection.
 ///
-/// Defaults mirror the paper's simulation setup: 1000-byte data packets,
-/// 40-byte ACKs, and NS2-era timer constants.
+/// Defaults mirror the paper's simulation setup: 1000-byte data packets
+/// and 40-byte ACKs. The window bounds, the dup-threshold and the RTO
+/// clamp are not settings: the sender and its loss recovery read them
+/// from [`transport::defaults`].
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
     /// Data packet size on the wire, bytes.
     pub packet_size: u32,
     /// Acknowledgment size on the wire, bytes.
     pub ack_size: u32,
-    /// Initial congestion window, packets.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, packets.
-    pub initial_ssthresh: f64,
-    /// Maximum congestion window (the advertised receiver window), packets.
-    pub max_cwnd: f64,
-    /// Number of SACKed packets above a hole that declares it lost
-    /// (the fast-retransmit dup-threshold; 3 in the paper and RFC).
-    pub dupack_threshold: u64,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout.
-    pub max_rto: SimDuration,
 }
 
 impl Default for TcpConfig {
@@ -33,12 +21,6 @@ impl Default for TcpConfig {
         TcpConfig {
             packet_size: defaults::PACKET_SIZE,
             ack_size: defaults::ACK_SIZE,
-            initial_cwnd: defaults::INITIAL_CWND,
-            initial_ssthresh: defaults::INITIAL_SSTHRESH,
-            max_cwnd: defaults::MAX_CWND,
-            dupack_threshold: defaults::DUPACK_THRESHOLD,
-            min_rto: defaults::MIN_RTO,
-            max_rto: defaults::MAX_RTO,
         }
     }
 }
@@ -48,10 +30,6 @@ impl TcpConfig {
     pub fn validate(&self) {
         assert!(self.packet_size > 0, "packet size must be positive");
         assert!(self.ack_size > 0, "ack size must be positive");
-        assert!(self.initial_cwnd >= 1.0, "initial cwnd below one packet");
-        assert!(self.max_cwnd >= self.initial_cwnd, "max cwnd below initial");
-        assert!(self.dupack_threshold >= 1, "dup threshold must be positive");
-        assert!(self.min_rto <= self.max_rto, "min RTO above max RTO");
     }
 }
 
@@ -62,15 +40,5 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         TcpConfig::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "cwnd")]
-    fn bad_window_rejected() {
-        TcpConfig {
-            initial_cwnd: 0.0,
-            ..Default::default()
-        }
-        .validate();
     }
 }

@@ -14,6 +14,10 @@
 //! * **one window halving per loss window** (fast recovery), and
 //! * `cwnd = 1` with exponential backoff on a retransmission timeout.
 //!
+//! When a packet is lost *by time* is decided by `transport::Recovery`
+//! under `transport::recovery::TCP`'s row, the machine the RLA runs under
+//! its own row.
+//!
 //! The receiver ([`TcpReceiver`]) acknowledges every data packet with a
 //! cumulative ack plus up to three RFC 2018 SACK blocks.
 //!

@@ -5,7 +5,8 @@
 //!   the send loop retransmits every declared hole; per-segment send
 //!   times make every RTT sample unambiguous, and the delivery-rate
 //!   bookkeeping (`meta`) turns each cumulative advance into a
-//!   [`RateSample`]. A timeout marks everything outstanding lost.
+//!   [`RateSample`]. A timeout marks what the recovery row says:
+//!   everything outstanding under TCP's.
 //! * **Dup-ack**: no per-segment state. The policy ([`transport::RenoCc`])
 //!   counts duplicate cumulative acks itself and names the one segment to
 //!   fast-retransmit; RTT samples follow Karn's algorithm (an ack that
@@ -20,7 +21,8 @@ use std::collections::{BTreeSet, VecDeque};
 use netsim::time::SimTime;
 use netsim::wire::TcpAck;
 
-use transport::RateSample;
+use transport::recovery::Mark;
+use transport::{defaults, RateSample};
 
 use crate::config::TcpConfig;
 use crate::scoreboard::Scoreboard;
@@ -171,7 +173,7 @@ impl LossDetector {
             LossDetector::Scoreboard { board, meta } => {
                 let before = board.cum_ack();
                 let sacked_before = board.sacked();
-                let newly_lost = board.on_ack(ack.cum_ack, &ack.sack, cfg.dupack_threshold);
+                let newly_lost = board.on_ack(ack.cum_ack, &ack.sack, defaults::DUPACK_THRESHOLD);
                 let cum = board.cum_ack();
                 let advanced = cum.saturating_sub(before);
                 // Delivery-rate sample off the last packet of the acked
@@ -229,15 +231,20 @@ impl LossDetector {
         }
     }
 
-    /// A retransmission timeout fired; returns where the send loop
-    /// resumes (its new `high_seq`).
-    pub(crate) fn on_timeout(&mut self, high_seq: u64) -> u64 {
+    /// A retransmission timeout fired, marking `mark` lost; returns where
+    /// the send loop resumes (its new `high_seq`).
+    pub(crate) fn on_timeout(&mut self, mark: Mark, high_seq: u64) -> u64 {
         match self {
             LossDetector::Scoreboard { board, .. } => {
-                board.mark_all_lost();
+                if mark == Mark::All {
+                    board.mark_all_lost();
+                } else {
+                    board.mark_head_lost();
+                }
                 high_seq
             }
-            // Go-back-N: without per-segment state, resume from the hole.
+            // Go-back-N: without per-segment state, resume from the hole,
+            // whatever the mark.
             LossDetector::DupAck { cum_ack, .. } => *cum_ack,
         }
     }

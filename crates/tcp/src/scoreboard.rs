@@ -9,6 +9,7 @@ use std::collections::VecDeque;
 
 use netsim::time::SimTime;
 use netsim::wire::SackBlock;
+use transport::HeadHole;
 
 /// Sender-side state of one in-flight packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,17 +186,21 @@ impl Scoreboard {
         newly_lost
     }
 
-    /// The oldest unsacked packet: `(seq, last_sent_at, evidence,
-    /// retransmitted)`, where `evidence` is true when some higher packet
-    /// has been SACKed (the hole is a real gap, not just the newest data).
-    /// Drives early retransmission at the window edge.
-    pub fn head_hole(&self) -> Option<(u64, SimTime, bool, bool)> {
+    /// The oldest unsacked packet, the one [`Scoreboard::mark_head_lost`]
+    /// marks; its `evidence` is true when some higher packet has been
+    /// SACKed (the hole is a real gap, not just the newest data). The
+    /// view `transport::Recovery`'s age rules read.
+    pub fn head_hole(&self) -> Option<HeadHole> {
         for (i, slot) in self.packets.iter().enumerate() {
             if let Some(p) = slot {
                 if !p.sacked {
                     let seq = self.base + i as u64;
-                    let evidence = self.high_sacked.is_some_and(|h| h > seq);
-                    return Some((seq, p.sent_at, evidence, p.retransmitted));
+                    return Some(HeadHole {
+                        seq,
+                        sent_at: p.sent_at,
+                        evidence: self.high_sacked.is_some_and(|h| h > seq),
+                        retransmitted: p.retransmitted,
+                    });
                 }
             }
         }
@@ -306,8 +311,8 @@ impl Scoreboard {
         self.slot(seq)
     }
 
-    /// Time the oldest outstanding packet was last (re)sent — drives the
-    /// retransmission timer.
+    /// Time the oldest outstanding packet was last (re)sent — the age the
+    /// RLA's scanned RTO reads.
     pub fn oldest_sent_at(&self) -> Option<SimTime> {
         self.packets
             .iter()

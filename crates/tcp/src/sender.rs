@@ -8,8 +8,11 @@
 //! window, cwnd = 1 on timeout.
 //!
 //! The sender owns everything policy-independent: the send loop, the
-//! ack/timeout skeleton, timers, statistics and the telemetry probe. The
-//! two things a variant chooses are plugged in — a loss detector (SACK
+//! ack/timeout skeleton, statistics and the telemetry probe. When a
+//! packet is lost *by time* is not its decision: a [`Recovery`] under
+//! [`recovery::TCP`]'s row owns the RTT estimator and the retransmission
+//! timer's generation, and the sender applies its [`Verdict`]s. The two
+//! things a variant chooses are plugged in — a loss detector (SACK
 //! scoreboard or duplicate-ack counting, see `loss.rs`) and a
 //! [`CongestionControl`] policy from the shared `transport` crate, fed
 //! one [`AckEvent`] per acknowledgment. A variant is a row of
@@ -42,9 +45,9 @@ use netsim::packet::{Dest, Packet};
 use netsim::time::{SimDuration, SimTime};
 use netsim::wire::{Segment, TcpAck, TcpData};
 
+use transport::recovery::{self, Recovery, Verdict};
 use transport::{
-    AckEvent, CcSignals, CongestionControl, PacingTimer, RexmitTimer, RttEstimator, SackCc,
-    WindowState,
+    defaults, AckEvent, CcSignals, CongestionControl, PacingTimer, SackCc, WindowState,
 };
 
 use crate::config::TcpConfig;
@@ -64,8 +67,8 @@ pub struct TcpSender {
     high_seq: u64,
     /// How losses are detected (SACK scoreboard by default).
     loss: LossDetector,
-    rtt: RttEstimator,
-    timer: RexmitTimer,
+    /// Loss by time: the RTT estimator and the retransmission timer.
+    recovery: Recovery,
     /// Path signals (windowed min-RTT, bandwidth filter, delivered count)
     /// accumulated for the policy.
     signals: CcSignals,
@@ -97,17 +100,20 @@ impl TcpSender {
         cc: Box<dyn CongestionControl>,
     ) -> Self {
         cfg.validate();
-        let win = WindowState::new(cfg.initial_cwnd, cfg.initial_ssthresh, cfg.max_cwnd);
+        let win = WindowState::new(
+            defaults::INITIAL_CWND,
+            defaults::INITIAL_SSTHRESH,
+            defaults::MAX_CWND,
+        );
         let cwnd = win.cwnd();
         TcpSender {
-            rtt: RttEstimator::new(cfg.min_rto, cfg.max_rto),
             cfg,
             receiver,
             win,
             cc,
             high_seq: 0,
             loss,
-            timer: RexmitTimer::new(),
+            recovery: Recovery::new(&recovery::TCP, SimTime::ZERO),
             signals: CcSignals::new(),
             pacer: PacingTimer::new(),
             next_send_at: SimTime::ZERO,
@@ -126,8 +132,8 @@ impl TcpSender {
     }
 
     /// Smoothed RTT estimate.
-    pub fn srtt(&self) -> Option<netsim::time::SimDuration> {
-        self.rtt.srtt()
+    pub fn srtt(&self) -> Option<SimDuration> {
+        self.recovery.srtt()
     }
 
     /// Timeline series-kind tag: `"tcp-sack"`, or `"reno"` for the
@@ -164,8 +170,8 @@ impl TcpSender {
             }
             let lost = self.loss.next_lost();
             // Receiver-buffer bound (§3.3 rule 5 analogue for TCP): don't
-            // run more than max_cwnd past the cumulative ack.
-            if lost.is_none() && self.high_seq >= self.loss.cum_ack() + self.cfg.max_cwnd as u64 {
+            // run more than MAX_CWND past the cumulative ack.
+            if lost.is_none() && self.high_seq >= self.loss.cum_ack() + defaults::MAX_CWND as u64 {
                 break;
             }
             if let Some(rate) = pace {
@@ -210,11 +216,16 @@ impl TcpSender {
         );
     }
 
-    /// Feed the RTT measured off an ack to the estimator and `stats.rtt`
-    /// unless the detector flagged it Karn-ambiguous; returns the sample
-    /// when it was taken.
-    fn take_rtt_sample(&mut self, rtt: SimDuration, ambiguous: bool) -> Option<SimDuration> {
-        let taken = self.rtt.karn_sample(rtt, ambiguous);
+    /// Tell the recovery machine an ack arrived at `now`, and feed the RTT
+    /// it measured to the estimator and `stats.rtt` unless the detector
+    /// flagged it Karn-ambiguous; returns the sample when it was taken.
+    fn take_rtt_sample(
+        &mut self,
+        now: SimTime,
+        rtt: SimDuration,
+        ambiguous: bool,
+    ) -> Option<SimDuration> {
+        let taken = self.recovery.on_ack(now, rtt, ambiguous);
         if taken {
             self.stats.rtt.push(rtt.as_secs_f64());
         }
@@ -225,6 +236,7 @@ impl TcpSender {
         let now = ctx.now();
         let report = self.loss.on_ack(ack, &self.cfg);
         let rtt_sample = self.take_rtt_sample(
+            now,
             now.saturating_since(ack.echo_timestamp),
             report.rtt_ambiguous,
         );
@@ -257,24 +269,32 @@ impl TcpSender {
             self.transmit(ctx, seq);
         }
 
-        if report.advanced > 0 {
-            // Forward progress: restart the timer.
-            self.timer.arm(ctx, self.rtt.rto());
+        // Forward progress restarts the timer. TCP's row has no ack-side
+        // repair rule, so the machine is shown no head.
+        if let Verdict::Arm(arm) = self
+            .recovery
+            .after_ack(now, report.advanced, false, || None)
+        {
+            ctx.set_timer(arm.delay, arm.token);
         }
         self.try_send(ctx);
     }
 
-    fn on_timeout(&mut self, ctx: &mut Context<'_>) {
+    /// The retransmission timer fired with `token`: a timeout unless the
+    /// token is stale or nothing is outstanding.
+    fn on_timeout(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let idle = self.loss.is_idle(self.high_seq);
+        let Verdict::Timeout(mark, rearm) = self.recovery.on_timer(token, idle) else {
+            return;
+        };
         let now = ctx.now();
-        if self.loss.is_idle(self.high_seq) {
-            return; // nothing outstanding; idle
-        }
-        self.rtt.on_timeout();
         self.cc.on_timeout(&mut self.win, now);
         self.stats.cwnd_avg.set(now, self.win.cwnd());
-        self.high_seq = self.loss.on_timeout(self.high_seq);
+        self.high_seq = self.loss.on_timeout(mark, self.high_seq);
         self.stats.timeouts += 1;
-        self.timer.arm(ctx, self.rtt.rto());
+        if let Some(arm) = rearm {
+            ctx.set_timer(arm.delay, arm.token);
+        }
         self.try_send(ctx);
     }
 }
@@ -283,7 +303,9 @@ impl Agent for TcpSender {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         self.stats = SenderStats::new(ctx.now(), self.win.cwnd());
         self.try_send(ctx);
-        self.timer.arm(ctx, self.rtt.rto());
+        if let Some(arm) = self.recovery.on_start() {
+            ctx.set_timer(arm.delay, arm.token);
+        }
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
@@ -301,10 +323,7 @@ impl Agent for TcpSender {
             }
             return;
         }
-        if !self.timer.is_current(token) {
-            return; // superseded timer
-        }
-        self.on_timeout(ctx);
+        self.on_timeout(token, ctx);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -537,7 +556,11 @@ mod tests {
                 },
                 &s.cfg,
             );
-            let taken = s.take_rtt_sample(SimDuration::from_millis(40), report.rtt_ambiguous);
+            let taken = s.take_rtt_sample(
+                SimTime::ZERO,
+                SimDuration::from_millis(40),
+                report.rtt_ambiguous,
+            );
             (report.advanced, taken.is_some())
         };
         for seq in 0..5 {

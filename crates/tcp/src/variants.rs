@@ -16,7 +16,7 @@
 use netsim::agent::Agent;
 use netsim::id::AgentId;
 
-use transport::{BbrV1Cc, CongestionControl, CubicCc, RenoCc, SackCc};
+use transport::{defaults, BbrV1Cc, CongestionControl, CubicCc, RenoCc, SackCc};
 
 use crate::config::TcpConfig;
 use crate::loss::LossDetector;
@@ -32,7 +32,7 @@ pub struct CcEntry {
     /// How the sender detects losses.
     loss: fn() -> LossDetector,
     /// The congestion-control policy, fresh per sender.
-    cc: fn(&TcpConfig) -> Box<dyn CongestionControl>,
+    cc: fn() -> Box<dyn CongestionControl>,
 }
 
 /// Every registered congestion controller. Adding an algorithm is one
@@ -42,25 +42,25 @@ pub static CC_REGISTRY: &[CcEntry] = &[
         name: "sack",
         summary: "TCP SACK (paper's Sack1): scoreboard loss detection, one halving per loss window",
         loss: LossDetector::scoreboard,
-        cc: |_| Box::new(SackCc::new()),
+        cc: || Box::new(SackCc::new()),
     },
     CcEntry {
         name: "reno",
         summary: "TCP Reno: dup-ack counting, NewReno recovery, go-back-N on timeout",
         loss: LossDetector::dup_ack,
-        cc: |cfg| Box::new(RenoCc::new(cfg.dupack_threshold)),
+        cc: || Box::new(RenoCc::new(defaults::DUPACK_THRESHOLD)),
     },
     CcEntry {
         name: "cubic",
         summary: "CUBIC (RFC 8312): cubic window growth, fast convergence, TCP-friendly region",
         loss: LossDetector::scoreboard,
-        cc: |_| Box::new(CubicCc::new()),
+        cc: || Box::new(CubicCc::new()),
     },
     CcEntry {
         name: "bbr",
         summary: "BBRv1: delivery-rate model, startup/drain/probe-bw/probe-rtt, paced sending",
         loss: LossDetector::scoreboard,
-        cc: |_| Box::new(BbrV1Cc::new()),
+        cc: || Box::new(BbrV1Cc::new()),
     },
 ];
 
@@ -104,7 +104,7 @@ impl CcVariant {
 
     /// Build this variant's sender, streaming to `receiver`.
     pub fn build_sender(&self, receiver: AgentId, cfg: TcpConfig) -> Box<dyn Agent> {
-        let (loss, cc) = ((self.0.loss)(), (self.0.cc)(&cfg));
+        let (loss, cc) = ((self.0.loss)(), (self.0.cc)());
         Box::new(TcpSender::with_parts(receiver, cfg, loss, cc))
     }
 }

@@ -85,10 +85,10 @@ fn left_edge_hole_declared_lost_with_enough_evidence() {
     let mut sb = sb_with_sent(5);
     sb.on_ack(1, &[block(2, 5)], 3);
     assert!(sb.is_lost(1), "left-edge hole with 3 SACKs above");
-    let (seq, _, evidence, retransmitted) = sb.head_hole().expect("hole exists");
-    assert_eq!(seq, 1);
-    assert!(evidence);
-    assert!(!retransmitted);
+    let head = sb.head_hole().expect("hole exists");
+    assert_eq!(head.seq, 1);
+    assert!(head.evidence);
+    assert!(!head.retransmitted);
 }
 
 #[test]
@@ -100,9 +100,9 @@ fn left_edge_hole_without_evidence_is_not_lost() {
     assert_eq!(sb.lost_unretransmitted(), Vec::<u64>::new());
     // head_hole still reports the gap so the early-retransmit timer can
     // cover it.
-    let (seq, _, evidence, _) = sb.head_hole().expect("hole exists");
-    assert_eq!(seq, 1);
-    assert!(evidence);
+    let head = sb.head_hole().expect("hole exists");
+    assert_eq!(head.seq, 1);
+    assert!(head.evidence);
 }
 
 #[test]
@@ -126,6 +126,26 @@ fn mark_head_lost_targets_left_edge_only() {
     assert!(sb.is_lost(0));
     assert!(!sb.is_lost(2), "only the head may be marked");
     assert_eq!(sb.lost_unretransmitted(), vec![0]);
+}
+
+#[test]
+fn mark_head_lost_marks_the_head_hole() {
+    // The RLA's early repairs judge `head_hole` and then mark with
+    // `mark_head_lost`: the two must find the same packet, sacked slots,
+    // retransmissions and all.
+    let mut sb = sb_with_sent(8);
+    let agree = |sb: &mut Scoreboard| {
+        let head = sb.head_hole().map(|h| h.seq);
+        assert_eq!(sb.mark_head_lost(), head);
+    };
+    agree(&mut sb);
+    sb.on_send(0, SimTime::from_secs(9)); // the repair leaves
+    sb.on_ack(0, &[block(0, 1), block(2, 6)], 3); // ...and is SACKed above a hole
+    assert_eq!(sb.head_hole().map(|h| h.seq), Some(1));
+    agree(&mut sb);
+    sb.on_ack(8, &[], 3);
+    agree(&mut sb);
+    assert_eq!(sb.head_hole(), None);
 }
 
 #[test]

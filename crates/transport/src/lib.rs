@@ -21,12 +21,10 @@
 //!   its policy;
 //! * [`CongestionEpoch`] — the `2·srtt` loss-coalescing window (rule 2)
 //!   and the hold-off timers of the rate-based baselines;
-//! * [`RttEstimator`] — Jacobson/Karn RTT estimation and the RTO, with
-//!   the raw [`RttEstimator::last_sample`] view the min-RTT filter
-//!   feeds on;
-//! * [`RexmitTimer`] / [`PacingTimer`] — generation-tokened timer
-//!   management over the engine's timer facility, in disjoint token
-//!   spaces so one agent can run both;
+//! * [`Recovery`] — loss recovery by time, one machine for TCP and the
+//!   RLA under two const rows ([`recovery::TCP`], [`recovery::RLA`]): it
+//!   owns a flow's [`RttEstimator`], silence clock and timer generation;
+//! * [`PacingTimer`] — the pacing release timer, in its own token space;
 //! * [`SenderStats`] — the per-flow statistics block feeding
 //!   [`netsim::stats`] accumulators, shared by every unicast sender;
 //! * [`defaults`] — the single source of truth for the paper's NS2
@@ -46,7 +44,7 @@ pub mod cubic;
 pub mod defaults;
 pub mod epoch;
 pub mod minrtt;
-pub mod rtt;
+pub mod recovery;
 pub mod stats;
 pub mod timer;
 pub mod window;
@@ -56,7 +54,7 @@ pub use cc::{AckEvent, AckOutcome, CcSignals, CongestionControl, RateSample, Ren
 pub use cubic::CubicCc;
 pub use epoch::CongestionEpoch;
 pub use minrtt::{BandwidthFilter, MinRttFilter};
-pub use rtt::RttEstimator;
+pub use recovery::{HeadHole, Recovery, RttEstimator};
 pub use stats::SenderStats;
-pub use timer::{PacingTimer, RexmitTimer};
+pub use timer::PacingTimer;
 pub use window::WindowState;

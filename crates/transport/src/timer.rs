@@ -1,55 +1,25 @@
-//! Generation-tokened timer management (retransmission and pacing).
+//! The pacing release timer, generation-tokened.
 //!
 //! The engine's [`Context::set_timer`] cannot cancel a pending timer, so
-//! window-based senders re-arm by bumping a generation counter and using
-//! it as the timer token: when a timer fires with a stale token it has
-//! been superseded by a later re-arm and is ignored. [`RexmitTimer`] owns
-//! that counter so every sender spells the protocol the same way.
-//!
-//! [`PacingTimer`] applies the same protocol to the pacing release timer
-//! a rate-based sender arms between transmissions. Both timers deliver
-//! through the same `Agent::on_timer(token)` entry point, so the pacing
-//! tokens carry a high tag bit ([`PACING_TOKEN_BIT`]) that keeps the two
-//! token spaces disjoint: the sender routes on the bit, then validates
-//! the generation.
+//! a sender re-arms by bumping a generation counter and using it as the
+//! timer token: when a timer fires with a stale token it has been
+//! superseded by a later re-arm and is ignored. The retransmission timer
+//! of [`crate::Recovery`] keeps its generation the same way, and both
+//! deliver through the same `Agent::on_timer(token)` entry point, so the
+//! pacing tokens carry a high tag bit ([`PACING_TOKEN_BIT`]) that keeps
+//! the two token spaces disjoint: the sender routes on the bit, then
+//! validates the generation.
 
 use netsim::engine::Context;
-use netsim::time::{SimDuration, SimTime};
+use netsim::time::SimTime;
 
 /// Tag bit marking a timer token as a pacing token. Generation counters
 /// are far below `2^63`, so the bit is unambiguous.
 pub const PACING_TOKEN_BIT: u64 = 1 << 63;
 
-/// A re-armable retransmission timer built on the engine's one-shot
-/// timers.
-#[derive(Debug, Clone, Default)]
-pub struct RexmitTimer {
-    generation: u64,
-}
-
-impl RexmitTimer {
-    /// A timer that has never been armed.
-    pub fn new() -> Self {
-        RexmitTimer { generation: 0 }
-    }
-
-    /// (Re)arm the timer to fire `rto` from now. Any previously armed
-    /// firing becomes stale.
-    pub fn arm(&mut self, ctx: &mut Context<'_>, rto: SimDuration) {
-        self.generation += 1;
-        ctx.set_timer(rto, self.generation);
-    }
-
-    /// Whether a firing with `token` is the current arm (stale firings
-    /// must be ignored).
-    pub fn is_current(&self, token: u64) -> bool {
-        token == self.generation
-    }
-}
-
 /// A re-armable pacing timer: wakes the sender when the pacing gate
 /// opens. Its tokens carry [`PACING_TOKEN_BIT`] so they cannot collide
-/// with a [`RexmitTimer`] sharing the agent's `on_timer`.
+/// with a retransmission timer sharing the agent's `on_timer`.
 #[derive(Debug, Clone, Default)]
 pub struct PacingTimer {
     generation: u64,
@@ -83,60 +53,27 @@ impl PacingTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{self, Recovery, Verdict};
     use netsim::agent::Agent;
     use netsim::engine::Engine;
     use netsim::packet::Packet;
-    use netsim::time::SimTime;
     use std::any::Any;
 
-    /// An agent that re-arms its timer on start and again shortly after,
-    /// recording which firings were current.
-    struct Rearmer {
-        timer: RexmitTimer,
-        fired_current: u64,
-        fired_stale: u64,
-    }
-
-    impl Agent for Rearmer {
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            self.timer.arm(ctx, SimDuration::from_millis(100));
-            // Supersede immediately: the first arm's firing must be stale.
-            self.timer.arm(ctx, SimDuration::from_millis(200));
-        }
-
-        fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
-
-        fn on_timer(&mut self, token: u64, _ctx: &mut Context<'_>) {
-            if self.timer.is_current(token) {
-                self.fired_current += 1;
-            } else {
-                self.fired_stale += 1;
-            }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    /// An agent running a rexmit and a pacing timer side by side: the
-    /// token spaces must stay disjoint and each generation protocol must
-    /// work through the shared `on_timer`.
+    /// An agent running a retransmission and a pacing timer side by side:
+    /// the token spaces must stay disjoint and each generation protocol
+    /// must work through the shared `on_timer`.
     struct DualTimer {
-        rexmit: RexmitTimer,
+        recovery: Recovery,
         pacer: PacingTimer,
-        rexmit_fired: u64,
+        timeouts: u64,
         pacing_current: u64,
         pacing_stale: u64,
     }
 
     impl Agent for DualTimer {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            self.rexmit.arm(ctx, SimDuration::from_millis(50));
+            let arm = self.recovery.on_start().expect("TCP's row arms a timer");
+            ctx.set_timer(arm.delay, arm.token);
             self.pacer.arm_at(ctx, SimTime::from_millis(100));
             // Supersede the pacing arm: only the second may be current.
             self.pacer.arm_at(ctx, SimTime::from_millis(150));
@@ -151,8 +88,8 @@ mod tests {
                 } else {
                     self.pacing_stale += 1;
                 }
-            } else if self.rexmit.is_current(token) {
-                self.rexmit_fired += 1;
+            } else if let Verdict::Timeout { .. } = self.recovery.on_timer(token, false) {
+                self.timeouts += 1;
             }
         }
 
@@ -172,39 +109,21 @@ mod tests {
         let a = e.add_agent(
             n,
             Box::new(DualTimer {
-                rexmit: RexmitTimer::new(),
+                recovery: Recovery::new(&recovery::TCP, SimTime::ZERO),
                 pacer: PacingTimer::new(),
-                rexmit_fired: 0,
+                timeouts: 0,
                 pacing_current: 0,
                 pacing_stale: 0,
             }),
         );
         e.compute_routes();
         e.start_agent_at(a, SimTime::ZERO);
-        e.run_until(SimTime::from_secs(1));
+        // The first RTO (3 s, no sample) fires once; its re-arm (6 s)
+        // does not fire before the run ends.
+        e.run_until(SimTime::from_secs(5));
         let agent: &DualTimer = e.agent_as(a).unwrap();
-        assert_eq!(agent.rexmit_fired, 1, "rexmit arm must fire current");
+        assert_eq!(agent.timeouts, 1, "the rexmit arm must fire current");
         assert_eq!(agent.pacing_stale, 1, "first pacing arm must be stale");
         assert_eq!(agent.pacing_current, 1, "second pacing arm is current");
-    }
-
-    #[test]
-    fn rearming_supersedes_pending_firings() {
-        let mut e = Engine::new(1);
-        let n = e.add_node("n");
-        let a = e.add_agent(
-            n,
-            Box::new(Rearmer {
-                timer: RexmitTimer::new(),
-                fired_current: 0,
-                fired_stale: 0,
-            }),
-        );
-        e.compute_routes();
-        e.start_agent_at(a, SimTime::ZERO);
-        e.run_until(SimTime::from_secs(1));
-        let agent: &Rearmer = e.agent_as(a).unwrap();
-        assert_eq!(agent.fired_stale, 1, "first arm must fire stale");
-        assert_eq!(agent.fired_current, 1, "second arm must fire current");
     }
 }

@@ -4,12 +4,15 @@
 //! (`W += 1/W` per packet, halved per cut) on a manual clock that moves
 //! one packet every `RTT/W`. A structure is a set of loss sources, each
 //! dropping a packet with probability `q` at every receiver below it.
-//! There are three seeded families:
+//! There are four seeded families:
 //!
 //! * independent Bernoulli loss, one source per receiver;
 //! * fully common loss, one source over every receiver;
 //! * tree-correlated loss on the figure-6 tree, a source at any node
-//!   hitting every leaf below it.
+//!   hitting every leaf below it;
+//! * bursty loss, one two-state (Gilbert–Elliott) source per receiver:
+//!   loss-free in the good state, dropping with probability `h` in the
+//!   bad one, at the same mean rate `q` as a Bernoulli source.
 //!
 //! Per structure, `p_i` is receiver `i`'s *measured* congestion-signal
 //! rate per packet, `p_max` their maximum and `n` the number of receivers
@@ -47,11 +50,57 @@ const LEAVES: usize = 27;
 const STRUCTURES: u64 = 400;
 
 /// One loss source: each packet is dropped with probability `q` at every
-/// receiver in `receivers`.
+/// receiver in `receivers`, independently, or in bursts.
 #[derive(Debug, Clone)]
 struct Source {
     q: f64,
     receivers: Range<usize>,
+    burst: Option<Burst>,
+}
+
+/// A Gilbert–Elliott chain: a good state that loses nothing and a bad
+/// state that loses each packet with probability `h`. Per packet the
+/// chain enters the bad state with probability `enter` and leaves it
+/// with probability `leave`, so the mean loss rate is
+/// `h · enter / (enter + leave)`.
+#[derive(Debug, Clone)]
+struct Burst {
+    enter: f64,
+    leave: f64,
+    h: f64,
+    bad: bool,
+}
+
+impl Source {
+    /// Every packet alike, at loss rate `q`.
+    fn bernoulli(q: f64, receivers: Range<usize>) -> Self {
+        Source {
+            q,
+            receivers,
+            burst: None,
+        }
+    }
+
+    /// The first packet at or after `from` that this source drops.
+    fn next_loss(&mut self, rng: &mut StdRng, from: u64) -> u64 {
+        let Some(b) = &mut self.burst else {
+            return from + gap(rng, self.q);
+        };
+        let mut at = from;
+        loop {
+            if !b.bad {
+                // Good packets until the chain turns bad.
+                at += gap(rng, b.enter);
+                b.bad = true;
+            }
+            let lost = rng.gen::<f64>() < b.h;
+            b.bad = rng.gen::<f64>() >= b.leave;
+            if lost {
+                return at;
+            }
+            at += 1;
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +108,7 @@ enum Family {
     Independent,
     Common,
     Tree,
+    Bursty,
 }
 
 /// A log-uniform draw from `[lo, hi]`.
@@ -72,47 +122,29 @@ fn structure(family: Family, seed: u64, single: bool) -> (usize, Vec<Source>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let q_max = log_uniform(&mut rng, 0.002, 0.03);
     match family {
-        Family::Independent | Family::Common if single => (
-            1,
-            vec![Source {
-                q: q_max,
-                receivers: 0..1,
-            }],
-        ),
+        Family::Independent | Family::Common if single => (1, vec![Source::bernoulli(q_max, 0..1)]),
         Family::Independent => {
             let receivers = rng.gen_range(2..=LEAVES);
             let spread = log_uniform(&mut rng, 1.0, 100.0);
             let sources = (0..receivers)
-                .map(|i| Source {
-                    q: if i == 0 {
+                .map(|i| {
+                    let q = if i == 0 {
                         q_max
                     } else {
                         q_max / log_uniform(&mut rng, 1.0, spread)
-                    },
-                    receivers: i..i + 1,
+                    };
+                    Source::bernoulli(q, i..i + 1)
                 })
                 .collect();
             (receivers, sources)
         }
         Family::Common => {
             let receivers = rng.gen_range(2..=LEAVES);
-            (
-                receivers,
-                vec![Source {
-                    q: q_max,
-                    receivers: 0..receivers,
-                }],
-            )
+            (receivers, vec![Source::bernoulli(q_max, 0..receivers)])
         }
         Family::Tree if single => {
             let leaf = rng.gen_range(0..LEAVES);
-            (
-                LEAVES,
-                vec![Source {
-                    q: q_max,
-                    receivers: leaf..leaf + 1,
-                }],
-            )
+            (LEAVES, vec![Source::bernoulli(q_max, leaf..leaf + 1)])
         }
         Family::Tree => {
             // Each of the 40 links (1, 3, 9 and 27 per level) is lossy
@@ -122,22 +154,48 @@ fn structure(family: Family, seed: u64, single: bool) -> (usize, Vec<Source>) {
             for width in [27, 9, 3, 1] {
                 for first in (0..LEAVES).step_by(width) {
                     if rng.gen::<f64>() < share {
-                        sources.push(Source {
-                            q: log_uniform(&mut rng, q_max / 30.0, q_max),
-                            receivers: first..first + width,
-                        });
+                        let q = log_uniform(&mut rng, q_max / 30.0, q_max);
+                        sources.push(Source::bernoulli(q, first..first + width));
                     }
                 }
             }
             if sources.is_empty() {
-                sources.push(Source {
-                    q: q_max,
-                    receivers: 0..LEAVES,
-                });
+                sources.push(Source::bernoulli(q_max, 0..LEAVES));
             }
             let worst = rng.gen_range(0..sources.len());
             sources[worst].q = q_max;
             (LEAVES, sources)
+        }
+        Family::Bursty => {
+            let receivers = if single { 1 } else { rng.gen_range(2..=LEAVES) };
+            let spread = log_uniform(&mut rng, 1.0, 100.0);
+            let sources = (0..receivers)
+                .map(|i| {
+                    let q = if i == 0 {
+                        q_max
+                    } else {
+                        q_max / log_uniform(&mut rng, 1.0, spread)
+                    };
+                    // Bursts of 2–50 packets in the bad state, losing
+                    // 30–90 % of them; the good state's sojourn sets the
+                    // mean rate to q.
+                    let leave = 1.0 / log_uniform(&mut rng, 2.0, 50.0);
+                    let h = rng.gen_range(0.3..0.9);
+                    let bad_share = q / h;
+                    let enter = leave * bad_share / (1.0 - bad_share);
+                    Source {
+                        q,
+                        receivers: i..i + 1,
+                        burst: Some(Burst {
+                            enter,
+                            leave,
+                            h,
+                            bad: rng.gen::<f64>() < bad_share,
+                        }),
+                    }
+                })
+                .collect();
+            (receivers, sources)
         }
     }
 }
@@ -169,21 +227,24 @@ fn gap(rng: &mut StdRng, q: f64) -> u64 {
 
 /// Run `family`'s structure `seed` through a listener and the window.
 fn run(family: Family, seed: u64, single: bool) -> Row {
-    let (receivers, sources) = structure(family, seed, single);
+    let (receivers, mut sources) = structure(family, seed, single);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut listener = Listener::new(receivers, SimTime::ZERO, &RlaConfig::default());
-    let mut next: Vec<u64> = sources.iter().map(|s| gap(&mut rng, s.q)).collect();
+    let mut next: Vec<u64> = sources
+        .iter_mut()
+        .map(|s| s.next_loss(&mut rng, 0))
+        .collect();
     let (mut w, mut awnd, mut now) = (1.0f64, 1.0f64, 0.0f64);
     let mut signals = vec![0u64; receivers];
     let mut window_sum = 0.0;
     for packet in 0..WARMUP + PACKETS {
         let measured = packet >= WARMUP;
         let mut cuts = 0;
-        for (source, next) in sources.iter().zip(&mut next) {
+        for (source, next) in sources.iter_mut().zip(&mut next) {
             if *next != packet {
                 continue;
             }
-            *next = packet + 1 + gap(&mut rng, source.q);
+            *next = source.next_loss(&mut rng, packet + 1);
             let at = SimTime::from_secs_f64(now);
             for idx in source.receivers.clone() {
                 let decision = listener.on_loss(idx, at, RTT, RTT.as_secs_f64(), awnd, &mut rng);
@@ -250,6 +311,18 @@ fn check(family: Family) {
         .iter()
         .filter(|r| r.ratio() < lo || r.ratio() > hi * (r.n as f64).sqrt())
         .collect();
+    for r in &outside {
+        eprintln!(
+            "{family:?} seed {}: n {}, W/pa_window(p_max) {:.3} at p_max {:.5} \
+             (band [{lo:.3}, {:.3}]); measured p {:.5?}",
+            r.seed,
+            r.n,
+            r.ratio(),
+            r.p_max,
+            hi * (r.n as f64).sqrt(),
+            r.p,
+        );
+    }
     if let Some(first) = outside.first() {
         panic!(
             "{family:?}: {} of {} structures (seeds {:?}…) leave \
@@ -283,4 +356,11 @@ fn common_loss_keeps_the_window_inside_eq2() {
 #[test]
 fn tree_correlated_loss_keeps_the_window_inside_eq2() {
     check(Family::Tree);
+}
+
+#[test]
+#[ignore = "2 of 400 bursty structures (seeds 3206, 3359) fall below the band's \
+            lower edge; ROADMAP item 3(b) records the counterexample"]
+fn bursty_loss_keeps_the_window_inside_eq2() {
+    check(Family::Bursty);
 }
