@@ -83,10 +83,10 @@ fn main() {
         let recv: &rla::McastReceiver = world.engine.agent_as(rx).unwrap();
         println!(
             "rcvr {i}: cum_ack={} arrivals={} delivered={} dups={}",
-            recv.cum_ack(),
-            recv.stats.arrivals,
-            recv.stats.delivered,
-            recv.stats.duplicates
+            recv.reassembly.cum_ack(),
+            recv.reassembly.stats.arrivals,
+            recv.reassembly.stats.delivered,
+            recv.reassembly.stats.duplicates
         );
     }
     {
@@ -99,8 +99,8 @@ fn main() {
         let mut arrivals = 0u64;
         for &rx in &world.rla_receivers[0] {
             let recv: &rla::McastReceiver = world.engine.agent_as(rx).unwrap();
-            dups += recv.stats.duplicates;
-            arrivals += recv.stats.arrivals;
+            dups += recv.reassembly.stats.duplicates;
+            arrivals += recv.reassembly.stats.arrivals;
         }
         println!(
             "receiver dups={} arrivals={} dups/rexmc={:.1}",

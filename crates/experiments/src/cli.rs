@@ -74,7 +74,7 @@ pub struct PcapOptions {
     /// config defaults it to the results dir, [`Default`] to `results/`).
     pub dir: PathBuf,
     /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
-    /// in a struct literal; ROADMAP item 7 deletes it).
+    /// in a struct literal; ROADMAP item 9 deletes it).
     pub spool_records: Option<usize>,
 }
 
@@ -105,7 +105,7 @@ pub struct TelemetryOptions {
     pub sample_period: SimDuration,
     /// Inert: JSONL is the one timeline format, and no knob sets this
     /// (the frozen `benchmark/` names it in a struct literal; ROADMAP
-    /// item 7 deletes it).
+    /// item 9 deletes it).
     pub format: TimelineFormat,
     /// Directory timeline files are written to (`RLA_TELEMETRY_DIR`; a
     /// parsed config defaults it to the results dir, [`Default`] to

@@ -679,7 +679,8 @@ impl ScenarioWorld {
             self.engine
                 .agent_as_mut::<TcpReceiver>(a)
                 .expect("tcp receiver")
-                .reset_stats();
+                .reassembly
+                .stats = Default::default();
         }
         for &a in &self.rla_senders {
             self.engine
@@ -691,7 +692,8 @@ impl ScenarioWorld {
             self.engine
                 .agent_as_mut::<McastReceiver>(a)
                 .expect("rla receiver")
-                .reset_stats();
+                .reassembly
+                .stats = Default::default();
         }
     }
 

@@ -146,7 +146,7 @@ impl ScenarioSpec {
     }
 
     /// Inert: the engine runs one execution domain whatever `shards` is
-    /// (at least 1). Only `benchmark/` calls it; ROADMAP item 7 deletes
+    /// (at least 1). Only `benchmark/` calls it; ROADMAP item 9 deletes
     /// it.
     pub fn with_shards(self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one worker is required");

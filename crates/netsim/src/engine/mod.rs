@@ -421,7 +421,7 @@ impl Engine {
     /// Inert: [`Engine::partition`] under the name that also coalesced
     /// regions into `target` execution domains by `costs`. There is one
     /// execution domain, so both are ignored and the result is always 1.
-    /// Only `benchmark/` calls it; ROADMAP item 7 deletes it.
+    /// Only `benchmark/` calls it; ROADMAP item 9 deletes it.
     pub fn partition_merged(
         &mut self,
         theta: Option<SimDuration>,
@@ -434,11 +434,11 @@ impl Engine {
     }
 
     /// Inert: the engine runs on the calling thread whatever this says.
-    /// Only `benchmark/` calls it; ROADMAP item 7 deletes it.
+    /// Only `benchmark/` calls it; ROADMAP item 9 deletes it.
     pub fn set_workers(&mut self, _workers: usize) {}
 
     /// Inert: always 1, the one execution domain. Only `benchmark/` calls
-    /// it; ROADMAP item 7 deletes it.
+    /// it; ROADMAP item 9 deletes it.
     pub fn domain_count(&self) -> usize {
         1
     }
@@ -446,7 +446,7 @@ impl Engine {
     /// Arm (or disarm) per-epoch load recording: one row per θ-grid epoch
     /// (a single-region run is one epoch per `run_until`), one domain
     /// wide, holding the events the epoch processed. Only `benchmark/`
-    /// reads it; ROADMAP item 7 deletes it.
+    /// reads it; ROADMAP item 9 deletes it.
     pub fn record_epoch_loads(&mut self, on: bool) {
         self.world.epoch_loads = on.then(Vec::new);
     }

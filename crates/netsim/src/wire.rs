@@ -217,21 +217,14 @@ pub struct McastData {
 }
 
 /// A multicast receiver's selective acknowledgment, unicast back to the
-/// sender. Same format as [`TcpAck`] plus the receiver's identity (the RLA
-/// sender keeps per-receiver state).
+/// sender: a [`TcpAck`] plus the receiver's identity (the RLA sender keeps
+/// per-receiver state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct McastAck {
     /// The acknowledging receiver.
     pub receiver: AgentId,
-    /// Cumulative ack: all packets with `seq < cum_ack` received.
-    pub cum_ack: u64,
-    /// Out-of-order data held by the receiver.
-    pub sack: SackList,
-    /// Echo of the data segment timestamp that triggered this ack.
-    pub echo_timestamp: SimTime,
-    /// Set by a receiver that wants an immediate unicast retransmission of
-    /// the first hole (paper §3.3, footnote 8).
-    pub urgent_rexmit: bool,
+    /// The acknowledgment itself, in the TCP SACK receiver's format.
+    pub ack: TcpAck,
 }
 
 /// A data packet from a rate-based sender (LTRC / MBFC baselines).

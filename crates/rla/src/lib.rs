@@ -29,6 +29,9 @@
 //!   runs a `transport::Recovery` under `transport::recovery::RLA`'s row
 //!   (the scanned head-only timeout and the early repairs of DESIGN.md §6
 //!   deviations 4 and 5), the same machine TCP runs under its own row.
+//!   The receiver is TCP's receive side, `tcp_sack::Reassembly`, sending
+//!   the TCP SACK ack with its own identity attached
+//!   (`netsim::wire::McastAck`).
 //! * [`Listener`] — random listening as a pure state machine: rule 2's
 //!   congestion periods, rule 3's forced and randomized cuts, and the
 //!   troubled-receiver count, returning one [`Decision`] per loss event.
@@ -49,6 +52,6 @@ pub mod trouble;
 
 pub use config::{PthreshPolicy, RlaConfig, SlowReceiverPolicy};
 pub use listener::{Decision, Listener};
-pub use receiver::{McastReceiver, McastReceiverStats};
+pub use receiver::McastReceiver;
 pub use sender::{RlaSender, RlaStats};
 pub use trouble::{CongestionHistory, TroubleTracker};

@@ -1,122 +1,50 @@
-//! The RLA multicast receiver.
-//!
-//! Identical receive-side machinery to the TCP SACK receiver (§3.3: "our
-//! multicast receivers use selective acknowledgments using the same format
-//! as SACK TCP receivers"), but the acknowledgment carries the receiver's
-//! identity so the sender can keep per-receiver congestion state, and it
-//! is unicast back to the multicast sender.
+//! The RLA multicast receiver: TCP's receive side, [`Reassembly`], its ack
+//! carrying the receiver's identity (§3.3: "the same format as SACK TCP receivers").
 
 use std::any::Any;
-use std::collections::BTreeSet;
 
 use netsim::agent::Agent;
 use netsim::engine::Context;
 use netsim::packet::{Dest, Packet};
-use netsim::wire::{McastAck, SackList, Segment};
-
-/// Receiver-side statistics.
-#[derive(Debug, Default, Clone)]
-pub struct McastReceiverStats {
-    /// Data arrivals, duplicates included.
-    pub arrivals: u64,
-    /// Distinct packets delivered in order.
-    pub delivered: u64,
-    /// Duplicate arrivals (multicast retransmissions of packets this
-    /// receiver already had are expected — see footnote 8).
-    pub duplicates: u64,
-}
+use netsim::wire::{McastAck, Segment};
+use tcp_sack::Reassembly;
 
 /// A multicast receiver endpoint.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct McastReceiver {
-    cum_ack: u64,
-    ooo: BTreeSet<u64>,
+    /// The receive state and its counters.
+    pub reassembly: Reassembly,
+    /// ACK packet size on the wire, bytes.
     ack_size: u32,
-    /// Running statistics.
-    pub stats: McastReceiverStats,
 }
 
 impl McastReceiver {
     /// A receiver producing `ack_size`-byte acknowledgments.
     pub fn new(ack_size: u32) -> Self {
-        McastReceiver {
-            ack_size,
-            ..Default::default()
-        }
+        Self::joining_at(0, ack_size)
     }
 
-    /// A late-joining receiver that enters an in-progress session at
-    /// sequence `next_seq` (the sender's next new sequence number at join
-    /// time). Everything below `next_seq` counts as already held:
-    /// stragglers from packets that were in flight when the tree was
-    /// rebuilt are acknowledged as duplicates rather than opening holes
-    /// the sender no longer tracks for this receiver.
+    /// A receiver joining an in-progress session at `next_seq`, the
+    /// sender's next new sequence number ([`Reassembly::starting_at`]).
     pub fn joining_at(next_seq: u64, ack_size: u32) -> Self {
         McastReceiver {
-            cum_ack: next_seq,
+            reassembly: Reassembly::starting_at(next_seq),
             ack_size,
-            ..Default::default()
         }
-    }
-
-    /// Next expected in-order sequence number.
-    pub fn cum_ack(&self) -> u64 {
-        self.cum_ack
-    }
-
-    /// Zero the statistics (end-of-warmup reset).
-    pub fn reset_stats(&mut self) {
-        self.stats = McastReceiverStats::default();
-    }
-
-    fn accept(&mut self, seq: u64) {
-        if seq < self.cum_ack || self.ooo.contains(&seq) {
-            self.stats.duplicates += 1;
-            return;
-        }
-        if seq == self.cum_ack {
-            self.cum_ack += 1;
-            self.stats.delivered += 1;
-            while self.ooo.remove(&self.cum_ack) {
-                self.cum_ack += 1;
-                self.stats.delivered += 1;
-            }
-        } else {
-            self.ooo.insert(seq);
-        }
-    }
-
-    /// Wire SACK blocks for the current reorder buffer (allocation-free;
-    /// same format as the TCP receiver, see [`SackList`]).
-    fn sack_blocks(&self, latest: u64) -> SackList {
-        SackList::from_ascending_seqs(self.ooo.iter().copied(), latest)
     }
 }
 
 impl Agent for McastReceiver {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         let Segment::McastData(data) = packet.segment else {
-            debug_assert!(
-                false,
-                "multicast receiver got {}",
-                packet.segment.kind_str()
-            );
+            debug_assert!(false, "RLA receiver got {}", packet.segment.kind_str());
             return;
         };
-        self.stats.arrivals += 1;
-        self.accept(data.seq);
-        let ack = McastAck {
+        let ack = Segment::McastAck(McastAck {
             receiver: ctx.agent,
-            cum_ack: self.cum_ack,
-            sack: self.sack_blocks(data.seq),
-            echo_timestamp: data.timestamp,
-            urgent_rexmit: false,
-        };
-        ctx.send(
-            Dest::Agent(packet.src),
-            self.ack_size,
-            Segment::McastAck(ack),
-        );
+            ack: self.reassembly.accept(data.seq, data.timestamp),
+        });
+        ctx.send(Dest::Agent(packet.src), self.ack_size, ack);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -125,34 +53,5 @@ impl Agent for McastReceiver {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::wire::SackBlock;
-
-    #[test]
-    fn delivery_and_duplicate_accounting() {
-        let mut r = McastReceiver::new(40);
-        r.accept(0);
-        r.accept(2);
-        r.accept(2); // duplicate (e.g. a multicast retransmission)
-        r.accept(1);
-        assert_eq!(r.cum_ack(), 3);
-        assert_eq!(r.stats.delivered, 3);
-        assert_eq!(r.stats.duplicates, 1);
-    }
-
-    #[test]
-    fn sack_blocks_describe_holes() {
-        let mut r = McastReceiver::new(40);
-        for seq in [0, 3, 4, 8] {
-            r.accept(seq);
-        }
-        let blocks = r.sack_blocks(8);
-        assert_eq!(blocks[0], SackBlock { start: 8, end: 9 });
-        assert!(blocks.contains(&SackBlock { start: 3, end: 5 }));
     }
 }

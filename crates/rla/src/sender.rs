@@ -598,11 +598,11 @@ impl RlaSender {
     // Input processing
     // ------------------------------------------------------------------
 
-    fn on_ack(&mut self, ack: McastAck, ctx: &mut Context<'_>) {
+    fn on_ack(&mut self, McastAck { receiver, ack }: McastAck, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let Some(idx) = self.receiver_index(ack.receiver) else {
+        let Some(idx) = self.receiver_index(receiver) else {
             self.stats.unknown_acks += 1;
-            debug_assert!(false, "ack from unknown receiver {}", ack.receiver);
+            debug_assert!(false, "ack from unknown receiver {receiver}");
             return;
         };
 
@@ -874,7 +874,10 @@ mod tests {
         assert!(delivered > 1000, "delivered {delivered}");
         for &r in &receivers {
             let rx: &McastReceiver = e.agent_as(r).unwrap();
-            assert!(rx.cum_ack() >= delivered, "receiver behind reach_all");
+            assert!(
+                rx.reassembly.cum_ack() >= delivered,
+                "receiver behind reach_all"
+            );
         }
     }
 
@@ -915,7 +918,7 @@ mod tests {
         assert!(reach > 100);
         for &r in &receivers {
             let rx: &McastReceiver = e.agent_as(r).unwrap();
-            assert!(rx.cum_ack() >= reach);
+            assert!(rx.reassembly.cum_ack() >= reach);
         }
     }
 
@@ -1004,7 +1007,7 @@ mod tests {
         );
         for &r in &receivers[1..] {
             let rx: &McastReceiver = e.agent_as(r).unwrap();
-            assert!(rx.cum_ack() >= s.max_reach_all());
+            assert!(rx.reassembly.cum_ack() >= s.max_reach_all());
         }
     }
 
@@ -1062,7 +1065,7 @@ mod tests {
         );
         let rx: &McastReceiver = e.agent_as(joiner).unwrap();
         assert!(
-            rx.cum_ack() >= s.max_reach_all(),
+            rx.reassembly.cum_ack() >= s.max_reach_all(),
             "joiner's in-order prefix must reach reach_all"
         );
         assert!(

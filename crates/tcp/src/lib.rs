@@ -19,7 +19,9 @@
 //! its own row.
 //!
 //! The receiver ([`TcpReceiver`]) acknowledges every data packet with a
-//! cumulative ack plus up to three RFC 2018 SACK blocks.
+//! cumulative ack plus up to three RFC 2018 SACK blocks, built by
+//! [`Reassembly`] — the receive side the RLA's multicast receiver shares,
+//! sending the same ack with its identity attached.
 //!
 //! Beyond the paper's SACK baseline the crate carries a small zoo of
 //! alternative variants — Reno, CUBIC and BBRv1. There is one sender
@@ -40,7 +42,7 @@ pub mod sender;
 pub mod variants;
 
 pub use config::TcpConfig;
-pub use receiver::{ReceiverStats, TcpReceiver};
+pub use receiver::{Reassembly, ReceiverStats, TcpReceiver};
 pub use scoreboard::Scoreboard;
 pub use sender::{SenderStats, TcpSender};
 pub use variants::{CcEntry, CcVariant, CC_REGISTRY};

@@ -1,6 +1,7 @@
-//! The TCP SACK receiver: acknowledges every data packet with a cumulative
-//! ack plus up to [`MAX_SACK_BLOCKS`](netsim::wire::MAX_SACK_BLOCKS)
-//! selective-acknowledgment blocks (RFC 2018 format).
+//! The SACK receive side, [`Reassembly`]: every data packet earns a
+//! cumulative ack plus up to three RFC 2018 SACK blocks, which
+//! [`TcpReceiver`] sends back and the RLA's receiver sends with its
+//! identity attached (§3.3: "the same format as SACK TCP receivers").
 
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -8,6 +9,7 @@ use std::collections::BTreeSet;
 use netsim::agent::Agent;
 use netsim::engine::Context;
 use netsim::packet::{Dest, Packet};
+use netsim::time::SimTime;
 use netsim::wire::{SackList, Segment, TcpAck};
 
 /// Receiver-side statistics.
@@ -21,17 +23,63 @@ pub struct ReceiverStats {
     pub duplicates: u64,
 }
 
-/// A TCP SACK receiver endpoint.
+/// The receive state of one SACK connection: the cumulative ack, the
+/// out-of-order packets held above it, and the counters.
 #[derive(Debug, Default)]
-pub struct TcpReceiver {
+pub struct Reassembly {
     /// Next expected in-order sequence number (== cumulative ack).
     cum_ack: u64,
     /// Out-of-order packets held above the cumulative ack.
     ooo: BTreeSet<u64>,
-    /// ACK packet size on the wire, bytes.
-    ack_size: u32,
     /// Running statistics.
     pub stats: ReceiverStats,
+}
+
+impl Reassembly {
+    /// A late joiner's state: everything below `next_seq` counts as held,
+    /// so a straggler sent before the join is a duplicate, not a hole.
+    pub fn starting_at(next_seq: u64) -> Self {
+        Reassembly {
+            cum_ack: next_seq,
+            ..Default::default()
+        }
+    }
+
+    /// Current cumulative acknowledgment.
+    pub fn cum_ack(&self) -> u64 {
+        self.cum_ack
+    }
+
+    /// Fold in the arrival of `seq`, sent at `timestamp`, and return the
+    /// ack it earns, the SACK block holding `seq` first.
+    pub fn accept(&mut self, seq: u64, timestamp: SimTime) -> TcpAck {
+        self.stats.arrivals += 1;
+        if seq == self.cum_ack {
+            // Deliver `seq`, then the buffer as far as it now reaches.
+            self.cum_ack += 1;
+            while self.ooo.remove(&self.cum_ack) {
+                self.cum_ack += 1;
+            }
+            self.stats.delivered += self.cum_ack - seq;
+        } else if seq < self.cum_ack || !self.ooo.insert(seq) {
+            // Already delivered, or already held out of order.
+            self.stats.duplicates += 1;
+        }
+        TcpAck {
+            cum_ack: self.cum_ack,
+            sack: SackList::from_ascending_seqs(self.ooo.iter().copied(), seq),
+            echo_timestamp: timestamp,
+        }
+    }
+}
+
+/// A TCP SACK receiver endpoint.
+#[derive(Debug, Default)]
+pub struct TcpReceiver {
+    /// The receive state and its counters.
+    pub reassembly: Reassembly,
+    /// ACK packet size on the wire, bytes.
+    ack_size: u32,
 }
 
 impl TcpReceiver {
@@ -42,44 +90,6 @@ impl TcpReceiver {
             ..Default::default()
         }
     }
-
-    /// Current cumulative acknowledgment.
-    pub fn cum_ack(&self) -> u64 {
-        self.cum_ack
-    }
-
-    /// Zero the statistics (end-of-warmup reset).
-    pub fn reset_stats(&mut self) {
-        self.stats = ReceiverStats::default();
-    }
-
-    /// Fold `seq` into the receive state; returns `true` if it was new.
-    fn accept(&mut self, seq: u64) -> bool {
-        if seq < self.cum_ack || self.ooo.contains(&seq) {
-            self.stats.duplicates += 1;
-            return false;
-        }
-        if seq == self.cum_ack {
-            self.cum_ack += 1;
-            self.stats.delivered += 1;
-            // Drain the out-of-order buffer as far as it now reaches.
-            while self.ooo.remove(&self.cum_ack) {
-                self.cum_ack += 1;
-                self.stats.delivered += 1;
-            }
-        } else {
-            self.ooo.insert(seq);
-        }
-        true
-    }
-
-    /// Build the SACK blocks: the block containing `latest` first, then the
-    /// remaining blocks from highest to lowest, up to the wire limit.
-    /// Allocation-free — the blocks live inline in the returned
-    /// [`SackList`].
-    fn sack_blocks(&self, latest: u64) -> SackList {
-        SackList::from_ascending_seqs(self.ooo.iter().copied(), latest)
-    }
 }
 
 impl Agent for TcpReceiver {
@@ -88,13 +98,7 @@ impl Agent for TcpReceiver {
             debug_assert!(false, "TCP receiver got {}", packet.segment.kind_str());
             return;
         };
-        self.stats.arrivals += 1;
-        self.accept(data.seq);
-        let ack = TcpAck {
-            cum_ack: self.cum_ack,
-            sack: self.sack_blocks(data.seq),
-            echo_timestamp: data.timestamp,
-        };
+        let ack = self.reassembly.accept(data.seq, data.timestamp);
         ctx.send(Dest::Agent(packet.src), self.ack_size, Segment::TcpAck(ack));
     }
 
@@ -112,72 +116,71 @@ mod tests {
     use super::*;
     use netsim::wire::{SackBlock, MAX_SACK_BLOCKS};
 
+    /// Feed `seqs` in order; the ack the last one earned.
+    fn feed(r: &mut Reassembly, seqs: impl IntoIterator<Item = u64>) -> TcpAck {
+        let mut last = None;
+        for seq in seqs {
+            last = Some(r.accept(seq, SimTime::ZERO));
+        }
+        last.expect("at least one arrival")
+    }
+
     #[test]
     fn in_order_advances_cum_ack() {
-        let mut r = TcpReceiver::new(40);
-        assert!(r.accept(0));
-        assert!(r.accept(1));
+        let mut r = Reassembly::default();
+        let ack = feed(&mut r, [0, 1]);
+        assert_eq!(ack.cum_ack, 2);
         assert_eq!(r.cum_ack(), 2);
         assert_eq!(r.stats.delivered, 2);
-        assert!(r.sack_blocks(1).is_empty());
+        assert!(ack.sack.is_empty());
     }
 
     #[test]
     fn hole_generates_sack_block() {
-        let mut r = TcpReceiver::new(40);
-        r.accept(0);
-        r.accept(2);
-        r.accept(3);
-        assert_eq!(r.cum_ack(), 1);
-        assert_eq!(
-            r.sack_blocks(3).as_slice(),
-            [SackBlock { start: 2, end: 4 }]
-        );
+        let mut r = Reassembly::default();
+        let ack = feed(&mut r, [0, 2, 3]);
+        assert_eq!(ack.cum_ack, 1);
+        assert_eq!(ack.sack.as_slice(), [SackBlock { start: 2, end: 4 }]);
     }
 
     #[test]
     fn fill_drains_out_of_order_buffer() {
-        let mut r = TcpReceiver::new(40);
-        r.accept(0);
-        r.accept(2);
-        r.accept(3);
-        r.accept(1); // fills the hole
-        assert_eq!(r.cum_ack(), 4);
-        assert!(r.sack_blocks(1).is_empty());
+        let mut r = Reassembly::default();
+        let ack = feed(&mut r, [0, 2, 3, 1]); // 1 fills the hole
+        assert_eq!(ack.cum_ack, 4);
+        assert!(ack.sack.is_empty());
         assert_eq!(r.stats.delivered, 4);
     }
 
     #[test]
     fn duplicates_are_counted_not_delivered() {
-        let mut r = TcpReceiver::new(40);
-        r.accept(0);
-        assert!(!r.accept(0));
-        r.accept(2);
-        assert!(!r.accept(2));
+        let mut r = Reassembly::default();
+        // A re-delivered in-order packet, then a buffered one arriving
+        // twice (e.g. a multicast retransmission), then the fill.
+        let ack = feed(&mut r, [0, 0, 2, 2]);
         assert_eq!(r.stats.duplicates, 2);
-        assert_eq!(r.cum_ack(), 1);
+        assert_eq!(ack.cum_ack, 1);
+        feed(&mut r, [1]);
+        assert_eq!(r.cum_ack(), 3);
+        assert_eq!(r.stats.delivered, 3);
+        assert_eq!(r.stats.arrivals, 5);
     }
 
     #[test]
     fn most_recent_block_listed_first() {
-        let mut r = TcpReceiver::new(40);
-        // Holes at 1 and 4: blocks {2,3} and {5} and {7}.
-        for seq in [0, 2, 3, 5, 7] {
-            r.accept(seq);
-        }
-        // Most recent receipt is 5: its block must come first.
-        let blocks = r.sack_blocks(5);
-        assert_eq!(blocks[0], SackBlock { start: 5, end: 6 });
-        assert_eq!(blocks.len(), 3);
+        let mut r = Reassembly::default();
+        // Holes at 1, 4 and 6: blocks {2,3}, {5} and {7}, 5 arriving last.
+        let ack = feed(&mut r, [0, 2, 3, 7, 5]);
+        assert_eq!(ack.sack[0], SackBlock { start: 5, end: 6 });
+        assert_eq!(ack.sack.len(), 3);
+        assert!(ack.sack.contains(&SackBlock { start: 2, end: 4 }));
     }
 
     #[test]
     fn block_count_capped_at_wire_limit() {
-        let mut r = TcpReceiver::new(40);
+        let mut r = Reassembly::default();
         // Every even seq from 2..20: nine isolated blocks.
-        for seq in (2..20).step_by(2) {
-            r.accept(seq);
-        }
-        assert_eq!(r.sack_blocks(18).len(), MAX_SACK_BLOCKS);
+        let ack = feed(&mut r, (2..20).step_by(2));
+        assert_eq!(ack.sack.len(), MAX_SACK_BLOCKS);
     }
 }

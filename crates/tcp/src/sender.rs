@@ -386,9 +386,9 @@ mod tests {
             e.run_until(SimTime::from_secs(30));
             let rx: &TcpReceiver = e.agent_as(rx).unwrap();
             assert!(
-                rx.stats.delivered > floor && rx.stats.delivered <= 30_030,
+                rx.reassembly.stats.delivered > floor && rx.reassembly.stats.delivered <= 30_030,
                 "{cc} delivered {}",
-                rx.stats.delivered
+                rx.reassembly.stats.delivered
             );
             let tx: &TcpSender = e.agent_as(tx).unwrap();
             assert_eq!(tx.stats.timeouts, 0, "{cc}: no timeouts on a clean path");
@@ -409,7 +409,7 @@ mod tests {
         let txs: &TcpSender = e.agent_as(tx).unwrap();
         assert!(txs.stats.window_cuts > 5, "cuts: {}", txs.stats.window_cuts);
         let rx: &TcpReceiver = e.agent_as(rx).unwrap();
-        let rate = rx.stats.delivered as f64 / 60.0;
+        let rate = rx.reassembly.stats.delivered as f64 / 60.0;
         assert!(
             rate > 80.0 && rate <= 101.0,
             "goodput {rate} pkt/s should stay near 100"
@@ -435,7 +435,7 @@ mod tests {
             txs.stats.timeouts
         );
         let rx: &TcpReceiver = e.agent_as(rx).unwrap();
-        let rate = rx.stats.delivered as f64 / 60.0;
+        let rate = rx.reassembly.stats.delivered as f64 / 60.0;
         assert!(
             rate > 70.0 && rate <= 101.0,
             "goodput {rate} pkt/s should stay near 100"
@@ -509,7 +509,11 @@ mod tests {
                 &QueueConfig::DropTail { limit: 5 },
             );
             e.run_until(SimTime::from_secs(60));
-            e.agent_as::<TcpReceiver>(rx).unwrap().stats.delivered
+            e.agent_as::<TcpReceiver>(rx)
+                .unwrap()
+                .reassembly
+                .stats
+                .delivered
         };
         let (reno, sack) = (delivered("reno"), delivered("sack"));
         assert!(reno > 2_000, "Reno must keep moving (delivered {reno})");
@@ -601,8 +605,18 @@ mod tests {
         e.start_agent_at(tx1, SimTime::ZERO);
         e.start_agent_at(tx2, SimTime::from_millis(37));
         e.run_until(SimTime::from_secs(120));
-        let d1 = e.agent_as::<TcpReceiver>(rx1).unwrap().stats.delivered as f64;
-        let d2 = e.agent_as::<TcpReceiver>(rx2).unwrap().stats.delivered as f64;
+        let d1 = e
+            .agent_as::<TcpReceiver>(rx1)
+            .unwrap()
+            .reassembly
+            .stats
+            .delivered as f64;
+        let d2 = e
+            .agent_as::<TcpReceiver>(rx2)
+            .unwrap()
+            .reassembly
+            .stats
+            .delivered as f64;
         let ratio = d1.max(d2) / d1.min(d2);
         assert!(
             ratio < 2.0,

@@ -61,7 +61,7 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 /// bytes are *not* materialized — they exist only in `orig_len`).
 pub const DEFAULT_SNAPLEN: u32 = 128;
 /// Inert: nothing in the workspace reads it (the frozen `benchmark/`
-/// names it in a struct literal; ROADMAP item 7 deletes it).
+/// names it in a struct literal; ROADMAP item 9 deletes it).
 pub const DEFAULT_SPOOL_RECORDS: usize = 65_536;
 /// Capacity of a capture file's write buffer — all the memory a capture
 /// holds, whatever the run length. The file grows one full buffer per
@@ -341,8 +341,8 @@ fn udp_l4(l4: &mut [u8], packet: &Packet) -> usize {
             port_for(a.receiver, 20000),
             feedback_dport,
             2u8,
-            u8::from(a.urgent_rexmit),
-            a.cum_ack,
+            0u8,
+            a.ack.cum_ack,
         ),
         Segment::RateData(d) => (data_sport, data_port(packet.dest), 3u8, 0u8, d.seq),
         Segment::RateFeedback(f) => (
@@ -846,13 +846,14 @@ mod tests {
                 timestamp: t,
             })
         };
-        let mc_ack = |receiver, blocks, urgent_rexmit| {
+        let mc_ack = |receiver, blocks| {
             Segment::McastAck(McastAck {
                 receiver: AgentId(receiver),
-                cum_ack: 0x2_0000_0005,
-                sack: sack(blocks),
-                echo_timestamp: t,
-                urgent_rexmit,
+                ack: TcpAck {
+                    cum_ack: 0x2_0000_0005,
+                    sack: sack(blocks),
+                    echo_timestamp: t,
+                },
             })
         };
         let rate_data = |seq| Segment::RateData(RateData { seq, timestamp: t });
@@ -1102,7 +1103,7 @@ mod tests {
                 "mc-ack, no sack",
                 128,
                 5,
-                pkt(16, 9, agent(1), 40, mc_ack(9, 0, false)),
+                pkt(16, 9, agent(1), 40, mc_ack(9, 0)),
                 concat!(
                     "00000000050000003600000036000000",
                     "02524c41000102524c4100090800",
@@ -1114,7 +1115,7 @@ mod tests {
                 "mc-ack, max blocks",
                 128,
                 5,
-                pkt(16, 9, agent(1), 40, mc_ack(9, MAX_SACK_BLOCKS, false)),
+                pkt(16, 9, agent(1), 40, mc_ack(9, MAX_SACK_BLOCKS)),
                 concat!(
                     "00000000050000003600000036000000",
                     "02524c41000102524c4100090800",
@@ -1124,15 +1125,15 @@ mod tests {
             ),
             // The source port is the named receiver's, not `src`'s.
             (
-                "mc-ack, urgent, group dest",
+                "mc-ack, group dest",
                 128,
                 5,
-                pkt(17, 9, group(2), 40, mc_ack(0x0309, 1, true)),
+                pkt(17, 9, group(2), 40, mc_ack(0x0309, 1)),
                 concat!(
                     "00000000050000003600000036000000",
                     "01005e00000202524c4100090800",
                     "4500002800114000401141a90a000009ef000002",
-                    "5129271000140000020100000000000200000005"
+                    "5129271000140000020000000000000200000005"
                 ),
             ),
             (
@@ -1329,10 +1330,11 @@ mod tests {
             size_bytes: 40,
             segment: Segment::McastAck(McastAck {
                 receiver: AgentId(9),
-                cum_ack: u64::from(u32::MAX) + 17,
-                sack: SackList::new(),
-                echo_timestamp: SimTime::ZERO,
-                urgent_rexmit: true,
+                ack: TcpAck {
+                    cum_ack: u64::from(u32::MAX) + 17,
+                    sack: SackList::new(),
+                    echo_timestamp: SimTime::ZERO,
+                },
             }),
             sent_at: SimTime::ZERO,
         };

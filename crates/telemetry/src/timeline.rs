@@ -35,7 +35,7 @@ use crate::json::escape_into;
 
 /// The timeline file format: JSONL is the only one. Inert — the frozen
 /// `benchmark/` names it in `stream_to` calls and a `TelemetryOptions`
-/// literal; ROADMAP item 7 deletes it.
+/// literal; ROADMAP item 9 deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimelineFormat {
     /// One JSON object per line (`.jsonl`).

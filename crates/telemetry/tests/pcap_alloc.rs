@@ -103,10 +103,11 @@ fn one_of_each_kind() -> Vec<Packet> {
             unicast,
             Segment::McastAck(McastAck {
                 receiver: AgentId(4),
-                cum_ack: 2,
-                sack,
-                echo_timestamp: t,
-                urgent_rexmit: false,
+                ack: TcpAck {
+                    cum_ack: 2,
+                    sack,
+                    echo_timestamp: t,
+                },
             }),
         ),
         (

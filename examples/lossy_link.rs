@@ -64,13 +64,13 @@ fn main() {
     let mut complete = true;
     for (i, &rx) in receivers.iter().enumerate() {
         let r = engine.agent_as::<Rx>(rx).expect("receiver");
-        complete &= r.cum_ack() >= reach;
+        complete &= r.reassembly.cum_ack() >= reach;
         println!(
             "receiver {}: in-order prefix {:>6}  arrivals {:>6}  duplicates {:>5}",
             i + 1,
-            r.cum_ack(),
-            r.stats.arrivals,
-            r.stats.duplicates
+            r.reassembly.cum_ack(),
+            r.reassembly.stats.arrivals,
+            r.reassembly.stats.duplicates
         );
     }
     println!(

@@ -68,6 +68,7 @@ fn main() {
         let rate = engine
             .agent_as::<TcpReceiver>(trx)
             .expect("tcp receiver")
+            .reassembly
             .stats
             .delivered as f64
             / now.as_secs_f64();

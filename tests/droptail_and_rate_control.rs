@@ -32,9 +32,9 @@ fn each<T: Send, R: Send>(items: Vec<T>, run: impl Fn(T) -> R + Sync) -> Vec<R> 
 /// a TCP or RLA receiver, all of them for a rate-based one.
 fn pps(engine: &Engine, rx: AgentId, secs: f64) -> f64 {
     let packets = if let Some(tcp) = engine.agent_as::<TcpReceiver>(rx) {
-        tcp.stats.delivered
+        tcp.reassembly.stats.delivered
     } else if let Some(rla) = engine.agent_as::<McastReceiver>(rx) {
-        rla.stats.delivered
+        rla.reassembly.stats.delivered
     } else {
         let rate = engine.agent_as::<RateReceiver>(rx).expect("a receiver");
         rate.stats.received

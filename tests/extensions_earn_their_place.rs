@@ -193,7 +193,7 @@ fn twin_flows_jain(cc: CcVariant, seed: u64) -> f64 {
     let delivered = |engine: &Engine| {
         rx.map(|rx| {
             let rx: &TcpReceiver = engine.agent_as(rx).expect("tcp receiver");
-            rx.stats.delivered as f64
+            rx.reassembly.stats.delivered as f64
         })
     };
     engine.run_until(SimTime::from_secs(20));

@@ -223,10 +223,11 @@ impl Strategy for ArbPacket {
                 Dest::Agent(peer),
                 Segment::McastAck(McastAck {
                     receiver: src,
-                    cum_ack: seq,
-                    sack,
-                    echo_timestamp: SimTime::ZERO,
-                    urgent_rexmit: retransmit,
+                    ack: TcpAck {
+                        cum_ack: seq,
+                        sack,
+                        echo_timestamp: SimTime::ZERO,
+                    },
                 }),
             ),
             5 | 6 => (
