@@ -27,7 +27,7 @@
 //! the sender applies its verdicts in one place (`RlaSender::recover`).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, VecDeque};
 
 use netsim::agent::Agent;
 use netsim::engine::Context;
@@ -210,8 +210,9 @@ pub struct RlaSender {
     /// Sequences declared lost by at least one receiver, awaiting the
     /// everyone-has-spoken retransmission decision (footnote 8).
     pending_rexmit: BTreeSet<u64>,
-    /// First-transmission times for RTT bookkeeping.
-    sent_log: BTreeMap<u64, SentRecord>,
+    /// First-transmission times for RTT bookkeeping: entry `i` holds
+    /// sequence `reach_all + i`, so the log covers `[reach_all, high_seq)`.
+    sent_log: VecDeque<SentRecord>,
     /// The unique slowest receiver being watched by the ejection policy,
     /// and since when it has been the unique laggard.
     laggard: Option<(usize, SimTime)>,
@@ -241,7 +242,7 @@ impl RlaSender {
             high_seq: 0,
             reach_all: 0,
             pending_rexmit: BTreeSet::new(),
-            sent_log: BTreeMap::new(),
+            sent_log: VecDeque::new(),
             laggard: None,
             stats: RlaStats::new(SimTime::ZERO, cwnd, 0),
             cfg,
@@ -481,20 +482,14 @@ impl RlaSender {
                 r.scoreboard.on_send(seq, now);
             }
         }
-        match self.sent_log.entry(seq) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(SentRecord {
-                    first_sent: now,
-                    retransmitted: retransmit,
-                });
-            }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
-                o.get_mut().retransmitted = true;
-            }
-        }
         if retransmit {
+            self.sent_record(seq).retransmitted = true;
             self.stats.retransmits_multicast += 1;
         } else {
+            self.sent_log.push_back(SentRecord {
+                first_sent: now,
+                retransmitted: false,
+            });
             self.stats.data_sent += 1;
         }
         ctx.send(
@@ -508,12 +503,15 @@ impl RlaSender {
         );
     }
 
+    /// The log entry of `seq`, which some receiver still lacks.
+    fn sent_record(&mut self, seq: u64) -> &mut SentRecord {
+        &mut self.sent_log[(seq - self.reach_all) as usize]
+    }
+
     fn transmit_unicast(&mut self, ctx: &mut Context<'_>, seq: u64, idx: usize) {
         let now = ctx.now();
         self.receivers[idx].scoreboard.on_send(seq, now);
-        if let Some(rec) = self.sent_log.get_mut(&seq) {
-            rec.retransmitted = true;
-        }
+        self.sent_record(seq).retransmitted = true;
         self.stats.retransmits_unicast += 1;
         let dest = Dest::Agent(self.receivers[idx].id);
         ctx.send(
@@ -539,23 +537,11 @@ impl RlaSender {
     fn service_retransmissions(&mut self, ctx: &mut Context<'_>) {
         let pending: Vec<u64> = self.pending_rexmit.iter().copied().collect();
         for seq in pending {
-            let mut requesters: Vec<usize> = Vec::new();
-            let mut heard_from_all = true;
-            for (idx, r) in self.receivers.iter().enumerate() {
-                if r.ejected || r.scoreboard.is_received(seq) {
-                    continue;
-                }
-                if r.scoreboard.is_lost(seq) {
-                    requesters.push(idx);
-                } else {
-                    // Still in flight toward this receiver.
-                    heard_from_all = false;
-                }
-            }
+            let (requesters, in_flight) = self.requesters(seq);
             if requesters.len() > self.cfg.rexmit_threshold {
                 self.pending_rexmit.remove(&seq);
                 self.transmit_multicast(ctx, seq, true);
-            } else if heard_from_all {
+            } else if !in_flight {
                 self.pending_rexmit.remove(&seq);
                 for idx in requesters {
                     self.transmit_unicast(ctx, seq, idx);
@@ -563,6 +549,24 @@ impl RlaSender {
             }
             // Otherwise: keep waiting for the remaining acks.
         }
+    }
+
+    /// The active receivers that declared `seq` lost, and whether it is
+    /// still in flight toward some other active receiver that lacks it.
+    fn requesters(&self, seq: u64) -> (Vec<usize>, bool) {
+        let mut requesters = Vec::new();
+        let mut in_flight = false;
+        for (idx, r) in self.receivers.iter().enumerate() {
+            if r.ejected || r.scoreboard.is_received(seq) {
+                continue;
+            }
+            if r.scoreboard.is_lost(seq) {
+                requesters.push(idx);
+            } else {
+                in_flight = true;
+            }
+        }
+        (requesters, in_flight)
     }
 
     /// Advance `max_reach_all` and apply rule 4 for each packet that has
@@ -584,12 +588,14 @@ impl RlaSender {
             self.reach_all += 1;
             self.stats.delivered += 1;
             self.open_cwnd(now);
-            if let Some(rec) = self.sent_log.remove(&seq) {
-                if !rec.retransmitted {
-                    self.stats
-                        .rtt
-                        .push(now.saturating_since(rec.first_sent).as_secs_f64());
-                }
+            let rec = self
+                .sent_log
+                .pop_front()
+                .expect("sent_log covers reach_all");
+            if !rec.retransmitted {
+                self.stats
+                    .rtt
+                    .push(now.saturating_since(rec.first_sent).as_secs_f64());
             }
         }
     }
@@ -710,14 +716,8 @@ impl RlaSender {
         // ones stay pending for the remaining requesters.
         let pending: Vec<u64> = self.pending_rexmit.iter().copied().collect();
         for seq in pending {
-            let still_needed = self
-                .receivers
-                .iter()
-                .any(|r| !r.ejected && !r.scoreboard.is_received(seq) && r.scoreboard.is_lost(seq));
-            let still_in_flight = self.receivers.iter().any(|r| {
-                !r.ejected && !r.scoreboard.is_received(seq) && !r.scoreboard.is_lost(seq)
-            });
-            if !still_needed && !still_in_flight {
+            let (requesters, in_flight) = self.requesters(seq);
+            if requesters.is_empty() && !in_flight {
                 self.pending_rexmit.remove(&seq);
             }
         }

@@ -4,7 +4,8 @@
 //! * **Scoreboard**: the RFC 2018 [`Scoreboard`] declares holes lost and
 //!   the send loop retransmits every declared hole; per-segment send
 //!   times make every RTT sample unambiguous, and the delivery-rate
-//!   bookkeeping (`meta`) turns each cumulative advance into a
+//!   bookkeeping (`meta`, a second dense ring anchored with the board's
+//!   at the cumulative ack) turns each cumulative advance into a
 //!   [`RateSample`]. A timeout marks what the recovery row says:
 //!   everything outstanding under TCP's.
 //! * **Dup-ack**: no per-segment state. The policy ([`transport::RenoCc`])
@@ -57,10 +58,10 @@ pub(crate) enum LossDetector {
     /// SACK scoreboard plus delivery-rate bookkeeping.
     Scoreboard {
         board: Scoreboard,
-        /// Send records from the cumulative ack up: slot `i` holds
-        /// sequence `board.cum_ack() + i`, popped off the front as the
-        /// cumulative ack passes it; retransmissions overwrite their slot.
-        meta: VecDeque<Option<SendMeta>>,
+        /// Send records, dense like the board's ring: entry `i` holds
+        /// sequence `board.cum_ack() + i`, drained off the front as the
+        /// cumulative ack passes it; retransmissions overwrite their entry.
+        meta: VecDeque<SendMeta>,
     },
     /// Duplicate-ack counting (done by the policy) with Karn's rule.
     DupAck {
@@ -139,17 +140,15 @@ impl LossDetector {
                 // The send loop only resends what the scoreboard declared.
                 let retransmit = board.is_lost(seq);
                 board.on_send(seq, now);
+                let m = SendMeta {
+                    sent_at: now,
+                    delivered_at_send: delivered,
+                };
                 // A retransmission overwrites its entry, so the eventual
                 // sample measures the copy that was acked.
-                if let Some(i) = seq.checked_sub(board.cum_ack()) {
-                    let i = i as usize;
-                    if i >= meta.len() {
-                        meta.resize(i + 1, None);
-                    }
-                    meta[i] = Some(SendMeta {
-                        sent_at: now,
-                        delivered_at_send: delivered,
-                    });
+                match meta.get_mut((seq - board.cum_ack()) as usize) {
+                    Some(slot) => *slot = m,
+                    None => meta.push_back(m),
                 }
                 retransmit
             }
@@ -176,26 +175,19 @@ impl LossDetector {
                 let newly_lost = board.on_ack(ack.cum_ack, &ack.sack, defaults::DUPACK_THRESHOLD);
                 let cum = board.cum_ack();
                 let advanced = cum.saturating_sub(before);
-                // Delivery-rate sample off the last packet of the acked
-                // range (the persistent source is never application-
-                // limited), then prune the bookkeeping below the new
-                // cumulative ack.
-                let mut rate = None;
-                if advanced > 0 {
-                    rate = meta
-                        .get(advanced as usize - 1)
-                        .copied()
-                        .flatten()
-                        .map(|m| RateSample {
-                            newly_acked_bytes: advanced * cfg.packet_size as u64,
-                            sent_at: m.sent_at,
-                            delivered_at_send: m.delivered_at_send,
-                            app_limited: false,
-                        });
-                    for _ in 0..advanced.min(meta.len() as u64) {
-                        meta.pop_front();
-                    }
-                }
+                // Drain the bookkeeping below the new cumulative ack; the
+                // delivery-rate sample comes off the last packet of the
+                // acked range (the persistent source is never application-
+                // limited).
+                let rate = meta
+                    .drain(..advanced as usize)
+                    .next_back()
+                    .map(|m| RateSample {
+                        newly_acked_bytes: advanced * cfg.packet_size as u64,
+                        sent_at: m.sent_at,
+                        delivered_at_send: m.delivered_at_send,
+                        app_limited: false,
+                    });
                 AckReport {
                     advanced,
                     // First-time delivery reports: the cumulative advance

@@ -24,33 +24,29 @@ pub struct SentPacket {
     pub retransmitted: bool,
 }
 
-/// The scoreboard: per-packet state for `[cum_ack, high_seq)`.
+/// The scoreboard: per-packet state for `[cum_ack, next)`, where `next` is
+/// the sequence after the highest one sent.
 ///
-/// The tracked window is a contiguous run of sequence numbers, so storage
-/// is a flat ring of slots anchored at `base` rather than an ordered map:
-/// every per-sequence operation is an index, the cumulative-ack advance is
-/// a run of `pop_front`s, and the aggregate queries TCP asks on every ack
-/// (`in_flight`, `next_lost` when nothing is lost) come from counters
-/// maintained incrementally — this structure sits on the simulator's
-/// hottest path (one `on_ack` per acknowledgment for TCP *and* per
-/// receiver for the RLA sender). Slots are `Option` so a sparse `on_send`
-/// (never produced by the in-tree senders) still behaves exactly like the
-/// old map: untracked sequences answer no queries.
+/// Every sender here sends only the next sequence or resends an
+/// outstanding one ([`Scoreboard::on_send`] panics on anything else), so
+/// the tracked window is dense: entry `i` of one ring is sequence
+/// `cum_ack + i`. Every per-sequence operation is an index, the
+/// cumulative-ack advance is a drain off the front, and the aggregate
+/// queries TCP asks on every ack (`in_flight`, `next_lost` when nothing is
+/// lost) come from counters maintained incrementally — this structure sits
+/// on the simulator's hottest path (one `on_ack` per acknowledgment for
+/// TCP *and* per receiver for the RLA sender).
 #[derive(Debug, Default)]
 pub struct Scoreboard {
-    /// Slot `i` holds the state of sequence `base + i`.
-    packets: VecDeque<Option<SentPacket>>,
-    /// Sequence number of slot 0.
-    base: u64,
+    /// Entry `i` holds the state of sequence `cum_ack + i`.
+    packets: VecDeque<SentPacket>,
     cum_ack: u64,
     /// Highest sequence number SACKed so far (None if nothing SACKed).
     high_sacked: Option<u64>,
-    /// Tracked (`Some`) slots.
-    n_tracked: u64,
-    /// Tracked slots with `sacked` set. Disjoint from `n_lost`: sacking
-    /// clears `lost`, and loss declaration skips sacked slots.
+    /// Entries with `sacked` set. Disjoint from `n_lost`: sacking clears
+    /// `lost`, and loss declaration skips sacked entries.
     n_sacked: u64,
-    /// Tracked slots with `lost` set.
+    /// Entries with `lost` set.
     n_lost: u64,
 }
 
@@ -65,94 +61,54 @@ impl Scoreboard {
         self.cum_ack
     }
 
-    /// The slot for `seq`, if tracked.
-    fn slot(&self, seq: u64) -> Option<&SentPacket> {
-        if seq < self.base {
-            return None;
-        }
-        self.packets.get((seq - self.base) as usize)?.as_ref()
-    }
-
-    /// Record that `seq` was (re)transmitted at `now`.
+    /// Record that `seq` was (re)transmitted at `now`. `seq` must be the
+    /// next sequence (`cum_ack() + outstanding()`) or an outstanding one.
     pub fn on_send(&mut self, seq: u64, now: SimTime) {
-        debug_assert!(seq >= self.cum_ack, "sending an already-acked packet");
-        if self.packets.is_empty() {
-            self.base = seq.max(self.cum_ack);
+        let next = self.cum_ack + self.packets.len() as u64;
+        assert!(
+            (self.cum_ack..=next).contains(&seq),
+            "on_send({seq}): only the next sequence {next} or an outstanding one may be sent"
+        );
+        let Some(p) = self.packets.get_mut((seq - self.cum_ack) as usize) else {
+            self.packets.push_back(SentPacket {
+                sent_at: now,
+                sacked: false,
+                lost: false,
+                retransmitted: false,
+            });
+            return;
+        };
+        if p.lost {
+            p.retransmitted = true;
+            p.lost = false;
+            self.n_lost -= 1;
         }
-        if seq < self.base {
-            for _ in 0..(self.base - seq) {
-                self.packets.push_front(None);
-            }
-            self.base = seq;
-        }
-        let idx = (seq - self.base) as usize;
-        while self.packets.len() <= idx {
-            self.packets.push_back(None);
-        }
-        match &mut self.packets[idx] {
-            Some(p) => {
-                if p.lost {
-                    p.retransmitted = true;
-                    p.lost = false;
-                    self.n_lost -= 1;
-                }
-                p.sent_at = now;
-            }
-            slot @ None => {
-                *slot = Some(SentPacket {
-                    sent_at: now,
-                    sacked: false,
-                    lost: false,
-                    retransmitted: false,
-                });
-                self.n_tracked += 1;
-            }
-        }
+        p.sent_at = now;
     }
 
     /// Apply an acknowledgment. Returns the number of packets *newly*
     /// declared lost by this ack (0 if none).
     pub fn on_ack(&mut self, cum_ack: u64, sack: &[SackBlock], dup_threshold: u64) -> usize {
         if cum_ack > self.cum_ack {
-            self.cum_ack = cum_ack;
             // Everything below the cumulative ack is delivered.
-            while self.base < cum_ack {
-                match self.packets.pop_front() {
-                    Some(slot) => {
-                        if let Some(p) = slot {
-                            self.n_tracked -= 1;
-                            if p.sacked {
-                                self.n_sacked -= 1;
-                            }
-                            if p.lost {
-                                self.n_lost -= 1;
-                            }
-                        }
-                        self.base += 1;
-                    }
-                    None => {
-                        self.base = cum_ack;
-                        break;
-                    }
-                }
+            let n = (cum_ack - self.cum_ack).min(self.packets.len() as u64);
+            for p in self.packets.drain(..n as usize) {
+                self.n_sacked -= u64::from(p.sacked);
+                self.n_lost -= u64::from(p.lost);
             }
+            self.cum_ack = cum_ack;
         }
+        let next = self.cum_ack + self.packets.len() as u64;
         for block in sack {
-            // Clamp to the tracked window; sequences outside it (stale or
-            // never sent) are ignored, as the old map lookup did.
-            let lo = block.start.max(self.base).max(self.cum_ack);
-            let hi = block.end.min(self.base + self.packets.len() as u64);
-            for seq in lo..hi {
-                if let Some(p) = &mut self.packets[(seq - self.base) as usize] {
-                    if !p.sacked {
-                        p.sacked = true;
-                        if p.lost {
-                            self.n_lost -= 1;
-                        }
-                        p.lost = false;
-                        self.n_sacked += 1;
-                        self.high_sacked = Some(self.high_sacked.map_or(seq, |h| h.max(seq)));
-                    }
+            // Sequences outside the window (stale or never sent) are ignored.
+            for seq in block.start.max(self.cum_ack)..block.end.min(next) {
+                let p = &mut self.packets[(seq - self.cum_ack) as usize];
+                if !p.sacked {
+                    p.sacked = true;
+                    self.n_lost -= u64::from(p.lost);
+                    p.lost = false;
+                    self.n_sacked += 1;
+                    self.high_sacked = Some(self.high_sacked.map_or(seq, |h| h.max(seq)));
                 }
             }
         }
@@ -164,26 +120,31 @@ impl Scoreboard {
         let Some(high) = self.high_sacked else {
             return 0;
         };
-        if self.packets.is_empty() || high < self.base {
+        if self.packets.is_empty() || high < self.cum_ack {
             return 0;
         }
         // Count, for each hole, the SACKed packets strictly above it.
         // Walk from the top: maintain a running count of sacked packets seen.
-        let hi_idx = ((high - self.base) as usize).min(self.packets.len() - 1);
+        let top = ((high - self.cum_ack) as usize).min(self.packets.len() - 1);
         let mut newly_lost = 0;
         let mut sacked_above = 0u64;
-        for idx in (0..=hi_idx).rev() {
-            if let Some(p) = &mut self.packets[idx] {
-                if p.sacked {
-                    sacked_above += 1;
-                } else if !p.lost && !p.retransmitted && sacked_above >= dup_threshold {
-                    p.lost = true;
-                    self.n_lost += 1;
-                    newly_lost += 1;
-                }
+        for p in self.packets.range_mut(..=top).rev() {
+            if p.sacked {
+                sacked_above += 1;
+            } else if !p.lost && !p.retransmitted && sacked_above >= dup_threshold {
+                p.lost = true;
+                self.n_lost += 1;
+                newly_lost += 1;
             }
         }
         newly_lost
+    }
+
+    /// Ring index of the oldest unsacked packet: the one
+    /// [`Scoreboard::head_hole`] reports and [`Scoreboard::mark_head_lost`]
+    /// marks.
+    fn head(&self) -> Option<usize> {
+        self.packets.iter().position(|p| !p.sacked)
     }
 
     /// The oldest unsacked packet, the one [`Scoreboard::mark_head_lost`]
@@ -191,100 +152,83 @@ impl Scoreboard {
     /// SACKed (the hole is a real gap, not just the newest data). The
     /// view `transport::Recovery`'s age rules read.
     pub fn head_hole(&self) -> Option<HeadHole> {
-        for (i, slot) in self.packets.iter().enumerate() {
-            if let Some(p) = slot {
-                if !p.sacked {
-                    let seq = self.base + i as u64;
-                    return Some(HeadHole {
-                        seq,
-                        sent_at: p.sent_at,
-                        evidence: self.high_sacked.is_some_and(|h| h > seq),
-                        retransmitted: p.retransmitted,
-                    });
-                }
-            }
-        }
-        None
+        let i = self.head()?;
+        let p = &self.packets[i];
+        let seq = self.cum_ack + i as u64;
+        Some(HeadHole {
+            seq,
+            sent_at: p.sent_at,
+            evidence: self.high_sacked.is_some_and(|h| h > seq),
+            retransmitted: p.retransmitted,
+        })
     }
 
     /// Mark only the oldest unsacked packet as lost (one-per-RTO pacing,
     /// as TCP effectively does when it retransmits the head of the window
     /// on timeout). Returns the marked sequence, if any.
     pub fn mark_head_lost(&mut self) -> Option<u64> {
-        for (i, slot) in self.packets.iter_mut().enumerate() {
-            if let Some(p) = slot {
-                if !p.sacked {
-                    if !p.lost {
-                        self.n_lost += 1;
-                    }
-                    p.lost = true;
-                    p.retransmitted = false;
-                    return Some(self.base + i as u64);
-                }
-            }
-        }
-        None
+        let i = self.head()?;
+        let p = &mut self.packets[i];
+        self.n_lost += u64::from(!p.lost);
+        p.lost = true;
+        p.retransmitted = false;
+        Some(self.cum_ack + i as u64)
     }
 
     /// Mark everything outstanding as lost (retransmission timeout).
     /// Returns the number of packets so marked.
     pub fn mark_all_lost(&mut self) -> usize {
         let mut n = 0;
-        for p in self.packets.iter_mut().flatten() {
-            if !p.sacked {
-                if !p.lost {
-                    self.n_lost += 1;
-                }
-                p.lost = true;
-                p.retransmitted = false;
-                n += 1;
-            }
+        for p in self.packets.iter_mut().filter(|p| !p.sacked) {
+            self.n_lost += u64::from(!p.lost);
+            p.lost = true;
+            p.retransmitted = false;
+            n += 1;
         }
         n
+    }
+
+    /// The packets marked lost and not yet retransmitted, in sequence
+    /// order; no walk at all while nothing is lost.
+    fn unrepaired(&self) -> impl Iterator<Item = u64> + '_ {
+        let walk = if self.n_lost == 0 {
+            0
+        } else {
+            self.packets.len()
+        };
+        (self.cum_ack..)
+            .zip(self.packets.range(..walk))
+            .filter(|(_, p)| p.lost && !p.retransmitted)
+            .map(|(seq, _)| seq)
     }
 
     /// All packets currently marked lost and not yet retransmitted, in
     /// sequence order. (The RLA sender feeds these into its retransmission
     /// queue; TCP itself only needs [`Scoreboard::next_lost`].)
     pub fn lost_unretransmitted(&self) -> Vec<u64> {
-        if self.n_lost == 0 {
-            return Vec::new();
-        }
-        self.packets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.as_ref().is_some_and(|p| p.lost && !p.retransmitted))
-            .map(|(i, _)| self.base + i as u64)
-            .collect()
+        self.unrepaired().collect()
     }
 
     /// `true` if the receiver is known to hold `seq` (cumulatively acked or
     /// selectively acked).
     pub fn is_received(&self, seq: u64) -> bool {
-        seq < self.cum_ack || self.slot(seq).is_some_and(|p| p.sacked)
+        seq < self.cum_ack || self.get(seq).is_some_and(|p| p.sacked)
     }
 
     /// `true` if `seq` is currently declared lost.
     pub fn is_lost(&self, seq: u64) -> bool {
-        self.slot(seq).is_some_and(|p| p.lost)
+        self.get(seq).is_some_and(|p| p.lost)
     }
 
     /// The lowest packet currently marked lost and not yet retransmitted.
     pub fn next_lost(&self) -> Option<u64> {
-        if self.n_lost == 0 {
-            return None;
-        }
-        self.packets
-            .iter()
-            .enumerate()
-            .find(|(_, s)| s.as_ref().is_some_and(|p| p.lost && !p.retransmitted))
-            .map(|(i, _)| self.base + i as u64)
+        self.unrepaired().next()
     }
 
     /// Packets "in the pipe": sent, not cumulatively acked, not SACKed, and
     /// not declared lost (lost ones are assumed gone from the network).
     pub fn in_flight(&self) -> u64 {
-        self.n_tracked - self.n_sacked - self.n_lost
+        self.outstanding() - self.n_sacked - self.n_lost
     }
 
     /// Outstanding packets currently SACKed (received above a hole).
@@ -296,19 +240,19 @@ impl Scoreboard {
         self.n_sacked
     }
 
-    /// Number of tracked (outstanding) packets.
+    /// Number of outstanding packets, `[cum_ack, next)`.
     pub fn outstanding(&self) -> u64 {
-        self.n_tracked
+        self.packets.len() as u64
     }
 
     /// `true` when nothing is outstanding.
     pub fn is_empty(&self) -> bool {
-        self.n_tracked == 0
+        self.packets.is_empty()
     }
 
-    /// State of a specific packet, if tracked.
+    /// State of a specific packet, if outstanding.
     pub fn get(&self, seq: u64) -> Option<&SentPacket> {
-        self.slot(seq)
+        self.packets.get(seq.checked_sub(self.cum_ack)? as usize)
     }
 
     /// Time the oldest outstanding packet was last (re)sent — the age the
@@ -316,7 +260,6 @@ impl Scoreboard {
     pub fn oldest_sent_at(&self) -> Option<SimTime> {
         self.packets
             .iter()
-            .filter_map(|s| s.as_ref())
             .filter(|p| !p.sacked)
             .map(|p| p.sent_at)
             .min()
@@ -437,6 +380,13 @@ mod tests {
         assert_eq!(sb.lost_unretransmitted(), vec![1]);
         sb.on_send(1, SimTime::from_secs(9));
         assert!(sb.lost_unretransmitted().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "on_send(6): only the next sequence 5")]
+    fn a_send_past_the_next_sequence_panics() {
+        let mut sb = sb_with_sent(5);
+        sb.on_send(6, SimTime::from_secs(9));
     }
 
     #[test]

@@ -149,3 +149,64 @@ proptest! {
         prop_assert_eq!(sb.in_flight(), before_flight + lost.len() as u64);
     }
 }
+
+proptest! {
+    /// Over any interleaving of next-sequence sends, resends of
+    /// outstanding sequences, acks with SACK blocks and timeouts, the
+    /// board tracks exactly `[cum_ack, next)` and its counters partition
+    /// that window: `in_flight + sacked + lost == outstanding`.
+    #[test]
+    fn the_ring_is_dense_from_cum_ack_to_next(
+        steps in proptest::collection::vec((0u8..9, any::<u64>(), any::<bool>()), 1..200),
+    ) {
+        let mut sb = Scoreboard::new();
+        // `held[seq]`: the receiver holds `seq`; its length is `next`.
+        let mut held: Vec<bool> = Vec::new();
+        for (t, &(kind, pick, flag)) in steps.iter().enumerate() {
+            let now = SimTime::from_nanos(t as u64);
+            match kind {
+                // Send the next sequence; it arrives when `flag`.
+                0..=2 => {
+                    sb.on_send(held.len() as u64, now);
+                    held.push(flag);
+                }
+                // Resend an outstanding sequence; it arrives when `flag`.
+                3..=4 => {
+                    if sb.outstanding() > 0 {
+                        let seq = sb.cum_ack() + pick % sb.outstanding();
+                        sb.on_send(seq, now);
+                        held[seq as usize] |= flag;
+                    }
+                }
+                // The receiver acks everything it holds.
+                5..=7 => {
+                    let (cum, blocks) = receiver_view(held.len() as u64, &held);
+                    sb.on_ack(cum, &blocks, 3);
+                    prop_assert_eq!(sb.cum_ack(), cum);
+                }
+                // A timeout marks everything or just the head.
+                _ => {
+                    if flag {
+                        sb.mark_all_lost();
+                    } else {
+                        sb.mark_head_lost();
+                    }
+                }
+            }
+            let next = held.len() as u64;
+            for seq in 0..next + 2 {
+                prop_assert_eq!(
+                    sb.get(seq).is_some(),
+                    (sb.cum_ack()..next).contains(&seq),
+                    "seq {} against window [{}, {})", seq, sb.cum_ack(), next
+                );
+            }
+            prop_assert_eq!(sb.outstanding(), next - sb.cum_ack());
+            let window = sb.cum_ack()..next;
+            let sacked = window.clone().filter(|&s| sb.get(s).unwrap().sacked).count() as u64;
+            let lost = window.filter(|&s| sb.is_lost(s)).count() as u64;
+            prop_assert_eq!(sb.sacked(), sacked);
+            prop_assert_eq!(sb.in_flight() + sacked + lost, sb.outstanding());
+        }
+    }
+}
