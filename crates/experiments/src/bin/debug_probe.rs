@@ -9,9 +9,10 @@
 //! cargo run --release -p experiments --bin debug_probe -- 1 droptail
 //! ```
 //!
-//! writes `results/debug_probe.timeline.jsonl` (period and dir from
-//! the `RLA_TELEMETRY_*` knobs; see `EXPERIMENTS.md`). The run is 120 s
-//! unless `RLA_DURATION_SECS` says otherwise.
+//! writes `results/debug_probe.timeline.jsonl` (period from
+//! `RLA_TELEMETRY_SAMPLE_MS`, dir from `RLA_RESULTS_DIR`; see
+//! `EXPERIMENTS.md`). The run is 120 s unless `RLA_DURATION_SECS` says
+//! otherwise.
 
 use experiments::prelude::*;
 use rla::RlaSender;

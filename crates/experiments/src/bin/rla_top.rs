@@ -1,13 +1,13 @@
 //! `rla_top` — a live operator dashboard for running experiments.
 //!
 //! Tails `.timeline.jsonl` files (the `debug_probe` stream, or any
-//! caller of `run_with_telemetry_streamed`) and the `RLA_PROGRESS_FILE`
-//! sweep-heartbeat file, folding every appended line into a
-//! [`telemetry::Dashboard`]: per-flow cwnd/ssthresh/srtt and
-//! per-channel qlen/red_avg with sparklines over the recent window,
-//! plus per-job sweep progress and an ETA. Rendering is hand-rolled
-//! ANSI with a double-buffered diff redraw ([`telemetry::DiffScreen`])
-//! — no curses dependency, no flicker.
+//! caller of `run_with_telemetry_streamed`) and the `progress.jsonl`
+//! sweep heartbeat (a sweep under `RLA_PROGRESS=1` writes it), folding
+//! every appended line into a [`telemetry::Dashboard`]: per-flow
+//! cwnd/ssthresh/srtt and per-channel qlen/red_avg with sparklines over
+//! the recent window, plus per-job sweep progress and an ETA. Rendering
+//! is hand-rolled ANSI with a double-buffered diff redraw
+//! ([`telemetry::DiffScreen`]) — no curses dependency, no flicker.
 //!
 //! ```text
 //! # terminal 1: a streaming run
@@ -19,9 +19,8 @@
 //! Usage: `rla_top [--once] [--interval-ms N] [PATH...]`
 //!
 //! * `PATH...` — explicit JSONL files to follow. Default: every
-//!   `*.timeline.jsonl` under the telemetry directory
-//!   (`RLA_TELEMETRY_DIR`, falling back to the results dir), plus the
-//!   `RLA_PROGRESS_FILE` path when that knob is set.
+//!   `*.timeline.jsonl` in the results dir (`RLA_RESULTS_DIR`), plus its
+//!   `progress.jsonl` — the one knob a sweep and its watcher share.
 //! * `--once` — headless snapshot: read whatever the files hold now,
 //!   print one plain-text frame to stdout (no escape codes) and exit.
 //!   This is what CI and the tests drive.
@@ -36,6 +35,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use experiments::cli::RunConfig;
+use experiments::runner::PROGRESS_FILE;
 use telemetry::json::Json;
 use telemetry::{Dashboard, DiffScreen, JsonlTail};
 
@@ -44,11 +44,11 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The default watch set: every timeline file in the telemetry
-/// directory plus the heartbeat file, when configured.
+/// The default watch set: every timeline file in the results dir plus
+/// its heartbeat file.
 fn default_paths(cfg: &RunConfig) -> Vec<PathBuf> {
     let mut paths = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&cfg.telemetry.dir) {
+    if let Ok(entries) = std::fs::read_dir(&cfg.results_dir) {
         for entry in entries.flatten() {
             let p = entry.path();
             if p.file_name()
@@ -60,7 +60,7 @@ fn default_paths(cfg: &RunConfig) -> Vec<PathBuf> {
         }
     }
     paths.sort();
-    paths.extend(cfg.progress_file.clone());
+    paths.push(cfg.results_dir.join(PROGRESS_FILE));
     paths
 }
 

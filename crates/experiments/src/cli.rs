@@ -35,7 +35,7 @@ use crate::tree::CongestionCase;
 /// [`RunConfig::from_env`] rejects anything else in the `RLA_` namespace
 /// so a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 12] = [
+pub const KNOWN_ENV_VARS: [&str; 9] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
@@ -43,18 +43,15 @@ pub const KNOWN_ENV_VARS: [&str; 12] = [
     "RLA_RESULTS_DIR",
     "RLA_EVENTS_FILE",
     "RLA_PROGRESS",
-    "RLA_PROGRESS_FILE",
     "RLA_PCAP",
-    "RLA_PCAP_DIR",
     "RLA_TELEMETRY_SAMPLE_MS",
-    "RLA_TELEMETRY_DIR",
 ];
 
 /// No run is shorter than this, whatever `RLA_DURATION_SECS` or a
 /// binary's own default says.
 const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
 
-/// The `RLA_PCAP*` knob group. The defaults mean "off": packet capture
+/// The `RLA_PCAP` knob's options. The defaults mean "off": packet capture
 /// costs nothing unless asked for. On, every run the
 /// [`Pool`](crate::runner::Pool) executes streams one capture file, whose
 /// memory cost is one write buffer
@@ -70,8 +67,8 @@ pub struct PcapOptions {
     /// compile-time `FRAME_MAX` check), so a parsed config always holds
     /// the default. The frozen `benchmark/` names it in a struct literal.
     pub snaplen: u32,
-    /// Directory capture files are written to (`RLA_PCAP_DIR`; a parsed
-    /// config defaults it to the results dir, [`Default`] to `results/`).
+    /// Directory capture files are written to: the results dir in a
+    /// parsed config, `results/` in [`Default`]. No knob of its own.
     pub dir: PathBuf,
     /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
     /// in a struct literal; ROADMAP item 9 deletes it).
@@ -89,11 +86,11 @@ impl Default for PcapOptions {
     }
 }
 
-/// The `RLA_TELEMETRY*` knob group: how a timeline-recording run samples
-/// and where it writes. Recording itself is the caller's decision — it
-/// attaches a timeline to the world (`ScenarioWorld::attach_timeline`, or
-/// `run_with_telemetry_streamed`, which attaches one built from these
-/// options), never the environment's. An attached timeline changes
+/// The `RLA_TELEMETRY_SAMPLE_MS` knob's options: how a timeline-recording
+/// run samples and where it writes. Recording itself is the caller's
+/// decision — it attaches a timeline to the world
+/// (`ScenarioWorld::attach_timeline`, or `run_with_telemetry_streamed`,
+/// which attaches one built from these options), never the environment's. An attached timeline changes
 /// neither the run's trace digest nor its manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
@@ -107,10 +104,10 @@ pub struct TelemetryOptions {
     /// (the frozen `benchmark/` names it in a struct literal; ROADMAP
     /// item 9 deletes it).
     pub format: TimelineFormat,
-    /// Directory timeline files are written to (`RLA_TELEMETRY_DIR`; a
-    /// parsed config defaults it to the results dir, [`Default`] to
-    /// `results/`). A streamed timeline is written per sampling instant,
-    /// so a live reader is at most one `sample_period` behind the run.
+    /// Directory timeline files are written to: the results dir in a
+    /// parsed config, `results/` in [`Default`]. No knob of its own. A
+    /// streamed timeline is written per sampling instant, so a live reader
+    /// is at most one `sample_period` behind the run.
     pub dir: PathBuf,
     /// Caller-set only (no knob): flight-recorder ring depth per channel
     /// for callers that install one (default 64).
@@ -130,7 +127,8 @@ impl Default for TelemetryOptions {
 }
 
 /// The one process-level configuration: every field is the parsed image
-/// of one `RLA_*` knob (or, for `pcap`/`telemetry`, of that knob group).
+/// of one `RLA_*` knob (or, for `pcap`/`telemetry`, of that knob plus the
+/// results dir).
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// `RLA_DURATION_SECS` — simulated seconds per run, floored at 60;
@@ -145,25 +143,26 @@ pub struct RunConfig {
     /// `RLA_TCP_CC` — congestion controller for the background TCP flows
     /// (default `sack`, the paper's; any name in the `tcp_sack` registry).
     pub tcp_cc: CcVariant,
-    /// `RLA_RESULTS_DIR` — where run manifests go (default `results/` in
-    /// the current directory, the workspace root under `cargo run`).
+    /// `RLA_RESULTS_DIR` — where everything a run writes goes: manifests,
+    /// captures, timelines and the `progress.jsonl` heartbeat (default
+    /// `results/` in the current directory, the workspace root under
+    /// `cargo run`).
     pub results_dir: PathBuf,
     /// `RLA_EVENTS_FILE` — the event schedule read from that path: a JSON
     /// array of event objects (or an object with an `"events"` array — a
     /// manifest's `events` section replays directly). Empty when unset.
     pub events: Vec<ScenarioEvent>,
-    /// `RLA_PROGRESS` — per-job heartbeat lines on stderr during sweeps
-    /// (`1`/`on`/`true`; `0`/`off`/empty for off). Off by default: the
-    /// heartbeat is for humans watching long sweeps, and CI logs and test
-    /// output should stay diffable.
+    /// `RLA_PROGRESS` — the sweep heartbeat (`1`/`on`/`true`;
+    /// `0`/`off`/empty for off): per-job lines on stderr, and one JSON
+    /// object per completed job (case, seed, events/s, ETA) appended to
+    /// `<results_dir>/progress.jsonl`, flushed per line so `rla_top` and
+    /// `tail -f` follow it live. Off by default: the heartbeat is for
+    /// humans watching long sweeps, and CI logs and test output should
+    /// stay diffable.
     pub progress: bool,
-    /// `RLA_PROGRESS_FILE` — path of a JSONL heartbeat file: sweeps append
-    /// one JSON object per completed job (case, seed, events/s, ETA),
-    /// flushed per line so `rla_top` and `tail -f` follow it live.
-    pub progress_file: Option<PathBuf>,
-    /// The `RLA_PCAP*` group — packet-capture export.
+    /// `RLA_PCAP` — packet-capture export.
     pub pcap: PcapOptions,
-    /// The `RLA_TELEMETRY_*` group — timeline sampling and output.
+    /// `RLA_TELEMETRY_SAMPLE_MS` — timeline sampling and output.
     pub telemetry: TelemetryOptions,
 }
 
@@ -230,7 +229,7 @@ impl RunConfig {
         });
 
         let mut pcap = PcapOptions {
-            dir: get("RLA_PCAP_DIR").map_or_else(|| results_dir.clone(), PathBuf::from),
+            dir: results_dir.clone(),
             ..PcapOptions::default()
         };
         if let Some(v) = get("RLA_PCAP") {
@@ -243,7 +242,7 @@ impl RunConfig {
         }
 
         let mut telemetry = TelemetryOptions {
-            dir: get("RLA_TELEMETRY_DIR").map_or_else(|| results_dir.clone(), PathBuf::from),
+            dir: results_dir.clone(),
             ..TelemetryOptions::default()
         };
         if let Some(v) = get("RLA_TELEMETRY_SAMPLE_MS") {
@@ -266,7 +265,6 @@ impl RunConfig {
             results_dir,
             events: get("RLA_EVENTS_FILE").map_or_else(Vec::new, |path| read_events(&path)),
             progress,
-            progress_file: get("RLA_PROGRESS_FILE").map(PathBuf::from),
             pcap,
             telemetry,
         }
@@ -372,7 +370,6 @@ mod tests {
         assert_eq!(cfg.results_dir, PathBuf::from("results"));
         assert!(cfg.events.is_empty());
         assert!(!cfg.progress);
-        assert_eq!(cfg.progress_file, None);
         // The observability layer must cost nothing unless asked for.
         assert_eq!(cfg.pcap, PcapOptions::default());
         assert_eq!(cfg.telemetry, TelemetryOptions::default());
@@ -387,7 +384,6 @@ mod tests {
             ("RLA_JOBS", "3"),
             ("RLA_RESULTS_DIR", "/tmp/out"),
             ("RLA_PROGRESS", "on"),
-            ("RLA_PROGRESS_FILE", "/tmp/hb.jsonl"),
             ("RLA_PCAP", "on"),
             ("RLA_TELEMETRY_SAMPLE_MS", "250"),
             // Other namespaces are none of this module's business.
@@ -397,20 +393,13 @@ mod tests {
         assert_eq!(cfg.duration, Some(SimDuration::from_secs(90)));
         assert_eq!((cfg.seed, cfg.jobs), (42, 3));
         assert!(cfg.progress);
-        assert_eq!(cfg.progress_file, Some(PathBuf::from("/tmp/hb.jsonl")));
         assert!(cfg.pcap.enabled);
         assert_eq!(cfg.pcap.snaplen, DEFAULT_SNAPLEN);
         assert_eq!(cfg.telemetry.sample_period, SimDuration::from_millis(250));
-        // Captures and timelines follow the results dir unless redirected.
+        // Captures and timelines land in the results dir with the rest.
+        assert_eq!(cfg.results_dir, PathBuf::from("/tmp/out"));
         assert_eq!(cfg.pcap.dir, PathBuf::from("/tmp/out"));
         assert_eq!(cfg.telemetry.dir, PathBuf::from("/tmp/out"));
-        let cfg = config(&[
-            ("RLA_RESULTS_DIR", "/tmp/out"),
-            ("RLA_PCAP_DIR", "/tmp/caps"),
-            ("RLA_TELEMETRY_DIR", "/tmp/tl"),
-        ]);
-        assert_eq!(cfg.pcap.dir, PathBuf::from("/tmp/caps"));
-        assert_eq!(cfg.telemetry.dir, PathBuf::from("/tmp/tl"));
     }
 
     #[test]
@@ -525,6 +514,11 @@ mod tests {
             ("RLA_DIFF_THRESHOLD_PCT", "1", valid_list),
             ("RLA_PCAP_SPOOL", "1", valid_list),
             ("RLA_TELEMETRY_FORMAT", "jsonl", valid_list),
+            // Every output lives in the results dir, and the heartbeat
+            // file follows `RLA_PROGRESS`.
+            ("RLA_PCAP_DIR", "/tmp/caps", valid_list),
+            ("RLA_TELEMETRY_DIR", "/tmp/tl", valid_list),
+            ("RLA_PROGRESS_FILE", "/tmp/hb.jsonl", valid_list),
         ];
         for &(name, value, expected) in rows {
             let msg = panic_message(|| {

@@ -11,12 +11,11 @@
 //! the environment. With `progress` on, each completed job prints a
 //! heartbeat line to stderr (events processed, per-job event rate, ETA
 //! for the batch) via [`telemetry::SweepProgress`] — stdout stays reserved
-//! for the result tables. With a `progress_file`, each completion
-//! additionally appends a JSON heartbeat (case, seed, event rate, ETA) to
-//! that file, flushed per line, which is what `rla_top` follows during a
-//! sweep. With `pcap.enabled`, every run streams a capture named by its
-//! position in the process's sweep order
-//! (`NNN_<case>_<gateway>_seed<N>.pcap`), so runs that differ only in
+//! for the result tables — and appends a JSON heartbeat (case, seed, event
+//! rate, ETA) to `<results_dir>/progress.jsonl`, flushed per line, which
+//! is what `rla_top` follows during a sweep. With `pcap.enabled`, every
+//! run streams a capture named by its position in the process's sweep
+//! order (`NNN_<case>_<gateway>_seed<N>.pcap`), so runs that differ only in
 //! what the name does not spell — the TCP flavour, an RLA setting, an
 //! event schedule — never share a file.
 
@@ -34,16 +33,18 @@ use crate::cli::{PcapOptions, RunConfig};
 use crate::metrics::ScenarioResult;
 use crate::scenario::TreeScenario;
 
+/// The heartbeat file a pool with `progress` on writes in the results dir.
+pub const PROGRESS_FILE: &str = "progress.jsonl";
+
 /// The process's sweep runner: worker count, heartbeat and capture
 /// settings, fixed once and shared by every batch the binary runs.
 #[derive(Debug)]
 pub struct Pool {
     jobs: usize,
-    progress: bool,
-    /// The open `progress_file`. Every batch writes through a clone of
-    /// this one handle (one shared file offset), so a binary that sweeps
-    /// more than once appends instead of truncating what `rla_top` is
-    /// following.
+    /// The open `progress.jsonl` while the heartbeat is on. Every batch
+    /// writes through a clone of this one handle (one shared file offset),
+    /// so a binary that sweeps more than once appends instead of
+    /// truncating what `rla_top` is following.
     sink: Option<File>,
     pcap: PcapOptions,
     /// Scenarios taken by [`run`](Self::run) so far, over every batch:
@@ -52,25 +53,20 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// The pool `cfg` describes. Creates (truncating) the heartbeat file,
-    /// parent directories included — build one pool per process. An
-    /// unwritable path fails loudly with the knob named: a sweep silently
-    /// dropping its heartbeat file would defeat the point of asking for
-    /// one.
+    /// The pool `cfg` describes. With the heartbeat on, creates
+    /// (truncating) `<results_dir>/progress.jsonl`, the directory included
+    /// — build one pool per process. An unwritable path fails loudly with
+    /// the knob named: a sweep silently dropping its heartbeat file would
+    /// defeat the point of asking for one.
     pub fn new(cfg: &RunConfig) -> Self {
-        let sink = cfg.progress_file.as_ref().map(|path| {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent).unwrap_or_else(|e| {
-                    panic!("RLA_PROGRESS_FILE={path:?}: cannot create parent directory: {e}")
-                });
-            }
-            File::create(path).unwrap_or_else(|e| {
-                panic!("RLA_PROGRESS_FILE={path:?}: cannot create the heartbeat file: {e}")
-            })
+        let sink = cfg.progress.then(|| {
+            let path = cfg.results_dir.join(PROGRESS_FILE);
+            std::fs::create_dir_all(&cfg.results_dir)
+                .and_then(|()| File::create(&path))
+                .unwrap_or_else(|e| panic!("RLA_PROGRESS: cannot create {}: {e}", path.display()))
         });
         Pool {
             jobs: cfg.jobs,
-            progress: cfg.progress,
             sink,
             pcap: cfg.pcap.clone(),
             taken: AtomicUsize::new(0),
@@ -107,13 +103,12 @@ impl Pool {
             Mutex::new(scenarios.into_iter().enumerate().collect());
         let slots: Vec<Mutex<Option<thread::Result<ScenarioResult>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
-        let mut progress = SweepProgress::new(n, self.progress);
-        if let Some(sink) = &self.sink {
-            let sink = sink
-                .try_clone()
-                .unwrap_or_else(|e| panic!("RLA_PROGRESS_FILE: cannot share the sink: {e}"));
-            progress = progress.with_sink(sink);
-        }
+        let progress = self.sink.as_ref().map(|sink| {
+            let sink = sink.try_clone().unwrap_or_else(|e| {
+                panic!("RLA_PROGRESS: cannot share the {PROGRESS_FILE} handle: {e}")
+            });
+            SweepProgress::new(n, sink)
+        });
 
         thread::scope(|scope| {
             for _ in 0..jobs {
@@ -125,11 +120,11 @@ impl Pool {
                     let started = Instant::now();
                     let outcome =
                         catch_unwind(AssertUnwindSafe(|| self.run_one(&scenario, first + idx)));
-                    if let Ok(r) = &outcome {
+                    if let (Ok(r), Some(progress)) = (&outcome, &progress) {
                         let (case, seed) = &metas[idx];
                         progress.job_finished_with(
                             &labels[idx],
-                            Some(JobMeta { case, seed: *seed }),
+                            JobMeta { case, seed: *seed },
                             r.trace_events,
                             started.elapsed(),
                         );
@@ -197,7 +192,6 @@ impl Pool {
 pub fn run_parallel_with_jobs(scenarios: Vec<TreeScenario>, jobs: usize) -> Vec<ScenarioResult> {
     let quiet = Pool {
         jobs,
-        progress: false,
         sink: None,
         pcap: PcapOptions::default(),
         taken: AtomicUsize::new(0),
@@ -245,10 +239,10 @@ mod tests {
     #[test]
     fn panicking_scenario_reports_and_spares_the_rest() {
         let dir = std::env::temp_dir().join(format!("rla_pool_panic_{}", std::process::id()));
-        let path = dir.join("hb.jsonl");
         let cfg = RunConfig {
             jobs: 2,
-            progress_file: Some(path.clone()),
+            progress: true,
+            results_dir: dir.clone(),
             ..RunConfig::from_vars(|_| None)
         };
         let run = |seed: u64| {
@@ -271,7 +265,7 @@ mod tests {
         assert!(msg.contains("scenario 1 (L1 DropTail seed 2)"), "{msg}");
         // The heartbeat file holds one whole JSON line per run that
         // finished, and none for the one that did not.
-        let text = std::fs::read_to_string(&path).expect("heartbeat file");
+        let text = std::fs::read_to_string(dir.join(PROGRESS_FILE)).expect("heartbeat file");
         let mut seeds: Vec<u64> = text
             .lines()
             .map(|l| {
@@ -331,10 +325,12 @@ mod tests {
         // Regression: the sink used to be re-created (truncated) by each
         // batch, so a binary that sweeps twice kept only the last batch.
         let dir = std::env::temp_dir().join(format!("rla_pool_sink_{}", std::process::id()));
-        let path = dir.join("nested").join("hb.jsonl");
+        // The pool creates a results dir that does not exist yet.
+        let results_dir = dir.join("nested");
         let cfg = RunConfig {
             jobs: 2,
-            progress_file: Some(path.clone()),
+            progress: true,
+            results_dir: results_dir.clone(),
             ..RunConfig::from_vars(|_| None)
         };
         let pool = Pool::new(&cfg);
@@ -350,7 +346,8 @@ mod tests {
         };
         assert_eq!(pool.run(batch(1..=2)).len(), 2);
         assert_eq!(pool.run(batch(3..=5)).len(), 3);
-        let text = std::fs::read_to_string(&path).expect("heartbeat file");
+        let text =
+            std::fs::read_to_string(results_dir.join("progress.jsonl")).expect("heartbeat file");
         let seeds: Vec<u64> = text
             .lines()
             .map(|l| {

@@ -619,7 +619,7 @@ impl ScenarioWorld {
         rec.stream_to(&opts.dir, stem, opts.format)
             .unwrap_or_else(|e| {
                 panic!(
-                    "RLA_TELEMETRY_DIR: cannot stream the timeline into {}: {e}",
+                    "cannot stream the timeline into {}: {e}",
                     opts.dir.display()
                 )
             });
@@ -627,7 +627,7 @@ impl ScenarioWorld {
         let result = self.run(scenario);
         let mut rec = self.take_timeline().expect("attached above");
         rec.finish_stream()
-            .unwrap_or_else(|e| panic!("RLA_TELEMETRY_DIR: timeline stream failed: {e}"));
+            .unwrap_or_else(|e| panic!("timeline stream into {} failed: {e}", opts.dir.display()));
         (result, rec)
     }
 

@@ -14,8 +14,8 @@
 //! * timeline samples (`series` key) from `.timeline.jsonl` — per-flow
 //!   cwnd/ssthresh/srtt and per-channel qlen/red_avg, with a sparkline
 //!   over the recent window of the headline value;
-//! * sweep heartbeats (`job` + `total` keys) from the
-//!   `RLA_PROGRESS_FILE` sink — per-job progress bar and ETA.
+//! * sweep heartbeats (`job` + `total` keys) from a sweep's
+//!   `progress.jsonl` — per-job progress bar and ETA.
 
 use std::collections::VecDeque;
 

@@ -21,8 +21,8 @@
 //!   opaque.
 //! * [`progress`] — a thread-safe sweep heartbeat ([`SweepProgress`])
 //!   for worker pools: per-job event rate and an ETA, written line-wise
-//!   to stderr so tables on stdout stay clean, with an optional JSONL
-//!   sink for machine consumers (`RLA_PROGRESS_FILE`).
+//!   to stderr so tables on stdout stay clean, and as JSONL for machine
+//!   consumers (a sweep's `progress.jsonl`).
 //! * [`pcap`] — a classic-libpcap exporter ([`PcapTracer`]): every
 //!   `TxStart` trace event becomes a capture record with synthetic
 //!   Ethernet/IPv4/TCP-or-UDP framing carrying the real sequence and

@@ -326,10 +326,6 @@ impl CongestionControl for BbrV1Cc {
     fn pacing_rate(&self, signals: &CcSignals) -> Option<f64> {
         signals.bandwidth_pps().map(|bw| self.pacing_gain * bw)
     }
-
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
 }
 
 #[cfg(test)]

@@ -227,9 +227,6 @@ pub trait CongestionControl: std::fmt::Debug + Send + 'static {
         let _ = signals;
         None
     }
-
-    /// Short policy name for tables and manifests.
-    fn name(&self) -> &'static str;
 }
 
 /// The paper's TCP SACK policy: the sender's scoreboard declares losses;
@@ -249,11 +246,6 @@ impl SackCc {
         SackCc {
             recovery_point: None,
         }
-    }
-
-    /// Whether the policy is currently in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_point.is_some()
     }
 }
 
@@ -298,10 +290,6 @@ impl CongestionControl for SackCc {
     fn allowed_window(&self, win: &WindowState, _signals: &CcSignals) -> u64 {
         win.allowed()
     }
-
-    fn name(&self) -> &'static str {
-        "sack"
-    }
 }
 
 /// TCP Reno without selective acknowledgments: losses are inferred from
@@ -332,11 +320,6 @@ impl RenoCc {
             dup_count: 0,
             recovery_point: None,
         }
-    }
-
-    /// Whether the policy is currently in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_point.is_some()
     }
 }
 
@@ -406,10 +389,6 @@ impl CongestionControl for RenoCc {
         };
         win.allowed() + inflation
     }
-
-    fn name(&self) -> &'static str {
-        "reno"
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +416,7 @@ mod tests {
         let out = cc.on_ack(&mut w, &ack(5, 0, 2, 20), &s);
         assert_eq!(out.cuts, 1);
         assert_eq!(w.cwnd(), 5.0);
-        assert!(cc.in_recovery());
+        assert!(cc.recovery_point.is_some());
         // More losses inside the same window: no further cut.
         let out = cc.on_ack(&mut w, &ack(8, 3, 1, 22), &s);
         assert_eq!(out.cuts, 0);
@@ -445,7 +424,7 @@ mod tests {
         // The ack crossing the recovery point exits recovery and grows.
         let out = cc.on_ack(&mut w, &ack(21, 13, 0, 25), &s);
         assert_eq!(out.cuts, 0);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
         assert!(w.cwnd() > 5.0);
     }
 
@@ -467,7 +446,7 @@ mod tests {
         cc.on_loss(&mut w, 30, SimTime::ZERO);
         cc.on_timeout(&mut w, SimTime::ZERO);
         assert_eq!(w.cwnd(), 1.0);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
         assert_eq!(cc.allowed_window(&w, &s), 1);
     }
 
@@ -483,7 +462,7 @@ mod tests {
         assert_eq!(out.cuts, 1);
         assert_eq!(out.retransmit, Some(5), "retransmit the hole");
         assert_eq!(w.cwnd(), 5.0);
-        assert!(cc.in_recovery());
+        assert!(cc.recovery_point.is_some());
     }
 
     #[test]
@@ -501,7 +480,7 @@ mod tests {
         assert_eq!(cc.allowed_window(&w, &s), 5 + 5);
         // The full ack deflates to ssthresh exactly.
         cc.on_ack(&mut w, &ack(20, 15, 0, 20), &s);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
         assert_eq!(w.cwnd(), 5.0);
         assert_eq!(cc.allowed_window(&w, &s), 5);
     }
@@ -521,7 +500,7 @@ mod tests {
         assert_eq!(out.cuts, 0);
         assert_eq!(out.retransmit, Some(9));
         assert_eq!(w.cwnd(), 5.0);
-        assert!(cc.in_recovery());
+        assert!(cc.recovery_point.is_some());
     }
 
     #[test]
@@ -535,7 +514,7 @@ mod tests {
         cc.on_ack(&mut w, &ack(6, 1, 0, 20), &s);
         let out = cc.on_ack(&mut w, &ack(6, 0, 0, 20), &s);
         assert_eq!(out.cuts, 0);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
     }
 
     #[test]
@@ -548,7 +527,7 @@ mod tests {
         }
         cc.on_timeout(&mut w, SimTime::ZERO);
         assert_eq!(w.cwnd(), 1.0);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
         assert_eq!(cc.allowed_window(&w, &s), 1, "inflation cleared");
     }
 
@@ -557,8 +536,6 @@ mod tests {
         let s = sig();
         assert_eq!(SackCc::new().pacing_rate(&s), None);
         assert_eq!(RenoCc::new(3).pacing_rate(&s), None);
-        assert_eq!(SackCc::new().name(), "sack");
-        assert_eq!(RenoCc::new(3).name(), "reno");
     }
 
     fn rated(

@@ -58,11 +58,6 @@ impl CubicCc {
         Self::default()
     }
 
-    /// Whether the policy is currently in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_point.is_some()
-    }
-
     /// One multiplicative decrease: move the anchor (with fast
     /// convergence), cut by β, reset the epoch.
     fn congestion_event(&mut self, win: &mut WindowState, high_seq: u64) {
@@ -161,10 +156,6 @@ impl CongestionControl for CubicCc {
     fn allowed_window(&self, win: &WindowState, _signals: &CcSignals) -> u64 {
         win.allowed()
     }
-
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +189,7 @@ mod tests {
             "cut by 0.7, got {}",
             w.cwnd()
         );
-        assert!(cc.in_recovery());
+        assert!(cc.recovery_point.is_some());
         // Another loss inside the same window: no second cut.
         let mut ev2 = ack_at(20, 1.1);
         ev2.newly_lost = 1;
@@ -260,7 +251,7 @@ mod tests {
         cc.on_timeout(&mut w, SimTime::from_secs(3));
         assert_eq!(w.cwnd(), 1.0);
         assert_eq!(cc.w_max, 80.0);
-        assert!(!cc.in_recovery());
+        assert!(cc.recovery_point.is_none());
         assert!(w.in_slow_start(), "restart in slow start");
     }
 
