@@ -46,7 +46,7 @@ pub enum EventCommand {
     },
     /// The active receiver at `leaf` leaves `session`'s group: it is
     /// pruned from the distribution tree and detached from the sender's
-    /// control loop (not an ejection — see `RlaSender::remove_receiver`).
+    /// control loop (`RlaSender::remove_receiver`).
     ReceiverLeave {
         /// RLA session index.
         session: usize,

@@ -1,6 +1,5 @@
 //! RLA sender configuration.
 
-use netsim::time::SimDuration;
 use transport::defaults;
 
 /// The exponent `k` of the RTT-scaled rule's `f(x) = x^k`. The paper uses
@@ -37,32 +36,14 @@ impl PthreshPolicy {
     }
 }
 
-/// What to do about a receiver that persistently gates the whole session
-/// (§4.3: "If this is not desirable, the RLA can implement an option to
-/// drop this slow receiver").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SlowReceiverPolicy {
-    /// The paper's default: the session waits for every receiver.
-    Keep,
-    /// Eject a receiver that has been the *unique* slowest, lagging the
-    /// next-slowest by at least `lag_packets`, continuously for
-    /// `patience`. An ejected receiver keeps getting the multicast data
-    /// but no longer gates the window, feeds congestion signals, or
-    /// receives repairs.
-    Eject {
-        /// Minimum cumulative-ack gap to the second-slowest receiver.
-        lag_packets: u64,
-        /// How long the gap must persist.
-        patience: SimDuration,
-    },
-}
-
 /// Parameters of an RLA multicast session.
 ///
 /// Defaults follow the paper: η = 20, all retransmissions multicast
 /// (`rexmit_threshold = 0`), 1000-byte packets. The window bounds, the
 /// dup-threshold and the RTO clamp are not settings: the sender and its
-/// loss recovery read them from [`transport::defaults`].
+/// loss recovery read them from [`transport::defaults`]. Nor is §4.3's
+/// slow receiver: the session waits for every receiver, and a receiver
+/// leaves the control loop only through [`crate::RlaSender::remove_receiver`].
 #[derive(Debug, Clone)]
 pub struct RlaConfig {
     /// Data packet size on the wire, bytes.
@@ -80,8 +61,6 @@ pub struct RlaConfig {
     pub rexmit_threshold: usize,
     /// Window-cut probability policy.
     pub pthresh_policy: PthreshPolicy,
-    /// Policy for a receiver that persistently gates the session (§4.3).
-    pub slow_receiver_policy: SlowReceiverPolicy,
 }
 
 impl Default for RlaConfig {
@@ -93,7 +72,6 @@ impl Default for RlaConfig {
             interval_gain: 0.125,
             rexmit_threshold: 0,
             pthresh_policy: PthreshPolicy::Equal,
-            slow_receiver_policy: SlowReceiverPolicy::Keep,
         }
     }
 }
@@ -118,7 +96,6 @@ mod tests {
     fn defaults_are_valid() {
         let cfg = RlaConfig::default();
         cfg.validate();
-        assert_eq!(cfg.slow_receiver_policy, SlowReceiverPolicy::Keep);
     }
 
     #[test]

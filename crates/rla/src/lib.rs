@@ -25,6 +25,10 @@
 //! * [`RlaSender`] / [`McastReceiver`] — the protocol agents (§3.3's six
 //!   rules: the window, its bounds and the multicast/unicast
 //!   retransmission policy, with rules 2–3 delegated to the listener).
+//!   Rule 5's base (`max_reach_all`) and top (`min_last_ack` plus the
+//!   receiver buffer) come from one fold, the smallest cumulative ack of
+//!   the receivers still in the control loop: a receiver holds every
+//!   packet below its cumulative ack and never the one at it.
 //!   Loss by time is not the sender's decision either: each receiver slot
 //!   runs a `transport::Recovery` under `transport::recovery::RLA`'s row
 //!   (the scanned head-only timeout and the early repairs of DESIGN.md §6
@@ -50,7 +54,7 @@ pub mod receiver;
 pub mod sender;
 pub mod trouble;
 
-pub use config::{PthreshPolicy, RlaConfig, SlowReceiverPolicy};
+pub use config::{PthreshPolicy, RlaConfig};
 pub use listener::{Decision, Listener};
 pub use receiver::McastReceiver;
 pub use sender::{RlaSender, RlaStats};

@@ -123,9 +123,9 @@ impl TroubleTracker {
             .count()
     }
 
-    /// Forget a receiver's history entirely (used when the sender ejects
-    /// a slow receiver): it immediately stops counting as troubled and
-    /// contributes nothing to `min_congestion_interval`.
+    /// Forget a receiver's history entirely (used when a receiver leaves
+    /// the sender's control loop): it immediately stops counting as
+    /// troubled and contributes nothing to `min_congestion_interval`.
     pub fn deactivate(&mut self, idx: usize) {
         self.histories[idx] = CongestionHistory::default();
     }

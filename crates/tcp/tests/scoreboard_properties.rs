@@ -153,8 +153,9 @@ proptest! {
 proptest! {
     /// Over any interleaving of next-sequence sends, resends of
     /// outstanding sequences, acks with SACK blocks and timeouts, the
-    /// board tracks exactly `[cum_ack, next)` and its counters partition
-    /// that window: `in_flight + sacked + lost == outstanding`.
+    /// board tracks exactly `[cum_ack, next)`, never counts `cum_ack` as
+    /// received, and its counters partition that window:
+    /// `in_flight + sacked + lost == outstanding`.
     #[test]
     fn the_ring_is_dense_from_cum_ack_to_next(
         steps in proptest::collection::vec((0u8..9, any::<u64>(), any::<bool>()), 1..200),
@@ -202,6 +203,9 @@ proptest! {
                 );
             }
             prop_assert_eq!(sb.outstanding(), next - sb.cum_ack());
+            // The receiver never holds its cumulative ack, so the RLA's
+            // `max_reach_all` can be the smallest cumulative ack.
+            prop_assert!(!sb.is_received(sb.cum_ack()), "holds cum_ack {}", sb.cum_ack());
             let window = sb.cum_ack()..next;
             let sacked = window.clone().filter(|&s| sb.get(s).unwrap().sacked).count() as u64;
             let lost = window.filter(|&s| sb.is_lost(s)).count() as u64;
