@@ -41,15 +41,6 @@ impl FairnessBounds {
         FairnessBounds { a: 1.0, b: 1.0 }
     }
 
-    /// The §4.3 remark: with *equally* congested troubled receivers the
-    /// RLA throughput stays within 4× TCP for any `n`.
-    pub fn balanced_congestion() -> Self {
-        FairnessBounds {
-            a: 1.0 / 3.0,
-            b: 4.0,
-        }
-    }
-
     /// `b / a`, the paper's tightness indicator.
     pub fn tightness(&self) -> f64 {
         self.b / self.a

@@ -5,12 +5,47 @@
 //! through three callbacks, and the agent acts on the world only through
 //! the [`Context`] it is handed — no interior
 //! mutability, no back-references, so the borrow checker and determinism
-//! are both satisfied.
+//! are both satisfied. A protocol whose logic needs only a clock, a random
+//! stream, a send and a timer takes a [`Port`] instead, so a test can drive
+//! it on a manual clock with no engine; its `Agent` impl forwards to it.
 
 use std::any::Any;
 
+use rand::rngs::StdRng;
+
 use crate::engine::Context;
-use crate::packet::Packet;
+use crate::packet::{Dest, Packet};
+use crate::time::{SimDuration, SimTime};
+use crate::wire::Segment;
+
+/// What a protocol's logic needs of the world. [`Context`] forwards each
+/// call at once: its send draws jitter from the stream `rng` hands out, so
+/// a port that deferred sends would reorder the draws.
+pub trait Port {
+    /// Current simulation time.
+    fn now(&self) -> SimTime;
+    /// The agent's random stream.
+    fn rng(&mut self) -> &mut StdRng;
+    /// Send a packet from the agent's node.
+    fn send(&mut self, dest: Dest, size_bytes: u32, segment: Segment);
+    /// Fire `token` at the agent after `delay`.
+    fn set_timer(&mut self, delay: SimDuration, token: u64);
+}
+
+impl Port for Context<'_> {
+    fn now(&self) -> SimTime {
+        Context::now(self)
+    }
+    fn rng(&mut self) -> &mut StdRng {
+        Context::rng(self)
+    }
+    fn send(&mut self, dest: Dest, size_bytes: u32, segment: Segment) {
+        Context::send(self, dest, size_bytes, segment);
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
+        Context::set_timer(self, delay, token);
+    }
+}
 
 /// A transport endpoint.
 ///

@@ -19,7 +19,7 @@ struct Script {
 impl Agent for Script {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for (i, &(t, _, _)) in self.bursts.iter().enumerate() {
-            ctx.set_timer_at(SimTime::from_nanos(t).max(ctx.now()), i as u64);
+            ctx.set_timer(SimTime::from_nanos(t).saturating_since(ctx.now()), i as u64);
         }
     }
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

@@ -73,14 +73,8 @@ impl<'w> Context<'w> {
 
     /// Arm a timer to fire after `delay` with the given token.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.set_timer_at(self.world.now + delay, token);
-    }
-
-    /// Arm a timer at an absolute instant.
-    pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
-        debug_assert!(at >= self.world.now, "timer set in the past");
         self.world.calendar.schedule(
-            at.max(self.world.now),
+            self.world.now + delay,
             EventKind::Timer {
                 agent: self.agent,
                 token,

@@ -24,9 +24,9 @@
 //!
 //! ## Determinism
 //!
-//! Integer nanosecond time, FIFO tie-breaking in the calendar, and a single
-//! seeded RNG make every run bit-reproducible: the same seed yields the
-//! same tables. Experiments average over seeds explicitly.
+//! Integer nanosecond time, FIFO tie-breaking in the calendar, and one
+//! seeded RNG stream per region make every run bit-reproducible: the same
+//! seed yields the same tables. Experiments average over seeds explicitly.
 //!
 //! ## Quick example
 //!

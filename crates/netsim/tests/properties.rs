@@ -402,7 +402,7 @@ struct TimerSender {
 impl Agent for TimerSender {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for &t in &self.fire_at {
-            ctx.set_timer_at(SimTime::from_nanos(t), t);
+            ctx.set_timer(SimTime::from_nanos(t).saturating_since(ctx.now()), t);
         }
     }
     fn on_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {

@@ -30,8 +30,7 @@
 use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
 
-use netsim::agent::Agent;
-use netsim::engine::Context;
+use netsim::agent::{Agent, Port};
 use netsim::id::{AgentId, GroupId};
 use netsim::packet::{Dest, Packet};
 use netsim::stats::{Running, TimeWeighted};
@@ -336,7 +335,7 @@ impl RlaSender {
     }
 
     /// Number of receivers the sender tracks (including detached ones).
-    /// Zero until [`Agent::on_start`] reads the group membership.
+    /// Zero until [`RlaSender::start`] is handed the group's members.
     pub fn receiver_count(&self) -> usize {
         self.receivers.len()
     }
@@ -346,13 +345,13 @@ impl RlaSender {
     /// distribution tree; the new receiver's scoreboard is pre-advanced to
     /// [`RlaSender::next_seq`], so only packets sent from now on gate the
     /// window or trigger repairs for it. Panics when the sender has not
-    /// started yet (pre-start joiners are simply picked up by `on_start`)
+    /// started yet (pre-start joiners are simply picked up by `start`)
     /// or when `id` is already tracked.
     pub fn add_receiver(&mut self, id: AgentId, now: SimTime) {
         assert!(
             !self.receivers.is_empty(),
             "add_receiver before the sender started — a pre-start joiner is \
-             picked up by on_start from the group membership"
+             picked up by start from the group's members"
         );
         assert!(
             self.receiver_index(id).is_none(),
@@ -421,13 +420,13 @@ impl RlaSender {
 
     /// Rules 2–3: hand a loss event from receiver `idx` to the listener
     /// and apply its decision to the window and the statistics.
-    fn on_loss(&mut self, idx: usize, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn on_loss(&mut self, idx: usize, port: &mut impl Port) {
+        let now = port.now();
         let srtt = self.receivers[idx].recovery.rule_srtt();
         let (srtt_max, awnd) = (self.srtt_max(), self.awnd);
         let decision = self
             .listener
-            .on_loss(idx, now, srtt, srtt_max, awnd, ctx.rng());
+            .on_loss(idx, now, srtt, srtt_max, awnd, port.rng());
         match decision {
             Decision::SamePeriod => return,
             Decision::Rare => self.stats.skipped_rare += 1,
@@ -464,7 +463,7 @@ impl RlaSender {
     /// a hole is being repaired, exactly as TCP SACK's fast recovery does —
     /// otherwise every loss anywhere in the group would idle the session
     /// for a repair round-trip.
-    fn try_send(&mut self, ctx: &mut Context<'_>) {
+    fn try_send(&mut self, port: &mut impl Port) {
         let mut burst = 0;
         let mut pipe = self.pipe();
         let allowed = self.win.allowed();
@@ -476,14 +475,14 @@ impl RlaSender {
             }
             let seq = self.high_seq;
             self.high_seq += 1;
-            self.transmit_multicast(ctx, seq, false);
+            self.transmit_multicast(port, seq, false);
             pipe += 1;
             burst += 1;
         }
     }
 
-    fn transmit_multicast(&mut self, ctx: &mut Context<'_>, seq: u64, retransmit: bool) {
-        let now = ctx.now();
+    fn transmit_multicast(&mut self, port: &mut impl Port, seq: u64, retransmit: bool) {
+        let now = port.now();
         for r in &mut self.receivers {
             if r.lacks(seq) {
                 r.scoreboard.on_send(seq, now);
@@ -499,7 +498,7 @@ impl RlaSender {
             });
             self.stats.data_sent += 1;
         }
-        ctx.send(
+        port.send(
             Dest::Group(self.group),
             self.cfg.packet_size,
             Segment::McastData(McastData {
@@ -515,13 +514,13 @@ impl RlaSender {
         &mut self.sent_log[(seq - self.reach_all) as usize]
     }
 
-    fn transmit_unicast(&mut self, ctx: &mut Context<'_>, seq: u64, idx: usize) {
-        let now = ctx.now();
+    fn transmit_unicast(&mut self, port: &mut impl Port, seq: u64, idx: usize) {
+        let now = port.now();
         self.receivers[idx].scoreboard.on_send(seq, now);
         self.sent_record(seq).retransmitted = true;
         self.stats.retransmits_unicast += 1;
         let dest = Dest::Agent(self.receivers[idx].id);
-        ctx.send(
+        port.send(
             dest,
             self.cfg.packet_size,
             Segment::McastData(McastData {
@@ -541,17 +540,17 @@ impl RlaSender {
     /// window) on every loss. The unicast branch still waits until every
     /// receiver has spoken, since the final requester set determines who
     /// gets a copy.
-    fn service_retransmissions(&mut self, ctx: &mut Context<'_>) {
+    fn service_retransmissions(&mut self, port: &mut impl Port) {
         let pending: Vec<u64> = self.pending_rexmit.iter().copied().collect();
         for seq in pending {
             let (requesters, in_flight) = self.requesters(seq);
             if requesters.len() > self.cfg.rexmit_threshold {
                 self.pending_rexmit.remove(&seq);
-                self.transmit_multicast(ctx, seq, true);
+                self.transmit_multicast(port, seq, true);
             } else if !in_flight {
                 self.pending_rexmit.remove(&seq);
                 for idx in requesters {
-                    self.transmit_unicast(ctx, seq, idx);
+                    self.transmit_unicast(port, seq, idx);
                 }
             }
             // Otherwise: keep waiting for the remaining acks.
@@ -579,8 +578,8 @@ impl RlaSender {
     /// Advance `max_reach_all` to the smallest cumulative ack (capped at
     /// `high_seq`) and apply rule 4 for each packet that has now been
     /// acknowledged by everyone.
-    fn advance_reach_all(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn advance_reach_all(&mut self, port: &mut impl Port) {
+        let now = port.now();
         let top = self
             .smallest_cum_ack()
             .map_or(self.high_seq, |cum| cum.min(self.high_seq));
@@ -608,8 +607,8 @@ impl RlaSender {
     // Input processing
     // ------------------------------------------------------------------
 
-    fn on_ack(&mut self, McastAck { receiver, ack }: McastAck, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn on_ack(&mut self, McastAck { receiver, ack }: McastAck, port: &mut impl Port) {
+        let now = port.now();
         let Some(idx) = self.receiver_index(receiver) else {
             self.stats.unknown_acks += 1;
             debug_assert!(false, "ack from unknown receiver {receiver}");
@@ -636,7 +635,7 @@ impl RlaSender {
             for seq in self.receivers[idx].scoreboard.lost_unretransmitted() {
                 self.pending_rexmit.insert(seq);
             }
-            self.on_loss(idx, ctx);
+            self.on_loss(idx, port);
         }
 
         // The partial-ack continuation (the recovery row's ack-side rule)
@@ -647,11 +646,11 @@ impl RlaSender {
         let verdict = r
             .recovery
             .after_ack(now, advanced, window_exhausted, || r.scoreboard.head_hole());
-        self.recover(idx, verdict, ctx);
+        self.recover(idx, verdict, port);
 
-        self.advance_reach_all(ctx);
-        self.service_retransmissions(ctx);
-        self.try_send(ctx);
+        self.advance_reach_all(port);
+        self.service_retransmissions(port);
+        self.try_send(port);
     }
 
     /// The one exit from the control loop, behind
@@ -676,7 +675,7 @@ impl RlaSender {
     /// Apply receiver `idx`'s recovery verdict: mark what it names lost
     /// (an early repair marks the head it judged), count it, queue the
     /// repair and tell the listener, even when a timeout marked nothing.
-    fn recover(&mut self, idx: usize, verdict: Verdict, ctx: &mut Context<'_>) {
+    fn recover(&mut self, idx: usize, verdict: Verdict, port: &mut impl Port) {
         let board = &mut self.receivers[idx].scoreboard;
         match verdict {
             Verdict::Hold | Verdict::Arm(_) => return,
@@ -689,14 +688,14 @@ impl RlaSender {
         } else {
             self.pending_rexmit.extend(board.mark_head_lost());
         }
-        self.on_loss(idx, ctx);
+        self.on_loss(idx, port);
     }
 
     /// The periodic scan: each receiver's recovery machine judges its
     /// head hole and its silence. The window's state is read once, before
     /// any receiver's repair can cut it.
-    fn scan_timeouts(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn scan_timeouts(&mut self, port: &mut impl Port) {
+        let now = port.now();
         let window_exhausted = self.pipe() >= self.win.allowed();
         for idx in 0..self.receivers.len() {
             let r = &mut self.receivers[idx];
@@ -709,17 +708,16 @@ impl RlaSender {
                 r.scoreboard.oldest_sent_at(),
                 window_exhausted,
             );
-            self.recover(idx, verdict, ctx);
+            self.recover(idx, verdict, port);
         }
-        self.service_retransmissions(ctx);
-        self.try_send(ctx);
+        self.service_retransmissions(port);
+        self.try_send(port);
     }
-}
 
-impl Agent for RlaSender {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let members: Vec<AgentId> = ctx.group_members(self.group).to_vec();
+    /// Open the session to `members`, the group's receivers: send the
+    /// first window and arm the timeout scan.
+    pub fn start(&mut self, members: &[AgentId], port: &mut impl Port) {
+        let now = port.now();
         assert!(
             !members.is_empty(),
             "RLA sender started with an empty group"
@@ -739,27 +737,40 @@ impl Agent for RlaSender {
         }
         self.listener = Listener::new(members.len(), now, &self.cfg);
         self.stats = RlaStats::new(now, self.win.cwnd(), members.len());
-        self.try_send(ctx);
-        ctx.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
+        self.try_send(port);
+        port.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
     }
 
-    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        match packet.segment {
-            Segment::McastAck(ack) => self.on_ack(ack, ctx),
-            ref other => debug_assert!(false, "RLA sender got {}", other.kind_str()),
+    /// A segment arrived for the sender: a receiver's ack.
+    pub fn receive(&mut self, segment: Segment, port: &mut impl Port) {
+        match segment {
+            Segment::McastAck(ack) => self.on_ack(ack, port),
+            other => debug_assert!(false, "RLA sender got {}", other.kind_str()),
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+    /// The timeout scan's timer fired: run the scan and re-arm it.
+    pub fn fire_timer(&mut self, token: u64, port: &mut impl Port) {
         debug_assert_eq!(token, SCAN_TOKEN);
-        self.scan_timeouts(ctx);
-        ctx.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
+        self.scan_timeouts(port);
+        port.set_timer(SCAN_INTERVAL, SCAN_TOKEN);
     }
+}
 
+impl Agent for RlaSender {
+    fn on_start(&mut self, ctx: &mut netsim::engine::Context<'_>) {
+        let members = ctx.group_members(self.group).to_vec();
+        self.start(&members, ctx);
+    }
+    fn on_packet(&mut self, packet: Packet, ctx: &mut netsim::engine::Context<'_>) {
+        self.receive(packet.segment, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut netsim::engine::Context<'_>) {
+        self.fire_timer(token, ctx);
+    }
     fn as_any(&self) -> &dyn Any {
         self
     }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }

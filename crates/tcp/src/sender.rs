@@ -38,8 +38,7 @@
 
 use std::any::Any;
 
-use netsim::agent::Agent;
-use netsim::engine::Context;
+use netsim::agent::{Agent, Port};
 use netsim::id::AgentId;
 use netsim::packet::{Dest, Packet};
 use netsim::time::{SimDuration, SimTime};
@@ -161,7 +160,7 @@ impl TcpSender {
     /// Transmit whatever the window (and, for pacing policies, the
     /// pacing gate) currently allows: retransmissions of declared-lost
     /// packets first, then new data.
-    fn try_send(&mut self, ctx: &mut Context<'_>) {
+    fn try_send(&mut self, port: &mut impl Port) {
         let allowed = self.cc.allowed_window(&self.win, &self.signals);
         let pace = self.cc.pacing_rate(&self.signals).filter(|r| *r > 0.0);
         loop {
@@ -177,9 +176,9 @@ impl TcpSender {
             if let Some(rate) = pace {
                 // The gate is closed: park the pacing timer and let it
                 // call back instead of bursting.
-                let now = ctx.now();
+                let now = port.now();
                 if now < self.next_send_at {
-                    self.pacer.arm_at(ctx, self.next_send_at);
+                    self.pacer.arm_at(port, self.next_send_at);
                     break;
                 }
                 // Charge one inter-packet gap, carrying over any credit
@@ -194,18 +193,18 @@ impl TcpSender {
                     self.high_seq - 1
                 }
             };
-            self.transmit(ctx, seq);
+            self.transmit(port, seq);
         }
     }
 
-    fn transmit(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let now = ctx.now();
+    fn transmit(&mut self, port: &mut impl Port, seq: u64) {
+        let now = port.now();
         let retransmit = self.loss.on_send(seq, now, self.signals.delivered());
         self.stats.data_sent += 1;
         if retransmit {
             self.stats.retransmits += 1;
         }
-        ctx.send(
+        port.send(
             Dest::Agent(self.receiver),
             self.cfg.packet_size,
             Segment::TcpData(TcpData {
@@ -232,8 +231,8 @@ impl TcpSender {
         taken.then_some(rtt)
     }
 
-    fn on_ack(&mut self, ack: &TcpAck, ctx: &mut Context<'_>) {
-        let now = ctx.now();
+    fn on_ack(&mut self, ack: &TcpAck, port: &mut impl Port) {
+        let now = port.now();
         let report = self.loss.on_ack(ack, &self.cfg);
         let rtt_sample = self.take_rtt_sample(
             now,
@@ -266,7 +265,7 @@ impl TcpSender {
                 matches!(self.loss, LossDetector::DupAck { .. }),
                 "scoreboard-driven senders retransmit from the scoreboard"
             );
-            self.transmit(ctx, seq);
+            self.transmit(port, seq);
         }
 
         // Forward progress restarts the timer. TCP's row has no ack-side
@@ -275,61 +274,74 @@ impl TcpSender {
             .recovery
             .after_ack(now, report.advanced, false, || None)
         {
-            ctx.set_timer(arm.delay, arm.token);
+            port.set_timer(arm.delay, arm.token);
         }
-        self.try_send(ctx);
+        self.try_send(port);
     }
 
     /// The retransmission timer fired with `token`: a timeout unless the
     /// token is stale or nothing is outstanding.
-    fn on_timeout(&mut self, token: u64, ctx: &mut Context<'_>) {
+    fn on_timeout(&mut self, token: u64, port: &mut impl Port) {
         let idle = self.loss.is_idle(self.high_seq);
         let Verdict::Timeout(mark, rearm) = self.recovery.on_timer(token, idle) else {
             return;
         };
-        let now = ctx.now();
+        let now = port.now();
         self.cc.on_timeout(&mut self.win, now);
         self.stats.cwnd_avg.set(now, self.win.cwnd());
         self.high_seq = self.loss.on_timeout(mark, self.high_seq);
         self.stats.timeouts += 1;
         if let Some(arm) = rearm {
-            ctx.set_timer(arm.delay, arm.token);
+            port.set_timer(arm.delay, arm.token);
         }
-        self.try_send(ctx);
+        self.try_send(port);
     }
-}
 
-impl Agent for TcpSender {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.stats = SenderStats::new(ctx.now(), self.win.cwnd());
-        self.try_send(ctx);
+    /// Open the connection: send the first window and arm the
+    /// retransmission timer.
+    pub fn start(&mut self, port: &mut impl Port) {
+        self.stats = SenderStats::new(port.now(), self.win.cwnd());
+        self.try_send(port);
         if let Some(arm) = self.recovery.on_start() {
-            ctx.set_timer(arm.delay, arm.token);
+            port.set_timer(arm.delay, arm.token);
         }
     }
 
-    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        match packet.segment {
-            Segment::TcpAck(ack) => self.on_ack(&ack, ctx),
+    /// A segment arrived for the sender: the receiver's ack.
+    pub fn receive(&mut self, segment: Segment, port: &mut impl Port) {
+        match segment {
+            Segment::TcpAck(ack) => self.on_ack(&ack, port),
             other => debug_assert!(false, "TCP sender got {}", other.kind_str()),
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+    /// A timer fired with `token`: the pacing gate re-opened or the
+    /// retransmission timer ran out. A stale token does nothing.
+    pub fn fire_timer(&mut self, token: u64, port: &mut impl Port) {
         if PacingTimer::matches(token) {
             // The pacing gate re-opened: resume the send loop.
             if self.pacer.is_current(token) {
-                self.try_send(ctx);
+                self.try_send(port);
             }
             return;
         }
-        self.on_timeout(token, ctx);
+        self.on_timeout(token, port);
     }
+}
 
+impl Agent for TcpSender {
+    fn on_start(&mut self, ctx: &mut netsim::engine::Context<'_>) {
+        self.start(ctx);
+    }
+    fn on_packet(&mut self, packet: Packet, ctx: &mut netsim::engine::Context<'_>) {
+        self.receive(packet.segment, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut netsim::engine::Context<'_>) {
+        self.fire_timer(token, ctx);
+    }
     fn as_any(&self) -> &dyn Any {
         self
     }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }

@@ -1,6 +1,6 @@
 //! The pacing release timer, generation-tokened.
 //!
-//! The engine's [`Context::set_timer`] cannot cancel a pending timer, so
+//! A [`Port`]'s `set_timer` cannot cancel a pending timer, so
 //! a sender re-arms by bumping a generation counter and using it as the
 //! timer token: when a timer fires with a stale token it has been
 //! superseded by a later re-arm and is ignored. The retransmission timer
@@ -10,7 +10,7 @@
 //! the two token spaces disjoint: the sender routes on the bit, then
 //! validates the generation.
 
-use netsim::engine::Context;
+use netsim::agent::Port;
 use netsim::time::SimTime;
 
 /// Tag bit marking a timer token as a pacing token. Generation counters
@@ -31,11 +31,13 @@ impl PacingTimer {
         PacingTimer { generation: 0 }
     }
 
-    /// (Re)arm the timer to fire at the absolute instant `at`. Any
+    /// (Re)arm the timer to fire at the absolute instant `at` (at once if
+    /// it has passed), through the port's relative `set_timer`. Any
     /// previously armed firing becomes stale.
-    pub fn arm_at(&mut self, ctx: &mut Context<'_>, at: SimTime) {
+    pub fn arm_at(&mut self, port: &mut impl Port, at: SimTime) {
         self.generation += 1;
-        ctx.set_timer_at(at, PACING_TOKEN_BIT | self.generation);
+        let delay = at.saturating_since(port.now());
+        port.set_timer(delay, PACING_TOKEN_BIT | self.generation);
     }
 
     /// Whether `token` belongs to the pacing token space at all (route on
@@ -55,7 +57,7 @@ mod tests {
     use super::*;
     use crate::recovery::{self, Recovery, Verdict};
     use netsim::agent::Agent;
-    use netsim::engine::Engine;
+    use netsim::engine::{Context, Engine};
     use netsim::packet::Packet;
     use std::any::Any;
 
