@@ -8,12 +8,11 @@ use rand::Rng;
 use super::World;
 use crate::agent::Agent;
 use crate::arena::PacketHandle;
-use crate::event::{boundary_key, EventKind, MAX_EPOCHS};
+use crate::event::EventKind;
 use crate::id::{AgentId, ChannelId, GroupId, NodeId};
 use crate::link::InService;
 use crate::packet::{Dest, Packet};
 use crate::queue::{DropReason, Enqueue};
-use crate::region::grid_next;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKinds};
 use crate::wire::Segment;
@@ -34,8 +33,8 @@ impl<'w> Context<'w> {
     /// The simulation RNG (the *only* randomness source agents may use);
     /// this agent's region stream.
     pub fn rng(&mut self) -> &mut StdRng {
-        let r = self.world.agent_meta[self.agent.index()].region as usize;
-        &mut self.world.streams[r].rng
+        let node = self.world.agent_node(self.agent);
+        &mut self.world.regions.node(node).rng
     }
 
     /// Send a packet. It enters the network at this agent's node, after the
@@ -44,7 +43,7 @@ impl<'w> Context<'w> {
     pub fn send(&mut self, dest: Dest, size_bytes: u32, segment: Segment) -> u64 {
         let w = &mut *self.world;
         let meta = &mut w.agent_meta[self.agent.index()];
-        let stream = &mut w.streams[meta.region as usize];
+        let stream = w.regions.node(meta.node);
         let uid = stream.alloc_uid();
         let delay = if meta.send_overhead.is_zero() {
             SimDuration::ZERO
@@ -101,47 +100,32 @@ impl Dispatch<'_> {
         }
     }
 
-    /// Run to `deadline`, then settle every transmission that ended by it
-    /// without a completion event.
+    /// Dispatch every event due by `deadline` — the clock ends at exactly
+    /// `deadline` if the calendar outlives it — then settle every
+    /// transmission that ended by it without a completion event.
     ///
-    /// A single-region world runs in one step. A partitioned one runs
-    /// epoch by epoch on the θ-grid: each step stamps the calendar with
-    /// the index of the barrier it runs to, the high bits of every key
-    /// assigned in it. The barriers are absolute, so a `run_until`
-    /// stopping mid-epoch resumes in the same epoch and stepping never
-    /// moves a key. With `epoch_loads` armed, each step records the
-    /// events it processed.
+    /// The calendar enters the next θ-grid epoch when an event's instant
+    /// passes the current epoch's end, and once more for the deadline;
+    /// the epochs are absolute, so stopping anywhere moves no key. With
+    /// `epoch_loads` armed, the call records the events it processed.
     pub(super) fn run_until(&mut self, deadline: SimTime) {
-        let lookahead = self.world.regions.lookahead();
-        let theta = lookahead.as_nanos();
-        // Every epoch up to the deadline must fit the key's epoch bits:
-        // refuse the run here, not at the offending barrier hours into it.
-        assert!(
-            theta == 0 || deadline.as_nanos().div_ceil(theta) < MAX_EPOCHS,
-            "run_until({:.3} s) is past the partitioned engine's limit of {:.3} simulated \
-             seconds: 2^28 θ-grid epochs at lookahead θ = {theta} ns",
-            deadline.as_secs_f64(),
-            ((MAX_EPOCHS - 1) * theta) as f64 / 1e9,
-        );
-        let mut loads = self.world.epoch_loads.take();
-        loop {
-            let mut target = deadline;
-            if !lookahead.is_zero() {
-                let barrier = grid_next(self.world.now, lookahead);
-                self.world.calendar.set_epoch(barrier.as_nanos() / theta);
-                target = barrier.min(deadline);
-            }
-            let before = loads.is_some().then(|| self.world.events());
-            self.run_to(target);
-            if let (Some(loads), Some(before)) = (loads.as_mut(), before) {
-                loads.push(vec![self.world.events() - before]);
-            }
-            if target == deadline {
-                break;
-            }
-        }
-        self.world.epoch_loads = loads;
         let w = &mut *self.world;
+        w.regions.begin_run(&mut w.calendar, w.now, deadline);
+        let before = w.epoch_loads.is_some().then(|| w.regions.events());
+        while let Some(event) = self.world.calendar.pop_before(deadline) {
+            let w = &mut *self.world;
+            debug_assert!(event.at >= w.now, "time ran backwards");
+            w.regions.reach(&mut w.calendar, event.at);
+            w.now = event.at;
+            w.cur_key = event.key;
+            self.dispatch(event.kind);
+        }
+        let w = &mut *self.world;
+        w.regions.reach(&mut w.calendar, deadline);
+        w.now = w.now.max(deadline);
+        if let (Some(loads), Some(before)) = (w.epoch_loads.as_mut(), before) {
+            loads.push(vec![w.regions.events() - before]);
+        }
         for ch in &mut w.channels {
             if ch
                 .in_service
@@ -150,20 +134,6 @@ impl Dispatch<'_> {
                 ch.settle();
                 w.counts.settled += 1;
             }
-        }
-    }
-
-    /// Dispatch every event due by `deadline`; the clock ends at exactly
-    /// `deadline` if the calendar outlives it.
-    fn run_to(&mut self, deadline: SimTime) {
-        while let Some(event) = self.world.calendar.pop_before(deadline) {
-            debug_assert!(event.at >= self.world.now, "time ran backwards");
-            self.world.now = event.at;
-            self.world.cur_key = event.key;
-            self.dispatch(event.kind);
-        }
-        if deadline > self.world.now {
-            self.world.now = deadline;
         }
     }
 
@@ -202,7 +172,6 @@ impl Dispatch<'_> {
     fn offer(&mut self, channel: ChannelId, handle: PacketHandle) {
         let li = channel.index();
         let w = &mut *self.world;
-        let region = w.chan_lane[li].0 as usize;
         let now = w.now;
         let (uid, is_data) = {
             let p = w.arena.get(handle);
@@ -212,10 +181,11 @@ impl Dispatch<'_> {
         ch.stats.offered += 1;
 
         if let Some(fault) = ch.fault.as_mut() {
-            if fault.should_drop(is_data, &mut w.streams[region].rng) {
+            let stream = w.regions.channel(channel);
+            if fault.should_drop(is_data, &mut stream.rng) {
                 ch.stats.record_drop(DropReason::Fault);
                 let qlen = ch.queue.len();
-                w.streams[region]
+                stream
                     .digest
                     .record_drop(now, channel, uid, DropReason::Fault, qlen);
                 if w.traced.intersects(TraceKinds::DROP) {
@@ -247,7 +217,8 @@ impl Dispatch<'_> {
             self.start_tx(channel, handle);
             return;
         }
-        match ch.queue.enqueue(handle, now, &mut w.streams[region].rng) {
+        let stream = w.regions.channel(channel);
+        match ch.queue.enqueue(handle, now, &mut stream.rng) {
             Enqueue::Accepted => {
                 // A packet is waiting now: the completion needs its event.
                 if let Some(tx) = ch.in_service.as_mut().filter(|tx| !tx.filed) {
@@ -258,9 +229,7 @@ impl Dispatch<'_> {
                 ch.stats.accepted += 1;
                 let qlen = ch.queue.len();
                 ch.stats.record_qlen(now, qlen);
-                w.streams[region]
-                    .digest
-                    .record_enqueue(now, channel, uid, qlen);
+                stream.digest.record_enqueue(now, channel, uid, qlen);
                 if w.traced.intersects(TraceKinds::ENQUEUE) {
                     self.trace(&TraceEvent::Enqueue {
                         channel,
@@ -272,9 +241,7 @@ impl Dispatch<'_> {
             Enqueue::Dropped(handle, reason) => {
                 ch.stats.record_drop(reason);
                 let qlen = ch.queue.len();
-                w.streams[region]
-                    .digest
-                    .record_drop(now, channel, uid, reason, qlen);
+                stream.digest.record_drop(now, channel, uid, reason, qlen);
                 if w.traced.intersects(TraceKinds::DROP) {
                     self.trace(&TraceEvent::Drop {
                         channel,
@@ -292,15 +259,13 @@ impl Dispatch<'_> {
     /// the completion's calendar key as scheduling it would, and file the
     /// downstream arrival — its instant is known now.
     ///
-    /// An intra-region arrival takes the next local key. A cross-region
-    /// arrival takes a key that is a pure function of the message: the
-    /// epoch in which the transmission ends, the source region, the
-    /// channel. The completion is filed only if a packet is already
-    /// waiting behind this one; `offer` files it later if one turns up.
+    /// The arrival's key comes from the region identity, which keys a
+    /// cross-region arrival by the message alone. The completion is filed
+    /// only if a packet is already waiting behind this one; `offer` files
+    /// it later if one turns up.
     fn start_tx(&mut self, channel: ChannelId, handle: PacketHandle) {
         let li = channel.index();
         let w = &mut *self.world;
-        let (region, lane) = w.chan_lane[li];
         let now = w.now;
         let (uid, size_bytes) = {
             let p = w.arena.get(handle);
@@ -311,7 +276,8 @@ impl Dispatch<'_> {
         let end = now + ch.service_time(size_bytes);
         ch.stats.record_tx_begin(now);
         let qlen = ch.queue.len();
-        w.streams[region as usize]
+        w.regions
+            .channel(channel)
             .digest
             .record_tx_start(now, channel, uid, qlen);
         if w.traced.intersects(TraceKinds::TX_START) {
@@ -339,22 +305,7 @@ impl Dispatch<'_> {
             size_bytes,
             filed,
         });
-        let arrival_key = if lane == 0 {
-            w.calendar.reserve_key()
-        } else {
-            // The epoch whose run dispatches the instant `end`: almost
-            // always the current one.
-            let theta = w.regions.lookahead().as_nanos();
-            let epoch = w.calendar.epoch();
-            let end_epoch = if end.as_nanos() <= epoch.saturating_mul(theta) {
-                epoch
-            } else {
-                // Past the last epoch `run_until` admits, the arrival is
-                // never dispatched; keep the key well-formed anyway.
-                (end.as_nanos().div_ceil(theta)).min(MAX_EPOCHS - 1)
-            };
-            boundary_key(end_epoch, lane)
-        };
+        let arrival_key = w.regions.arrival_key(channel, end, &mut w.calendar);
         let kind = EventKind::Arrive {
             node: ch.to,
             packet: handle,
@@ -385,8 +336,7 @@ impl Dispatch<'_> {
             let p = w.arena.get(handle);
             (p.uid, p.dest)
         };
-        let region = w.regions.region_of(node) as usize;
-        w.streams[region].digest.record_arrive(w.now, node, uid);
+        w.regions.node(node).digest.record_arrive(w.now, node, uid);
         if w.traced.intersects(TraceKinds::ARRIVE) {
             self.trace(&TraceEvent::Arrive {
                 node,
@@ -460,8 +410,8 @@ impl Dispatch<'_> {
     fn deliver(&mut self, agent: AgentId, handle: PacketHandle) {
         let w = &mut *self.world;
         let uid = w.arena.get(handle).uid;
-        let region = w.agent_meta[agent.index()].region as usize;
-        w.streams[region].digest.record_deliver(w.now, agent, uid);
+        let (now, node) = (w.now, w.agent_node(agent));
+        w.regions.node(node).digest.record_deliver(now, agent, uid);
         if w.traced.intersects(TraceKinds::DELIVER) {
             self.trace(&TraceEvent::Deliver {
                 agent,

@@ -15,16 +15,17 @@
 //! # Execution
 //!
 //! There is one calendar, run on the calling thread by one loop,
-//! [`Engine::run_until`]. Until [`Engine::partition`] the world is a single
-//! region and the loop runs straight to the deadline. The partition
+//! [`Engine::run_until`], which pops every event due by the deadline.
+//! Until [`Engine::partition`] the world is a single region. The partition
 //! freezes the topology and splits it into *regions* along links at least
-//! θ slow (see [`Regions`]): each region owns an RNG stream, a packet-uid
-//! tag and a digest lane, and the loop steps the calendar epoch by epoch
-//! on the absolute θ-grid ([`crate::region::grid_next`]) so that a
-//! cross-region arrival is keyed by *(epoch of the transmission's end,
-//! source region, channel)*. Digests are identical under any `run_until`
-//! stepping, because the regions, their streams and the keys depend only
-//! on the topology, the seed and θ.
+//! θ slow, all read through one type, `region::Regions`: each region owns
+//! an RNG stream, a packet-uid tag and a digest lane, and a cross-region
+//! arrival is keyed by *(epoch of the transmission's end, source region,
+//! channel)*, the epochs lying on the absolute θ-grid. The loop moves the
+//! calendar to the next epoch when an event's instant passes the current
+//! one's end. Digests are identical under any `run_until` stepping,
+//! because the regions, their streams and the keys depend only on the
+//! topology, the seed and θ.
 //!
 //! Determinism: per-region seeded RNGs, integer time, and FIFO
 //! tie-breaking in the calendar make runs bit-reproducible for a given
@@ -51,17 +52,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::agent::Agent;
 use crate::arena::PacketArena;
-use crate::event::{boundary_lane, Calendar, EventKind};
+use crate::event::{Calendar, EventKind};
 use crate::fault::FaultInjector;
 use crate::id::{AgentId, ChannelId, GroupId, NodeId};
 use crate::link::Channel;
 use crate::node::{Group, Node};
 use crate::queue::QueueConfig;
-use crate::region::{region_seed, Regions};
+use crate::region::Regions;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceDigest, TraceKinds, Tracer};
 
@@ -83,9 +83,6 @@ const FROZEN: &str =
 struct AgentMeta {
     /// The node the agent is attached to.
     node: NodeId,
-    /// The agent's region: the RNG stream, uid counter and digest lane
-    /// its packets charge against.
-    region: u32,
     /// Maximum of the uniform random per-packet processing delay added at
     /// send time (the paper's phase-effect eliminator, §3.1). Zero disables
     /// it.
@@ -95,39 +92,6 @@ struct AgentMeta {
     /// queue, not a scatter), so later sends enter the network no earlier
     /// than this.
     last_injection: SimTime,
-}
-
-/// One region's identity state. Regions are the components of the
-/// θ-partition — a pure function of the topology, the seed and θ — and
-/// each owns the RNG stream, uid counter and digest lane for its nodes.
-struct RegionStream {
-    rng: StdRng,
-    next_uid: u64,
-    /// High bits stamped onto this region's packet uids so uids stay
-    /// globally unique without cross-region coordination. Zero for the
-    /// unpartitioned engine (uids identical to the classic counter).
-    uid_tag: u64,
-    /// Always-on fingerprint of this region's packet-event stream (see
-    /// [`TraceDigest`]); merged across regions in region order by
-    /// [`World::trace_digest`].
-    digest: TraceDigest,
-}
-
-impl RegionStream {
-    fn new(rng: StdRng, uid_tag: u64) -> Self {
-        RegionStream {
-            rng,
-            next_uid: 0,
-            uid_tag,
-            digest: TraceDigest::new(),
-        }
-    }
-
-    fn alloc_uid(&mut self) -> u64 {
-        let uid = self.uid_tag | self.next_uid;
-        self.next_uid += 1;
-        uid
-    }
 }
 
 /// What the calendar dispatched, by [`EventKind`], and what it did not
@@ -164,20 +128,12 @@ pub struct World {
     nodes: Vec<Node>,
     groups: Vec<Group>,
     channels: Vec<Channel>,
-    /// Per channel: the region of its `from` node, and the static half of
-    /// its arrival keys — its [`boundary_lane`] if it leaves that region,
-    /// zero if it does not.
-    chan_lane: Vec<(u32, u64)>,
     agent_meta: Vec<AgentMeta>,
-    /// The base RNG seed; per-region streams derive from it.
-    seed: u64,
-    /// The θ-partition: the *regions* that own RNG/uid/digest identity.
-    /// Its lookahead is the epoch grid (zero: no epochs).
+    /// The θ-partition's regions: their streams, the arrival keys and the
+    /// epoch.
     regions: Regions,
     /// Set by [`Engine::partition`], which freezes the topology.
     partitioned: bool,
-    /// One identity stream per region, by region id.
-    streams: Vec<RegionStream>,
     /// Every in-flight packet's single home; events and queues hold
     /// handles into it.
     arena: PacketArena,
@@ -197,8 +153,8 @@ pub struct World {
     /// What the installed tracer declared it listens to ([`Tracer::wants`],
     /// read by `set_tracer`); empty while the slot is.
     traced: TraceKinds,
-    /// When armed, each run appends one row per epoch: the events
-    /// processed in that epoch, read back through [`Engine::epoch_loads`].
+    /// When armed, each run appends one row: the events it processed,
+    /// read back through [`Engine::epoch_loads`].
     epoch_loads: Option<Vec<Vec<u64>>>,
 }
 
@@ -210,14 +166,9 @@ impl World {
             nodes: Vec::new(),
             groups: Vec::new(),
             channels: Vec::new(),
-            chan_lane: Vec::new(),
             agent_meta: Vec::new(),
-            seed,
-            regions: Regions::single(),
+            regions: Regions::new(seed),
             partitioned: false,
-            // The unpartitioned engine is one region with the classic
-            // stream: seeded straight from the base seed, uid tag zero.
-            streams: vec![RegionStream::new(StdRng::seed_from_u64(seed), 0)],
             arena: PacketArena::new(),
             cur_key: 0,
             counts: EventCounts::default(),
@@ -275,7 +226,7 @@ impl World {
     /// independent stream per region; out-of-band draws (topology
     /// construction, test scaffolding, scenario dynamics) use region 0's.
     pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.streams[0].rng
+        self.regions.first_rng()
     }
 
     /// The merged digest of every packet event processed so far: the
@@ -283,31 +234,19 @@ impl World {
     /// world this is exactly that region's digest. The fold order — and
     /// every lane in it — depends only on the topology, the seed and θ.
     pub fn trace_digest(&self) -> TraceDigest {
-        if let [only] = &self.streams[..] {
-            return only.digest.clone();
-        }
-        let mut merged = TraceDigest::new();
-        for stream in &self.streams {
-            merged.absorb(&stream.digest);
-        }
-        merged
+        self.regions.digest()
     }
 
     /// Number of regions (components of the θ-partition; 1 until
     /// [`Engine::partition`]).
     pub fn region_count(&self) -> usize {
-        self.streams.len()
+        self.regions.count()
     }
 
     /// The packet arena (diagnostics: live packet population, peak
     /// capacity).
     pub fn arena(&self) -> &PacketArena {
         &self.arena
-    }
-
-    /// Total events recorded across the region digests.
-    fn events(&self) -> u64 {
-        self.streams.iter().map(|s| s.digest.events()).sum()
     }
 }
 
@@ -364,19 +303,19 @@ impl Engine {
     /// Freeze the topology and partition it into conservative-lookahead
     /// regions along links whose propagation delay is at least `theta`
     /// (default: the smallest positive link delay — the finest partition
-    /// the delays admit; see [`Regions::partition`]). Returns the region
-    /// count.
+    /// the delays admit). Returns the region count.
     ///
     /// Each region gets an RNG stream derived from the base seed and its
     /// own uid tag; existing channels and agents are re-homed to their
-    /// regions. The partition — and with it every digest the engine will
-    /// produce — is a pure function of the topology, the seed and θ.
+    /// regions (an agent's is its node's). The partition — and with it
+    /// every digest the engine will produce — is a pure function of the
+    /// topology, the seed and θ.
     ///
     /// # Panics
     /// If events are already scheduled or packets in flight (partition
     /// the world before starting agents), if the engine is already
     /// partitioned, or if a cross-region channel does not fit the
-    /// calendar key (see [`boundary_lane`]).
+    /// calendar key (see [`boundary_lane`](crate::event::boundary_lane)).
     pub fn partition(&mut self, theta: Option<SimDuration>) -> usize {
         let w = &mut self.world;
         assert!(!w.partitioned, "the engine is already partitioned");
@@ -385,37 +324,7 @@ impl Engine {
             "partition the world before scheduling events or running"
         );
         w.partitioned = true;
-        let links: Vec<(NodeId, NodeId, SimDuration)> = w
-            .channels
-            .iter()
-            .map(|ch| (ch.from, ch.to, ch.prop_delay))
-            .collect();
-        let regions = Regions::partition(w.nodes.len(), &links, theta);
-        if !regions.is_partitioned() {
-            return 1;
-        }
-        w.streams = (0..regions.count() as u32)
-            .map(|r| {
-                RegionStream::new(
-                    StdRng::seed_from_u64(region_seed(w.seed, r)),
-                    (r as u64) << 48,
-                )
-            })
-            .collect();
-        for (ch, lane) in w.channels.iter().zip(&mut w.chan_lane) {
-            let region = regions.region_of(ch.from);
-            *lane = if regions.region_of(ch.to) == region {
-                (region, 0)
-            } else {
-                let key = boundary_lane(region, ch.id).unwrap_or_else(|e| panic!("{e}"));
-                (region, key)
-            };
-        }
-        for meta in &mut w.agent_meta {
-            meta.region = regions.region_of(meta.node);
-        }
-        w.regions = regions;
-        w.streams.len()
+        w.regions.partition(w.nodes.len(), &w.channels, theta)
     }
 
     /// Inert: [`Engine::partition`] under the name that also coalesced
@@ -443,15 +352,15 @@ impl Engine {
         1
     }
 
-    /// Arm (or disarm) per-epoch load recording: one row per θ-grid epoch
-    /// (a single-region run is one epoch per `run_until`), one domain
-    /// wide, holding the events the epoch processed. Only `benchmark/`
-    /// reads it; ROADMAP item 9 deletes it.
+    /// Arm (or disarm) load recording: one row per `run_until` call, one
+    /// domain wide, holding the events the call processed — the run loop
+    /// has no per-epoch step to record. Only `benchmark/` reads it;
+    /// ROADMAP item 9 deletes it.
     pub fn record_epoch_loads(&mut self, on: bool) {
         self.world.epoch_loads = on.then(Vec::new);
     }
 
-    /// The recorded per-epoch event counts (see
+    /// The recorded per-call event counts (see
     /// [`Engine::record_epoch_loads`]).
     pub fn epoch_loads(&self) -> Option<&[Vec<u64>]> {
         self.world.epoch_loads.as_deref()
@@ -513,7 +422,7 @@ impl Engine {
         let id = ChannelId::from(w.channels.len());
         let ch = Channel::new(id, from, to, bandwidth_bps, prop_delay, queue_cfg);
         w.channels.push(ch);
-        w.chan_lane.push((0, 0));
+        w.regions.add_channel();
         w.nodes[from.index()].out_channels.push(id);
         id
     }
@@ -531,7 +440,6 @@ impl Engine {
         self.agents.push(agent);
         self.world.agent_meta.push(AgentMeta {
             node,
-            region: self.world.regions.region_of(node),
             send_overhead: SimDuration::ZERO,
             last_injection: SimTime::ZERO,
         });
@@ -666,12 +574,11 @@ impl Engine {
 
     /// Run until `deadline`; the clock ends at exactly `deadline`.
     ///
-    /// A single-region world runs the event loop straight to the
-    /// deadline; a partitioned one runs the same loop epoch by epoch on
-    /// the θ-grid. Either way the run then settles every transmission that
-    /// ended by `deadline` without a completion event, so whoever reads
-    /// the world between runs — registry snapshots, the timeline sampler,
-    /// `utilization(now)` — sees it as ended.
+    /// The event loop pops every event due by the deadline, partitioned
+    /// or not, then settles every transmission that ended by `deadline`
+    /// without a completion event, so whoever reads the world between
+    /// runs — registry snapshots, the timeline sampler, `utilization(now)`
+    /// — sees it as ended.
     ///
     /// # Panics
     /// If a partitioned run's deadline lies past the last θ-grid epoch

@@ -251,7 +251,7 @@ pub struct Calendar {
     next_seq: u64,
     /// The θ-grid epoch currently being executed (high bits of every
     /// locally scheduled event's key). Zero for an unpartitioned run; the
-    /// engine's run loop advances it at each grid barrier.
+    /// engine's run loop advances it when an event passes the epoch's end.
     epoch: u64,
     len: usize,
     /// Ring links so far: filings, direct or on leaving the overflow.
@@ -288,11 +288,14 @@ impl Calendar {
 
     /// Set the θ-grid epoch stamped onto subsequently scheduled events'
     /// keys, resetting the per-epoch schedule counter when it actually
-    /// advances (a `run_until` stopping mid-epoch re-enters the same
-    /// epoch; its counter must continue, not restart). An unpartitioned
-    /// run never calls this: its keys are the bare schedule counter.
+    /// advances. An unpartitioned run never calls this: its keys are the
+    /// bare schedule counter.
+    ///
+    /// # Panics
+    /// If `epoch` is behind the current one (its keys would silently
+    /// overtake events already filed) or past the key's epoch bits.
     pub fn set_epoch(&mut self, epoch: u64) {
-        debug_assert!(epoch >= self.epoch, "epoch ran backwards");
+        assert!(epoch >= self.epoch, "epoch ran backwards");
         assert!(
             epoch < MAX_EPOCHS,
             "calendar key overflow: more than 2^28 θ-grid epochs \
@@ -841,6 +844,15 @@ mod tests {
         assert!(spilled > 0, "no timer went past the ring");
         let links = cal.links - linked;
         assert!(links <= events, "{links} ring links for {events} events");
+    }
+
+    #[test]
+    #[should_panic(expected = "epoch ran backwards")]
+    fn a_backward_epoch_is_refused() {
+        let mut cal = Calendar::new();
+        cal.set_epoch(3);
+        cal.set_epoch(3);
+        cal.set_epoch(2);
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod link;
 pub mod node;
 pub mod packet;
 pub mod queue;
-pub mod region;
+mod region;
 pub mod stats;
 pub mod time;
 pub mod topology;
@@ -75,7 +75,6 @@ pub mod prelude {
     pub use crate::id::{AgentId, ChannelId, GroupId, NodeId};
     pub use crate::packet::{Dest, Packet};
     pub use crate::queue::{QueueConfig, RedConfig};
-    pub use crate::region::Regions;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::TraceDigest;
     pub use crate::wire::{SackBlock, SackList, Segment};

@@ -1,4 +1,5 @@
-//! The region partition behind the engine's keyed calendar.
+//! Regions: the partition behind the engine's keyed calendar, and what
+//! each region owns.
 //!
 //! The tree topologies of the paper have a useful property: every link
 //! carries a propagation delay, so a packet crossing a link cannot affect
@@ -7,164 +8,303 @@
 //! certified lookahead between them — the classic conservative-lookahead
 //! argument of parallel discrete-event simulation.
 //!
-//! The engine runs one calendar and uses the partition for two other
-//! things. Each region owns an RNG stream, a packet-uid tag and a
-//! trace-digest lane (`region_seed` derives the stream), which the golden
+//! The engine runs one calendar in one loop and reads the partition
+//! through one type, [`Regions`], for two things. Each region owns an RNG
+//! stream, a packet-uid tag and a trace-digest lane, which the golden
 //! digests pin. And a packet leaving its region has its arrival filed
-//! under a calendar key fixed by the θ-grid epoch its transmission ends
-//! in ([`crate::event::boundary_key`], [`grid_next`]) rather than by when
-//! it was filed.
+//! under a calendar key fixed by the θ-grid epoch its transmission ends in
+//! ([`crate::event::boundary_key`]) rather than by when it was filed.
 //!
-//! [`Regions`] computes the partition: nodes connected by links with
-//! propagation delay *below* θ are merged into one region (they interact
-//! too quickly to separate), and the *lookahead* `L` is the minimum delay
-//! over the links that remain cut.
+//! [`Regions::partition`]: nodes connected by links with propagation delay
+//! *below* θ are merged into one region (they interact too quickly to
+//! separate), and the *lookahead* `L` is the minimum delay over the links
+//! that remain cut.
 //!
 //! # Determinism contract
 //!
-//! The partition is a pure function of the topology and θ. Epoch barriers
-//! are absolute grid points `i·L`, never caller-chosen deadlines, so the
-//! keys — and therefore same-instant dispatch order — are independent of
-//! how the caller steps `run_until`.
+//! The partition is a pure function of the topology and θ. Epochs lie on
+//! the absolute grid: an event at `t` is dispatched in epoch ⌈t/L⌉ (at
+//! least 1), and a run that resumes on a grid instant `k·L` dispatches
+//! what is still due there in epoch `k + 1`, the one that begins there.
+//! Caller-chosen deadlines never move an epoch, so the keys — and
+//! therefore same-instant dispatch order — are independent of how the
+//! caller steps `run_until`.
 
-use crate::id::NodeId;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::event::{boundary_key, boundary_lane, Calendar, MAX_EPOCHS};
+use crate::id::{ChannelId, NodeId};
+use crate::link::Channel;
 use crate::time::{SimDuration, SimTime};
+use crate::trace::TraceDigest;
 
-/// A partition of the topology's nodes into conservative-lookahead
-/// regions. See the [module docs](self) for the partition rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Regions {
-    /// Per node: its region index. Empty in the trivial single-region map,
-    /// where every node is region 0 regardless of index.
-    region_of: Vec<u32>,
-    /// Number of regions (at least 1).
-    count: u32,
-    /// Minimum propagation delay over cut (inter-region) links; zero in
-    /// the single-region map, where it is never consulted.
-    lookahead: SimDuration,
+/// One region's stream: the RNG, packet-uid counter and digest lane of
+/// its nodes, channels and agents.
+pub(crate) struct RegionStream {
+    /// Every random draw made for the region.
+    pub(crate) rng: StdRng,
+    next_uid: u64,
+    /// High bits stamped onto the region's packet uids, keeping them
+    /// unique; zero while there is one region (the classic counter).
+    uid_tag: u64,
+    /// Fingerprint of the region's packet-event stream (see
+    /// [`TraceDigest`]); the lanes fold in region order.
+    pub(crate) digest: TraceDigest,
+}
+
+impl RegionStream {
+    fn new(seed: u64, uid_tag: u64) -> Self {
+        RegionStream {
+            rng: StdRng::seed_from_u64(seed),
+            next_uid: 0,
+            uid_tag,
+            digest: TraceDigest::new(),
+        }
+    }
+
+    /// A packet uid no other packet of the run has.
+    #[inline]
+    pub(crate) fn alloc_uid(&mut self) -> u64 {
+        let uid = self.uid_tag | self.next_uid;
+        self.next_uid += 1;
+        uid
+    }
+}
+
+/// The region identity the engine reads on every hop: the partition, the
+/// stream of a node's or channel's region (an agent's is its node's), the
+/// key of a hop's arrival and the θ-grid epoch the calendar stamps onto
+/// keys. Until [`Regions::partition`] cuts a link, the world is one region
+/// with the classic stream and no epochs.
+pub(crate) struct Regions {
+    /// The base RNG seed; per-region streams derive from it.
+    seed: u64,
+    /// Per node: its region. Empty while there is one region.
+    node_region: Vec<u32>,
+    /// Per channel: the region of its `from` node, and the static half of
+    /// its arrival keys — its [`boundary_lane`] if it leaves that region,
+    /// zero if it does not.
+    chan_lane: Vec<(u32, u64)>,
+    /// One stream per region, by region id.
+    streams: Vec<RegionStream>,
+    /// The lookahead `L`, in ns: the least delay over cut links, and the
+    /// epoch width. Zero while there is one region.
+    lookahead: u64,
+    /// The last instant of the calendar's epoch; `SimTime::MAX` while
+    /// there are no epochs.
+    epoch_end: SimTime,
 }
 
 impl Regions {
-    /// The trivial map: every node in region 0. This is the map an
-    /// unpartitioned engine carries.
-    pub fn single() -> Self {
+    /// One region, its stream seeded straight from `seed`, uid tag zero.
+    pub(crate) fn new(seed: u64) -> Self {
         Regions {
-            region_of: Vec::new(),
-            count: 1,
-            lookahead: SimDuration::ZERO,
+            seed,
+            node_region: Vec::new(),
+            chan_lane: Vec::new(),
+            streams: vec![RegionStream::new(seed, 0)],
+            lookahead: 0,
+            epoch_end: SimTime::MAX,
         }
     }
 
-    /// Partition `node_count` nodes along the directed links
-    /// `(from, to, prop_delay)`.
+    /// Partition `node_count` nodes along `channels`, each registered with
+    /// [`Regions::add_channel`]. Returns the region count.
     ///
-    /// Endpoints of any link with `prop_delay < theta` are merged into one
-    /// region; the remaining (cut) links all carry at least `theta` of
+    /// Endpoints of any channel with `prop_delay < theta` are merged into
+    /// one region; the remaining (cut) links all carry at least `theta` of
     /// delay, and the lookahead is their minimum. `theta` defaults to the
     /// smallest positive link delay in the topology — the finest partition
     /// the delays admit. Regions are numbered by first appearance in node
-    /// order, so the result is a pure function of the topology and θ.
+    /// order, so the result is a pure function of the topology and θ. Each
+    /// region gets a stream seeded by [`region_seed`] and the uid tag
+    /// `r << 48`.
     ///
     /// # Panics
     /// If an explicit `theta` is zero (a zero lookahead admits no
-    /// conservative window).
-    pub fn partition(
+    /// conservative window), or a cross-region channel does not fit the
+    /// calendar key (see [`boundary_lane`]).
+    pub(crate) fn partition(
+        &mut self,
         node_count: usize,
-        links: &[(NodeId, NodeId, SimDuration)],
+        channels: &[Channel],
         theta: Option<SimDuration>,
-    ) -> Self {
-        if let Some(t) = theta {
-            assert!(
-                !t.is_zero(),
-                "partition threshold must be positive: a zero lookahead admits no epoch window"
-            );
-        }
-        let theta = theta.or_else(|| {
-            links
-                .iter()
-                .map(|&(_, _, d)| d)
-                .filter(|d| !d.is_zero())
-                .min()
-        });
-        let Some(theta) = theta else {
+    ) -> usize {
+        assert!(
+            theta.is_none_or(|t| !t.is_zero()),
+            "partition threshold must be positive: a zero lookahead admits no epoch window"
+        );
+        let delays = channels.iter().map(|ch| ch.prop_delay);
+        let Some(theta) = theta.or_else(|| delays.filter(|d| !d.is_zero()).min()) else {
             // No links with positive delay anywhere: nothing to cut.
-            return Regions::single();
+            return 1;
         };
 
-        // Union-find over nodes; links too fast to cut merge their
-        // endpoints.
-        let mut parent: Vec<u32> = (0..node_count as u32).collect();
-        for &(from, to, delay) in links {
-            if delay < theta {
-                let a = find(&mut parent, from.index() as u32);
-                let b = find(&mut parent, to.index() as u32);
-                if a != b {
-                    // Smaller root wins, keeping numbering order-stable.
-                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    parent[hi as usize] = lo;
-                }
-            }
-        }
-
-        // Compress roots to dense region ids in node order.
-        let mut region_of = vec![u32::MAX; node_count];
-        let mut count = 0u32;
-        for n in 0..node_count as u32 {
-            let root = find(&mut parent, n);
-            if region_of[root as usize] == u32::MAX {
-                region_of[root as usize] = count;
-                count += 1;
-            }
-            region_of[n as usize] = region_of[root as usize];
-        }
+        let (region, count) = components(node_count, channels, theta);
         if count <= 1 {
-            return Regions::single();
+            return 1;
         }
 
-        // Lookahead: the tightest cut link bounds the epoch width.
-        let lookahead = links
-            .iter()
-            .filter(|&&(from, to, _)| region_of[from.index()] != region_of[to.index()])
-            .map(|&(_, _, d)| d)
-            .min()
-            .expect("multiple regions imply at least one cut link");
-        debug_assert!(lookahead >= theta, "cut link faster than the threshold");
-
-        Regions {
-            region_of,
-            count,
-            lookahead,
+        debug_assert_eq!(self.chan_lane.len(), channels.len());
+        let mut lookahead = u64::MAX;
+        for (lane, ch) in self.chan_lane.iter_mut().zip(channels) {
+            *lane = (region[ch.from.index()], 0);
+            if region[ch.to.index()] != lane.0 {
+                // The tightest cut link bounds the epoch width.
+                lookahead = lookahead.min(ch.prop_delay.as_nanos());
+                let key = boundary_lane(lane.0, ch.id);
+                lane.1 = key.unwrap_or_else(|e| panic!("{e}"));
+            }
         }
+        assert!(
+            lookahead < u64::MAX,
+            "multiple regions imply at least one cut link"
+        );
+        self.streams = (0..count)
+            .map(|r| RegionStream::new(region_seed(self.seed, r), (r as u64) << 48))
+            .collect();
+        (self.node_region, self.lookahead) = (region, lookahead);
+        self.epoch_end = SimTime::ZERO;
+        self.streams.len()
     }
 
-    /// The region a node belongs to.
+    /// Register the next channel, before the topology is partitioned.
+    pub(crate) fn add_channel(&mut self) {
+        self.chan_lane.push((0, 0));
+    }
+
+    /// The stream of `node`'s region.
     #[inline]
-    pub fn region_of(&self, node: NodeId) -> u32 {
-        if self.count == 1 {
+    pub(crate) fn node(&mut self, node: NodeId) -> &mut RegionStream {
+        let region = if self.node_region.is_empty() {
             0
         } else {
-            self.region_of[node.index()]
-        }
+            self.node_region[node.index()]
+        };
+        &mut self.streams[region as usize]
+    }
+
+    /// The stream of the region `channel` leaves from.
+    #[inline]
+    pub(crate) fn channel(&mut self, channel: ChannelId) -> &mut RegionStream {
+        &mut self.streams[self.chan_lane[channel.index()].0 as usize]
+    }
+
+    /// Region 0's RNG, for draws made outside any region's events.
+    pub(crate) fn first_rng(&mut self) -> &mut StdRng {
+        &mut self.streams[0].rng
     }
 
     /// Number of regions.
-    pub fn count(&self) -> usize {
-        self.count as usize
+    pub(crate) fn count(&self) -> usize {
+        self.streams.len()
     }
 
-    /// `true` when the map actually splits the topology.
-    pub fn is_partitioned(&self) -> bool {
-        self.count > 1
+    /// The region digests folded in region order; a single region's own.
+    pub(crate) fn digest(&self) -> TraceDigest {
+        if let [only] = &self.streams[..] {
+            return only.digest.clone();
+        }
+        let mut merged = TraceDigest::new();
+        for stream in &self.streams {
+            merged.absorb(&stream.digest);
+        }
+        merged
     }
 
-    /// The conservative lookahead: the minimum propagation delay over
-    /// inter-region links. Zero for the single-region map.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
+    /// Events recorded across the region digests.
+    pub(crate) fn events(&self) -> u64 {
+        self.streams.iter().map(|s| s.digest.events()).sum()
+    }
+
+    /// The key of the arrival of a transmission on `channel` that ends at
+    /// `end`. Within the region it is the calendar's next local key; out
+    /// of it, a pure function of the message: the epoch that dispatches
+    /// `end` (almost always the current one), the source region, the
+    /// channel.
+    #[inline]
+    pub(crate) fn arrival_key(&self, channel: ChannelId, end: SimTime, cal: &mut Calendar) -> u64 {
+        match self.chan_lane[channel.index()].1 {
+            0 => cal.reserve_key(),
+            lane if end <= self.epoch_end => boundary_key(cal.epoch(), lane),
+            lane => boundary_key(self.epoch_of(end), lane),
+        }
+    }
+
+    /// The epoch that dispatches an event at `t`: ⌈t/L⌉. Past the last
+    /// epoch a run admits, an event is never dispatched; its key stays
+    /// well-formed anyway.
+    fn epoch_of(&self, t: SimTime) -> u64 {
+        t.as_nanos().div_ceil(self.lookahead).min(MAX_EPOCHS - 1)
+    }
+
+    /// Open a run from `now` to `deadline`: refuse a deadline whose epoch
+    /// does not fit the key here, not hours into the run, and if the
+    /// current epoch ended at `now`, enter the one that begins there.
+    pub(crate) fn begin_run(&mut self, cal: &mut Calendar, now: SimTime, deadline: SimTime) {
+        let theta = self.lookahead;
+        if theta == 0 {
+            return;
+        }
+        assert!(
+            deadline.as_nanos().div_ceil(theta) < MAX_EPOCHS,
+            "run_until({:.3} s) is past the partitioned engine's limit of {:.3} simulated \
+             seconds: 2^28 θ-grid epochs at lookahead θ = {theta} ns",
+            deadline.as_secs_f64(),
+            ((MAX_EPOCHS - 1) * theta) as f64 / 1e9,
+        );
+        if now >= self.epoch_end {
+            self.enter(cal, now.as_nanos() / theta + 1);
+        }
+    }
+
+    /// Move the calendar into the epoch that dispatches `t` once `t` is
+    /// past the current epoch's end: for every event, and once more for
+    /// the deadline.
+    #[inline]
+    pub(crate) fn reach(&mut self, cal: &mut Calendar, t: SimTime) {
+        if t > self.epoch_end {
+            self.enter(cal, self.epoch_of(t));
+        }
+    }
+
+    fn enter(&mut self, cal: &mut Calendar, epoch: u64) {
+        cal.set_epoch(epoch);
+        self.epoch_end = SimTime::from_nanos(epoch.saturating_mul(self.lookahead));
     }
 }
 
-/// Path-halving find for the union-find pass above.
+/// Each node's region when the channels faster than `theta` merge their
+/// endpoints, numbered by first appearance in node order, and the count.
+fn components(node_count: usize, channels: &[Channel], theta: SimDuration) -> (Vec<u32>, u32) {
+    // Union-find over nodes; links too fast to cut merge their
+    // endpoints.
+    let mut parent: Vec<u32> = (0..node_count as u32).collect();
+    for ch in channels {
+        if ch.prop_delay < theta {
+            let a = find(&mut parent, ch.from.index() as u32);
+            let b = find(&mut parent, ch.to.index() as u32);
+            // Smaller root wins, keeping numbering order-stable.
+            parent[a.max(b) as usize] = a.min(b);
+        }
+    }
+
+    // Compress roots to dense region ids in node order.
+    let mut region = vec![u32::MAX; node_count];
+    let mut count = 0u32;
+    for n in 0..node_count as u32 {
+        let root = find(&mut parent, n);
+        if region[root as usize] == u32::MAX {
+            region[root as usize] = count;
+            count += 1;
+        }
+        region[n as usize] = region[root as usize];
+    }
+    (region, count)
+}
+
+/// Path-halving find for the union-find pass in `components`.
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         let up = parent[parent[x as usize] as usize];
@@ -174,23 +314,11 @@ fn find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-/// The next epoch barrier after `now`: the smallest multiple of
-/// `lookahead` strictly greater than `now`. Grid points are absolute
-/// (independent of where a `run_until` call happens to pause), which is
-/// what makes the keys — and therefore the digests — invariant under
-/// caller stepping.
-#[inline]
-pub fn grid_next(now: SimTime, lookahead: SimDuration) -> SimTime {
-    let l = lookahead.as_nanos();
-    debug_assert!(l > 0, "epoch grid needs a positive lookahead");
-    SimTime::from_nanos((now.as_nanos() / l + 1).saturating_mul(l))
-}
-
 /// Deterministic per-region RNG seed: a splitmix64-style mix of the base
 /// seed and the region index. Region streams must be decorrelated (the
 /// phase-effect machinery draws per-packet jitter from them) yet a pure
 /// function of `(seed, region)`.
-pub(crate) fn region_seed(seed: u64, region: u32) -> u64 {
+fn region_seed(seed: u64, region: u32) -> u64 {
     let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(region as u64 + 1));
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -200,9 +328,28 @@ pub(crate) fn region_seed(seed: u64, region: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::local_key;
+    use crate::queue::QueueConfig;
 
     fn ms(n: u64) -> SimDuration {
         SimDuration::from_millis(n)
+    }
+
+    /// Channels `(from, to, prop_delay)` partitioned at `theta`, and the
+    /// region count.
+    fn split(
+        nodes: usize,
+        links: &[(NodeId, NodeId, SimDuration)],
+        theta: Option<SimDuration>,
+    ) -> (Regions, usize) {
+        let mut m = Regions::new(1);
+        let q = QueueConfig::paper_droptail();
+        let channels: Vec<Channel> = (links.iter().enumerate())
+            .map(|(i, &(from, to, delay))| Channel::new(ChannelId::from(i), from, to, 1, delay, &q))
+            .collect();
+        channels.iter().for_each(|_| m.add_channel());
+        let count = m.partition(nodes, &channels, theta);
+        (m, count)
     }
 
     #[test]
@@ -215,14 +362,12 @@ mod tests {
             (NodeId(1), NodeId(2), ms(100)),
             (NodeId(2), NodeId(1), ms(100)),
         ];
-        let m = Regions::partition(3, &links, None);
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.lookahead(), ms(5));
-        assert!(m.is_partitioned());
-        // Numbered in node order.
-        assert_eq!(m.region_of(NodeId(0)), 0);
-        assert_eq!(m.region_of(NodeId(1)), 1);
-        assert_eq!(m.region_of(NodeId(2)), 2);
+        let (m, count) = split(3, &links, None);
+        assert_eq!((count, m.count()), (3, 3));
+        assert_eq!(m.lookahead, ms(5).as_nanos());
+        // Numbered in node order; every link leaves its region.
+        assert_eq!(m.node_region, [0, 1, 2]);
+        assert!(m.chan_lane.iter().all(|&(_, lane)| lane != 0));
     }
 
     #[test]
@@ -235,96 +380,84 @@ mod tests {
             (NodeId(1), NodeId(2), ms(100)),
             (NodeId(2), NodeId(1), ms(100)),
         ];
-        let m = Regions::partition(3, &links, Some(ms(10)));
-        assert_eq!(m.count(), 2);
-        assert_eq!(m.lookahead(), ms(100));
-        assert_eq!(m.region_of(NodeId(0)), m.region_of(NodeId(1)));
-        assert_ne!(m.region_of(NodeId(0)), m.region_of(NodeId(2)));
+        let (m, count) = split(3, &links, Some(ms(10)));
+        assert_eq!(count, 2);
+        assert_eq!(m.lookahead, ms(100).as_nanos());
+        assert_eq!(m.node_region, [0, 0, 1]);
+        let lanes: Vec<bool> = m.chan_lane.iter().map(|&(_, lane)| lane != 0).collect();
+        assert_eq!(lanes, [false, false, true, true]);
     }
 
     #[test]
     fn fully_merged_topology_is_single_region() {
         let links = vec![(NodeId(0), NodeId(1), ms(1)), (NodeId(1), NodeId(2), ms(1))];
-        let m = Regions::partition(3, &links, Some(ms(50)));
-        assert_eq!(m.count(), 1);
-        assert!(!m.is_partitioned());
-        assert_eq!(m.region_of(NodeId(2)), 0);
-    }
-
-    #[test]
-    fn single_map_covers_any_node() {
-        let m = Regions::single();
-        assert_eq!(m.count(), 1);
-        assert_eq!(m.region_of(NodeId(999)), 0);
-        assert_eq!(m.lookahead(), SimDuration::ZERO);
+        let (mut m, count) = split(3, &links, Some(ms(50)));
+        assert_eq!((count, m.count(), m.lookahead), (1, 1, 0));
+        let uid = m.node(NodeId(999)).alloc_uid();
+        assert_eq!(uid, 0, "the one region covers any node, uid tag zero");
     }
 
     #[test]
     #[should_panic(expected = "zero lookahead")]
     fn zero_theta_is_rejected() {
-        Regions::partition(2, &[(NodeId(0), NodeId(1), ms(1))], Some(SimDuration::ZERO));
+        split(2, &[(NodeId(0), NodeId(1), ms(1))], Some(SimDuration::ZERO));
+    }
+
+    /// Two regions joined by a 5 ms link both ways, and a calendar.
+    fn two_regions() -> (Regions, Calendar) {
+        let links = [(NodeId(0), NodeId(1), ms(5)), (NodeId(1), NodeId(0), ms(5))];
+        let (m, count) = split(2, &links, None);
+        assert_eq!(count, 2);
+        (m, Calendar::new())
     }
 
     #[test]
-    fn grid_steps_are_absolute_and_strictly_advancing() {
-        let l = ms(5);
-        assert_eq!(grid_next(SimTime::ZERO, l), SimTime::from_millis(5));
+    fn epochs_lie_on_the_absolute_grid() {
+        let (mut ids, mut cal) = two_regions();
+        let at = SimTime::from_millis;
+        ids.begin_run(&mut cal, SimTime::ZERO, at(17));
+        assert_eq!(cal.epoch(), 1, "a run from zero starts in epoch 1");
+        ids.reach(&mut cal, at(5));
         assert_eq!(
-            grid_next(SimTime::from_millis(5), l),
-            SimTime::from_millis(10)
+            cal.epoch(),
+            1,
+            "a barrier instant belongs to the epoch it closes"
         );
+        ids.reach(&mut cal, SimTime::from_nanos(5_000_001));
+        assert_eq!(cal.epoch(), 2);
+        ids.reach(&mut cal, at(17));
+        assert_eq!(cal.epoch(), 4, "epochs with no event are skipped");
+        ids.begin_run(&mut cal, at(17), at(20));
+        assert_eq!(cal.epoch(), 4, "a run stopped mid-epoch resumes in it");
+        ids.reach(&mut cal, at(20));
+        assert_eq!(cal.epoch(), 4);
+        ids.begin_run(&mut cal, at(20), at(20));
         assert_eq!(
-            grid_next(SimTime::from_millis(7), l),
-            SimTime::from_millis(10),
-            "mid-epoch resumption lands on the same absolute barrier"
+            cal.epoch(),
+            5,
+            "a run resumed on a barrier starts the next epoch"
         );
-        assert_eq!(
-            grid_next(SimTime::from_nanos(4_999_999), l),
-            SimTime::from_millis(5)
-        );
+        ids.begin_run(&mut cal, at(20), at(30));
+        assert_eq!(cal.epoch(), 5, "and only once");
     }
 
     #[test]
-    fn final_barrier_landing_exactly_on_the_deadline_runs_once() {
-        // The epoch loop's arithmetic when the run end is an exact grid
-        // multiple: every barrier — including the one *at* the deadline —
-        // is visited exactly once, and the loop terminates with the clock
-        // on the deadline (events at the deadline instant are dispatched
-        // in that final epoch, never dropped or replayed).
-        let l = ms(5);
-        let deadline = SimTime::from_millis(15);
-        let mut t = SimTime::ZERO;
-        let mut barriers = Vec::new();
-        while t < deadline {
-            let b = grid_next(t, l);
-            let target = b.min(deadline);
-            assert!(target > t, "epoch made no progress");
-            if target == b {
-                barriers.push(b);
-            }
-            t = target;
+    fn an_arrival_is_keyed_by_its_region_and_the_epoch_its_transmission_ends_in() {
+        let (mut ids, mut cal) = two_regions();
+        ids.begin_run(&mut cal, SimTime::ZERO, SimTime::from_secs(1));
+        for (channel, region) in [(0, 0), (1, 1)] {
+            let lane = boundary_lane(region, ChannelId(channel)).unwrap();
+            let mut key = |end| ids.arrival_key(ChannelId(channel), end, &mut cal);
+            assert_eq!(key(SimTime::from_millis(5)), boundary_key(1, lane));
+            assert_eq!(key(SimTime::from_millis(12)), boundary_key(3, lane));
         }
-        assert_eq!(
-            barriers,
-            vec![
-                SimTime::from_millis(5),
-                SimTime::from_millis(10),
-                SimTime::from_millis(15)
-            ],
-            "the final barrier must coincide with the deadline and fire once"
-        );
-        assert_eq!(t, deadline);
-    }
-
-    #[test]
-    fn grid_next_from_an_exact_barrier_strictly_advances() {
-        // Resuming a run whose deadline landed exactly on a barrier must
-        // compute the *next* barrier, not re-run the one just completed.
-        let l = ms(5);
-        assert_eq!(
-            grid_next(SimTime::from_millis(15), l),
-            SimTime::from_millis(20)
-        );
+        // Inside one region: the calendar's next local keys.
+        let mut one = Regions::new(1);
+        one.add_channel();
+        let keys: Vec<u64> = (0..2)
+            .map(|_| one.arrival_key(ChannelId(0), SimTime::from_millis(12), &mut cal))
+            .collect();
+        assert_eq!(keys, [local_key(1, 0), local_key(1, 1)]);
     }
 
     #[test]
