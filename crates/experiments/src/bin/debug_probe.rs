@@ -9,25 +9,26 @@
 //! cargo run --release -p experiments --bin debug_probe -- 1 droptail
 //! ```
 //!
-//! writes `results/debug_probe.timeline.jsonl` (period from
-//! `RLA_TELEMETRY_SAMPLE_MS`, dir from `RLA_RESULTS_DIR`; see
-//! `EXPERIMENTS.md`). The run is 120 s unless `RLA_DURATION_SECS` says
-//! otherwise.
+//! writes `results/debug_probe.timeline.jsonl` (one sample every
+//! 500 ms, dir from `RLA_RESULTS_DIR`; see `EXPERIMENTS.md`). The run is
+//! 120 s unless `RLA_DURATION_SECS` says otherwise. Both arguments are
+//! optional (case 3, drop-tail); one it cannot parse, or a third, prints
+//! the usage line and exits 2 before any run.
 
 use experiments::prelude::*;
 use rla::RlaSender;
 
+const USAGE: &str = "usage: debug_probe [case: 1|2|3|4|5|10.2|10.3|fig10-l2|fig10-l3, default 3] \
+                     [gateway: droptail|drop-tail|red, default droptail]";
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (case, gw) = parse_args(&args).unwrap_or_else(|msg| {
+        eprintln!("debug_probe: {msg}");
+        eprintln!("{USAGE}");
+        std::process::exit(2)
+    });
     let cfg = RunConfig::from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let case = args
-        .get(1)
-        .and_then(|s| cli::parse_case(s))
-        .unwrap_or(CongestionCase::Case3AllLeaves);
-    let gw = args
-        .get(2)
-        .and_then(|s| cli::parse_gateway(s))
-        .unwrap_or(GatewayKind::DropTail);
     let scenario = cfg
         .spec(case)
         .with_gateway(gw)
@@ -37,13 +38,17 @@ fn main() {
     let sender = world.rla_senders[0];
 
     // The probe exists to look at time series, so the recorder is always
-    // on here, configured by RLA_TELEMETRY_SAMPLE_MS/DIR. Samples
-    // stream to the file as they are recorded (written per sampling
-    // instant), so `rla_top results/debug_probe.timeline.jsonl` — or
-    // plain `tail -f` — follows the run live.
-    let (r, rec) = world.run_with_telemetry_streamed(&scenario, &cfg.telemetry, "debug_probe");
+    // on here, at the default period, writing into the results dir.
+    // Samples stream to the file as they are recorded (written per
+    // sampling instant), so `rla_top results/debug_probe.timeline.jsonl`
+    // — or plain `tail -f` — follows the run live.
+    let telemetry = cli::TelemetryOptions {
+        dir: cfg.results_dir.clone(),
+        ..Default::default()
+    };
+    let (r, rec) = world.run_with_telemetry_streamed(&scenario, &telemetry, "debug_probe");
     // The file `stream_to` opened: `<dir>/<stem>.timeline.jsonl`.
-    let path = cfg.telemetry.dir.join("debug_probe.timeline.jsonl");
+    let path = telemetry.dir.join("debug_probe.timeline.jsonl");
     println!(
         "timeline: {} ({} series, {} samples, period {:.3}s)",
         path.display(),
@@ -162,4 +167,23 @@ fn main() {
         tcp_pps(r.best_tcp()),
         r.avg_tcp_throughput()
     );
+}
+
+/// The case and gateway the arguments name, each defaulted when absent.
+fn parse_args(args: &[String]) -> Result<(CongestionCase, GatewayKind), String> {
+    if args.len() > 2 {
+        return Err(format!(
+            "expected at most two arguments, got {}",
+            args.len()
+        ));
+    }
+    let case = match args.first() {
+        Some(a) => cli::parse_case(a).ok_or_else(|| format!("unknown case {a:?}"))?,
+        None => CongestionCase::Case3AllLeaves,
+    };
+    let gw = match args.get(1) {
+        Some(a) => cli::parse_gateway(a).ok_or_else(|| format!("unknown gateway {a:?}"))?,
+        None => GatewayKind::DropTail,
+    };
+    Ok((case, gw))
 }

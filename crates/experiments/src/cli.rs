@@ -9,11 +9,10 @@
 //! behaves the same whatever the environment holds.
 //!
 //! The knobs are [`KNOWN_ENV_VARS`]; each is documented on the
-//! [`RunConfig`], [`PcapOptions`] or [`TelemetryOptions`] field it fills
-//! (see `EXPERIMENTS.md` for the full story). Any other variable in the
-//! `RLA_` namespace is rejected with the list of valid knobs, so typos
-//! fail loudly; so does an unparsable *value* of a recognized knob, with
-//! the knob and the expected form named.
+//! [`RunConfig`] field it fills (see `EXPERIMENTS.md` for the full story).
+//! Any other variable in the `RLA_` namespace is rejected with the list of
+//! valid knobs, so typos fail loudly; so does an unparsable *value* of a
+//! recognized knob, with the knob and the expected form named.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -35,7 +34,7 @@ use crate::tree::CongestionCase;
 /// [`RunConfig::from_env`] rejects anything else in the `RLA_` namespace
 /// so a typo (`RLA_DURATION=60`) fails loudly instead of silently running
 /// the 3000 s default.
-pub const KNOWN_ENV_VARS: [&str; 9] = [
+pub const KNOWN_ENV_VARS: [&str; 8] = [
     "RLA_DURATION_SECS",
     "RLA_SEED",
     "RLA_JOBS",
@@ -44,34 +43,28 @@ pub const KNOWN_ENV_VARS: [&str; 9] = [
     "RLA_EVENTS_FILE",
     "RLA_PROGRESS",
     "RLA_PCAP",
-    "RLA_TELEMETRY_SAMPLE_MS",
 ];
 
 /// No run is shorter than this, whatever `RLA_DURATION_SECS` or a
 /// binary's own default says.
 const MIN_DURATION: SimDuration = SimDuration::from_secs(60);
 
-/// The `RLA_PCAP` knob's options. The defaults mean "off": packet capture
-/// costs nothing unless asked for. On, every run the
-/// [`Pool`](crate::runner::Pool) executes streams one capture file, whose
-/// memory cost is one write buffer
-/// ([`WRITE_BUFFER_BYTES`](telemetry::pcap::WRITE_BUFFER_BYTES)) whatever
-/// the run length.
+/// A packet capture's options, as
+/// [`install_pcap`](crate::scenario::ScenarioWorld::install_pcap) takes
+/// them. The [`Pool`](crate::runner::Pool) builds them from the `RLA_PCAP`
+/// switch and the results dir; every other field keeps its default outside
+/// `benchmark/`, which names them all in a struct literal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PcapOptions {
-    /// Write a capture file per scenario run (`RLA_PCAP`, a switch:
-    /// `1`/`on`/`true` or `0`/`off`).
+    /// Write a capture file per scenario run.
     pub enabled: bool,
-    /// Capture-record snap length in bytes. No knob sets it: every
-    /// synthetic frame fits [`DEFAULT_SNAPLEN`] (`telemetry::pcap`'s
-    /// compile-time `FRAME_MAX` check), so a parsed config always holds
-    /// the default. The frozen `benchmark/` names it in a struct literal.
+    /// Capture-record snap length in bytes; every synthetic frame fits
+    /// [`DEFAULT_SNAPLEN`] (`telemetry::pcap`'s compile-time `FRAME_MAX`
+    /// check).
     pub snaplen: u32,
-    /// Directory capture files are written to: the results dir in a
-    /// parsed config, `results/` in [`Default`]. No knob of its own.
+    /// Directory capture files are written to.
     pub dir: PathBuf,
-    /// Inert: nothing sets or reads it (the frozen `benchmark/` names it
-    /// in a struct literal; ROADMAP item 9 deletes it).
+    /// Inert: nothing reads it (ROADMAP item 9 deletes it).
     pub spool_records: Option<usize>,
 }
 
@@ -86,31 +79,24 @@ impl Default for PcapOptions {
     }
 }
 
-/// The `RLA_TELEMETRY_SAMPLE_MS` knob's options: how a timeline-recording
-/// run samples and where it writes. Recording itself is the caller's
-/// decision — it attaches a timeline to the world
-/// (`ScenarioWorld::attach_timeline`, or `run_with_telemetry_streamed`,
-/// which attaches one built from these options), never the environment's. An attached timeline changes
-/// neither the run's trace digest nor its manifest.
+/// How a timeline-recording run samples and where it writes, as
+/// [`run_with_telemetry_streamed`](crate::scenario::ScenarioWorld::run_with_telemetry_streamed)
+/// takes it. Recording is the caller's decision, never the environment's;
+/// an attached timeline changes neither the run's trace digest nor its
+/// manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryOptions {
-    /// Caller-set only (no knob): marks a config whose owner records
-    /// per-flow timelines.
+    /// Inert: nothing reads it (ROADMAP item 9 deletes it).
     pub timeline: bool,
-    /// Sampling period for the timeline recorder
-    /// (`RLA_TELEMETRY_SAMPLE_MS`, default 500 ms; 0 is rejected).
-    pub sample_period: SimDuration,
-    /// Inert: JSONL is the one timeline format, and no knob sets this
-    /// (the frozen `benchmark/` names it in a struct literal; ROADMAP
-    /// item 9 deletes it).
-    pub format: TimelineFormat,
-    /// Directory timeline files are written to: the results dir in a
-    /// parsed config, `results/` in [`Default`]. No knob of its own. A
+    /// Sampling period for the timeline recorder (default 500 ms). A
     /// streamed timeline is written per sampling instant, so a live reader
-    /// is at most one `sample_period` behind the run.
+    /// is at most one period behind the run.
+    pub sample_period: SimDuration,
+    /// Inert: JSONL is the one timeline format (ROADMAP item 9 deletes it).
+    pub format: TimelineFormat,
+    /// Directory timeline files are written to.
     pub dir: PathBuf,
-    /// Caller-set only (no knob): flight-recorder ring depth per channel
-    /// for callers that install one (default 64).
+    /// Flight-recorder ring depth per channel for callers that install one.
     pub flight_depth: usize,
 }
 
@@ -127,8 +113,7 @@ impl Default for TelemetryOptions {
 }
 
 /// The one process-level configuration: every field is the parsed image
-/// of one `RLA_*` knob (or, for `pcap`/`telemetry`, of that knob plus the
-/// results dir).
+/// of one `RLA_*` knob.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// `RLA_DURATION_SECS` — simulated seconds per run, floored at 60;
@@ -160,10 +145,13 @@ pub struct RunConfig {
     /// humans watching long sweeps, and CI logs and test output should
     /// stay diffable.
     pub progress: bool,
-    /// `RLA_PCAP` — packet-capture export.
-    pub pcap: PcapOptions,
-    /// `RLA_TELEMETRY_SAMPLE_MS` — timeline sampling and output.
-    pub telemetry: TelemetryOptions,
+    /// `RLA_PCAP` — packet-capture export, a switch (`1`/`on`/`true` or
+    /// `0`/`off`/empty): every run the [`Pool`](crate::runner::Pool)
+    /// executes streams one capture file into `results_dir`, whose memory
+    /// cost is one write buffer
+    /// ([`WRITE_BUFFER_BYTES`](telemetry::pcap::WRITE_BUFFER_BYTES))
+    /// whatever the run length.
+    pub pcap: bool,
 }
 
 impl RunConfig {
@@ -227,35 +215,14 @@ impl RunConfig {
         let progress = get("RLA_PROGRESS").is_some_and(|v| {
             switch(&v).unwrap_or_else(|| panic!("RLA_PROGRESS={v:?}: expected 1/on/true or 0/off"))
         });
-
-        let mut pcap = PcapOptions {
-            dir: results_dir.clone(),
-            ..PcapOptions::default()
-        };
-        if let Some(v) = get("RLA_PCAP") {
-            pcap.enabled = switch(&v).unwrap_or_else(|| {
+        let pcap = get("RLA_PCAP").is_some_and(|v| {
+            switch(&v).unwrap_or_else(|| {
                 panic!(
                     "RLA_PCAP={v:?}: expected a switch, 1/on/true or 0/off \
                      (a snap length is not accepted: every frame fits the default)"
                 )
-            });
-        }
-
-        let mut telemetry = TelemetryOptions {
-            dir: results_dir.clone(),
-            ..TelemetryOptions::default()
-        };
-        if let Some(v) = get("RLA_TELEMETRY_SAMPLE_MS") {
-            let ms: u64 = parsed("RLA_TELEMETRY_SAMPLE_MS", &v, "milliseconds");
-            // 0 would reach TimelineRecorder::new's `!period.is_zero()`
-            // assertion and panic without naming the knob; reject it here
-            // with the message the other knobs use.
-            assert!(
-                ms > 0,
-                "RLA_TELEMETRY_SAMPLE_MS=0: the sampling period must be at least 1 ms"
-            );
-            telemetry.sample_period = SimDuration::from_millis(ms);
-        }
+            })
+        });
 
         RunConfig {
             duration,
@@ -266,7 +233,6 @@ impl RunConfig {
             events: get("RLA_EVENTS_FILE").map_or_else(Vec::new, |path| read_events(&path)),
             progress,
             pcap,
-            telemetry,
         }
     }
 
@@ -369,11 +335,8 @@ mod tests {
         assert_eq!(cfg.tcp_cc, CcVariant::sack());
         assert_eq!(cfg.results_dir, PathBuf::from("results"));
         assert!(cfg.events.is_empty());
-        assert!(!cfg.progress);
         // The observability layer must cost nothing unless asked for.
-        assert_eq!(cfg.pcap, PcapOptions::default());
-        assert_eq!(cfg.telemetry, TelemetryOptions::default());
-        assert!(!cfg.pcap.enabled && !cfg.telemetry.timeline);
+        assert!(!cfg.progress && !cfg.pcap);
     }
 
     #[test]
@@ -385,33 +348,25 @@ mod tests {
             ("RLA_RESULTS_DIR", "/tmp/out"),
             ("RLA_PROGRESS", "on"),
             ("RLA_PCAP", "on"),
-            ("RLA_TELEMETRY_SAMPLE_MS", "250"),
             // Other namespaces are none of this module's business.
             ("PATH", "/bin"),
             ("CARGO_TARGET_DIR", "target"),
         ]);
         assert_eq!(cfg.duration, Some(SimDuration::from_secs(90)));
         assert_eq!((cfg.seed, cfg.jobs), (42, 3));
-        assert!(cfg.progress);
-        assert!(cfg.pcap.enabled);
-        assert_eq!(cfg.pcap.snaplen, DEFAULT_SNAPLEN);
-        assert_eq!(cfg.telemetry.sample_period, SimDuration::from_millis(250));
-        // Captures and timelines land in the results dir with the rest.
+        assert!(cfg.progress && cfg.pcap);
         assert_eq!(cfg.results_dir, PathBuf::from("/tmp/out"));
-        assert_eq!(cfg.pcap.dir, PathBuf::from("/tmp/out"));
-        assert_eq!(cfg.telemetry.dir, PathBuf::from("/tmp/out"));
     }
 
     #[test]
     fn switches_accept_the_on_and_off_spellings() {
         for on in ["1", "on", "true"] {
             let cfg = config(&[("RLA_PROGRESS", on), ("RLA_PCAP", on)]);
-            assert!(cfg.progress && cfg.pcap.enabled, "{on:?}");
-            assert_eq!(cfg.pcap.snaplen, DEFAULT_SNAPLEN);
+            assert!(cfg.progress && cfg.pcap, "{on:?}");
         }
         for off in ["0", "off", ""] {
             let cfg = config(&[("RLA_PROGRESS", off), ("RLA_PCAP", off)]);
-            assert!(!cfg.progress && !cfg.pcap.enabled, "{off:?}");
+            assert!(!cfg.progress && !cfg.pcap, "{off:?}");
         }
         assert_eq!(config(&[("RLA_JOBS", "0")]).jobs, 1, "floor of one");
     }
@@ -487,10 +442,6 @@ mod tests {
                 "RLA_JOBS=\"two\": expected a worker count",
             ),
             ("RLA_PROGRESS", "maybe", "RLA_PROGRESS=\"maybe\""),
-            // Regression: 0 used to reach TimelineRecorder::new's bare
-            // `!period.is_zero()` assertion.
-            ("RLA_TELEMETRY_SAMPLE_MS", "0", "at least 1 ms"),
-            ("RLA_TELEMETRY_SAMPLE_MS", "fast", "expected milliseconds"),
             ("RLA_PCAP", "x", "RLA_PCAP=\"x\""),
             // A snap length used to be accepted; every frame fits the
             // default, so it could only truncate SACK options.
@@ -514,6 +465,7 @@ mod tests {
             ("RLA_DIFF_THRESHOLD_PCT", "1", valid_list),
             ("RLA_PCAP_SPOOL", "1", valid_list),
             ("RLA_TELEMETRY_FORMAT", "jsonl", valid_list),
+            ("RLA_TELEMETRY_SAMPLE_MS", "250", valid_list),
             // Every output lives in the results dir, and the heartbeat
             // file follows `RLA_PROGRESS`.
             ("RLA_PCAP_DIR", "/tmp/caps", valid_list),

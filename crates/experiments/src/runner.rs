@@ -13,11 +13,11 @@
 //! for the batch) via [`telemetry::SweepProgress`] — stdout stays reserved
 //! for the result tables — and appends a JSON heartbeat (case, seed, event
 //! rate, ETA) to `<results_dir>/progress.jsonl`, flushed per line, which
-//! is what `rla_top` follows during a sweep. With `pcap.enabled`, every
-//! run streams a capture named by its position in the process's sweep
-//! order (`NNN_<case>_<gateway>_seed<N>.pcap`), so runs that differ only in
-//! what the name does not spell — the TCP flavour, an RLA setting, an
-//! event schedule — never share a file.
+//! is what `rla_top` follows during a sweep. With `pcap` on, every run
+//! streams a capture into the results dir, named by its position in the
+//! process's sweep order (`NNN_<case>_<gateway>_seed<N>.pcap`), so runs
+//! that differ only in what the name does not spell — the TCP flavour, an
+//! RLA setting, an event schedule — never share a file.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -68,7 +68,11 @@ impl Pool {
         Pool {
             jobs: cfg.jobs,
             sink,
-            pcap: cfg.pcap.clone(),
+            pcap: PcapOptions {
+                enabled: cfg.pcap,
+                dir: cfg.results_dir.clone(),
+                ..PcapOptions::default()
+            },
             taken: AtomicUsize::new(0),
         }
     }
@@ -287,8 +291,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rla_pool_pcap_{}", std::process::id()));
         let mut cfg = RunConfig::from_vars(|_| None);
         cfg.jobs = 2;
-        cfg.pcap.enabled = true;
-        cfg.pcap.dir = dir.clone();
+        cfg.pcap = true;
+        cfg.results_dir = dir.clone();
         let flavour = |cc: &str| {
             ScenarioSpec::paper(CongestionCase::Case1RootLink)
                 .with_duration(SimDuration::from_secs(3))

@@ -51,8 +51,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-
 use crate::agent::Agent;
 use crate::arena::PacketArena;
 use crate::event::{Calendar, EventKind};
@@ -220,13 +218,6 @@ impl World {
     /// The members of a group.
     pub fn group_members(&self, group: GroupId) -> &[AgentId] {
         &self.groups[group.index()].members
-    }
-
-    /// The region-0 simulation RNG. A partitioned world runs one
-    /// independent stream per region; out-of-band draws (topology
-    /// construction, test scaffolding, scenario dynamics) use region 0's.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.regions.first_rng()
     }
 
     /// The merged digest of every packet event processed so far: the

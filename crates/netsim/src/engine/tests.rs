@@ -426,6 +426,39 @@ fn partitioned_packets_cross_domains_both_ways() {
 }
 
 #[test]
+fn regions_that_share_no_link_run_without_epochs() {
+    // a -(1ms)- b and a lone c: at θ = 5ms the link merges a and b, so c
+    // is a second region that no link reaches. It needs no epochs, and a
+    // run across the linked pair repeats its digest.
+    let run = || {
+        let mut e = Engine::new(3);
+        let a = e.add_node("a");
+        let b = e.add_node("b");
+        e.add_node("c");
+        let q = QueueConfig::paper_droptail();
+        e.add_link(a, b, 8_000_000, SimDuration::from_millis(1), &q);
+        assert_eq!(e.partition(Some(SimDuration::from_millis(5))), 2);
+        let sink = e.add_agent(b, Box::new(Sink::default()));
+        let blaster = e.add_agent(
+            a,
+            Box::new(Blaster {
+                dest: Dest::Agent(sink),
+                count: 5,
+                size: 1000,
+            }),
+        );
+        e.compute_routes();
+        e.start_agent_at(blaster, SimTime::ZERO);
+        e.run_until(SimTime::from_secs(1));
+        assert_eq!(e.agent_as::<Sink>(sink).unwrap().received, 5);
+        e.trace_digest()
+    };
+    let digest = run();
+    assert!(digest.events() > 0);
+    assert_eq!(digest, run(), "the digest must repeat");
+}
+
+#[test]
 fn digest_is_identical_under_stepping() {
     let (mut e, _, _) = partitioned_chain(11);
     e.run_until(SimTime::from_secs(2));

@@ -114,7 +114,8 @@ impl Regions {
     ///
     /// Endpoints of any channel with `prop_delay < theta` are merged into
     /// one region; the remaining (cut) links all carry at least `theta` of
-    /// delay, and the lookahead is their minimum. `theta` defaults to the
+    /// delay, and the lookahead is their minimum; with no cut link the
+    /// regions never meet, and there are no epochs. `theta` defaults to the
     /// smallest positive link delay in the topology — the finest partition
     /// the delays admit. Regions are numbered by first appearance in node
     /// order, so the result is a pure function of the topology and θ. Each
@@ -157,15 +158,16 @@ impl Regions {
                 lane.1 = key.unwrap_or_else(|e| panic!("{e}"));
             }
         }
-        assert!(
-            lookahead < u64::MAX,
-            "multiple regions imply at least one cut link"
-        );
         self.streams = (0..count)
             .map(|r| RegionStream::new(region_seed(self.seed, r), (r as u64) << 48))
             .collect();
-        (self.node_region, self.lookahead) = (region, lookahead);
-        self.epoch_end = SimTime::ZERO;
+        self.node_region = region;
+        // Regions that share no link never exchange a packet, so they need
+        // no epochs: lookahead stays 0 and the epoch never ends.
+        if lookahead < u64::MAX {
+            self.lookahead = lookahead;
+            self.epoch_end = SimTime::ZERO;
+        }
         self.streams.len()
     }
 
@@ -189,11 +191,6 @@ impl Regions {
     #[inline]
     pub(crate) fn channel(&mut self, channel: ChannelId) -> &mut RegionStream {
         &mut self.streams[self.chan_lane[channel.index()].0 as usize]
-    }
-
-    /// Region 0's RNG, for draws made outside any region's events.
-    pub(crate) fn first_rng(&mut self) -> &mut StdRng {
-        &mut self.streams[0].rng
     }
 
     /// Number of regions.
